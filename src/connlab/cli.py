@@ -243,7 +243,7 @@ def cmd_bounds(args) -> int:
         _print_pretty(rows, CSV_COLUMNS)
     for spec, err in failures:
         print(f"error: {spec}: {err}", file=sys.stderr)
-    if reports and not failures:
+    if reports and not failures and args.dump:
         _maybe_dump(args, bundle_for(_load_graph_arg(args.graphs[0])))
     return 1 if failures else 0
 

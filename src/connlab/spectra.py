@@ -32,7 +32,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .exact import IntMatrix, IntPolynomial, charpoly, matpow
+from .exact import IntMatrix, IntPolynomial, charpoly
 from .graphs import Graph, connected_components, diameter, induced_subgraph, is_connected, is_regular
 from .operators import OperatorBundle, bundle_for
 
@@ -175,13 +175,18 @@ def bound_dual_vertex(g: Graph) -> float:
     return r - 1.0 / r
 
 
-def bound_kwalk(g: Graph, k: int) -> float:
+def _bundle(source: Graph | OperatorBundle) -> OperatorBundle:
+    return source if isinstance(source, OperatorBundle) else bundle_for(source)
+
+
+def bound_kwalk(source: Graph | OperatorBundle, k: int) -> float:
     """Walk bound r_k - 1/r_k, r_k = 1 + (max_x P(k,x))^(1/k).
 
     P(k,x) counts length-k walks in the connection graph G' starting at x,
-    computed exactly: A(G') = L - I over the integers, raised to the k-th
-    power by binary exponentiation, then the maximal row sum.  Only the
-    final k-th root is floating point.
+    that is row x of A(G')^k 1 with A(G') = L - I.  It is computed exactly
+    with k big-integer mat-vecs over the neighbour lists of G' (the
+    off-diagonal nonzeros of L), starting from the all-ones vector; no power
+    of A is formed.  Only the final k-th root is floating point.
 
     Sound for every k: max_x P(k,x) >= rho(A)^k, so r_k >= rho(L) and the
     bound dominates rho(|H|) = rho(L) - 1/rho(L).  The max row sum is
@@ -192,12 +197,16 @@ def bound_kwalk(g: Graph, k: int) -> float:
     """
     if k < 1:
         raise SpectraError("walk length k must be >= 1")
-    _require_edges(g)
-    bundle = bundle_for(g)
-    n = bundle.size
-    adj = bundle.connection - IntMatrix.identity(n)
-    power = matpow(adj, k)
-    walks = max(power.row_sums())
+    bundle = _bundle(source)
+    _require_edges(bundle.graph)
+    neighbours = [
+        [y for y, a in enumerate(row) if a and y != x]
+        for x, row in enumerate(bundle.connection.rows)
+    ]
+    counts = [1] * bundle.size
+    for _ in range(k):
+        counts = [sum(counts[y] for y in nbrs) for nbrs in neighbours]
+    walks = max(counts)
     if walks <= 0:
         raise SpectraError("connection graph has no walks; graph must have an edge")
     # exp(log(P)/k) stays finite even when P overflows a float
@@ -205,21 +214,21 @@ def bound_kwalk(g: Graph, k: int) -> float:
     return r - 1.0 / r
 
 
-def connection_edge_count(g: Graph) -> int:
+def connection_edge_count(source: Graph | OperatorBundle) -> int:
     """Number of edges e' of the connection graph G'."""
-    bundle = bundle_for(g)
-    n = bundle.size
-    return (bundle.connection.entry_sum() - n) // 2
+    bundle = _bundle(source)
+    return (bundle.connection.entry_sum() - bundle.size) // 2
 
 
-def bound_bhs(g: Graph) -> float:
+def bound_bhs(source: Graph | OperatorBundle) -> float:
     """Edge-count bound u - 1/u, u = 1 + (sqrt(1 + 8 e') - 1)/2.
 
     The inner expression bounds the adjacency spectral radius of any graph
     with e' edges, applied here to the connection graph G'.
     """
-    _require_edges(g)
-    eprime = connection_edge_count(g)
+    bundle = _bundle(source)
+    _require_edges(bundle.graph)
+    eprime = connection_edge_count(bundle)
     u = 1.0 + (math.sqrt(1.0 + 8.0 * eprime) - 1.0) / 2.0
     return u - 1.0 / u
 
@@ -353,8 +362,8 @@ def bounds_report(g: Graph, ks: Sequence[int] = (1, 2, 3), tol: float = EIG_TOL)
         bound_trivial_2d=bound_trivial_2d(g),
         bound_anderson_morley=bound_anderson_morley(g),
         bound_dual_vertex=bound_dual_vertex(g),
-        bound_kwalk={k: bound_kwalk(g, k) for k in ks},
-        bound_bhs=bound_bhs(g),
+        bound_kwalk={k: bound_kwalk(bundle, k) for k in ks},
+        bound_bhs=bound_bhs(bundle),
         bound_lsc=lsc,
         bound_shi=shi,
         regular=regular,
@@ -376,8 +385,6 @@ class SchurReport:
     partial_sums_ok: bool
     worst_partial_excess: float
     trace_matches_dim: bool
-    top_gap: float
-    top_gap_ge_one: bool
     fiedler_ok: bool | None
 
     @property
@@ -392,15 +399,14 @@ def schur_check(
     max_degree: int | None = None,
     tol: float = 1e-8,
 ) -> SchurReport:
-    """Check sum_{i<=t} lambda_i <= t with equality at t = n, and the gaps.
+    """Check sum_{i<=t} lambda_i <= t with equality at t = n.
 
     The ascending partial sums of the connection spectrum are majorized by
-    the counting sequence because L has unit diagonal.  top_gap_ge_one is
-    reported but not asserted; it fails for cycles of length 6 and up.  The
-    gap theorem is block_gap: the gap across the negative/positive split of
-    sigma(L) (see connection_sign_split) is at least 1.  When both
-    habs_top and max_degree are supplied, the Fiedler-style inequality
-    lambda_max(|H|) >= d is checked too.
+    the counting sequence because L has unit diagonal.  The gap theorem is
+    block_gap: the gap across the negative/positive split of sigma(L) (see
+    connection_sign_split) is at least 1.  When both habs_top and max_degree
+    are supplied, the Fiedler-style inequality lambda_max(|H|) >= d is
+    checked too.
     """
     n = l_spec.matrix_dim
     excess = max(
@@ -408,7 +414,6 @@ def schur_check(
         default=0.0,
     )
     trace = l_spec.partial_sums()[-1] if n else 0.0
-    gap = l_spec.top_gap
     fiedler = None
     if habs_top is not None and max_degree is not None:
         fiedler = habs_top >= max_degree - tol
@@ -416,8 +421,6 @@ def schur_check(
         partial_sums_ok=excess <= tol,
         worst_partial_excess=float(excess),
         trace_matches_dim=abs(trace - n) <= tol,
-        top_gap=gap,
-        top_gap_ge_one=gap >= 1.0 - tol,
         fiedler_ok=fiedler,
     )
 

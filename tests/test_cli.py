@@ -1,11 +1,17 @@
 """Command-line behavior: exit codes, output formats, determinism."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 import connlab.cli as cli
+import connlab.operators as operators
+from connlab.exact import dump_matrix
+from connlab.graphs import from_spec
 from connlab.spectra import CSV_COLUMNS
+
+DATA = Path(__file__).parent / "data"
 
 
 def run(capsys, *argv):
@@ -59,6 +65,39 @@ def test_bounds_reports_bad_graph_inline(capsys):
     assert code == 1
     assert "C4" in out
     assert "nosuchfamily" in err
+
+
+def test_bounds_builds_one_bundle_and_one_connection(capsys, monkeypatch):
+    calls = {"bundles": 0, "connections": 0}
+    init = operators.OperatorBundle.__init__
+    build = operators.connection_matrix
+
+    def counting_init(self, *args, **kwargs):
+        calls["bundles"] += 1
+        init(self, *args, **kwargs)
+
+    def counting_build(c):
+        calls["connections"] += 1
+        return build(c)
+
+    monkeypatch.setattr(operators.OperatorBundle, "__init__", counting_init)
+    monkeypatch.setattr(operators, "connection_matrix", counting_build)
+    code, _, _ = run(capsys, "bounds", "cycle:6")
+    assert code == 0
+    assert calls == {"bundles": 1, "connections": 1}
+
+
+def test_bounds_dump_habs_matches_dense_product(capsys):
+    code, out, _ = run(capsys, "bounds", "cycle:4", "--dump", "Habs")
+    assert code == 0
+    b = operators.bundle_for(from_spec("cycle:4"))
+    assert out.endswith(dump_matrix(b.dirac_signless @ b.dirac_signless))
+
+
+def test_bounds_dump_unknown_operator_exits(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(["bounds", "cycle:4", "--dump", "nosuch"])
+    assert "unknown operator 'nosuch'" in str(excinfo.value.code)
 
 
 def test_spectrum_pairing(capsys):
@@ -176,3 +215,12 @@ def test_report_small_and_deterministic(capsys, monkeypatch):
     families = [s["family"] for s in doc["deterministic"]]
     assert "cycle" in families and "petersen" in families
     assert doc["random_analogues"][0]["rows"][0]["name"] == "gnm:10,12:seed=11"
+
+
+def test_report_seed7_matches_golden_output(capsys):
+    # tests/data/report_seed7.txt is the default-format stdout of
+    # `connlab report --seed 7` from before H, |H| and the k-walk counts
+    # moved off the dense matrix products
+    code, out, _ = run(capsys, "report", "--seed", "7")
+    assert code == 0
+    assert out.encode() == (DATA / "report_seed7.txt").read_bytes()

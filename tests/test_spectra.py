@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from connlab.exact import charpoly
+from connlab.exact import IntMatrix, charpoly, matpow
 from connlab.graphs import from_spec
 from connlab.operators import bundle_for
 from connlab.spectra import (
@@ -106,6 +106,15 @@ def test_kwalk_tightens_toward_spectral_link():
     target = spectrum_of(b.hodge_signless).top
     assert abs(bound_kwalk(g, 24) - target) < 0.1
     assert bound_kwalk(g, 3) >= target - 1e-9
+
+
+def test_kwalk_matches_dense_matpow_on_corpus(corpus):
+    # the k mat-vecs against the max row sum of the dense power (L - I)^k
+    for spec, b in corpus.items():
+        adj = b.connection - IntMatrix.identity(b.size)
+        for k in (1, 2, 3):
+            r = 1.0 + math.exp(math.log(max(matpow(adj, k).row_sums())) / k)
+            assert bound_kwalk(b.graph, k) == bound_kwalk(b, k) == r - 1.0 / r, (spec, k)
 
 
 def test_dual_vertex_beats_2d_on_sparse():
