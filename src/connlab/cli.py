@@ -7,7 +7,9 @@ generator spec like "cycle:8", "grid:6,3", "gnm:20,50:seed=7", or
 every command is deterministic given its flags, so identical invocations
 produce byte-identical output.
 
-Exit codes: 0 success, 1 a check failed, 2 usage errors (from the parser).
+Exit codes: 0 success, 1 a check failed, 2 a usage error (a bad flag, state
+or graph spec or file), which prints one line "error: ..." on stderr and no
+traceback.
 """
 
 from __future__ import annotations
@@ -30,9 +32,10 @@ from .exact import (
     dump_matrix,
     field_reduce,
     inverse_exact,
+    is_prime,
     reciprocal_sign,
 )
-from .graphs import Graph, from_spec, load_graph
+from .graphs import Graph, GraphError, from_spec, load_graph
 from .newton import (
     NewtonConfig,
     NonConvergenceError,
@@ -61,6 +64,10 @@ from .tables import (
 )
 
 TABLE_TOLERANCE = 1e-3
+
+
+class UsageError(ValueError):
+    """Bad command-line input found after parsing."""
 
 
 # ---------------------------------------------------------------------------
@@ -301,9 +308,12 @@ def cmd_spectrum(args) -> int:
 def _parse_state(text: str | None, n: int) -> tuple[int, ...]:
     if text is None:
         return tuple([1] + [0] * (n - 1))
-    values = tuple(int(tok) for tok in text.split(","))
+    try:
+        values = tuple(int(tok) for tok in text.split(","))
+    except ValueError:
+        raise UsageError(f"state {text!r} is not a comma-separated list of integers") from None
     if len(values) != n:
-        raise SystemExit(f"state has {len(values)} entries, expected {n}")
+        raise UsageError(f"state has {len(values)} entries, expected {n}")
     return values
 
 
@@ -580,8 +590,33 @@ def cmd_report(args) -> int:
 # parser
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):
+        self.exit(2, f"error: {message}\n")
+
+
+def _prime(text: str) -> int:
+    try:
+        p = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+    if not is_prime(p):
+        raise argparse.ArgumentTypeError(f"{p} is not a prime")
+    return p
+
+
+def _steps(text: str) -> int:
+    try:
+        k = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+    if k < 0:
+        raise argparse.ArgumentTypeError(f"{k} is negative")
+    return k
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="connlab",
         description="Connection Laplacian workbench: exact identities, "
         "spectral bounds, reversible dynamics.",
@@ -605,7 +640,7 @@ def build_parser() -> argparse.ArgumentParser:
         "verify", help="run the exact identity checks on one graph", parents=[common]
     )
     p.add_argument("graph")
-    p.add_argument("--field", type=int, help="also check the identity mod this prime")
+    p.add_argument("--field", type=_prime, help="also check the identity mod this prime")
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("bounds", help="bound table rows for one or more graphs", parents=[common])
@@ -619,15 +654,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("walk", help="exact two-sided walk, one JSON line per time", parents=[common])
     p.add_argument("graph")
-    p.add_argument("--steps", type=int, default=6)
+    p.add_argument("--steps", type=_steps, default=6)
     p.add_argument("--reverse", action="store_true", help="also walk backward and check the round trip")
     p.add_argument("--state", help="comma-separated initial state (default: unit vector)")
     p.set_defaults(fn=cmd_walk)
 
     p = sub.add_parser("automaton", help="reversible walk over a prime field", parents=[common])
     p.add_argument("graph")
-    p.add_argument("--field", type=int, required=True)
-    p.add_argument("--steps", type=int, default=6)
+    p.add_argument("--field", type=_prime, required=True)
+    p.add_argument("--steps", type=_steps, default=6)
     p.add_argument("--reverse", action="store_true")
     p.add_argument("--state", help="comma-separated initial state (default: unit vector)")
     p.set_defaults(fn=cmd_automaton)
@@ -652,7 +687,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except (UsageError, GraphError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -10,6 +10,7 @@ operator matrix downstream is indexed by this ordering.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .graphs import Graph
 
@@ -55,6 +56,15 @@ class Complex:
     def f_vector(self) -> tuple[int, int]:
         return (self.v, self.e)
 
+    @cached_property
+    def incident_edges(self) -> tuple[tuple[int, ...], ...]:
+        """Per vertex, the simplex indices of its incident edges, ascending."""
+        incident: list[list[int]] = [[] for _ in range(self.v)]
+        for k, (a, b) in enumerate(self.graph.edges, start=self.v):
+            incident[a].append(k)
+            incident[b].append(k)
+        return tuple(map(tuple, incident))
+
 
 def build_complex(g: Graph) -> Complex:
     simplices: list[Simplex] = [(i,) for i in range(g.n)]
@@ -73,10 +83,7 @@ def star(c: Complex, x: Simplex) -> tuple[Simplex, ...]:
         raise KeyError(f"{x} is not a simplex of the complex")
     if len(x) == 2:
         return (x,)
-    a = x[0]
-    members = [x] + [edge for edge in c.graph.edges if a in edge]
-    members.sort(key=c.index.__getitem__)
-    return tuple(members)
+    return (x,) + tuple(c.simplices[k] for k in c.incident_edges[x[0]])
 
 
 def sphere_chi(c: Complex, x: Simplex) -> int:
@@ -86,7 +93,7 @@ def sphere_chi(c: Complex, x: Simplex) -> int:
         raise KeyError(f"{x} is not a simplex of the complex")
     if len(x) == 2:
         return 2
-    return c.graph.degrees()[x[0]]
+    return len(c.incident_edges[x[0]])
 
 
 def connection_graph(c: Complex) -> Graph:

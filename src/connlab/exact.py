@@ -8,6 +8,12 @@ numpy happens only via IntMatrix.to_float().
 
 The characteristic polynomial costs O(n^4) integer work, fine up to a few
 hundred rows; that covers every desk-scale experiment in this package.
+
+The connection side of operators does not go through this module's O(n^3)
+routines: OperatorBundle certifies L @ g = I over the nonzeros of L and g and
+reads det L off the Schur complement of L's identity vertex block.  Bareiss
+det serves products and newton and is the test oracle for that route, as the
+dense product is for the certificate.
 """
 
 from __future__ import annotations

@@ -379,13 +379,16 @@ def from_spec(spec: str, seed: int | None = None) -> Graph:
     parts = text.split(":")
     family = parts[0]
     params: tuple[int | float, ...] = ()
-    for extra in parts[1:]:
-        if extra.startswith("seed="):
-            seed = int(extra[5:])
-        elif extra:
-            params = tuple(
-                float(tok) if "." in tok else int(tok) for tok in extra.split(",")
-            )
+    try:
+        for extra in parts[1:]:
+            if extra.startswith("seed="):
+                seed = int(extra[5:])
+            elif extra:
+                params = tuple(
+                    float(tok) if "." in tok else int(tok) for tok in extra.split(",")
+                )
+    except ValueError:
+        raise GraphError(f"spec {spec!r} has a parameter that is not a number") from None
     return generate(family, *params, seed=seed)
 
 

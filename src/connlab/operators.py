@@ -14,29 +14,37 @@ The central objects:
   g        Green matrix, the exact integer inverse of L
 
 g is produced by the star formula g(x,y) = w(x) w(y) chi(St(x) /\\ St(y))
-with w = (-1)^dim, then certified against L by an exact product check.  An
-independent elimination-based inverse lives in exact.inverse_exact; the test
-suite compares the two routes, so keep them separate.
+with w = (-1)^dim, then certified against L by checking L @ g = I row by
+row over the nonzeros of L and g, never as a dense product.  An independent
+elimination-based inverse lives in exact.inverse_exact; the test suite
+compares the two routes, so keep them separate.
 
-H and |H| are not formed as the dense product D @ D: each has O(e)
-nonzeros, summed directly from the two nonzeros of every incidence row in
-O((v + e)^2) time, the size of the dense result, instead of O((v + e)^3).
-The test suite keeps D @ D as the oracle for both.
+det L comes from the Schur complement of the vertex block: L = [[I_v, B^T],
+[B, C]] with B the edge-vertex containment matrix, so det L = det(C - B B^T),
+summed over each vertex's incident edges and read off as the product of its
+diagonal (it is -I_e for every graph).  Bareiss elimination (exact.det) is
+the test oracle for this route.
+
+L and g are set from the vertex stars (a vertex with its incident edges),
+and H and |H| are summed directly from the two nonzeros of every incidence
+row, so no operator here is formed as a dense product; the test suite keeps
+D @ D as the oracle for H and |H|.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress
 from typing import Sequence
 
-from .complexes import Complex, build_complex, parity, sphere_chi, star
+from .complexes import Complex, build_complex, parity, sphere_chi
 from .exact import (
     FieldMatrix,
     IntMatrix,
     IntPolynomial,
+    ShapeError,
     charpoly,
-    det,
     field_inverse,
     field_reduce,
 )
@@ -111,16 +119,20 @@ def _hodge_from_incidence(d0: IntMatrix) -> IntMatrix:
 
 
 def connection_matrix(c: Complex) -> IntMatrix:
-    """L(x,y) = 1 iff the closed simplices x and y share a vertex."""
-    sets = [frozenset(s) for s in c.simplices]
-    n = len(sets)
+    """L(x,y) = 1 iff the closed simplices x and y share a vertex.
+
+    Two simplices share the vertex a exactly when both lie in its star (a
+    and its incident edges), so L is the union of one all-ones block per
+    vertex star.
+    """
+    n = c.size
     rows = [[0] * n for _ in range(n)]
-    for i in range(n):
-        rows[i][i] = 1
-        for j in range(i + 1, n):
-            if sets[i] & sets[j]:
-                rows[i][j] = 1
-                rows[j][i] = 1
+    for a, edges in enumerate(c.incident_edges):
+        members = (a,) + edges
+        for i in members:
+            row = rows[i]
+            for j in members:
+                row[j] = 1
     return IntMatrix(rows, ncols=n)
 
 
@@ -128,24 +140,85 @@ def green_star(c: Complex) -> IntMatrix:
     """Green matrix from the star formula.
 
     g(x,y) = w(x) w(y) chi(St(x) /\\ St(y)) with w = (-1)^dim and chi of a
-    set of simplices the alternating count (vertices minus edges).  This is
-    the closed form for the inverse of the connection matrix; callers that
-    need a certified inverse should go through OperatorBundle.green, which
-    verifies L @ g = I exactly.
+    set of simplices the alternating count (vertices minus edges).  A
+    simplex t lies in St(x) exactly when x is a face of t, so g is the sum
+    over t of chi(t) w(x) w(y) over the pairs of faces x, y of t: one term
+    per vertex and nine per edge.  This is the closed form for the inverse
+    of the connection matrix; callers that need a certified inverse should
+    go through OperatorBundle.green, which verifies L @ g = I exactly.
     """
     n = c.size
-    stars = [frozenset(c.index[t] for t in star(c, s)) for s in c.simplices]
     w = [parity(s) for s in c.simplices]
-    chi = [parity(s) for s in c.simplices]
     rows = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            common = stars[i] & stars[j]
-            if common:
-                val = w[i] * w[j] * sum(chi[k] for k in common)
-                rows[i][j] = val
-                rows[j][i] = val
+    for t, s in enumerate(c.simplices):
+        faces = [c.index[(a,)] for a in s] if len(s) == 2 else []
+        faces.append(t)
+        chi = parity(s)
+        for x in faces:
+            row = rows[x]
+            for y in faces:
+                row[y] += w[x] * w[y] * chi
     return IntMatrix(rows, ncols=n)
+
+
+def _nonzeros(row: list[int], lo: int = 0, hi: int | None = None) -> list[tuple[int, int]]:
+    """(column, entry) for every nonzero entry of row[lo:hi]."""
+    if hi is None:
+        hi = len(row)
+    return [(j, row[j]) for j in compress(range(lo, hi), row[lo:hi])]
+
+
+def _is_inverse(m: IntMatrix, g: IntMatrix) -> bool:
+    """m @ g == I, each row of the product summed from the nonzeros of m's
+    row over the matching sparse rows of g."""
+    if not m.is_square() or g.shape != m.shape:
+        return False
+    g_rows = [_nonzeros(row) for row in g.rows]
+    for i, row in enumerate(m.rows):
+        acc: dict[int, int] = {}
+        for j, a in _nonzeros(row):
+            for k, b in g_rows[j]:
+                acc[k] = acc.get(k, 0) + a * b
+        if acc.pop(i, 0) != 1 or any(acc.values()):
+            return False
+    return True
+
+
+def schur_det(m: IntMatrix, v: int) -> int:
+    """det m for m = [[I_v, U], [W, C]], as det(C - W U).
+
+    The Schur complement is summed over the nonzeros: for each of the first
+    v (vertex) columns, the edge rows that are nonzero there (its incident
+    edges) times the nonzeros of the matching row of U.  Raises
+    ArithmeticError unless the leading v x v block is exactly the identity
+    and C - W U is diagonal; the determinant is then the product of that
+    diagonal.
+    """
+    if not m.is_square() or not 0 <= v <= m.nrows:
+        raise ShapeError(f"no {v}x{v} leading block in a {m.shape} matrix")
+    rows = m.rows
+    n = m.nrows
+    for x in range(v):
+        row = rows[x]
+        if row[x] != 1 or any(row[:x]) or any(row[x + 1 : v]):
+            raise ArithmeticError("vertex block is not the identity")
+    schur = {k: dict(_nonzeros(rows[k], v)) for k in range(v, n)}
+    incident: list[list[tuple[int, int]]] = [[] for _ in range(v)]
+    for k in range(v, n):
+        for x, a in _nonzeros(rows[k], 0, v):
+            incident[x].append((k, a))
+    for x, edges in enumerate(incident):
+        u = _nonzeros(rows[x], v)
+        for k, a in edges:
+            srow = schur[k]
+            for l, b in u:
+                srow[l] = srow.get(l, 0) - a * b
+    d = 1
+    for k, srow in schur.items():
+        d *= srow.pop(k, 0)
+        if any(srow.values()):
+            raise ArithmeticError("Schur complement of the vertex block is not diagonal")
+    return d
 
 
 def block(m: IntMatrix, r0: int, r1: int, c0: int, c1: int) -> IntMatrix:
@@ -260,13 +333,13 @@ class OperatorBundle:
     def green(self) -> IntMatrix:
         """Certified integer inverse of the connection matrix."""
         g = green_star(self.complex)
-        if self.connection @ g != IntMatrix.identity(self.size):
+        if not _is_inverse(self.connection, g):
             raise ArithmeticError("star formula failed certification against L")
         return g
 
     @cached_property
     def connection_det(self) -> int:
-        return det(self.connection)
+        return schur_det(self.connection, self.v)
 
     @cached_property
     def connection_charpoly(self) -> IntPolynomial:
@@ -342,9 +415,14 @@ class TraceReport:
         )
 
 
+def _trace_of_square(m: IntMatrix) -> int:
+    """tr(m @ m) as the sum of m[i][j] * m[j][i] over the nonzeros of m."""
+    rows = m.rows
+    return sum(a * rows[j][i] for i, row in enumerate(rows) for j, a in _nonzeros(row))
+
+
 def trace_report(bundle: OperatorBundle) -> TraceReport:
     c = bundle.complex
-    lsq = bundle.connection @ bundle.connection
     habs = bundle.hodge_signless
     return TraceReport(
         simplices=c.size,
@@ -352,15 +430,11 @@ def trace_report(bundle: OperatorBundle) -> TraceReport:
         connection_trace=bundle.connection.trace(),
         hodge_signless_trace=habs.trace(),
         sphere_chi_sum=sum(sphere_chi(c, s) for s in c.simplices),
-        connection_sq_trace=lsq.trace(),
-        hodge_signless_sq_trace=(habs @ habs).trace(),
+        connection_sq_trace=_trace_of_square(bundle.connection),
+        hodge_signless_sq_trace=_trace_of_square(habs),
         intersection_edges=(bundle.connection.entry_sum() - c.size) // 2,
-        hodge0_signless_sq_trace=(
-            bundle.hodge0_signless @ bundle.hodge0_signless
-        ).trace(),
-        hodge1_signless_sq_trace=(
-            bundle.hodge1_signless @ bundle.hodge1_signless
-        ).trace(),
+        hodge0_signless_sq_trace=_trace_of_square(bundle.hodge0_signless),
+        hodge1_signless_sq_trace=_trace_of_square(bundle.hodge1_signless),
     )
 
 

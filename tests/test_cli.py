@@ -185,6 +185,35 @@ def test_usage_error_exits_2():
     assert excinfo.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("verify", "gnm:5,3"), "error: random families require an explicit seed"),
+        (("verify", "cycle:x"), "error: spec 'cycle:x' has a parameter that is not a number"),
+        (("verify", "cycle:4", "--field", "4"), "error: argument --field: 4 is not a prime"),
+        (("walk", "cycle:4", "--steps", "-3"), "error: argument --steps: -3 is negative"),
+        (("walk", "cycle:4", "--state", "1,0"), "error: state has 2 entries, expected 8"),
+        (("automaton", "cycle:4", "--field", "4"), "error: argument --field: 4 is not a prime"),
+    ],
+)
+def test_usage_errors_print_one_line_and_exit_2(capsys, argv, message):
+    try:
+        code = cli.main(list(argv))
+    except SystemExit as exc:  # parser errors leave through argparse
+        code = exc.code
+    out = capsys.readouterr()
+    assert code == 2
+    assert out.out == ""
+    assert out.err == message + "\n"
+
+
+def test_bounds_keeps_per_row_errors_and_exit_1(capsys):
+    code, out, err = run(capsys, "bounds", "cycle:4", "gnm:5,3")
+    assert code == 1
+    assert "C4" in out
+    assert err == "error: gnm:5,3: random families require an explicit seed\n"
+
+
 def test_seed_flag_position_irrelevant(capsys):
     code1, out1, _ = run(capsys, "--seed", "5", "newton", "path:4")
     code2, out2, _ = run(capsys, "newton", "path:4", "--seed", "5")

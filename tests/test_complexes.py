@@ -40,15 +40,19 @@ def test_intersection_is_symmetric_and_reflexive():
 
 
 def test_star_sizes():
-    g = from_spec("star:5")
-    c = build_complex(g)
-    deg = g.degrees()
-    for i in range(g.n):
-        # the star of a vertex holds the vertex itself and its incident edges
-        assert len(star(c, (i,))) == 1 + deg[i]
-    for edge in c.simplices[c.v :]:
-        # an edge is a maximal cell here, its star is just itself
-        assert star(c, edge) == (edge,)
+    for spec in ("star:5", "figure8", "grid:3,4", "bary:star:4", "gnm:12,15:seed=0"):
+        g = from_spec(spec)
+        c = build_complex(g)
+        deg = g.degrees()
+        for i in range(g.n):
+            # the star of a vertex holds the vertex itself and its incident
+            # edges, in canonical order
+            scan = [(i,)] + [edge for edge in g.edges if i in edge]
+            assert star(c, (i,)) == tuple(sorted(scan, key=c.index.__getitem__)), spec
+            assert len(star(c, (i,))) == 1 + deg[i]
+        for edge in c.simplices[c.v :]:
+            # an edge is a maximal cell here, its star is just itself
+            assert star(c, edge) == (edge,)
 
 
 def test_sphere_chi_values():

@@ -1,8 +1,11 @@
 """Generator families, spec parsing, and file round trips."""
 
+from pathlib import Path
+
 import pytest
 
 from connlab.graphs import (
+    _FAMILIES,
     GraphError,
     barycentric_refinement,
     from_spec,
@@ -23,6 +26,7 @@ from connlab.graphs import (
         ("wheel:5", 6, 10),
         ("complete:5", 5, 10),
         ("complete_bipartite:3,4", 7, 12),
+        ("complete_bipartite:2,3", 5, 6),
         ("grid:3,4", 12, 17),
         ("petersen:5,2", 10, 15),
         ("figure8", 7, 8),
@@ -52,6 +56,21 @@ def test_unknown_family_rejected():
         generate("dodecahedron")
     with pytest.raises(GraphError):
         from_spec("cycle")  # missing the size parameter
+    with pytest.raises(GraphError):
+        from_spec("cb:2,3")  # the family is complete_bipartite:A,B
+    with pytest.raises(GraphError):
+        from_spec("cycle:x")
+    with pytest.raises(GraphError):
+        from_spec("gnm:5,3:seed=x")
+
+
+def test_readme_spec_families_exist():
+    # every family the README lists must be one from_spec knows
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    block = readme.split("Spec families:", 1)[1].split("```")[1]
+    families = {token.split(":")[0] for token in block.split()}
+    assert "complete_bipartite" in families
+    assert families <= set(_FAMILIES) | {"bary", "gnm", "gnp"}
 
 
 def test_barycentric_counts():

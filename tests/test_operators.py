@@ -10,8 +10,9 @@ import random
 
 import pytest
 
+import connlab.operators as operators
 from connlab.complexes import build_complex
-from connlab.exact import IntMatrix
+from connlab.exact import IntMatrix, det
 from connlab.graphs import from_spec
 from connlab.operators import (
     OperatorBundle,
@@ -187,3 +188,81 @@ def test_hodge_matches_dirac_square_on_corpus(corpus):
         assert b.hodge_signless == b.dirac_signless @ b.dirac_signless, spec
         flipped = OperatorBundle(b.complex, signs=[rng.choice((-1, 1)) for _ in range(b.e)])
         assert flipped.hodge == flipped.dirac @ flipped.dirac, spec
+
+
+def test_connection_matrix_matches_pairwise_intersection(corpus):
+    # L is set from the vertex stars; the oracle tests every pair of cells
+    for spec, b in corpus.items():
+        cells = [set(x) for x in b.complex.simplices]
+        want = [[1 if x & y else 0 for y in cells] for x in cells]
+        assert b.connection.rows == want, spec
+
+
+def test_connection_det_matches_bareiss_on_corpus(corpus):
+    # det L from the Schur complement of the vertex block; Bareiss is the oracle
+    for spec, b in corpus.items():
+        assert b.connection_det == det(b.connection) == (-1) ** b.e, spec
+
+
+def test_trace_report_matches_dense_products_on_corpus(corpus):
+    # the squared traces are summed from the entries; dense @ is the oracle
+    for spec, b in corpus.items():
+        tr = trace_report(b)
+        L, habs = b.connection, b.hodge_signless
+        h0, h1 = b.hodge0_signless, b.hodge1_signless
+        assert tr.connection_sq_trace == (L @ L).trace(), spec
+        assert tr.hodge_signless_sq_trace == (habs @ habs).trace(), spec
+        assert tr.hodge0_signless_sq_trace == (h0 @ h0).trace(), spec
+        assert tr.hodge1_signless_sq_trace == (h1 @ h1).trace(), spec
+        assert tr.ok, spec
+
+
+def _fresh_bundle_with(monkeypatch, b, name, matrix):
+    """A new bundle on b's complex whose operators.<name> returns matrix."""
+    monkeypatch.setattr(operators, name, lambda c: matrix.copy())
+    return OperatorBundle(b.complex)
+
+
+def test_green_certificate_rejects_one_changed_entry(corpus, monkeypatch):
+    # the sparse L @ g = I check must notice a flipped nonzero of g and a
+    # zero of g that became nonzero
+    rng = random.Random(4)
+    for spec, b in corpus.items():
+        cells = [(i, j) for i in range(b.size) for j in range(b.size)]
+        nonzero = [(i, j) for i, j in cells if b.green.rows[i][j]]
+        zero = [(i, j) for i, j in cells if not b.green.rows[i][j]]
+        for (i, j), new in ((rng.choice(nonzero), None), (rng.choice(zero or nonzero), 1)):
+            g = b.green.copy()
+            g.rows[i][j] = -g.rows[i][j] if new is None else new
+            broken = _fresh_bundle_with(monkeypatch, b, "green_star", g)
+            with pytest.raises(ArithmeticError, match="certification"):
+                broken.green
+        monkeypatch.undo()
+
+
+def test_connection_det_rejects_broken_blocks(corpus, monkeypatch):
+    rng = random.Random(5)
+    for spec, b in corpus.items():
+        v, n = b.v, b.size
+        broken_cells = [(rng.randrange(v), None)]  # a vertex diagonal entry of 2
+        if v >= 2:
+            x, y = rng.sample(range(v), 2)
+            broken_cells.append((x, y))  # two vertices that intersect
+        for x, y in broken_cells:
+            L = b.connection.copy()
+            if y is None:
+                L.rows[x][x] = 2
+            else:
+                L.rows[x][y] = 1
+            broken = _fresh_bundle_with(monkeypatch, b, "connection_matrix", L)
+            with pytest.raises(ArithmeticError, match="vertex block"):
+                broken.connection_det
+        if b.e >= 2:
+            # an edge-edge entry toggled: C - B B^T is no longer diagonal
+            k, l = rng.sample(range(v, n), 2)
+            L = b.connection.copy()
+            L.rows[k][l] ^= 1
+            broken = _fresh_bundle_with(monkeypatch, b, "connection_matrix", L)
+            with pytest.raises(ArithmeticError, match="not diagonal"):
+                broken.connection_det
+        monkeypatch.undo()
