@@ -70,7 +70,7 @@ from .spectra import (
     spectral_function_sup_distance,
     validate_spectrum_against_charpoly,
 )
-from .tables import REFERENCE_TABLES, reference_rows
+from .tables import REFERENCE_TABLES
 
 __version__ = "0.1.0"
 
@@ -126,7 +126,6 @@ __all__ = [
     "product_connection",
     "product_hodge",
     "quaternion_solution",
-    "reference_rows",
     "save_graph",
     "schur_check",
     "solve_hydrogen",

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from typing import Callable, Sequence
@@ -615,6 +616,30 @@ def _steps(text: str) -> int:
     return k
 
 
+def _finite(text: str) -> float:
+    try:
+        x = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a number") from None
+    if not math.isfinite(x):
+        raise argparse.ArgumentTypeError(f"{text} is not finite")
+    return x
+
+
+def _eps(text: str) -> float:
+    x = _finite(text)
+    if x < 0:
+        raise argparse.ArgumentTypeError(f"{text} is negative")
+    return x
+
+
+def _tol(text: str) -> float:
+    x = _finite(text)
+    if x <= 0:
+        raise argparse.ArgumentTypeError(f"{text} is not positive")
+    return x
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="connlab",
@@ -669,8 +694,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("newton", help="solve the perturbed relation K = L - 1/L", parents=[common])
     p.add_argument("graph")
-    p.add_argument("--eps", type=float, default=0.01)
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--eps", type=_eps, default=0.01)
+    p.add_argument("--tol", type=_tol, default=1e-10)
     p.add_argument("--max-iter", type=int, default=50)
     p.set_defaults(fn=cmd_newton)
 

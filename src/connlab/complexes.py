@@ -17,10 +17,6 @@ from .graphs import Graph
 Simplex = tuple[int, ...]
 
 
-def simplex_dim(x: Simplex) -> int:
-    return len(x) - 1
-
-
 def parity(x: Simplex) -> int:
     """omega(x) = (-1)^dim(x): +1 on vertices, -1 on edges."""
     return -1 if len(x) == 2 else 1

@@ -1,13 +1,12 @@
 """Exact dense linear algebra over the integers, rationals, and prime fields.
 
 Everything here is arbitrary precision: determinants by fraction-free
-(Bareiss) elimination, inverses by fraction-free Gauss-Jordan, characteristic
-polynomials by the integer Faddeev-LeVerrier recursion, matrix powers by
-binary exponentiation.  No floating point enters this module; conversion to
-numpy happens only via IntMatrix.to_float().
-
-The characteristic polynomial costs O(n^4) integer work, fine up to a few
-hundred rows; that covers every desk-scale experiment in this package.
+(Bareiss) elimination, inverses by fraction-free Gauss-Jordan, matrix powers
+by binary exponentiation.  Characteristic polynomials are computed mod word
+primes (numpy int64 Hessenberg reduction, O(n^3) per prime), lifted by
+Chinese remaindering past a proven coefficient bound and certified against
+one Bareiss determinant.  No floating point enters this module; conversion
+to float happens only via IntMatrix.to_float().
 
 The connection side of operators does not go through this module's O(n^3)
 routines: OperatorBundle certifies L @ g = I over the nonzeros of L and g and
@@ -427,33 +426,126 @@ def rank(m: IntMatrix) -> int:
 def charpoly(m: IntMatrix) -> IntPolynomial:
     """Exact monic characteristic polynomial det(xI - m).
 
-    Integer Faddeev-LeVerrier recursion: M_1 = m, c_k = -tr(m M_{k-1} +
-    c_{k-1} m)/k; every division is provably exact and asserted.  The final
-    Cayley-Hamilton step m(M_n + c_n I) = 0 is checked as well.
+    Multimodular: the polynomial is computed mod primes p < 2^31 by a
+    Hessenberg reduction (_charpoly_mod) and the residues are combined by
+    Chinese remaindering into symmetric residues until the modulus exceeds
+    2 (1 + rho)^n, rho the largest absolute row sum.  That bound holds for
+    every integer matrix: each eigenvalue has modulus at most rho, so the
+    coefficient of x^(n-k) is at most C(n, k) rho^k <= (1 + rho)^n in size.
+    The result is certified exactly: p(r) must equal the Bareiss
+    det(rI - m) at r = rho + 1, which lies outside the spectrum, or
+    ArithmeticError is raised.
     """
     if not m.is_square():
         raise ShapeError("characteristic polynomial needs a square matrix")
     n = m.nrows
     if n == 0:
         return IntPolynomial((1,))
-    coeffs_desc = [1]
-    mk = m.copy()
-    for k in range(1, n + 1):
-        t = mk.trace()
-        q, r = divmod(-t, k)
-        if r:
-            raise ArithmeticError("inexact trace division in Faddeev-LeVerrier")
-        coeffs_desc.append(q)
-        if k < n:
-            for i in range(n):
-                mk.rows[i][i] += q
-            mk = m @ mk
+    rho = max(sum(abs(a) for a in row) for row in m.rows)
+    bound = 2 * (1 + rho) ** n
+    entries = np.array(m.rows, dtype=object)
+    coeffs = [0] * (n + 1)
+    modulus = 1
+    count = 0
+    while modulus <= bound:
+        p = _prime(count)
+        count += 1
+        residues = _charpoly_mod((entries % p).astype(np.int64), p)
+        # Garner step: keep each coefficient mod `modulus`, make it agree mod p
+        inv = pow(modulus, -1, p)
+        coeffs = [c + modulus * ((int(x) - c) * inv % p) for c, x in zip(coeffs, residues)]
+        modulus *= p
+    half = modulus // 2
+    poly = IntPolynomial(tuple(c - modulus if c > half else c for c in coeffs))
+    r = rho + 1
+    shifted = IntMatrix(
+        [[(r if i == j else 0) - a for j, a in enumerate(row)] for i, row in enumerate(m.rows)]
+    )
+    if poly(r) != det(shifted):
+        raise ArithmeticError("charpoly certificate p(r) == det(rI - m) failed")
+    return poly
+
+
+def _charpoly_mod(a: np.ndarray, p: int) -> np.ndarray:
+    """Ascending coefficients of det(xI - a) mod p, for a prime p < 2^31.
+
+    `a` is a square int64 array with entries in 0..p-1; it is not modified.
+    It is brought to upper Hessenberg form h by similarity (Cohen, A Course
+    in Computational Algebraic Number Theory, section 2.2): each row
+    operation is followed by its inverse column operation, a pivot swap
+    swaps both rows and columns, and a column with no pivot below the
+    subdiagonal is skipped.  Then the Hessenberg recurrence gives the
+    charpoly p_m of each leading m-by-m block:
+        p_m = (x - h_mm) p_(m-1)
+              - sum_(i<m) h_im h_(m,m-1) ... h_(i+1,i) p_(i-1).
+    A product of two residues is below 2^62 and is reduced before it enters
+    any sum, so no int64 operation overflows.
+    """
+    h = a.copy()
+    n = h.shape[0]
+    for j in range(n - 2):
+        nonzero = np.flatnonzero(h[j + 1 :, j])
+        if nonzero.size == 0:
+            continue
+        piv = j + 1 + int(nonzero[0])
+        if piv != j + 1:
+            h[[j + 1, piv], :] = h[[piv, j + 1], :]
+            h[:, [j + 1, piv]] = h[:, [piv, j + 1]]
+        u = h[j + 2 :, j] * pow(int(h[j + 1, j]), p - 2, p) % p
+        # rows j+2.. -= u * row j+1 (columns before j are zero in all of them),
+        # then column j+1 += columns j+2.. weighted by u
+        h[j + 2 :, j:] = (h[j + 2 :, j:] - np.outer(u, h[j + 1, j:])) % p
+        h[:, j + 1] = (h[:, j + 1] + (h[:, j + 2 :] * u % p).sum(axis=1)) % p
+    polys = np.zeros((n + 1, n + 1), dtype=np.int64)  # row m: p_m, ascending
+    polys[0, 0] = 1
+    chain = np.zeros(0, dtype=np.int64)  # chain[i-1] = h_(m,m-1) ... h_(i+1,i)
+    for m in range(1, n + 1):
+        k = m - 1
+        row = np.zeros(n + 1, dtype=np.int64)
+        row[1 : m + 1] = polys[k, :m]
+        row[:m] = (row[:m] - h[k, k] * polys[k, :m]) % p
+        if k:
+            chain = np.append(chain, 1) * h[k, k - 1] % p
+            weights = h[:k, k] * chain % p
+            row[:k] = (row[:k] - (polys[:k, :k] * weights[:, None] % p).sum(axis=0)) % p
+        polys[m] = row
+    return polys[n]
+
+
+_PRIMES: list[int] = []  # primes below 2^31 in descending order, grown by _prime
+
+
+def _prime(i: int) -> int:
+    """The i-th largest prime below 2^31 (i = 0 gives 2^31 - 1)."""
+    while len(_PRIMES) <= i:
+        q = _PRIMES[-1] - 2 if _PRIMES else 2**31 - 1
+        while not _is_word_prime(q):
+            q -= 2
+        _PRIMES.append(q)
+    return _PRIMES[i]
+
+
+def _is_word_prime(q: int) -> bool:
+    """Miller-Rabin on odd q > 7 with bases 2, 3, 5, 7: exact below 3 215 031 751.
+
+    Near 2^31 the trial division of is_prime takes milliseconds per prime,
+    which a fresh process would pay on its first charpoly.
+    """
+    d, s = q - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for base in (2, 3, 5, 7):
+        x = pow(base, d, q)
+        if x == 1 or x == q - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % q
+            if x == q - 1:
+                break
         else:
-            for i in range(n):
-                mk.rows[i][i] += q
-            if not (m @ mk).is_zero():
-                raise ArithmeticError("Cayley-Hamilton check failed")
-    return IntPolynomial(tuple(reversed(coeffs_desc)))
+            return False
+    return True
 
 
 def matpow(m: IntMatrix, k: int) -> IntMatrix:
@@ -620,29 +712,3 @@ def dump_matrix(m: IntMatrix | RatMatrix) -> str:
                 toks.append(str(int(x)))
         lines.append(" ".join(toks))
     return "\n".join(lines) + "\n"
-
-
-def parse_matrix(text: str) -> IntMatrix | RatMatrix:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise ValueError("empty matrix dump")
-    nrows, ncols = map(int, lines[0].split())
-    rows = []
-    rational = False
-    for ln in lines[1 : nrows + 1]:
-        row = []
-        for tok in ln.split():
-            if "/" in tok:
-                num, den = tok.split("/")
-                row.append(Fraction(int(num), int(den)))
-                rational = True
-            else:
-                row.append(Fraction(int(tok)))
-        if len(row) != ncols:
-            raise ValueError("row width does not match header")
-        rows.append(row)
-    if len(rows) != nrows:
-        raise ValueError("row count does not match header")
-    if rational:
-        return RatMatrix(rows, ncols=ncols)
-    return IntMatrix([[int(x) for x in r] for r in rows], ncols=ncols)

@@ -127,30 +127,6 @@ def betti_numbers(g: Graph) -> tuple[int, int]:
     return b0, g.e - g.n + b0
 
 
-def bipartition(g: Graph) -> list[int] | None:
-    """A 2-coloring as a 0/1 list, or None if some component has an odd cycle."""
-    color = [-1] * g.n
-    nbr = g.neighbors()
-    for start in range(g.n):
-        if color[start] != -1:
-            continue
-        color[start] = 0
-        queue = deque([start])
-        while queue:
-            x = queue.popleft()
-            for y in nbr[x]:
-                if color[y] == -1:
-                    color[y] = 1 - color[x]
-                    queue.append(y)
-                elif color[y] == color[x]:
-                    return None
-    return color
-
-
-def is_bipartite(g: Graph) -> bool:
-    return bipartition(g) is not None
-
-
 def is_regular(g: Graph) -> bool:
     deg = g.degrees()
     return len(set(deg)) == 1

@@ -18,9 +18,9 @@ Soundness (every applicable bound >= rho) is asserted whenever a report is
 assembled, so a wrong formula cannot produce a quietly wrong table.
 
 Exact eigenvalue cross-validation lives at the bottom: characteristic
-polynomials from the integer Faddeev-LeVerrier recursion are fed to a Sturm
-chain root isolator, giving certified eigenvalue multisets to compare with
-the floating-point solver on small matrices.
+polynomials from exact.charpoly are fed to a Sturm chain root isolator,
+giving certified eigenvalue multisets to compare with the floating-point
+solver on small matrices.
 """
 
 from __future__ import annotations

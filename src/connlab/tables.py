@@ -154,10 +154,3 @@ RANDOM_ANALOGUES: tuple[tuple[str, str, int], ...] = (
 def row_max_error(got: Sequence[float], expected: Sequence[float]) -> float:
     """Largest absolute cell difference over the pinned prefix of a row."""
     return max(abs(g - e) for g, e in zip(got, expected))
-
-
-def reference_rows():
-    """Iterate (family, generator spec, pinned row) over all frozen tables."""
-    for family, table in REFERENCE_TABLES.items():
-        for spec, row in table:
-            yield family, spec, row

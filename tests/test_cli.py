@@ -194,6 +194,13 @@ def test_usage_error_exits_2():
         (("walk", "cycle:4", "--steps", "-3"), "error: argument --steps: -3 is negative"),
         (("walk", "cycle:4", "--state", "1,0"), "error: state has 2 entries, expected 8"),
         (("automaton", "cycle:4", "--field", "4"), "error: argument --field: 4 is not a prime"),
+        (("newton", "path:4", "--eps", "-1"), "error: argument --eps: -1 is negative"),
+        (("newton", "path:4", "--eps", "nan"), "error: argument --eps: nan is not finite"),
+        (("newton", "path:4", "--eps", "inf"), "error: argument --eps: inf is not finite"),
+        (("newton", "path:4", "--eps", "x"), "error: argument --eps: 'x' is not a number"),
+        (("newton", "path:4", "--tol", "0"), "error: argument --tol: 0 is not positive"),
+        (("newton", "path:4", "--tol", "-0.5"), "error: argument --tol: -0.5 is not positive"),
+        (("newton", "path:4", "--tol", "nan"), "error: argument --tol: nan is not finite"),
     ],
 )
 def test_usage_errors_print_one_line_and_exit_2(capsys, argv, message):

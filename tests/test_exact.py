@@ -3,6 +3,8 @@
 The determinant, inverse, characteristic polynomial, and rank routines are
 cross-checked with hypothesis against brute-force Fraction eliminations and
 cofactor expansions written inline here, so the two routes share no code.
+The multimodular charpoly is also compared with the integer Faddeev-LeVerrier
+recursion, kept here as its oracle, on random matrices and on the corpus.
 """
 
 from fractions import Fraction
@@ -11,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from connlab import exact
 from connlab.exact import (
     FieldMatrix,
     IntMatrix,
@@ -29,6 +32,8 @@ from connlab.exact import (
     rank,
     reciprocal_sign,
 )
+from connlab.graphs import from_spec
+from connlab.operators import bundle_for
 
 entries = st.integers(min_value=-6, max_value=6)
 
@@ -104,6 +109,100 @@ def test_charpoly_evaluates_like_determinant(rows, x):
     n = len(rows)
     shifted = [[x * (1 if i == j else 0) - rows[i][j] for j in range(n)] for i in range(n)]
     assert p(x) == cofactor_det(shifted)
+
+
+def faddeev_leverrier(m: IntMatrix) -> IntPolynomial:
+    """Integer Faddeev-LeVerrier recursion, O(n^4): the oracle for charpoly.
+
+    M_1 = m, c_k = -tr(M_k)/k, M_(k+1) = m (M_k + c_k I); every division is
+    exact and asserted, and Cayley-Hamilton m (M_n + c_n I) = 0 is checked.
+    """
+    n = m.nrows
+    coeffs_desc = [1]
+    mk = m.copy()
+    for k in range(1, n + 1):
+        q, r = divmod(-mk.trace(), k)
+        assert r == 0, "inexact trace division in Faddeev-LeVerrier"
+        coeffs_desc.append(q)
+        for i in range(n):
+            mk.rows[i][i] += q
+        mk = m @ mk
+    assert mk.is_zero(), "Cayley-Hamilton check failed"
+    return IntPolynomial(tuple(reversed(coeffs_desc)))
+
+
+wide_entries = st.one_of(st.just(0), st.integers(min_value=-(10**6), max_value=10**6))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=8).flatmap(
+        lambda n: st.lists(
+            st.lists(wide_entries, min_size=n, max_size=n), min_size=n, max_size=n
+        )
+    )
+)
+def test_charpoly_matches_faddeev_leverrier_on_wide_entries(rows):
+    # non-symmetric, entries up to 10^6: the CRT needs several primes, and the
+    # zeros force pivot swaps and skipped columns in the Hessenberg reduction
+    m = IntMatrix(rows)
+    assert charpoly(m) == faddeev_leverrier(m)
+
+
+def test_charpoly_matches_faddeev_leverrier_on_hodge_blocks(corpus):
+    for spec, b in corpus.items():
+        for name in ("hodge0", "hodge1", "hodge0_signless", "hodge1_signless"):
+            m = getattr(b, name)
+            assert charpoly(m) == faddeev_leverrier(m), (spec, name)
+
+
+def test_charpoly_matches_faddeev_leverrier_on_connection(corpus):
+    # the oracle costs about 200 s on L and L^2 over the whole corpus
+    small = {spec: b for spec, b in corpus.items() if b.size <= 30}
+    assert len(small) > 100
+    for spec, b in small.items():
+        L = b.connection
+        assert charpoly(L) == faddeev_leverrier(L), spec
+        assert charpoly(L @ L) == faddeev_leverrier(L @ L), spec
+
+
+def test_charpoly_edge_cases():
+    assert charpoly(IntMatrix([], ncols=0)).coeffs == (1,)
+    assert charpoly(IntMatrix([[-7]])).coeffs == (7, 1)
+    assert charpoly(IntMatrix.zeros(5, 5)).coeffs == (0, 0, 0, 0, 0, 1)
+    # nilpotent Jordan block: no column has a pivot below the diagonal
+    jordan = IntMatrix([[1 if j == i + 1 else 0 for j in range(5)] for i in range(5)])
+    assert charpoly(jordan).coeffs == (0, 0, 0, 0, 0, 1)
+    # column 0 has a zero subdiagonal entry, so its pivot comes from row 2
+    swap = IntMatrix([[1, 2, 3], [0, 4, 5], [6, 7, 8]])
+    assert charpoly(swap) == faddeev_leverrier(swap) == IntPolynomial((15, -9, -13, 1))
+
+
+def test_charpoly_complete12_squared_needs_big_coefficients():
+    L = bundle_for(from_spec("complete:12")).connection
+    p = charpoly(L @ L)
+    assert max(abs(c) for c in p.coeffs) > 2**31
+    assert p == faddeev_leverrier(L @ L)
+    assert reciprocal_sign(p) == 1  # 78 cells, an even count
+
+
+def test_charpoly_certificate_catches_a_corrupt_residue(monkeypatch):
+    real = exact._charpoly_mod
+    primes = []
+
+    def corrupt_second_prime(a, p):
+        out = real(a, p)
+        primes.append(p)
+        if len(primes) == 2:
+            out[1] = (out[1] + 1) % p
+        return out
+
+    m = IntMatrix([[10**6, 3, 0], [-2, 10**6, 5], [7, 0, -(10**6)]])
+    assert charpoly(m) == faddeev_leverrier(m)
+    monkeypatch.setattr(exact, "_charpoly_mod", corrupt_second_prime)
+    with pytest.raises(ArithmeticError, match="certificate"):
+        charpoly(m)
+    assert len(primes) >= 2
 
 
 @settings(max_examples=40, deadline=None)
