@@ -4,10 +4,15 @@
 For each graph in a small family list and each epsilon on a log grid this
 perturbs the signless Hodge operator on its intersection pattern, runs the
 masked Newton iteration from L, and tabulates the outcome: converged with
-how many iterations, or aborted on an exactly singular Jacobian.  Trees
-converge quadratically; cycles abort at iteration zero because the
-linearization at L has a kernel there, and the solution distance scales
-linearly in epsilon where it exists.
+how many iterations, or aborted on an exactly singular Jacobian.  Where the
+exact det J(L) is nonzero (paths and stars among the defaults) the solve
+converges quadratically and the solution distance scales linearly in
+epsilon; where it is 0 (cycles and the figure-8 among the defaults) the
+linearization at L has a kernel and the solve aborts at iteration zero.
+det J(L) does not follow the tree / cycle split in general: it is nonzero
+on grid:2,3, which has cycles, and 0 on the tree bary:star:4.  A singular
+Jacobian where det J(L) is nonzero is flagged UNEXPECTED; it, or a stalled
+solve, makes the exit status 1.
 
 Usage: python3 scripts/newton_perturbation_sweep.py [--seeds N] [--graphs a,b,c]
 """

@@ -23,12 +23,14 @@ from typing import Callable, Sequence
 
 from .dynamics import (
     AutomatonState,
+    _field_orbit,
     automaton_run,
     jacobi_residual,
     walk,
 )
 from .exact import (
     IntMatrix,
+    _SparseRows,
     charpoly,
     dump_matrix,
     field_reduce,
@@ -124,12 +126,8 @@ _DUMPABLE: dict[str, Callable[[OperatorBundle], IntMatrix]] = {
 
 
 def _maybe_dump(args, bundle: OperatorBundle) -> None:
-    if not getattr(args, "dump", None):
-        return
-    name = args.dump
-    if name not in _DUMPABLE:
-        raise SystemExit(f"unknown operator {name!r}; choose from {sorted(_DUMPABLE)}")
-    sys.stdout.write(dump_matrix(_DUMPABLE[name](bundle)))
+    if getattr(args, "dump", None):
+        sys.stdout.write(dump_matrix(_DUMPABLE[args.dump](bundle)))
 
 
 # ---------------------------------------------------------------------------
@@ -323,13 +321,13 @@ def cmd_walk(args) -> int:
     bundle = bundle_for(g)
     psi0 = _parse_state(args.state, bundle.size)
     n_min = -args.steps if args.reverse else 0
-    traj = walk(bundle.connection, psi0, n_min, args.steps)
+    traj = walk(bundle.connection, psi0, n_min, args.steps, inverse=bundle.green)
     for n in traj.times():
         print(json.dumps({"n": n, "state": list(traj[n])}, separators=(",", ":")))
     residual = jacobi_residual(traj, bundle.hodge_signless) if args.steps >= 2 and args.reverse else None
     if args.reverse:
         # round trip: march the forward endpoint back down with the exact inverse
-        back = bundle.green
+        back = _SparseRows(bundle.green)
         state = traj[args.steps]
         for _ in range(args.steps):
             state = back.apply(state)
@@ -346,19 +344,19 @@ def cmd_walk(args) -> int:
 def cmd_automaton(args) -> int:
     g = _load_graph_arg(args.graph)
     bundle = bundle_for(g)
-    Lp = field_reduce(bundle.connection, args.field)
-    psi0 = tuple(x % args.field for x in _parse_state(args.state, bundle.size))
+    p = args.field
+    Lp = field_reduce(bundle.connection, p)
+    # g is certified against L over the integers, so g mod p inverts L mod p
+    gp = field_reduce(bundle.green, p) if args.reverse else None
+    psi0 = tuple(x % p for x in _parse_state(args.state, bundle.size))
     n_min = -args.steps if args.reverse else 0
-    states = automaton_run(Lp, AutomatonState(args.field, psi0, 0), n_min, args.steps)
+    states = automaton_run(Lp, AutomatonState(p, psi0, 0), n_min, args.steps, inverse=gp)
     for s in states:
         print(json.dumps({"n": s.time, "state": list(s.vector)}, separators=(",", ":")))
     if args.reverse:
-        from .exact import field_inverse
-
-        back = field_inverse(Lp)
-        state = states[-1].vector
-        for _ in range(args.steps):
-            state = back.apply(state)
+        # round trip: march the forward endpoint back down with g mod p
+        for state in _field_orbit(gp, states[-1].vector, args.steps):
+            pass
         if state != psi0:
             print("round trip failed", file=sys.stderr)
             return 1
@@ -606,7 +604,7 @@ def _prime(text: str) -> int:
     return p
 
 
-def _steps(text: str) -> int:
+def _count(text: str) -> int:
     try:
         k = int(text)
     except ValueError:
@@ -648,7 +646,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--format", choices=("json", "csv", "pretty"), default="pretty")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--dump", metavar="OPERATOR", help="print the named operator matrix")
+    parser.add_argument(
+        "--dump", metavar="OPERATOR", choices=sorted(_DUMPABLE), help="print the named operator matrix"
+    )
 
     # the same options are accepted after the subcommand; SUPPRESS keeps an
     # absent flag from clobbering the value parsed at the top level
@@ -657,7 +657,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--format", choices=("json", "csv", "pretty"), default=argparse.SUPPRESS
     )
     common.add_argument("--seed", type=int, default=argparse.SUPPRESS)
-    common.add_argument("--dump", metavar="OPERATOR", default=argparse.SUPPRESS)
+    common.add_argument(
+        "--dump", metavar="OPERATOR", choices=sorted(_DUMPABLE), default=argparse.SUPPRESS
+    )
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -679,7 +681,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("walk", help="exact two-sided walk, one JSON line per time", parents=[common])
     p.add_argument("graph")
-    p.add_argument("--steps", type=_steps, default=6)
+    p.add_argument("--steps", type=_count, default=6)
     p.add_argument("--reverse", action="store_true", help="also walk backward and check the round trip")
     p.add_argument("--state", help="comma-separated initial state (default: unit vector)")
     p.set_defaults(fn=cmd_walk)
@@ -687,7 +689,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("automaton", help="reversible walk over a prime field", parents=[common])
     p.add_argument("graph")
     p.add_argument("--field", type=_prime, required=True)
-    p.add_argument("--steps", type=_steps, default=6)
+    p.add_argument("--steps", type=_count, default=6)
     p.add_argument("--reverse", action="store_true")
     p.add_argument("--state", help="comma-separated initial state (default: unit vector)")
     p.set_defaults(fn=cmd_automaton)
@@ -696,7 +698,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("graph")
     p.add_argument("--eps", type=_eps, default=0.01)
     p.add_argument("--tol", type=_tol, default=1e-10)
-    p.add_argument("--max-iter", type=int, default=50)
+    p.add_argument("--max-iter", type=_count, default=50)
     p.set_defaults(fn=cmd_newton)
 
     p = sub.add_parser("product", help="strong-product checks for two graphs", parents=[common])

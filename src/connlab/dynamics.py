@@ -15,21 +15,26 @@ Floating point appears only where growth is genuinely exponential: Perron
 projection limits and Lyapunov exponents of operator cocycles.  Over a
 prime field the walk becomes a reversible cellular automaton with purely
 periodic orbits.
+
+Integer walks step over the nonzeros of L, g and |H| only.  The backward
+direction takes the inverse from the caller (the CLI passes the bundle's
+certified g, or g mod p for the automaton) and falls back on elimination
+only when none is given.  The automaton is stepped as numpy mat-vecs mod p.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .exact import (
     FieldMatrix,
     IntMatrix,
+    _SparseRows,
     field_inverse,
-    field_matpow,
     inverse_unimodular,
     matpow,
     rank,
@@ -130,23 +135,39 @@ class EnvironmentSequence:
 # exact walks and the Jacobi equation
 
 
-def walk(L: IntMatrix, psi0: Sequence[int], n_min: int, n_max: int) -> Trajectory:
-    """psi(n) = L^n psi0 for n_min <= n <= n_max, exact in both directions."""
+def walk(
+    L: IntMatrix,
+    psi0: Sequence[int],
+    n_min: int,
+    n_max: int,
+    inverse: IntMatrix | None = None,
+) -> Trajectory:
+    """psi(n) = L^n psi0 for n_min <= n <= n_max, exact in both directions.
+
+    Negative times step by inverse, which must be L^-1; pass the bundle's
+    green, certified by L @ g = I.  Left out, L^-1 is computed by exact
+    elimination.  Every step visits only the nonzeros of the operator.
+    """
     if n_min > 0 or n_max < 0:
         raise DynamicsError("time range must contain 0")
     start = tuple(int(x) for x in psi0)
     if len(start) != L.ncols:
         raise DynamicsError(f"initial vector has length {len(start)}, expected {L.ncols}")
     states: dict[int, Vector] = {0: start}
+    step = _SparseRows(L)
     current = start
     for n in range(1, n_max + 1):
-        current = L.apply(current)
+        current = step.apply(current)
         states[n] = current
     if n_min < 0:
-        linv = inverse_unimodular(L)
+        if inverse is None:
+            inverse = inverse_unimodular(L)
+        elif inverse.shape != L.shape:
+            raise DynamicsError(f"inverse has shape {inverse.shape}, expected {L.shape}")
+        back = _SparseRows(inverse)
         current = start
         for n in range(-1, n_min - 1, -1):
-            current = linv.apply(current)
+            current = back.apply(current)
             states[n] = current
     return Trajectory(states, f"L^n walk, {L.nrows} cells, exact integers")
 
@@ -155,17 +176,16 @@ def jacobi_residual(t: Trajectory, habs: IntMatrix) -> int | float:
     """max over n of |psi(n+2) - 2 psi(n) + psi(n-2) - |H|^2 psi(n)|_inf.
 
     Exactly zero for any exact walk trajectory; integer states give an
-    integer residual so a pass is unambiguous.
+    integer residual so a pass is unambiguous.  |H|^2 psi(n) is |H| applied
+    twice to psi(n), never read off the trajectory itself.
     """
-    habs_sq = habs @ habs
+    h = _SparseRows(habs)
     worst = None
     for n in t.times():
         if n + 2 not in t or n - 2 not in t:
             continue
         hi, mid, lo = t[n + 2], t[n], t[n - 2]
-        pulled = habs_sq.apply(mid) if isinstance(mid[0], int) else tuple(
-            float(x) for x in habs_sq.to_float() @ np.asarray(mid, dtype=float)
-        )
+        pulled = h.apply(h.apply(mid))
         residual = max(
             abs(hi[i] - 2 * mid[i] + lo[i] - pulled[i]) for i in range(len(mid))
         )
@@ -189,30 +209,27 @@ def quaternion_solution(
     n = bundle.size
     if q.dimension != n:
         raise DynamicsError(f"initial data has length {q.dimension}, expected {n}")
-    L = bundle.connection
-    Linv = bundle.green
-    Lsq = L @ L
-    Linv_sq = Linv @ Linv
+    L = _SparseRows(bundle.connection)
+    Linv = _SparseRows(bundle.green)
 
-    def branch(start: Vector, t0: int, step_op: IntMatrix, reach: IntMatrix, back: IntMatrix) -> dict[int, Vector]:
+    def branch(base: Vector, t0: int, step: _SparseRows, back: _SparseRows) -> dict[int, Vector]:
         # state at the base time t0, then stride-2 in both directions
-        base = reach.apply(tuple(int(x) for x in start))
         states = {t0: base}
         fwd = base
         for m in range(1, n_steps + 1):
-            fwd = step_op.apply(fwd)
+            fwd = step.apply(step.apply(fwd))
             states[t0 + 2 * m] = fwd
         bwd = base
         for m in range(1, n_steps + 1):
-            bwd = back.apply(bwd)
+            bwd = back.apply(back.apply(bwd))
             states[t0 - 2 * m] = bwd
         return states
 
-    ident = IntMatrix.identity(n)
-    b0 = Trajectory(branch(q.psi0, 0, Lsq, ident, Linv_sq), "even branch, states L^t psi0")
-    b1 = Trajectory(branch(q.psi1, 0, Linv_sq, ident, Lsq), "even branch, states L^-t psi1")
-    b2 = Trajectory(branch(q.psi2, 1, Lsq, L, Linv_sq), "odd branch, states L^t psi2")
-    b3 = Trajectory(branch(q.psi3, 1, Linv_sq, Linv, Lsq), "odd branch, states L^-t psi3")
+    psi0, psi1, psi2, psi3 = (tuple(int(x) for x in v) for v in (q.psi0, q.psi1, q.psi2, q.psi3))
+    b0 = Trajectory(branch(psi0, 0, L, Linv), "even branch, states L^t psi0")
+    b1 = Trajectory(branch(psi1, 0, Linv, L), "even branch, states L^-t psi1")
+    b2 = Trajectory(branch(L.apply(psi2), 1, L, Linv), "odd branch, states L^t psi2")
+    b3 = Trajectory(branch(Linv.apply(psi3), 1, Linv, L), "odd branch, states L^-t psi3")
     return b0, b1, b2, b3
 
 
@@ -241,23 +258,19 @@ def jacobi_ivp(habs: IntMatrix, initial: Sequence[Sequence[int]], n_min: int, n_
     vecs = [tuple(int(x) for x in v) for v in initial]
     if any(len(v) != n for v in vecs):
         raise DynamicsError("initial vectors must match operator dimension")
-    habs_sq = habs @ habs
+    h = _SparseRows(habs)
     states: dict[int, Vector] = {i: vecs[i] for i in range(4)}
 
-    def step_forward(t: int) -> Vector:
-        mid = states[t - 2]
-        pulled = habs_sq.apply(mid)
-        return tuple(2 * mid[i] + pulled[i] - states[t - 4][i] for i in range(n))
-
-    def step_backward(t: int) -> Vector:
-        mid = states[t + 2]
-        pulled = habs_sq.apply(mid)
-        return tuple(2 * mid[i] + pulled[i] - states[t + 4][i] for i in range(n))
+    def extend(t: int, d: int) -> Vector:
+        # u(t) from u(t - 2d) and u(t - 4d): d = 1 forward, d = -1 backward
+        mid, far = states[t - 2 * d], states[t - 4 * d]
+        pulled = h.apply(h.apply(mid))
+        return tuple(2 * mid[i] + pulled[i] - far[i] for i in range(n))
 
     for t in range(4, n_max + 1):
-        states[t] = step_forward(t)
+        states[t] = extend(t, 1)
     for t in range(-1, n_min - 1, -1):
-        states[t] = step_backward(t)
+        states[t] = extend(t, -1)
     for t in list(states):
         if t < n_min or t > n_max:
             del states[t]
@@ -395,27 +408,56 @@ def perron_limits_components(g: Graph, max_n: int = 30, tol: float = 1e-6) -> li
 
 
 def automaton_run(
-    Lp: FieldMatrix, s0: AutomatonState, n_min: int, n_max: int
+    Lp: FieldMatrix,
+    s0: AutomatonState,
+    n_min: int,
+    n_max: int,
+    inverse: FieldMatrix | None = None,
 ) -> list[AutomatonState]:
-    """States L^n s0 mod p for n in [n_min, n_max], exact in both directions."""
-    if s0.p != Lp.p:
-        raise DynamicsError(f"state modulus {s0.p} does not match operator modulus {Lp.p}")
+    """States L^n s0 mod p for n in [n_min, n_max], exact in both directions.
+
+    Times before s0 step by inverse, which must be L^-1 mod p; the bundle's
+    certified green reduced mod p is one.  Left out, it is computed by
+    elimination over F_p.
+    """
+    p = s0.p
+    if p != Lp.p:
+        raise DynamicsError(f"state modulus {p} does not match operator modulus {Lp.p}")
     if len(s0.vector) != Lp.ncols:
         raise DynamicsError("state length does not match operator size")
     if n_min > s0.time or n_max < s0.time:
         raise DynamicsError("time range must contain the initial time")
-    states = {s0.time: s0}
-    current = s0.vector
-    for n in range(s0.time + 1, n_max + 1):
-        current = Lp.apply(current)
-        states[n] = AutomatonState(s0.p, current, n)
+    vectors = list(_field_orbit(Lp, s0.vector, n_max - s0.time))
     if n_min < s0.time:
-        back = field_inverse(Lp)
-        current = s0.vector
-        for n in range(s0.time - 1, n_min - 1, -1):
-            current = back.apply(current)
-            states[n] = AutomatonState(s0.p, current, n)
-    return [states[n] for n in range(n_min, n_max + 1)]
+        if inverse is None:
+            inverse = field_inverse(Lp)
+        elif inverse.p != p or inverse.shape != Lp.shape:
+            raise DynamicsError("inverse does not match the operator's modulus and shape")
+        vectors = list(_field_orbit(inverse, s0.vector, s0.time - n_min))[:0:-1] + vectors
+    return [
+        s0 if n == s0.time else AutomatonState(p, v, n)
+        for n, v in zip(range(n_min, n_max + 1), vectors)
+    ]
+
+
+def _field_orbit(m: FieldMatrix, start: Sequence[int], steps: int) -> Iterator[Vector]:
+    """Yield start, m start, ..., m^steps start mod p, stepped in numpy.
+
+    Each entry of m @ x is at most the largest row sum of m times (p - 1), so
+    int64 is used when that stays below 2^63, and exact Python ints
+    (dtype=object) otherwise, in the same code path.  States come out one at
+    a time as tuples of Python ints, so a caller that needs only the last
+    one never holds the orbit.
+    """
+    p = m.p
+    bound = max(map(sum, m.rows), default=0) * (p - 1)
+    dtype = np.int64 if bound < 2**63 and p < 2**63 else object
+    a = np.array(m.rows, dtype=dtype).reshape(m.nrows, m.ncols)
+    x = np.array(start, dtype=dtype)
+    yield tuple(start)
+    for _ in range(steps):
+        x = (a @ x) % p
+        yield tuple(x.tolist())
 
 
 def orbit_period(Lp: FieldMatrix, vector: Sequence[int], cap: int = 10**6) -> int:

@@ -13,6 +13,10 @@ routines: OperatorBundle certifies L @ g = I over the nonzeros of L and g and
 reads det L off the Schur complement of L's identity vertex block.  Bareiss
 det serves products and newton and is the test oracle for that route, as the
 dense product is for the certificate.
+
+Walks step through _SparseRows, the nonzeros of an operator gathered once,
+so each mat-vec costs O(nnz) rather than O(n^2); IntMatrix.apply and
+FieldMatrix.apply stay as the dense routes the tests compare it with.
 """
 
 from __future__ import annotations
@@ -182,6 +186,23 @@ class IntMatrix:
 
     def __repr__(self) -> str:
         return f"IntMatrix({self.nrows}x{self.ncols})"
+
+
+class _SparseRows:
+    """The nonzeros of a matrix, one list of (column, value) pairs per row.
+
+    Built once per operator so that stepping a vector many times costs one
+    multiply-add per nonzero instead of one per entry.  Sums run in column
+    order, as in IntMatrix.apply; no reduction mod p is applied.
+    """
+
+    __slots__ = ("rows",)
+
+    def __init__(self, m: "IntMatrix | FieldMatrix"):
+        self.rows = [[(j, a) for j, a in enumerate(row) if a] for row in m.rows]
+
+    def apply(self, vec: Sequence[int]) -> tuple[int, ...]:
+        return tuple([sum([a * vec[j] for j, a in row]) for row in self.rows])
 
 
 class RatMatrix:

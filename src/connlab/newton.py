@@ -11,13 +11,16 @@ materialized as a dense system over the upper-triangle support coordinates.
 The step is damped by residual backtracking.  A singular Jacobian aborts
 the solve with the smallest singular value attached; it is never
 regularized.  What is certified is the degeneracy at the unperturbed
-connection Laplacian: there the Jacobian is an integer matrix whose
-determinant is 0 for graphs with cycles (exact_jacobian_at_connection gives
-it for direct verification), so the implicit function theorem does not
-apply and no solution branch through L is guaranteed.  A minimum-norm
-Newton step on a cycle can still reach the projected equation for some
-perturbations, but at distance O(sqrt(eps)) from L, not O(eps).  For trees
-the determinant is nonzero and the solution moves smoothly with eps.
+connection Laplacian: there the Jacobian is an integer matrix whose exact
+determinant exact_jacobian_at_connection gives for direct verification.
+Where it is 0 the implicit function theorem does not apply and no solution
+branch through L is guaranteed; where it is nonzero the solution moves
+smoothly with eps.  The determinant does not follow the graph's cycles: it
+is 0 on cycles and the figure-8 and nonzero on paths and stars, but nonzero
+on grid:2,3, which has cycles, and 0 on the tree bary:star:4.
+A minimum-norm Newton step on a cycle can still reach the projected
+equation for some perturbations, but at distance O(sqrt(eps)) from L, not
+O(eps).
 
 perturb_target perturbs every pattern coordinate, including vertex-edge
 pairs where |H| is 0; for a single cycle the left null vector of the
@@ -125,6 +128,8 @@ class NewtonConfig:
     def __post_init__(self) -> None:
         if self.tol <= 0:
             raise ValueError("tol must be positive")
+        if self.max_iter < 0:
+            raise ValueError("max_iter must be nonnegative")
 
 
 def perturb_target(
@@ -161,28 +166,29 @@ def jacobian_at(X: np.ndarray, pattern: SupportPattern) -> np.ndarray:
 
     Column for basis direction M_ij (symmetrized unit coordinate) is
     -(M_ij + X^-1 M_ij X^-1) read off at the pattern coordinates.
+
+    Entry (row (k, l), column (i, j)) is -(direct + Xinv[k, i] Xinv[j, l]
+    + Xinv[k, j] Xinv[i, l]), the second product only when i != j.  direct is
+    1 on the diagonal alone: coordinates are upper-triangle, so (k, l) equals
+    (j, i) only when all four indices agree.
     """
-    coords = pattern.coords()
+    coords = np.array(pattern.coords(), dtype=np.intp).reshape(-1, 2)
+    i, j = coords[:, 0], coords[:, 1]
     Xinv = np.linalg.inv(X)
-    cols = []
-    for i, j in coords:
-        prop = np.outer(Xinv[:, i], Xinv[j, :])
-        if i != j:
-            prop = prop + np.outer(Xinv[:, j], Xinv[i, :])
-        col = []
-        for k, l in coords:
-            direct = 1.0 if (k, l) in ((i, j), (j, i)) else 0.0
-            col.append(-(direct + prop[k, l]))
-        cols.append(col)
-    return np.array(cols).T
+    prop = Xinv[np.ix_(i, i)] * Xinv[np.ix_(j, j)].T
+    cross = Xinv[np.ix_(i, j)]
+    prop = np.where(i != j, prop + cross * cross.T, prop)
+    return -(np.eye(len(coords)) + prop)
 
 
 def exact_jacobian_at_connection(bundle: OperatorBundle, pattern: SupportPattern | None = None) -> IntMatrix:
     """The same Jacobian at X = L, as an exact integer matrix.
 
-    L^-1 is integral, so the Jacobian at the unperturbed Laplacian is too;
-    its exact determinant separates trees (nonzero) from graphs with cycles
-    (zero), turning the degeneracy question into integer arithmetic.
+    L^-1 is integral, so the Jacobian at the unperturbed Laplacian is too,
+    and whether it is singular becomes a question of integer arithmetic.
+    The answer is not the tree / cycle split: the determinant is nonzero on
+    paths and stars and 0 on cycles, but also nonzero on grid:2,3 and 0 on
+    the tree bary:star:4.
     """
     if pattern is None:
         pattern = intersection_pattern(bundle)

@@ -10,12 +10,12 @@ refutes as first stated; the printed detail lines keep the counterexamples:
   2.20091, and P3: 3.15959 then 3.17771), and at k=24 it can still sit
   0.14 above rho(|H|), since only the limit k -> infinity is promised.
 * criterion 13: every seed converges exactly when the integer Jacobian
-  determinant at L is nonzero (trees); for cycles and the figure-8 it is 0
-  and every solve aborts at iteration 0 by contract.  The inverse of the
-  solution is measured off the inverse-support pattern, where it is 0 at
-  eps = 0 and grows linearly in eps; off the plain intersection pattern it
-  carries the entries -1 of g on adjacent-vertex pairs, so no 1e-8 target
-  holds there.
+  determinant at L is nonzero (path:4 and star:3 here); for cycles and the
+  figure-8 it is 0 and every solve aborts at iteration 0 by contract.  The
+  inverse of the solution is measured off the inverse-support pattern,
+  where it is 0 at eps = 0 and grows linearly in eps; off the plain
+  intersection pattern it carries the entries -1 of g on adjacent-vertex
+  pairs, so no 1e-8 target holds there.
 * criterion 15: sigma(L) lies in [-1, 0) union [1, inf) with e negative and
   v positive eigenvalues, so the gap at that block boundary is at least 1.
   The top gap lambda_n - lambda_{n-1} is not bounded below by 1 (0.9333 on

@@ -1,11 +1,14 @@
 """Command-line behavior: exit codes, output formats, determinism."""
 
+import hashlib
 import json
 from pathlib import Path
 
 import pytest
 
 import connlab.cli as cli
+import connlab.dynamics as dynamics
+import connlab.exact as exact
 import connlab.operators as operators
 from connlab.exact import dump_matrix
 from connlab.graphs import from_spec
@@ -94,10 +97,30 @@ def test_bounds_dump_habs_matches_dense_product(capsys):
     assert out.endswith(dump_matrix(b.dirac_signless @ b.dirac_signless))
 
 
-def test_bounds_dump_unknown_operator_exits(capsys):
+def _assert_unknown_dump_rejected(capsys, argv):
+    # rejected by the parser, before the subcommand runs or prints anything
     with pytest.raises(SystemExit) as excinfo:
-        cli.main(["bounds", "cycle:4", "--dump", "nosuch"])
-    assert "unknown operator 'nosuch'" in str(excinfo.value.code)
+        cli.main(list(argv))
+    out = capsys.readouterr()
+    assert excinfo.value.code == 2
+    assert out.out == ""
+    assert out.err.startswith("error: argument --dump: invalid choice: 'nosuch'")
+    assert out.err.count("\n") == 1
+
+
+def test_bounds_dump_unknown_operator_exits(capsys):
+    _assert_unknown_dump_rejected(capsys, ("bounds", "cycle:4", "--dump", "nosuch"))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("walk", "cycle:4", "--steps", "3", "--dump", "nosuch"),
+        ("--dump", "nosuch", "walk", "cycle:4", "--steps", "3"),
+    ],
+)
+def test_walk_dump_unknown_operator_exits_before_printing(capsys, argv):
+    _assert_unknown_dump_rejected(capsys, argv)
 
 
 def test_spectrum_pairing(capsys):
@@ -201,6 +224,8 @@ def test_usage_error_exits_2():
         (("newton", "path:4", "--tol", "0"), "error: argument --tol: 0 is not positive"),
         (("newton", "path:4", "--tol", "-0.5"), "error: argument --tol: -0.5 is not positive"),
         (("newton", "path:4", "--tol", "nan"), "error: argument --tol: nan is not finite"),
+        (("newton", "path:4", "--max-iter", "-1"), "error: argument --max-iter: -1 is negative"),
+        (("newton", "path:4", "--max-iter", "x"), "error: argument --max-iter: 'x' is not an integer"),
     ],
 )
 def test_usage_errors_print_one_line_and_exit_2(capsys, argv, message):
@@ -212,6 +237,16 @@ def test_usage_errors_print_one_line_and_exit_2(capsys, argv, message):
     assert code == 2
     assert out.out == ""
     assert out.err == message + "\n"
+
+
+def test_newton_max_iter_zero_reports_without_iterating(capsys):
+    code, out, err = run(capsys, "newton", "path:4", "--max-iter", "0")
+    assert code == 1
+    assert err == ""
+    doc = json.loads(out)
+    assert doc["converged"] is False
+    assert doc["iterations"] == 0
+    assert len(doc["residual_history"]) == 1
 
 
 def test_bounds_keeps_per_row_errors_and_exit_1(capsys):
@@ -260,3 +295,50 @@ def test_report_seed7_matches_golden_output(capsys):
     code, out, _ = run(capsys, "report", "--seed", "7")
     assert code == 0
     assert out.encode() == (DATA / "report_seed7.txt").read_bytes()
+
+
+GOLDEN = json.loads((DATA / "dynamics_golden.json").read_text())
+
+
+@pytest.mark.parametrize("case", GOLDEN, ids=[case["command"] for case in GOLDEN])
+def test_dynamics_matches_golden_output(capsys, case):
+    # tests/data/dynamics_golden.json holds the size and SHA-256 of the stdout
+    # of each command as printed by the dense, elimination-based dynamics
+    # routes; the walk output alone is about 800 kB
+    code, out, _ = run(capsys, *case["command"].split())
+    data = out.encode()
+    assert code == case["exit"]
+    assert len(data) == case["bytes"]
+    assert hashlib.sha256(data).hexdigest() == case["sha256"]
+
+
+def _counting(monkeypatch, name, modules):
+    """Replace `name` in each module by one wrapper that counts its calls."""
+    real = getattr(exact, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for mod in modules:
+        if hasattr(mod, name):
+            monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+def test_walk_reverse_takes_green_from_the_bundle(capsys, monkeypatch):
+    calls = _counting(monkeypatch, "inverse_unimodular", (exact, dynamics, operators, cli))
+    code, out, _ = run(capsys, "walk", "wheel:6", "--steps", "7", "--reverse")
+    assert code == 0
+    assert len(out.splitlines()) == 15
+    assert calls == []
+
+
+def test_automaton_reverse_inverts_over_the_field_once(capsys, monkeypatch):
+    # the one elimination left is the independent route of hydrogen_holds_mod
+    calls = _counting(monkeypatch, "field_inverse", (exact, dynamics, operators, cli))
+    code, out, _ = run(capsys, "automaton", "petersen:5,2", "--field", "11", "--steps", "9", "--reverse")
+    assert code == 0
+    assert len(out.splitlines()) == 19
+    assert len(calls) == 1

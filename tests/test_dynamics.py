@@ -2,6 +2,7 @@
 finite-field automata, and cocycle growth."""
 
 import math
+import random
 
 import pytest
 
@@ -25,7 +26,7 @@ from connlab.dynamics import (
     quaternion_solution,
     walk,
 )
-from connlab.exact import field_reduce
+from connlab.exact import _SparseRows, field_inverse, field_reduce
 from connlab.graphs import from_spec
 from connlab.operators import bundle_for
 
@@ -160,3 +161,67 @@ def test_growth_rates_link():
     assert rep.functional_link_residual < 1e-9
     assert rep.rho_hodge_signless > rep.rho_line_graph_adjacency
     assert math.isclose(rep.log_rho_connection, math.log(rep.rho_connection), rel_tol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# sparse stepping against the dense routes, over the whole corpus
+
+
+def test_sparse_step_matches_dense_apply(corpus):
+    rng = random.Random(20)
+    for spec, b in corpus.items():
+        vec = tuple(rng.randrange(-10**30, 10**30) for _ in range(b.size))
+        for name, m in (("L", b.connection), ("g", b.green), ("Habs", b.hodge_signless)):
+            assert _SparseRows(m).apply(vec) == m.apply(vec), (spec, name)
+            p = 1_000_003
+            mp = field_reduce(m, p)
+            reduced = tuple(x % p for x in vec)
+            stepped = tuple(x % p for x in _SparseRows(mp).apply(reduced))
+            assert stepped == mp.apply(reduced), (spec, name)
+
+
+def _dense_orbit(Lp, gp, start, n_min, n_max):
+    states = {0: start}
+    for n in range(1, n_max + 1):
+        states[n] = Lp.apply(states[n - 1])
+    for n in range(-1, n_min - 1, -1):
+        states[n] = gp.apply(states[n + 1])
+    return [states[n] for n in range(n_min, n_max + 1)]
+
+
+@pytest.mark.parametrize("p", [2147483647, 4294967311])
+def test_automaton_near_and_above_word_size_matches_dense_route(corpus, p):
+    # entries of g mod p are as large as p - 1, so its mat-vecs leave int64
+    # at both primes and must run on exact Python ints; L's stay in int64
+    rng = random.Random(p)
+    for spec, b in corpus.items():
+        Lp = field_reduce(b.connection, p)
+        gp = field_reduce(b.green, p)
+        s0 = AutomatonState(p, tuple(rng.randrange(p) for _ in range(b.size)), 0)
+        states = automaton_run(Lp, s0, -3, 3, inverse=gp)
+        assert [s.time for s in states] == list(range(-3, 4))
+        assert [s.vector for s in states] == _dense_orbit(Lp, gp, s0.vector, -3, 3), spec
+
+
+@pytest.mark.parametrize("spec", ["cycle:4", "figure8", "petersen:5,2", "gnm:12,15:seed=0"])
+def test_supplied_inverses_match_elimination(spec):
+    b = bundle_for(from_spec(spec))
+    psi0 = tuple(range(-3, b.size - 3))
+    assert walk(b.connection, psi0, -5, 5, inverse=b.green) == walk(b.connection, psi0, -5, 5)
+    p = 13
+    Lp = field_reduce(b.connection, p)
+    assert field_inverse(Lp) == field_reduce(b.green, p)
+    s0 = AutomatonState(p, tuple(x % p for x in psi0), 2)
+    with_g = automaton_run(Lp, s0, -5, 7, inverse=field_reduce(b.green, p))
+    assert with_g == automaton_run(Lp, s0, -5, 7)
+    assert [s.time for s in with_g] == list(range(-5, 8))
+    assert with_g[7] is s0
+
+
+def test_supplied_inverse_must_match_the_operator():
+    b = bundle_for(from_spec("cycle:4"))
+    with pytest.raises(DynamicsError):
+        walk(b.connection, _unit(8), -2, 2, inverse=b.hodge0)
+    Lp = field_reduce(b.connection, 5)
+    with pytest.raises(DynamicsError):
+        automaton_run(Lp, AutomatonState(5, _unit(8), 0), -2, 2, inverse=field_reduce(b.green, 7))

@@ -12,6 +12,7 @@ from connlab.newton import (
     SupportPattern,
     exact_jacobian_at_connection,
     intersection_pattern,
+    jacobian_at,
     inverse_support_pattern,
     perturb_target,
     solve_hydrogen,
@@ -31,6 +32,9 @@ from connlab.operators import bundle_for
         ("cycle:5", 0),
         ("complete:3", 0),
         ("figure8", 0),
+        # neither side of the tree / cycle split is a rule
+        ("grid:2,3", 1081344),
+        ("bary:star:4", 0),
     ],
 )
 def test_exact_jacobian_determinant(spec, jdet):
@@ -126,6 +130,51 @@ def test_verify_support_negative_control():
     dense = dense + dense.T + 10 * np.eye(pattern.n)
     report = verify_support(dense, pattern)
     assert not report.matrix_ok
+
+
+def test_newton_config_rejects_negative_max_iter():
+    with pytest.raises(ValueError, match="max_iter"):
+        NewtonConfig(max_iter=-1)
+    assert NewtonConfig(max_iter=0).max_iter == 0
+
+
+def _jacobian_loop(X, pattern):
+    """The column-by-column Jacobian that jacobian_at replaced: the oracle."""
+    coords = pattern.coords()
+    Xinv = np.linalg.inv(X)
+    cols = []
+    for i, j in coords:
+        prop = np.outer(Xinv[:, i], Xinv[j, :])
+        if i != j:
+            prop = prop + np.outer(Xinv[:, j], Xinv[i, :])
+        col = []
+        for k, l in coords:
+            direct = 1.0 if (k, l) in ((i, j), (j, i)) else 0.0
+            col.append(-(direct + prop[k, l]))
+        cols.append(col)
+    return np.array(cols).T
+
+
+NEWTON_POOLS = (
+    [f"path:{n}" for n in range(2, 23)]
+    + [f"star:{n}" for n in range(3, 23)]
+    + [f"cycle:{n}" for n in range(3, 23)]
+    + [f"bary:cycle:{n}" for n in range(3, 9)]
+    + ["figure8"]
+)
+
+
+@pytest.mark.parametrize("spec", NEWTON_POOLS)
+def test_jacobian_at_is_bit_identical_to_the_loop(spec):
+    b = bundle_for(from_spec(spec))
+    pattern = intersection_pattern(b)
+    at_connection = b.connection.to_float()
+    perturbed = perturb_target(b.connection, pattern, 0.05, seed=len(spec))
+    for X in (at_connection, perturbed):
+        fast, slow = jacobian_at(X, pattern), _jacobian_loop(X, pattern)
+        assert fast.shape == slow.shape
+        assert np.array_equal(fast, slow)
+        assert np.array_equal(np.signbit(fast), np.signbit(slow))
 
 
 def test_support_pattern_validation():
