@@ -13,13 +13,11 @@ from .exact import (
     FieldMatrix,
     IntMatrix,
     IntPolynomial,
-    RatMatrix,
     SingularMatrixError,
     charpoly,
     det,
     field_inverse,
     field_reduce,
-    inverse_exact,
     inverse_unimodular,
     is_reciprocal,
     matpow,
@@ -88,7 +86,6 @@ __all__ = [
     "NonConvergenceError",
     "OperatorBundle",
     "QuaternionField",
-    "RatMatrix",
     "REFERENCE_TABLES",
     "SingularJacobianError",
     "SingularMatrixError",
@@ -113,7 +110,6 @@ __all__ = [
     "hydrogen_holds_mod",
     "hydrogen_residual",
     "intersection_pattern",
-    "inverse_exact",
     "inverse_unimodular",
     "is_reciprocal",
     "is_unimodular",

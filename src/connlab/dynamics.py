@@ -463,23 +463,30 @@ def _field_orbit(m: FieldMatrix, start: Sequence[int], steps: int) -> Iterator[V
 def orbit_period(Lp: FieldMatrix, vector: Sequence[int], cap: int = 10**6) -> int:
     """Least k >= 1 with L^k s = s; exists because L is invertible mod p."""
     start = tuple(int(x) % Lp.p for x in vector)
-    current = start
-    for k in range(1, cap + 1):
-        current = Lp.apply(current)
-        if current == start:
+    orbit = _field_orbit(Lp, start, cap)
+    next(orbit)
+    for k, state in enumerate(orbit, 1):
+        if state == start:
             return k
     raise DynamicsError(f"orbit period exceeds cap {cap}")
 
 
 def multiplicative_order(Lp: FieldMatrix, cap: int = 10**6) -> int:
-    """Order of L in GL(n, F_p) by direct iteration."""
-    ident = FieldMatrix.identity(Lp.nrows, Lp.p)
-    current = Lp
-    for k in range(1, cap + 1):
-        if current.rows == ident.rows:
-            return k
-        current = current @ Lp
-    raise DynamicsError(f"multiplicative order exceeds cap {cap}")
+    """Order of L in GL(n, F_p): the lcm of the orbit periods of the unit
+    vectors, since L^k = I exactly when L^k e_i = e_i for every i."""
+    order = 1
+    for i in range(Lp.nrows):
+        unit = [0] * Lp.nrows
+        unit[i] = 1
+        try:
+            order = math.lcm(order, orbit_period(Lp, unit, cap))
+        except DynamicsError:
+            order = cap + 1
+        if order > cap:
+            break
+    if order > cap:
+        raise DynamicsError(f"multiplicative order exceeds cap {cap}")
+    return order
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,16 @@
-"""Exact dense linear algebra over the integers, rationals, and prime fields.
+"""Exact dense linear algebra over the integers and prime fields.
 
-Everything here is arbitrary precision: determinants by fraction-free
-(Bareiss) elimination, inverses by fraction-free Gauss-Jordan, matrix powers
-by binary exponentiation.  Characteristic polynomials are computed mod word
-primes (numpy int64 Hessenberg reduction, O(n^3) per prime), lifted by
-Chinese remaindering past a proven coefficient bound and certified against
-one Bareiss determinant.  No floating point enters this module; conversion
-to float happens only via IntMatrix.to_float().
+One matrix class, IntMatrix, holds every operator; FieldMatrix is an
+IntMatrix whose entries are kept reduced mod a prime p.  Everything here is
+arbitrary precision: determinants by fraction-free (Bareiss) elimination,
+integer inverses of unimodular matrices by fraction-free Gauss-Jordan (every
+inverse the workbench takes is of a unimodular L or a product of them, so
+no rational matrix is formed), matrix powers by binary exponentiation.
+Characteristic polynomials are computed mod word primes (numpy int64
+Hessenberg reduction, O(n^3) per prime), lifted by Chinese remaindering past
+a proven coefficient bound and certified against one Bareiss determinant.
+No floating point enters this module; conversion to float happens only via
+IntMatrix.to_float().
 
 The connection side of operators does not go through this module's O(n^3)
 routines: OperatorBundle certifies L @ g = I over the nonzeros of L and g and
@@ -14,16 +18,19 @@ reads det L off the Schur complement of L's identity vertex block.  Bareiss
 det serves products and newton and is the test oracle for that route, as the
 dense product is for the certificate.
 
-Walks step through _SparseRows, the nonzeros of an operator gathered once,
-so each mat-vec costs O(nnz) rather than O(n^2); IntMatrix.apply and
-FieldMatrix.apply stay as the dense routes the tests compare it with.
+_SparseRows gathers the nonzeros of an operator once.  Walks step through
+it, so each mat-vec costs O(nnz) rather than O(n^2), and the L g = I
+certificate, the Schur-complement det, the squared traces and the k-walk
+counts read their nonzeros from it; IntMatrix.apply and FieldMatrix.apply
+stay as the dense routes the tests compare it with.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from itertools import compress
+from typing import Sequence
 
 import numpy as np
 
@@ -70,14 +77,6 @@ class IntMatrix:
     def zeros(cls, nrows: int, ncols: int) -> "IntMatrix":
         return cls([[0] * ncols for _ in range(nrows)], ncols=ncols)
 
-    @classmethod
-    def diagonal(cls, entries: Sequence[int]) -> "IntMatrix":
-        n = len(entries)
-        m = cls.zeros(n, n)
-        for i, x in enumerate(entries):
-            m.rows[i][i] = int(x)
-        return m
-
     def copy(self) -> "IntMatrix":
         return IntMatrix([r[:] for r in self.rows], ncols=self.ncols)
 
@@ -110,9 +109,6 @@ class IntMatrix:
             [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)],
             ncols=self.ncols,
         )
-
-    def __neg__(self) -> "IntMatrix":
-        return IntMatrix([[-a for a in r] for r in self.rows], ncols=self.ncols)
 
     def scale(self, k: int) -> "IntMatrix":
         return IntMatrix([[k * a for a in r] for r in self.rows], ncols=self.ncols)
@@ -153,15 +149,6 @@ class IntMatrix:
     def abs(self) -> "IntMatrix":
         return IntMatrix([[abs(a) for a in r] for r in self.rows], ncols=self.ncols)
 
-    def is_symmetric(self) -> bool:
-        if not self.is_square():
-            return False
-        return all(
-            self.rows[i][j] == self.rows[j][i]
-            for i in range(self.nrows)
-            for j in range(i + 1, self.ncols)
-        )
-
     def is_zero(self) -> bool:
         return all(a == 0 for r in self.rows for a in r)
 
@@ -185,97 +172,26 @@ class IntMatrix:
             raise ShapeError(f"shape mismatch {self.shape} vs {other.shape}")
 
     def __repr__(self) -> str:
-        return f"IntMatrix({self.nrows}x{self.ncols})"
+        return f"{type(self).__name__}({self.nrows}x{self.ncols})"
 
 
 class _SparseRows:
     """The nonzeros of a matrix, one list of (column, value) pairs per row.
 
     Built once per operator so that stepping a vector many times costs one
-    multiply-add per nonzero instead of one per entry.  Sums run in column
-    order, as in IntMatrix.apply; no reduction mod p is applied.
+    multiply-add per nonzero instead of one per entry, and the only place
+    where the nonzeros of a row are collected.  Pairs come in column order,
+    so sums run as in IntMatrix.apply; no reduction mod p is applied.
     """
 
     __slots__ = ("rows",)
 
-    def __init__(self, m: "IntMatrix | FieldMatrix"):
-        self.rows = [[(j, a) for j, a in enumerate(row) if a] for row in m.rows]
+    def __init__(self, m: IntMatrix):
+        cols = range(m.ncols)
+        self.rows = [[(j, row[j]) for j in compress(cols, row)] for row in m.rows]
 
     def apply(self, vec: Sequence[int]) -> tuple[int, ...]:
         return tuple([sum([a * vec[j] for j, a in row]) for row in self.rows])
-
-
-class RatMatrix:
-    """Dense matrix over the rationals (Fraction entries)."""
-
-    __slots__ = ("rows", "nrows", "ncols")
-
-    def __init__(self, rows: Sequence[Sequence[Fraction]], ncols: int | None = None):
-        self.rows = [[Fraction(x) for x in r] for r in rows]
-        self.nrows = len(self.rows)
-        if self.nrows:
-            self.ncols = len(self.rows[0])
-            if any(len(r) != self.ncols for r in self.rows):
-                raise ShapeError("ragged rows")
-        else:
-            if ncols is None:
-                raise ShapeError("empty matrix needs an explicit column count")
-            self.ncols = ncols
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (self.nrows, self.ncols)
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, RatMatrix)
-            and self.shape == other.shape
-            and self.rows == other.rows
-        )
-
-    def __matmul__(self, other: "RatMatrix") -> "RatMatrix":
-        if self.ncols != other.nrows:
-            raise ShapeError(f"cannot multiply {self.shape} by {other.shape}")
-        cols = list(zip(*other.rows))
-        return RatMatrix(
-            [[sum(a * b for a, b in zip(row, col)) for col in cols] for row in self.rows],
-            ncols=other.ncols,
-        )
-
-    def apply(self, vec: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        if len(vec) != self.ncols:
-            raise ShapeError("vector length does not match column count")
-        return tuple(sum(a * x for a, x in zip(row, vec)) for row in self.rows)
-
-    def entry_sum(self) -> Fraction:
-        return sum((x for r in self.rows for x in r), Fraction(0))
-
-    def is_integral(self) -> bool:
-        return all(x.denominator == 1 for r in self.rows for x in r)
-
-    def to_int_matrix(self) -> IntMatrix:
-        bad = [
-            (i, j, x)
-            for i, r in enumerate(self.rows)
-            for j, x in enumerate(r)
-            if x.denominator != 1
-        ]
-        if bad:
-            i, j, x = bad[0]
-            raise ValueError(f"non-integer entry {x} at ({i},{j})")
-        return IntMatrix([[int(x) for x in r] for r in self.rows], ncols=self.ncols)
-
-    def to_float(self) -> np.ndarray:
-        return np.array([[float(x) for x in r] for r in self.rows], dtype=float).reshape(
-            self.nrows, self.ncols
-        )
-
-    @classmethod
-    def from_int(cls, m: IntMatrix) -> "RatMatrix":
-        return cls([[Fraction(a) for a in r] for r in m.rows], ncols=m.ncols)
-
-    def __repr__(self) -> str:
-        return f"RatMatrix({self.nrows}x{self.ncols})"
 
 
 @dataclass(frozen=True)
@@ -287,9 +203,6 @@ class IntPolynomial:
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
-
-    def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == 1
 
     def __call__(self, x):
         acc = 0
@@ -365,18 +278,19 @@ def det(m: IntMatrix) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def inverse_exact(m: IntMatrix) -> RatMatrix:
-    """Exact inverse by fraction-free Gauss-Jordan elimination.
+def inverse_unimodular(m: IntMatrix) -> IntMatrix:
+    """Integer inverse of a unimodular matrix by fraction-free Gauss-Jordan.
 
     The augmented system [m | I] is reduced with Bareiss-style integer
-    updates; at the end the left block is diagonal and each augmented row
-    divided by its diagonal entry gives the inverse row.
+    updates, each division exact by the Sylvester identity.  At the end every
+    diagonal entry of the left block equals the final pivot, which is
+    +-det m, so the inverse is the right block divided by it.  Raises
+    SingularMatrixError on a zero pivot and ValueError when the final pivot
+    is not +-1, that is when m has no integer inverse.
     """
     if not m.is_square():
         raise ShapeError("inverse needs a square matrix")
     n = m.nrows
-    if n == 0:
-        return RatMatrix([], ncols=0)
     width = 2 * n
     a = [row[:] + [1 if i == j else 0 for j in range(n)] for i, row in enumerate(m.rows)]
     prev = 1
@@ -405,22 +319,10 @@ def inverse_exact(m: IntMatrix) -> RatMatrix:
                 row_i[j] = q
             row_i[k] = 0
         prev = pivot
-    out = []
-    for i in range(n):
-        d = a[i][i]
-        if d == 0:
-            raise SingularMatrixError("matrix is singular over the rationals")
-        out.append([Fraction(a[i][j], d) for j in range(n, width)])
-    return RatMatrix(out, ncols=n)
-
-
-def inverse_unimodular(m: IntMatrix) -> IntMatrix:
-    """Integer inverse of a unimodular matrix; fails loudly otherwise."""
-    inv = inverse_exact(m)
-    try:
-        return inv.to_int_matrix()
-    except ValueError as exc:
-        raise ValueError(f"matrix is not unimodular: {exc}") from exc
+    if prev not in (1, -1):
+        raise ValueError(f"matrix is not unimodular: final pivot {prev}")
+    # 1/prev == prev for prev = +-1
+    return IntMatrix([[prev * x for x in row[n:]] for row in a], ncols=n)
 
 
 def rank(m: IntMatrix) -> int:
@@ -605,73 +507,44 @@ def is_prime(p: int) -> bool:
     return True
 
 
-class FieldMatrix:
-    """Dense matrix over F_p with entries reduced to 0..p-1."""
+class FieldMatrix(IntMatrix):
+    """IntMatrix over F_p: entries reduced to 0..p-1 and kept reduced.
 
-    __slots__ = ("p", "rows", "nrows", "ncols")
+    Shape handling is IntMatrix's.  Identity, equality, products, mat-vecs
+    and differences are the IntMatrix operations followed by reduction mod
+    p; the other operations (+, transpose, kron, ...) return a plain,
+    unreduced IntMatrix.
+    """
+
+    __slots__ = ("p",)
 
     def __init__(self, rows: Sequence[Sequence[int]], p: int, ncols: int | None = None):
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
+        super().__init__(rows, ncols)
         self.p = p
-        self.rows = [[int(x) % p for x in r] for r in rows]
-        self.nrows = len(self.rows)
-        if self.nrows:
-            self.ncols = len(self.rows[0])
-            if any(len(r) != self.ncols for r in self.rows):
-                raise ShapeError("ragged rows")
-        else:
-            if ncols is None:
-                raise ShapeError("empty matrix needs an explicit column count")
-            self.ncols = ncols
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (self.nrows, self.ncols)
+        self.rows = [[a % p for a in r] for r in self.rows]
 
     @classmethod
     def identity(cls, n: int, p: int) -> "FieldMatrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)], p)
+        return cls(IntMatrix.identity(n).rows, p, ncols=n)
 
     def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, FieldMatrix)
-            and self.p == other.p
-            and self.shape == other.shape
-            and self.rows == other.rows
-        )
+        return isinstance(other, FieldMatrix) and self.p == other.p and super().__eq__(other)
 
     def __matmul__(self, other: "FieldMatrix") -> "FieldMatrix":
         if self.p != other.p:
             raise ValueError("mixed moduli")
-        if self.ncols != other.nrows:
-            raise ShapeError(f"cannot multiply {self.shape} by {other.shape}")
-        p = self.p
-        cols = list(zip(*other.rows))
-        return FieldMatrix(
-            [[sum(a * b for a, b in zip(row, col)) % p for col in cols] for row in self.rows],
-            p,
-            ncols=other.ncols,
-        )
+        return FieldMatrix(super().__matmul__(other).rows, self.p, ncols=other.ncols)
 
     def apply(self, vec: Sequence[int]) -> tuple[int, ...]:
         p = self.p
-        return tuple(sum(a * x for a, x in zip(row, vec)) % p for row in self.rows)
+        return tuple(x % p for x in super().apply(vec))
 
     def __sub__(self, other: "FieldMatrix") -> "FieldMatrix":
-        if self.p != other.p or self.shape != other.shape:
-            raise ShapeError("shape or modulus mismatch")
-        return FieldMatrix(
-            [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)],
-            self.p,
-            ncols=self.ncols,
-        )
-
-    def is_zero(self) -> bool:
-        return all(a == 0 for r in self.rows for a in r)
-
-    def __repr__(self) -> str:
-        return f"FieldMatrix({self.nrows}x{self.ncols} mod {self.p})"
+        if self.p != other.p:
+            raise ShapeError("modulus mismatch")
+        return FieldMatrix(super().__sub__(other).rows, self.p, ncols=self.ncols)
 
 
 def field_reduce(m: IntMatrix, p: int) -> FieldMatrix:
@@ -680,7 +553,7 @@ def field_reduce(m: IntMatrix, p: int) -> FieldMatrix:
 
 def field_inverse(m: FieldMatrix) -> FieldMatrix:
     """Inverse over F_p by Gauss-Jordan elimination with modular pivots."""
-    if m.nrows != m.ncols:
+    if not m.is_square():
         raise ShapeError("inverse needs a square matrix")
     n = m.nrows
     p = m.p
@@ -701,35 +574,12 @@ def field_inverse(m: FieldMatrix) -> FieldMatrix:
     return FieldMatrix([row[n:] for row in a], p, ncols=n)
 
 
-def field_matpow(m: FieldMatrix, k: int) -> FieldMatrix:
-    if m.nrows != m.ncols:
-        raise ShapeError("power needs a square matrix")
-    if k < 0:
-        return field_matpow(field_inverse(m), -k)
-    result = FieldMatrix.identity(m.nrows, m.p)
-    base = m
-    while k:
-        if k & 1:
-            result = result @ base
-        k >>= 1
-        if k:
-            base = base @ base
-    return result
-
-
 # ---------------------------------------------------------------------------
 # dump format: first line "rows cols", then one whitespace-separated row per
-# line; rational entries are written as num/den (plain integer when den = 1).
+# line.
 
 
-def dump_matrix(m: IntMatrix | RatMatrix) -> str:
+def dump_matrix(m: IntMatrix) -> str:
     lines = [f"{m.nrows} {m.ncols}"]
-    for row in m.rows:
-        toks = []
-        for x in row:
-            if isinstance(x, Fraction) and x.denominator != 1:
-                toks.append(f"{x.numerator}/{x.denominator}")
-            else:
-                toks.append(str(int(x)))
-        lines.append(" ".join(toks))
+    lines.extend(" ".join(map(str, row)) for row in m.rows)
     return "\n".join(lines) + "\n"

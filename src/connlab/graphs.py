@@ -69,26 +69,6 @@ class Graph:
             nbr[v].append(u)
         return nbr
 
-    def adjacency_rows(self) -> list[list[int]]:
-        rows = [[0] * self.n for _ in range(self.n)]
-        for u, v in self.edges:
-            rows[u][v] = 1
-            rows[v][u] = 1
-        return rows
-
-    def has_edge(self, u: int, v: int) -> bool:
-        if u > v:
-            u, v = v, u
-        return (u, v) in self._edge_set()
-
-    def _edge_set(self) -> frozenset[tuple[int, int]]:
-        # cached on first use; safe because the dataclass is frozen
-        cached = self.__dict__.get("_edge_set_cache")
-        if cached is None:
-            cached = frozenset(self.edges)
-            self.__dict__["_edge_set_cache"] = cached
-        return cached
-
     def with_name(self, name: str) -> "Graph":
         return Graph(self.n, self.edges, name)
 

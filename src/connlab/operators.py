@@ -16,8 +16,9 @@ The central objects:
 g is produced by the star formula g(x,y) = w(x) w(y) chi(St(x) /\\ St(y))
 with w = (-1)^dim, then certified against L by checking L @ g = I row by
 row over the nonzeros of L and g, never as a dense product.  An independent
-elimination-based inverse lives in exact.inverse_exact; the test suite
-compares the two routes, so keep them separate.
+elimination-based inverse lives in exact.inverse_unimodular; verify and the
+test suite compare the two routes, so keep them separate.  Every nonzero is
+read through exact._SparseRows.
 
 det L comes from the Schur complement of the vertex block: L = [[I_v, B^T],
 [B, C]] with B the edge-vertex containment matrix, so det L = det(C - B B^T),
@@ -33,9 +34,9 @@ D @ D as the oracle for H and |H|.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress
 from typing import Sequence
 
 from .complexes import Complex, build_complex, parity, sphere_chi
@@ -44,6 +45,7 @@ from .exact import (
     IntMatrix,
     IntPolynomial,
     ShapeError,
+    _SparseRows,
     charpoly,
     field_inverse,
     field_reduce,
@@ -161,22 +163,15 @@ def green_star(c: Complex) -> IntMatrix:
     return IntMatrix(rows, ncols=n)
 
 
-def _nonzeros(row: list[int], lo: int = 0, hi: int | None = None) -> list[tuple[int, int]]:
-    """(column, entry) for every nonzero entry of row[lo:hi]."""
-    if hi is None:
-        hi = len(row)
-    return [(j, row[j]) for j in compress(range(lo, hi), row[lo:hi])]
-
-
 def _is_inverse(m: IntMatrix, g: IntMatrix) -> bool:
     """m @ g == I, each row of the product summed from the nonzeros of m's
     row over the matching sparse rows of g."""
     if not m.is_square() or g.shape != m.shape:
         return False
-    g_rows = [_nonzeros(row) for row in g.rows]
-    for i, row in enumerate(m.rows):
+    g_rows = _SparseRows(g).rows
+    for i, row in enumerate(_SparseRows(m).rows):
         acc: dict[int, int] = {}
-        for j, a in _nonzeros(row):
+        for j, a in row:
             for k, b in g_rows[j]:
                 acc[k] = acc.get(k, 0) + a * b
         if acc.pop(i, 0) != 1 or any(acc.values()):
@@ -196,19 +191,20 @@ def schur_det(m: IntMatrix, v: int) -> int:
     """
     if not m.is_square() or not 0 <= v <= m.nrows:
         raise ShapeError(f"no {v}x{v} leading block in a {m.shape} matrix")
-    rows = m.rows
+    rows = _SparseRows(m).rows
     n = m.nrows
+    # pairs are in column order, so each row splits at its first column >= v
+    split = [bisect_left(row, (v,)) for row in rows]
     for x in range(v):
-        row = rows[x]
-        if row[x] != 1 or any(row[:x]) or any(row[x + 1 : v]):
+        if rows[x][: split[x]] != [(x, 1)]:
             raise ArithmeticError("vertex block is not the identity")
-    schur = {k: dict(_nonzeros(rows[k], v)) for k in range(v, n)}
+    schur = {k: dict(rows[k][split[k] :]) for k in range(v, n)}
     incident: list[list[tuple[int, int]]] = [[] for _ in range(v)]
     for k in range(v, n):
-        for x, a in _nonzeros(rows[k], 0, v):
+        for x, a in rows[k][: split[k]]:
             incident[x].append((k, a))
     for x, edges in enumerate(incident):
-        u = _nonzeros(rows[x], v)
+        u = rows[x][split[x] :]
         for k, a in edges:
             srow = schur[k]
             for l, b in u:
@@ -341,10 +337,6 @@ class OperatorBundle:
     def connection_det(self) -> int:
         return schur_det(self.connection, self.v)
 
-    @cached_property
-    def connection_charpoly(self) -> IntPolynomial:
-        return charpoly(self.connection)
-
 
 def bundle_for(source: Graph | Complex) -> OperatorBundle:
     return OperatorBundle(source)
@@ -418,7 +410,7 @@ class TraceReport:
 def _trace_of_square(m: IntMatrix) -> int:
     """tr(m @ m) as the sum of m[i][j] * m[j][i] over the nonzeros of m."""
     rows = m.rows
-    return sum(a * rows[j][i] for i, row in enumerate(rows) for j, a in _nonzeros(row))
+    return sum(a * rows[j][i] for i, row in enumerate(_SparseRows(m).rows) for j, a in row)
 
 
 def trace_report(bundle: OperatorBundle) -> TraceReport:

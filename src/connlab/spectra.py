@@ -32,7 +32,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .exact import IntMatrix, IntPolynomial, charpoly
+from .exact import IntMatrix, IntPolynomial, _SparseRows, charpoly
 from .graphs import Graph, connected_components, diameter, induced_subgraph, is_connected, is_regular
 from .operators import OperatorBundle, bundle_for
 
@@ -200,8 +200,7 @@ def bound_kwalk(source: Graph | OperatorBundle, k: int) -> float:
     bundle = _bundle(source)
     _require_edges(bundle.graph)
     neighbours = [
-        [y for y, a in enumerate(row) if a and y != x]
-        for x, row in enumerate(bundle.connection.rows)
+        [y for y, _ in row if y != x] for x, row in enumerate(_SparseRows(bundle.connection).rows)
     ]
     counts = [1] * bundle.size
     for _ in range(k):

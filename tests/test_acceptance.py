@@ -42,7 +42,7 @@ from connlab.exact import (
     det,
     field_inverse,
     field_reduce,
-    inverse_exact,
+    inverse_unimodular,
     matpow,
     reciprocal_sign,
 )
@@ -124,8 +124,7 @@ def test_criterion_01_exact_hydrogen_identity_under_30s():
 def test_criterion_02_green_star_equals_elimination(corpus):
     mismatches = []
     for spec, bundle in corpus.items():
-        inv = inverse_exact(bundle.connection)
-        if not inv.is_integral() or inv.to_int_matrix().rows != bundle.green.rows:
+        if inverse_unimodular(bundle.connection).rows != bundle.green.rows:
             mismatches.append(spec)
     _report(
         2,

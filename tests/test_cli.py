@@ -35,6 +35,24 @@ def test_verify_figure8(capsys):
     assert "7/7 checks pass" in out
 
 
+@pytest.mark.parametrize("edge_diagonal, why", [(0, "det L = 2"), (2, "det L = 0")])
+def test_verify_green_star_fails_without_traceback_on_a_non_unimodular_l(
+    capsys, monkeypatch, edge_diagonal, why
+):
+    # certify g first, then change one edge-edge diagonal entry of L: the
+    # Schur complement entry -1 becomes -2 or 0, so L has no integer inverse
+    b = operators.bundle_for(from_spec("cycle:4"))
+    b.green
+    L = b.connection.copy()
+    L.rows[b.v][b.v] = edge_diagonal
+    b.__dict__["connection"] = L
+    monkeypatch.setattr(cli, "bundle_for", lambda g: b)
+    code, out, err = run(capsys, "verify", "cycle:4")
+    assert code == 1, why
+    assert "FAIL green-star" in out
+    assert "Traceback" not in err
+
+
 def test_verify_json_shape(capsys):
     code, out, _ = run(capsys, "--format", "json", "verify", "star:4", "--field", "2")
     assert code == 0

@@ -26,7 +26,7 @@ from connlab.dynamics import (
     quaternion_solution,
     walk,
 )
-from connlab.exact import _SparseRows, field_inverse, field_reduce
+from connlab.exact import FieldMatrix, _SparseRows, field_inverse, field_reduce
 from connlab.graphs import from_spec
 from connlab.operators import bundle_for
 
@@ -138,6 +138,52 @@ def test_automaton_round_trip_and_orbit(p):
     assert order % period == 0
     # advancing by the period returns to the start
     assert automaton_run(Lp, s0, 0, period)[-1].vector == s0.vector
+
+
+def _dense_period(Lp, vector, cap):
+    """Oracle for orbit_period: step with the dense FieldMatrix.apply."""
+    start = tuple(x % Lp.p for x in vector)
+    current = start
+    for k in range(1, cap + 1):
+        current = Lp.apply(current)
+        if current == start:
+            return k
+    return None
+
+
+def _dense_order(Lp, cap):
+    """Oracle for multiplicative_order: dense powers L, L^2, ... until L^k = I."""
+    ident = FieldMatrix.identity(Lp.nrows, Lp.p)
+    current = Lp
+    for k in range(1, cap + 1):
+        if current == ident:
+            return k
+        current = current @ Lp
+    return None
+
+
+ORDER_SPECS = ["complete:2", "path:3", "cycle:4", "star:3", "figure8", "wheel:4"]
+
+
+@pytest.mark.parametrize("spec", ORDER_SPECS)
+def test_order_and_period_match_dense_powers(spec):
+    b = bundle_for(from_spec(spec))
+    rng = random.Random(spec)
+    for p in (2, 3, 5, 7):
+        Lp = field_reduce(b.connection, p)
+        order = _dense_order(Lp, 10**4)
+        assert multiplicative_order(Lp) == order, (spec, p)
+        vec = [rng.randrange(p) for _ in range(b.size)]
+        period = _dense_period(Lp, vec, 10**4)
+        assert orbit_period(Lp, vec) == period, (spec, p)
+        assert order % period == 0
+        # the error is raised exactly when the result exceeds cap
+        assert multiplicative_order(Lp, cap=order) == order
+        with pytest.raises(DynamicsError, match="multiplicative order exceeds cap"):
+            multiplicative_order(Lp, cap=order - 1)
+        assert orbit_period(Lp, vec, cap=period) == period
+        with pytest.raises(DynamicsError, match="orbit period exceeds cap"):
+            orbit_period(Lp, vec, cap=period - 1)
 
 
 def test_cocycle_constant_environment_matches_log_rho():

@@ -21,10 +21,9 @@ from connlab.exact import (
     SingularMatrixError,
     charpoly,
     det,
+    ShapeError,
     field_inverse,
-    field_matpow,
     field_reduce,
-    inverse_exact,
     inverse_unimodular,
     is_prime,
     is_reciprocal,
@@ -86,19 +85,68 @@ def test_det_matches_cofactor_expansion(rows):
 
 @settings(max_examples=80, deadline=None)
 @given(square(4))
-def test_inverse_exact_matches_gauss_jordan(rows):
+def test_inverse_unimodular_matches_gauss_jordan(rows):
     m = IntMatrix(rows)
-    if det(m) == 0:
+    d = det(m)
+    if d == 0:
         with pytest.raises(SingularMatrixError):
-            inverse_exact(m)
+            inverse_unimodular(m)
+        return
+    if d not in (1, -1):
+        with pytest.raises(ValueError, match="not unimodular"):
+            inverse_unimodular(m)
         return
     n = len(rows)
     eye = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     oracle = fraction_solve(rows, eye)
-    inv = inverse_exact(m)
+    inv = inverse_unimodular(m)
+    assert isinstance(inv, IntMatrix)
     for i in range(n):
         for j in range(n):
             assert inv.rows[i][j] == oracle[i][j]
+
+
+def elementary_product(n, ops):
+    """Product of elementary integer matrices, all of determinant +-1: each
+    op (kind, i, j, c) adds c times row j to row i, swaps rows i and j, or
+    negates row i."""
+    rows = [[1 if r == c else 0 for c in range(n)] for r in range(n)]
+    for kind, i, j, c in ops:
+        i, j = i % n, j % n
+        if kind == "add" and i != j:
+            rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]
+        elif kind == "swap":
+            rows[i], rows[j] = rows[j], rows[i]
+        elif kind == "negate":
+            rows[i] = [-a for a in rows[i]]
+    return IntMatrix(rows)
+
+
+elementary_ops = st.lists(
+    st.tuples(
+        st.sampled_from(["add", "swap", "negate"]),
+        st.integers(0, 7),
+        st.integers(0, 7),
+        st.integers(-9, 9),
+    ),
+    max_size=25,
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(min_value=1, max_value=8), elementary_ops, st.integers(min_value=2, max_value=5))
+def test_inverse_unimodular_of_elementary_products(n, ops, k):
+    m = elementary_product(n, ops)
+    assert m @ inverse_unimodular(m) == IntMatrix.identity(n)
+    # scaling one row by k >= 2 makes |det| = k: no integer inverse
+    scaled = IntMatrix([[k * a for a in row] if i == 0 else row for i, row in enumerate(m.rows)])
+    with pytest.raises(ValueError, match="not unimodular"):
+        inverse_unimodular(scaled)
+    # repeating a row makes it singular
+    if n >= 2:
+        singular = IntMatrix([m.rows[1]] + m.rows[1:])
+        with pytest.raises(SingularMatrixError):
+            inverse_unimodular(singular)
 
 
 @settings(max_examples=80, deadline=None)
@@ -222,7 +270,9 @@ def test_field_ops_commute_with_reduction(rows, p):
     mp = field_reduce(m, p)
     sq_then_reduce = field_reduce(m @ m, p)
     assert mp @ mp == sq_then_reduce
-    assert field_matpow(mp, 3) == field_reduce(m @ m @ m, p)
+    assert mp @ mp @ mp == field_reduce(m @ m @ m, p)
+    assert mp.apply(rows[0]) == tuple(x % p for x in m.apply(rows[0]))
+    assert mp - mp @ mp == field_reduce(m - m @ m, p)
     if det(m) % p != 0:
         inv = field_inverse(mp)
         assert inv @ mp == FieldMatrix.identity(len(rows), p)
@@ -263,6 +313,32 @@ def test_inverse_unimodular_round_trip():
         inverse_unimodular(IntMatrix([[2, 0], [0, 2]]))
     with pytest.raises(SingularMatrixError):
         inverse_unimodular(IntMatrix([[1, 1], [1, 1]]))
+    assert inverse_unimodular(IntMatrix([], ncols=0)) == IntMatrix([], ncols=0)
+
+
+def test_field_matrix_is_a_reduced_int_matrix():
+    m = FieldMatrix([[7, -1], [12, 5]], 5)
+    assert isinstance(m, IntMatrix)
+    assert m.rows == [[2, 4], [2, 0]] and m.shape == (2, 2) and m.p == 5
+    assert m == field_reduce(IntMatrix([[2, -1], [2, 10]]), 5)
+    assert m != IntMatrix(m.rows) and IntMatrix(m.rows) != m
+    assert m != FieldMatrix(m.rows, 7)
+    assert FieldMatrix.identity(2, 5) == FieldMatrix([[6, 0], [0, 11]], 5)
+    assert repr(m) == "FieldMatrix(2x2)"
+    # shape rules are IntMatrix's
+    assert FieldMatrix([], 3, ncols=4).shape == (0, 4)
+    with pytest.raises(ShapeError):
+        FieldMatrix([[1, 2], [3]], 5)
+    with pytest.raises(ShapeError):
+        FieldMatrix([], 5)
+    with pytest.raises(ShapeError):
+        m.apply((1, 2, 3))
+    with pytest.raises(ValueError, match="not prime"):
+        FieldMatrix([[1]], 4)
+    with pytest.raises(ValueError, match="mixed moduli"):
+        m @ FieldMatrix(m.rows, 7)
+    with pytest.raises(ShapeError):
+        m - FieldMatrix(m.rows, 7)
 
 
 def test_reciprocal_sign_cases():

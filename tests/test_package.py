@@ -1,0 +1,49 @@
+"""The package surface and the benchmark's layer harness.
+
+perfbench/tracing.py wraps connlab's module functions and the IntMatrix /
+FieldMatrix product and mat-vec methods by name, so a refactor of src/ can
+break the traced benchmark run without breaking any other test.  The smoke
+test here installs that tracer in-process, runs two CLI commands under it
+and checks that every per-layer metric BENCHMARK.json declares comes back.
+"""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import connlab
+import connlab.cli as cli
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_every_exported_name_resolves():
+    missing = [name for name in connlab.__all__ if not hasattr(connlab, name)]
+    assert missing == []
+    assert len(set(connlab.__all__)) == len(connlab.__all__)
+
+
+def _load_tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", ROOT / "perfbench" / "tracing.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_layer_harness_reports_every_declared_metric(capsys):
+    tracing = _load_tracing()
+    declared = {m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]}
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        assert tracer.unpatched_sites() == []
+        assert cli.main(["verify", "cycle:4", "--field", "5"]) == 0
+        assert cli.main(["automaton", "cycle:4", "--field", "5", "--steps", "3", "--reverse"]) == 0
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    metrics = tracer.layer_metrics(2, 0)
+    assert declared - {"trace_overhead_s"} <= set(metrics)
+    assert metrics["exact.charpoly.calls"][0] == 5
+    assert metrics["exact.field_inverse.self_s"][0] > 0
+    assert not hasattr(connlab.exact.FieldMatrix.apply, "__wrapped__")

@@ -3,7 +3,7 @@ failure of the hydrogen identity on nontrivial products."""
 
 import pytest
 
-from connlab.exact import charpoly, det, inverse_exact, reciprocal_sign
+from connlab.exact import charpoly, det, inverse_unimodular, reciprocal_sign
 from connlab.graphs import from_spec
 from connlab.operators import bundle_for
 from connlab.products import (
@@ -45,7 +45,7 @@ def test_product_connection_two_routes(sa, sb):
 def test_product_energy_multiplicative(sa, sb):
     a, b = from_spec(sa), from_spec(sb)
     L = product_connection(a, b)
-    g = inverse_exact(L).to_int_matrix()
+    g = inverse_unimodular(L)
     chi_a = a.euler_characteristic()
     chi_b = b.euler_characteristic()
     assert g.entry_sum() == chi_a * chi_b
@@ -101,3 +101,18 @@ def test_mismatched_dimensions_raise():
     a = bundle_for(from_spec("complete:2")).connection
     with pytest.raises(ProductError):
         two_time_walk(a, a, (1, 0, 0), (1, 1))
+
+
+def test_product_checks_rejects_a_product_without_integer_inverse(monkeypatch):
+    import connlab.products as products
+
+    real = products.product_connection
+
+    def doubled_corner(a, b):
+        L = real(a, b)
+        L.rows[0] = [2 * x for x in L.rows[0]]  # det 2 L = +-2
+        return L
+
+    monkeypatch.setattr(products, "product_connection", doubled_corner)
+    with pytest.raises(ProductError, match="not an integer matrix"):
+        product_checks(from_spec("complete:2"), from_spec("path:3"))
