@@ -15,6 +15,7 @@ traceback.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import math
 import os
@@ -88,9 +89,10 @@ def _print_json(obj) -> None:
 
 
 def _print_csv(rows: Sequence[Sequence], header: Sequence[str]) -> None:
-    print(",".join(header))
-    for row in rows:
-        print(",".join(str(x) for x in row))
+    """One row per line; a field holding a comma, quote or newline is quoted."""
+    out = csv.writer(sys.stdout, lineterminator="\n")
+    out.writerow(header)
+    out.writerows([str(x) for x in row] for row in rows)
 
 
 def _print_pretty(rows: Sequence[Sequence], header: Sequence[str]) -> None:
@@ -312,7 +314,7 @@ def cmd_walk(args) -> int:
     bundle = bundle_for(g)
     psi0 = _parse_state(args.state, bundle.size)
     n_min = -args.steps if args.reverse else 0
-    traj = walk(bundle.connection, psi0, n_min, args.steps, inverse=bundle.green)
+    traj = walk(bundle, psi0, n_min, args.steps)
     for n in traj.times():
         print(json.dumps({"n": n, "state": list(traj[n])}, separators=(",", ":")))
     residual = jacobi_residual(traj, bundle.hodge_signless) if args.steps >= 2 and args.reverse else None
@@ -336,17 +338,14 @@ def cmd_automaton(args) -> int:
     g = _load_graph_arg(args.graph)
     bundle = bundle_for(g)
     p = args.field
-    Lp = field_reduce(bundle.connection, p)
-    # g is certified against L over the integers, so g mod p inverts L mod p
-    gp = field_reduce(bundle.green, p) if args.reverse else None
     psi0 = tuple(x % p for x in _parse_state(args.state, bundle.size))
     n_min = -args.steps if args.reverse else 0
-    states = automaton_run(Lp, AutomatonState(p, psi0, 0), n_min, args.steps, inverse=gp)
+    states = automaton_run(bundle, AutomatonState(p, psi0, 0), n_min, args.steps)
     for s in states:
         print(json.dumps({"n": s.time, "state": list(s.vector)}, separators=(",", ":")))
     if args.reverse:
         # round trip: march the forward endpoint back down with g mod p
-        for state in _field_orbit(gp, states[-1].vector, args.steps):
+        for state in _field_orbit(field_reduce(bundle.green, p), states[-1].vector, args.steps):
             pass
         if state != psi0:
             print("round trip failed", file=sys.stderr)

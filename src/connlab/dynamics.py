@@ -16,10 +16,11 @@ projection limits and Lyapunov exponents of operator cocycles.  Over a
 prime field the walk becomes a reversible cellular automaton with purely
 periodic orbits.
 
-Integer walks step over the nonzeros of L, g and |H| only.  The backward
-direction takes the inverse from the caller (the CLI passes the bundle's
-certified g, or g mod p for the automaton) and falls back on elimination
-only when none is given.  The automaton is stepped as numpy mat-vecs mod p.
+Every function here takes a graph, a complex or an OperatorBundle, and the
+one inverse it uses is the bundle's green: the star formula, certified by
+L @ g = I.  Integer walks and the powers behind the Perron limits step over
+the nonzeros of L, g and |H| only; the automaton is stepped as numpy
+mat-vecs of L and g reduced mod p.  Nothing here eliminates.
 """
 
 from __future__ import annotations
@@ -30,15 +31,8 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .exact import (
-    FieldMatrix,
-    IntMatrix,
-    _SparseRows,
-    field_inverse,
-    inverse_unimodular,
-    matpow,
-    rank,
-)
+from .complexes import Complex
+from .exact import FieldMatrix, IntMatrix, _SparseRows, field_reduce, matpow, rank
 from .graphs import Graph, connected_components, induced_subgraph
 from .operators import OperatorBundle, bundle_for
 from .spectra import eig_sym
@@ -135,21 +129,29 @@ class EnvironmentSequence:
 # exact walks and the Jacobi equation
 
 
+def _powers(bundle: OperatorBundle, k: int, vecs: list) -> list[tuple[int, ...]]:
+    """L^k v for each v, stepped over the nonzeros of L, or of g for k < 0."""
+    step = _SparseRows(bundle.connection if k >= 0 else bundle.green)
+    for _ in range(abs(k)):
+        vecs = [step.apply(v) for v in vecs]
+    return vecs
+
+
 def walk(
-    L: IntMatrix,
+    source: Graph | Complex | OperatorBundle,
     psi0: Sequence[int],
     n_min: int,
     n_max: int,
-    inverse: IntMatrix | None = None,
 ) -> Trajectory:
     """psi(n) = L^n psi0 for n_min <= n <= n_max, exact in both directions.
 
-    Negative times step by inverse, which must be L^-1; pass the bundle's
-    green, certified by L @ g = I.  Left out, L^-1 is computed by exact
-    elimination.  Every step visits only the nonzeros of the operator.
+    Negative times step by the bundle's green, certified by L @ g = I.
+    Every step visits only the nonzeros of the operator.
     """
     if n_min > 0 or n_max < 0:
         raise DynamicsError("time range must contain 0")
+    bundle = bundle_for(source)
+    L = bundle.connection
     start = tuple(int(x) for x in psi0)
     if len(start) != L.ncols:
         raise DynamicsError(f"initial vector has length {len(start)}, expected {L.ncols}")
@@ -160,11 +162,7 @@ def walk(
         current = step.apply(current)
         states[n] = current
     if n_min < 0:
-        if inverse is None:
-            inverse = inverse_unimodular(L)
-        elif inverse.shape != L.shape:
-            raise DynamicsError(f"inverse has shape {inverse.shape}, expected {L.shape}")
-        back = _SparseRows(inverse)
+        back = _SparseRows(bundle.green)
         current = start
         for n in range(-1, n_min - 1, -1):
             current = back.apply(current)
@@ -326,33 +324,27 @@ class PerronReport:
         return self.backward_residuals[-1]
 
 
-def _irreducible(L: IntMatrix) -> bool:
-    n = L.nrows
-    seen = {0}
-    frontier = [0]
-    while frontier:
-        i = frontier.pop()
-        for j in range(n):
-            if j not in seen and L.rows[i][j] != 0:
-                seen.add(j)
-                frontier.append(j)
-    return len(seen) == n
-
-
-def perron_limits(L: IntMatrix, max_n: int = 30, tol: float = 1e-6) -> PerronReport:
+def perron_limits(
+    source: Graph | Complex | OperatorBundle, max_n: int = 30, tol: float = 1e-6
+) -> PerronReport:
     """Perron vector v and small-eigenvalue vector w with certified limits.
 
     v and w come from the dense symmetric eigendecomposition; the report
     then cross-checks them against exact big-integer powers: L^{2n} (and
-    L^{-2n}) normalized by rho^{2n} must converge to v (x) v and w (x) w in
-    Frobenius norm, and the residual sequences are returned so the decrease
-    is visible.  The final forward residual is checked against tol.
+    L^{-2n} = g^{2n}) normalized by rho^{2n} must converge to v (x) v and
+    w (x) w in Frobenius norm, and the residual sequences are returned so
+    the decrease is visible.  The final forward residual is checked against
+    tol.  L and g are symmetric, so row i of P L^2 is L applied twice to row
+    i of P, and each power is stepped row by row over the nonzeros of L or g.
 
     The eigenvalue nearest zero has magnitude exactly 1/rho (the spectrum
     of L^2 is closed under inversion), which is why one normalization
     constant serves both directions.
     """
-    if not _irreducible(L):
+    bundle = bundle_for(source)
+    L = bundle.connection
+    # L is irreducible exactly when the graph is connected
+    if len(connected_components(bundle.graph)) > 1:
         raise DynamicsError(
             "connection matrix is reducible; use perron_limits_components"
         )
@@ -371,34 +363,29 @@ def perron_limits(L: IntMatrix, max_n: int = 30, tol: float = 1e-6) -> PerronRep
     if np.any(v_arr <= 0):
         raise DynamicsError("Perron vector is not strictly positive; L is not irreducible")
 
-    v_proj = np.outer(v_arr, v_arr)
-    w_proj = np.outer(w_arr, w_arr)
-    linv = inverse_unimodular(L)
-    forward: list[float] = []
-    backward: list[float] = []
-    fwd_pow = IntMatrix.identity(L.nrows)
-    bwd_pow = IntMatrix.identity(L.nrows)
-    lsq = L @ L
-    linv_sq = linv @ linv
-    scale = 1.0
-    for n in range(1, max_n + 1):
-        fwd_pow = fwd_pow @ lsq
-        bwd_pow = bwd_pow @ linv_sq
-        scale *= rho * rho
-        forward.append(float(np.linalg.norm(fwd_pow.to_float() / scale - v_proj)))
-        backward.append(float(np.linalg.norm(bwd_pow.to_float() / scale - w_proj)))
+    residuals = []
+    for k, vec in ((2, v_arr), (-2, w_arr)):
+        proj = np.outer(vec, vec)
+        power = IntMatrix.identity(L.nrows).rows
+        scale = 1.0
+        seq = []
+        for _ in range(max_n):
+            power = _powers(bundle, k, power)
+            scale *= rho * rho
+            seq.append(float(np.linalg.norm(np.array(power, dtype=float) / scale - proj)))
+        residuals.append(tuple(seq))
+    forward, backward = residuals
     if forward[-1] > tol:
         raise DynamicsError(
             f"forward Perron residual {forward[-1]:.3e} exceeds {tol:.0e} at n = {max_n}"
         )
-    return PerronReport(rho, tuple(map(float, v_arr)), tuple(map(float, w_arr)),
-                        tuple(forward), tuple(backward))
+    return PerronReport(rho, tuple(map(float, v_arr)), tuple(map(float, w_arr)), forward, backward)
 
 
 def perron_limits_components(g: Graph, max_n: int = 30, tol: float = 1e-6) -> list[PerronReport]:
     """Per-component Perron reports for a possibly disconnected graph."""
     return [
-        perron_limits(bundle_for(induced_subgraph(g, comp)).connection, max_n, tol)
+        perron_limits(induced_subgraph(g, comp), max_n, tol)
         for comp in connected_components(g)
     ]
 
@@ -408,32 +395,26 @@ def perron_limits_components(g: Graph, max_n: int = 30, tol: float = 1e-6) -> li
 
 
 def automaton_run(
-    Lp: FieldMatrix,
+    source: Graph | Complex | OperatorBundle,
     s0: AutomatonState,
     n_min: int,
     n_max: int,
-    inverse: FieldMatrix | None = None,
 ) -> list[AutomatonState]:
     """States L^n s0 mod p for n in [n_min, n_max], exact in both directions.
 
-    Times before s0 step by inverse, which must be L^-1 mod p; the bundle's
-    certified green reduced mod p is one.  Left out, it is computed by
-    elimination over F_p.
+    L and, for times before s0, the bundle's certified green are reduced mod
+    s0.p; g inverts L over the integers, so g mod p inverts L mod p.
     """
+    bundle = bundle_for(source)
     p = s0.p
-    if p != Lp.p:
-        raise DynamicsError(f"state modulus {p} does not match operator modulus {Lp.p}")
-    if len(s0.vector) != Lp.ncols:
+    if len(s0.vector) != bundle.size:
         raise DynamicsError("state length does not match operator size")
     if n_min > s0.time or n_max < s0.time:
         raise DynamicsError("time range must contain the initial time")
-    vectors = list(_field_orbit(Lp, s0.vector, n_max - s0.time))
+    vectors = list(_field_orbit(field_reduce(bundle.connection, p), s0.vector, n_max - s0.time))
     if n_min < s0.time:
-        if inverse is None:
-            inverse = field_inverse(Lp)
-        elif inverse.p != p or inverse.shape != Lp.shape:
-            raise DynamicsError("inverse does not match the operator's modulus and shape")
-        vectors = list(_field_orbit(inverse, s0.vector, s0.time - n_min))[:0:-1] + vectors
+        back = _field_orbit(field_reduce(bundle.green, p), s0.vector, s0.time - n_min)
+        vectors = list(back)[:0:-1] + vectors
     return [
         s0 if n == s0.time else AutomatonState(p, v, n)
         for n, v in zip(range(n_min, n_max + 1), vectors)

@@ -3,9 +3,10 @@
 One matrix class, IntMatrix, holds every operator; FieldMatrix is an
 IntMatrix whose entries are kept reduced mod a prime p.  Everything here is
 arbitrary precision: determinants by fraction-free (Bareiss) elimination,
-integer inverses of unimodular matrices by fraction-free Gauss-Jordan (every
-inverse the workbench takes is of a unimodular L or a product of them, so
-no rational matrix is formed), matrix powers by binary exponentiation.
+integer inverses of unimodular matrices by fraction-free Gauss-Jordan (no
+rational matrix is formed; outside the tests it serves only as verify's
+oracle for the star-formula Green matrix), matrix powers by binary
+exponentiation.
 Characteristic polynomials are computed mod word primes (numpy int64
 Hessenberg reduction, O(n^3) per prime), lifted by Chinese remaindering past
 a proven coefficient bound and certified against one Bareiss determinant.

@@ -348,7 +348,7 @@ def solve_perturbed(
     Returns the Newton result and the support report of the solution.
     Singular Jacobians and non-convergence propagate as exceptions.
     """
-    bundle = g_or_bundle if isinstance(g_or_bundle, OperatorBundle) else bundle_for(g_or_bundle)
+    bundle = bundle_for(g_or_bundle)
     pattern = intersection_pattern(bundle)
     K = perturb_target(bundle.hodge_signless, pattern, eps, seed)
     result = solve_hydrogen(K, pattern, bundle.connection, cfg)

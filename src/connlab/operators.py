@@ -14,11 +14,12 @@ The central objects:
   g        Green matrix, the exact integer inverse of L
 
 g is produced by the star formula g(x,y) = w(x) w(y) chi(St(x) /\\ St(y))
-with w = (-1)^dim, then certified against L by checking L @ g = I row by
-row over the nonzeros of L and g, never as a dense product.  An independent
-elimination-based inverse lives in exact.inverse_unimodular; verify and the
-test suite compare the two routes, so keep them separate.  Every nonzero is
-read through exact._SparseRows.
+with w = (-1)^dim, then certified by _is_inverse: L @ g = I row by row
+over the nonzeros (products certifies kron(g_A, g_B) the same way).
+OperatorBundle.green is the one source of L^-1 outside the oracles: verify
+compares it with the integer elimination inverse, and hydrogen_residual_mod
+inverts L over F_p on its own, so keep those routes separate.  Every
+nonzero is read through exact._SparseRows.
 
 det L comes from the Schur complement of the vertex block: L = [[I_v, B^T],
 [B, C]] with B the edge-vertex containment matrix, so det L = det(C - B B^T),
@@ -338,8 +339,9 @@ class OperatorBundle:
         return schur_det(self.connection, self.v)
 
 
-def bundle_for(source: Graph | Complex) -> OperatorBundle:
-    return OperatorBundle(source)
+def bundle_for(source: Graph | Complex | OperatorBundle) -> OperatorBundle:
+    """The bundle of a graph or complex; a bundle is returned unchanged."""
+    return source if isinstance(source, OperatorBundle) else OperatorBundle(source)
 
 
 # ---------------------------------------------------------------------------

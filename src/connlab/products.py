@@ -8,13 +8,14 @@ connection Laplacian a Kronecker product:
     L(A x B) = L(A) (x) L(B)        spectra multiply
     H(A x B) = H(A) (x) I + I (x) H(B)   spectra add
 
-Both identities are verified here two ways: the Kronecker assembly is
+product_checks verifies both: once per product, the Kronecker assembly is
 compared entry by entry against an independent intersection-rule
 construction over the cells, and the spectra are compared against pairwise
-products and sums.  The energy theorem survives the product (the total sum
-of L^-1 entries is chi(A) chi(B), checked with an independent integer
-inverse of the assembled product by elimination), but the hydrogen identity does not, and product_checks reports
-that failure as a measured nonzero residual rather than hiding it.
+products and sums.  The product inverse is kron(g_A, g_B) of the factors'
+certified Green matrices, itself certified by L @ X = I over the nonzeros.
+The energy theorem survives the product (the total sum of L^-1 entries is
+chi(A) chi(B)), but the hydrogen identity does not, and product_checks
+reports that failure as a measured nonzero residual rather than hiding it.
 """
 
 from __future__ import annotations
@@ -23,20 +24,15 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .complexes import Complex, Simplex, build_complex
-from .exact import IntMatrix, charpoly, det, inverse_unimodular, matpow, reciprocal_sign
+from .dynamics import _powers
+from .exact import IntMatrix, charpoly, det, reciprocal_sign
 from .graphs import Graph
-from .operators import OperatorBundle, bundle_for
+from .operators import OperatorBundle, _is_inverse, bundle_for
 from .spectra import eig_sym
 
 
 class ProductError(ValueError):
     pass
-
-
-def _bundle(source: Graph | Complex | OperatorBundle) -> OperatorBundle:
-    if isinstance(source, OperatorBundle):
-        return source
-    return bundle_for(source)
 
 
 @dataclass(frozen=True)
@@ -81,20 +77,14 @@ def product_complex(a: Graph | Complex, b: Graph | Complex) -> ProductComplex:
 
 
 def product_connection(a: Graph | Complex | OperatorBundle, b) -> IntMatrix:
-    """L(A x B) = L(A) (x) L(B), cross-checked against the intersection rule."""
-    ba, bb = _bundle(a), _bundle(b)
-    kron = ba.connection.kron(bb.connection)
-    direct = ProductComplex(ba.complex, bb.complex).connection_by_intersection()
-    if kron.rows != direct.rows:
-        raise ProductError(
-            "Kronecker product disagrees with the intersection-rule construction"
-        )
-    return kron
+    """L(A x B) = L(A) (x) L(B); product_checks compares it with the
+    intersection rule."""
+    return bundle_for(a).connection.kron(bundle_for(b).connection)
 
 
 def product_hodge(a: Graph | Complex | OperatorBundle, b) -> IntMatrix:
     """H(A x B) = H(A) (x) I + I (x) H(B)."""
-    ba, bb = _bundle(a), _bundle(b)
+    ba, bb = bundle_for(a), bundle_for(b)
     ia = IntMatrix.identity(ba.size)
     ib = IntMatrix.identity(bb.size)
     return ba.hodge.kron(ib) + ia.kron(bb.hodge)
@@ -111,28 +101,33 @@ def product_hodge_signless(a, b) -> IntMatrix:
 
 
 def two_time_walk(
-    L_a: IntMatrix, L_b: IntMatrix, psi0: Sequence[int], times: tuple[int, int]
+    a: Graph | Complex | OperatorBundle, b, psi0: Sequence[int], times: tuple[int, int]
 ) -> tuple[int, ...]:
-    """(L_A (x) I)^n (I (x) L_B)^m psi0, exact, negative times via inverses.
+    """(L_A (x) I)^n (I (x) L_B)^m psi0, exact, negative times via the green.
 
-    The two factors commute, so the application order cannot matter; both
-    orders are computed and compared before returning.
+    The state is an na x nb array in cell order: L_A (x) I acts on its
+    columns and I (x) L_B on its rows, each step over the nonzeros of L, or
+    of the factor's certified g for a negative time.  The two factors
+    commute, so the application order cannot matter; both orders are
+    computed and compared before returning.
     """
     n, m = times
-    na, nb = L_a.nrows, L_b.nrows
+    ba, bb = bundle_for(a), bundle_for(b)
+    na, nb = ba.size, bb.size
     start = tuple(int(x) for x in psi0)
     if len(start) != na * nb:
         raise ProductError(f"state has length {len(start)}, expected {na * nb}")
 
-    def power(mat: IntMatrix, k: int) -> IntMatrix:
-        if k >= 0:
-            return matpow(mat, k)
-        return matpow(inverse_unimodular(mat), -k)
+    def along_a(state: tuple[int, ...]) -> tuple[int, ...]:
+        cols = _powers(ba, n, [state[j::nb] for j in range(nb)])
+        return tuple(x for row in zip(*cols) for x in row)
 
-    ka = power(L_a, n).kron(IntMatrix.identity(nb))
-    kb = IntMatrix.identity(na).kron(power(L_b, m))
-    one_way = ka.apply(kb.apply(start))
-    other_way = kb.apply(ka.apply(start))
+    def along_b(state: tuple[int, ...]) -> tuple[int, ...]:
+        rows = _powers(bb, m, [state[i * nb : (i + 1) * nb] for i in range(na)])
+        return tuple(x for row in rows for x in row)
+
+    one_way = along_a(along_b(start))
+    other_way = along_b(along_a(start))
     if one_way != other_way:
         raise ProductError("two-time factors failed to commute")
     return one_way
@@ -174,7 +169,7 @@ def _pairwise(values_a: Sequence[float], values_b: Sequence[float], op) -> list[
 
 def spectral_errors(a, b, tol: float = 1e-10) -> tuple[float, float]:
     """(multiplicativity error, additivity error) for one factor pair."""
-    ba, bb = _bundle(a), _bundle(b)
+    ba, bb = bundle_for(a), bundle_for(b)
     la = eig_sym(ba.connection, tol).eigenvalues
     lb = eig_sym(bb.connection, tol).eigenvalues
     ha = eig_sym(ba.hodge, tol).eigenvalues
@@ -193,16 +188,23 @@ def spectral_errors(a, b, tol: float = 1e-10) -> tuple[float, float]:
 def product_checks(a: Graph | Complex | OperatorBundle, b) -> ProductReport:
     """Energy, reciprocity, determinant, spectra, and the hydrogen failure.
 
-    The energy sum uses an independent integer inverse of the assembled
-    product matrix by elimination, not the Kronecker product of the factor
-    inverses, so the theorem is tested rather than restated.
+    The product inverse is kron(g_A, g_B), certified against the assembled
+    product by L @ X = I over the nonzeros before anything reads it; only
+    then is L compared, once, with the intersection-rule construction over
+    the product cells.  The tests keep elimination on the product as the
+    oracle for this inverse.
     """
-    ba, bb = _bundle(a), _bundle(b)
+    ba, bb = bundle_for(a), bundle_for(b)
     L = product_connection(ba, bb)
-    try:
-        linv = inverse_unimodular(L)
-    except ValueError as exc:
-        raise ProductError(f"product inverse is not an integer matrix: {exc}") from exc
+    linv = ba.green.kron(bb.green)
+    if not _is_inverse(L, linv):
+        raise ProductError(
+            "product inverse is not an integer matrix: kron(g_A, g_B) fails L @ X = I"
+        )
+    if L != ProductComplex(ba.complex, bb.complex).connection_by_intersection():
+        raise ProductError(
+            "Kronecker product disagrees with the intersection-rule construction"
+        )
     chi_a = ba.complex.v - ba.complex.e
     chi_b = bb.complex.v - bb.complex.e
     sign = reciprocal_sign(charpoly(L @ L))

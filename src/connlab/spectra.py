@@ -175,10 +175,6 @@ def bound_dual_vertex(g: Graph) -> float:
     return r - 1.0 / r
 
 
-def _bundle(source: Graph | OperatorBundle) -> OperatorBundle:
-    return source if isinstance(source, OperatorBundle) else bundle_for(source)
-
-
 def bound_kwalk(source: Graph | OperatorBundle, k: int) -> float:
     """Walk bound r_k - 1/r_k, r_k = 1 + (max_x P(k,x))^(1/k).
 
@@ -197,7 +193,7 @@ def bound_kwalk(source: Graph | OperatorBundle, k: int) -> float:
     """
     if k < 1:
         raise SpectraError("walk length k must be >= 1")
-    bundle = _bundle(source)
+    bundle = bundle_for(source)
     _require_edges(bundle.graph)
     neighbours = [
         [y for y, _ in row if y != x] for x, row in enumerate(_SparseRows(bundle.connection).rows)
@@ -215,7 +211,7 @@ def bound_kwalk(source: Graph | OperatorBundle, k: int) -> float:
 
 def connection_edge_count(source: Graph | OperatorBundle) -> int:
     """Number of edges e' of the connection graph G'."""
-    bundle = _bundle(source)
+    bundle = bundle_for(source)
     return (bundle.connection.entry_sum() - bundle.size) // 2
 
 
@@ -225,7 +221,7 @@ def bound_bhs(source: Graph | OperatorBundle) -> float:
     The inner expression bounds the adjacency spectral radius of any graph
     with e' edges, applied here to the connection graph G'.
     """
-    bundle = _bundle(source)
+    bundle = bundle_for(source)
     _require_edges(bundle.graph)
     eprime = connection_edge_count(bundle)
     u = 1.0 + (math.sqrt(1.0 + 8.0 * eprime) - 1.0) / 2.0

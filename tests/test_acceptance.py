@@ -302,7 +302,7 @@ def test_criterion_10_jacobi_equation(corpus):
     for spec in ("complete:2", "cycle:4", "figure8", "gnm:12,15:seed=0"):
         b = bundle_for(from_spec(spec))
         psi0 = tuple(1 if i == 0 else 0 for i in range(b.size))
-        traj = walk(b.connection, psi0, -4, 4)
+        traj = walk(b, psi0, -4, 4)
         traj_worst = max(traj_worst, jacobi_residual(traj, b.hodge_signless))
     quat_worst = 0
     for spec in ("cycle:4", "complete:2", "figure8"):
@@ -355,8 +355,8 @@ def test_criterion_11_finite_field_reversibility(corpus):
 
 
 def test_criterion_12_perron_limits():
-    rep4 = perron_limits(bundle_for(from_spec("cycle:4")).connection, max_n=30, tol=1e-6)
-    rep8 = perron_limits(bundle_for(from_spec("figure8")).connection, max_n=30, tol=1e-6)
+    rep4 = perron_limits(from_spec("cycle:4"), max_n=30, tol=1e-6)
+    rep8 = perron_limits(from_spec("figure8"), max_n=30, tol=1e-6)
     sign_changes = any(x > 0 for x in rep4.w) and any(x < 0 for x in rep4.w)
     ok = (
         rep4.forward_final < 1e-6

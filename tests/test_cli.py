@@ -1,6 +1,8 @@
 """Command-line behavior: exit codes, output formats, determinism."""
 
+import csv
 import hashlib
+import io
 import json
 from pathlib import Path
 
@@ -10,6 +12,7 @@ import connlab.cli as cli
 import connlab.dynamics as dynamics
 import connlab.exact as exact
 import connlab.operators as operators
+import connlab.products as products
 from connlab.exact import dump_matrix
 from connlab.graphs import from_spec
 from connlab.spectra import CSV_COLUMNS
@@ -79,6 +82,30 @@ def test_bounds_csv_header_and_values(capsys):
     assert row[0] == "P3"
     assert abs(float(row[3]) - 3.75) < 1e-9
     assert abs(float(row[5]) - 3.43141) < 1e-3
+
+
+def test_csv_output_reads_back_with_the_declared_columns(capsys, monkeypatch):
+    # graph names such as K3,3 and gnm:10,12:seed=3, and verify details such
+    # as "sum g = 0, chi = 0", hold commas and must come back as one field
+    code, out, _ = run(capsys, "--format", "csv", "bounds", "complete_bipartite:3,3", "gnm:10,12:seed=3")
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    assert [len(r) for r in rows] == [len(CSV_COLUMNS)] * 3
+    assert [r[0] for r in rows[1:]] == ["K3,3", from_spec("gnm:10,12:seed=3").name]
+    code, out, _ = run(capsys, "--format", "csv", "verify", "cycle:4")
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    assert [len(r) for r in rows] == [3] * len(rows)
+    assert ["energy", "True", "sum g = 0, chi = 0"] in rows
+    real_sparse = cli._report_sparse_random
+    monkeypatch.setattr(cli, "RANDOM_ANALOGUES", (("tiny random", "gnm:10,12", 2),))
+    monkeypatch.setattr(cli, "_report_sparse_random", lambda seed: real_sparse(seed, trials=8))
+    code, out, _ = run(capsys, "--format", "csv", "report", "--seed", "3")
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    assert [len(r) for r in rows] == [2 + 2 * (len(CSV_COLUMNS) - 1) + 1] * len(rows)
+    names = [r[1] for r in rows]
+    assert "complete_bipartite:3,3" in names and "gnm:10,12:seed=3" in names
 
 
 def test_bounds_reports_bad_graph_inline(capsys):
@@ -360,3 +387,11 @@ def test_automaton_reverse_inverts_over_the_field_once(capsys, monkeypatch):
     assert code == 0
     assert len(out.splitlines()) == 19
     assert len(calls) == 1
+
+
+def test_product_takes_its_inverse_from_the_factors(capsys, monkeypatch):
+    calls = _counting(monkeypatch, "inverse_unimodular", (exact, dynamics, operators, products, cli))
+    code, out, _ = run(capsys, "product", "path:3", "cycle:4")
+    assert code == 0
+    assert json.loads(out)["energy_ok"] is True
+    assert calls == []

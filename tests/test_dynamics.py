@@ -4,6 +4,7 @@ finite-field automata, and cocycle growth."""
 import math
 import random
 
+import numpy as np
 import pytest
 
 from connlab.dynamics import (
@@ -26,9 +27,17 @@ from connlab.dynamics import (
     quaternion_solution,
     walk,
 )
-from connlab.exact import FieldMatrix, _SparseRows, field_inverse, field_reduce
+from connlab.exact import (
+    FieldMatrix,
+    IntMatrix,
+    _SparseRows,
+    field_inverse,
+    field_reduce,
+    inverse_unimodular,
+)
 from connlab.graphs import from_spec
 from connlab.operators import bundle_for
+from conftest import SAMPLE_SPECS
 
 
 def _unit(n, i=0):
@@ -39,7 +48,7 @@ def _unit(n, i=0):
 def test_walk_round_trip_and_jacobi(spec):
     b = bundle_for(from_spec(spec))
     psi0 = tuple(range(1, b.size + 1))
-    traj = walk(b.connection, psi0, -6, 6)
+    traj = walk(b, psi0, -6, 6)
     assert traj[0] == psi0
     # forward and backward states are exact mutual inverses
     fwd = b.connection.apply(psi0)
@@ -52,7 +61,7 @@ def test_walk_round_trip_and_jacobi(spec):
 def test_walk_rejects_bad_range():
     b = bundle_for(from_spec("cycle:4"))
     with pytest.raises(DynamicsError):
-        walk(b.connection, _unit(8), 3, 1)
+        walk(b, _unit(8), 3, 1)
 
 
 @pytest.mark.parametrize("spec", ["complete:2", "cycle:4", "figure8"])
@@ -95,7 +104,7 @@ def test_quaternion_branch_rank(spec, expected_rank, dim):
 
 def test_perron_limits_on_cycle4():
     b = bundle_for(from_spec("cycle:4"))
-    rep = perron_limits(b.connection, max_n=30, tol=1e-6)
+    rep = perron_limits(b, max_n=30, tol=1e-6)
     assert rep.forward_final < 1e-6
     assert rep.backward_final < 1e-3
     assert all(x > 0 for x in rep.v)
@@ -114,7 +123,7 @@ def test_perron_limits_requires_irreducible():
     disconnected = Graph(4, ((0, 1), (2, 3)))
     b = bundle_for(disconnected)
     with pytest.raises(DynamicsError):
-        perron_limits(b.connection)
+        perron_limits(b)
     reports = perron_limits_components(disconnected)
     assert len(reports) == 2
     for rep in reports:
@@ -127,17 +136,17 @@ def test_automaton_round_trip_and_orbit(p):
     b = bundle_for(from_spec("cycle:4"))
     Lp = field_reduce(b.connection, p)
     s0 = AutomatonState(p, _unit(8), 0)
-    states = automaton_run(Lp, s0, -4, 4)
+    states = automaton_run(b, s0, -4, 4)
     assert [s.time for s in states] == list(range(-4, 5))
     # forward state reduced from the exact integer walk
-    exact = walk(b.connection, _unit(8), -4, 4)
+    exact = walk(b, _unit(8), -4, 4)
     for s in states:
         assert s.vector == tuple(x % p for x in exact[s.time])
     period = orbit_period(Lp, _unit(8))
     order = multiplicative_order(Lp)
     assert order % period == 0
     # advancing by the period returns to the start
-    assert automaton_run(Lp, s0, 0, period)[-1].vector == s0.vector
+    assert automaton_run(b, s0, 0, period)[-1].vector == s0.vector
 
 
 def _dense_period(Lp, vector, cap):
@@ -244,30 +253,55 @@ def test_automaton_near_and_above_word_size_matches_dense_route(corpus, p):
         Lp = field_reduce(b.connection, p)
         gp = field_reduce(b.green, p)
         s0 = AutomatonState(p, tuple(rng.randrange(p) for _ in range(b.size)), 0)
-        states = automaton_run(Lp, s0, -3, 3, inverse=gp)
+        states = automaton_run(b, s0, -3, 3)
         assert [s.time for s in states] == list(range(-3, 4))
         assert [s.vector for s in states] == _dense_orbit(Lp, gp, s0.vector, -3, 3), spec
 
 
-@pytest.mark.parametrize("spec", ["cycle:4", "figure8", "petersen:5,2", "gnm:12,15:seed=0"])
+@pytest.mark.parametrize("spec", SAMPLE_SPECS)
 def test_supplied_inverses_match_elimination(spec):
+    # backward states stepped by the bundle's green, against the elimination
+    # inverses over the integers and over F_p that the library no longer runs
     b = bundle_for(from_spec(spec))
     psi0 = tuple(range(-3, b.size - 3))
-    assert walk(b.connection, psi0, -5, 5, inverse=b.green) == walk(b.connection, psi0, -5, 5)
+    traj = walk(b, psi0, -5, 5)
+    linv = inverse_unimodular(b.connection)
+    state = psi0
+    for n in range(-1, -6, -1):
+        state = linv.apply(state)
+        assert traj[n] == state, (spec, n)
     p = 13
     Lp = field_reduce(b.connection, p)
-    assert field_inverse(Lp) == field_reduce(b.green, p)
+    gp = field_inverse(Lp)
+    assert gp == field_reduce(b.green, p)
     s0 = AutomatonState(p, tuple(x % p for x in psi0), 2)
-    with_g = automaton_run(Lp, s0, -5, 7, inverse=field_reduce(b.green, p))
-    assert with_g == automaton_run(Lp, s0, -5, 7)
-    assert [s.time for s in with_g] == list(range(-5, 8))
-    assert with_g[7] is s0
+    states = automaton_run(b, s0, -5, 7)
+    assert [s.time for s in states] == list(range(-5, 8))
+    assert [s.vector for s in states] == _dense_orbit(Lp, gp, s0.vector, -7, 5)
+    assert states[7] is s0
 
 
-def test_supplied_inverse_must_match_the_operator():
-    b = bundle_for(from_spec("cycle:4"))
-    with pytest.raises(DynamicsError):
-        walk(b.connection, _unit(8), -2, 2, inverse=b.hodge0)
-    Lp = field_reduce(b.connection, 5)
-    with pytest.raises(DynamicsError):
-        automaton_run(Lp, AutomatonState(5, _unit(8), 0), -2, 2, inverse=field_reduce(b.green, 7))
+def _dense_perron_residuals(b, rho, v, w, max_n):
+    """Oracle for perron_limits: dense big-integer powers of L^2 and of the
+    elimination inverse squared, normalized by rho^{2n}."""
+    L = b.connection
+    linv = inverse_unimodular(L)
+    v_proj, w_proj = np.outer(v, v), np.outer(w, w)
+    lsq, linv_sq = L @ L, linv @ linv
+    fwd = bwd = IntMatrix.identity(L.nrows)
+    forward, backward = [], []
+    scale = 1.0
+    for _ in range(max_n):
+        fwd, bwd = fwd @ lsq, bwd @ linv_sq
+        scale *= rho * rho
+        forward.append(float(np.linalg.norm(fwd.to_float() / scale - v_proj)))
+        backward.append(float(np.linalg.norm(bwd.to_float() / scale - w_proj)))
+    return tuple(forward), tuple(backward)
+
+
+@pytest.mark.parametrize("spec", ["cycle:4", "figure8", "wheel:8", "grid:3,3", "petersen:5,2", "star:5"])
+def test_perron_limits_match_dense_powers_bit_for_bit(spec):
+    b = bundle_for(from_spec(spec))
+    rep = perron_limits(b, max_n=30, tol=1e-6)
+    oracle = _dense_perron_residuals(b, rep.rho, np.array(rep.v), np.array(rep.w), 30)
+    assert (rep.forward_residuals, rep.backward_residuals) == oracle

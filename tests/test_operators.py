@@ -121,6 +121,8 @@ def test_k2_small_matrices():
     assert b.connection.rows == IntMatrix([[1, 0, 1], [0, 1, 1], [1, 1, 1]]).rows
     assert b.green.rows == IntMatrix([[0, -1, 1], [-1, 0, 1], [1, 1, -1]]).rows
     assert b.hodge_signless.rows == IntMatrix([[1, 1, 0], [1, 1, 0], [0, 0, 2]]).rows
+    # a bundle passes through, so callers reuse its cached operators
+    assert bundle_for(b) is b
 
 
 def test_connection_block_structure():

@@ -7,6 +7,7 @@ test here installs that tracer in-process, runs two CLI commands under it
 and checks that every per-layer metric BENCHMARK.json declares comes back.
 """
 
+import ast
 import importlib.util
 import json
 from pathlib import Path
@@ -21,6 +22,30 @@ def test_every_exported_name_resolves():
     missing = [name for name in connlab.__all__ if not hasattr(connlab, name)]
     assert missing == []
     assert len(set(connlab.__all__)) == len(connlab.__all__)
+
+
+def _referenced_names(path: Path) -> set[str]:
+    """Every name a module's code imports, reads or reads as an attribute."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    return names
+
+
+def test_elimination_inverses_stay_in_the_oracles():
+    # L^-1 comes from the bundle's certified green everywhere else; the
+    # integer elimination is the verify green-star oracle in cli and the F_p
+    # one the independent route of hydrogen_residual_mod in operators
+    package = ROOT / "src" / "connlab"
+    modules = {p.stem: _referenced_names(p) for p in package.glob("*.py")}
+    for name, allowed in (("inverse_unimodular", {"cli"}), ("field_inverse", {"operators"})):
+        users = {m for m, names in modules.items() if name in names} - {"exact", "__init__"}
+        assert users == allowed, name
 
 
 def _load_tracing():

@@ -3,10 +3,11 @@ failure of the hydrogen identity on nontrivial products."""
 
 import pytest
 
-from connlab.exact import charpoly, det, inverse_unimodular, reciprocal_sign
+from connlab.exact import IntMatrix, charpoly, det, inverse_unimodular, matpow, reciprocal_sign
 from connlab.graphs import from_spec
 from connlab.operators import bundle_for
 from connlab.products import (
+    ProductComplex,
     ProductError,
     product_checks,
     product_complex,
@@ -34,11 +35,11 @@ PAIRS = [
 @pytest.mark.parametrize("sa, sb", PAIRS)
 def test_product_connection_two_routes(sa, sb):
     # the Kronecker product of the factors must equal the connection matrix
-    # built directly from the intersection rule on product cells; the
-    # constructor cross-checks and raises on mismatch
+    # built directly from the intersection rule on product cells
     L = product_connection(from_spec(sa), from_spec(sb))
     pc = product_complex(from_spec(sa), from_spec(sb))
     assert L.nrows == pc.size
+    assert L == pc.connection_by_intersection()
 
 
 @pytest.mark.parametrize("sa, sb", PAIRS)
@@ -50,6 +51,12 @@ def test_product_energy_multiplicative(sa, sb):
     chi_b = b.euler_characteristic()
     assert g.entry_sum() == chi_a * chi_b
     assert det(L) in (-1, 1)
+    # elimination on the product is the oracle for product_checks' kron(g_A, g_B)
+    ba, bb = bundle_for(a), bundle_for(b)
+    assert ba.green.kron(bb.green) == g
+    rep = product_checks(ba, bb)
+    assert rep.energy_value == g.entry_sum()
+    assert rep.hydrogen_residual_max == (L - g - product_hodge_signless(ba, bb)).max_abs()
 
 
 def test_product_hodge_additive_structure():
@@ -81,8 +88,8 @@ def test_product_reciprocity_sign():
 
 
 def test_two_time_walk_orders_agree():
-    a = bundle_for(from_spec("complete:2")).connection
-    b = bundle_for(from_spec("path:3")).connection
+    a = bundle_for(from_spec("complete:2"))
+    b = from_spec("path:3")
     psi0 = tuple(range(1, 3 * 5 + 1))
     out = two_time_walk(a, b, psi0, (2, -3))
     # applying the one-sided operators in either order gives the same state
@@ -98,7 +105,7 @@ def test_signless_product_hodge_entrywise():
 
 
 def test_mismatched_dimensions_raise():
-    a = bundle_for(from_spec("complete:2")).connection
+    a = bundle_for(from_spec("complete:2"))
     with pytest.raises(ProductError):
         two_time_walk(a, a, (1, 0, 0), (1, 1))
 
@@ -116,3 +123,41 @@ def test_product_checks_rejects_a_product_without_integer_inverse(monkeypatch):
     monkeypatch.setattr(products, "product_connection", doubled_corner)
     with pytest.raises(ProductError, match="not an integer matrix"):
         product_checks(from_spec("complete:2"), from_spec("path:3"))
+
+
+def test_product_checks_rejects_a_corrupted_intersection_rule(monkeypatch):
+    real = ProductComplex.connection_by_intersection
+
+    def dropped_corner(self):
+        L = real(self)
+        L.rows[0][0] = 0
+        return L
+
+    monkeypatch.setattr(ProductComplex, "connection_by_intersection", dropped_corner)
+    with pytest.raises(ProductError, match="intersection-rule"):
+        product_checks(from_spec("complete:2"), from_spec("path:3"))
+
+
+# ---------------------------------------------------------------------------
+# the dense route two_time_walk no longer runs, kept as its oracle
+
+
+def _dense_two_time_walk(L_a, L_b, psi0, times):
+    """(L_A^n (x) I)(I (x) L_B^m) psi0 by dense powers and the elimination inverse."""
+
+    def power(mat, k):
+        return matpow(mat, k) if k >= 0 else matpow(inverse_unimodular(mat), -k)
+
+    n, m = times
+    ka = power(L_a, n).kron(IntMatrix.identity(L_b.nrows))
+    kb = IntMatrix.identity(L_a.nrows).kron(power(L_b, m))
+    return ka.apply(kb.apply(psi0))
+
+
+@pytest.mark.parametrize("sa, sb", PAIRS)
+def test_two_time_walk_matches_dense_kronecker_powers(sa, sb):
+    ba, bb = bundle_for(from_spec(sa)), bundle_for(from_spec(sb))
+    psi0 = tuple(range(-7, ba.size * bb.size - 7))
+    for times in ((2, -3), (-1, 2), (0, 0), (-2, -2)):
+        expected = _dense_two_time_walk(ba.connection, bb.connection, psi0, times)
+        assert two_time_walk(ba, bb, psi0, times) == expected, times
