@@ -32,7 +32,6 @@ from .dynamics import (
 from .exact import (
     IntMatrix,
     SingularMatrixError,
-    _SparseRows,
     charpoly,
     dump_matrix,
     field_reduce,
@@ -41,16 +40,7 @@ from .exact import (
     reciprocal_sign,
 )
 from .graphs import Graph, GraphError, from_spec, load_graph
-from .newton import (
-    NewtonConfig,
-    NonConvergenceError,
-    SingularJacobianError,
-    inverse_support_pattern,
-    intersection_pattern,
-    perturb_target,
-    solve_hydrogen,
-    verify_support,
-)
+from .newton import NewtonConfig, NonConvergenceError, SingularJacobianError, solve_perturbed
 from .operators import (
     OperatorBundle,
     bundle_for,
@@ -320,10 +310,9 @@ def cmd_walk(args) -> int:
     residual = jacobi_residual(traj, bundle.hodge_signless) if args.steps >= 2 and args.reverse else None
     if args.reverse:
         # round trip: march the forward endpoint back down with the exact inverse
-        back = _SparseRows(bundle.green)
         state = traj[args.steps]
         for _ in range(args.steps):
-            state = back.apply(state)
+            state = bundle.green.apply(state)
         if state != psi0:
             print("round trip failed", file=sys.stderr)
             return 1
@@ -363,15 +352,11 @@ def cmd_automaton(args) -> int:
 
 def cmd_newton(args) -> int:
     g = _load_graph_arg(args.graph)
-    bundle = bundle_for(g)
-    pattern = intersection_pattern(bundle)
-    K = perturb_target(bundle.hodge_signless, pattern, args.eps, args.seed)
     cfg = NewtonConfig(tol=args.tol, max_iter=args.max_iter)
     payload: dict = {"graph": g.name, "eps": args.eps, "seed": args.seed}
     code = 0
     try:
-        result = solve_hydrogen(K, pattern, bundle.connection, cfg)
-        support = verify_support(result.solution, pattern, inverse_support_pattern(bundle))
+        result, support = solve_perturbed(g, args.eps, args.seed, cfg)
         payload.update(
             converged=result.converged,
             iterations=result.iterations,

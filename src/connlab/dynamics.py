@@ -18,9 +18,10 @@ periodic orbits.
 
 Every function here takes a graph, a complex or an OperatorBundle, and the
 one inverse it uses is the bundle's green: the star formula, certified by
-L @ g = I.  Integer walks and the powers behind the Perron limits step over
-the nonzeros of L, g and |H| only; the automaton is stepped as numpy
-mat-vecs of L and g reduced mod p.  Nothing here eliminates.
+L @ g = I.  Integer walks and the powers behind the Perron limits step with
+IntMatrix.apply over the nonzeros of L, g and |H| only, which each cached
+operator collects once; the automaton is stepped as numpy mat-vecs of L and
+g reduced mod p.  Nothing here eliminates.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from typing import Iterator, Mapping, Sequence
 import numpy as np
 
 from .complexes import Complex
-from .exact import FieldMatrix, IntMatrix, _SparseRows, field_reduce, matpow, rank
+from .exact import FieldMatrix, IntMatrix, field_reduce, matpow, rank
 from .graphs import Graph, connected_components, induced_subgraph
 from .operators import OperatorBundle, bundle_for
 from .spectra import eig_sym
@@ -131,7 +132,7 @@ class EnvironmentSequence:
 
 def _powers(bundle: OperatorBundle, k: int, vecs: list) -> list[tuple[int, ...]]:
     """L^k v for each v, stepped over the nonzeros of L, or of g for k < 0."""
-    step = _SparseRows(bundle.connection if k >= 0 else bundle.green)
+    step = bundle.connection if k >= 0 else bundle.green
     for _ in range(abs(k)):
         vecs = [step.apply(v) for v in vecs]
     return vecs
@@ -156,17 +157,14 @@ def walk(
     if len(start) != L.ncols:
         raise DynamicsError(f"initial vector has length {len(start)}, expected {L.ncols}")
     states: dict[int, Vector] = {0: start}
-    step = _SparseRows(L)
     current = start
     for n in range(1, n_max + 1):
-        current = step.apply(current)
+        current = L.apply(current)
         states[n] = current
-    if n_min < 0:
-        back = _SparseRows(bundle.green)
-        current = start
-        for n in range(-1, n_min - 1, -1):
-            current = back.apply(current)
-            states[n] = current
+    current = start
+    for n in range(-1, n_min - 1, -1):
+        current = bundle.green.apply(current)
+        states[n] = current
     return Trajectory(states, f"L^n walk, {L.nrows} cells, exact integers")
 
 
@@ -177,13 +175,12 @@ def jacobi_residual(t: Trajectory, habs: IntMatrix) -> int | float:
     integer residual so a pass is unambiguous.  |H|^2 psi(n) is |H| applied
     twice to psi(n), never read off the trajectory itself.
     """
-    h = _SparseRows(habs)
     worst = None
     for n in t.times():
         if n + 2 not in t or n - 2 not in t:
             continue
         hi, mid, lo = t[n + 2], t[n], t[n - 2]
-        pulled = h.apply(h.apply(mid))
+        pulled = habs.apply(habs.apply(mid))
         residual = max(
             abs(hi[i] - 2 * mid[i] + lo[i] - pulled[i]) for i in range(len(mid))
         )
@@ -207,10 +204,10 @@ def quaternion_solution(
     n = bundle.size
     if q.dimension != n:
         raise DynamicsError(f"initial data has length {q.dimension}, expected {n}")
-    L = _SparseRows(bundle.connection)
-    Linv = _SparseRows(bundle.green)
+    L = bundle.connection
+    Linv = bundle.green
 
-    def branch(base: Vector, t0: int, step: _SparseRows, back: _SparseRows) -> dict[int, Vector]:
+    def branch(base: Vector, t0: int, step: IntMatrix, back: IntMatrix) -> dict[int, Vector]:
         # state at the base time t0, then stride-2 in both directions
         states = {t0: base}
         fwd = base
@@ -256,13 +253,12 @@ def jacobi_ivp(habs: IntMatrix, initial: Sequence[Sequence[int]], n_min: int, n_
     vecs = [tuple(int(x) for x in v) for v in initial]
     if any(len(v) != n for v in vecs):
         raise DynamicsError("initial vectors must match operator dimension")
-    h = _SparseRows(habs)
     states: dict[int, Vector] = {i: vecs[i] for i in range(4)}
 
     def extend(t: int, d: int) -> Vector:
         # u(t) from u(t - 2d) and u(t - 4d): d = 1 forward, d = -1 backward
         mid, far = states[t - 2 * d], states[t - 4 * d]
-        pulled = h.apply(h.apply(mid))
+        pulled = habs.apply(habs.apply(mid))
         return tuple(2 * mid[i] + pulled[i] - far[i] for i in range(n))
 
     for t in range(4, n_max + 1):

@@ -1,4 +1,4 @@
-"""Exact dense linear algebra over the integers and prime fields.
+"""Exact linear algebra over the integers and prime fields.
 
 One matrix class, IntMatrix, holds every operator; FieldMatrix is an
 IntMatrix whose entries are kept reduced mod a prime p.  Everything here is
@@ -15,15 +15,17 @@ IntMatrix.to_float().
 
 The connection side of operators does not go through this module's O(n^3)
 routines: OperatorBundle certifies L @ g = I over the nonzeros of L and g and
-reads det L off the Schur complement of L's identity vertex block.  Bareiss
-det serves products and newton and is the test oracle for that route, as the
-dense product is for the certificate.
+reads det L off the Schur complement of L's identity vertex block, and
+products multiplies the factors' determinants.  Bareiss det serves the
+charpoly certificate and is the test oracle for those routes, as the dense
+product is for the certificate.
 
-_SparseRows gathers the nonzeros of an operator once.  Walks step through
-it, so each mat-vec costs O(nnz) rather than O(n^2), and the L g = I
-certificate, the Schur-complement det, the squared traces and the k-walk
-counts read their nonzeros from it; IntMatrix.apply and FieldMatrix.apply
-stay as the dense routes the tests compare it with.
+IntMatrix.nonzeros holds the (column, value) pairs of each row, collected
+once per matrix on first use; it is the one place where the nonzeros of a
+row are gathered.  IntMatrix.apply steps a vector over them, so each mat-vec
+costs O(nnz) rather than O(n^2), and the L g = I certificate, the
+Schur-complement det, the squared traces and the k-walk counts read them
+too.  Sums, transpose, kron and @ stay dense.
 """
 
 from __future__ import annotations
@@ -49,10 +51,11 @@ class IntMatrix:
 
     Rows are plain lists of Python ints, so entries never overflow.  The
     shape is stored explicitly so 0-row matrices (edgeless incidence blocks)
-    round-trip correctly.
+    round-trip correctly.  The nonzeros are collected on first use and kept,
+    so rows must not be changed after that; copy() starts afresh.
     """
 
-    __slots__ = ("rows", "nrows", "ncols")
+    __slots__ = ("rows", "nrows", "ncols", "_nonzeros")
 
     def __init__(self, rows: Sequence[Sequence[int]], ncols: int | None = None):
         self.rows = [list(map(int, r)) for r in rows]
@@ -67,6 +70,7 @@ class IntMatrix:
             if ncols is None:
                 raise ShapeError("empty matrix needs an explicit column count")
             self.ncols = ncols
+        self._nonzeros: list[list[tuple[int, int]]] | None = None
 
     # -- constructors ------------------------------------------------------
 
@@ -126,10 +130,19 @@ class IntMatrix:
         ]
         return IntMatrix(out, ncols=other.ncols)
 
+    @property
+    def nonzeros(self) -> list[list[tuple[int, int]]]:
+        """The (column, value) pairs of each row, in column order."""
+        if self._nonzeros is None:
+            cols = range(self.ncols)
+            self._nonzeros = [[(j, row[j]) for j in compress(cols, row)] for row in self.rows]
+        return self._nonzeros
+
     def apply(self, vec: Sequence[int]) -> tuple[int, ...]:
+        """m @ vec, one multiply-add per nonzero."""
         if len(vec) != self.ncols:
             raise ShapeError("vector length does not match column count")
-        return tuple(sum(a * x for a, x in zip(row, vec)) for row in self.rows)
+        return tuple([sum([a * vec[j] for j, a in row]) for row in self.nonzeros])
 
     def transpose(self) -> "IntMatrix":
         if not self.rows:
@@ -174,25 +187,6 @@ class IntMatrix:
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.nrows}x{self.ncols})"
-
-
-class _SparseRows:
-    """The nonzeros of a matrix, one list of (column, value) pairs per row.
-
-    Built once per operator so that stepping a vector many times costs one
-    multiply-add per nonzero instead of one per entry, and the only place
-    where the nonzeros of a row are collected.  Pairs come in column order,
-    so sums run as in IntMatrix.apply; no reduction mod p is applied.
-    """
-
-    __slots__ = ("rows",)
-
-    def __init__(self, m: IntMatrix):
-        cols = range(m.ncols)
-        self.rows = [[(j, row[j]) for j in compress(cols, row)] for row in m.rows]
-
-    def apply(self, vec: Sequence[int]) -> tuple[int, ...]:
-        return tuple([sum([a * vec[j] for j, a in row]) for row in self.rows])
 
 
 @dataclass(frozen=True)

@@ -302,10 +302,6 @@ class SupportReport:
     def matrix_ok(self) -> bool:
         return self.off_pattern_matrix_max <= self.tolerance
 
-    @property
-    def inverse_ok(self) -> bool:
-        return self.off_pattern_inverse_max <= self.tolerance
-
 
 def verify_support(
     X: np.ndarray | IntMatrix,

@@ -19,7 +19,8 @@ over the nonzeros (products certifies kron(g_A, g_B) the same way).
 OperatorBundle.green is the one source of L^-1 outside the oracles: verify
 compares it with the integer elimination inverse, and hydrogen_residual_mod
 inverts L over F_p on its own, so keep those routes separate.  Every
-nonzero is read through exact._SparseRows.
+nonzero is read through IntMatrix.nonzeros, collected once per cached
+operator.
 
 det L comes from the Schur complement of the vertex block: L = [[I_v, B^T],
 [B, C]] with B the edge-vertex containment matrix, so det L = det(C - B B^T),
@@ -30,7 +31,8 @@ the test oracle for this route.
 L and g are set from the vertex stars (a vertex with its incident edges),
 and H and |H| are summed directly from the two nonzeros of every incidence
 row, so no operator here is formed as a dense product; the test suite keeps
-D @ D as the oracle for H and |H|.
+D @ D as the oracle for H and |H|.  The signless incidence and Kirchhoff
+matrices are the entrywise abs of the signed ones.
 """
 
 from __future__ import annotations
@@ -46,7 +48,6 @@ from .exact import (
     IntMatrix,
     IntPolynomial,
     ShapeError,
-    _SparseRows,
     charpoly,
     field_inverse,
     field_reduce,
@@ -75,13 +76,7 @@ def incidence_signed(c: Complex, signs: Sequence[int] | None = None) -> IntMatri
 
 
 def incidence_signless(c: Complex) -> IntMatrix:
-    rows = []
-    for a, b in c.graph.edges:
-        row = [0] * c.v
-        row[a] = 1
-        row[b] = 1
-        rows.append(row)
-    return IntMatrix(rows, ncols=c.v)
+    return incidence_signed(c).abs()
 
 
 def dirac_from_incidence(d0: IntMatrix) -> IntMatrix:
@@ -108,8 +103,7 @@ def _hodge_from_incidence(d0: IntMatrix) -> IntMatrix:
     out = IntMatrix.zeros(v + d0.nrows, v + d0.nrows)
     rows = out.rows
     incident: list[list[tuple[int, int]]] = [[] for _ in range(v)]
-    for k, row in enumerate(d0.rows):
-        nonzeros = [(x, a) for x, a in enumerate(row) if a]
+    for k, nonzeros in enumerate(d0.nonzeros):
         for x, a in nonzeros:
             incident[x].append((v + k, a))
             for y, b in nonzeros:
@@ -169,8 +163,8 @@ def _is_inverse(m: IntMatrix, g: IntMatrix) -> bool:
     row over the matching sparse rows of g."""
     if not m.is_square() or g.shape != m.shape:
         return False
-    g_rows = _SparseRows(g).rows
-    for i, row in enumerate(_SparseRows(m).rows):
+    g_rows = g.nonzeros
+    for i, row in enumerate(m.nonzeros):
         acc: dict[int, int] = {}
         for j, a in row:
             for k, b in g_rows[j]:
@@ -192,7 +186,7 @@ def schur_det(m: IntMatrix, v: int) -> int:
     """
     if not m.is_square() or not 0 <= v <= m.nrows:
         raise ShapeError(f"no {v}x{v} leading block in a {m.shape} matrix")
-    rows = _SparseRows(m).rows
+    rows = m.nonzeros
     n = m.nrows
     # pairs are in column order, so each row splits at its first column >= v
     split = [bisect_left(row, (v,)) for row in rows]
@@ -310,15 +304,9 @@ class OperatorBundle:
 
     @cached_property
     def kirchhoff_signless(self) -> IntMatrix:
-        g = self.graph
-        deg = g.degrees()
-        rows = [[0] * g.n for _ in range(g.n)]
-        for i in range(g.n):
-            rows[i][i] = deg[i]
-        for a, b in g.edges:
-            rows[a][b] += 1
-            rows[b][a] += 1
-        return IntMatrix(rows, ncols=g.n)
+        """Degree-plus-adjacency: on a simple graph every off-diagonal entry
+        of the Kirchhoff matrix is one -1, so this is its entrywise abs."""
+        return self.kirchhoff.abs()
 
     # -- connection side -----------------------------------------------------
 
@@ -412,7 +400,7 @@ class TraceReport:
 def _trace_of_square(m: IntMatrix) -> int:
     """tr(m @ m) as the sum of m[i][j] * m[j][i] over the nonzeros of m."""
     rows = m.rows
-    return sum(a * rows[j][i] for i, row in enumerate(_SparseRows(m).rows) for j, a in row)
+    return sum(a * rows[j][i] for i, row in enumerate(m.nonzeros) for j, a in row)
 
 
 def trace_report(bundle: OperatorBundle) -> TraceReport:

@@ -25,7 +25,7 @@ from typing import Sequence
 
 from .complexes import Complex, Simplex, build_complex
 from .dynamics import _powers
-from .exact import IntMatrix, charpoly, det, reciprocal_sign
+from .exact import IntMatrix, charpoly, reciprocal_sign
 from .graphs import Graph
 from .operators import OperatorBundle, _is_inverse, bundle_for
 from .spectra import eig_sym
@@ -191,8 +191,9 @@ def product_checks(a: Graph | Complex | OperatorBundle, b) -> ProductReport:
     The product inverse is kron(g_A, g_B), certified against the assembled
     product by L @ X = I over the nonzeros before anything reads it; only
     then is L compared, once, with the intersection-rule construction over
-    the product cells.  The tests keep elimination on the product as the
-    oracle for this inverse.
+    the product cells.  det L is det(L_A)^n_B det(L_B)^n_A from the factors'
+    Schur-complement determinants.  The tests keep elimination and Bareiss
+    on the product as the oracles for the inverse and the determinant.
     """
     ba, bb = bundle_for(a), bundle_for(b)
     L = product_connection(ba, bb)
@@ -217,7 +218,7 @@ def product_checks(a: Graph | Complex | OperatorBundle, b) -> ProductReport:
         energy_expected=chi_a * chi_b,
         charpoly_sign=sign,
         hydrogen_residual_max=residual,
-        det_value=det(L),
+        det_value=ba.connection_det**bb.size * bb.connection_det**ba.size,
         multiplicativity_error=mult_err,
         additivity_error=add_err,
     )

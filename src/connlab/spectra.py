@@ -32,7 +32,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .exact import IntMatrix, IntPolynomial, _SparseRows, charpoly
+from .exact import IntMatrix, IntPolynomial, charpoly
 from .graphs import Graph, connected_components, diameter, induced_subgraph, is_connected, is_regular
 from .operators import OperatorBundle, bundle_for
 
@@ -196,7 +196,7 @@ def bound_kwalk(source: Graph | OperatorBundle, k: int) -> float:
     bundle = bundle_for(source)
     _require_edges(bundle.graph)
     neighbours = [
-        [y for y, _ in row if y != x] for x, row in enumerate(_SparseRows(bundle.connection).rows)
+        [y for y, _ in row if y != x] for x, row in enumerate(bundle.connection.nonzeros)
     ]
     counts = [1] * bundle.size
     for _ in range(k):
@@ -229,6 +229,7 @@ def bound_bhs(source: Graph | OperatorBundle) -> float:
 
 
 def _lsc_shi_one_component(g: Graph) -> tuple[float, float]:
+    """Li-Shiu-Chan style 2d - 1/(v (2R + 1)) and Shi style 2d - 2/((2R + 1) v)."""
     d = max(g.degrees())
     radius = diameter(g)
     v = g.n
@@ -254,18 +255,6 @@ def _lsc_shi(g: Graph) -> tuple[float, float, bool, bool]:
         not is_regular(induced_subgraph(g, comp)) for comp in comps
     )
     return max(v[0] for v in vals), max(v[1] for v in vals), applicable, True
-
-
-def bound_lsc(g: Graph) -> tuple[float, bool]:
-    """Li-Shiu-Chan style bound 2d - 1/(v (2R + 1)); (value, applicable)."""
-    lsc, _, applicable, _ = _lsc_shi(g)
-    return lsc, applicable
-
-
-def bound_shi(g: Graph) -> tuple[float, bool]:
-    """Shi style bound 2d - 2/((2R + 1) v); (value, applicable)."""
-    _, shi, applicable, _ = _lsc_shi(g)
-    return shi, applicable
 
 
 # ---------------------------------------------------------------------------

@@ -341,6 +341,24 @@ def test_field_matrix_is_a_reduced_int_matrix():
         m - FieldMatrix(m.rows, 7)
 
 
+def test_nonzeros_are_collected_per_matrix_and_copy_starts_afresh():
+    m = IntMatrix([[0, 3, 0], [-2, 0, 5]])
+    assert m.nonzeros == [[(1, 3)], [(0, -2), (2, 5)]]
+    assert m.nonzeros is m.nonzeros
+    # a corrupted copy of an operator whose nonzeros were already read
+    c = m.copy()
+    c.rows[0][1] = 0
+    c.rows[1][1] = 7
+    assert c.nonzeros == [[], [(0, -2), (1, 7), (2, 5)]]
+    assert c.apply((1, 1, 1)) == (0, 10)
+    assert m.nonzeros == [[(1, 3)], [(0, -2), (2, 5)]] and m.apply((1, 1, 1)) == (3, 3)
+    # FieldMatrix sees its reduced entries
+    mp = FieldMatrix(m.rows, 3)
+    assert mp.nonzeros == [[], [(0, 1), (2, 2)]]
+    assert mp.apply((1, 1, 1)) == (0, 0)
+    assert IntMatrix([], ncols=3).nonzeros == [] and IntMatrix([[], []], ncols=0).apply(()) == (0, 0)
+
+
 def test_reciprocal_sign_cases():
     assert reciprocal_sign(IntPolynomial((1, -3, 1))) == 1          # palindromic
     assert reciprocal_sign(IntPolynomial((-1, 7, -7, 1))) == -1     # anti-palindromic

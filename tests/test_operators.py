@@ -268,3 +268,35 @@ def test_connection_det_rejects_broken_blocks(corpus, monkeypatch):
             with pytest.raises(ArithmeticError, match="not diagonal"):
                 broken.connection_det
         monkeypatch.undo()
+
+
+def test_nonzeros_are_collected_once_per_operator(monkeypatch):
+    # the certificate, the Schur det, the squared traces, the k-walk counts
+    # and the Perron powers all read one cached list per operator
+    from connlab.cli import _verify_checks
+    from connlab.dynamics import perron_limits
+    from connlab.spectra import bounds_report
+
+    counts = {}
+    collect = IntMatrix.nonzeros.fget
+
+    def counting(m):
+        before = m._nonzeros
+        pairs = collect(m)
+        if pairs is not before:
+            key = (type(m), str(m.rows))
+            counts[key] = counts.get(key, 0) + 1
+        return pairs
+
+    g = from_spec("figure8")
+    b = bundle_for(g)
+    L, green = (IntMatrix, str(b.connection.rows)), (IntMatrix, str(b.green.rows))
+    monkeypatch.setattr(IntMatrix, "nonzeros", property(counting))
+    _verify_checks(bundle_for(g))
+    assert counts[L] == 1
+    counts.clear()
+    bounds_report(g, ks=(1, 2, 3))
+    assert counts[L] == 1
+    counts.clear()
+    perron_limits(g)
+    assert counts[L] == 1 and counts[green] == 1

@@ -72,3 +72,17 @@ def test_layer_harness_reports_every_declared_metric(capsys):
     assert metrics["exact.charpoly.calls"][0] == 5
     assert metrics["exact.field_inverse.self_s"][0] > 0
     assert not hasattr(connlab.exact.FieldMatrix.apply, "__wrapped__")
+
+
+def test_layer_harness_counts_the_walk_mat_vecs(capsys):
+    # 3 forward and 3 backward steps, 2 |H| mat-vecs at each of the 3 times
+    # of the Jacobi residual, and 3 steps of the reverse round trip
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        assert cli.main(["walk", "cycle:4", "--steps", "3", "--reverse"]) == 0
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    assert tracer.layer_metrics(1, 0)["exact.apply.calls"][0] == 15

@@ -56,6 +56,8 @@ def test_product_energy_multiplicative(sa, sb):
     assert ba.green.kron(bb.green) == g
     rep = product_checks(ba, bb)
     assert rep.energy_value == g.entry_sum()
+    # the product det comes from the factors; Bareiss on the product is its oracle
+    assert rep.det_value == det(L)
     assert rep.hydrogen_residual_max == (L - g - product_hodge_signless(ba, bb)).max_abs()
 
 
