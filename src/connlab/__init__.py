@@ -18,7 +18,6 @@ from .exact import (
     det,
     field_inverse,
     field_reduce,
-    inverse_unimodular,
     is_reciprocal,
     matpow,
 )
@@ -110,7 +109,6 @@ __all__ = [
     "hydrogen_holds_mod",
     "hydrogen_residual",
     "intersection_pattern",
-    "inverse_unimodular",
     "is_reciprocal",
     "is_unimodular",
     "jacobi_residual",

@@ -35,7 +35,7 @@ from .exact import (
     charpoly,
     dump_matrix,
     field_reduce,
-    inverse_unimodular,
+    graeffe,
     is_prime,
     reciprocal_sign,
 )
@@ -46,6 +46,7 @@ from .operators import (
     bundle_for,
     hydrogen_holds_mod,
     hydrogen_residual,
+    schur_inverse,
     supersymmetry_report,
     trace_report,
 )
@@ -141,7 +142,7 @@ def _verify_checks(bundle: OperatorBundle) -> list[tuple[str, bool, str]]:
 
     star = bundle.green
     try:
-        same = inverse_unimodular(L).rows == star.rows
+        same = schur_inverse(L, bundle.v).rows == star.rows
     except (ValueError, SingularMatrixError):
         same = False
     results.append(
@@ -155,7 +156,7 @@ def _verify_checks(bundle: OperatorBundle) -> list[tuple[str, bool, str]]:
     tr = trace_report(bundle)
     results.append(("traces", tr.ok, f"tr L = {tr.connection_trace}, tr |H| = {tr.hodge_signless_trace}"))
 
-    sign = reciprocal_sign(charpoly(L @ L))
+    sign = reciprocal_sign(graeffe(charpoly(L)))
     want = 1 if n % 2 == 0 else -1
     results.append(
         ("reciprocity", sign == want, f"charpoly(L^2) reciprocal with sign {sign}")

@@ -3,13 +3,11 @@
 One matrix class, IntMatrix, holds every operator; FieldMatrix is an
 IntMatrix whose entries are kept reduced mod a prime p.  Everything here is
 arbitrary precision: determinants by fraction-free (Bareiss) elimination,
-integer inverses of unimodular matrices by fraction-free Gauss-Jordan (no
-rational matrix is formed; outside the tests it serves only as verify's
-oracle for the star-formula Green matrix), matrix powers by binary
-exponentiation.
+matrix powers by binary exponentiation; L^-1 is the bundle's certified g.
 Characteristic polynomials are computed mod word primes (numpy int64
 Hessenberg reduction, O(n^3) per prime), lifted by Chinese remaindering past
-a proven coefficient bound and certified against one Bareiss determinant.
+a Hadamard coefficient bound and certified against one Bareiss determinant;
+graeffe squares their roots, so reciprocity never forms L @ L.
 No floating point enters this module; conversion to float happens only via
 IntMatrix.to_float().
 
@@ -33,6 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
+from math import isqrt
 from typing import Sequence
 
 import numpy as np
@@ -205,9 +204,6 @@ class IntPolynomial:
             acc = acc * x + c
         return acc
 
-    def reversed(self) -> "IntPolynomial":
-        return IntPolynomial(tuple(reversed(self.coeffs)))
-
 
 def is_reciprocal(p: IntPolynomial) -> bool:
     """True iff the coefficient list is palindromic, i.e. x^n p(1/x) = p(x)."""
@@ -273,53 +269,6 @@ def det(m: IntMatrix) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def inverse_unimodular(m: IntMatrix) -> IntMatrix:
-    """Integer inverse of a unimodular matrix by fraction-free Gauss-Jordan.
-
-    The augmented system [m | I] is reduced with Bareiss-style integer
-    updates, each division exact by the Sylvester identity.  At the end every
-    diagonal entry of the left block equals the final pivot, which is
-    +-det m, so the inverse is the right block divided by it.  Raises
-    SingularMatrixError on a zero pivot and ValueError when the final pivot
-    is not +-1, that is when m has no integer inverse.
-    """
-    if not m.is_square():
-        raise ShapeError("inverse needs a square matrix")
-    n = m.nrows
-    width = 2 * n
-    a = [row[:] + [1 if i == j else 0 for j in range(n)] for i, row in enumerate(m.rows)]
-    prev = 1
-    for k in range(n):
-        if a[k][k] == 0:
-            for r in range(k + 1, n):
-                if a[r][k] != 0:
-                    a[k], a[r] = a[r], a[k]
-                    break
-            else:
-                raise SingularMatrixError("matrix is singular over the rationals")
-        pivot = a[k][k]
-        row_k = a[k]
-        for i in range(n):
-            if i == k:
-                continue
-            row_i = a[i]
-            f = row_i[k]
-            for j in range(width):
-                if j == k:
-                    continue
-                num = pivot * row_i[j] - f * row_k[j]
-                q, r = divmod(num, prev)
-                if r:
-                    raise ArithmeticError("inexact division in Jordan step")
-                row_i[j] = q
-            row_i[k] = 0
-        prev = pivot
-    if prev not in (1, -1):
-        raise ValueError(f"matrix is not unimodular: final pivot {prev}")
-    # 1/prev == prev for prev = +-1
-    return IntMatrix([[prev * x for x in row[n:]] for row in a], ncols=n)
-
-
 def rank(m: IntMatrix) -> int:
     """Exact rank over the rationals by Gaussian elimination on Fractions."""
     rows = [[Fraction(x) for x in r] for r in m.rows]
@@ -347,12 +296,10 @@ def charpoly(m: IntMatrix) -> IntPolynomial:
     Multimodular: the polynomial is computed mod primes p < 2^31 by a
     Hessenberg reduction (_charpoly_mod) and the residues are combined by
     Chinese remaindering into symmetric residues until the modulus exceeds
-    2 (1 + rho)^n, rho the largest absolute row sum.  That bound holds for
-    every integer matrix: each eigenvalue has modulus at most rho, so the
-    coefficient of x^(n-k) is at most C(n, k) rho^k <= (1 + rho)^n in size.
-    The result is certified exactly: p(r) must equal the Bareiss
-    det(rI - m) at r = rho + 1, which lies outside the spectrum, or
-    ArithmeticError is raised.
+    _coefficient_bound(m), twice a bound on every coefficient.  The result
+    is certified exactly: p(r) must equal the Bareiss det(rI - m) at
+    r = rho + 1, rho the largest absolute row sum, which lies outside the
+    spectrum, or ArithmeticError is raised.
     """
     if not m.is_square():
         raise ShapeError("characteristic polynomial needs a square matrix")
@@ -360,7 +307,7 @@ def charpoly(m: IntMatrix) -> IntPolynomial:
     if n == 0:
         return IntPolynomial((1,))
     rho = max(sum(abs(a) for a in row) for row in m.rows)
-    bound = 2 * (1 + rho) ** n
+    bound = _coefficient_bound(m)
     entries = np.array(m.rows, dtype=object)
     coeffs = [0] * (n + 1)
     modulus = 1
@@ -382,6 +329,26 @@ def charpoly(m: IntMatrix) -> IntPolynomial:
     if poly(r) != det(shifted):
         raise ArithmeticError("charpoly certificate p(r) == det(rI - m) failed")
     return poly
+
+
+def _coefficient_bound(m: IntMatrix) -> int:
+    """2 prod_i (1 + ceil(||row_i||_2)), at least twice every |coefficient| of
+    det(xI - m): each is a signed sum of principal minors, which Hadamard's
+    inequality bounds by their row norms.  A row norm never exceeds the row's
+    absolute sum, so this is never above 2 (1 + rho)^n."""
+    bound = 2
+    for row in m.rows:
+        sq = sum(a * a for a in row)
+        bound *= 2 + isqrt(sq - 1) if sq else 1
+    return bound
+
+
+def graeffe(p: IntPolynomial) -> IntPolynomial:
+    """charpoly(m @ m) from p = charpoly(m), by Graeffe's root-squaring step:
+    q(x^2) = (-1)^n p(x) p(-x) is monic of degree n with the squared roots."""
+    alt = [-a if j % 2 else a for j, a in enumerate(p.coeffs)]
+    even = np.convolve(np.array(p.coeffs, dtype=object), np.array(alt, dtype=object))[::2]
+    return IntPolynomial(tuple(int(-x if p.degree % 2 else x) for x in even))
 
 
 def _charpoly_mod(a: np.ndarray, p: int) -> np.ndarray:

@@ -17,16 +17,16 @@ g is produced by the star formula g(x,y) = w(x) w(y) chi(St(x) /\\ St(y))
 with w = (-1)^dim, then certified by _is_inverse: L @ g = I row by row
 over the nonzeros (products certifies kron(g_A, g_B) the same way).
 OperatorBundle.green is the one source of L^-1 outside the oracles: verify
-compares it with the integer elimination inverse, and hydrogen_residual_mod
-inverts L over F_p on its own, so keep those routes separate.  Every
-nonzero is read through IntMatrix.nonzeros, collected once per cached
-operator.
+compares it with schur_inverse, and hydrogen_residual_mod inverts L over
+F_p on its own, so keep those routes separate.  Every nonzero is read
+through IntMatrix.nonzeros, collected once per cached operator.
 
 det L comes from the Schur complement of the vertex block: L = [[I_v, B^T],
 [B, C]] with B the edge-vertex containment matrix, so det L = det(C - B B^T),
 summed over each vertex's incident edges and read off as the product of its
 diagonal (it is -I_e for every graph).  Bareiss elimination (exact.det) is
-the test oracle for this route.
+the test oracle for this route.  schur_inverse, verify's oracle for g,
+is the block inverse from the same complement, read from L's entries alone.
 
 L and g are set from the vertex stars (a vertex with its incident edges),
 and H and |H| are summed directly from the two nonzeros of every incidence
@@ -40,6 +40,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
+from math import prod
 from typing import Sequence
 
 from .complexes import Complex, build_complex, parity, sphere_chi
@@ -48,6 +49,7 @@ from .exact import (
     IntMatrix,
     IntPolynomial,
     ShapeError,
+    SingularMatrixError,
     charpoly,
     field_inverse,
     field_reduce,
@@ -174,42 +176,64 @@ def _is_inverse(m: IntMatrix, g: IntMatrix) -> bool:
     return True
 
 
-def schur_det(m: IntMatrix, v: int) -> int:
-    """det m for m = [[I_v, U], [W, C]], as det(C - W U).
+def _schur_blocks(m: IntMatrix, v: int) -> tuple[list, list, list[int]]:
+    """(U, W, diagonal of S) for m = [[I_v, U], [W, C]], S = C - W U.
 
-    The Schur complement is summed over the nonzeros: for each of the first
-    v (vertex) columns, the edge rows that are nonzero there (its incident
-    edges) times the nonzeros of the matching row of U.  Raises
-    ArithmeticError unless the leading v x v block is exactly the identity
-    and C - W U is diagonal; the determinant is then the product of that
-    diagonal.
+    U and W are the nonzeros of their rows (U's columns keep m's numbers).
+    Each row of S subtracts the U rows at its W nonzeros (for L, the two
+    vertices of an edge).  Raises ArithmeticError unless the leading v x v
+    block is exactly the identity and S is diagonal.
     """
     if not m.is_square() or not 0 <= v <= m.nrows:
         raise ShapeError(f"no {v}x{v} leading block in a {m.shape} matrix")
     rows = m.nonzeros
-    n = m.nrows
     # pairs are in column order, so each row splits at its first column >= v
     split = [bisect_left(row, (v,)) for row in rows]
     for x in range(v):
         if rows[x][: split[x]] != [(x, 1)]:
             raise ArithmeticError("vertex block is not the identity")
-    schur = {k: dict(rows[k][split[k] :]) for k in range(v, n)}
-    incident: list[list[tuple[int, int]]] = [[] for _ in range(v)]
-    for k in range(v, n):
-        for x, a in rows[k][: split[k]]:
-            incident[x].append((k, a))
-    for x, edges in enumerate(incident):
-        u = rows[x][split[x] :]
-        for k, a in edges:
-            srow = schur[k]
-            for l, b in u:
-                srow[l] = srow.get(l, 0) - a * b
-    d = 1
-    for k, srow in schur.items():
-        d *= srow.pop(k, 0)
-        if any(srow.values()):
-            raise ArithmeticError("Schur complement of the vertex block is not diagonal")
-    return d
+    u = [rows[x][split[x] :] for x in range(v)]
+    w = [rows[k][: split[k]] for k in range(v, m.nrows)]
+    schur = [dict(rows[k][split[k] :]) for k in range(v, m.nrows)]
+    for k, wrow in enumerate(w):
+        for x, a in wrow:
+            for l, b in u[x]:
+                schur[k][l] = schur[k].get(l, 0) - a * b
+    s = [srow.pop(k, 0) for k, srow in enumerate(schur, start=v)]
+    if any(any(srow.values()) for srow in schur):
+        raise ArithmeticError("Schur complement of the vertex block is not diagonal")
+    return u, w, s
+
+
+def schur_det(m: IntMatrix, v: int) -> int:
+    """det m = det(C - W U) for m = [[I_v, U], [W, C]] with C - W U diagonal."""
+    return prod(_schur_blocks(m, v)[2])
+
+
+def schur_inverse(m: IntMatrix, v: int) -> IntMatrix:
+    """m^-1 = [[I + U S^-1 W, -U S^-1], [-S^-1 W, S^-1]] for m = [[I_v, U],
+    [W, C]] with S = C - W U diagonal, summed over the nonzeros of U and W.
+
+    Read from m's entries alone.  Raises SingularMatrixError when S has a 0
+    on its diagonal and ValueError when an entry there is not +-1, that is
+    when m has no integer inverse.
+    """
+    u, w, s = _schur_blocks(m, v)
+    if any(x not in (1, -1) for x in s):
+        error = SingularMatrixError if 0 in s else ValueError
+        raise error(f"no integer inverse: Schur complement diagonal {sorted(set(s))}")
+    rows = [[0] * m.nrows for _ in range(m.nrows)]
+    for k, (wrow, sk) in enumerate(zip(w, s), start=v):  # S^-1 = S
+        rows[k][k] = sk
+        for y, b in wrow:
+            rows[k][y] = -sk * b
+    for x, urow in enumerate(u):
+        rows[x][x] = 1
+        for l, a in urow:
+            rows[x][l] = -a * s[l - v]
+            for y, b in w[l - v]:
+                rows[x][y] += a * s[l - v] * b
+    return IntMatrix(rows, ncols=m.nrows)
 
 
 def block(m: IntMatrix, r0: int, r1: int, c0: int, c1: int) -> IntMatrix:
@@ -337,8 +361,14 @@ def bundle_for(source: Graph | Complex | OperatorBundle) -> OperatorBundle:
 
 
 def hydrogen_residual(bundle: OperatorBundle) -> IntMatrix:
-    """|H| - (L - L^-1); the zero matrix exactly when the identity holds."""
-    return bundle.hodge_signless - (bundle.connection - bundle.green)
+    """|H| - (L - L^-1), summed in one pass over the nonzeros of |H|, L and g;
+    the zero matrix exactly when the identity holds."""
+    rows = [[0] * bundle.size for _ in range(bundle.size)]
+    for m, sign in ((bundle.hodge_signless, 1), (bundle.connection, -1), (bundle.green, 1)):
+        for row, nonzeros in zip(rows, m.nonzeros):
+            for j, a in nonzeros:
+                row[j] += sign * a
+    return IntMatrix(rows, ncols=bundle.size)
 
 
 def hydrogen_holds(bundle: OperatorBundle) -> bool:

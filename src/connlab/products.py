@@ -11,7 +11,8 @@ connection Laplacian a Kronecker product:
 product_checks verifies both: once per product, the Kronecker assembly is
 compared entry by entry against an independent intersection-rule
 construction over the cells, and the spectra are compared against pairwise
-products and sums.  The product inverse is kron(g_A, g_B) of the factors'
+products and sums; reciprocity takes Graeffe's step on charpoly(L), never
+squaring L.  The product inverse is kron(g_A, g_B) of the factors'
 certified Green matrices, itself certified by L @ X = I over the nonzeros.
 The energy theorem survives the product (the total sum of L^-1 entries is
 chi(A) chi(B)), but the hydrogen identity does not, and product_checks
@@ -25,7 +26,7 @@ from typing import Sequence
 
 from .complexes import Complex, Simplex, build_complex
 from .dynamics import _powers
-from .exact import IntMatrix, charpoly, reciprocal_sign
+from .exact import IntMatrix, charpoly, graeffe, reciprocal_sign
 from .graphs import Graph
 from .operators import OperatorBundle, _is_inverse, bundle_for
 from .spectra import eig_sym
@@ -208,7 +209,7 @@ def product_checks(a: Graph | Complex | OperatorBundle, b) -> ProductReport:
         )
     chi_a = ba.complex.v - ba.complex.e
     chi_b = bb.complex.v - bb.complex.e
-    sign = reciprocal_sign(charpoly(L @ L))
+    sign = reciprocal_sign(graeffe(charpoly(L)))
     habs = product_hodge_signless(ba, bb)
     residual = (L - linv - habs).max_abs()
     mult_err, add_err = spectral_errors(ba, bb)

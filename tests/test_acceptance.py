@@ -42,7 +42,6 @@ from connlab.exact import (
     det,
     field_inverse,
     field_reduce,
-    inverse_unimodular,
     matpow,
     reciprocal_sign,
 )
@@ -76,6 +75,7 @@ from connlab.tables import (
     row_max_error,
 )
 from conftest import CORPUS_SPECS, build_corpus
+from oracles import inverse_unimodular
 
 PRODUCT_PAIRS = [
     ("complete:2", "complete:2"),

@@ -345,16 +345,20 @@ def test_report_seed7_matches_golden_output(capsys):
 GOLDEN = json.loads((DATA / "dynamics_golden.json").read_text())
 
 
-@pytest.mark.parametrize("case", GOLDEN, ids=[case["command"] for case in GOLDEN])
-def test_dynamics_matches_golden_output(capsys, case):
-    # tests/data/dynamics_golden.json holds the size and SHA-256 of the stdout
-    # of each command as printed by the dense, elimination-based dynamics
-    # routes; the walk output alone is about 800 kB
+def _matches_golden(capsys, case):
     code, out, _ = run(capsys, *case["command"].split())
     data = out.encode()
     assert code == case["exit"]
     assert len(data) == case["bytes"]
     assert hashlib.sha256(data).hexdigest() == case["sha256"]
+
+
+@pytest.mark.parametrize("case", GOLDEN, ids=[case["command"] for case in GOLDEN])
+def test_dynamics_matches_golden_output(capsys, case):
+    # tests/data/dynamics_golden.json holds the size and SHA-256 of the stdout
+    # of each command as printed by the dense, elimination-based dynamics
+    # routes; the walk output alone is about 800 kB
+    _matches_golden(capsys, case)
 
 
 def _counting(monkeypatch, name, modules):
@@ -372,8 +376,15 @@ def _counting(monkeypatch, name, modules):
     return calls
 
 
+def _no_integer_elimination(*modules):
+    # the Gauss-Jordan inverse lives in tests/oracles.py: no package module
+    # holds it, so nothing there can call it
+    assert not any(hasattr(mod, "inverse_unimodular") for mod in modules)
+
+
 def test_walk_reverse_takes_green_from_the_bundle(capsys, monkeypatch):
-    calls = _counting(monkeypatch, "inverse_unimodular", (exact, dynamics, operators, cli))
+    _no_integer_elimination(exact, dynamics, operators, cli)
+    calls = _counting(monkeypatch, "field_inverse", (exact, dynamics, operators, cli))
     code, out, _ = run(capsys, "walk", "wheel:6", "--steps", "7", "--reverse")
     assert code == 0
     assert len(out.splitlines()) == 15
@@ -390,8 +401,43 @@ def test_automaton_reverse_inverts_over_the_field_once(capsys, monkeypatch):
 
 
 def test_product_takes_its_inverse_from_the_factors(capsys, monkeypatch):
-    calls = _counting(monkeypatch, "inverse_unimodular", (exact, dynamics, operators, products, cli))
+    _no_integer_elimination(exact, dynamics, operators, products, cli)
+    calls = _counting(monkeypatch, "field_inverse", (exact, dynamics, operators, products, cli))
     code, out, _ = run(capsys, "product", "path:3", "cycle:4")
     assert code == 0
     assert json.loads(out)["energy_ok"] is True
     assert calls == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("verify", "wheel:6", "--field", "5"), ("product", "path:3", "cycle:4")],
+    ids=["verify", "product"],
+)
+def test_verify_and_product_form_no_dense_product(capsys, monkeypatch, argv):
+    # green-star reads the Schur block inverse and reciprocity takes Graeffe's
+    # step on charpoly(L), so neither forms L @ L; FieldMatrix products go
+    # through IntMatrix.__matmul__ too
+    real = exact.IntMatrix.__matmul__
+    calls = []
+
+    def counted(a, b):
+        calls.append((a.shape, b.shape))
+        return real(a, b)
+
+    monkeypatch.setattr(exact.IntMatrix, "__matmul__", counted)
+    code, _, _ = run(capsys, *argv)
+    assert code == 0
+    assert calls == []
+
+
+VERIFY_GOLDEN = json.loads((DATA / "verify_golden.json").read_text())
+
+
+@pytest.mark.parametrize("case", VERIFY_GOLDEN, ids=[case["command"] for case in VERIFY_GOLDEN])
+def test_verify_and_product_match_golden_output(capsys, case):
+    # tests/data/verify_golden.json holds the size and SHA-256 of the stdout
+    # of one verify per graph family (three with --field) and three products,
+    # as printed when green-star ran Gauss-Jordan elimination and reciprocity
+    # took the charpoly of the dense L @ L
+    _matches_golden(capsys, case)

@@ -32,11 +32,11 @@ from connlab.exact import (
     IntMatrix,
     field_inverse,
     field_reduce,
-    inverse_unimodular,
 )
 from connlab.graphs import from_spec
 from connlab.operators import bundle_for
 from conftest import SAMPLE_SPECS
+from oracles import inverse_unimodular
 
 
 def _unit(n, i=0):

@@ -24,7 +24,7 @@ from connlab.exact import (
     ShapeError,
     field_inverse,
     field_reduce,
-    inverse_unimodular,
+    graeffe,
     is_prime,
     is_reciprocal,
     matpow,
@@ -33,6 +33,7 @@ from connlab.exact import (
 )
 from connlab.graphs import from_spec
 from connlab.operators import bundle_for
+from oracles import inverse_unimodular
 
 entries = st.integers(min_value=-6, max_value=6)
 
@@ -205,13 +206,58 @@ def test_charpoly_matches_faddeev_leverrier_on_hodge_blocks(corpus):
 
 
 def test_charpoly_matches_faddeev_leverrier_on_connection(corpus):
-    # the oracle costs about 200 s on L and L^2 over the whole corpus
+    # the oracle costs about 200 s on L and L^2 over the whole corpus;
+    # reciprocity reads charpoly(L^2) off charpoly(L) by Graeffe's step
     small = {spec: b for spec, b in corpus.items() if b.size <= 30}
     assert len(small) > 100
     for spec, b in small.items():
         L = b.connection
         assert charpoly(L) == faddeev_leverrier(L), spec
-        assert charpoly(L @ L) == faddeev_leverrier(L @ L), spec
+        assert graeffe(charpoly(L)) == charpoly(L @ L) == faddeev_leverrier(L @ L), spec
+
+
+@settings(max_examples=60, deadline=None)
+@given(square(8))
+def test_graeffe_matches_charpoly_of_the_square(rows):
+    m = IntMatrix(rows)
+    assert graeffe(charpoly(m)) == charpoly(m @ m)
+
+
+def test_graeffe_edge_cases():
+    assert graeffe(IntPolynomial((1,))).coeffs == (1,)
+    assert graeffe(IntPolynomial((-3, 1))).coeffs == (-9, 1)  # x - 3 -> x - 9
+    # x^2 + 1, roots +-i, squares -1 twice
+    assert graeffe(IntPolynomial((1, 0, 1))).coeffs == (1, 2, 1)
+
+
+def _check_coefficient_bound(m):
+    """The Hadamard bound covers twice every coefficient, and it is at most
+    2 (1 + rho)^n, rho the largest absolute row sum, so the CRT never takes
+    more primes than under that bound."""
+    bound = exact._coefficient_bound(m)
+    assert bound >= 2 * max(abs(c) for c in charpoly(m).coeffs)
+    rho = max(sum(abs(a) for a in row) for row in m.rows)
+    assert bound <= 2 * (1 + rho) ** m.nrows
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=8).flatmap(
+        lambda n: st.lists(
+            st.lists(wide_entries, min_size=n, max_size=n), min_size=n, max_size=n
+        )
+    )
+)
+def test_coefficient_bound_is_sound_and_never_needs_more_primes(rows):
+    _check_coefficient_bound(IntMatrix(rows))
+
+
+def test_coefficient_bound_on_corpus(corpus):
+    for spec, b in corpus.items():
+        for name in ("connection", "hodge0", "hodge1", "hodge0_signless", "hodge1_signless"):
+            m = getattr(b, name)
+            if m.nrows:
+                _check_coefficient_bound(m)
 
 
 def test_charpoly_edge_cases():

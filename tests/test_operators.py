@@ -12,7 +12,7 @@ import pytest
 
 import connlab.operators as operators
 from connlab.complexes import build_complex
-from connlab.exact import IntMatrix, det
+from connlab.exact import IntMatrix, SingularMatrixError, det
 from connlab.graphs import from_spec
 from connlab.operators import (
     OperatorBundle,
@@ -22,11 +22,14 @@ from connlab.operators import (
     energy_holds,
     hydrogen_holds,
     hydrogen_residual,
+    green_star,
     is_unimodular,
+    schur_inverse,
     supersymmetry_report,
     trace_report,
 )
 from conftest import SAMPLE_SPECS
+from oracles import inverse_unimodular
 
 FIG8_L = IntMatrix(
     [
@@ -217,6 +220,43 @@ def test_trace_report_matches_dense_products_on_corpus(corpus):
         assert tr.hodge0_signless_sq_trace == (h0 @ h0).trace(), spec
         assert tr.hodge1_signless_sq_trace == (h1 @ h1).trace(), spec
         assert tr.ok, spec
+
+
+def test_schur_inverse_matches_star_formula_and_elimination_on_corpus(corpus):
+    # verify's green-star oracle: the block inverse read from L alone, the
+    # star formula, and Gauss-Jordan elimination (tests/oracles.py) agree
+    for spec, b in corpus.items():
+        L = b.connection
+        assert schur_inverse(L, b.v) == green_star(b.complex) == inverse_unimodular(L), spec
+
+
+@pytest.mark.parametrize(
+    "edge_diagonal, error", [(0, ValueError), (2, SingularMatrixError)], ids=["det2", "det0"]
+)
+def test_schur_inverse_rejects_a_connection_without_integer_inverse(edge_diagonal, error):
+    # one edge-edge diagonal entry changed: the Schur complement entry -1
+    # becomes -2 (det L = 2) or 0 (det L = 0), and elimination agrees
+    b = bundle_for(from_spec("cycle:4"))
+    L = b.connection.copy()
+    L.rows[b.v][b.v] = edge_diagonal
+    with pytest.raises(error):
+        schur_inverse(L, b.v)
+    with pytest.raises(error):
+        inverse_unimodular(L)
+
+
+def test_hydrogen_residual_matches_dense_expression_on_corpus(corpus):
+    # the one-pass sum over the nonzeros against |H| - (L - g) in dense steps,
+    # and on a bundle whose g is wrong, where the residual is not zero
+    for spec, b in corpus.items():
+        dense = b.hodge_signless - (b.connection - b.green)
+        assert hydrogen_residual(b) == dense, spec
+    b = bundle_for(from_spec("wheel:5"))
+    broken = OperatorBundle(b.complex)
+    broken.__dict__["green"] = b.green.scale(2)
+    residual = hydrogen_residual(broken)
+    assert residual == b.hodge_signless - (b.connection - b.green.scale(2))
+    assert residual == b.green and not residual.is_zero()
 
 
 def _fresh_bundle_with(monkeypatch, b, name, matrix):

@@ -38,14 +38,16 @@ def _referenced_names(path: Path) -> set[str]:
 
 
 def test_elimination_inverses_stay_in_the_oracles():
-    # L^-1 comes from the bundle's certified green everywhere else; the
-    # integer elimination is the verify green-star oracle in cli and the F_p
-    # one the independent route of hydrogen_residual_mod in operators
+    # L^-1 comes from the bundle's certified green everywhere; the integer
+    # elimination inverse lives in tests/oracles.py, so no module of the
+    # package defines, imports or even names it, and the F_p one is the
+    # independent route of hydrogen_residual_mod in operators
     package = ROOT / "src" / "connlab"
+    sources = {p.stem: p.read_text() for p in package.glob("*.py")}
+    assert [m for m, text in sources.items() if "inverse_unimodular" in text] == []
     modules = {p.stem: _referenced_names(p) for p in package.glob("*.py")}
-    for name, allowed in (("inverse_unimodular", {"cli"}), ("field_inverse", {"operators"})):
-        users = {m for m, names in modules.items() if name in names} - {"exact", "__init__"}
-        assert users == allowed, name
+    users = {m for m, names in modules.items() if "field_inverse" in names} - {"exact", "__init__"}
+    assert users == {"operators"}
 
 
 def _load_tracing():
