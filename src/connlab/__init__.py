@@ -19,7 +19,6 @@ from .exact import (
     field_inverse,
     field_reduce,
     is_reciprocal,
-    matpow,
 )
 from .dynamics import (
     AutomatonState,
@@ -113,7 +112,6 @@ __all__ = [
     "is_unimodular",
     "jacobi_residual",
     "load_graph",
-    "matpow",
     "perron_limits",
     "perturb_target",
     "product_checks",

@@ -8,8 +8,8 @@ Squaring the defining identity gives the discrete wave equation
 
 whose residual this module evaluates exactly (it must be the zero integer).
 Four parity-restricted branch families solve the same equation from a
-quadruple of initial vectors; their span is measured honestly, since it
-degenerates whenever +1 or -1 is an eigenvalue of L.
+quadruple of initial vectors; their span degenerates whenever +1 or -1 is
+an eigenvalue of L.
 
 Floating point appears only where growth is genuinely exponential: Perron
 projection limits and Lyapunov exponents of operator cocycles.  Over a
@@ -33,7 +33,7 @@ from typing import Iterator, Mapping, Sequence
 import numpy as np
 
 from .complexes import Complex
-from .exact import FieldMatrix, IntMatrix, field_reduce, matpow, rank
+from .exact import FieldMatrix, IntMatrix, field_reduce
 from .graphs import Graph, connected_components, induced_subgraph
 from .operators import OperatorBundle, bundle_for
 from .spectra import eig_sym
@@ -269,32 +269,6 @@ def jacobi_ivp(habs: IntMatrix, initial: Sequence[Sequence[int]], n_min: int, n_
         if t < n_min or t > n_max:
             del states[t]
     return Trajectory(states, "Jacobi initial value solution, exact integers")
-
-
-def quaternion_branch_rank(bundle: OperatorBundle) -> int:
-    """Rank of the map from (psi0..psi3) to the states at times 0, 1, 2, 3.
-
-    Full rank 4n means every solution arises from a unique branch quadruple.
-    The map degenerates exactly on eigenvectors of L with eigenvalue +1 or
-    -1 (the branch pairs collide there), and the deficiency is reported by
-    this rank rather than hidden.
-    """
-    n = bundle.size
-    L = bundle.connection
-    Linv = bundle.green
-    zero = IntMatrix.zeros(n, n)
-    p = {0: IntMatrix.identity(n), 1: L, 2: matpow(L, 2), 3: matpow(L, 3)}
-    q = {0: IntMatrix.identity(n), 1: Linv, 2: matpow(Linv, 2), 3: matpow(Linv, 3)}
-    rows: list[list[int]] = []
-    for t in range(4):
-        blocks = (
-            (p[t], q[t], zero, zero) if t % 2 == 0 else (zero, zero, p[t], q[t])
-        )
-        for i in range(n):
-            rows.append(
-                blocks[0].rows[i] + blocks[1].rows[i] + blocks[2].rows[i] + blocks[3].rows[i]
-            )
-    return rank(IntMatrix(rows))
 
 
 # ---------------------------------------------------------------------------

@@ -2,12 +2,14 @@
 
 One matrix class, IntMatrix, holds every operator; FieldMatrix is an
 IntMatrix whose entries are kept reduced mod a prime p.  Everything here is
-arbitrary precision: determinants by fraction-free (Bareiss) elimination,
-matrix powers by binary exponentiation; L^-1 is the bundle's certified g.
-Characteristic polynomials are computed mod word primes (numpy int64
-Hessenberg reduction, O(n^3) per prime), lifted by Chinese remaindering past
-a Hadamard coefficient bound and certified against one Bareiss determinant;
-graeffe squares their roots, so reciprocity never forms L @ L.
+arbitrary precision: determinants by fraction-free (Bareiss) elimination;
+L^-1 is the bundle's certified g.  Characteristic polynomials are computed
+mod word primes (numpy int64 Hessenberg reduction, O(n^3) per prime), lifted
+by Chinese remaindering past a Hadamard coefficient bound and certified
+against one Bareiss determinant; graeffe squares their roots, so
+reciprocity never forms L @ L.  Ranks over Q are the best of ranks mod word
+primes (numpy int64 elimination), closed by known kernel vectors or by
+Hadamard's bound on the minors.
 No floating point enters this module; conversion to float happens only via
 IntMatrix.to_float().
 
@@ -29,7 +31,6 @@ too.  Sums, transpose, kron and @ stay dense.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import compress
 from math import isqrt
 from typing import Sequence
@@ -269,27 +270,6 @@ def det(m: IntMatrix) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def rank(m: IntMatrix) -> int:
-    """Exact rank over the rationals by Gaussian elimination on Fractions."""
-    rows = [[Fraction(x) for x in r] for r in m.rows]
-    r = 0
-    for col in range(m.ncols):
-        pivot = next((i for i in range(r, m.nrows) if rows[i][col] != 0), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = 1 / rows[r][col]
-        for i in range(r + 1, m.nrows):
-            if rows[i][col] != 0:
-                factor = rows[i][col] * inv
-                for j in range(col, m.ncols):
-                    rows[i][j] -= factor * rows[r][j]
-        r += 1
-        if r == m.nrows:
-            break
-    return r
-
-
 def charpoly(m: IntMatrix) -> IntPolynomial:
     """Exact monic characteristic polynomial det(xI - m).
 
@@ -397,6 +377,61 @@ def _charpoly_mod(a: np.ndarray, p: int) -> np.ndarray:
     return polys[n]
 
 
+def certified_rank(m: IntMatrix, kernel: Sequence[Sequence[int]] = ()) -> int:
+    """Exact rank of m over the rationals, from its ranks mod word primes.
+
+    A rank mod p never exceeds the rank over Q, so each prime gives a lower
+    bound.  The nonzero vectors of `kernel` that m maps to zero, taken with
+    pairwise disjoint supports, are independent, so they cap the rank at
+    ncols minus their number; the search stops as soon as the two bounds
+    meet.  Otherwise it stops once the product of the primes tried exceeds
+    Hadamard's bound on m's minors, the root of the product of its squared
+    row norms: a nonzero maximal minor is then nonzero mod one of them, so
+    the best lower bound is the rank.
+    """
+    used: set[int] = set()
+    upper = m.ncols
+    for vec in kernel:
+        support = {j for j, x in enumerate(vec) if x}
+        if support and not support & used and not any(m.apply(vec)):
+            used |= support
+            upper -= 1
+    bound = 1
+    for row in m.nonzeros:
+        bound *= sum(a * a for _, a in row) or 1
+    entries = np.array(m.rows, dtype=object).reshape(m.shape)
+    lower, modulus, count = 0, 1, 0
+    while lower < upper and modulus * modulus <= bound:
+        p = _prime(count)
+        count += 1
+        lower = max(lower, _rank_mod((entries % p).astype(np.int64), p))
+        modulus *= p
+    return lower
+
+
+def _rank_mod(a: np.ndarray, p: int) -> int:
+    """Rank mod p of an int64 array with entries in 0..p-1, by Gaussian
+    elimination in place; each update touches only the rows below the pivot
+    that are nonzero in its column."""
+    nrows, ncols = a.shape
+    r = 0
+    for j in range(ncols):
+        if r == nrows:
+            break
+        nonzero = np.flatnonzero(a[r:, j])
+        if nonzero.size == 0:
+            continue
+        piv = r + int(nonzero[0])
+        if piv != r:
+            a[[r, piv]] = a[[piv, r]]
+        below = r + 1 + np.flatnonzero(a[r + 1 :, j])
+        if below.size:
+            f = a[below, j] * pow(int(a[r, j]), p - 2, p) % p
+            a[below, j:] = (a[below, j:] - np.outer(f, a[r, j:]) % p) % p
+        r += 1
+    return r
+
+
 _PRIMES: list[int] = []  # primes below 2^31 in descending order, grown by _prime
 
 
@@ -431,23 +466,6 @@ def _is_word_prime(q: int) -> bool:
         else:
             return False
     return True
-
-
-def matpow(m: IntMatrix, k: int) -> IntMatrix:
-    """Exact k-th power, k >= 0, by binary exponentiation."""
-    if not m.is_square():
-        raise ShapeError("power needs a square matrix")
-    if k < 0:
-        raise ValueError("negative powers are handled via exact inverses")
-    result = IntMatrix.identity(m.nrows)
-    base = m
-    while k:
-        if k & 1:
-            result = result @ base
-        k >>= 1
-        if k:
-            base = base @ base
-    return result
 
 
 # ---------------------------------------------------------------------------

@@ -345,6 +345,8 @@ def from_spec(spec: str, seed: int | None = None) -> Graph:
                 )
     except ValueError:
         raise GraphError(f"spec {spec!r} has a parameter that is not a number") from None
+    if not all(map(math.isfinite, params)):
+        raise GraphError(f"spec {spec!r} has a parameter that is not finite")
     return generate(family, *params, seed=seed)
 
 
@@ -372,7 +374,10 @@ def parse_graph_text(text: str) -> tuple[Graph, dict[int, int]]:
             if body.startswith("name:") and not name:
                 name = body[5:].strip()
             elif body.startswith("vertices:"):
-                declared_n = int(body[9:].strip())
+                try:
+                    declared_n = int(body[9:].strip())
+                except ValueError:
+                    raise GraphError(f"line {lineno}: vertex count is not an integer") from None
             continue
         toks = stripped.split()
         if len(toks) != 2:

@@ -47,14 +47,13 @@ from .complexes import Complex, build_complex, parity, sphere_chi
 from .exact import (
     FieldMatrix,
     IntMatrix,
-    IntPolynomial,
     ShapeError,
     SingularMatrixError,
-    charpoly,
+    certified_rank,
     field_inverse,
     field_reduce,
 )
-from .graphs import Graph, betti_numbers
+from .graphs import Graph, betti_numbers, connected_components
 
 
 def incidence_signed(c: Complex, signs: Sequence[int] | None = None) -> IntMatrix:
@@ -450,24 +449,20 @@ def trace_report(bundle: OperatorBundle) -> TraceReport:
     )
 
 
-def _strip_zero_root(p: IntPolynomial) -> tuple[int, tuple[int, ...]]:
-    """Split a characteristic polynomial into (multiplicity of root 0, rest)."""
-    coeffs = p.coeffs
-    mult = 0
-    while mult < len(coeffs) and coeffs[mult] == 0:
-        mult += 1
-    return mult, coeffs[mult:]
-
-
 @dataclass(frozen=True)
 class SupersymmetryReport:
     """Nonzero spectra of the two Hodge blocks agree; kernels count cycles.
 
-    The comparison is exact: the characteristic polynomials of H0 and H1,
-    stripped of their zero roots, must be identical, and the zero-root
-    multiplicities must equal the component and independent-cycle counts.
-    The signless blocks share nonzero spectra too (they are the two Gram
-    matrices of the same rectangular factor), checked the same way.
+    For any matrix d, d^T d and d d^T have the same nonzero spectrum, so the
+    report rests on exact facts about the incidence factor d and runs no
+    characteristic polynomial.  nonzero_match holds exactly when H0 equals
+    the independently built Kirchhoff matrix and H0 and H1 are the Gram
+    products d^T d and d d^T, summed again over the nonzeros of d.  The
+    kernel counts are v - rank d and e - rank d, with rank d exact
+    (exact.certified_rank, closed by the component indicator vectors, which
+    lie in ker d).  The signless fields are the same for |d|, |H0|, |H1| and
+    the signless Kirchhoff matrix; there the +-1 two-colourings of the
+    bipartite components lie in ker |d|.
     """
 
     betti0: int
@@ -489,19 +484,51 @@ class SupersymmetryReport:
         )
 
 
+def _component_vectors(g: Graph) -> tuple[list[list[int]], list[list[int]]]:
+    """For each component, its indicator vector and a +-1 colouring by
+    breadth-first search that alternates along the search tree; the colouring
+    is a two-colouring exactly when the component is bipartite."""
+    neighbors = g.neighbors()
+    indicators, colourings = [], []
+    for component in connected_components(g):
+        colour = [0] * g.n
+        colour[component[0]] = 1
+        queue = [component[0]]
+        for x in queue:
+            for y in neighbors[x]:
+                if not colour[y]:
+                    colour[y] = -colour[x]
+                    queue.append(y)
+        indicators.append([abs(c) for c in colour])
+        colourings.append(colour)
+    return indicators, colourings
+
+
+def _is_gram_pair(d: IntMatrix, h0: IntMatrix, h1: IntMatrix, kirchhoff: IntMatrix) -> bool:
+    """h0 == kirchhoff == d^T d and h1 == d d^T, the Gram products summed
+    again over the nonzeros of d."""
+    gram = _hodge_from_incidence(d)
+    v, n = d.ncols, gram.nrows
+    return h0 == kirchhoff == block(gram, 0, v, 0, v) and h1 == block(gram, v, n, v, n)
+
+
 def supersymmetry_report(bundle: OperatorBundle) -> SupersymmetryReport:
     b0, b1 = betti_numbers(bundle.graph)
-    k0, q0 = _strip_zero_root(charpoly(bundle.hodge0))
-    k1, q1 = _strip_zero_root(charpoly(bundle.hodge1))
-    sk0, sq0 = _strip_zero_root(charpoly(bundle.hodge0_signless))
-    sk1, sq1 = _strip_zero_root(charpoly(bundle.hodge1_signless))
+    indicators, colourings = _component_vectors(bundle.graph)
+    rank = certified_rank(bundle.incidence, indicators)
+    signless_rank = certified_rank(bundle.incidence_signless, colourings)
     return SupersymmetryReport(
         betti0=b0,
         betti1=b1,
-        kernel0=k0,
-        kernel1=k1,
-        nonzero_match=q0 == q1,
-        signless_kernel0=sk0,
-        signless_kernel1=sk1,
-        signless_nonzero_match=sq0 == sq1,
+        kernel0=bundle.v - rank,
+        kernel1=bundle.e - rank,
+        nonzero_match=_is_gram_pair(bundle.incidence, bundle.hodge0, bundle.hodge1, bundle.kirchhoff),
+        signless_kernel0=bundle.v - signless_rank,
+        signless_kernel1=bundle.e - signless_rank,
+        signless_nonzero_match=_is_gram_pair(
+            bundle.incidence_signless,
+            bundle.hodge0_signless,
+            bundle.hodge1_signless,
+            bundle.kirchhoff_signless,
+        ),
     )

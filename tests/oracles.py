@@ -4,9 +4,20 @@ inverse_unimodular is a fraction-free Gauss-Jordan inverse, O(n^3) on big
 integers.  The Schur-complement block inverse (operators.schur_inverse), the
 star-formula Green matrix, kron(g_A, g_B) for products and the backward
 walks are compared with it.
+
+supersymmetry_charpoly is the characteristic-polynomial route that
+operators.supersymmetry_report replaced: four multimodular charpolys
+compared with their zero roots stripped.  rank is Gaussian elimination on
+Fractions, the oracle for exact.certified_rank; matpow is dense binary
+exponentiation; quaternion_branch_rank builds the 4n x 4n branch map from
+both and takes its rank.
 """
 
-from connlab.exact import IntMatrix, ShapeError, SingularMatrixError
+from fractions import Fraction
+
+from connlab.exact import IntMatrix, IntPolynomial, ShapeError, SingularMatrixError, charpoly
+from connlab.graphs import betti_numbers
+from connlab.operators import OperatorBundle, SupersymmetryReport
 
 
 def inverse_unimodular(m: IntMatrix) -> IntMatrix:
@@ -54,3 +65,97 @@ def inverse_unimodular(m: IntMatrix) -> IntMatrix:
         raise ValueError(f"matrix is not unimodular: final pivot {prev}")
     # 1/prev == prev for prev = +-1
     return IntMatrix([[prev * x for x in row[n:]] for row in a], ncols=n)
+
+
+def strip_zero_root(p: IntPolynomial) -> tuple[int, tuple[int, ...]]:
+    """Split a characteristic polynomial into (multiplicity of root 0, rest)."""
+    coeffs = p.coeffs
+    mult = 0
+    while mult < len(coeffs) and coeffs[mult] == 0:
+        mult += 1
+    return mult, coeffs[mult:]
+
+
+def supersymmetry_charpoly(bundle: OperatorBundle) -> SupersymmetryReport:
+    """The report from the charpolys of H0, H1, |H0| and |H1|: the zero-root
+    multiplicities are the kernel counts, and the stripped polynomials of
+    each pair must be identical."""
+    b0, b1 = betti_numbers(bundle.graph)
+    k0, q0 = strip_zero_root(charpoly(bundle.hodge0))
+    k1, q1 = strip_zero_root(charpoly(bundle.hodge1))
+    sk0, sq0 = strip_zero_root(charpoly(bundle.hodge0_signless))
+    sk1, sq1 = strip_zero_root(charpoly(bundle.hodge1_signless))
+    return SupersymmetryReport(
+        betti0=b0,
+        betti1=b1,
+        kernel0=k0,
+        kernel1=k1,
+        nonzero_match=q0 == q1,
+        signless_kernel0=sk0,
+        signless_kernel1=sk1,
+        signless_nonzero_match=sq0 == sq1,
+    )
+
+
+def rank(m: IntMatrix) -> int:
+    """Exact rank over the rationals by Gaussian elimination on Fractions."""
+    rows = [[Fraction(x) for x in r] for r in m.rows]
+    r = 0
+    for col in range(m.ncols):
+        pivot = next((i for i in range(r, m.nrows) if rows[i][col] != 0), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = 1 / rows[r][col]
+        for i in range(r + 1, m.nrows):
+            if rows[i][col] != 0:
+                factor = rows[i][col] * inv
+                for j in range(col, m.ncols):
+                    rows[i][j] -= factor * rows[r][j]
+        r += 1
+        if r == m.nrows:
+            break
+    return r
+
+
+def matpow(m: IntMatrix, k: int) -> IntMatrix:
+    """Exact k-th power, k >= 0, by binary exponentiation."""
+    if not m.is_square():
+        raise ShapeError("power needs a square matrix")
+    if k < 0:
+        raise ValueError("negative powers are handled via exact inverses")
+    result = IntMatrix.identity(m.nrows)
+    base = m
+    while k:
+        if k & 1:
+            result = result @ base
+        k >>= 1
+        if k:
+            base = base @ base
+    return result
+
+
+def quaternion_branch_rank(bundle: OperatorBundle) -> int:
+    """Rank of the map from (psi0..psi3) to the states at times 0, 1, 2, 3.
+
+    Full rank 4n means every solution arises from a unique branch quadruple.
+    The map degenerates exactly on eigenvectors of L with eigenvalue +1 or
+    -1 (the branch pairs collide there), and the deficiency is reported by
+    this rank rather than hidden.
+    """
+    n = bundle.size
+    L = bundle.connection
+    Linv = bundle.green
+    zero = IntMatrix.zeros(n, n)
+    p = {0: IntMatrix.identity(n), 1: L, 2: matpow(L, 2), 3: matpow(L, 3)}
+    q = {0: IntMatrix.identity(n), 1: Linv, 2: matpow(Linv, 2), 3: matpow(Linv, 3)}
+    rows: list[list[int]] = []
+    for t in range(4):
+        blocks = (
+            (p[t], q[t], zero, zero) if t % 2 == 0 else (zero, zero, p[t], q[t])
+        )
+        for i in range(n):
+            rows.append(
+                blocks[0].rows[i] + blocks[1].rows[i] + blocks[2].rows[i] + blocks[3].rows[i]
+            )
+    return rank(IntMatrix(rows))

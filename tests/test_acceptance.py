@@ -42,7 +42,6 @@ from connlab.exact import (
     det,
     field_inverse,
     field_reduce,
-    matpow,
     reciprocal_sign,
 )
 from connlab.graphs import from_spec

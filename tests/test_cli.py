@@ -230,6 +230,16 @@ def test_product_accepts_files(tmp_path, capsys):
     assert json.loads(out)["multiplicativity_error"] < 1e-8
 
 
+@pytest.mark.parametrize("header", ["abc", "", "7.5"])
+def test_bad_vertex_count_header_exits_2(tmp_path, capsys, header):
+    p = tmp_path / "bad.txt"
+    p.write_text(f"# vertices: {header}\n0 1\n")
+    code, out, err = run(capsys, "verify", str(p))
+    assert code == 2
+    assert out == ""
+    assert err == "error: line 1: vertex count is not an integer\n"
+
+
 def test_unnamed_file_graph_gets_basename(tmp_path, capsys):
     p = tmp_path / "tri.txt"
     p.write_text("0 1\n1 2\n2 0\n")

@@ -23,7 +23,6 @@ from connlab.dynamics import (
     orbit_period,
     perron_limits,
     perron_limits_components,
-    quaternion_branch_rank,
     quaternion_solution,
     walk,
 )
@@ -36,7 +35,7 @@ from connlab.exact import (
 from connlab.graphs import from_spec
 from connlab.operators import bundle_for
 from conftest import SAMPLE_SPECS
-from oracles import inverse_unimodular
+from oracles import inverse_unimodular, quaternion_branch_rank
 
 
 def _unit(n, i=0):

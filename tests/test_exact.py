@@ -19,6 +19,7 @@ from connlab.exact import (
     IntMatrix,
     IntPolynomial,
     SingularMatrixError,
+    certified_rank,
     charpoly,
     det,
     ShapeError,
@@ -27,13 +28,11 @@ from connlab.exact import (
     graeffe,
     is_prime,
     is_reciprocal,
-    matpow,
-    rank,
     reciprocal_sign,
 )
 from connlab.graphs import from_spec
 from connlab.operators import bundle_for
-from oracles import inverse_unimodular
+from oracles import inverse_unimodular, matpow, rank
 
 entries = st.integers(min_value=-6, max_value=6)
 
@@ -334,6 +333,7 @@ def test_rank_of_factored_product(n, r, data):
     A = [[sum(B[i][k] * C[k][j] for k in range(r)) for j in range(n)] for i in range(n)]
     got = rank(IntMatrix(A))
     assert got <= r
+    assert certified_rank(IntMatrix(A)) == got
     # oracle: count pivots
     work = [[Fraction(x) for x in row] for row in A]
     pivots = 0
@@ -348,6 +348,60 @@ def test_rank_of_factored_product(n, r, data):
                 work[i] = [a - f * b for a, b in zip(work[i], work[pivots])]
         pivots += 1
     assert got == pivots
+
+
+def test_certified_rank_tries_primes_until_hadamard_bound():
+    # rank 1 over Q, but 0 mod the first prime (and mod the first two): the
+    # search must go on to a prime that misses the entry
+    p0, p1 = exact._prime(0), exact._prime(1)
+    for entry in (p0, p0 * p1, -p0 * p1):
+        m = IntMatrix([[entry, 0], [0, 0]])
+        assert certified_rank(m) == rank(m) == 1
+        assert certified_rank(m, [[0, 1]]) == 1
+    assert certified_rank(IntMatrix([[p0, p0], [p0, p0]]), [[1, -1]]) == 1
+
+
+def test_certified_rank_counts_only_valid_kernel_vectors():
+    m = IntMatrix([[1, 1, 0], [0, 0, 0]])
+    assert certified_rank(m) == 1
+    # not in the kernel, zero, or overlapping an earlier vector: each would
+    # lower the cap below the true rank if it were counted
+    for kernel in ([[1, 0, 0]], [[0, 0, 0], [0, 0, 0], [0, 0, 0]], [[1, -1, 0], [2, -2, 0], [0, 0, 1]]):
+        assert certified_rank(m, kernel) == 1
+    assert certified_rank(IntMatrix([], ncols=3), [[1, 0, 0]]) == 0
+    assert certified_rank(IntMatrix([[0, 0]])) == 0
+    assert certified_rank(IntMatrix([[5]], ncols=1)) == 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=1, max_value=6), st.integers(min_value=1, max_value=6), st.data())
+def test_certified_rank_matches_fraction_elimination_on_wide_entries(n, k, data):
+    wide = st.integers(min_value=-(10**12), max_value=10**12)
+    rows = data.draw(st.lists(st.lists(wide, min_size=k, max_size=k), min_size=n, max_size=n))
+    m = IntMatrix(rows, ncols=k)
+    assert certified_rank(m) == rank(m)
+
+
+def test_certified_rank_of_incidence_factors_on_corpus(corpus, monkeypatch):
+    # rank d = v - b0 and rank |d| = v - (bipartite components): with the
+    # component vectors the bounds meet at the first prime, and without
+    # them Hadamard's bound ends the search.  Fraction elimination is the
+    # oracle
+    from connlab.operators import _component_vectors
+
+    primes = []
+    real = exact._rank_mod
+    monkeypatch.setattr(exact, "_rank_mod", lambda a, p: primes.append(p) or real(a, p))
+    for spec, b in corpus.items():
+        indicators, colourings = _component_vectors(b.graph)
+        for d, kernel in ((b.incidence, indicators), (b.incidence_signless, colourings)):
+            want = rank(d)
+            # the vectors d maps to zero close the cap on their own
+            assert sum(not any(d.apply(x)) for x in kernel) == d.ncols - want, spec
+            primes.clear()
+            assert certified_rank(d, kernel) == want, spec
+            assert primes == [exact._prime(0)], spec
+            assert certified_rank(d) == want, spec
 
 
 def test_inverse_unimodular_round_trip():

@@ -3,6 +3,8 @@
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from connlab.graphs import (
     _FAMILIES,
@@ -13,6 +15,7 @@ from connlab.graphs import (
     gnm_random_graph,
     gnp_random_graph,
     load_graph,
+    parse_graph_text,
     save_graph,
 )
 
@@ -126,3 +129,67 @@ def test_save_load_round_trip(tmp_path):
     relabeled = tuple(sorted(tuple(sorted((mapping[u], mapping[v]))) for u, v in g.edges))
     assert h.n == g.n
     assert h.edges == relabeled
+
+
+@pytest.mark.parametrize("header", ["abc", "", "1e3", "0x10"])
+def test_bad_vertex_count_header_is_a_graph_error(header):
+    with pytest.raises(GraphError, match="line 2: vertex count is not an integer"):
+        parse_graph_text(f"# name: g\n# vertices: {header}\n0 1\n")
+    graph, _ = parse_graph_text("# vertices: 5\n0 1\n")
+    assert (graph.n, graph.edges) == (5, ((0, 1),))
+
+
+# Fuzzing the two parsers: whatever the text, the only exception they raise
+# is GraphError.  Numbers stay at most 64 so that no generator allocates
+# more than a few thousand vertices.
+_small = st.integers(min_value=-3, max_value=64)
+_number = st.one_of(
+    _small.map(str),
+    st.floats(min_value=-3, max_value=64, allow_nan=False).map(repr),
+    st.sampled_from(["", "x", "nan", "inf", "1e3", "2.", ".5", "0x4", "1_0", " 3", "-0", "1.0e999", "-1.0e999"]),
+)
+_family = st.sampled_from(sorted(_FAMILIES) + ["gnm", "gnp", "nosuch", ""])
+
+
+@st.composite
+def _specs(draw):
+    params = ",".join(draw(st.lists(_number, max_size=3)))
+    parts = [draw(_family)] + ([params] if draw(st.booleans()) else [])
+    if draw(st.booleans()):
+        parts.append("seed=" + draw(_number))
+    prefix = "bary:" * draw(st.integers(min_value=0, max_value=2))
+    return prefix + ":".join(parts)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_specs(), st.text(max_size=30)))
+def test_from_spec_raises_only_graph_error(spec):
+    try:
+        from_spec(spec)
+    except GraphError:
+        pass
+
+
+@pytest.mark.parametrize("spec", ["cycle:1.0e999", "grid:2,-1.0e999", "gnm:1.0e999,2:seed=1"])
+def test_infinite_spec_parameter_is_a_graph_error(spec):
+    # int(float("1.0e999")) raised OverflowError
+    with pytest.raises(GraphError, match="not finite"):
+        from_spec(spec)
+
+
+_line = st.one_of(
+    st.tuples(_number, _number).map(" ".join),
+    _number.map(lambda x: f"# vertices: {x}"),
+    _number.map(lambda x: f"# name: {x}"),
+    st.text(alphabet="0123456789 -#:xv\t", max_size=12),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_line, max_size=8), st.text(max_size=20))
+def test_parse_graph_text_raises_only_graph_error(lines, noise):
+    for text in ("\n".join(lines), "\n".join(lines + [noise])):
+        try:
+            parse_graph_text(text)
+        except GraphError:
+            pass

@@ -13,7 +13,7 @@ import pytest
 import connlab.operators as operators
 from connlab.complexes import build_complex
 from connlab.exact import IntMatrix, SingularMatrixError, det
-from connlab.graphs import from_spec
+from connlab.graphs import Graph, from_spec, parse_graph_text
 from connlab.operators import (
     OperatorBundle,
     block,
@@ -29,7 +29,7 @@ from connlab.operators import (
     trace_report,
 )
 from conftest import SAMPLE_SPECS
-from oracles import inverse_unimodular
+from oracles import inverse_unimodular, supersymmetry_charpoly
 
 FIG8_L = IntMatrix(
     [
@@ -340,3 +340,70 @@ def test_nonzeros_are_collected_once_per_operator(monkeypatch):
     counts.clear()
     perron_limits(g)
     assert counts[L] == 1 and counts[green] == 1
+
+
+# graphs the corpus lacks: several components, isolated vertices, no edges
+EXTRA_GRAPHS = {
+    "two components": "0 1\n1 2\n2 0\n3 4\n4 5\n5 6\n6 3\n",
+    "isolated vertices": "# vertices: 9\n0 1\n1 2\n2 3\n3 0\n1 3\n",
+    "odd cycle, tree and isolated": "# vertices: 8\n0 1\n1 2\n2 0\n3 4\n4 5\n",
+    "no edges": "# vertices: 4\n",
+}
+
+
+def _extra_bundles():
+    bundles = {name: bundle_for(parse_graph_text(text)[0]) for name, text in EXTRA_GRAPHS.items()}
+    bundles["one vertex"] = bundle_for(Graph(1))
+    return bundles
+
+
+def test_supersymmetry_report_matches_the_charpoly_oracle(corpus):
+    # the factor certificates against the four charpolys they replaced, on
+    # all eight fields, over the corpus and the graphs it lacks
+    bundles = {**corpus, **_extra_bundles()}
+    for name, b in bundles.items():
+        report = supersymmetry_report(b)
+        assert report == supersymmetry_charpoly(b), name
+        assert report.ok, name
+    isolated = supersymmetry_report(bundles["odd cycle, tree and isolated"])
+    # components: the triangle, the path 3-4-5, and vertices 6 and 7; only
+    # the triangle is not bipartite
+    assert (isolated.betti0, isolated.betti1, isolated.signless_kernel0) == (4, 1, 3)
+    assert supersymmetry_report(bundles["one vertex"]) == operators.SupersymmetryReport(
+        1, 0, 1, 0, True, 1, 0, True
+    )
+
+
+def test_supersymmetry_report_rejects_a_permuted_edge_block():
+    # P H1 P^T has the charpoly of H1, so the charpoly route passes it; it
+    # is not d d^T, so the factor certificate does not
+    b = bundle_for(from_spec("figure8"))
+    order = list(range(b.e))[::-1]
+    for name in ("hodge1", "hodge1_signless"):
+        h1 = getattr(b, name)
+        broken = OperatorBundle(b.complex)
+        broken.__dict__[name] = IntMatrix([[h1.rows[i][j] for j in order] for i in order])
+        assert broken.__dict__[name] != h1
+        assert supersymmetry_charpoly(broken).ok, name
+        assert not supersymmetry_report(broken).ok, name
+
+
+def test_supersymmetry_report_rejects_a_vertex_block_that_is_not_kirchhoff():
+    # a relabelled H0 has the right spectrum but is not the Kirchhoff matrix
+    b = bundle_for(from_spec("figure8"))
+    order = [1, 0] + list(range(2, b.v))
+    broken = OperatorBundle(b.complex)
+    broken.__dict__["hodge0"] = IntMatrix([[b.hodge0.rows[i][j] for j in order] for i in order])
+    assert broken.hodge0 != b.kirchhoff
+    assert supersymmetry_charpoly(broken).ok
+    assert not supersymmetry_report(broken).ok
+    # a tree whose incidence has one unsigned row: H0 = d^T d and H1 = d d^T
+    # still hold and every kernel count is right, but d^T d has a +1 where
+    # the Kirchhoff matrix has a -1
+    tree = bundle_for(from_spec("path:4"))
+    broken = OperatorBundle(tree.complex)
+    broken.__dict__["incidence"] = IntMatrix([[1, 1, 0, 0]] + tree.incidence.rows[1:])
+    assert supersymmetry_charpoly(broken).ok
+    report = supersymmetry_report(broken)
+    assert (report.kernel0, report.kernel1) == (1, 0)
+    assert not report.nonzero_match and not report.ok

@@ -50,6 +50,15 @@ def test_elimination_inverses_stay_in_the_oracles():
     assert users == {"operators"}
 
 
+def test_charpoly_stays_with_reciprocity_and_spectra():
+    # supersymmetry rests on factor certificates; the charpoly route it
+    # replaced is the oracle in tests/oracles.py, so only reciprocity (cli,
+    # products) and the spectrum validation name charpoly
+    package = ROOT / "src" / "connlab"
+    users = {p.stem for p in package.glob("*.py") if "charpoly" in _referenced_names(p)}
+    assert users - {"exact", "__init__"} == {"cli", "products", "spectra"}
+
+
 def _load_tracing():
     spec = importlib.util.spec_from_file_location("perfbench_tracing", ROOT / "perfbench" / "tracing.py")
     module = importlib.util.module_from_spec(spec)
@@ -71,7 +80,8 @@ def test_layer_harness_reports_every_declared_metric(capsys):
     capsys.readouterr()
     metrics = tracer.layer_metrics(2, 0)
     assert declared - {"trace_overhead_s"} <= set(metrics)
-    assert metrics["exact.charpoly.calls"][0] == 5
+    # reciprocity's one charpoly of L; supersymmetry runs none
+    assert metrics["exact.charpoly.calls"][0] == 1
     assert metrics["exact.field_inverse.self_s"][0] > 0
     assert not hasattr(connlab.exact.FieldMatrix.apply, "__wrapped__")
 

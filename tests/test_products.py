@@ -3,7 +3,7 @@ failure of the hydrogen identity on nontrivial products."""
 
 import pytest
 
-from connlab.exact import IntMatrix, charpoly, det, matpow, reciprocal_sign
+from connlab.exact import IntMatrix, charpoly, det, reciprocal_sign
 from connlab.graphs import from_spec
 from connlab.operators import bundle_for
 from connlab.products import (
@@ -17,7 +17,7 @@ from connlab.products import (
     spectral_errors,
     two_time_walk,
 )
-from oracles import inverse_unimodular
+from oracles import inverse_unimodular, matpow
 
 PAIRS = [
     ("complete:2", "complete:2"),

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from connlab.exact import IntMatrix, charpoly, matpow
+from connlab.exact import IntMatrix, charpoly
 from connlab.graphs import from_spec
 from connlab.operators import bundle_for
 from connlab.spectra import (
@@ -27,6 +27,7 @@ from connlab.spectra import (
     validate_spectrum_against_charpoly,
 )
 from conftest import SAMPLE_SPECS
+from oracles import matpow
 
 
 def test_eig_sym_rejects_asymmetric():
