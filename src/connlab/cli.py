@@ -20,7 +20,7 @@ import json
 import math
 import os
 import sys
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .dynamics import (
     AutomatonState,
@@ -300,14 +300,28 @@ def _parse_state(text: str | None, n: int) -> tuple[int, ...]:
     return values
 
 
+def _print_states(states: Iterable[tuple[int, Sequence[int]]]) -> None:
+    """One line {"n":n,"state":[...]} per (time, state): the bytes of
+    json.dumps with compact separators.  Exact states outgrow Python's
+    int-to-str digit limit, so it is lifted while they are written."""
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        for n, state in states:
+            print(f'{{"n":{n},"state":[{",".join(map(str, state))}]}}')
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
 def cmd_walk(args) -> int:
     g = _load_graph_arg(args.graph)
     bundle = bundle_for(g)
     psi0 = _parse_state(args.state, bundle.size)
     n_min = -args.steps if args.reverse else 0
     traj = walk(bundle, psi0, n_min, args.steps)
-    for n in traj.times():
-        print(json.dumps({"n": n, "state": list(traj[n])}, separators=(",", ":")))
+    _print_states((n, traj[n]) for n in traj.times())
     residual = jacobi_residual(traj, bundle.hodge_signless) if args.steps >= 2 and args.reverse else None
     if args.reverse:
         # round trip: march the forward endpoint back down with the exact inverse
@@ -331,8 +345,7 @@ def cmd_automaton(args) -> int:
     psi0 = tuple(x % p for x in _parse_state(args.state, bundle.size))
     n_min = -args.steps if args.reverse else 0
     states = automaton_run(bundle, AutomatonState(p, psi0, 0), n_min, args.steps)
-    for s in states:
-        print(json.dumps({"n": s.time, "state": list(s.vector)}, separators=(",", ":")))
+    _print_states((s.time, s.vector) for s in states)
     if args.reverse:
         # round trip: march the forward endpoint back down with g mod p
         for state in _field_orbit(field_reduce(bundle.green, p), states[-1].vector, args.steps):

@@ -22,10 +22,12 @@ product is for the certificate.
 
 IntMatrix.nonzeros holds the (column, value) pairs of each row, collected
 once per matrix on first use; it is the one place where the nonzeros of a
-row are gathered.  IntMatrix.apply steps a vector over them, so each mat-vec
-costs O(nnz) rather than O(n^2), and the L g = I certificate, the
-Schur-complement det, the squared traces and the k-walk counts read them
-too.  Sums, transpose, kron and @ stay dense.
+row are gathered.  The L g = I certificate, the Schur-complement det, the
+squared traces and the k-walk counts read them.  IntMatrix.apply reads the
+same nonzeros laid out once as compressed rows (numpy index arrays beside
+an object array of values), so each mat-vec is one gather of the vector,
+one multiply and one segmented sum, O(nnz) and on exact Python ints
+throughout.  Sums, transpose, kron and @ stay dense.
 """
 
 from __future__ import annotations
@@ -51,11 +53,12 @@ class IntMatrix:
 
     Rows are plain lists of Python ints, so entries never overflow.  The
     shape is stored explicitly so 0-row matrices (edgeless incidence blocks)
-    round-trip correctly.  The nonzeros are collected on first use and kept,
-    so rows must not be changed after that; copy() starts afresh.
+    round-trip correctly.  The nonzeros and their compressed-row layout are
+    collected on first use and kept, so rows must not be changed after that;
+    copy() starts afresh.
     """
 
-    __slots__ = ("rows", "nrows", "ncols", "_nonzeros")
+    __slots__ = ("rows", "nrows", "ncols", "_nonzeros", "_csr")
 
     def __init__(self, rows: Sequence[Sequence[int]], ncols: int | None = None):
         self.rows = [list(map(int, r)) for r in rows]
@@ -71,6 +74,7 @@ class IntMatrix:
                 raise ShapeError("empty matrix needs an explicit column count")
             self.ncols = ncols
         self._nonzeros: list[list[tuple[int, int]]] | None = None
+        self._csr: tuple | None = None
 
     # -- constructors ------------------------------------------------------
 
@@ -138,11 +142,47 @@ class IntMatrix:
             self._nonzeros = [[(j, row[j]) for j in compress(cols, row)] for row in self.rows]
         return self._nonzeros
 
+    def _compressed_rows(self) -> tuple:
+        """(cols, starts, values, filled): the nonzeros in compressed rows.
+
+        cols is every nonzero's column, row by row (intp); starts is where
+        each nonempty row begins in it (intp), and filled lists those rows,
+        or is None when no row is empty.  values is an object array of the
+        entries, or None when every entry is 1.
+        """
+        if self._csr is None:
+            rows = self.nonzeros
+            filled = [i for i, row in enumerate(rows) if row]
+            starts = np.cumsum([0] + [len(rows[i]) for i in filled[:-1]], dtype=np.intp)
+            cols = np.array([j for row in rows for j, _ in row], dtype=np.intp)
+            values = [a for row in rows for _, a in row]
+            self._csr = (
+                cols,
+                starts,
+                None if all(a == 1 for a in values) else np.array(values, dtype=object),
+                None if len(filled) == self.nrows else np.array(filled, dtype=np.intp),
+            )
+        return self._csr
+
     def apply(self, vec: Sequence[int]) -> tuple[int, ...]:
-        """m @ vec, one multiply-add per nonzero."""
+        """m @ vec, one multiply-add per nonzero, on exact Python ints."""
         if len(vec) != self.ncols:
             raise ShapeError("vector length does not match column count")
-        return tuple([sum([a * vec[j] for j, a in row]) for row in self.nonzeros])
+        cols, starts, values, filled = self._compressed_rows()
+        if not len(cols):
+            return (0,) * self.nrows
+        terms = np.array(vec, dtype=object)[cols]
+        if values is not None:
+            terms *= values
+        # reduceat sums terms[starts[k]:starts[k+1]]; an empty row would get
+        # the next row's first term instead of 0, so only nonempty rows are
+        # summed and the rest are scattered around zeros
+        sums = np.add.reduceat(terms, starts)
+        if filled is None:
+            return tuple(sums.tolist())
+        out = np.zeros(self.nrows, dtype=object)
+        out[filled] = sums
+        return tuple(out.tolist())
 
     def transpose(self) -> "IntMatrix":
         if not self.rows:

@@ -326,12 +326,41 @@ def generate(family: str, *params: int | float, seed: int | None = None) -> Grap
     raise GraphError(f"unknown family {family!r}")
 
 
+# (vertices, edges) of each family member read off its parameters, with a
+# bound in place of the edges where that is simpler; for gnp the bound is the
+# number of pairs the generator visits
+_SIZES = {
+    "cycle": lambda n: (n, n),
+    "path": lambda n: (n, n - 1),
+    "star": lambda d: (d + 1, d),
+    "wheel": lambda d: (d + 1, 2 * d),
+    "complete": lambda n: (n, n * (n - 1) // 2),
+    "complete_bipartite": lambda a, b: (a + b, a * b),
+    "grid": lambda r, c: (r * c, 2 * r * c),
+    "petersen": lambda m, k: (2 * m, 3 * m),
+    "figure8": lambda: (7, 8),
+    "gnm": lambda n, m: (n, m),
+    "gnp": lambda n, p: (n, n * (n - 1) // 2),
+}
+
+MAX_SPEC_CELLS = 10**6  # vertices plus edges of the largest graph a spec may build
+
+
 def from_spec(spec: str, seed: int | None = None) -> Graph:
     """Parse an inline generator spec such as 'cycle:8', 'grid:6,3',
-    'gnm:20,50:seed=7', or 'bary:cycle:4' (barycentric refinement prefix)."""
+    'gnm:20,50:seed=7', or 'bary:cycle:4' (barycentric refinement prefix).
+
+    A spec whose graph would have more than MAX_SPEC_CELLS vertices plus
+    edges is rejected from its parameters, before anything is built.
+    """
+    return _from_spec(spec, seed, 0)
+
+
+def _from_spec(spec: str, seed: int | None, refinements: int) -> Graph:
+    """from_spec of a spec that had `refinements` bary: prefixes taken off."""
     text = spec.strip()
     if text.startswith("bary:"):
-        return barycentric_refinement(from_spec(text[5:], seed))
+        return barycentric_refinement(_from_spec(text[5:], seed, refinements + 1))
     parts = text.split(":")
     family = parts[0]
     params: tuple[int | float, ...] = ()
@@ -347,6 +376,14 @@ def from_spec(spec: str, seed: int | None = None) -> Graph:
         raise GraphError(f"spec {spec!r} has a parameter that is not a number") from None
     if not all(map(math.isfinite, params)):
         raise GraphError(f"spec {spec!r} has a parameter that is not finite")
+    size = _SIZES.get(family)
+    if size is not None and size.__code__.co_argcount == len(params):
+        n, e = size(*[max(int(x), 0) for x in params])
+        for _ in range(refinements):
+            n, e = n + e, 2 * e
+        if n + e > MAX_SPEC_CELLS:
+            full = "bary:" * refinements + text
+            raise GraphError(f"spec {full!r} has {n + e} cells, above the cap of {MAX_SPEC_CELLS}")
     return generate(family, *params, seed=seed)
 
 

@@ -11,10 +11,15 @@ compared with their zero roots stripped.  rank is Gaussian elimination on
 Fractions, the oracle for exact.certified_rank; matpow is dense binary
 exponentiation; quaternion_branch_rank builds the 4n x 4n branch map from
 both and takes its rank.
+
+jacobi_residual_two_apply is the Jacobi residual with |H| applied twice at
+every time, the route dynamics.jacobi_residual keeps only for one-parity
+branches.
 """
 
 from fractions import Fraction
 
+from connlab.dynamics import DynamicsError, Trajectory
 from connlab.exact import IntMatrix, IntPolynomial, ShapeError, SingularMatrixError, charpoly
 from connlab.graphs import betti_numbers
 from connlab.operators import OperatorBundle, SupersymmetryReport
@@ -159,3 +164,18 @@ def quaternion_branch_rank(bundle: OperatorBundle) -> int:
                 blocks[0].rows[i] + blocks[1].rows[i] + blocks[2].rows[i] + blocks[3].rows[i]
             )
     return rank(IntMatrix(rows))
+
+
+def jacobi_residual_two_apply(t: Trajectory, habs: IntMatrix) -> int:
+    """max over n of |psi(n+2) - 2 psi(n) + psi(n-2) - |H|(|H| psi(n))|_inf."""
+    worst = None
+    for n in t.times():
+        if n + 2 not in t or n - 2 not in t:
+            continue
+        hi, mid, lo = t[n + 2], t[n], t[n - 2]
+        pulled = habs.apply(habs.apply(mid))
+        residual = max(abs(hi[i] - 2 * mid[i] + lo[i] - pulled[i]) for i in range(len(mid)))
+        worst = residual if worst is None else max(worst, residual)
+    if worst is None:
+        raise DynamicsError("trajectory does not cover any n-2, n, n+2 triple")
+    return worst

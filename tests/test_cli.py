@@ -4,6 +4,7 @@ import csv
 import hashlib
 import io
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -186,6 +187,30 @@ def test_walk_jsonl_round_trip(capsys):
     assert all(isinstance(x, int) for rec in lines for x in rec["state"])
 
 
+@pytest.fixture
+def int_str_digits():
+    """Sets Python's int-to-str digit limit; the old limit is restored after."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this Python has no int-to-str digit limit")
+    old = sys.get_int_max_str_digits()
+    yield sys.set_int_max_str_digits
+    sys.set_int_max_str_digits(old)
+
+
+def test_walk_prints_states_past_the_int_str_digit_limit(capsys, int_str_digits):
+    argv = ("walk", "complete:8", "--steps", "700", "--reverse")
+    int_str_digits(0)
+    code, unlimited, _ = run(capsys, *argv)
+    assert code == 0
+    last = json.loads(unlimited.splitlines()[-1])["state"]
+    assert len(str(max(map(abs, last)))) > 640
+    int_str_digits(640)  # the smallest limit Python accepts
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out == unlimited
+    assert sys.get_int_max_str_digits() == 640
+
+
 def test_automaton_round_trip(capsys):
     code, out, _ = run(capsys, "automaton", "figure8", "--field", "7", "--steps", "5", "--reverse")
     assert code == 0
@@ -281,6 +306,10 @@ def test_usage_error_exits_2():
         (("newton", "path:4", "--tol", "nan"), "error: argument --tol: nan is not finite"),
         (("newton", "path:4", "--max-iter", "-1"), "error: argument --max-iter: -1 is negative"),
         (("newton", "path:4", "--max-iter", "x"), "error: argument --max-iter: 'x' is not an integer"),
+        (
+            ("walk", "complete:99999999999"),
+            "error: spec 'complete:99999999999' has 4999999999950000000000 cells, above the cap of 1000000",
+        ),
     ],
 )
 def test_usage_errors_print_one_line_and_exit_2(capsys, argv, message):

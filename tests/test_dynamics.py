@@ -12,6 +12,7 @@ from connlab.dynamics import (
     DynamicsError,
     EnvironmentSequence,
     QuaternionField,
+    Trajectory,
     automaton_run,
     cocycle,
     combined_solution,
@@ -32,10 +33,10 @@ from connlab.exact import (
     field_inverse,
     field_reduce,
 )
-from connlab.graphs import from_spec
+from connlab.graphs import Graph, from_spec
 from connlab.operators import bundle_for
 from conftest import SAMPLE_SPECS
-from oracles import inverse_unimodular, quaternion_branch_rank
+from oracles import inverse_unimodular, jacobi_residual_two_apply, quaternion_branch_rank
 
 
 def _unit(n, i=0):
@@ -54,6 +55,14 @@ def test_walk_round_trip_and_jacobi(spec):
     assert b.green.apply(fwd) == psi0
     # full-time trajectories of L^n satisfy the Jacobi recurrence exactly
     assert jacobi_residual(traj, b.hodge_signless) == 0
+
+
+def test_automaton_state_entries_must_be_reduced():
+    for vector in ((0, 5), (-1, 0), (7, 1)):
+        with pytest.raises(DynamicsError, match="reduced mod p"):
+            AutomatonState(5, vector, 0)
+    assert AutomatonState(5, (0, 4), 0).vector == (0, 4)
+    assert AutomatonState(5, (), 0).vector == ()
 
 
 def test_walk_rejects_bad_range():
@@ -89,6 +98,56 @@ def test_jacobi_ivp_matches_branch_construction():
         assert recovered[t] == total[t]
 
 
+def _bumped(t, n, i, delta):
+    """t with entry i of psi(n) changed by delta."""
+    states = dict(t.states)
+    states[n] = tuple(x + delta * (j == i) for j, x in enumerate(states[n]))
+    return Trajectory(states, t.provenance)
+
+
+def _has_hydrogen_defect(t, habs):
+    """Some |H| psi(n) - psi(n+1) + psi(n-1) is nonzero."""
+    return any(
+        habs.apply(t[n]) != tuple(a - c for a, c in zip(t[n + 1], t[n - 1]))
+        for n in t.times()
+        if n - 1 in t and n + 1 in t
+    )
+
+
+def _assert_residual_matches_oracle(t, habs, rng):
+    assert jacobi_residual(t, habs) == jacobi_residual_two_apply(t, habs) == 0
+    # a bump at a time n with n-2, n+2 recorded breaks the equation at n
+    inner = [n for n in t.times() if n - 2 in t and n + 2 in t]
+    n = rng.choice(inner)
+    bumped = _bumped(t, n, rng.randrange(t.dimension), rng.choice((-1, 1)) * rng.randrange(1, 10**20))
+    residual = jacobi_residual(bumped, habs)
+    assert residual == jacobi_residual_two_apply(bumped, habs) != 0
+    return bumped
+
+
+def test_jacobi_residual_matches_two_apply_oracle_on_corpus_walks(corpus):
+    rng = random.Random(12)
+    for spec, b in corpus.items():
+        habs = b.hodge_signless
+        psi0 = tuple(rng.randrange(-(10**12), 10**12) for _ in range(b.size))
+        traj = walk(b, psi0, -4, 4)
+        assert not _has_hydrogen_defect(traj, habs)
+        assert _has_hydrogen_defect(_assert_residual_matches_oracle(traj, habs, rng), habs), spec
+
+
+def test_jacobi_residual_matches_two_apply_oracle_on_branches_and_ivp(sample):
+    rng = random.Random(13)
+    for spec, b in sample.items():
+        n = b.size
+        habs = b.hodge_signless
+        quad = [tuple(rng.randrange(-9, 10) for _ in range(n)) for _ in range(4)]
+        branches = quaternion_solution(b, QuaternionField(*quad), 3)
+        ivp = jacobi_ivp(habs, quad, -5, 6)
+        assert _has_hydrogen_defect(ivp, habs), spec
+        for t in (*branches, combined_solution(branches), ivp):
+            _assert_residual_matches_oracle(t, habs, rng)
+
+
 @pytest.mark.parametrize(
     "spec, expected_rank, dim",
     [("complete:2", 10, 12), ("cycle:4", 28, 32), ("figure8", 54, 60)],
@@ -116,8 +175,6 @@ def test_perron_limits_on_cycle4():
 def test_perron_limits_requires_irreducible():
     g = from_spec("complete:2")
     # two disjoint copies: build a disconnected graph by hand
-    from connlab.graphs import Graph
-
     disconnected = Graph(4, ((0, 1), (2, 3)))
     b = bundle_for(disconnected)
     with pytest.raises(DynamicsError):
@@ -226,16 +283,34 @@ def _dense_apply(m, vec):
     return tuple(x % m.p for x in out) if isinstance(m, FieldMatrix) else out
 
 
+def _apply_cases(b):
+    """L, g, |H| and the signed and signless incidence d, |d| and d^T."""
+    d = b.incidence
+    yield from (("L", b.connection), ("g", b.green), ("Habs", b.hodge_signless))
+    yield from (("d", d), ("|d|", b.incidence_signless), ("d^T", d.transpose()))
+
+
 def test_sparse_step_matches_dense_apply(corpus):
     rng = random.Random(20)
-    for spec, b in corpus.items():
-        vec = tuple(rng.randrange(-10**30, 10**30) for _ in range(b.size))
-        for name, m in (("L", b.connection), ("g", b.green), ("Habs", b.hodge_signless)):
+    # |H| of a graph with isolated vertices has zero rows, and d^T has them
+    # last; an edgeless graph has a 0-row incidence and an all-zero |H|
+    extra = {"isolated": Graph(6, ((1, 2), (2, 3))), "edgeless": Graph(3, ())}
+    bundles = {**corpus, **{name: bundle_for(g) for name, g in extra.items()}}
+    p = 1_000_003
+    for spec, b in bundles.items():
+        for name, m in _apply_cases(b):
+            # entries far above 2^63, so no int64 route can pass
+            vec = tuple(rng.randrange(-(2**100), 2**100) for _ in range(m.ncols))
             assert m.apply(vec) == _dense_apply(m, vec), (spec, name)
-            p = 1_000_003
             mp = field_reduce(m, p)
             reduced = tuple(x % p for x in vec)
             assert mp.apply(reduced) == _dense_apply(mp, reduced), (spec, name)
+    isolated = bundles["isolated"]
+    assert [i for i, row in enumerate(isolated.hodge_signless.rows) if not any(row)] == [0, 4, 5]
+    assert not any(isolated.incidence.transpose().rows[-1])
+    assert bundles["edgeless"].incidence.shape == (0, 3)
+    for m in (IntMatrix([], ncols=0), IntMatrix([], ncols=2), IntMatrix([[], []], ncols=0)):
+        assert m.apply((2**64,) * m.ncols) == _dense_apply(m, (2**64,) * m.ncols) == (0,) * m.nrows
 
 
 def _dense_orbit(Lp, gp, start, n_min, n_max):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import connlab.graphs as graphs
 from connlab.graphs import (
     _FAMILIES,
     GraphError,
@@ -175,6 +176,27 @@ def test_infinite_spec_parameter_is_a_graph_error(spec):
     # int(float("1.0e999")) raised OverflowError
     with pytest.raises(GraphError, match="not finite"):
         from_spec(spec)
+
+
+@pytest.mark.parametrize(
+    "spec, family",
+    [("complete:99999999999", "complete"), ("bary:grid:100000,100000", "grid"), ("complete:1414", "complete")],
+)
+def test_oversized_spec_is_rejected_before_building(monkeypatch, spec, family):
+    def build(*params):
+        raise AssertionError(f"{family}{params} was built")
+
+    monkeypatch.setitem(graphs._FAMILIES, family, (build, graphs._FAMILIES[family][1]))
+    with pytest.raises(GraphError, match=f"^spec '{spec}' has .* cells, above the cap of {graphs.MAX_SPEC_CELLS}$"):
+        from_spec(spec)
+
+
+def test_spec_cap_keeps_the_large_barycentric_grid():
+    assert graphs.MAX_SPEC_CELLS >= 10**6
+    g = from_spec("bary:grid:60,60")
+    assert g.n + g.e == 24840
+    # complete:1414 has 1000405 cells, just above the cap; 1413 is just below
+    assert from_spec("complete:1413").e == 1413 * 1412 // 2
 
 
 _line = st.one_of(

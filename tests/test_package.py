@@ -87,14 +87,16 @@ def test_layer_harness_reports_every_declared_metric(capsys):
 
 
 def test_layer_harness_counts_the_walk_mat_vecs(capsys):
-    # 3 forward and 3 backward steps, 2 |H| mat-vecs at each of the 3 times
-    # of the Jacobi residual, and 3 steps of the reverse round trip
+    # N forward and N backward steps, N steps of the reverse round trip, and
+    # one |H| mat-vec at each of the 2N - 1 times -N+1..N-1 that the Jacobi
+    # residual reads: 5N - 1
     tracing = _load_tracing()
-    tracer = tracing.Tracer()
-    tracer.install()
-    try:
-        assert cli.main(["walk", "cycle:4", "--steps", "3", "--reverse"]) == 0
-    finally:
-        tracer.uninstall()
-    capsys.readouterr()
-    assert tracer.layer_metrics(1, 0)["exact.apply.calls"][0] == 15
+    for spec, steps, mat_vecs in (("cycle:4", 3, 14), ("cycle:12", 20, 99)):
+        tracer = tracing.Tracer()
+        tracer.install()
+        try:
+            assert cli.main(["walk", spec, "--steps", str(steps), "--reverse"]) == 0
+        finally:
+            tracer.uninstall()
+        capsys.readouterr()
+        assert tracer.layer_metrics(1, 0)["exact.apply.calls"][0] == mat_vecs == 5 * steps - 1
