@@ -15,12 +15,13 @@ traceback.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
 import os
 import sys
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .dynamics import (
     AutomatonState,
@@ -142,7 +143,7 @@ def _verify_checks(bundle: OperatorBundle) -> list[tuple[str, bool, str]]:
 
     star = bundle.green
     try:
-        same = schur_inverse(L, bundle.v).rows == star.rows
+        same = schur_inverse(L, bundle.v) == star
     except (ValueError, SingularMatrixError):
         same = False
     results.append(
@@ -288,13 +289,32 @@ def cmd_spectrum(args) -> int:
 # walk and automaton
 
 
+@contextlib.contextmanager
+def _unlimited_int_digits() -> Iterator[None]:
+    """Lift Python's int/str conversion digit limit, where it has one, for
+    the duration of the block.  Exact states outgrow it."""
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
+_STATE_ECHO = 40  # characters of a malformed --state quoted in its error
+
+
 def _parse_state(text: str | None, n: int) -> tuple[int, ...]:
     if text is None:
         return tuple([1] + [0] * (n - 1))
     try:
-        values = tuple(int(tok) for tok in text.split(","))
+        with _unlimited_int_digits():
+            values = tuple(int(tok) for tok in text.split(","))
     except ValueError:
-        raise UsageError(f"state {text!r} is not a comma-separated list of integers") from None
+        shown = text if len(text) <= _STATE_ECHO else text[:_STATE_ECHO] + "..."
+        raise UsageError(f"state {shown!r} is not a comma-separated list of integers") from None
     if len(values) != n:
         raise UsageError(f"state has {len(values)} entries, expected {n}")
     return values
@@ -302,17 +322,10 @@ def _parse_state(text: str | None, n: int) -> tuple[int, ...]:
 
 def _print_states(states: Iterable[tuple[int, Sequence[int]]]) -> None:
     """One line {"n":n,"state":[...]} per (time, state): the bytes of
-    json.dumps with compact separators.  Exact states outgrow Python's
-    int-to-str digit limit, so it is lifted while they are written."""
-    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
-    if limit:
-        sys.set_int_max_str_digits(0)
-    try:
+    json.dumps with compact separators, written past the digit limit."""
+    with _unlimited_int_digits():
         for n, state in states:
             print(f'{{"n":{n},"state":[{",".join(map(str, state))}]}}')
-    finally:
-        if limit:
-            sys.set_int_max_str_digits(limit)
 
 
 def cmd_walk(args) -> int:

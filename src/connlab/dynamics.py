@@ -20,8 +20,8 @@ Every function here takes a graph, a complex or an OperatorBundle, and the
 one inverse it uses is the bundle's green: the star formula, certified by
 L @ g = I.  Integer walks and the powers behind the Perron limits step with
 IntMatrix.apply, a numpy gather and segmented sum on exact Python ints over
-the nonzeros of L, g and |H| only, which each cached operator collects
-once; the Jacobi residual applies |H| once per time along a walk.  The
+the nonzeros of L, g and |H| only, which each cached operator is stored
+as; the Jacobi residual applies |H| once per time along a walk.  The
 automaton is stepped as numpy mat-vecs of L and g reduced mod p.  Nothing
 here eliminates.
 """
@@ -422,9 +422,9 @@ def _field_orbit(m: FieldMatrix, start: Sequence[int], steps: int) -> Iterator[V
     one never holds the orbit.
     """
     p = m.p
-    bound = max(map(sum, m.rows), default=0) * (p - 1)
+    bound = max(m.row_sums(), default=0) * (p - 1)
     dtype = np.int64 if bound < 2**63 and p < 2**63 else object
-    a = np.array(m.rows, dtype=dtype).reshape(m.nrows, m.ncols)
+    a = m.to_array(dtype)
     x = np.array(start, dtype=dtype)
     yield tuple(start)
     for _ in range(steps):

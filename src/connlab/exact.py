@@ -20,14 +20,16 @@ products multiplies the factors' determinants.  Bareiss det serves the
 charpoly certificate and is the test oracle for those routes, as the dense
 product is for the certificate.
 
-IntMatrix.nonzeros holds the (column, value) pairs of each row, collected
-once per matrix on first use; it is the one place where the nonzeros of a
-row are gathered.  The L g = I certificate, the Schur-complement det, the
-squared traces and the k-walk counts read them.  IntMatrix.apply reads the
-same nonzeros laid out once as compressed rows (numpy index arrays beside
-an object array of values), so each mat-vec is one gather of the vector,
-one multiply and one segmented sum, O(nnz) and on exact Python ints
-throughout.  Sums, transpose, kron and @ stay dense.
+An IntMatrix is stored as IntMatrix.nonzeros, the (column, value) pairs of
+each row; the operators are built that way (IntMatrix.from_nonzeros), and
+their dense rows are a view built on first read.  The L g = I certificate,
+the Schur-complement det, the squared traces, the k-walk counts, equality,
+sums and differences, abs, scale, transpose and the entry reductions run
+over the pairs, and to_float scatters them into numpy.  IntMatrix.apply
+reads the same nonzeros laid out once as compressed rows (numpy index
+arrays beside an object array of values), so each mat-vec is one gather of
+the vector, one multiply and one segmented sum, O(nnz) and on exact Python
+ints throughout.  @, kron, det and the charpoly input read the dense rows.
 """
 
 from __future__ import annotations
@@ -49,23 +51,27 @@ class SingularMatrixError(ArithmeticError):
 
 
 class IntMatrix:
-    """Dense integer matrix with exact arithmetic.
+    """Integer matrix with exact arithmetic, held as the nonzeros of its rows.
 
-    Rows are plain lists of Python ints, so entries never overflow.  The
-    shape is stored explicitly so 0-row matrices (edgeless incidence blocks)
-    round-trip correctly.  The nonzeros and their compressed-row layout are
-    collected on first use and kept, so rows must not be changed after that;
-    copy() starts afresh.
+    Row i of `nonzeros` is the list of (column, value) pairs of its nonzero
+    entries in increasing column order; values are Python ints, so entries
+    never overflow.  The shape is stored explicitly, so 0-row and 0-column
+    matrices round-trip.  A matrix built by from_nonzeros keeps those pairs
+    and builds the dense `rows` (lists of Python ints) on first read; one
+    built from dense rows keeps them and collects its nonzeros on first use.
+    Whatever is built is kept, together with the compressed-row layout of
+    apply, so a matrix must not be changed once it is in use; copy() gives
+    fresh dense rows to edit.
     """
 
-    __slots__ = ("rows", "nrows", "ncols", "_nonzeros", "_csr")
+    __slots__ = ("_rows", "nrows", "ncols", "_nonzeros", "_csr")
 
     def __init__(self, rows: Sequence[Sequence[int]], ncols: int | None = None):
-        self.rows = [list(map(int, r)) for r in rows]
-        self.nrows = len(self.rows)
+        self._rows = [list(map(int, r)) for r in rows]
+        self.nrows = len(self._rows)
         if self.nrows:
-            self.ncols = len(self.rows[0])
-            if any(len(r) != self.ncols for r in self.rows):
+            self.ncols = len(self._rows[0])
+            if any(len(r) != self.ncols for r in self._rows):
                 raise ShapeError("ragged rows")
             if ncols is not None and ncols != self.ncols:
                 raise ShapeError("declared column count does not match rows")
@@ -79,15 +85,55 @@ class IntMatrix:
     # -- constructors ------------------------------------------------------
 
     @classmethod
+    def from_nonzeros(
+        cls, nonzeros: list[list[tuple[int, int]]], nrows: int, ncols: int
+    ) -> "IntMatrix":
+        """The nrows x ncols matrix whose row i has the (column, value) pairs
+        nonzeros[i], given in increasing column order with nonzero values.
+        The lists are kept as they are, not copied."""
+        if len(nonzeros) != nrows:
+            raise ShapeError(f"{len(nonzeros)} rows of nonzeros for {nrows} rows")
+        m = cls.__new__(cls)
+        m._rows = None
+        m.nrows, m.ncols = nrows, ncols
+        m._nonzeros = nonzeros
+        m._csr = None
+        return m
+
+    @staticmethod
+    def from_dicts(rows: Sequence[dict[int, int]], ncols: int) -> "IntMatrix":
+        """The matrix whose row i maps each column to its entry as rows[i]
+        does; zero entries are dropped."""
+        return IntMatrix.from_nonzeros(
+            [sorted((j, a) for j, a in row.items() if a) for row in rows], len(rows), ncols
+        )
+
+    @classmethod
     def identity(cls, n: int) -> "IntMatrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return cls.from_nonzeros([[(i, 1)] for i in range(n)], n, n)
 
     @classmethod
     def zeros(cls, nrows: int, ncols: int) -> "IntMatrix":
-        return cls([[0] * ncols for _ in range(nrows)], ncols=ncols)
+        return cls.from_nonzeros([[] for _ in range(nrows)], nrows, ncols)
 
     def copy(self) -> "IntMatrix":
         return IntMatrix([r[:] for r in self.rows], ncols=self.ncols)
+
+    # -- storage -----------------------------------------------------------
+
+    @property
+    def rows(self) -> list[list[int]]:
+        """The dense rows, built from the nonzeros on first read."""
+        if self._rows is None:
+            self._rows = self._dense_rows()
+        return self._rows
+
+    def _dense_rows(self) -> list[list[int]]:
+        rows = [[0] * self.ncols for _ in range(self.nrows)]
+        for row, pairs in zip(rows, self._nonzeros):
+            for j, a in pairs:
+                row[j] = a
+        return rows
 
     # -- basic algebra -----------------------------------------------------
 
@@ -102,25 +148,37 @@ class IntMatrix:
         return (
             isinstance(other, IntMatrix)
             and self.shape == other.shape
-            and self.rows == other.rows
+            and self.nonzeros == other.nonzeros
         )
+
+    def _combine(self, other: "IntMatrix", sign: int) -> "IntMatrix":
+        """self + sign * other, merged row by row over the nonzeros."""
+        self._same_shape(other)
+        out = []
+        for ra, rb in zip(self.nonzeros, other.nonzeros):
+            acc = dict(ra)
+            for j, b in rb:
+                acc[j] = acc.get(j, 0) + sign * b
+            out.append(acc)
+        return IntMatrix.from_dicts(out, self.ncols)
 
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
-        self._same_shape(other)
-        return IntMatrix(
-            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)],
-            ncols=self.ncols,
-        )
+        return self._combine(other, 1)
 
     def __sub__(self, other: "IntMatrix") -> "IntMatrix":
-        self._same_shape(other)
-        return IntMatrix(
-            [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)],
-            ncols=self.ncols,
+        return self._combine(other, -1)
+
+    def _map(self, f) -> "IntMatrix":
+        """The matrix with every nonzero a replaced by f(a), which must be
+        nonzero as well."""
+        return IntMatrix.from_nonzeros(
+            [[(j, f(a)) for j, a in row] for row in self.nonzeros], self.nrows, self.ncols
         )
 
     def scale(self, k: int) -> "IntMatrix":
-        return IntMatrix([[k * a for a in r] for r in self.rows], ncols=self.ncols)
+        if k == 0:
+            return IntMatrix.zeros(self.nrows, self.ncols)
+        return self._map(lambda a: k * a)
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.ncols != other.nrows:
@@ -139,7 +197,7 @@ class IntMatrix:
         """The (column, value) pairs of each row, in column order."""
         if self._nonzeros is None:
             cols = range(self.ncols)
-            self._nonzeros = [[(j, row[j]) for j in compress(cols, row)] for row in self.rows]
+            self._nonzeros = [[(j, row[j]) for j in compress(cols, row)] for row in self._rows]
         return self._nonzeros
 
     def _compressed_rows(self) -> tuple:
@@ -185,29 +243,31 @@ class IntMatrix:
         return tuple(out.tolist())
 
     def transpose(self) -> "IntMatrix":
-        if not self.rows:
-            return IntMatrix([[] for _ in range(self.ncols)], ncols=0)
-        return IntMatrix([list(col) for col in zip(*self.rows)], ncols=self.nrows)
+        out: list[list[tuple[int, int]]] = [[] for _ in range(self.ncols)]
+        for i, row in enumerate(self.nonzeros):
+            for j, a in row:
+                out[j].append((i, a))
+        return IntMatrix.from_nonzeros(out, self.ncols, self.nrows)
 
     def trace(self) -> int:
         if not self.is_square():
             raise ShapeError("trace needs a square matrix")
-        return sum(self.rows[i][i] for i in range(self.nrows))
+        return sum(a for i, row in enumerate(self.nonzeros) for j, a in row if i == j)
 
     def entry_sum(self) -> int:
-        return sum(sum(r) for r in self.rows)
+        return sum(a for row in self.nonzeros for _, a in row)
 
     def max_abs(self) -> int:
-        return max((abs(a) for r in self.rows for a in r), default=0)
+        return max((abs(a) for row in self.nonzeros for _, a in row), default=0)
 
     def abs(self) -> "IntMatrix":
-        return IntMatrix([[abs(a) for a in r] for r in self.rows], ncols=self.ncols)
+        return self._map(abs)
 
     def is_zero(self) -> bool:
-        return all(a == 0 for r in self.rows for a in r)
+        return not any(self.nonzeros)
 
     def row_sums(self) -> list[int]:
-        return [sum(r) for r in self.rows]
+        return [sum(a for _, a in row) for row in self.nonzeros]
 
     def kron(self, other: "IntMatrix") -> "IntMatrix":
         """Kronecker product, row-major cell order (i*p+k, j*q+l)."""
@@ -218,8 +278,19 @@ class IntMatrix:
                 out.append([a * b for a in ra for b in rb])
         return IntMatrix(out, ncols=self.ncols * q)
 
+    def to_array(self, dtype) -> np.ndarray:
+        """The entries as a dense numpy array of the given dtype, scattered
+        from the nonzeros."""
+        rows = self.nonzeros
+        out = np.zeros((self.nrows, self.ncols), dtype=dtype)
+        out[
+            np.repeat(np.arange(self.nrows), [len(row) for row in rows]),
+            [j for row in rows for j, _ in row],
+        ] = np.array([a for row in rows for _, a in row], dtype=dtype)
+        return out
+
     def to_float(self) -> np.ndarray:
-        return np.array(self.rows, dtype=float).reshape(self.nrows, self.ncols)
+        return self.to_array(float)
 
     def _same_shape(self, other: "IntMatrix") -> None:
         if self.shape != other.shape:
@@ -439,7 +510,7 @@ def certified_rank(m: IntMatrix, kernel: Sequence[Sequence[int]] = ()) -> int:
     bound = 1
     for row in m.nonzeros:
         bound *= sum(a * a for _, a in row) or 1
-    entries = np.array(m.rows, dtype=object).reshape(m.shape)
+    entries = m.to_array(object)
     lower, modulus, count = 0, 1, 0
     while lower < upper and modulus * modulus <= bound:
         p = _prime(count)
@@ -528,9 +599,10 @@ def is_prime(p: int) -> bool:
 
 
 class FieldMatrix(IntMatrix):
-    """IntMatrix over F_p: entries reduced to 0..p-1 and kept reduced.
+    """IntMatrix over F_p: entries reduced to 0..p-1 and kept reduced, so
+    the entries that are 0 mod p are not among its nonzeros.
 
-    Shape handling is IntMatrix's.  Identity, equality, products, mat-vecs
+    Shape handling and storage are IntMatrix's.  Identity, equality, products, mat-vecs
     and differences are the IntMatrix operations followed by reduction mod
     p; the other operations (+, transpose, kron, ...) return a plain,
     unreduced IntMatrix.
@@ -543,11 +615,24 @@ class FieldMatrix(IntMatrix):
             raise ValueError(f"{p} is not prime")
         super().__init__(rows, ncols)
         self.p = p
-        self.rows = [[a % p for a in r] for r in self.rows]
+        self._rows = [[a % p for a in r] for r in self._rows]
+
+    @classmethod
+    def from_nonzeros(
+        cls, nonzeros: list[list[tuple[int, int]]], nrows: int, ncols: int, p: int
+    ) -> "FieldMatrix":
+        """IntMatrix.from_nonzeros with every value reduced mod p; the pairs
+        whose value is 0 mod p are dropped."""
+        if not is_prime(p):
+            raise ValueError(f"{p} is not prime")
+        reduced = [[(j, a % p) for j, a in row if a % p] for row in nonzeros]
+        m = super().from_nonzeros(reduced, nrows, ncols)
+        m.p = p
+        return m
 
     @classmethod
     def identity(cls, n: int, p: int) -> "FieldMatrix":
-        return cls(IntMatrix.identity(n).rows, p, ncols=n)
+        return cls.from_nonzeros(IntMatrix.identity(n).nonzeros, n, n, p)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, FieldMatrix) and self.p == other.p and super().__eq__(other)
@@ -564,11 +649,11 @@ class FieldMatrix(IntMatrix):
     def __sub__(self, other: "FieldMatrix") -> "FieldMatrix":
         if self.p != other.p:
             raise ShapeError("modulus mismatch")
-        return FieldMatrix(super().__sub__(other).rows, self.p, ncols=self.ncols)
+        return field_reduce(super().__sub__(other), self.p)
 
 
 def field_reduce(m: IntMatrix, p: int) -> FieldMatrix:
-    return FieldMatrix(m.rows, p, ncols=m.ncols)
+    return FieldMatrix.from_nonzeros(m.nonzeros, m.nrows, m.ncols, p)
 
 
 def field_inverse(m: FieldMatrix) -> FieldMatrix:

@@ -343,7 +343,7 @@ _SIZES = {
     "gnp": lambda n, p: (n, n * (n - 1) // 2),
 }
 
-MAX_SPEC_CELLS = 10**6  # vertices plus edges of the largest graph a spec may build
+MAX_SPEC_CELLS = 10**6  # vertices plus edges of the largest graph a spec or graph file may give
 
 
 def from_spec(spec: str, seed: int | None = None) -> Graph:
@@ -396,6 +396,7 @@ def _from_spec(spec: str, seed: int | None, refinements: int) -> Graph:
 #
 # Arbitrary integer labels are accepted and relabeled densely in first
 # appearance order; the mapping old->new is returned alongside the graph.
+# A text whose vertices plus edges exceed MAX_SPEC_CELLS is rejected.
 
 
 def parse_graph_text(text: str) -> tuple[Graph, dict[int, int]]:
@@ -436,6 +437,10 @@ def parse_graph_text(text: str) -> tuple[Graph, dict[int, int]]:
         n = declared_n
     if n == 0:
         raise GraphError("empty graph: no vertices")
+    if n + len(raw_edges) > MAX_SPEC_CELLS:
+        raise GraphError(
+            f"graph has {n + len(raw_edges)} cells, above the cap of {MAX_SPEC_CELLS}"
+        )
     edges = tuple((mapping[u], mapping[v]) for u, v in raw_edges)
     return Graph(n, edges, name), mapping
 

@@ -18,8 +18,7 @@ with w = (-1)^dim, then certified by _is_inverse: L @ g = I row by row
 over the nonzeros (products certifies kron(g_A, g_B) the same way).
 OperatorBundle.green is the one source of L^-1 outside the oracles: verify
 compares it with schur_inverse, and hydrogen_residual_mod inverts L over
-F_p on its own, so keep those routes separate.  Every nonzero is read
-through IntMatrix.nonzeros, collected once per cached operator.
+F_p on its own, so keep those routes separate.
 
 det L comes from the Schur complement of the vertex block: L = [[I_v, B^T],
 [B, C]] with B the edge-vertex containment matrix, so det L = det(C - B B^T),
@@ -28,11 +27,17 @@ diagonal (it is -I_e for every graph).  Bareiss elimination (exact.det) is
 the test oracle for this route.  schur_inverse, verify's oracle for g,
 is the block inverse from the same complement, read from L's entries alone.
 
-L and g are set from the vertex stars (a vertex with its incident edges),
-and H and |H| are summed directly from the two nonzeros of every incidence
+Every builder here writes the (column, value) pairs of each row and hands
+them to IntMatrix.from_nonzeros, or sums them in one dict per row
+(IntMatrix.from_dicts); no operator passes through dense rows, and every
+one is read through IntMatrix.nonzeros.  L and g are set from the vertex
+stars (a vertex with its incident edges), D is d0 and its transpose, and
+H and |H| are summed directly from the two nonzeros of every incidence
 row, so no operator here is formed as a dense product; the test suite keeps
-D @ D as the oracle for H and |H|.  The signless incidence and Kirchhoff
-matrices are the entrywise abs of the signed ones.
+D @ D and the dense builders (tests/oracles.py) as the oracles.  The
+signless incidence and Kirchhoff matrices are the entrywise abs of the
+signed ones, and the hydrogen residual has no nonzeros when the identity
+holds.
 """
 
 from __future__ import annotations
@@ -67,13 +72,9 @@ def incidence_signed(c: Complex, signs: Sequence[int] | None = None) -> IntMatri
         signs = (1,) * c.e
     if len(signs) != c.e or any(s not in (-1, 1) for s in signs):
         raise ValueError("signs must be one +-1 per edge")
-    rows = []
-    for s, (a, b) in zip(signs, c.graph.edges):
-        row = [0] * c.v
-        row[a] = -s
-        row[b] = s
-        rows.append(row)
-    return IntMatrix(rows, ncols=c.v)
+    # edges are stored with a < b, so each row's pairs are in column order
+    rows = [[(a, -s), (b, s)] for s, (a, b) in zip(signs, c.graph.edges)]
+    return IntMatrix.from_nonzeros(rows, c.e, c.v)
 
 
 def incidence_signless(c: Complex) -> IntMatrix:
@@ -81,16 +82,16 @@ def incidence_signless(c: Complex) -> IntMatrix:
 
 
 def dirac_from_incidence(d0: IntMatrix) -> IntMatrix:
-    """Assemble the Dirac block matrix [[0, d0^T], [d0, 0]]."""
+    """Assemble the Dirac block matrix [[0, d0^T], [d0, 0]]: vertex row x
+    holds column x of d0, shifted past the vertices, and edge row k is row k
+    of d0."""
     v = d0.ncols
-    e = d0.nrows
-    n = v + e
-    out = IntMatrix.zeros(n, n)
-    for k in range(e):
-        for x in range(v):
-            out.rows[x][v + k] = d0.rows[k][x]
-            out.rows[v + k][x] = d0.rows[k][x]
-    return out
+    rows: list[list[tuple[int, int]]] = [[] for _ in range(v)]
+    for k, nonzeros in enumerate(d0.nonzeros, start=v):
+        for x, a in nonzeros:
+            rows[x].append((k, a))
+    rows.extend(d0.nonzeros)
+    return IntMatrix.from_nonzeros(rows, v + d0.nrows, v + d0.nrows)
 
 
 def _hodge_from_incidence(d0: IntMatrix) -> IntMatrix:
@@ -101,19 +102,20 @@ def _hodge_from_incidence(d0: IntMatrix) -> IntMatrix:
     over its incident edges.  Both off-diagonal blocks are zero.
     """
     v = d0.ncols
-    out = IntMatrix.zeros(v + d0.nrows, v + d0.nrows)
-    rows = out.rows
+    rows: list[dict[int, int]] = [{} for _ in range(v + d0.nrows)]
     incident: list[list[tuple[int, int]]] = [[] for _ in range(v)]
     for k, nonzeros in enumerate(d0.nonzeros):
         for x, a in nonzeros:
             incident[x].append((v + k, a))
+            row = rows[x]
             for y, b in nonzeros:
-                rows[x][y] += a * b
+                row[y] = row.get(y, 0) + a * b
     for edges in incident:
         for k, a in edges:
+            row = rows[k]
             for l, b in edges:
-                rows[k][l] += a * b
-    return out
+                row[l] = row.get(l, 0) + a * b
+    return IntMatrix.from_dicts(rows, v + d0.nrows)
 
 
 def connection_matrix(c: Complex) -> IntMatrix:
@@ -121,17 +123,14 @@ def connection_matrix(c: Complex) -> IntMatrix:
 
     Two simplices share the vertex a exactly when both lie in its star (a
     and its incident edges), so L is the union of one all-ones block per
-    vertex star.
+    vertex star: a vertex row is its own star, and an edge row the union of
+    its endpoints' stars.
     """
-    n = c.size
-    rows = [[0] * n for _ in range(n)]
-    for a, edges in enumerate(c.incident_edges):
-        members = (a,) + edges
-        for i in members:
-            row = rows[i]
-            for j in members:
-                row[j] = 1
-    return IntMatrix(rows, ncols=n)
+    stars = [(a,) + edges for a, edges in enumerate(c.incident_edges)]
+    rows = [[(j, 1) for j in star] for star in stars]
+    for a, b in c.graph.edges:
+        rows.append([(j, 1) for j in sorted({*stars[a], *stars[b]})])
+    return IntMatrix.from_nonzeros(rows, c.size, c.size)
 
 
 def green_star(c: Complex) -> IntMatrix:
@@ -147,7 +146,7 @@ def green_star(c: Complex) -> IntMatrix:
     """
     n = c.size
     w = [parity(s) for s in c.simplices]
-    rows = [[0] * n for _ in range(n)]
+    rows: list[dict[int, int]] = [{} for _ in range(n)]
     for t, s in enumerate(c.simplices):
         faces = [c.index[(a,)] for a in s] if len(s) == 2 else []
         faces.append(t)
@@ -155,8 +154,8 @@ def green_star(c: Complex) -> IntMatrix:
         for x in faces:
             row = rows[x]
             for y in faces:
-                row[y] += w[x] * w[y] * chi
-    return IntMatrix(rows, ncols=n)
+                row[y] = row.get(y, 0) + w[x] * w[y] * chi
+    return IntMatrix.from_dicts(rows, n)
 
 
 def _is_inverse(m: IntMatrix, g: IntMatrix) -> bool:
@@ -221,22 +220,28 @@ def schur_inverse(m: IntMatrix, v: int) -> IntMatrix:
     if any(x not in (1, -1) for x in s):
         error = SingularMatrixError if 0 in s else ValueError
         raise error(f"no integer inverse: Schur complement diagonal {sorted(set(s))}")
-    rows = [[0] * m.nrows for _ in range(m.nrows)]
+    rows: list[dict[int, int]] = [{} for _ in range(m.nrows)]
     for k, (wrow, sk) in enumerate(zip(w, s), start=v):  # S^-1 = S
         rows[k][k] = sk
         for y, b in wrow:
             rows[k][y] = -sk * b
     for x, urow in enumerate(u):
-        rows[x][x] = 1
+        row = rows[x]
+        row[x] = 1
         for l, a in urow:
-            rows[x][l] = -a * s[l - v]
+            row[l] = -a * s[l - v]
             for y, b in w[l - v]:
-                rows[x][y] += a * s[l - v] * b
-    return IntMatrix(rows, ncols=m.nrows)
+                row[y] = row.get(y, 0) + a * s[l - v] * b
+    return IntMatrix.from_dicts(rows, m.nrows)
 
 
 def block(m: IntMatrix, r0: int, r1: int, c0: int, c1: int) -> IntMatrix:
-    return IntMatrix([row[c0:c1] for row in m.rows[r0:r1]], ncols=c1 - c0)
+    """Rows r0..r1-1 and columns c0..c1-1 of m, cut from its nonzeros."""
+    rows = [
+        [(j - c0, a) for j, a in row[bisect_left(row, (c0,)) : bisect_left(row, (c1,))]]
+        for row in m.nonzeros[r0:r1]
+    ]
+    return IntMatrix.from_nonzeros(rows, len(rows), c1 - c0)
 
 
 class OperatorBundle:
@@ -316,14 +321,11 @@ class OperatorBundle:
         against hodge0.
         """
         g = self.graph
-        deg = g.degrees()
-        rows = [[0] * g.n for _ in range(g.n)]
-        for i in range(g.n):
-            rows[i][i] = deg[i]
+        rows = [{i: d} for i, d in enumerate(g.degrees())]
         for a, b in g.edges:
-            rows[a][b] -= 1
-            rows[b][a] -= 1
-        return IntMatrix(rows, ncols=g.n)
+            rows[a][b] = -1
+            rows[b][a] = -1
+        return IntMatrix.from_dicts(rows, g.n)
 
     @cached_property
     def kirchhoff_signless(self) -> IntMatrix:
@@ -361,13 +363,13 @@ def bundle_for(source: Graph | Complex | OperatorBundle) -> OperatorBundle:
 
 def hydrogen_residual(bundle: OperatorBundle) -> IntMatrix:
     """|H| - (L - L^-1), summed in one pass over the nonzeros of |H|, L and g;
-    the zero matrix exactly when the identity holds."""
-    rows = [[0] * bundle.size for _ in range(bundle.size)]
+    the zero matrix, with no nonzeros, exactly when the identity holds."""
+    rows: list[dict[int, int]] = [{} for _ in range(bundle.size)]
     for m, sign in ((bundle.hodge_signless, 1), (bundle.connection, -1), (bundle.green, 1)):
         for row, nonzeros in zip(rows, m.nonzeros):
             for j, a in nonzeros:
-                row[j] += sign * a
-    return IntMatrix(rows, ncols=bundle.size)
+                row[j] = row.get(j, 0) + sign * a
+    return IntMatrix.from_dicts(rows, bundle.size)
 
 
 def hydrogen_holds(bundle: OperatorBundle) -> bool:
@@ -428,8 +430,8 @@ class TraceReport:
 
 def _trace_of_square(m: IntMatrix) -> int:
     """tr(m @ m) as the sum of m[i][j] * m[j][i] over the nonzeros of m."""
-    rows = m.rows
-    return sum(a * rows[j][i] for i, row in enumerate(m.nonzeros) for j, a in row)
+    rows = [dict(row) for row in m.nonzeros]
+    return sum(a * rows[j].get(i, 0) for i, row in enumerate(m.nonzeros) for j, a in row)
 
 
 def trace_report(bundle: OperatorBundle) -> TraceReport:

@@ -15,13 +15,20 @@ both and takes its rank.
 jacobi_residual_two_apply is the Jacobi residual with |H| applied twice at
 every time, the route dynamics.jacobi_residual keeps only for one-parity
 branches.
+
+The dense_* builders write each bundle operator entry by entry into dense
+rows; operators builds them from their nonzeros instead, and the tests
+compare the two over the corpus.  dense_connection tests every pair of
+simplices for an intersection, and dense_hodge forms the Gram blocks
+d0^T d0 and d0 d0^T by dense products.
 """
 
 from fractions import Fraction
 
+from connlab.complexes import Complex, parity, simplices_intersect
 from connlab.dynamics import DynamicsError, Trajectory
 from connlab.exact import IntMatrix, IntPolynomial, ShapeError, SingularMatrixError, charpoly
-from connlab.graphs import betti_numbers
+from connlab.graphs import Graph, betti_numbers
 from connlab.operators import OperatorBundle, SupersymmetryReport
 
 
@@ -179,3 +186,89 @@ def jacobi_residual_two_apply(t: Trajectory, habs: IntMatrix) -> int:
     if worst is None:
         raise DynamicsError("trajectory does not cover any n-2, n, n+2 triple")
     return worst
+
+
+# ---------------------------------------------------------------------------
+# dense builders: each operator written entry by entry into n x n lists of
+# ints, the route operators replaced by writing the nonzeros directly
+
+
+def dense_incidence_signed(c: Complex, signs=None) -> IntMatrix:
+    if signs is None:
+        signs = (1,) * c.e
+    rows = []
+    for s, (a, b) in zip(signs, c.graph.edges):
+        row = [0] * c.v
+        row[a] = -s
+        row[b] = s
+        rows.append(row)
+    return IntMatrix(rows, ncols=c.v)
+
+
+def dense_abs(m: IntMatrix) -> IntMatrix:
+    return IntMatrix([[abs(a) for a in r] for r in m.rows], ncols=m.ncols)
+
+
+def dense_dirac(d0: IntMatrix) -> IntMatrix:
+    v, e = d0.ncols, d0.nrows
+    rows = [[0] * (v + e) for _ in range(v + e)]
+    for k in range(e):
+        for x in range(v):
+            rows[x][v + k] = d0.rows[k][x]
+            rows[v + k][x] = d0.rows[k][x]
+    return IntMatrix(rows, ncols=v + e)
+
+
+def dense_hodge(d0: IntMatrix) -> IntMatrix:
+    """D @ D for D = [[0, d0^T], [d0, 0]]: the blocks d0^T d0 and d0 d0^T."""
+    v, e = d0.ncols, d0.nrows
+    rows = [[0] * (v + e) for _ in range(v + e)]
+    for x in range(v):
+        for y in range(v):
+            rows[x][y] = sum(d0.rows[k][x] * d0.rows[k][y] for k in range(e))
+    for k in range(e):
+        for l in range(e):
+            rows[v + k][v + l] = sum(a * b for a, b in zip(d0.rows[k], d0.rows[l]))
+    return IntMatrix(rows, ncols=v + e)
+
+
+def dense_connection(c: Complex) -> IntMatrix:
+    """L(x,y) = 1 iff the simplices x and y intersect, pair by pair."""
+    return IntMatrix(
+        [[int(simplices_intersect(x, y)) for y in c.simplices] for x in c.simplices],
+        ncols=c.size,
+    )
+
+
+def dense_green_star(c: Complex) -> IntMatrix:
+    n = c.size
+    w = [parity(s) for s in c.simplices]
+    rows = [[0] * n for _ in range(n)]
+    for t, s in enumerate(c.simplices):
+        faces = [c.index[(a,)] for a in s] if len(s) == 2 else []
+        faces.append(t)
+        chi = parity(s)
+        for x in faces:
+            for y in faces:
+                rows[x][y] += w[x] * w[y] * chi
+    return IntMatrix(rows, ncols=n)
+
+
+def dense_kirchhoff(g: Graph) -> IntMatrix:
+    deg = g.degrees()
+    rows = [[0] * g.n for _ in range(g.n)]
+    for i in range(g.n):
+        rows[i][i] = deg[i]
+    for a, b in g.edges:
+        rows[a][b] -= 1
+        rows[b][a] -= 1
+    return IntMatrix(rows, ncols=g.n)
+
+
+def dense_hydrogen_residual(bundle: OperatorBundle) -> IntMatrix:
+    """|H| - (L - g), entry by entry from the dense rows."""
+    n = bundle.size
+    h, L, g = bundle.hodge_signless.rows, bundle.connection.rows, bundle.green.rows
+    return IntMatrix(
+        [[h[i][j] - L[i][j] + g[i][j] for j in range(n)] for i in range(n)], ncols=n
+    )

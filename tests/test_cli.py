@@ -211,6 +211,33 @@ def test_walk_prints_states_past_the_int_str_digit_limit(capsys, int_str_digits)
     assert sys.get_int_max_str_digits() == 640
 
 
+def test_walk_restarts_from_a_printed_state_past_the_int_str_digit_limit(capsys, int_str_digits):
+    # the state at time 700 has more digits than the limit allows; a walk
+    # started from it, as printed, continues the same trajectory
+    int_str_digits(640)  # the smallest limit Python accepts
+    code, out, err = run(capsys, "walk", "complete:8", "--steps", "710")
+    assert (code, err) == (0, "")
+    # each line is {"n":<time>,"state":[<entries>]}, read here as text, since
+    # json.loads is under the same digit limit
+    lines = [line.split(",", 1) for line in out.splitlines()[700:]]
+    state = lines[0][1].removeprefix('"state":[').removesuffix("]}")
+    assert len(max(state.split(","), key=len)) > 640
+    code, again, err = run(capsys, "walk", "complete:8", "--steps", "10", "--state", state)
+    assert (code, err) == (0, "")
+    assert again.splitlines() == [f'{{"n":{n},{rest}' for n, (_, rest) in enumerate(lines)]
+    assert sys.get_int_max_str_digits() == 640
+    code, _, err = run(capsys, "walk", "path:1", "--steps", "1", "--state", "9" * 5000)
+    assert (code, err) == (0, "")
+
+
+def test_oversized_graph_file_is_a_usage_error(capsys, tmp_path):
+    path = tmp_path / "huge.txt"
+    path.write_text("# vertices: 99999999999\n0 1\n")
+    code, out, err = run(capsys, "verify", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: graph has 100000000000 cells, above the cap of 1000000\n"
+
+
 def test_automaton_round_trip(capsys):
     code, out, _ = run(capsys, "automaton", "figure8", "--field", "7", "--steps", "5", "--reverse")
     assert code == 0
@@ -309,6 +336,10 @@ def test_usage_error_exits_2():
         (
             ("walk", "complete:99999999999"),
             "error: spec 'complete:99999999999' has 4999999999950000000000 cells, above the cap of 1000000",
+        ),
+        (
+            ("walk", "path:1", "--state", "9" * 5000 + "x"),
+            "error: state '" + "9" * 40 + "...' is not a comma-separated list of integers",
         ),
     ],
 )

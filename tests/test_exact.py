@@ -9,6 +9,7 @@ recursion, kept here as its oracle, on random matrices and on the corpus.
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -458,6 +459,50 @@ def test_nonzeros_are_collected_per_matrix_and_copy_starts_afresh():
     assert mp.apply((1, 1, 1)) == (0, 0)
     assert IntMatrix([], ncols=3).nonzeros == [] and IntMatrix([[], []], ncols=0).apply(()) == (0, 0)
 
+
+
+def test_matrix_built_from_nonzeros_builds_its_dense_rows_once():
+    nz = [[(1, 3)], [], [(0, -2), (2, 10**30)]]
+    m = IntMatrix.from_nonzeros(nz, 3, 3)
+    assert m.nonzeros is nz and m._rows is None
+    rows = m.rows
+    assert rows == [[0, 3, 0], [0, 0, 0], [-2, 0, 10**30]] and m.rows is rows
+    assert m == IntMatrix(rows) and IntMatrix(rows) == m
+    assert m.apply((1, 1, 1)) == (3, 0, 10**30 - 2)
+    # copy() gives fresh dense rows with no nonzeros collected yet
+    c = m.copy()
+    assert c.rows == rows and c.rows is not rows and c._nonzeros is None
+    c.rows[1][1] = 4
+    assert c.nonzeros == [[(1, 3)], [(1, 4)], [(0, -2), (2, 10**30)]] and m.nonzeros is nz
+    assert IntMatrix.from_nonzeros([[], []], 2, 0).rows == [[], []]
+    assert IntMatrix.from_nonzeros([], 0, 4).to_float().shape == (0, 4)
+    with pytest.raises(ShapeError):
+        IntMatrix.from_nonzeros([[(0, 1)]], 2, 2)
+
+
+def test_sums_and_reductions_run_over_the_nonzeros():
+    a = IntMatrix([[0, 3, 0], [-2, 0, 5]])
+    b = IntMatrix.from_dicts([{1: -3, 2: 1}, {0: 0, 2: -5}], 3)
+    assert b.nonzeros == [[(1, -3), (2, 1)], [(2, -5)]]
+    assert (a + b).nonzeros == [[(2, 1)], [(0, -2)]]
+    assert (a - a).is_zero() and (a - a).nonzeros == [[], []]
+    assert a.scale(0).nonzeros == [[], []] and a.scale(-2).rows == [[0, -6, 0], [4, 0, -10]]
+    assert a.abs().rows == [[0, 3, 0], [2, 0, 5]]
+    assert a.transpose().nonzeros == [[(1, -2)], [(0, 3)], [(1, 5)]]
+    assert (a.max_abs(), a.entry_sum(), a.row_sums()) == (5, 6, [3, 3])
+    assert IntMatrix([[1, 2], [3, -4]]).trace() == -3
+    assert np.array_equal(a.to_float(), np.array([[0.0, 3.0, 0.0], [-2.0, 0.0, 5.0]]))
+
+
+def test_field_matrix_from_nonzeros_drops_entries_that_vanish_mod_p():
+    nz = [[(0, 7), (1, 3)], [(1, -14)]]
+    m = FieldMatrix.from_nonzeros(nz, 2, 2, 7)
+    assert m.p == 7 and m.nonzeros == [[(1, 3)], []]
+    assert m == FieldMatrix([[7, 3], [0, -14]], 7)
+    assert field_reduce(IntMatrix.from_nonzeros(nz, 2, 2), 7) == m
+    assert (m - FieldMatrix.identity(2, 7)).nonzeros == [[(0, 6), (1, 3)], [(1, 6)]]
+    with pytest.raises(ValueError, match="not prime"):
+        FieldMatrix.from_nonzeros(nz, 2, 2, 8)
 
 def test_reciprocal_sign_cases():
     assert reciprocal_sign(IntPolynomial((1, -3, 1))) == 1          # palindromic

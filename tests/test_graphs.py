@@ -199,6 +199,16 @@ def test_spec_cap_keeps_the_large_barycentric_grid():
     assert from_spec("complete:1413").e == 1413 * 1412 // 2
 
 
+def test_oversized_graph_text_is_rejected():
+    cap = graphs.MAX_SPEC_CELLS
+    for header, edges in ((99999999999, 1), (cap, 1), (cap - 1, 2)):
+        text = f"# vertices: {header}\n" + "".join(f"0 {k + 1}\n" for k in range(edges))
+        with pytest.raises(GraphError, match=f"^graph has {header + edges} cells, above the cap of {cap}$"):
+            parse_graph_text(text)
+    graph, _ = parse_graph_text(f"# vertices: {cap - 1}\n0 1\n")
+    assert graph.n + graph.e == cap
+
+
 _line = st.one_of(
     st.tuples(_number, _number).map(" ".join),
     _number.map(lambda x: f"# vertices: {x}"),

@@ -59,6 +59,82 @@ def test_charpoly_stays_with_reciprocity_and_spectra():
     assert users - {"exact", "__init__"} == {"cli", "products", "spectra"}
 
 
+_LIST_MUTATORS = {"append", "extend", "insert", "pop", "remove", "sort", "reverse", "clear"}
+
+
+def _root(node: ast.expr) -> ast.expr:
+    """The expression that a chain of subscripts and list calls starts from."""
+    while isinstance(node, ast.Subscript):
+        node = node.value
+    return node
+
+
+def _rows_writes(tree: ast.AST) -> list[int]:
+    """Line numbers where a module writes into the dense rows of a matrix:
+    an assignment to `.rows` or into `.rows[...]`, a list mutator called on
+    them, or either done through a name bound to some `.rows`."""
+
+    def is_rows(node: ast.expr, aliases: set[str]) -> bool:
+        node = _root(node)
+        return (isinstance(node, ast.Attribute) and node.attr == "rows") or (
+            isinstance(node, ast.Name) and node.id in aliases
+        )
+
+    lines = []
+    functions = [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)]
+    for scope in [tree] + functions:
+        # names bound to some `.rows` inside a function count there
+        aliases = set() if scope is tree else {
+            t.id
+            for n in ast.walk(scope)
+            if isinstance(n, ast.Assign) and isinstance(n.value, ast.Attribute) and n.value.attr == "rows"
+            for t in n.targets
+            if isinstance(t, ast.Name)
+        }
+        for n in ast.walk(scope):
+            targets = []
+            if isinstance(n, ast.Assign):
+                targets = n.targets
+            elif isinstance(n, (ast.AugAssign, ast.AnnAssign)):
+                targets = [n.target]
+            for t in targets:
+                if (isinstance(t, ast.Attribute) and t.attr == "rows") or (
+                    isinstance(t, ast.Subscript) and is_rows(t, aliases)
+                ):
+                    lines.append(n.lineno)
+            if (
+                isinstance(n, ast.Call)
+                and isinstance(n.func, ast.Attribute)
+                and n.func.attr in _LIST_MUTATORS
+                and is_rows(n.func.value, aliases)
+            ):
+                lines.append(n.lineno)
+    return sorted(set(lines))
+
+
+def test_no_module_writes_into_dense_rows():
+    # a matrix built from its nonzeros builds `rows` once, as a view that
+    # nothing reads back, so a write into it would be silently lost
+    writes = {
+        p.name: _rows_writes(ast.parse(p.read_text()))
+        for p in sorted((ROOT / "src" / "connlab").glob("*.py"))
+    }
+    assert {name: lines for name, lines in writes.items() if lines} == {}
+    # the check sees each kind of write
+    probe = (
+        "def f(m, k):\n"
+        "    m.rows[0][1] = 2\n"
+        "    m.rows[0][1] += k\n"
+        "    rows = m.rows\n"
+        "    rows[1] = []\n"
+        "    m.rows = []\n"
+        "    m.rows[2].append(k)\n"
+        "    rows.sort()\n"
+        "    return [r[:] for r in m.rows]\n"
+    )
+    assert _rows_writes(ast.parse(probe)) == [2, 3, 5, 6, 7, 8]
+
+
 def _load_tracing():
     spec = importlib.util.spec_from_file_location("perfbench_tracing", ROOT / "perfbench" / "tracing.py")
     module = importlib.util.module_from_spec(spec)
