@@ -21,15 +21,16 @@ charpoly certificate and is the test oracle for those routes, as the dense
 product is for the certificate.
 
 An IntMatrix is stored as IntMatrix.nonzeros, the (column, value) pairs of
-each row; the operators are built that way (IntMatrix.from_nonzeros), and
-their dense rows are a view built on first read.  The L g = I certificate,
-the Schur-complement det, the squared traces, the k-walk counts, equality,
-sums and differences, abs, scale, transpose and the entry reductions run
-over the pairs, and to_float scatters them into numpy.  IntMatrix.apply
-reads the same nonzeros laid out once as compressed rows (numpy index
-arrays beside an object array of values), so each mat-vec is one gather of
-the vector, one multiply and one segmented sum, O(nnz) and on exact Python
-ints throughout.  @, kron, det and the charpoly input read the dense rows.
+each row, and as nothing else: dense input is converted to pairs at once,
+and IntMatrix.rows builds fresh dense lists on every read.  The L g = I
+certificate, the Schur-complement det, the squared traces, the k-walk
+counts, equality, sums and differences, abs, scale, transpose, kron, the
+entry reductions and the charpoly bounds run over the pairs, and to_array
+scatters them into numpy.  IntMatrix.apply reads the same nonzeros laid out
+once as compressed rows (numpy index arrays beside an object array of
+values), so each mat-vec is one gather of the vector, one multiply and one
+segmented sum, O(nnz) and on exact Python ints throughout.  Only @, Bareiss
+det, field_inverse and dump_matrix read dense rows.
 """
 
 from __future__ import annotations
@@ -56,22 +57,19 @@ class IntMatrix:
     Row i of `nonzeros` is the list of (column, value) pairs of its nonzero
     entries in increasing column order; values are Python ints, so entries
     never overflow.  The shape is stored explicitly, so 0-row and 0-column
-    matrices round-trip.  A matrix built by from_nonzeros keeps those pairs
-    and builds the dense `rows` (lists of Python ints) on first read; one
-    built from dense rows keeps them and collects its nonzeros on first use.
-    Whatever is built is kept, together with the compressed-row layout of
-    apply, so a matrix must not be changed once it is in use; copy() gives
-    fresh dense rows to edit.
+    matrices round-trip.  Dense rows given to the constructor are converted
+    to pairs at once, and `rows` builds fresh dense lists of Python ints on
+    every read, so writing into them never changes the matrix.
     """
 
-    __slots__ = ("_rows", "nrows", "ncols", "_nonzeros", "_csr")
+    __slots__ = ("nrows", "ncols", "_nonzeros", "_csr")
 
     def __init__(self, rows: Sequence[Sequence[int]], ncols: int | None = None):
-        self._rows = [list(map(int, r)) for r in rows]
-        self.nrows = len(self._rows)
+        rows = [list(map(int, r)) for r in rows]
+        self.nrows = len(rows)
         if self.nrows:
-            self.ncols = len(self._rows[0])
-            if any(len(r) != self.ncols for r in self._rows):
+            self.ncols = len(rows[0])
+            if any(len(r) != self.ncols for r in rows):
                 raise ShapeError("ragged rows")
             if ncols is not None and ncols != self.ncols:
                 raise ShapeError("declared column count does not match rows")
@@ -79,7 +77,8 @@ class IntMatrix:
             if ncols is None:
                 raise ShapeError("empty matrix needs an explicit column count")
             self.ncols = ncols
-        self._nonzeros: list[list[tuple[int, int]]] | None = None
+        cols = range(self.ncols)
+        self._nonzeros = [[(j, row[j]) for j in compress(cols, row)] for row in rows]
         self._csr: tuple | None = None
 
     # -- constructors ------------------------------------------------------
@@ -94,7 +93,6 @@ class IntMatrix:
         if len(nonzeros) != nrows:
             raise ShapeError(f"{len(nonzeros)} rows of nonzeros for {nrows} rows")
         m = cls.__new__(cls)
-        m._rows = None
         m.nrows, m.ncols = nrows, ncols
         m._nonzeros = nonzeros
         m._csr = None
@@ -116,17 +114,17 @@ class IntMatrix:
     def zeros(cls, nrows: int, ncols: int) -> "IntMatrix":
         return cls.from_nonzeros([[] for _ in range(nrows)], nrows, ncols)
 
-    def copy(self) -> "IntMatrix":
-        return IntMatrix([r[:] for r in self.rows], ncols=self.ncols)
-
     # -- storage -----------------------------------------------------------
 
     @property
     def rows(self) -> list[list[int]]:
-        """The dense rows, built from the nonzeros on first read."""
-        if self._rows is None:
-            self._rows = self._dense_rows()
-        return self._rows
+        """The dense rows, built afresh from the nonzeros on every read."""
+        return self._dense_rows()
+
+    @property
+    def nonzeros(self) -> list[list[tuple[int, int]]]:
+        """The (column, value) pairs of each row, in column order."""
+        return self._nonzeros
 
     def _dense_rows(self) -> list[list[int]]:
         rows = [[0] * self.ncols for _ in range(self.nrows)]
@@ -183,7 +181,7 @@ class IntMatrix:
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.ncols != other.nrows:
             raise ShapeError(f"cannot multiply {self.shape} by {other.shape}")
-        cols = list(zip(*other.rows)) if other.rows else []
+        cols = list(zip(*other.rows))
         if not cols:
             return IntMatrix.zeros(self.nrows, other.ncols)
         out = [
@@ -191,14 +189,6 @@ class IntMatrix:
             for row in self.rows
         ]
         return IntMatrix(out, ncols=other.ncols)
-
-    @property
-    def nonzeros(self) -> list[list[tuple[int, int]]]:
-        """The (column, value) pairs of each row, in column order."""
-        if self._nonzeros is None:
-            cols = range(self.ncols)
-            self._nonzeros = [[(j, row[j]) for j in compress(cols, row)] for row in self._rows]
-        return self._nonzeros
 
     def _compressed_rows(self) -> tuple:
         """(cols, starts, values, filled): the nonzeros in compressed rows.
@@ -270,13 +260,15 @@ class IntMatrix:
         return [sum(a for _, a in row) for row in self.nonzeros]
 
     def kron(self, other: "IntMatrix") -> "IntMatrix":
-        """Kronecker product, row-major cell order (i*p+k, j*q+l)."""
-        p, q = other.shape
-        out = []
-        for ra in self.rows:
-            for rb in other.rows:
-                out.append([a * b for a in ra for b in rb])
-        return IntMatrix(out, ncols=self.ncols * q)
+        """Kronecker product, row-major cell order (i*p+k, j*q+l), one
+        product per pair of nonzeros."""
+        q = other.ncols
+        out = [
+            [(j * q + l, a * b) for j, a in ra for l, b in rb]
+            for ra in self.nonzeros
+            for rb in other.nonzeros
+        ]
+        return IntMatrix.from_nonzeros(out, self.nrows * other.nrows, self.ncols * q)
 
     def to_array(self, dtype) -> np.ndarray:
         """The entries as a dense numpy array of the given dtype, scattered
@@ -353,7 +345,7 @@ def det(m: IntMatrix) -> int:
     n = m.nrows
     if n == 0:
         return 1
-    a = [r[:] for r in m.rows]
+    a = m.rows  # fresh lists, eliminated in place
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -397,9 +389,9 @@ def charpoly(m: IntMatrix) -> IntPolynomial:
     n = m.nrows
     if n == 0:
         return IntPolynomial((1,))
-    rho = max(sum(abs(a) for a in row) for row in m.rows)
+    rho = max(sum(abs(a) for _, a in row) for row in m.nonzeros)
     bound = _coefficient_bound(m)
-    entries = np.array(m.rows, dtype=object)
+    entries = m.to_array(object)
     coeffs = [0] * (n + 1)
     modulus = 1
     count = 0
@@ -414,10 +406,7 @@ def charpoly(m: IntMatrix) -> IntPolynomial:
     half = modulus // 2
     poly = IntPolynomial(tuple(c - modulus if c > half else c for c in coeffs))
     r = rho + 1
-    shifted = IntMatrix(
-        [[(r if i == j else 0) - a for j, a in enumerate(row)] for i, row in enumerate(m.rows)]
-    )
-    if poly(r) != det(shifted):
+    if poly(r) != det(IntMatrix.identity(n).scale(r) - m):
         raise ArithmeticError("charpoly certificate p(r) == det(rI - m) failed")
     return poly
 
@@ -428,8 +417,8 @@ def _coefficient_bound(m: IntMatrix) -> int:
     inequality bounds by their row norms.  A row norm never exceeds the row's
     absolute sum, so this is never above 2 (1 + rho)^n."""
     bound = 2
-    for row in m.rows:
-        sq = sum(a * a for a in row)
+    for row in m.nonzeros:
+        sq = sum(a * a for _, a in row)
         bound *= 2 + isqrt(sq - 1) if sq else 1
     return bound
 
@@ -615,7 +604,7 @@ class FieldMatrix(IntMatrix):
             raise ValueError(f"{p} is not prime")
         super().__init__(rows, ncols)
         self.p = p
-        self._rows = [[a % p for a in r] for r in self._rows]
+        self._nonzeros = _reduced(self._nonzeros, p)
 
     @classmethod
     def from_nonzeros(
@@ -625,8 +614,7 @@ class FieldMatrix(IntMatrix):
         whose value is 0 mod p are dropped."""
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
-        reduced = [[(j, a % p) for j, a in row if a % p] for row in nonzeros]
-        m = super().from_nonzeros(reduced, nrows, ncols)
+        m = super().from_nonzeros(_reduced(nonzeros, p), nrows, ncols)
         m.p = p
         return m
 
@@ -640,7 +628,7 @@ class FieldMatrix(IntMatrix):
     def __matmul__(self, other: "FieldMatrix") -> "FieldMatrix":
         if self.p != other.p:
             raise ValueError("mixed moduli")
-        return FieldMatrix(super().__matmul__(other).rows, self.p, ncols=other.ncols)
+        return field_reduce(super().__matmul__(other), self.p)
 
     def apply(self, vec: Sequence[int]) -> tuple[int, ...]:
         p = self.p
@@ -650,6 +638,11 @@ class FieldMatrix(IntMatrix):
         if self.p != other.p:
             raise ShapeError("modulus mismatch")
         return field_reduce(super().__sub__(other), self.p)
+
+
+def _reduced(nonzeros: list[list[tuple[int, int]]], p: int) -> list[list[tuple[int, int]]]:
+    """The pairs with every value reduced mod p, less those that are 0 mod p."""
+    return [[(j, a % p) for j, a in row if a % p] for row in nonzeros]
 
 
 def field_reduce(m: IntMatrix, p: int) -> FieldMatrix:
@@ -662,7 +655,7 @@ def field_inverse(m: FieldMatrix) -> FieldMatrix:
         raise ShapeError("inverse needs a square matrix")
     n = m.nrows
     p = m.p
-    a = [row[:] + [1 if i == j else 0 for j in range(n)] for i, row in enumerate(m.rows)]
+    a = [row + [1 if i == j else 0 for j in range(n)] for i, row in enumerate(m.rows)]
     for k in range(n):
         pivot_row = next((r for r in range(k, n) if a[r][k] % p != 0), None)
         if pivot_row is None:

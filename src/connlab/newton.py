@@ -193,15 +193,15 @@ def exact_jacobian_at_connection(bundle: OperatorBundle, pattern: SupportPattern
     if pattern is None:
         pattern = intersection_pattern(bundle)
     coords = pattern.coords()
-    ginv = bundle.green
+    ginv = bundle.green.rows
     cols = []
     for i, j in coords:
         col = []
         for k, l in coords:
             direct = 1 if (k, l) in ((i, j), (j, i)) else 0
-            prop = ginv.rows[k][i] * ginv.rows[j][l]
+            prop = ginv[k][i] * ginv[j][l]
             if i != j:
-                prop += ginv.rows[k][j] * ginv.rows[i][l]
+                prop += ginv[k][j] * ginv[i][l]
             col.append(-(direct + prop))
         cols.append(col)
     return IntMatrix(cols).transpose()

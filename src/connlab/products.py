@@ -60,15 +60,13 @@ class ProductComplex:
 
     def connection_by_intersection(self) -> IntMatrix:
         """L(A x B) built directly from the cell intersection rule."""
-        cells = self.cells
+        cells = [(set(x), set(y)) for x, y in self.cells]
         n = len(cells)
-        rows = [[0] * n for _ in range(n)]
-        for i, (xa, ya) in enumerate(cells):
-            sa, sb = set(xa), set(ya)
-            for j, (xb, yb) in enumerate(cells):
-                if sa & set(xb) and sb & set(yb):
-                    rows[i][j] = 1
-        return IntMatrix(rows)
+        rows = [
+            [(j, 1) for j, (xb, yb) in enumerate(cells) if xa & xb and ya & yb]
+            for xa, ya in cells
+        ]
+        return IntMatrix.from_nonzeros(rows, n, n)
 
 
 def product_complex(a: Graph | Complex, b: Graph | Complex) -> ProductComplex:

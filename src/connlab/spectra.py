@@ -249,11 +249,9 @@ def _lsc_shi(g: Graph) -> tuple[float, float, bool, bool]:
     if is_connected(g):
         lsc, shi = _lsc_shi_one_component(g)
         return lsc, shi, not is_regular(g), False
-    comps = connected_components(g)
-    vals = [_lsc_shi_one_component(induced_subgraph(g, comp)) for comp in comps]
-    applicable = all(
-        not is_regular(induced_subgraph(g, comp)) for comp in comps
-    )
+    parts = [induced_subgraph(g, comp) for comp in connected_components(g)]
+    vals = [_lsc_shi_one_component(part) for part in parts]
+    applicable = all(not is_regular(part) for part in parts)
     return max(v[0] for v in vals), max(v[1] for v in vals), applicable, True
 
 

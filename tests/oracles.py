@@ -12,6 +12,11 @@ Fractions, the oracle for exact.certified_rank; matpow is dense binary
 exponentiation; quaternion_branch_rank builds the 4n x 4n branch map from
 both and takes its rank.
 
+dense_kron is the Kronecker product written entry by entry from the dense
+rows, the oracle for IntMatrix.kron over the pairs.  edited gives a copy of
+a matrix with some entries changed, the way the mutation tests build a
+corrupted operator, since a matrix never changes once built.
+
 jacobi_residual_two_apply is the Jacobi residual with |H| applied twice at
 every time, the route dynamics.jacobi_residual keeps only for one-parity
 branches.
@@ -166,11 +171,28 @@ def quaternion_branch_rank(bundle: OperatorBundle) -> int:
         blocks = (
             (p[t], q[t], zero, zero) if t % 2 == 0 else (zero, zero, p[t], q[t])
         )
+        dense = [block.rows for block in blocks]
         for i in range(n):
-            rows.append(
-                blocks[0].rows[i] + blocks[1].rows[i] + blocks[2].rows[i] + blocks[3].rows[i]
-            )
+            rows.append(dense[0][i] + dense[1][i] + dense[2][i] + dense[3][i])
     return rank(IntMatrix(rows))
+
+
+def dense_kron(a: IntMatrix, b: IntMatrix) -> IntMatrix:
+    """Kronecker product from the dense rows: row i*p+k is a[i][j] * b[k]
+    for each column j of a in turn."""
+    rows_b = b.rows
+    return IntMatrix(
+        [[x * y for x in row_a for y in row_b] for row_a in a.rows for row_b in rows_b],
+        ncols=a.ncols * b.ncols,
+    )
+
+
+def edited(m: IntMatrix, entries: dict[tuple[int, int], int]) -> IntMatrix:
+    """The matrix m with entry (i, j) set to entries[(i, j)]; m is unchanged."""
+    rows = m.rows
+    for (i, j), a in entries.items():
+        rows[i][j] = a
+    return IntMatrix(rows, ncols=m.ncols)
 
 
 def jacobi_residual_two_apply(t: Trajectory, habs: IntMatrix) -> int:
@@ -211,24 +233,26 @@ def dense_abs(m: IntMatrix) -> IntMatrix:
 
 def dense_dirac(d0: IntMatrix) -> IntMatrix:
     v, e = d0.ncols, d0.nrows
+    d = d0.rows
     rows = [[0] * (v + e) for _ in range(v + e)]
     for k in range(e):
         for x in range(v):
-            rows[x][v + k] = d0.rows[k][x]
-            rows[v + k][x] = d0.rows[k][x]
+            rows[x][v + k] = d[k][x]
+            rows[v + k][x] = d[k][x]
     return IntMatrix(rows, ncols=v + e)
 
 
 def dense_hodge(d0: IntMatrix) -> IntMatrix:
     """D @ D for D = [[0, d0^T], [d0, 0]]: the blocks d0^T d0 and d0 d0^T."""
     v, e = d0.ncols, d0.nrows
+    d = d0.rows
     rows = [[0] * (v + e) for _ in range(v + e)]
     for x in range(v):
         for y in range(v):
-            rows[x][y] = sum(d0.rows[k][x] * d0.rows[k][y] for k in range(e))
+            rows[x][y] = sum(d[k][x] * d[k][y] for k in range(e))
     for k in range(e):
         for l in range(e):
-            rows[v + k][v + l] = sum(a * b for a, b in zip(d0.rows[k], d0.rows[l]))
+            rows[v + k][v + l] = sum(a * b for a, b in zip(d[k], d[l]))
     return IntMatrix(rows, ncols=v + e)
 
 

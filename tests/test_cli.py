@@ -17,6 +17,7 @@ import connlab.products as products
 from connlab.exact import dump_matrix
 from connlab.graphs import from_spec
 from connlab.spectra import CSV_COLUMNS
+from oracles import edited
 
 DATA = Path(__file__).parent / "data"
 
@@ -47,9 +48,7 @@ def test_verify_green_star_fails_without_traceback_on_a_non_unimodular_l(
     # Schur complement entry -1 becomes -2 or 0, so L has no integer inverse
     b = operators.bundle_for(from_spec("cycle:4"))
     b.green
-    L = b.connection.copy()
-    L.rows[b.v][b.v] = edge_diagonal
-    b.__dict__["connection"] = L
+    b.__dict__["connection"] = edited(b.connection, {(b.v, b.v): edge_diagonal})
     monkeypatch.setattr(cli, "bundle_for", lambda g: b)
     code, out, err = run(capsys, "verify", "cycle:4")
     assert code == 1, why
@@ -462,11 +461,16 @@ def test_walk_reverse_takes_green_from_the_bundle(capsys, monkeypatch):
 
 
 def test_automaton_reverse_inverts_over_the_field_once(capsys, monkeypatch):
-    # the one elimination left is the independent route of hydrogen_holds_mod
+    # automaton closes on the certified g reduced mod p and eliminates
+    # nothing; verify --field keeps the one independent F_p inverse, inside
+    # hydrogen_holds_mod
     calls = _counting(monkeypatch, "field_inverse", (exact, dynamics, operators, cli))
     code, out, _ = run(capsys, "automaton", "petersen:5,2", "--field", "11", "--steps", "9", "--reverse")
     assert code == 0
     assert len(out.splitlines()) == 19
+    assert len(calls) == 0
+    code, _, _ = run(capsys, "verify", "petersen:5,2", "--field", "11")
+    assert code == 0
     assert len(calls) == 1
 
 

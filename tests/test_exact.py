@@ -33,7 +33,7 @@ from connlab.exact import (
 )
 from connlab.graphs import from_spec
 from connlab.operators import bundle_for
-from oracles import inverse_unimodular, matpow, rank
+from oracles import dense_kron, edited, inverse_unimodular, matpow, rank
 
 entries = st.integers(min_value=-6, max_value=6)
 
@@ -168,14 +168,12 @@ def faddeev_leverrier(m: IntMatrix) -> IntPolynomial:
     """
     n = m.nrows
     coeffs_desc = [1]
-    mk = m.copy()
+    mk = m
     for k in range(1, n + 1):
         q, r = divmod(-mk.trace(), k)
         assert r == 0, "inexact trace division in Faddeev-LeVerrier"
         coeffs_desc.append(q)
-        for i in range(n):
-            mk.rows[i][i] += q
-        mk = m @ mk
+        mk = m @ (mk + IntMatrix.identity(n).scale(q))
     assert mk.is_zero(), "Cayley-Hamilton check failed"
     return IntPolynomial(tuple(reversed(coeffs_desc)))
 
@@ -442,42 +440,75 @@ def test_field_matrix_is_a_reduced_int_matrix():
         m - FieldMatrix(m.rows, 7)
 
 
-def test_nonzeros_are_collected_per_matrix_and_copy_starts_afresh():
+def test_dense_input_is_stored_as_its_nonzeros():
     m = IntMatrix([[0, 3, 0], [-2, 0, 5]])
     assert m.nonzeros == [[(1, 3)], [(0, -2), (2, 5)]]
     assert m.nonzeros is m.nonzeros
-    # a corrupted copy of an operator whose nonzeros were already read
-    c = m.copy()
-    c.rows[0][1] = 0
-    c.rows[1][1] = 7
+    # a corrupted operator is a new matrix built from edited rows
+    c = edited(m, {(0, 1): 0, (1, 1): 7})
     assert c.nonzeros == [[], [(0, -2), (1, 7), (2, 5)]]
     assert c.apply((1, 1, 1)) == (0, 10)
     assert m.nonzeros == [[(1, 3)], [(0, -2), (2, 5)]] and m.apply((1, 1, 1)) == (3, 3)
-    # FieldMatrix sees its reduced entries
+    # the input lists are converted, not kept
+    given = [[0, -1], [10**30, 0], [0, 0]]
+    d = IntMatrix(given)
+    given[0][0] = 5
+    given[2].append(1)
+    assert d.nonzeros == [[(1, -1)], [(0, 10**30)], []] and d.shape == (3, 2)
+    assert d.rows == [[0, -1], [10**30, 0], [0, 0]]
+    # FieldMatrix sees its reduced entries and drops those that are 0 mod p
     mp = FieldMatrix(m.rows, 3)
-    assert mp.nonzeros == [[], [(0, 1), (2, 2)]]
+    assert mp.nonzeros == [[], [(0, 1), (2, 2)]] and mp.rows == [[0, 0, 0], [1, 0, 2]]
     assert mp.apply((1, 1, 1)) == (0, 0)
+    assert FieldMatrix([[7, -7, 8], [-13, 0, 14]], 7).nonzeros == [[(2, 1)], [(0, 1)]]
     assert IntMatrix([], ncols=3).nonzeros == [] and IntMatrix([[], []], ncols=0).apply(()) == (0, 0)
 
 
-
-def test_matrix_built_from_nonzeros_builds_its_dense_rows_once():
+def test_dense_rows_are_a_fresh_view_on_every_read():
     nz = [[(1, 3)], [], [(0, -2), (2, 10**30)]]
     m = IntMatrix.from_nonzeros(nz, 3, 3)
-    assert m.nonzeros is nz and m._rows is None
+    assert m.nonzeros is nz
     rows = m.rows
-    assert rows == [[0, 3, 0], [0, 0, 0], [-2, 0, 10**30]] and m.rows is rows
+    assert rows == [[0, 3, 0], [0, 0, 0], [-2, 0, 10**30]]
+    again = m.rows
+    assert again == rows and again is not rows
+    assert all(a is not b for a, b in zip(again, rows))
     assert m == IntMatrix(rows) and IntMatrix(rows) == m
     assert m.apply((1, 1, 1)) == (3, 0, 10**30 - 2)
-    # copy() gives fresh dense rows with no nonzeros collected yet
-    c = m.copy()
-    assert c.rows == rows and c.rows is not rows and c._nonzeros is None
-    c.rows[1][1] = 4
-    assert c.nonzeros == [[(1, 3)], [(1, 4)], [(0, -2), (2, 10**30)]] and m.nonzeros is nz
+    # a write into the dense rows is lost: the matrix never changes
+    rows[1][1] = 4
+    rows[0].append(7)
+    rows.pop()
+    assert m == IntMatrix([[0, 3, 0], [0, 0, 0], [-2, 0, 10**30]])
+    assert m.nonzeros is nz and nz == [[(1, 3)], [], [(0, -2), (2, 10**30)]]
+    assert m.apply((1, 1, 1)) == (3, 0, 10**30 - 2)
+    assert m.rows == again == [[0, 3, 0], [0, 0, 0], [-2, 0, 10**30]]
     assert IntMatrix.from_nonzeros([[], []], 2, 0).rows == [[], []]
     assert IntMatrix.from_nonzeros([], 0, 4).to_float().shape == (0, 4)
     with pytest.raises(ShapeError):
         IntMatrix.from_nonzeros([[(0, 1)]], 2, 2)
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        (IntMatrix([], ncols=3), IntMatrix([[1, -2], [0, 3]])),
+        (IntMatrix([[1, -2], [0, 3]]), IntMatrix([], ncols=4)),
+        (IntMatrix([[], []], ncols=0), IntMatrix([[1, 2, 3]])),
+        (IntMatrix([[5, 0, -1]]), IntMatrix([[], [], []], ncols=0)),
+        (IntMatrix([[0, 2, -3], [4, 0, 0]]), IntMatrix([[1], [0], [-1], [2]])),
+        (
+            IntMatrix([[-(2**64), 0], [3, 2**63 + 1]]),
+            IntMatrix([[0, -(2**70)], [-1, 0], [2**65, 7]]),
+        ),
+    ],
+    ids=["0xn-left", "0xn-right", "nx0-left", "nx0-right", "non-square", "big-signed"],
+)
+def test_kron_over_the_pairs_matches_the_dense_kron(a, b):
+    got, want = a.kron(b), dense_kron(a, b)
+    assert got.shape == want.shape == (a.nrows * b.nrows, a.ncols * b.ncols)
+    assert got.rows == want.rows
+    assert got.nonzeros == want.nonzeros
 
 
 def test_sums_and_reductions_run_over_the_nonzeros():

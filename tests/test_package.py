@@ -113,8 +113,8 @@ def _rows_writes(tree: ast.AST) -> list[int]:
 
 
 def test_no_module_writes_into_dense_rows():
-    # a matrix built from its nonzeros builds `rows` once, as a view that
-    # nothing reads back, so a write into it would be silently lost
+    # `rows` is a dense view built afresh on every read, and nothing reads
+    # it back, so a write into it would be silently lost
     writes = {
         p.name: _rows_writes(ast.parse(p.read_text()))
         for p in sorted((ROOT / "src" / "connlab").glob("*.py"))

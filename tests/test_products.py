@@ -17,7 +17,7 @@ from connlab.products import (
     spectral_errors,
     two_time_walk,
 )
-from oracles import inverse_unimodular, matpow
+from oracles import dense_kron, edited, inverse_unimodular, matpow
 
 PAIRS = [
     ("complete:2", "complete:2"),
@@ -41,6 +41,23 @@ def test_product_connection_two_routes(sa, sb):
     pc = product_complex(from_spec(sa), from_spec(sb))
     assert L.nrows == pc.size
     assert L == pc.connection_by_intersection()
+
+
+@pytest.mark.parametrize("sa, sb", PAIRS)
+def test_kron_matches_the_dense_kron_on_the_factor_operators(sa, sb):
+    # the pairs behind L, kron(g_A, g_B) and both terms of H(A x B)
+    ba, bb = bundle_for(from_spec(sa)), bundle_for(from_spec(sb))
+    ia, ib = IntMatrix.identity(ba.size), IntMatrix.identity(bb.size)
+    for name, a, b in (
+        ("connection", ba.connection, bb.connection),
+        ("green", ba.green, bb.green),
+        ("hodge (x) I", ba.hodge, ib),
+        ("I (x) hodge", ia, bb.hodge),
+    ):
+        got, want = a.kron(b), dense_kron(a, b)
+        assert got.shape == want.shape == (ba.size * bb.size,) * 2, name
+        assert got.rows == want.rows, name
+        assert got.nonzeros == want.nonzeros, name
 
 
 @pytest.mark.parametrize("sa, sb", PAIRS)
@@ -120,8 +137,7 @@ def test_product_checks_rejects_a_product_without_integer_inverse(monkeypatch):
 
     def doubled_corner(a, b):
         L = real(a, b)
-        L.rows[0] = [2 * x for x in L.rows[0]]  # det 2 L = +-2
-        return L
+        return edited(L, {(0, j): 2 * x for j, x in L.nonzeros[0]})  # det 2 L = +-2
 
     monkeypatch.setattr(products, "product_connection", doubled_corner)
     with pytest.raises(ProductError, match="not an integer matrix"):
@@ -132,9 +148,7 @@ def test_product_checks_rejects_a_corrupted_intersection_rule(monkeypatch):
     real = ProductComplex.connection_by_intersection
 
     def dropped_corner(self):
-        L = real(self)
-        L.rows[0][0] = 0
-        return L
+        return edited(real(self), {(0, 0): 0})
 
     monkeypatch.setattr(ProductComplex, "connection_by_intersection", dropped_corner)
     with pytest.raises(ProductError, match="intersection-rule"):
