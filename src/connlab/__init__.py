@@ -64,7 +64,6 @@ from .spectra import (
     eig_sym,
     schur_check,
     spectral_function_sup_distance,
-    validate_spectrum_against_charpoly,
 )
 from .tables import REFERENCE_TABLES
 
@@ -127,7 +126,6 @@ __all__ = [
     "supersymmetry_report",
     "trace_report",
     "two_time_walk",
-    "validate_spectrum_against_charpoly",
     "verify_support",
     "walk",
     "__version__",

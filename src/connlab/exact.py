@@ -18,19 +18,20 @@ routines: OperatorBundle certifies L @ g = I over the nonzeros of L and g and
 reads det L off the Schur complement of L's identity vertex block, and
 products multiplies the factors' determinants.  Bareiss det serves the
 charpoly certificate and is the test oracle for those routes, as the dense
-product is for the certificate.
+product in tests/oracles.py is for the certificate and for @.
 
 An IntMatrix is stored as IntMatrix.nonzeros, the (column, value) pairs of
 each row, and as nothing else: dense input is converted to pairs at once,
-and IntMatrix.rows builds fresh dense lists on every read.  The L g = I
-certificate, the Schur-complement det, the squared traces, the k-walk
-counts, equality, sums and differences, abs, scale, transpose, kron, the
-entry reductions and the charpoly bounds run over the pairs, and to_array
-scatters them into numpy.  IntMatrix.apply reads the same nonzeros laid out
-once as compressed rows (numpy index arrays beside an object array of
-values), so each mat-vec is one gather of the vector, one multiply and one
-segmented sum, O(nnz) and on exact Python ints throughout.  Only @, Bareiss
-det, field_inverse and dump_matrix read dense rows.
+and IntMatrix.rows builds fresh dense lists on every read.  Products (@,
+one dict per row of the result), the L g = I certificate, the
+Schur-complement det, the squared traces, equality, sums and differences,
+abs, scale, transpose, kron, the entry reductions and the charpoly bounds
+run over the pairs, and to_array scatters them into numpy.  IntMatrix.apply
+reads the same nonzeros laid out once as compressed rows (numpy index
+arrays beside an object array of values), so each mat-vec is one gather of
+the vector, one multiply and one segmented sum, O(nnz) and on exact Python
+ints throughout; the k-walk counts step through it.  Only Bareiss det,
+field_inverse and dump_matrix read dense rows.
 """
 
 from __future__ import annotations
@@ -102,9 +103,7 @@ class IntMatrix:
     def from_dicts(rows: Sequence[dict[int, int]], ncols: int) -> "IntMatrix":
         """The matrix whose row i maps each column to its entry as rows[i]
         does; zero entries are dropped."""
-        return IntMatrix.from_nonzeros(
-            [sorted((j, a) for j, a in row.items() if a) for row in rows], len(rows), ncols
-        )
+        return IntMatrix.from_nonzeros([_sorted_pairs(row) for row in rows], len(rows), ncols)
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
@@ -179,16 +178,20 @@ class IntMatrix:
         return self._map(lambda a: k * a)
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
+        """The product row by row over the nonzeros (Gustavson): row i sums
+        a * (row j of other) for each nonzero (j, a) of row i, so the cost is
+        the number of nonzero products, and entries that cancel are dropped."""
         if self.ncols != other.nrows:
             raise ShapeError(f"cannot multiply {self.shape} by {other.shape}")
-        cols = list(zip(*other.rows))
-        if not cols:
-            return IntMatrix.zeros(self.nrows, other.ncols)
-        out = [
-            [sum(a * b for a, b in zip(row, col)) for col in cols]
-            for row in self.rows
-        ]
-        return IntMatrix(out, ncols=other.ncols)
+        rows_b = other.nonzeros
+        out = []
+        for row in self.nonzeros:
+            acc: dict[int, int] = {}
+            for j, a in row:
+                for k, b in rows_b[j]:
+                    acc[k] = acc.get(k, 0) + a * b
+            out.append(acc)
+        return IntMatrix.from_dicts(out, other.ncols)
 
     def _compressed_rows(self) -> tuple:
         """(cols, starts, values, filled): the nonzeros in compressed rows.
@@ -290,6 +293,14 @@ class IntMatrix:
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.nrows}x{self.ncols})"
+
+
+def _sorted_pairs(row: dict[int, int]) -> list[tuple[int, int]]:
+    """The (column, value) pairs of a row in column order, less the zeros;
+    a row with no zero is sorted as it is."""
+    if 0 in row.values():
+        return sorted([(j, a) for j, a in row.items() if a])
+    return sorted(row.items())
 
 
 @dataclass(frozen=True)
@@ -539,51 +550,48 @@ def _prime(i: int) -> int:
     """The i-th largest prime below 2^31 (i = 0 gives 2^31 - 1)."""
     while len(_PRIMES) <= i:
         q = _PRIMES[-1] - 2 if _PRIMES else 2**31 - 1
-        while not _is_word_prime(q):
+        while not is_prime(q):
             q -= 2
         _PRIMES.append(q)
     return _PRIMES[i]
 
 
-def _is_word_prime(q: int) -> bool:
-    """Miller-Rabin on odd q > 7 with bases 2, 3, 5, 7: exact below 3 215 031 751.
-
-    Near 2^31 the trial division of is_prime takes milliseconds per prime,
-    which a fresh process would pay on its first charpoly.
-    """
-    d, s = q - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for base in (2, 3, 5, 7):
-        x = pow(base, d, q)
-        if x == 1 or x == q - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % q
-            if x == q - 1:
-                break
-        else:
-            return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # prime fields
 
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# the least strong pseudoprime to every base in _WITNESSES (Sorenson and
+# Webster, Strong pseudoprimes to twelve prime bases, 2017)
+PRIME_TEST_LIMIT = 318_665_857_834_031_151_167_461
 
-def is_prime(p: int) -> bool:
-    if p < 2:
+
+def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin with the prime bases 2 to 37, exact for
+    n < PRIME_TEST_LIMIT; a larger n raises ValueError.  n divisible by a
+    base is decided by that division, so the bases are all units mod n."""
+    if n >= PRIME_TEST_LIMIT:
+        raise ValueError(
+            f"cannot decide whether {n} is prime: the test is exact below {PRIME_TEST_LIMIT}"
+        )
+    if n < 2:
         return False
-    if p < 4:
-        return True
-    if p % 2 == 0:
-        return False
-    f = 3
-    while f * f <= p:
-        if p % f == 0:
+    for q in _WITNESSES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for base in _WITNESSES:
+        x = pow(base, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 

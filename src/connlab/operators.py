@@ -31,13 +31,15 @@ Every builder here writes the (column, value) pairs of each row and hands
 them to IntMatrix.from_nonzeros, or sums them in one dict per row
 (IntMatrix.from_dicts); no operator passes through dense rows, and every
 one is read through IntMatrix.nonzeros.  L and g are set from the vertex
-stars (a vertex with its incident edges), D is d0 and its transpose, and
-H and |H| are summed directly from the two nonzeros of every incidence
-row, so no operator here is formed as a dense product; the test suite keeps
-D @ D and the dense builders (tests/oracles.py) as the oracles.  The
-signless incidence and Kirchhoff matrices are the entrywise abs of the
-signed ones, and the hydrogen residual has no nonzeros when the identity
-holds.
+stars (a vertex with its incident edges) and D is d0 and its transpose.
+H and |H| are what the paper defines them to be, D @ D and |D| @ |D|, by
+the sparse product over the nonzeros; supersymmetry_report compares their
+blocks with the Gram products d0^T d0 and d0 d0^T formed from d0 itself,
+so a fault in the Dirac assembly or in block fails verify.  The test suite
+keeps the dense product and the dense builders (tests/oracles.py) as the
+oracles.  The signless incidence and Kirchhoff matrices are the entrywise
+abs of the signed ones, and the hydrogen residual has no nonzeros when the
+identity holds.
 """
 
 from __future__ import annotations
@@ -92,30 +94,6 @@ def dirac_from_incidence(d0: IntMatrix) -> IntMatrix:
             rows[x].append((k, a))
     rows.extend(d0.nonzeros)
     return IntMatrix.from_nonzeros(rows, v + d0.nrows, v + d0.nrows)
-
-
-def _hodge_from_incidence(d0: IntMatrix) -> IntMatrix:
-    """D @ D for D = [[0, d0^T], [d0, 0]], summed over the nonzeros of d0.
-
-    The vertex block d0^T d0 collects, for each edge row, the products of its
-    nonzeros; the edge block d0 d0^T collects, for each vertex, the products
-    over its incident edges.  Both off-diagonal blocks are zero.
-    """
-    v = d0.ncols
-    rows: list[dict[int, int]] = [{} for _ in range(v + d0.nrows)]
-    incident: list[list[tuple[int, int]]] = [[] for _ in range(v)]
-    for k, nonzeros in enumerate(d0.nonzeros):
-        for x, a in nonzeros:
-            incident[x].append((v + k, a))
-            row = rows[x]
-            for y, b in nonzeros:
-                row[y] = row.get(y, 0) + a * b
-    for edges in incident:
-        for k, a in edges:
-            row = rows[k]
-            for l, b in edges:
-                row[l] = row.get(l, 0) + a * b
-    return IntMatrix.from_dicts(rows, v + d0.nrows)
 
 
 def connection_matrix(c: Complex) -> IntMatrix:
@@ -291,11 +269,11 @@ class OperatorBundle:
 
     @cached_property
     def hodge(self) -> IntMatrix:
-        return _hodge_from_incidence(self.incidence)
+        return self.dirac @ self.dirac
 
     @cached_property
     def hodge_signless(self) -> IntMatrix:
-        return _hodge_from_incidence(self.incidence_signless)
+        return self.dirac_signless @ self.dirac_signless
 
     @cached_property
     def hodge0(self) -> IntMatrix:
@@ -458,8 +436,8 @@ class SupersymmetryReport:
     For any matrix d, d^T d and d d^T have the same nonzero spectrum, so the
     report rests on exact facts about the incidence factor d and runs no
     characteristic polynomial.  nonzero_match holds exactly when H0 equals
-    the independently built Kirchhoff matrix and H0 and H1 are the Gram
-    products d^T d and d d^T, summed again over the nonzeros of d.  The
+    the independently built Kirchhoff matrix and the blocks H0 and H1 of the
+    Dirac square equal the Gram products d^T d and d d^T formed from d.  The
     kernel counts are v - rank d and e - rank d, with rank d exact
     (exact.certified_rank, closed by the component indicator vectors, which
     lie in ker d).  The signless fields are the same for |d|, |H0|, |H1| and
@@ -507,11 +485,10 @@ def _component_vectors(g: Graph) -> tuple[list[list[int]], list[list[int]]]:
 
 
 def _is_gram_pair(d: IntMatrix, h0: IntMatrix, h1: IntMatrix, kirchhoff: IntMatrix) -> bool:
-    """h0 == kirchhoff == d^T d and h1 == d d^T, the Gram products summed
-    again over the nonzeros of d."""
-    gram = _hodge_from_incidence(d)
-    v, n = d.ncols, gram.nrows
-    return h0 == kirchhoff == block(gram, 0, v, 0, v) and h1 == block(gram, v, n, v, n)
+    """h0 == kirchhoff == d^T d and h1 == d d^T, the Gram products formed
+    from d itself, not from the Dirac square that h0 and h1 are cut from."""
+    dt = d.transpose()
+    return h0 == kirchhoff == dt @ d and h1 == d @ dt
 
 
 def supersymmetry_report(bundle: OperatorBundle) -> SupersymmetryReport:

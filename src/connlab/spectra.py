@@ -16,23 +16,17 @@ the measurement tables:
 
 Soundness (every applicable bound >= rho) is asserted whenever a report is
 assembled, so a wrong formula cannot produce a quietly wrong table.
-
-Exact eigenvalue cross-validation lives at the bottom: characteristic
-polynomials from exact.charpoly are fed to a Sturm chain root isolator,
-giving certified eigenvalue multisets to compare with the floating-point
-solver on small matrices.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .exact import IntMatrix, IntPolynomial, charpoly
+from .exact import IntMatrix
 from .graphs import Graph, connected_components, diameter, induced_subgraph, is_connected, is_regular
 from .operators import OperatorBundle, bundle_for
 
@@ -180,9 +174,9 @@ def bound_kwalk(source: Graph | OperatorBundle, k: int) -> float:
 
     P(k,x) counts length-k walks in the connection graph G' starting at x,
     that is row x of A(G')^k 1 with A(G') = L - I.  It is computed exactly
-    with k big-integer mat-vecs over the neighbour lists of G' (the
-    off-diagonal nonzeros of L), starting from the all-ones vector; no power
-    of A is formed.  Only the final k-th root is floating point.
+    with k big-integer mat-vecs A x = L x - x (L has a unit diagonal),
+    starting from the all-ones vector; no power of A is formed.  Only the
+    final k-th root is floating point.
 
     Sound for every k: max_x P(k,x) >= rho(A)^k, so r_k >= rho(L) and the
     bound dominates rho(|H|) = rho(L) - 1/rho(L).  The max row sum is
@@ -195,12 +189,10 @@ def bound_kwalk(source: Graph | OperatorBundle, k: int) -> float:
         raise SpectraError("walk length k must be >= 1")
     bundle = bundle_for(source)
     _require_edges(bundle.graph)
-    neighbours = [
-        [y for y, _ in row if y != x] for x, row in enumerate(bundle.connection.nonzeros)
-    ]
+    L = bundle.connection
     counts = [1] * bundle.size
     for _ in range(k):
-        counts = [sum(counts[y] for y in nbrs) for nbrs in neighbours]
+        counts = [a - c for a, c in zip(L.apply(counts), counts)]
     walks = max(counts)
     if walks <= 0:
         raise SpectraError("connection graph has no walks; graph must have an edge")
@@ -452,184 +444,3 @@ def spectral_function_sup_distance(spec: Spectrum) -> float:
     f = spectral_function(spec)
     n = spec.matrix_dim
     return max(abs(f(j / n) - limit_profile(j / n)) for j in range(1, n + 1))
-
-
-def limit_functional_equation_residual(samples: int = 100) -> float:
-    """max |F(2x) - F(x)(4 - F(x))| for the limit profile at sampled x.
-
-    The doubling identity is exact for 4 sin^2(pi x / 2); the residual here
-    is pure floating-point roundoff.
-    """
-    worst = 0.0
-    for j in range(1, samples + 1):
-        x = j / (2.0 * samples)
-        fx = limit_profile(x)
-        worst = max(worst, abs(limit_profile(2.0 * x) - fx * (4.0 - fx)))
-    return worst
-
-
-# ---------------------------------------------------------------------------
-# certified eigenvalues from the exact characteristic polynomial
-#
-# Sturm chains decide exactly how many real roots a square-free rational
-# polynomial has in an interval, so bisection gives eigenvalue enclosures
-# with no floating-point trust anywhere.  Multiplicities come from peeling
-# gcd(p, p') layers.  Degree stays tiny (n <= 12 in the validation suite).
-
-
-def _fpoly(coeffs: Sequence[Fraction]) -> list[Fraction]:
-    out = list(coeffs)
-    while out and out[-1] == 0:
-        out.pop()
-    return out
-
-
-def _fpoly_eval(p: Sequence[Fraction], x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
-
-
-def _fpoly_deriv(p: Sequence[Fraction]) -> list[Fraction]:
-    return _fpoly([c * k for k, c in enumerate(p)][1:])
-
-
-def _fpoly_rem(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
-    a = list(a)
-    db, lb = len(b) - 1, b[-1]
-    while len(a) - 1 >= db and _fpoly(a):
-        a = _fpoly(a)
-        if len(a) - 1 < db:
-            break
-        q = a[-1] / lb
-        shift = len(a) - 1 - db
-        for i, c in enumerate(b):
-            a[shift + i] -= q * c
-        a = _fpoly(a)
-    return _fpoly(a)
-
-
-def _fpoly_monic(p: Sequence[Fraction]) -> list[Fraction]:
-    p = _fpoly(p)
-    if not p:
-        return []
-    lead = p[-1]
-    return [c / lead for c in p]
-
-
-def _fpoly_gcd(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
-    a, b = _fpoly(a), _fpoly(b)
-    while b:
-        a, b = b, _fpoly_rem(a, b)
-    return _fpoly_monic(a)
-
-
-def _fpoly_div_exact(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
-    a, b = _fpoly(a), _fpoly(b)
-    out = [Fraction(0)] * (len(a) - len(b) + 1)
-    while len(a) >= len(b) and _fpoly(a):
-        q = a[-1] / b[-1]
-        shift = len(a) - len(b)
-        out[shift] = q
-        for i, c in enumerate(b):
-            a[shift + i] -= q * c
-        a = _fpoly(a)
-    if _fpoly(a):
-        raise ArithmeticError("polynomial division was not exact")
-    return _fpoly(out)
-
-
-def _sturm_chain(p: Sequence[Fraction]) -> list[list[Fraction]]:
-    chain = [_fpoly(p), _fpoly_deriv(p)]
-    while chain[-1]:
-        rem = _fpoly_rem(chain[-2], chain[-1])
-        if not rem:
-            break
-        chain.append([-c for c in rem])
-    return [c for c in chain if c]
-
-
-def _sign_variations(chain: Sequence[Sequence[Fraction]], x: Fraction) -> int:
-    signs = []
-    for p in chain:
-        v = _fpoly_eval(p, x)
-        if v != 0:
-            signs.append(1 if v > 0 else -1)
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-
-def _roots_squarefree(p: list[Fraction], precision: Fraction) -> list[Fraction]:
-    """All real roots of a square-free polynomial, each within precision."""
-    if len(p) <= 1:
-        return []
-    chain = _sturm_chain(p)
-    bound = Fraction(1) + max(abs(c) for c in p[:-1]) / abs(p[-1])
-    roots: list[Fraction] = []
-
-    def count(a: Fraction, b: Fraction) -> int:
-        return _sign_variations(chain, a) - _sign_variations(chain, b)
-
-    stack = [(-bound, bound, count(-bound, bound))]
-    while stack:
-        a, b, k = stack.pop()
-        if k == 0:
-            continue
-        if k == 1 and b - a < precision:
-            roots.append((a + b) / 2)
-            continue
-        mid = (a + b) / 2
-        # roots are counted in half-open intervals (a, b]; a root exactly at
-        # the midpoint is captured by the left half
-        left = count(a, mid)
-        stack.append((a, mid, left))
-        stack.append((mid, b, k - left))
-    return sorted(roots)
-
-
-def exact_root_multiset(p: IntPolynomial, precision: Fraction = Fraction(1, 10**9)) -> list[float]:
-    """Real roots of p with multiplicity, sorted, certified by Sturm counts.
-
-    Layers of gcd(p, p') carry the repeated roots, so the recursion returns
-    each root as many times as its multiplicity.  For characteristic
-    polynomials of symmetric integer matrices all roots are real, which the
-    caller can confirm by comparing len(result) with the degree.
-    """
-    coeffs = [Fraction(c) for c in p.coeffs]
-
-    def rec(q: list[Fraction]) -> list[float]:
-        q = _fpoly(q)
-        if len(q) <= 1:
-            return []
-        deriv = _fpoly_deriv(q)
-        g = _fpoly_gcd(q, deriv)
-        squarefree = _fpoly_div_exact(q, g) if len(g) > 1 else _fpoly_monic(q)
-        found = [float(r) for r in _roots_squarefree(squarefree, precision)]
-        if len(g) > 1:
-            found.extend(rec(g))
-        return found
-
-    return sorted(rec(coeffs))
-
-
-def validate_spectrum_against_charpoly(m: IntMatrix, tol: float = 1e-6) -> float:
-    """Compare eig_sym(m) with certified charpoly roots; return the worst gap.
-
-    Raises if the multiset sizes differ or any eigenvalue is further than
-    tol from its certified partner.
-    """
-    spec = eig_sym(m)
-    roots = exact_root_multiset(charpoly(m))
-    if len(roots) != spec.matrix_dim:
-        raise SpectraError(
-            f"charpoly yielded {len(roots)} real roots for dimension {spec.matrix_dim}"
-        )
-    worst = max(
-        (abs(a - b) for a, b in zip(spec.eigenvalues, roots)),
-        default=0.0,
-    )
-    if worst > tol:
-        raise SpectraError(
-            f"eigensolver disagrees with certified roots by {worst:.3e}"
-        )
-    return worst

@@ -5,17 +5,22 @@ integers.  The Schur-complement block inverse (operators.schur_inverse), the
 star-formula Green matrix, kron(g_A, g_B) for products and the backward
 walks are compared with it.
 
+dense_matmul is the schoolbook product of the dense rows, O(n^3), the
+oracle for the sparse IntMatrix @ and for the Hodge operators built as
+Dirac squares.
+
 supersymmetry_charpoly is the characteristic-polynomial route that
 operators.supersymmetry_report replaced: four multimodular charpolys
 compared with their zero roots stripped.  rank is Gaussian elimination on
-Fractions, the oracle for exact.certified_rank; matpow is dense binary
-exponentiation; quaternion_branch_rank builds the 4n x 4n branch map from
+Fractions, the oracle for exact.certified_rank; matpow is binary
+exponentiation by dense products; quaternion_branch_rank builds the 4n x 4n branch map from
 both and takes its rank.
 
 dense_kron is the Kronecker product written entry by entry from the dense
 rows, the oracle for IntMatrix.kron over the pairs.  edited gives a copy of
 a matrix with some entries changed, the way the mutation tests build a
-corrupted operator, since a matrix never changes once built.
+corrupted operator, since a matrix never changes once built;
+negated_edge_row wraps the Dirac builder the same way.
 
 jacobi_residual_two_apply is the Jacobi residual with |H| applied twice at
 every time, the route dynamics.jacobi_residual keeps only for one-parity
@@ -26,15 +31,37 @@ rows; operators builds them from their nonzeros instead, and the tests
 compare the two over the corpus.  dense_connection tests every pair of
 simplices for an intersection, and dense_hodge forms the Gram blocks
 d0^T d0 and d0 d0^T by dense products.
+
+limit_functional_equation_residual samples the doubling identity of
+spectra.limit_profile.
+
+exact_root_multiset isolates the real roots of an integer polynomial by
+Sturm chains over the rationals, and validate_spectrum_against_charpoly
+compares spectra.eig_sym with the roots of exact.charpoly.
 """
 
 from fractions import Fraction
+from typing import Sequence
 
 from connlab.complexes import Complex, parity, simplices_intersect
 from connlab.dynamics import DynamicsError, Trajectory
 from connlab.exact import IntMatrix, IntPolynomial, ShapeError, SingularMatrixError, charpoly
 from connlab.graphs import Graph, betti_numbers
 from connlab.operators import OperatorBundle, SupersymmetryReport
+from connlab.spectra import SpectraError, eig_sym, limit_profile
+
+
+def dense_matmul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
+    """a @ b from the dense rows, one sum of products per entry."""
+    if a.ncols != b.nrows:
+        raise ShapeError(f"cannot multiply {a.shape} by {b.shape}")
+    cols = list(zip(*b.rows))
+    if not cols:
+        return IntMatrix.zeros(a.nrows, b.ncols)
+    return IntMatrix(
+        [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a.rows],
+        ncols=b.ncols,
+    )
 
 
 def inverse_unimodular(m: IntMatrix) -> IntMatrix:
@@ -145,10 +172,10 @@ def matpow(m: IntMatrix, k: int) -> IntMatrix:
     base = m
     while k:
         if k & 1:
-            result = result @ base
+            result = dense_matmul(result, base)
         k >>= 1
         if k:
-            base = base @ base
+            base = dense_matmul(base, base)
     return result
 
 
@@ -193,6 +220,23 @@ def edited(m: IntMatrix, entries: dict[tuple[int, int], int]) -> IntMatrix:
     for (i, j), a in entries.items():
         rows[i][j] = a
     return IntMatrix(rows, ncols=m.ncols)
+
+
+def negated_edge_row(dirac, signless: bool):
+    """A Dirac builder for mutation tests: dirac(d0) with its first edge row
+    negated, so it no longer agrees with the transposed block; applied only
+    to the signless incidence when signless is set, else only to a signed
+    one."""
+
+    def build(d0: IntMatrix) -> IntMatrix:
+        m = dirac(d0)
+        if signless == any(a < 0 for row in d0.nonzeros for _, a in row):
+            return m
+        rows = list(m.nonzeros)
+        rows[d0.ncols] = [(j, -a) for j, a in rows[d0.ncols]]
+        return IntMatrix.from_nonzeros(rows, m.nrows, m.ncols)
+
+    return build
 
 
 def jacobi_residual_two_apply(t: Trajectory, habs: IntMatrix) -> int:
@@ -296,3 +340,184 @@ def dense_hydrogen_residual(bundle: OperatorBundle) -> IntMatrix:
     return IntMatrix(
         [[h[i][j] - L[i][j] + g[i][j] for j in range(n)] for i in range(n)], ncols=n
     )
+
+
+def limit_functional_equation_residual(samples: int = 100) -> float:
+    """max |F(2x) - F(x)(4 - F(x))| for the limit profile at sampled x.
+
+    The doubling identity is exact for 4 sin^2(pi x / 2); the residual here
+    is pure floating-point roundoff.
+    """
+    worst = 0.0
+    for j in range(1, samples + 1):
+        x = j / (2.0 * samples)
+        fx = limit_profile(x)
+        worst = max(worst, abs(limit_profile(2.0 * x) - fx * (4.0 - fx)))
+    return worst
+
+
+# ---------------------------------------------------------------------------
+# certified eigenvalues from the exact characteristic polynomial
+#
+# Sturm chains decide exactly how many real roots a square-free rational
+# polynomial has in an interval, so bisection gives eigenvalue enclosures
+# with no floating-point trust anywhere.  Multiplicities come from peeling
+# gcd(p, p') layers.  Degree stays tiny (n <= 12 in the validation suite).
+
+
+def _fpoly(coeffs: Sequence[Fraction]) -> list[Fraction]:
+    out = list(coeffs)
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def _fpoly_eval(p: Sequence[Fraction], x: Fraction) -> Fraction:
+    acc = Fraction(0)
+    for c in reversed(p):
+        acc = acc * x + c
+    return acc
+
+
+def _fpoly_deriv(p: Sequence[Fraction]) -> list[Fraction]:
+    return _fpoly([c * k for k, c in enumerate(p)][1:])
+
+
+def _fpoly_rem(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
+    a = list(a)
+    db, lb = len(b) - 1, b[-1]
+    while len(a) - 1 >= db and _fpoly(a):
+        a = _fpoly(a)
+        if len(a) - 1 < db:
+            break
+        q = a[-1] / lb
+        shift = len(a) - 1 - db
+        for i, c in enumerate(b):
+            a[shift + i] -= q * c
+        a = _fpoly(a)
+    return _fpoly(a)
+
+
+def _fpoly_monic(p: Sequence[Fraction]) -> list[Fraction]:
+    p = _fpoly(p)
+    if not p:
+        return []
+    lead = p[-1]
+    return [c / lead for c in p]
+
+
+def _fpoly_gcd(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
+    a, b = _fpoly(a), _fpoly(b)
+    while b:
+        a, b = b, _fpoly_rem(a, b)
+    return _fpoly_monic(a)
+
+
+def _fpoly_div_exact(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
+    a, b = _fpoly(a), _fpoly(b)
+    out = [Fraction(0)] * (len(a) - len(b) + 1)
+    while len(a) >= len(b) and _fpoly(a):
+        q = a[-1] / b[-1]
+        shift = len(a) - len(b)
+        out[shift] = q
+        for i, c in enumerate(b):
+            a[shift + i] -= q * c
+        a = _fpoly(a)
+    if _fpoly(a):
+        raise ArithmeticError("polynomial division was not exact")
+    return _fpoly(out)
+
+
+def _sturm_chain(p: Sequence[Fraction]) -> list[list[Fraction]]:
+    chain = [_fpoly(p), _fpoly_deriv(p)]
+    while chain[-1]:
+        rem = _fpoly_rem(chain[-2], chain[-1])
+        if not rem:
+            break
+        chain.append([-c for c in rem])
+    return [c for c in chain if c]
+
+
+def _sign_variations(chain: Sequence[Sequence[Fraction]], x: Fraction) -> int:
+    signs = []
+    for p in chain:
+        v = _fpoly_eval(p, x)
+        if v != 0:
+            signs.append(1 if v > 0 else -1)
+    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+
+def _roots_squarefree(p: list[Fraction], precision: Fraction) -> list[Fraction]:
+    """All real roots of a square-free polynomial, each within precision."""
+    if len(p) <= 1:
+        return []
+    chain = _sturm_chain(p)
+    bound = Fraction(1) + max(abs(c) for c in p[:-1]) / abs(p[-1])
+    roots: list[Fraction] = []
+
+    def count(a: Fraction, b: Fraction) -> int:
+        return _sign_variations(chain, a) - _sign_variations(chain, b)
+
+    stack = [(-bound, bound, count(-bound, bound))]
+    while stack:
+        a, b, k = stack.pop()
+        if k == 0:
+            continue
+        if k == 1 and b - a < precision:
+            roots.append((a + b) / 2)
+            continue
+        mid = (a + b) / 2
+        # roots are counted in half-open intervals (a, b]; a root exactly at
+        # the midpoint is captured by the left half
+        left = count(a, mid)
+        stack.append((a, mid, left))
+        stack.append((mid, b, k - left))
+    return sorted(roots)
+
+
+def exact_root_multiset(p: IntPolynomial, precision: Fraction = Fraction(1, 10**9)) -> list[float]:
+    """Real roots of p with multiplicity, sorted, certified by Sturm counts.
+
+    Layers of gcd(p, p') carry the repeated roots, so the recursion returns
+    each root as many times as its multiplicity.  For characteristic
+    polynomials of symmetric integer matrices all roots are real, which the
+    caller can confirm by comparing len(result) with the degree.
+    """
+    coeffs = [Fraction(c) for c in p.coeffs]
+
+    def rec(q: list[Fraction]) -> list[float]:
+        q = _fpoly(q)
+        if len(q) <= 1:
+            return []
+        deriv = _fpoly_deriv(q)
+        g = _fpoly_gcd(q, deriv)
+        squarefree = _fpoly_div_exact(q, g) if len(g) > 1 else _fpoly_monic(q)
+        found = [float(r) for r in _roots_squarefree(squarefree, precision)]
+        if len(g) > 1:
+            found.extend(rec(g))
+        return found
+
+    return sorted(rec(coeffs))
+
+
+def validate_spectrum_against_charpoly(m: IntMatrix, tol: float = 1e-6) -> float:
+    """Compare eig_sym(m) with certified charpoly roots; return the worst gap.
+
+    Raises if the multiset sizes differ or any eigenvalue is further than
+    tol from its certified partner.
+    """
+    spec = eig_sym(m)
+    roots = exact_root_multiset(charpoly(m))
+    if len(roots) != spec.matrix_dim:
+        raise SpectraError(
+            f"charpoly yielded {len(roots)} real roots for dimension {spec.matrix_dim}"
+        )
+    worst = max(
+        (abs(a - b) for a, b in zip(spec.eigenvalues, roots)),
+        default=0.0,
+    )
+    if worst > tol:
+        raise SpectraError(
+            f"eigensolver disagrees with certified roots by {worst:.3e}"
+        )
+    return worst

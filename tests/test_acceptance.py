@@ -60,7 +60,6 @@ from connlab.spectra import (
     bounds_report,
     connection_sign_split,
     eig_sym,
-    limit_functional_equation_residual,
     spectral_function_sup_distance,
     spectrum_of,
 )
@@ -74,7 +73,7 @@ from connlab.tables import (
     row_max_error,
 )
 from conftest import CORPUS_SPECS, build_corpus
-from oracles import inverse_unimodular
+from oracles import inverse_unimodular, limit_functional_equation_residual
 
 PRODUCT_PAIRS = [
     ("complete:2", "complete:2"),

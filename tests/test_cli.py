@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -17,7 +18,7 @@ import connlab.products as products
 from connlab.exact import dump_matrix
 from connlab.graphs import from_spec
 from connlab.spectra import CSV_COLUMNS
-from oracles import edited
+from oracles import dense_matmul, edited, negated_edge_row
 
 DATA = Path(__file__).parent / "data"
 
@@ -139,7 +140,7 @@ def test_bounds_dump_habs_matches_dense_product(capsys):
     code, out, _ = run(capsys, "bounds", "cycle:4", "--dump", "Habs")
     assert code == 0
     b = operators.bundle_for(from_spec("cycle:4"))
-    assert out.endswith(dump_matrix(b.dirac_signless @ b.dirac_signless))
+    assert out.endswith(dump_matrix(dense_matmul(b.dirac_signless, b.dirac_signless)))
 
 
 def _assert_unknown_dump_rejected(capsys, argv):
@@ -340,6 +341,11 @@ def test_usage_error_exits_2():
             ("walk", "path:1", "--state", "9" * 5000 + "x"),
             "error: state '" + "9" * 40 + "...' is not a comma-separated list of integers",
         ),
+        (
+            ("verify", "cycle:4", "--field", str(exact.PRIME_TEST_LIMIT)),
+            f"error: argument --field: cannot decide whether {exact.PRIME_TEST_LIMIT} is prime: "
+            f"the test is exact below {exact.PRIME_TEST_LIMIT}",
+        ),
     ],
 )
 def test_usage_errors_print_one_line_and_exit_2(capsys, argv, message):
@@ -351,6 +357,17 @@ def test_usage_errors_print_one_line_and_exit_2(capsys, argv, message):
     assert code == 2
     assert out.out == ""
     assert out.err == message + "\n"
+
+
+def test_a_sixteen_digit_prime_field_parses_at_once(capsys):
+    # 10^16 + 61 is prime; trial division spent seconds on it, in the parser
+    # and again in every FieldMatrix built over it
+    start = time.perf_counter()
+    args = cli.build_parser().parse_args(["verify", "cycle:4", "--field", "10000000000000061"])
+    assert time.perf_counter() - start < 0.1
+    assert args.field == 10**16 + 61
+    code, out, _ = run(capsys, "verify", "cycle:4", "--field", "10000000000000061")
+    assert code == 0 and "ok   hydrogen-mod-p" in out
 
 
 def test_newton_max_iter_zero_reports_without_iterating(capsys):
@@ -483,26 +500,60 @@ def test_product_takes_its_inverse_from_the_factors(capsys, monkeypatch):
     assert calls == []
 
 
+def _design_products(argv) -> list:
+    """The operand pairs of every product verify and product are meant to
+    form: the Dirac squares behind H and |H|, and supersymmetry's Gram
+    products of d and |d|."""
+    if argv[0] == "product":
+        bundles = [operators.bundle_for(from_spec(spec)) for spec in argv[1:]]
+        return [(b.dirac, b.dirac) for b in bundles]
+    b = operators.bundle_for(from_spec(argv[1]))
+    pairs = [(b.dirac, b.dirac), (b.dirac_signless, b.dirac_signless)]
+    for d in (b.incidence, b.incidence_signless):
+        pairs += [(d.transpose(), d), (d, d.transpose())]
+    return pairs
+
+
 @pytest.mark.parametrize(
     "argv",
     [("verify", "wheel:6", "--field", "5"), ("product", "path:3", "cycle:4")],
     ids=["verify", "product"],
 )
 def test_verify_and_product_form_no_dense_product(capsys, monkeypatch, argv):
-    # green-star reads the Schur block inverse and reciprocity takes Graeffe's
-    # step on charpoly(L), so neither forms L @ L; FieldMatrix products go
-    # through IntMatrix.__matmul__ too
+    # H and |H| are Dirac squares and supersymmetry compares their blocks
+    # with d^T d and d d^T; green-star reads the Schur block inverse and
+    # reciprocity takes Graeffe's step on charpoly(L), so no L @ L or g @ g
+    # is formed.  FieldMatrix products go through IntMatrix.__matmul__ too
     real = exact.IntMatrix.__matmul__
     calls = []
 
     def counted(a, b):
-        calls.append((a.shape, b.shape))
+        calls.append((a, b))
         return real(a, b)
 
+    expected = _design_products(argv)
     monkeypatch.setattr(exact.IntMatrix, "__matmul__", counted)
     code, _, _ = run(capsys, *argv)
     assert code == 0
-    assert calls == []
+    assert len(calls) == len(expected)
+    for pair in expected:
+        assert calls.count(pair) == expected.count(pair), [(a.shape, b.shape) for a, b in calls]
+
+
+@pytest.mark.parametrize("signless", [False, True], ids=["signed", "signless"])
+def test_verify_fails_supersymmetry_on_a_dirac_edge_row_off_its_transpose(
+    capsys, monkeypatch, signless
+):
+    # the Hodge blocks are cut from the Dirac square, so a Dirac builder whose
+    # edge row disagrees with the transposed block fails the Gram check; the
+    # signed fault touches nothing else, the signless one |H| as well
+    real = operators.dirac_from_incidence
+    monkeypatch.setattr(operators, "dirac_from_incidence", negated_edge_row(real, signless))
+    code, out, _ = run(capsys, "verify", "wheel:6")
+    assert code == 1
+    assert "FAIL supersymmetry" in out
+    failed = [line.split()[1] for line in out.splitlines() if line.startswith("FAIL")]
+    assert failed == (["hydrogen", "traces", "supersymmetry"] if signless else ["supersymmetry"])
 
 
 VERIFY_GOLDEN = json.loads((DATA / "verify_golden.json").read_text())

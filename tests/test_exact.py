@@ -33,7 +33,7 @@ from connlab.exact import (
 )
 from connlab.graphs import from_spec
 from connlab.operators import bundle_for
-from oracles import dense_kron, edited, inverse_unimodular, matpow, rank
+from oracles import dense_kron, dense_matmul, edited, inverse_unimodular, matpow, rank
 
 entries = st.integers(min_value=-6, max_value=6)
 
@@ -511,6 +511,56 @@ def test_kron_over_the_pairs_matches_the_dense_kron(a, b):
     assert got.nonzeros == want.nonzeros
 
 
+product_entries = st.one_of(
+    st.sampled_from([0, 0, 1, -1]),
+    st.integers(min_value=-(2**70), max_value=2**70),
+)
+
+
+@st.composite
+def product_operands(draw):
+    """a (n x m) and b (m x k) with n, m, k in 0..5: empty sides, non-square
+    shapes, and entries of both signs beyond 2^63; the frequent 0 and +-1
+    make products cancel."""
+    n, m, k = (draw(st.integers(min_value=0, max_value=5)) for _ in range(3))
+    a = [draw(st.lists(product_entries, min_size=m, max_size=m)) for _ in range(n)]
+    b = [draw(st.lists(product_entries, min_size=k, max_size=k)) for _ in range(m)]
+    return IntMatrix(a, ncols=m), IntMatrix(b, ncols=k)
+
+
+@settings(max_examples=200, deadline=None)
+@given(product_operands())
+def test_sparse_product_matches_the_dense_product(operands):
+    a, b = operands
+    got, want = a @ b, dense_matmul(a, b)
+    assert got.shape == want.shape == (a.nrows, b.ncols)
+    assert got.rows == want.rows
+    # entries that cancel to 0 leave no pair behind
+    assert got.nonzeros == want.nonzeros
+    assert all(x for row in got.nonzeros for _, x in row)
+
+
+@settings(max_examples=60, deadline=None)
+@given(product_operands(), st.sampled_from([2, 3, 7, 2**61 - 1]))
+def test_field_product_reduces_mod_p(operands, p):
+    a, b = operands
+    got = field_reduce(a, p) @ field_reduce(b, p)
+    assert isinstance(got, FieldMatrix) and got.p == p
+    assert got == field_reduce(dense_matmul(a, b), p)
+    with pytest.raises(ValueError, match="mixed moduli"):
+        field_reduce(a, p) @ field_reduce(b, 5)
+
+
+def test_sparse_product_edge_cases():
+    big = 2**64
+    cancel = IntMatrix([[1, 1], [big, big]]) @ IntMatrix([[big], [-big]])
+    assert cancel.shape == (2, 1) and cancel.nonzeros == [[], []] and cancel.is_zero()
+    assert (IntMatrix([], ncols=3) @ IntMatrix([[1], [2], [3]])).shape == (0, 1)
+    assert (IntMatrix([[], []], ncols=0) @ IntMatrix([], ncols=4)).rows == [[0] * 4] * 2
+    with pytest.raises(ShapeError, match="cannot multiply"):
+        IntMatrix([[1, 2]]) @ IntMatrix([[1, 2]])
+
+
 def test_sums_and_reductions_run_over_the_nonzeros():
     a = IntMatrix([[0, 3, 0], [-2, 0, 5]])
     b = IntMatrix.from_dicts([{1: -3, 2: 1}, {0: 0, 2: -5}], 3)
@@ -547,3 +597,28 @@ def test_is_prime_small_values():
     for n in range(2, 25):
         assert is_prime(n) == (n in primes)
     assert not is_prime(1)
+
+
+def test_is_prime_matches_trial_division_below_10_5():
+    primes: list[int] = []
+    for n in range(-3, 10**5):
+        expected = n >= 2 and all(n % q for q in primes if q * q <= n)
+        if expected:
+            primes.append(n)
+        assert is_prime(n) == expected, n
+
+
+def test_is_prime_past_the_old_witnesses():
+    # 3 215 031 751 = 151 * 751 * 28351 is a strong pseudoprime to the bases
+    # 2, 3, 5, 7 that the word-prime test used; 3 825 123 056 546 413 051 is
+    # one to every prime base up to 23
+    assert not is_prime(3_215_031_751)
+    assert not is_prime(3_825_123_056_546_413_051)
+    assert not is_prime(561) and not is_prime(1_000_000_007 * 998_244_353)
+    assert is_prime(10**16 + 61) and is_prime(2**61 - 1) and is_prime(2**31 - 1)
+    assert exact._prime(0) == 2**31 - 1 and exact._prime(1) == 2**31 - 19
+    assert not is_prime(exact.PRIME_TEST_LIMIT - 1)  # even
+    with pytest.raises(ValueError, match="cannot decide"):
+        is_prime(exact.PRIME_TEST_LIMIT)
+    with pytest.raises(ValueError, match="cannot decide"):
+        FieldMatrix([[1]], 2**89 - 1)

@@ -39,8 +39,10 @@ from oracles import (
     dense_hydrogen_residual,
     dense_incidence_signed,
     dense_kirchhoff,
+    dense_matmul,
     edited,
     inverse_unimodular,
+    negated_edge_row,
     supersymmetry_charpoly,
 )
 
@@ -116,12 +118,12 @@ def test_figure8_frozen_connection(fig8):
 
 def test_figure8_frozen_green(fig8):
     assert fig8.green.rows == FIG8_G.rows
-    assert (FIG8_L @ FIG8_G).rows == IntMatrix.identity(15).rows
+    assert dense_matmul(FIG8_L, FIG8_G).rows == IntMatrix.identity(15).rows
 
 
 def test_figure8_frozen_dirac(fig8):
     assert fig8.dirac.rows == FIG8_D.rows
-    assert fig8.hodge.rows == (FIG8_D @ FIG8_D).rows
+    assert fig8.hodge.rows == dense_matmul(FIG8_D, FIG8_D).rows
 
 
 def test_figure8_identities(fig8):
@@ -198,14 +200,14 @@ def test_signless_hodge_is_entrywise_abs():
 
 
 def test_hodge_matches_dirac_square_on_corpus(corpus):
-    # H and |H| are summed from the incidence nonzeros; the dense D @ D is
-    # the oracle, under the default and a seeded random orientation
+    # H and |H| are sparse Dirac squares; the dense D @ D is the oracle,
+    # under the default and a seeded random orientation
     rng = random.Random(1803)
     for spec, b in corpus.items():
-        assert b.hodge == b.dirac @ b.dirac, spec
-        assert b.hodge_signless == b.dirac_signless @ b.dirac_signless, spec
+        assert b.hodge == dense_matmul(b.dirac, b.dirac), spec
+        assert b.hodge_signless == dense_matmul(b.dirac_signless, b.dirac_signless), spec
         flipped = OperatorBundle(b.complex, signs=[rng.choice((-1, 1)) for _ in range(b.e)])
-        assert flipped.hodge == flipped.dirac @ flipped.dirac, spec
+        assert flipped.hodge == dense_matmul(flipped.dirac, flipped.dirac), spec
 
 
 def test_connection_matrix_matches_pairwise_intersection(corpus):
@@ -223,15 +225,16 @@ def test_connection_det_matches_bareiss_on_corpus(corpus):
 
 
 def test_trace_report_matches_dense_products_on_corpus(corpus):
-    # the squared traces are summed from the entries; dense @ is the oracle
+    # the squared traces are summed from the entries; the dense product is
+    # the oracle
     for spec, b in corpus.items():
         tr = trace_report(b)
         L, habs = b.connection, b.hodge_signless
         h0, h1 = b.hodge0_signless, b.hodge1_signless
-        assert tr.connection_sq_trace == (L @ L).trace(), spec
-        assert tr.hodge_signless_sq_trace == (habs @ habs).trace(), spec
-        assert tr.hodge0_signless_sq_trace == (h0 @ h0).trace(), spec
-        assert tr.hodge1_signless_sq_trace == (h1 @ h1).trace(), spec
+        assert tr.connection_sq_trace == dense_matmul(L, L).trace(), spec
+        assert tr.hodge_signless_sq_trace == dense_matmul(habs, habs).trace(), spec
+        assert tr.hodge0_signless_sq_trace == dense_matmul(h0, h0).trace(), spec
+        assert tr.hodge1_signless_sq_trace == dense_matmul(h1, h1).trace(), spec
         assert tr.ok, spec
 
 
@@ -415,6 +418,19 @@ def test_supersymmetry_report_rejects_a_vertex_block_that_is_not_kirchhoff():
     report = supersymmetry_report(broken)
     assert (report.kernel0, report.kernel1) == (1, 0)
     assert not report.nonzero_match and not report.ok
+
+
+@pytest.mark.parametrize("signless", [False, True], ids=["signed", "signless"])
+def test_supersymmetry_report_rejects_a_dirac_edge_row_off_its_transpose(monkeypatch, signless):
+    # H is the Dirac square, so its blocks come from D itself: with one edge
+    # row of D negated and its column left alone, H0 and H1 are no longer
+    # d^T d and d d^T, and the Gram check formed from d notices
+    real = operators.dirac_from_incidence
+    monkeypatch.setattr(operators, "dirac_from_incidence", negated_edge_row(real, signless))
+    for spec in ("figure8", "wheel:6", "path:4", "bary:complete:4"):
+        report = supersymmetry_report(bundle_for(from_spec(spec)))
+        assert (report.nonzero_match, report.signless_nonzero_match) == (signless, not signless)
+        assert not report.ok, spec
 
 
 BUNDLE_OPERATORS = (

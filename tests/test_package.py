@@ -51,12 +51,12 @@ def test_elimination_inverses_stay_in_the_oracles():
 
 
 def test_charpoly_stays_with_reciprocity_and_spectra():
-    # supersymmetry rests on factor certificates; the charpoly route it
-    # replaced is the oracle in tests/oracles.py, so only reciprocity (cli,
-    # products) and the spectrum validation name charpoly
+    # supersymmetry rests on factor certificates and the Sturm validation of
+    # spectra is an oracle; both charpoly routes live in tests/oracles.py, so
+    # only reciprocity (cli, products) names charpoly
     package = ROOT / "src" / "connlab"
     users = {p.stem for p in package.glob("*.py") if "charpoly" in _referenced_names(p)}
-    assert users - {"exact", "__init__"} == {"cli", "products", "spectra"}
+    assert users - {"exact", "__init__"} == {"cli", "products"}
 
 
 _LIST_MUTATORS = {"append", "extend", "insert", "pop", "remove", "sort", "reverse", "clear"}

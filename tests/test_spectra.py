@@ -19,15 +19,17 @@ from connlab.spectra import (
     bounds_report,
     connection_sign_split,
     eig_sym,
-    exact_root_multiset,
-    limit_functional_equation_residual,
     schur_check,
     spectral_function_sup_distance,
     spectrum_of,
-    validate_spectrum_against_charpoly,
 )
 from conftest import SAMPLE_SPECS
-from oracles import matpow
+from oracles import (
+    exact_root_multiset,
+    limit_functional_equation_residual,
+    matpow,
+    validate_spectrum_against_charpoly,
+)
 
 
 def test_eig_sym_rejects_asymmetric():
