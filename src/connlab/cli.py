@@ -603,12 +603,11 @@ def _prime(text: str) -> int:
     except ValueError:
         raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
     try:
-        prime = is_prime(p)
+        if is_prime(p):
+            return p
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
-    if not prime:
-        raise argparse.ArgumentTypeError(f"{p} is not a prime")
-    return p
+    raise argparse.ArgumentTypeError(f"{p} is not a prime")
 
 
 def _count(text: str) -> int:

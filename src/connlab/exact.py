@@ -103,7 +103,9 @@ class IntMatrix:
     def from_dicts(rows: Sequence[dict[int, int]], ncols: int) -> "IntMatrix":
         """The matrix whose row i maps each column to its entry as rows[i]
         does; zero entries are dropped."""
-        return IntMatrix.from_nonzeros([_sorted_pairs(row) for row in rows], len(rows), ncols)
+        return IntMatrix.from_nonzeros(
+            [sorted([(j, a) for j, a in row.items() if a]) for row in rows], len(rows), ncols
+        )
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
@@ -293,14 +295,6 @@ class IntMatrix:
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.nrows}x{self.ncols})"
-
-
-def _sorted_pairs(row: dict[int, int]) -> list[tuple[int, int]]:
-    """The (column, value) pairs of a row in column order, less the zeros;
-    a row with no zero is sorted as it is."""
-    if 0 in row.values():
-        return sorted([(j, a) for j, a in row.items() if a])
-    return sorted(row.items())
 
 
 @dataclass(frozen=True)

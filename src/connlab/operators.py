@@ -33,13 +33,13 @@ them to IntMatrix.from_nonzeros, or sums them in one dict per row
 one is read through IntMatrix.nonzeros.  L and g are set from the vertex
 stars (a vertex with its incident edges) and D is d0 and its transpose.
 H and |H| are what the paper defines them to be, D @ D and |D| @ |D|, by
-the sparse product over the nonzeros; supersymmetry_report compares their
-blocks with the Gram products d0^T d0 and d0 d0^T formed from d0 itself,
-so a fault in the Dirac assembly or in block fails verify.  The test suite
-keeps the dense product and the dense builders (tests/oracles.py) as the
-oracles.  The signless incidence and Kirchhoff matrices are the entrywise
-abs of the signed ones, and the hydrogen residual has no nonzeros when the
-identity holds.
+the sparse product over the nonzeros; supersymmetry_report compares each
+with the block-diagonal d0^T d0 (+) d0 d0^T of Gram products formed from d0
+itself, so a fault in the Dirac assembly that changes its square, or a
+fault in block, fails verify.  The test suite keeps the dense product and
+the dense builders (tests/oracles.py) as the oracles.  The signless
+incidence and Kirchhoff matrices are the entrywise abs of the signed ones,
+and the hydrogen residual has no nonzeros when the identity holds.
 """
 
 from __future__ import annotations
@@ -436,8 +436,8 @@ class SupersymmetryReport:
     For any matrix d, d^T d and d d^T have the same nonzero spectrum, so the
     report rests on exact facts about the incidence factor d and runs no
     characteristic polynomial.  nonzero_match holds exactly when H0 equals
-    the independently built Kirchhoff matrix and the blocks H0 and H1 of the
-    Dirac square equal the Gram products d^T d and d d^T formed from d.  The
+    the independently built Kirchhoff matrix and H = D @ D is d^T d (+) d d^T,
+    the Gram products formed from d, with zero off-diagonal blocks.  The
     kernel counts are v - rank d and e - rank d, with rank d exact
     (exact.certified_rank, closed by the component indicator vectors, which
     lie in ker d).  The signless fields are the same for |d|, |H0|, |H1| and
@@ -484,11 +484,15 @@ def _component_vectors(g: Graph) -> tuple[list[list[int]], list[list[int]]]:
     return indicators, colourings
 
 
-def _is_gram_pair(d: IntMatrix, h0: IntMatrix, h1: IntMatrix, kirchhoff: IntMatrix) -> bool:
-    """h0 == kirchhoff == d^T d and h1 == d d^T, the Gram products formed
-    from d itself, not from the Dirac square that h0 and h1 are cut from."""
-    dt = d.transpose()
-    return h0 == kirchhoff == dt @ d and h1 == d @ dt
+def _is_gram_square(
+    d: IntMatrix, h: IntMatrix, h0: IntMatrix, h1: IntMatrix, kirchhoff: IntMatrix
+) -> bool:
+    """h is the block-diagonal d^T d (+) d d^T: every nonzero of h lies in
+    the diagonal block of its row, h0 == kirchhoff == d^T d and h1 == d d^T,
+    the Gram products formed from d itself, not from the Dirac square h."""
+    v, dt = d.ncols, d.transpose()
+    diagonal = all((i < v) == (j < v) for i, row in enumerate(h.nonzeros) for j, _ in row)
+    return diagonal and h0 == kirchhoff == dt @ d and h1 == d @ dt
 
 
 def supersymmetry_report(bundle: OperatorBundle) -> SupersymmetryReport:
@@ -501,11 +505,14 @@ def supersymmetry_report(bundle: OperatorBundle) -> SupersymmetryReport:
         betti1=b1,
         kernel0=bundle.v - rank,
         kernel1=bundle.e - rank,
-        nonzero_match=_is_gram_pair(bundle.incidence, bundle.hodge0, bundle.hodge1, bundle.kirchhoff),
+        nonzero_match=_is_gram_square(
+            bundle.incidence, bundle.hodge, bundle.hodge0, bundle.hodge1, bundle.kirchhoff
+        ),
         signless_kernel0=bundle.v - signless_rank,
         signless_kernel1=bundle.e - signless_rank,
-        signless_nonzero_match=_is_gram_pair(
+        signless_nonzero_match=_is_gram_square(
             bundle.incidence_signless,
+            bundle.hodge_signless,
             bundle.hodge0_signless,
             bundle.hodge1_signless,
             bundle.kirchhoff_signless,

@@ -20,7 +20,8 @@ dense_kron is the Kronecker product written entry by entry from the dense
 rows, the oracle for IntMatrix.kron over the pairs.  edited gives a copy of
 a matrix with some entries changed, the way the mutation tests build a
 corrupted operator, since a matrix never changes once built;
-negated_edge_row wraps the Dirac builder the same way.
+negated_edge_row and stray_vertex_entry wrap the Dirac builder the same
+way.
 
 jacobi_residual_two_apply is the Jacobi residual with |H| applied twice at
 every time, the route dynamics.jacobi_residual keeps only for one-parity
@@ -222,9 +223,9 @@ def edited(m: IntMatrix, entries: dict[tuple[int, int], int]) -> IntMatrix:
     return IntMatrix(rows, ncols=m.ncols)
 
 
-def negated_edge_row(dirac, signless: bool):
-    """A Dirac builder for mutation tests: dirac(d0) with its first edge row
-    negated, so it no longer agrees with the transposed block; applied only
+def _edited_dirac(dirac, signless: bool, edit):
+    """A Dirac builder for mutation tests: dirac(d0) with edit(rows, v)
+    applied to a copy of its list of rows, v the vertex count; applied only
     to the signless incidence when signless is set, else only to a signed
     one."""
 
@@ -233,10 +234,31 @@ def negated_edge_row(dirac, signless: bool):
         if signless == any(a < 0 for row in d0.nonzeros for _, a in row):
             return m
         rows = list(m.nonzeros)
-        rows[d0.ncols] = [(j, -a) for j, a in rows[d0.ncols]]
+        edit(rows, d0.ncols)
         return IntMatrix.from_nonzeros(rows, m.nrows, m.ncols)
 
     return build
+
+
+def negated_edge_row(dirac, signless: bool):
+    """The Dirac builder with its first edge row negated, so it no longer
+    agrees with the transposed block; this changes H0 and H1."""
+
+    def negate(rows, v):
+        rows[v] = [(j, -a) for j, a in rows[v]]
+
+    return _edited_dirac(dirac, signless, negate)
+
+
+def stray_vertex_entry(dirac, signless: bool):
+    """The Dirac builder with a 1 at (0, 1), inside its zero vertex block.
+    That block squares to zero, so H0 and H1 are still d^T d and d d^T, but
+    the off-diagonal blocks of H pick up rows and columns of d."""
+
+    def stray(rows, v):
+        rows[0] = [(1, 1)] + rows[0]
+
+    return _edited_dirac(dirac, signless, stray)
 
 
 def jacobi_residual_two_apply(t: Trajectory, habs: IntMatrix) -> int:

@@ -18,7 +18,7 @@ import connlab.products as products
 from connlab.exact import dump_matrix
 from connlab.graphs import from_spec
 from connlab.spectra import CSV_COLUMNS
-from oracles import dense_matmul, edited, negated_edge_row
+from oracles import dense_matmul, edited, negated_edge_row, stray_vertex_entry
 
 DATA = Path(__file__).parent / "data"
 
@@ -359,13 +359,23 @@ def test_usage_errors_print_one_line_and_exit_2(capsys, argv, message):
     assert out.err == message + "\n"
 
 
-def test_a_sixteen_digit_prime_field_parses_at_once(capsys):
+def test_a_sixteen_digit_prime_field_parses_at_once(capsys, monkeypatch):
     # 10^16 + 61 is prime; trial division spent seconds on it, in the parser
-    # and again in every FieldMatrix built over it
+    # and again in every FieldMatrix built over it.  Miller-Rabin takes one
+    # modular power per base, a count that does not depend on machine load
+    powers = []
+
+    def counted_pow(*args):
+        powers.append(args)
+        return pow(*args)
+
+    monkeypatch.setattr(exact, "pow", counted_pow, raising=False)
+    parser = cli.build_parser()
     start = time.perf_counter()
-    args = cli.build_parser().parse_args(["verify", "cycle:4", "--field", "10000000000000061"])
+    args = parser.parse_args(["verify", "cycle:4", "--field", "10000000000000061"])
     assert time.perf_counter() - start < 0.1
     assert args.field == 10**16 + 61
+    assert len(powers) <= len(exact._WITNESSES) == 12
     code, out, _ = run(capsys, "verify", "cycle:4", "--field", "10000000000000061")
     assert code == 0 and "ok   hydrogen-mod-p" in out
 
@@ -540,20 +550,34 @@ def test_verify_and_product_form_no_dense_product(capsys, monkeypatch, argv):
         assert calls.count(pair) == expected.count(pair), [(a.shape, b.shape) for a, b in calls]
 
 
-@pytest.mark.parametrize("signless", [False, True], ids=["signed", "signless"])
-def test_verify_fails_supersymmetry_on_a_dirac_edge_row_off_its_transpose(
-    capsys, monkeypatch, signless
+@pytest.mark.parametrize(
+    "mutation, signless, failed",
+    [
+        (negated_edge_row, False, ["supersymmetry"]),
+        (negated_edge_row, True, ["hydrogen", "traces", "supersymmetry"]),
+        (stray_vertex_entry, False, ["supersymmetry"]),
+        (stray_vertex_entry, True, ["hydrogen", "supersymmetry"]),
+    ],
+    ids=[
+        "negated_edge_row-signed",
+        "negated_edge_row-signless",
+        "stray_vertex_entry-signed",
+        "stray_vertex_entry-signless",
+    ],
+)
+def test_verify_fails_supersymmetry_on_a_faulty_dirac_builder(
+    capsys, monkeypatch, mutation, signless, failed
 ):
-    # the Hodge blocks are cut from the Dirac square, so a Dirac builder whose
-    # edge row disagrees with the transposed block fails the Gram check; the
-    # signed fault touches nothing else, the signless one |H| as well
+    # the Hodge blocks are cut from the Dirac square, so a Dirac builder
+    # whose square is not d^T d (+) d d^T fails the Gram check.  A signed
+    # fault touches nothing else, since hydrogen and traces read only the
+    # signless operators; a stray entry in the signed vertex block keeps H0
+    # and H1, so only the zero off-diagonal blocks of H catch it
     real = operators.dirac_from_incidence
-    monkeypatch.setattr(operators, "dirac_from_incidence", negated_edge_row(real, signless))
+    monkeypatch.setattr(operators, "dirac_from_incidence", mutation(real, signless))
     code, out, _ = run(capsys, "verify", "wheel:6")
     assert code == 1
-    assert "FAIL supersymmetry" in out
-    failed = [line.split()[1] for line in out.splitlines() if line.startswith("FAIL")]
-    assert failed == (["hydrogen", "traces", "supersymmetry"] if signless else ["supersymmetry"])
+    assert [line.split()[1] for line in out.splitlines() if line.startswith("FAIL")] == failed
 
 
 VERIFY_GOLDEN = json.loads((DATA / "verify_golden.json").read_text())

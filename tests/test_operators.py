@@ -43,6 +43,7 @@ from oracles import (
     edited,
     inverse_unimodular,
     negated_edge_row,
+    stray_vertex_entry,
     supersymmetry_charpoly,
 )
 
@@ -421,14 +422,29 @@ def test_supersymmetry_report_rejects_a_vertex_block_that_is_not_kirchhoff():
 
 
 @pytest.mark.parametrize("signless", [False, True], ids=["signed", "signless"])
-def test_supersymmetry_report_rejects_a_dirac_edge_row_off_its_transpose(monkeypatch, signless):
-    # H is the Dirac square, so its blocks come from D itself: with one edge
-    # row of D negated and its column left alone, H0 and H1 are no longer
-    # d^T d and d d^T, and the Gram check formed from d notices
+@pytest.mark.parametrize(
+    "mutation, keeps_blocks",
+    [(negated_edge_row, False), (stray_vertex_entry, True)],
+    ids=["negated_edge_row", "stray_vertex_entry"],
+)
+def test_supersymmetry_report_rejects_a_faulty_dirac_builder(
+    monkeypatch, mutation, keeps_blocks, signless
+):
+    # H is the Dirac square, so the check must come from d itself: an edge
+    # row of D negated with its column left alone changes H0 and H1, and a
+    # stray entry in the vertex block of D squares to zero there, so H0 and
+    # H1 stay d^T d and d d^T and only the off-diagonal blocks of H show it
     real = operators.dirac_from_incidence
-    monkeypatch.setattr(operators, "dirac_from_incidence", negated_edge_row(real, signless))
+    monkeypatch.setattr(operators, "dirac_from_incidence", mutation(real, signless))
     for spec in ("figure8", "wheel:6", "path:4", "bary:complete:4"):
-        report = supersymmetry_report(bundle_for(from_spec(spec)))
+        bundle = bundle_for(from_spec(spec))
+        if signless:
+            d, h0, h1 = bundle.incidence_signless, bundle.hodge0_signless, bundle.hodge1_signless
+        else:
+            d, h0, h1 = bundle.incidence, bundle.hodge0, bundle.hodge1
+        gram = h0 == dense_matmul(d.transpose(), d) and h1 == dense_matmul(d, d.transpose())
+        assert gram == keeps_blocks, spec
+        report = supersymmetry_report(bundle)
         assert (report.nonzero_match, report.signless_nonzero_match) == (signless, not signless)
         assert not report.ok, spec
 
