@@ -12,13 +12,10 @@ from .complexes import Complex, build_complex, star, sphere_chi
 from .exact import (
     FieldMatrix,
     IntMatrix,
-    IntPolynomial,
     SingularMatrixError,
-    charpoly,
     det,
     field_inverse,
     field_reduce,
-    is_reciprocal,
 )
 from .dynamics import (
     AutomatonState,
@@ -77,7 +74,6 @@ __all__ = [
     "Graph",
     "GraphError",
     "IntMatrix",
-    "IntPolynomial",
     "NewtonConfig",
     "NewtonResult",
     "NonConvergenceError",
@@ -92,7 +88,6 @@ __all__ = [
     "bounds_report",
     "build_complex",
     "bundle_for",
-    "charpoly",
     "cocycle",
     "det",
     "eig_sym",
@@ -107,7 +102,6 @@ __all__ = [
     "hydrogen_holds_mod",
     "hydrogen_residual",
     "intersection_pattern",
-    "is_reciprocal",
     "is_unimodular",
     "jacobi_residual",
     "load_graph",

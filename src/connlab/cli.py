@@ -33,12 +33,9 @@ from .dynamics import (
 from .exact import (
     IntMatrix,
     SingularMatrixError,
-    charpoly,
     dump_matrix,
     field_reduce,
-    graeffe,
     is_prime,
-    reciprocal_sign,
 )
 from .graphs import Graph, GraphError, from_spec, load_graph
 from .newton import NewtonConfig, NonConvergenceError, SingularJacobianError, solve_perturbed
@@ -48,6 +45,7 @@ from .operators import (
     hydrogen_holds_mod,
     hydrogen_residual,
     schur_inverse,
+    schur_reciprocity_sign,
     supersymmetry_report,
     trace_report,
 )
@@ -157,7 +155,7 @@ def _verify_checks(bundle: OperatorBundle) -> list[tuple[str, bool, str]]:
     tr = trace_report(bundle)
     results.append(("traces", tr.ok, f"tr L = {tr.connection_trace}, tr |H| = {tr.hodge_signless_trace}"))
 
-    sign = reciprocal_sign(graeffe(charpoly(L)))
+    sign = schur_reciprocity_sign(L, bundle.v)
     want = 1 if n % 2 == 0 else -1
     results.append(
         ("reciprocity", sign == want, f"charpoly(L^2) reciprocal with sign {sign}")

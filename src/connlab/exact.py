@@ -3,42 +3,37 @@
 One matrix class, IntMatrix, holds every operator; FieldMatrix is an
 IntMatrix whose entries are kept reduced mod a prime p.  Everything here is
 arbitrary precision: determinants by fraction-free (Bareiss) elimination;
-L^-1 is the bundle's certified g.  Characteristic polynomials are computed
-mod word primes (numpy int64 Hessenberg reduction, O(n^3) per prime), lifted
-by Chinese remaindering past a Hadamard coefficient bound and certified
-against one Bareiss determinant; graeffe squares their roots, so
-reciprocity never forms L @ L.  Ranks over Q are the best of ranks mod word
-primes (numpy int64 elimination), closed by known kernel vectors or by
+L^-1 is the bundle's certified g.  Ranks over Q are the best of ranks mod
+word primes (numpy int64 elimination), closed by known kernel vectors or by
 Hadamard's bound on the minors.
 No floating point enters this module; conversion to float happens only via
 IntMatrix.to_float().
 
 The connection side of operators does not go through this module's O(n^3)
-routines: OperatorBundle certifies L @ g = I over the nonzeros of L and g and
-reads det L off the Schur complement of L's identity vertex block, and
-products multiplies the factors' determinants.  Bareiss det serves the
-charpoly certificate and is the test oracle for those routes, as the dense
-product in tests/oracles.py is for the certificate and for @.
+routines: OperatorBundle certifies L @ g = I over the nonzeros of L and g
+and reads det L and the reciprocity of charpoly(L^2) off the Schur
+complement of L's identity vertex block; products multiplies the factors'
+determinants.  Bareiss det gives det J(L) in
+scripts/newton_perturbation_sweep.py and is the test oracle for the Schur
+det, as the dense product in tests/oracles.py is for L g = I and for @.
 
 An IntMatrix is stored as IntMatrix.nonzeros, the (column, value) pairs of
 each row, and as nothing else: dense input is converted to pairs at once,
 and IntMatrix.rows builds fresh dense lists on every read.  Products (@,
 one dict per row of the result), the L g = I certificate, the
 Schur-complement det, the squared traces, equality, sums and differences,
-abs, scale, transpose, kron, the entry reductions and the charpoly bounds
-run over the pairs, and to_array scatters them into numpy.  IntMatrix.apply
-reads the same nonzeros laid out once as compressed rows (numpy index
-arrays beside an object array of values), so each mat-vec is one gather of
-the vector, one multiply and one segmented sum, O(nnz) and on exact Python
-ints throughout; the k-walk counts step through it.  Only Bareiss det,
+abs, scale, transpose, kron and the entry reductions run over the pairs,
+and to_array scatters them into numpy.  IntMatrix.apply reads the same
+nonzeros laid out once as compressed rows (numpy index arrays beside an
+object array of values), so each mat-vec is one gather of the vector, one
+multiply and one segmented sum, O(nnz) and on exact Python ints
+throughout; the k-walk counts step through it.  Only Bareiss det,
 field_inverse and dump_matrix read dense rows.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import compress
-from math import isqrt
 from typing import Sequence
 
 import numpy as np
@@ -297,44 +292,6 @@ class IntMatrix:
         return f"{type(self).__name__}({self.nrows}x{self.ncols})"
 
 
-@dataclass(frozen=True)
-class IntPolynomial:
-    """Integer polynomial, coefficients stored ascending by degree."""
-
-    coeffs: tuple[int, ...]
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __call__(self, x):
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-
-def is_reciprocal(p: IntPolynomial) -> bool:
-    """True iff the coefficient list is palindromic, i.e. x^n p(1/x) = p(x)."""
-    return p.coeffs == tuple(reversed(p.coeffs))
-
-
-def reciprocal_sign(p: IntPolynomial) -> int | None:
-    """Sign s with x^n p(1/x) = s*p(x), or None if neither sign works.
-
-    Characteristic polynomials of squared connection Laplacians satisfy this
-    with s = (-1)^n: the spectrum of L^2 is closed under inversion and has
-    determinant 1, so the coefficient list is a palindrome up to that global
-    sign.  Plain palindromicity (s = +1) fails whenever n is odd.
-    """
-    rev = tuple(reversed(p.coeffs))
-    if p.coeffs == rev:
-        return 1
-    if p.coeffs == tuple(-c for c in rev):
-        return -1
-    return None
-
-
 # ---------------------------------------------------------------------------
 # elimination
 
@@ -376,110 +333,6 @@ def det(m: IntMatrix) -> int:
             row_i[k] = 0
         prev = pivot
     return sign * a[n - 1][n - 1]
-
-
-def charpoly(m: IntMatrix) -> IntPolynomial:
-    """Exact monic characteristic polynomial det(xI - m).
-
-    Multimodular: the polynomial is computed mod primes p < 2^31 by a
-    Hessenberg reduction (_charpoly_mod) and the residues are combined by
-    Chinese remaindering into symmetric residues until the modulus exceeds
-    _coefficient_bound(m), twice a bound on every coefficient.  The result
-    is certified exactly: p(r) must equal the Bareiss det(rI - m) at
-    r = rho + 1, rho the largest absolute row sum, which lies outside the
-    spectrum, or ArithmeticError is raised.
-    """
-    if not m.is_square():
-        raise ShapeError("characteristic polynomial needs a square matrix")
-    n = m.nrows
-    if n == 0:
-        return IntPolynomial((1,))
-    rho = max(sum(abs(a) for _, a in row) for row in m.nonzeros)
-    bound = _coefficient_bound(m)
-    entries = m.to_array(object)
-    coeffs = [0] * (n + 1)
-    modulus = 1
-    count = 0
-    while modulus <= bound:
-        p = _prime(count)
-        count += 1
-        residues = _charpoly_mod((entries % p).astype(np.int64), p)
-        # Garner step: keep each coefficient mod `modulus`, make it agree mod p
-        inv = pow(modulus, -1, p)
-        coeffs = [c + modulus * ((int(x) - c) * inv % p) for c, x in zip(coeffs, residues)]
-        modulus *= p
-    half = modulus // 2
-    poly = IntPolynomial(tuple(c - modulus if c > half else c for c in coeffs))
-    r = rho + 1
-    if poly(r) != det(IntMatrix.identity(n).scale(r) - m):
-        raise ArithmeticError("charpoly certificate p(r) == det(rI - m) failed")
-    return poly
-
-
-def _coefficient_bound(m: IntMatrix) -> int:
-    """2 prod_i (1 + ceil(||row_i||_2)), at least twice every |coefficient| of
-    det(xI - m): each is a signed sum of principal minors, which Hadamard's
-    inequality bounds by their row norms.  A row norm never exceeds the row's
-    absolute sum, so this is never above 2 (1 + rho)^n."""
-    bound = 2
-    for row in m.nonzeros:
-        sq = sum(a * a for _, a in row)
-        bound *= 2 + isqrt(sq - 1) if sq else 1
-    return bound
-
-
-def graeffe(p: IntPolynomial) -> IntPolynomial:
-    """charpoly(m @ m) from p = charpoly(m), by Graeffe's root-squaring step:
-    q(x^2) = (-1)^n p(x) p(-x) is monic of degree n with the squared roots."""
-    alt = [-a if j % 2 else a for j, a in enumerate(p.coeffs)]
-    even = np.convolve(np.array(p.coeffs, dtype=object), np.array(alt, dtype=object))[::2]
-    return IntPolynomial(tuple(int(-x if p.degree % 2 else x) for x in even))
-
-
-def _charpoly_mod(a: np.ndarray, p: int) -> np.ndarray:
-    """Ascending coefficients of det(xI - a) mod p, for a prime p < 2^31.
-
-    `a` is a square int64 array with entries in 0..p-1; it is not modified.
-    It is brought to upper Hessenberg form h by similarity (Cohen, A Course
-    in Computational Algebraic Number Theory, section 2.2): each row
-    operation is followed by its inverse column operation, a pivot swap
-    swaps both rows and columns, and a column with no pivot below the
-    subdiagonal is skipped.  Then the Hessenberg recurrence gives the
-    charpoly p_m of each leading m-by-m block:
-        p_m = (x - h_mm) p_(m-1)
-              - sum_(i<m) h_im h_(m,m-1) ... h_(i+1,i) p_(i-1).
-    A product of two residues is below 2^62 and is reduced before it enters
-    any sum, so no int64 operation overflows.
-    """
-    h = a.copy()
-    n = h.shape[0]
-    for j in range(n - 2):
-        nonzero = np.flatnonzero(h[j + 1 :, j])
-        if nonzero.size == 0:
-            continue
-        piv = j + 1 + int(nonzero[0])
-        if piv != j + 1:
-            h[[j + 1, piv], :] = h[[piv, j + 1], :]
-            h[:, [j + 1, piv]] = h[:, [piv, j + 1]]
-        u = h[j + 2 :, j] * pow(int(h[j + 1, j]), p - 2, p) % p
-        # rows j+2.. -= u * row j+1 (columns before j are zero in all of them),
-        # then column j+1 += columns j+2.. weighted by u
-        h[j + 2 :, j:] = (h[j + 2 :, j:] - np.outer(u, h[j + 1, j:])) % p
-        h[:, j + 1] = (h[:, j + 1] + (h[:, j + 2 :] * u % p).sum(axis=1)) % p
-    polys = np.zeros((n + 1, n + 1), dtype=np.int64)  # row m: p_m, ascending
-    polys[0, 0] = 1
-    chain = np.zeros(0, dtype=np.int64)  # chain[i-1] = h_(m,m-1) ... h_(i+1,i)
-    for m in range(1, n + 1):
-        k = m - 1
-        row = np.zeros(n + 1, dtype=np.int64)
-        row[1 : m + 1] = polys[k, :m]
-        row[:m] = (row[:m] - h[k, k] * polys[k, :m]) % p
-        if k:
-            chain = np.append(chain, 1) * h[k, k - 1] % p
-            weights = h[:k, k] * chain % p
-            row[:k] = (row[:k] - (polys[:k, :k] * weights[:, None] % p).sum(axis=0)) % p
-        polys[m] = row
-    return polys[n]
 
 
 def certified_rank(m: IntMatrix, kernel: Sequence[Sequence[int]] = ()) -> int:

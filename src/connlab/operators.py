@@ -26,6 +26,10 @@ summed over each vertex's incident edges and read off as the product of its
 diagonal (it is -I_e for every graph).  Bareiss elimination (exact.det) is
 the test oracle for this route.  schur_inverse, verify's oracle for g,
 is the block inverse from the same complement, read from L's entries alone.
+schur_reciprocity_sign certifies that charpoly(L^2) is reciprocal with
+sign (-1)^n, in O(nnz), from L == L^T and C - B B^T = -I_e: spec(L^2) is
+then closed under x -> 1/x.  verify and product read reciprocity from it;
+the multimodular charpoly in tests/oracles.py is its differential oracle.
 
 Every builder here writes the (column, value) pairs of each row and hands
 them to IntMatrix.from_nonzeros, or sums them in one dict per row
@@ -184,6 +188,29 @@ def _schur_blocks(m: IntMatrix, v: int) -> tuple[list, list, list[int]]:
 def schur_det(m: IntMatrix, v: int) -> int:
     """det m = det(C - W U) for m = [[I_v, U], [W, C]] with C - W U diagonal."""
     return prod(_schur_blocks(m, v)[2])
+
+
+def schur_reciprocity_sign(m: IntMatrix, v: int) -> int | None:
+    """(-1)^n, the sign s with x^n p(1/x) = s p(x) for p = charpoly(m @ m),
+    when m = [[I_v, U], [W, C]] has W = U^T and S = C - W U = -I; None
+    otherwise, also when the vertex block is not I or S is not diagonal.
+    C = S + U^T U is then symmetric, so these ask for m == m^T and S = -I.
+
+    The certificate is sufficient, not necessary.  For a singular triple
+    (sigma, a, b) of U, m acts on span{(a, 0), (0, b)} as [[1, sigma],
+    [sigma, sigma^2 - 1]], of determinant -1, so with eigenvalues lambda
+    and -1/lambda; it is 1 on (ker U^T, 0) and -1 on (0, ker U).  So
+    spec(m @ m) is closed under x -> 1/x with multiplicity and det m^2 = 1,
+    which makes charpoly(m @ m) reciprocal with sign (-1)^n.  O(nnz).
+    """
+    try:
+        s = _schur_blocks(m, v)[2]
+    except ArithmeticError:
+        return None
+    n = m.nrows
+    if any(x != -1 for x in s) or block(m, v, n, 0, v) != block(m, 0, v, v, n).transpose():
+        return None
+    return -1 if n % 2 else 1
 
 
 def schur_inverse(m: IntMatrix, v: int) -> IntMatrix:

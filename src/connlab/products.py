@@ -11,8 +11,10 @@ connection Laplacian a Kronecker product:
 product_checks verifies both: once per product, the Kronecker assembly is
 compared entry by entry against an independent intersection-rule
 construction over the cells, and the spectra are compared against pairwise
-products and sums; reciprocity takes Graeffe's step on charpoly(L), never
-squaring L.  The product inverse is kron(g_A, g_B) of the factors'
+products and sums.  charpoly(L^2) is reciprocal with sign (-1)^(n_A n_B)
+once both factors pass operators.schur_reciprocity_sign, since the squared
+product spectrum is the pairwise products of two inversion-closed ones.
+The product inverse is kron(g_A, g_B) of the factors'
 certified Green matrices, itself certified by L @ X = I over the nonzeros.
 The energy theorem survives the product (the total sum of L^-1 entries is
 chi(A) chi(B)), but the hydrogen identity does not, and product_checks
@@ -26,9 +28,9 @@ from typing import Sequence
 
 from .complexes import Complex, Simplex, build_complex
 from .dynamics import _powers
-from .exact import IntMatrix, charpoly, graeffe, reciprocal_sign
+from .exact import IntMatrix
 from .graphs import Graph
-from .operators import OperatorBundle, _is_inverse, bundle_for
+from .operators import OperatorBundle, _is_inverse, bundle_for, schur_reciprocity_sign
 from .spectra import eig_sym
 
 
@@ -191,8 +193,10 @@ def product_checks(a: Graph | Complex | OperatorBundle, b) -> ProductReport:
     product by L @ X = I over the nonzeros before anything reads it; only
     then is L compared, once, with the intersection-rule construction over
     the product cells.  det L is det(L_A)^n_B det(L_B)^n_A from the factors'
-    Schur-complement determinants.  The tests keep elimination and Bareiss
-    on the product as the oracles for the inverse and the determinant.
+    Schur-complement determinants, and the reciprocity sign (-1)^(n_A n_B)
+    holds once both factors pass their Schur reciprocity certificate.  The
+    tests keep elimination, Bareiss and the charpoly on the product as the
+    oracles for the inverse, the determinant and the sign.
     """
     ba, bb = bundle_for(a), bundle_for(b)
     L = product_connection(ba, bb)
@@ -207,7 +211,8 @@ def product_checks(a: Graph | Complex | OperatorBundle, b) -> ProductReport:
         )
     chi_a = ba.complex.v - ba.complex.e
     chi_b = bb.complex.v - bb.complex.e
-    sign = reciprocal_sign(graeffe(charpoly(L)))
+    certified = all(schur_reciprocity_sign(x.connection, x.v) is not None for x in (ba, bb))
+    sign = (-1 if L.nrows % 2 else 1) if certified else None
     habs = product_hodge_signless(ba, bb)
     residual = (L - linv - habs).max_abs()
     mult_err, add_err = spectral_errors(ba, bb)

@@ -4,7 +4,8 @@ The corpus covers every deterministic generator family at small sizes,
 barycentric refinements, and 100 seeded random graphs with at most 20
 vertices; a bit over 200 graphs in total.  Operator bundles are built once
 per session and shared, since everything downstream (identities, spectra,
-dynamics) reads from the same cached operators.
+dynamics) reads from the same cached operators; so is charpoly(L^2) of
+every corpus graph, the oracle that reciprocity is checked against.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import pytest
 
 from connlab.graphs import from_spec
 from connlab.operators import OperatorBundle, bundle_for
+from oracles import IntPolynomial, charpoly, graeffe
 
 
 def _deterministic_specs() -> list[str]:
@@ -94,3 +96,10 @@ def corpus() -> dict[str, OperatorBundle]:
 @pytest.fixture(scope="session")
 def sample(corpus) -> dict[str, OperatorBundle]:
     return {spec: corpus[spec] for spec in SAMPLE_SPECS}
+
+
+@pytest.fixture(scope="session")
+def squared_charpolys(corpus) -> dict[str, IntPolynomial]:
+    """charpoly(L^2) of every corpus graph, by the multimodular charpoly of L
+    and Graeffe's root-squaring step (tests/oracles.py)."""
+    return {spec: graeffe(charpoly(b.connection)) for spec, b in corpus.items()}

@@ -9,6 +9,15 @@ dense_matmul is the schoolbook product of the dense rows, O(n^3), the
 oracle for the sparse IntMatrix @ and for the Hodge operators built as
 Dirac squares.
 
+charpoly is the multimodular characteristic polynomial: a numpy int64
+Hessenberg reduction mod word primes (_charpoly_mod), lifted by Chinese
+remaindering past a Hadamard coefficient bound (_coefficient_bound) and
+certified against one Bareiss determinant.  graeffe squares its roots and
+reciprocal_sign reads the sign s with x^n p(1/x) = s p(x), so
+reciprocal_sign(graeffe(charpoly(L))) is the route verify and product took
+to reciprocity before operators.schur_reciprocity_sign, and its
+differential oracle.
+
 supersymmetry_charpoly is the characteristic-polynomial route that
 operators.supersymmetry_report replaced: four multimodular charpolys
 compared with their zero roots stripped.  rank is Gaussian elimination on
@@ -37,16 +46,22 @@ limit_functional_equation_residual samples the doubling identity of
 spectra.limit_profile.
 
 exact_root_multiset isolates the real roots of an integer polynomial by
-Sturm chains over the rationals, and validate_spectrum_against_charpoly
-compares spectra.eig_sym with the roots of exact.charpoly.
+Sturm chains over the rationals, each member scaled to a primitive integer
+polynomial and evaluated by integer Horner, and
+validate_spectrum_against_charpoly compares spectra.eig_sym with the roots
+of charpoly.
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, isqrt, lcm
 from typing import Sequence
+
+import numpy as np
 
 from connlab.complexes import Complex, parity, simplices_intersect
 from connlab.dynamics import DynamicsError, Trajectory
-from connlab.exact import IntMatrix, IntPolynomial, ShapeError, SingularMatrixError, charpoly
+from connlab.exact import IntMatrix, ShapeError, SingularMatrixError, _prime, det
 from connlab.graphs import Graph, betti_numbers
 from connlab.operators import OperatorBundle, SupersymmetryReport
 from connlab.spectra import SpectraError, eig_sym, limit_profile
@@ -110,6 +125,153 @@ def inverse_unimodular(m: IntMatrix) -> IntMatrix:
         raise ValueError(f"matrix is not unimodular: final pivot {prev}")
     # 1/prev == prev for prev = +-1
     return IntMatrix([[prev * x for x in row[n:]] for row in a], ncols=n)
+
+
+# ---------------------------------------------------------------------------
+# the multimodular characteristic polynomial, the route verify and product
+# took to reciprocity before the Schur certificate
+
+
+@dataclass(frozen=True)
+class IntPolynomial:
+    """Integer polynomial, coefficients stored ascending by degree."""
+
+    coeffs: tuple[int, ...]
+
+    @property
+    def degree(self) -> int:
+        return len(self.coeffs) - 1
+
+    def __call__(self, x):
+        acc = 0
+        for c in reversed(self.coeffs):
+            acc = acc * x + c
+        return acc
+
+
+def is_reciprocal(p: IntPolynomial) -> bool:
+    """True iff the coefficient list is palindromic, i.e. x^n p(1/x) = p(x)."""
+    return p.coeffs == tuple(reversed(p.coeffs))
+
+
+def reciprocal_sign(p: IntPolynomial) -> int | None:
+    """Sign s with x^n p(1/x) = s*p(x), or None if neither sign works.
+
+    Characteristic polynomials of squared connection Laplacians satisfy this
+    with s = (-1)^n: the spectrum of L^2 is closed under inversion and has
+    determinant 1, so the coefficient list is a palindrome up to that global
+    sign.  Plain palindromicity (s = +1) fails whenever n is odd.
+    """
+    rev = tuple(reversed(p.coeffs))
+    if p.coeffs == rev:
+        return 1
+    if p.coeffs == tuple(-c for c in rev):
+        return -1
+    return None
+
+
+def charpoly(m: IntMatrix) -> IntPolynomial:
+    """Exact monic characteristic polynomial det(xI - m).
+
+    Multimodular: the polynomial is computed mod primes p < 2^31 by a
+    Hessenberg reduction (_charpoly_mod) and the residues are combined by
+    Chinese remaindering into symmetric residues until the modulus exceeds
+    _coefficient_bound(m), twice a bound on every coefficient.  The result
+    is certified exactly: p(r) must equal the Bareiss det(rI - m) at
+    r = rho + 1, rho the largest absolute row sum, which lies outside the
+    spectrum, or ArithmeticError is raised.
+    """
+    if not m.is_square():
+        raise ShapeError("characteristic polynomial needs a square matrix")
+    n = m.nrows
+    if n == 0:
+        return IntPolynomial((1,))
+    rho = max(sum(abs(a) for _, a in row) for row in m.nonzeros)
+    bound = _coefficient_bound(m)
+    entries = m.to_array(object)
+    coeffs = [0] * (n + 1)
+    modulus = 1
+    count = 0
+    while modulus <= bound:
+        p = _prime(count)
+        count += 1
+        residues = _charpoly_mod((entries % p).astype(np.int64), p)
+        # Garner step: keep each coefficient mod `modulus`, make it agree mod p
+        inv = pow(modulus, -1, p)
+        coeffs = [c + modulus * ((int(x) - c) * inv % p) for c, x in zip(coeffs, residues)]
+        modulus *= p
+    half = modulus // 2
+    poly = IntPolynomial(tuple(c - modulus if c > half else c for c in coeffs))
+    r = rho + 1
+    if poly(r) != det(IntMatrix.identity(n).scale(r) - m):
+        raise ArithmeticError("charpoly certificate p(r) == det(rI - m) failed")
+    return poly
+
+
+def _coefficient_bound(m: IntMatrix) -> int:
+    """2 prod_i (1 + ceil(||row_i||_2)), at least twice every |coefficient| of
+    det(xI - m): each is a signed sum of principal minors, which Hadamard's
+    inequality bounds by their row norms.  A row norm never exceeds the row's
+    absolute sum, so this is never above 2 (1 + rho)^n."""
+    bound = 2
+    for row in m.nonzeros:
+        sq = sum(a * a for _, a in row)
+        bound *= 2 + isqrt(sq - 1) if sq else 1
+    return bound
+
+
+def graeffe(p: IntPolynomial) -> IntPolynomial:
+    """charpoly(m @ m) from p = charpoly(m), by Graeffe's root-squaring step:
+    q(x^2) = (-1)^n p(x) p(-x) is monic of degree n with the squared roots."""
+    alt = [-a if j % 2 else a for j, a in enumerate(p.coeffs)]
+    even = np.convolve(np.array(p.coeffs, dtype=object), np.array(alt, dtype=object))[::2]
+    return IntPolynomial(tuple(int(-x if p.degree % 2 else x) for x in even))
+
+
+def _charpoly_mod(a: np.ndarray, p: int) -> np.ndarray:
+    """Ascending coefficients of det(xI - a) mod p, for a prime p < 2^31.
+
+    `a` is a square int64 array with entries in 0..p-1; it is not modified.
+    It is brought to upper Hessenberg form h by similarity (Cohen, A Course
+    in Computational Algebraic Number Theory, section 2.2): each row
+    operation is followed by its inverse column operation, a pivot swap
+    swaps both rows and columns, and a column with no pivot below the
+    subdiagonal is skipped.  Then the Hessenberg recurrence gives the
+    charpoly p_m of each leading m-by-m block:
+        p_m = (x - h_mm) p_(m-1)
+              - sum_(i<m) h_im h_(m,m-1) ... h_(i+1,i) p_(i-1).
+    A product of two residues is below 2^62 and is reduced before it enters
+    any sum, so no int64 operation overflows.
+    """
+    h = a.copy()
+    n = h.shape[0]
+    for j in range(n - 2):
+        nonzero = np.flatnonzero(h[j + 1 :, j])
+        if nonzero.size == 0:
+            continue
+        piv = j + 1 + int(nonzero[0])
+        if piv != j + 1:
+            h[[j + 1, piv], :] = h[[piv, j + 1], :]
+            h[:, [j + 1, piv]] = h[:, [piv, j + 1]]
+        u = h[j + 2 :, j] * pow(int(h[j + 1, j]), p - 2, p) % p
+        # rows j+2.. -= u * row j+1 (columns before j are zero in all of them),
+        # then column j+1 += columns j+2.. weighted by u
+        h[j + 2 :, j:] = (h[j + 2 :, j:] - np.outer(u, h[j + 1, j:])) % p
+        h[:, j + 1] = (h[:, j + 1] + (h[:, j + 2 :] * u % p).sum(axis=1)) % p
+    polys = np.zeros((n + 1, n + 1), dtype=np.int64)  # row m: p_m, ascending
+    polys[0, 0] = 1
+    chain = np.zeros(0, dtype=np.int64)  # chain[i-1] = h_(m,m-1) ... h_(i+1,i)
+    for m in range(1, n + 1):
+        k = m - 1
+        row = np.zeros(n + 1, dtype=np.int64)
+        row[1 : m + 1] = polys[k, :m]
+        row[:m] = (row[:m] - h[k, k] * polys[k, :m]) % p
+        if k:
+            chain = np.append(chain, 1) * h[k, k - 1] % p
+            weights = h[:k, k] * chain % p
+            row[:k] = (row[:k] - (polys[:k, :k] * weights[:, None] % p).sum(axis=0)) % p
+        polys[m] = row
+    return polys[n]
 
 
 def strip_zero_root(p: IntPolynomial) -> tuple[int, tuple[int, ...]]:
@@ -384,7 +546,7 @@ def limit_functional_equation_residual(samples: int = 100) -> float:
 # Sturm chains decide exactly how many real roots a square-free rational
 # polynomial has in an interval, so bisection gives eigenvalue enclosures
 # with no floating-point trust anywhere.  Multiplicities come from peeling
-# gcd(p, p') layers.  Degree stays tiny (n <= 12 in the validation suite).
+# gcd(p, p') layers.  Degrees reach 27 in the validation suite.
 
 
 def _fpoly(coeffs: Sequence[Fraction]) -> list[Fraction]:
@@ -392,13 +554,6 @@ def _fpoly(coeffs: Sequence[Fraction]) -> list[Fraction]:
     while out and out[-1] == 0:
         out.pop()
     return out
-
-
-def _fpoly_eval(p: Sequence[Fraction], x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
 
 
 def _fpoly_deriv(p: Sequence[Fraction]) -> list[Fraction]:
@@ -460,12 +615,28 @@ def _sturm_chain(p: Sequence[Fraction]) -> list[list[Fraction]]:
     return [c for c in chain if c]
 
 
-def _sign_variations(chain: Sequence[Sequence[Fraction]], x: Fraction) -> int:
+def _primitive(p: Sequence[Fraction]) -> list[int]:
+    """p times the positive rational that makes it a primitive integer
+    polynomial; a positive factor keeps the sign of every value."""
+    scale = lcm(*(c.denominator for c in p))
+    ints = [int(c * scale) for c in p]
+    g = gcd(*ints)
+    return [c // g for c in ints]
+
+
+def _sign_variations(chain: Sequence[Sequence[int]], x: Fraction) -> int:
+    """Sign changes along the integer chain at x = num/den, each member p of
+    degree d evaluated as den^d p(num/den) by integer Horner: den > 0, so
+    that has the sign of p(x)."""
+    num, den = x.numerator, x.denominator
     signs = []
     for p in chain:
-        v = _fpoly_eval(p, x)
-        if v != 0:
-            signs.append(1 if v > 0 else -1)
+        acc, power = p[-1], 1
+        for c in reversed(p[:-1]):
+            power *= den
+            acc = acc * num + c * power
+        if acc:
+            signs.append(1 if acc > 0 else -1)
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
@@ -473,7 +644,7 @@ def _roots_squarefree(p: list[Fraction], precision: Fraction) -> list[Fraction]:
     """All real roots of a square-free polynomial, each within precision."""
     if len(p) <= 1:
         return []
-    chain = _sturm_chain(p)
+    chain = [_primitive(q) for q in _sturm_chain(p)]
     bound = Fraction(1) + max(abs(c) for c in p[:-1]) / abs(p[-1])
     roots: list[Fraction] = []
 

@@ -20,11 +20,17 @@ refutes as first stated; the printed detail lines keep the counterexamples:
   v positive eigenvalues, so the gap at that block boundary is at least 1.
   The top gap lambda_n - lambda_{n-1} is not bounded below by 1 (0.9333 on
   the 6-cycle, shrinking with length).
+
+One more, unnumbered test checks two exact corollaries of the Schur
+reciprocity certificate over the corpus: L has v positive and e negative
+eigenvalues, and the eigenvalue 1 of L^2 has the multiplicity of the
+signless kernels, even when n is even (Kirby's hypothesis).
 """
 
 import math
 import random
 import time
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -36,14 +42,7 @@ from connlab.dynamics import (
     quaternion_solution,
     walk,
 )
-from connlab.exact import (
-    IntMatrix,
-    charpoly,
-    det,
-    field_inverse,
-    field_reduce,
-    reciprocal_sign,
-)
+from connlab.exact import IntMatrix, det, field_inverse, field_reduce
 from connlab.graphs import from_spec
 from connlab.newton import (
     NewtonConfig,
@@ -52,7 +51,13 @@ from connlab.newton import (
     exact_jacobian_at_connection,
     solve_perturbed,
 )
-from connlab.operators import bundle_for, hydrogen_residual, hydrogen_residual_mod
+from connlab.operators import (
+    bundle_for,
+    hydrogen_residual,
+    hydrogen_residual_mod,
+    schur_reciprocity_sign,
+    supersymmetry_report,
+)
 from connlab.products import product_checks, spectral_errors
 from connlab.spectra import (
     block_gap,
@@ -73,7 +78,13 @@ from connlab.tables import (
     row_max_error,
 )
 from conftest import CORPUS_SPECS, build_corpus
-from oracles import inverse_unimodular, limit_functional_equation_residual
+from oracles import (
+    charpoly,
+    graeffe,
+    inverse_unimodular,
+    limit_functional_equation_residual,
+    reciprocal_sign,
+)
 
 PRODUCT_PAIRS = [
     ("complete:2", "complete:2"),
@@ -285,6 +296,41 @@ def test_criterion_09_squared_charpoly_reciprocity(corpus):
         f"charpoly(L^2) reciprocal with parity sign on {len(corpus)} graphs; "
         f"random unimodular control sign: {control_sign}",
     )
+
+
+def _multiplicity_of_root_one(coeffs: tuple[int, ...]) -> int:
+    mult, c = 0, list(coeffs)
+    while len(c) > 1 and sum(c) == 0:
+        # p(x) = (x - 1) q(x): q's coefficients are the tail sums of p's
+        c = list(accumulate(reversed(c[1:])))[::-1]
+        mult += 1
+    return mult
+
+
+def test_kirby_and_inertia_follow_from_the_schur_certificate(corpus, squared_charpolys):
+    # S = -I_e makes L a sum of 2x2 blocks [[1, s], [s, s^2 - 1]] over the
+    # singular values s > 0 of its vertex-edge block U, of eigenvalues l and
+    # -1/l, plus 1 on ker U^T and -1 on ker U.  So L has v positive and e
+    # negative eigenvalues (Sylvester), and 1 is an eigenvalue of L^2 of
+    # multiplicity n - 2 rank U = |kernel0| + |kernel1| of the signless
+    # incidence U^T, which is even when n is even (Kirby's hypothesis)
+    bad = []
+    for spec, b in corpus.items():
+        ss = supersymmetry_report(b)
+        ones = _multiplicity_of_root_one(squared_charpolys[spec].coeffs)
+        eigenvalues = spectrum_of(b.connection).eigenvalues
+        inertia = (sum(lam > 0 for lam in eigenvalues), sum(lam < 0 for lam in eigenvalues))
+        if (
+            schur_reciprocity_sign(b.connection, b.v) is None
+            or ones != ss.signless_kernel0 + ss.signless_kernel1
+            or (b.size % 2 == 0 and ones % 2)
+            or inertia != (b.v, b.e)
+        ):
+            bad.append((spec, ones, inertia))
+    assert bad == []
+    # bipartite with a cycle, odd cycle, tree: 1 + 1, 0 + 0 and 1 + 0
+    pinned = {"cycle:4": 2, "cycle:5": 0, "path:3": 1}
+    assert {s: _multiplicity_of_root_one(squared_charpolys[s].coeffs) for s in pinned} == pinned
 
 
 def test_criterion_10_jacobi_equation(corpus):

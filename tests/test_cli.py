@@ -57,6 +57,37 @@ def test_verify_green_star_fails_without_traceback_on_a_non_unimodular_l(
     assert "Traceback" not in err
 
 
+def test_verify_fails_reciprocity_without_traceback_when_s_is_plus_identity(
+    capsys, monkeypatch
+):
+    # every edge diagonal of L set to 3 gives S = +I_e: det L is still 1 and
+    # spec(L^2) still closed under inversion, but the Schur certificate asks
+    # for S = -I_e, so reciprocity fails with no sign
+    b = operators.bundle_for(from_spec("cycle:4"))
+    b.green
+    b.__dict__["connection"] = edited(b.connection, {(k, k): 3 for k in range(b.v, b.size)})
+    monkeypatch.setattr(cli, "bundle_for", lambda g: b)
+    code, out, err = run(capsys, "verify", "cycle:4")
+    assert code == 1
+    assert "ok   unimodularity" in out
+    assert f"FAIL {'reciprocity':16s} charpoly(L^2) reciprocal with sign None" in out.splitlines()
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv", [("verify", "grid:10,10"), ("product", "path:4", "wheel:4")], ids=["verify", "product"]
+)
+def test_verify_and_product_run_no_bareiss_determinant(capsys, monkeypatch, argv):
+    # reciprocity reads the Schur certificate, det L the Schur complement and
+    # a product's det its factors', so Bareiss det runs nowhere on these paths
+    def refuse(m):
+        raise AssertionError("Bareiss det called")
+
+    monkeypatch.setattr(exact, "det", refuse)
+    code, _, _ = run(capsys, *argv)
+    assert code == 0
+
+
 def test_verify_json_shape(capsys):
     code, out, _ = run(capsys, "--format", "json", "verify", "star:4", "--field", "2")
     assert code == 0
@@ -532,8 +563,8 @@ def _design_products(argv) -> list:
 def test_verify_and_product_form_no_dense_product(capsys, monkeypatch, argv):
     # H and |H| are Dirac squares and supersymmetry compares their blocks
     # with d^T d and d d^T; green-star reads the Schur block inverse and
-    # reciprocity takes Graeffe's step on charpoly(L), so no L @ L or g @ g
-    # is formed.  FieldMatrix products go through IntMatrix.__matmul__ too
+    # reciprocity the Schur complement of L, so no L @ L or g @ g is
+    # formed.  FieldMatrix products go through IntMatrix.__matmul__ too
     real = exact.IntMatrix.__matmul__
     calls = []
 
@@ -588,5 +619,5 @@ def test_verify_and_product_match_golden_output(capsys, case):
     # tests/data/verify_golden.json holds the size and SHA-256 of the stdout
     # of one verify per graph family (three with --field) and three products,
     # as printed when green-star ran Gauss-Jordan elimination and reciprocity
-    # took the charpoly of the dense L @ L
+    # took the charpoly of the dense L @ L; it now reads the Schur certificate
     _matches_golden(capsys, case)

@@ -3,8 +3,10 @@
 The determinant, inverse, characteristic polynomial, and rank routines are
 cross-checked with hypothesis against brute-force Fraction eliminations and
 cofactor expansions written inline here, so the two routes share no code.
-The multimodular charpoly is also compared with the integer Faddeev-LeVerrier
-recursion, kept here as its oracle, on random matrices and on the corpus.
+The multimodular charpoly, which left the package for tests/oracles.py as
+the differential oracle of the Schur reciprocity certificate, is also
+compared with the integer Faddeev-LeVerrier recursion, kept here as its
+oracle, on random matrices and on the corpus.
 """
 
 from fractions import Fraction
@@ -18,22 +20,30 @@ from connlab import exact
 from connlab.exact import (
     FieldMatrix,
     IntMatrix,
-    IntPolynomial,
     SingularMatrixError,
     certified_rank,
-    charpoly,
     det,
     ShapeError,
     field_inverse,
     field_reduce,
-    graeffe,
     is_prime,
-    is_reciprocal,
-    reciprocal_sign,
 )
 from connlab.graphs import from_spec
 from connlab.operators import bundle_for
-from oracles import dense_kron, dense_matmul, edited, inverse_unimodular, matpow, rank
+import oracles
+from oracles import (
+    IntPolynomial,
+    charpoly,
+    dense_kron,
+    dense_matmul,
+    edited,
+    graeffe,
+    inverse_unimodular,
+    is_reciprocal,
+    matpow,
+    rank,
+    reciprocal_sign,
+)
 
 entries = st.integers(min_value=-6, max_value=6)
 
@@ -232,7 +242,7 @@ def _check_coefficient_bound(m):
     """The Hadamard bound covers twice every coefficient, and it is at most
     2 (1 + rho)^n, rho the largest absolute row sum, so the CRT never takes
     more primes than under that bound."""
-    bound = exact._coefficient_bound(m)
+    bound = oracles._coefficient_bound(m)
     assert bound >= 2 * max(abs(c) for c in charpoly(m).coeffs)
     rho = max(sum(abs(a) for a in row) for row in m.rows)
     assert bound <= 2 * (1 + rho) ** m.nrows
@@ -279,7 +289,7 @@ def test_charpoly_complete12_squared_needs_big_coefficients():
 
 
 def test_charpoly_certificate_catches_a_corrupt_residue(monkeypatch):
-    real = exact._charpoly_mod
+    real = oracles._charpoly_mod
     primes = []
 
     def corrupt_second_prime(a, p):
@@ -291,7 +301,7 @@ def test_charpoly_certificate_catches_a_corrupt_residue(monkeypatch):
 
     m = IntMatrix([[10**6, 3, 0], [-2, 10**6, 5], [7, 0, -(10**6)]])
     assert charpoly(m) == faddeev_leverrier(m)
-    monkeypatch.setattr(exact, "_charpoly_mod", corrupt_second_prime)
+    monkeypatch.setattr(oracles, "_charpoly_mod", corrupt_second_prime)
     with pytest.raises(ArithmeticError, match="certificate"):
         charpoly(m)
     assert len(primes) >= 2

@@ -17,6 +17,7 @@ from connlab.exact import IntMatrix, SingularMatrixError, det
 from connlab.graphs import Graph, from_spec, parse_graph_text
 from connlab.operators import (
     OperatorBundle,
+    _schur_blocks,
     block,
     bundle_for,
     energy,
@@ -26,11 +27,13 @@ from connlab.operators import (
     green_star,
     is_unimodular,
     schur_inverse,
+    schur_reciprocity_sign,
     supersymmetry_report,
     trace_report,
 )
 from conftest import SAMPLE_SPECS
 from oracles import (
+    charpoly,
     dense_abs,
     dense_connection,
     dense_dirac,
@@ -41,8 +44,10 @@ from oracles import (
     dense_kirchhoff,
     dense_matmul,
     edited,
+    graeffe,
     inverse_unimodular,
     negated_edge_row,
+    reciprocal_sign,
     stray_vertex_entry,
     supersymmetry_charpoly,
 )
@@ -186,8 +191,6 @@ def test_orientation_invariance():
     assert flipped.hodge_signless.rows == default.hodge_signless.rows
     # the signed edge block changes, but only by a diagonal conjugation,
     # so characteristic polynomials agree
-    from connlab.exact import charpoly
-
     assert charpoly(flipped.hodge1).coeffs == charpoly(default.hodge1).coeffs
 
 
@@ -259,6 +262,64 @@ def test_schur_inverse_rejects_a_connection_without_integer_inverse(edge_diagona
         schur_inverse(L, b.v)
     with pytest.raises(error):
         inverse_unimodular(L)
+
+
+def test_schur_reciprocity_sign_matches_the_charpoly_oracle(corpus, squared_charpolys):
+    # the O(nnz) certificate against the route it replaced in verify,
+    # reciprocal_sign(graeffe(charpoly(L))), over the whole corpus
+    for spec, b in corpus.items():
+        want = -1 if b.size % 2 else 1
+        assert schur_reciprocity_sign(b.connection, b.v) == want, spec
+        assert reciprocal_sign(squared_charpolys[spec]) == want, spec
+
+
+def _disjoint_edges(b) -> tuple[int, int]:
+    """The cell indices of the first two edges that share no vertex."""
+    edges = b.graph.edges
+    return next(
+        (b.v + k, b.v + l)
+        for k in range(len(edges))
+        for l in range(k + 1, len(edges))
+        if not set(edges[k]) & set(edges[l])
+    )
+
+
+@pytest.mark.parametrize("spec", ["cycle:5", "figure8", "wheel:6"])
+def test_schur_reciprocity_sign_rejects_s_equal_to_plus_identity(spec):
+    # every edge diagonal set to 3 gives S = +I_e: spec(L^2) is still closed
+    # under inversion, so the charpoly oracle passes it, but the certificate
+    # asks for S = -I_e and is sufficient, not necessary
+    b = bundle_for(from_spec(spec))
+    L = edited(b.connection, {(k, k): 3 for k in range(b.v, b.size)})
+    assert _schur_blocks(L, b.v)[2] == [1] * b.e
+    assert reciprocal_sign(graeffe(charpoly(L))) == (-1 if b.size % 2 else 1)
+    assert schur_reciprocity_sign(L, b.v) is None
+
+
+@pytest.mark.parametrize("spec", ["cycle:5", "figure8", "wheel:6"])
+def test_schur_reciprocity_sign_rejects_a_broken_edge_block(spec):
+    b = bundle_for(from_spec(spec))
+    k, l = _disjoint_edges(b)
+    # one edge diagonal set to 2: S_kk = 0
+    L = edited(b.connection, {(k, k): 2})
+    assert _schur_blocks(L, b.v)[2][k - b.v] == 0
+    assert schur_reciprocity_sign(L, b.v) is None
+    # a symmetric pair between two disjoint edges: S is not diagonal, which
+    # _schur_blocks raises on and the certificate reports as None
+    L = edited(b.connection, {(k, l): 1, (l, k): 1})
+    with pytest.raises(ArithmeticError, match="not diagonal"):
+        _schur_blocks(L, b.v)
+    assert schur_reciprocity_sign(L, b.v) is None
+
+
+def test_schur_reciprocity_sign_rejects_an_asymmetric_connection():
+    # an isolated vertex has no U row, so a 1 written into its column of one
+    # edge row leaves S = -I_e; only L != L^T rejects it
+    b = bundle_for(Graph(4, ((0, 1), (1, 2))))
+    L = edited(b.connection, {(b.v, 3): 1})
+    assert _schur_blocks(L, b.v)[2] == [-1] * b.e
+    assert schur_reciprocity_sign(L, b.v) is None
+    assert schur_reciprocity_sign(b.connection, b.v) == 1  # 6 cells
 
 
 def test_hydrogen_residual_matches_dense_expression_on_corpus(corpus):

@@ -51,12 +51,23 @@ def test_elimination_inverses_stay_in_the_oracles():
 
 
 def test_charpoly_stays_with_reciprocity_and_spectra():
-    # supersymmetry rests on factor certificates and the Sturm validation of
-    # spectra is an oracle; both charpoly routes live in tests/oracles.py, so
-    # only reciprocity (cli, products) names charpoly
+    # reciprocity reads the Schur certificate, supersymmetry rests on factor
+    # certificates and the Sturm validation of spectra is an oracle; the
+    # multimodular charpoly lives in tests/oracles.py, so no module of the
+    # package names it, its Graeffe step or its sign
     package = ROOT / "src" / "connlab"
-    users = {p.stem for p in package.glob("*.py") if "charpoly" in _referenced_names(p)}
-    assert users - {"exact", "__init__"} == {"cli", "products"}
+    gone = {
+        "charpoly", "graeffe", "reciprocal_sign", "IntPolynomial", "_charpoly_mod", "_coefficient_bound"
+    }
+    users = {p.stem: gone & _referenced_names(p) for p in package.glob("*.py")}
+    assert {m: names for m, names in users.items() if names} == {}
+    defined = {
+        node.name
+        for p in package.glob("*.py")
+        for node in ast.walk(ast.parse(p.read_text()))
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    }
+    assert gone & defined == set()
 
 
 _LIST_MUTATORS = {"append", "extend", "insert", "pop", "remove", "sort", "reverse", "clear"}
@@ -156,8 +167,9 @@ def test_layer_harness_reports_every_declared_metric(capsys):
     capsys.readouterr()
     metrics = tracer.layer_metrics(2, 0)
     assert declared - {"trace_overhead_s"} <= set(metrics)
-    # reciprocity's one charpoly of L; supersymmetry runs none
-    assert metrics["exact.charpoly.calls"][0] == 1
+    # reciprocity reads the Schur certificate and supersymmetry the factor
+    # certificates, so verify runs no charpoly
+    assert metrics["exact.charpoly.calls"][0] == 0
     assert metrics["exact.field_inverse.self_s"][0] > 0
     assert not hasattr(connlab.exact.FieldMatrix.apply, "__wrapped__")
 

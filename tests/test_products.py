@@ -3,9 +3,9 @@ failure of the hydrogen identity on nontrivial products."""
 
 import pytest
 
-from connlab.exact import IntMatrix, charpoly, det, reciprocal_sign
+from connlab.exact import IntMatrix, det
 from connlab.graphs import from_spec
-from connlab.operators import bundle_for
+from connlab.operators import OperatorBundle, bundle_for, schur_inverse
 from connlab.products import (
     ProductComplex,
     ProductError,
@@ -17,7 +17,15 @@ from connlab.products import (
     spectral_errors,
     two_time_walk,
 )
-from oracles import dense_kron, edited, inverse_unimodular, matpow
+from oracles import (
+    charpoly,
+    dense_kron,
+    edited,
+    graeffe,
+    inverse_unimodular,
+    matpow,
+    reciprocal_sign,
+)
 
 PAIRS = [
     ("complete:2", "complete:2"),
@@ -76,6 +84,8 @@ def test_product_energy_multiplicative(sa, sb):
     assert rep.energy_value == g.entry_sum()
     # the product det comes from the factors; Bareiss on the product is its oracle
     assert rep.det_value == det(L)
+    # so does the reciprocity sign; the charpoly of the product is its oracle
+    assert rep.charpoly_sign == reciprocal_sign(graeffe(charpoly(L))) == (-1) ** (L.nrows % 2)
     assert rep.hydrogen_residual_max == (L - g - product_hodge_signless(ba, bb)).max_abs()
 
 
@@ -105,6 +115,26 @@ def test_product_reciprocity_sign():
     # 5 x 5 = 25 cells, odd, so the squared charpoly is anti-palindromic
     rep = product_checks(from_spec("path:3"), from_spec("path:3"))
     assert rep.charpoly_sign == -1
+
+
+def test_product_reciprocity_fails_on_a_corrupted_factor(monkeypatch):
+    # the factor's edge diagonals set to 3 (S = +I_e), with its inverse and
+    # the intersection rule made to agree, so that only reciprocity can
+    # notice: the product spectrum is still inversion-closed, but the
+    # factor fails its certificate
+    honest = bundle_for(from_spec("cycle:4"))
+    a = OperatorBundle(honest.complex)
+    L = edited(honest.connection, {(k, k): 3 for k in range(a.v, a.size)})
+    a.__dict__["connection"] = L
+    a.__dict__["green"] = schur_inverse(L, a.v)
+    b = bundle_for(from_spec("path:3"))
+    monkeypatch.setattr(
+        ProductComplex, "connection_by_intersection", lambda self: L.kron(b.connection)
+    )
+    rep = product_checks(a, b)
+    assert rep.det_ok
+    assert rep.charpoly_sign is None and not rep.reciprocity_ok
+    assert reciprocal_sign(graeffe(charpoly(L.kron(b.connection)))) == 1
 
 
 def test_two_time_walk_orders_agree():

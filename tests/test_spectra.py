@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from connlab.exact import IntMatrix, charpoly
+from connlab.exact import IntMatrix
 from connlab.graphs import from_spec
 from connlab.operators import bundle_for
 from connlab.spectra import (
@@ -25,9 +25,12 @@ from connlab.spectra import (
 )
 from conftest import SAMPLE_SPECS
 from oracles import (
+    IntPolynomial,
+    charpoly,
     exact_root_multiset,
     limit_functional_equation_residual,
     matpow,
+    reciprocal_sign,
     validate_spectrum_against_charpoly,
 )
 
@@ -55,8 +58,6 @@ def test_numeric_spectrum_matches_exact_roots(spec, sample):
 
 def test_exact_root_multiset_with_multiplicity():
     # (x-1)^2 (x-3) expanded: -3 + 7x - 5x^2 + x^3
-    from connlab.exact import IntPolynomial
-
     roots = exact_root_multiset(IntPolynomial((-3, 7, -5, 1)))
     assert len(roots) == 3
     assert abs(roots[0] - 1) < 1e-8 and abs(roots[1] - 1) < 1e-8
@@ -158,8 +159,6 @@ def test_spectral_radius_closed_form_on_cycle4():
 
 
 def test_charpoly_reciprocity_of_squared_connection():
-    from connlab.exact import reciprocal_sign
-
     for spec in ("complete:2", "cycle:4", "figure8"):
         b = bundle_for(from_spec(spec))
         p = charpoly(b.connection @ b.connection)
