@@ -21,9 +21,12 @@ one inverse it uses is the bundle's green: the star formula, certified by
 L @ g = I.  Integer walks and the powers behind the Perron limits step with
 IntMatrix.apply, a numpy gather and segmented sum on exact Python ints over
 the nonzeros of L, g and |H| only, which each cached operator is stored
-as; the Jacobi residual applies |H| once per time along a walk.  The
-automaton is stepped as numpy mat-vecs of L and g reduced mod p.  Nothing
-here eliminates.
+as.  The Jacobi residual applies |H| once per time along a walk, to form
+the hydrogen defect, and reads the residual off three consecutive defects.
+The automaton steps L and g reduced mod p with FieldMatrix.step, over the
+same compressed rows, in int64 while the entries allow it.  Walks, the
+residual and the automaton form no dense matrix, and nothing here
+eliminates.
 """
 
 from __future__ import annotations
@@ -175,36 +178,42 @@ def jacobi_residual(t: Trajectory, habs: IntMatrix) -> int | float:
 
     Exactly zero for any exact walk trajectory; integer states give an
     integer residual so a pass is unambiguous.  |H|^2 psi(n) is never read
-    off the trajectory itself.  Where n-1 and n+1 are recorded it is
-    phi(n+1) - phi(n-1) + |H| e(n), with phi(m) = |H| psi(m) applied once
-    per time and e(n) = phi(n) - psi(n+1) + psi(n-1) the hydrogen defect;
-    that is |H| phi(n) by linearity, so the residual is the same integer as
-    applying |H| twice, for any trajectory.  On a walk e(n) = 0 and the
-    |H| e(n) mat-vec is skipped, so each time costs one mat-vec, not two.
+    off the trajectory itself.  Where m-1 and m+1 are recorded, the hydrogen
+    defect e(m) = |H| psi(m) - psi(m+1) + psi(m-1) takes one |H| mat-vec,
+    once per time, and the difference at n is e(n-1) - e(n+1) - |H| e(n):
+    expanding |H|^2 psi(n) = |H| e(n) + phi(n+1) - phi(n-1) with
+    phi = |H| psi gives the same integer as applying |H| twice, for any
+    trajectory.  On a walk every defect is 0, and so is the residual at n.
     Branch trajectories of one time parity take |H| twice.
     """
-    phi: dict[int, Vector] = {}
+    defects: dict[int, list[int] | None] = {}
 
-    def hpsi(m: int) -> Vector:
-        if m not in phi:
-            phi[m] = habs.apply(t[m])
-        return phi[m]
+    def defect(m: int) -> list[int] | None:
+        """e(m), or None when it is zero."""
+        if m not in defects:
+            e = [h - a + b for h, a, b in zip(habs.apply(t[m]), t[m + 1], t[m - 1])]
+            defects[m] = e if any(e) else None
+        return defects[m]
 
     worst = None
     for n in t.times():
         if n + 2 not in t or n - 2 not in t:
             continue
-        hi, mid, lo = t[n + 2], t[n], t[n - 2]
         if n + 1 in t and n - 1 in t:
-            defect = [h - a + b for h, a, b in zip(hpsi(n), t[n + 1], t[n - 1])]
-            pulled = [a - b for a, b in zip(hpsi(n + 1), hpsi(n - 1))]
-            if any(defect):
-                pulled = [a + b for a, b in zip(pulled, habs.apply(defect))]
-            phi.pop(n - 1)  # times run upward, so no later n reads it
+            below, mid, above = defect(n - 1), defect(n), defect(n + 1)
+            defects.pop(n - 1)  # times run upward, so no later n reads it
+            if below is None and mid is None and above is None:
+                residual = 0
+            else:
+                zero = [0] * len(t[n])
+                pulled = habs.apply(mid) if mid is not None else zero
+                diff = [a - c - d for a, c, d in zip(below or zero, above or zero, pulled)]
+                residual = max(max(diff), -min(diff))
         else:
+            hi, mid, lo = t[n + 2], t[n], t[n - 2]
             pulled = habs.apply(habs.apply(mid))
-        diff = [a - 2 * b + c - d for a, b, c, d in zip(hi, mid, lo, pulled)]
-        residual = max(max(diff), -min(diff))
+            diff = [a - 2 * b + c - d for a, b, c, d in zip(hi, mid, lo, pulled)]
+            residual = max(max(diff), -min(diff))
         worst = residual if worst is None else max(worst, residual)
     if worst is None:
         raise DynamicsError("trajectory does not cover any n-2, n, n+2 triple")
@@ -413,22 +422,16 @@ def automaton_run(
 
 
 def _field_orbit(m: FieldMatrix, start: Sequence[int], steps: int) -> Iterator[Vector]:
-    """Yield start, m start, ..., m^steps start mod p, stepped in numpy.
+    """Yield start, m start, ..., m^steps start mod p.
 
-    Each entry of m @ x is at most the largest row sum of m times (p - 1), so
-    int64 is used when that stays below 2^63, and exact Python ints
-    (dtype=object) otherwise, in the same code path.  States come out one at
-    a time as tuples of Python ints, so a caller that needs only the last
-    one never holds the orbit.
+    The state stays a numpy array between steps of FieldMatrix.step, over
+    the nonzeros of m.  States come out one at a time as tuples of Python
+    ints, so a caller that needs only the last one never holds the orbit.
     """
-    p = m.p
-    bound = max(m.row_sums(), default=0) * (p - 1)
-    dtype = np.int64 if bound < 2**63 and p < 2**63 else object
-    a = m.to_array(dtype)
-    x = np.array(start, dtype=dtype)
+    x = start
     yield tuple(start)
     for _ in range(steps):
-        x = (a @ x) % p
+        x = m.step(x)
         yield tuple(x.tolist())
 
 

@@ -24,11 +24,16 @@ one dict per row of the result), the L g = I certificate, the
 Schur-complement det, the squared traces, equality, sums and differences,
 abs, scale, transpose, kron and the entry reductions run over the pairs,
 and to_array scatters them into numpy.  IntMatrix.apply reads the same
-nonzeros laid out once as compressed rows (numpy index arrays beside an
-object array of values), so each mat-vec is one gather of the vector, one
-multiply and one segmented sum, O(nnz) and on exact Python ints
-throughout; the k-walk counts step through it.  Only Bareiss det,
-field_inverse and dump_matrix read dense rows.
+nonzeros laid out once as compressed rows (numpy index arrays beside the
+entries other than 1), so each mat-vec is one gather of the vector, one
+multiply of the terms whose entry is not 1 and one segmented sum, O(nnz)
+and on exact Python ints throughout; the k-walk counts and the integer
+walks step through it.  FieldMatrix.step is the same mat-vec followed by
+reduction mod p, run in int64 while the largest row sum times (p - 1)
+stays below 2^63 and on Python ints past it; FieldMatrix.apply and the
+mod-p automaton step through it.  In this module only Bareiss det,
+field_inverse and dump_matrix read dense rows, and only certified_rank and
+to_float (for floating-point spectra) build dense arrays; no mat-vec does.
 """
 
 from __future__ import annotations
@@ -191,12 +196,14 @@ class IntMatrix:
         return IntMatrix.from_dicts(out, other.ncols)
 
     def _compressed_rows(self) -> tuple:
-        """(cols, starts, values, filled): the nonzeros in compressed rows.
+        """(cols, starts, scaled, filled, dtype): the nonzeros in compressed rows.
 
         cols is every nonzero's column, row by row (intp); starts is where
         each nonempty row begins in it (intp), and filled lists those rows,
-        or is None when no row is empty.  values is an object array of the
-        entries, or None when every entry is 1.
+        or is None when no row is empty.  dtype is the one mat-vecs run in
+        (_matvec_dtype).  scaled is (at, factors), the positions in cols of
+        the entries other than 1 (intp) and those entries, or None when
+        every entry is 1; in int64, at is every position.
         """
         if self._csr is None:
             rows = self.nonzeros
@@ -204,33 +211,56 @@ class IntMatrix:
             starts = np.cumsum([0] + [len(rows[i]) for i in filled[:-1]], dtype=np.intp)
             cols = np.array([j for row in rows for j, _ in row], dtype=np.intp)
             values = [a for row in rows for _, a in row]
+            at = [k for k, a in enumerate(values) if a != 1]
+            dtype = self._matvec_dtype()
+            if not at:
+                scaled = None
+            elif dtype is object:
+                # products by 1 are skipped: on big ints they are most of the cost
+                scaled = (np.array(at, dtype=np.intp), np.array([values[k] for k in at], dtype=object))
+            else:
+                # in int64 multiplying every term costs less than picking some out
+                scaled = (slice(None), np.array(values, dtype=dtype))
             self._csr = (
                 cols,
                 starts,
-                None if all(a == 1 for a in values) else np.array(values, dtype=object),
+                scaled,
                 None if len(filled) == self.nrows else np.array(filled, dtype=np.intp),
+                dtype,
             )
         return self._csr
 
-    def apply(self, vec: Sequence[int]) -> tuple[int, ...]:
-        """m @ vec, one multiply-add per nonzero, on exact Python ints."""
+    def _matvec_dtype(self):
+        """Mat-vecs of an integer matrix run on exact Python ints."""
+        return object
+
+    def _product(self, vec) -> np.ndarray:
+        """m @ vec as an array of the compressed rows' dtype: one gather of
+        vec, one multiply of the terms whose entry is not 1 and one
+        segmented sum over the nonzeros.  vec may be a sequence or an array;
+        an array of that dtype is used as it is."""
         if len(vec) != self.ncols:
             raise ShapeError("vector length does not match column count")
-        cols, starts, values, filled = self._compressed_rows()
+        cols, starts, scaled, filled, dtype = self._compressed_rows()
         if not len(cols):
-            return (0,) * self.nrows
-        terms = np.array(vec, dtype=object)[cols]
-        if values is not None:
-            terms *= values
+            return np.zeros(self.nrows, dtype=dtype)
+        terms = np.asarray(vec, dtype=dtype)[cols]
+        if scaled is not None:
+            at, factors = scaled
+            terms[at] *= factors
         # reduceat sums terms[starts[k]:starts[k+1]]; an empty row would get
         # the next row's first term instead of 0, so only nonempty rows are
         # summed and the rest are scattered around zeros
         sums = np.add.reduceat(terms, starts)
         if filled is None:
-            return tuple(sums.tolist())
-        out = np.zeros(self.nrows, dtype=object)
+            return sums
+        out = np.zeros(self.nrows, dtype=dtype)
         out[filled] = sums
-        return tuple(out.tolist())
+        return out
+
+    def apply(self, vec: Sequence[int]) -> tuple[int, ...]:
+        """m @ vec, one multiply-add per nonzero, on exact Python ints."""
+        return tuple(self._product(vec).tolist())
 
     def transpose(self) -> "IntMatrix":
         out: list[list[tuple[int, int]]] = [[] for _ in range(self.ncols)]
@@ -485,9 +515,27 @@ class FieldMatrix(IntMatrix):
             raise ValueError("mixed moduli")
         return field_reduce(super().__matmul__(other), self.p)
 
+    def _matvec_dtype(self):
+        """int64 when no entry of m @ x can reach 2^63, else Python ints.
+
+        With x reduced mod p, each entry of m @ x is at most the largest row
+        sum of m times (p - 1), and each entry of x is below p.
+        """
+        bound = max(self.row_sums(), default=0) * (self.p - 1)
+        return np.int64 if bound < 2**63 and self.p < 2**63 else object
+
+    def step(self, vec) -> np.ndarray:
+        """m @ vec mod p over the compressed rows, for vec reduced mod p.
+
+        Returns a numpy array, in int64 or of Python ints as _matvec_dtype
+        decides, in the same code path; passed back in, it is used without
+        conversion, so an orbit stays an array between steps.
+        """
+        return self._product(vec) % self.p
+
     def apply(self, vec: Sequence[int]) -> tuple[int, ...]:
         p = self.p
-        return tuple(x % p for x in super().apply(vec))
+        return tuple(self.step([x % p for x in vec]).tolist())
 
     def __sub__(self, other: "FieldMatrix") -> "FieldMatrix":
         if self.p != other.p:

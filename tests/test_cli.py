@@ -1,5 +1,6 @@
 """Command-line behavior: exit codes, output formats, determinism."""
 
+import contextlib
 import csv
 import hashlib
 import io
@@ -9,6 +10,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import connlab.cli as cli
 import connlab.dynamics as dynamics
@@ -18,7 +21,13 @@ import connlab.products as products
 from connlab.exact import dump_matrix
 from connlab.graphs import from_spec
 from connlab.spectra import CSV_COLUMNS
-from oracles import dense_matmul, edited, negated_edge_row, stray_vertex_entry
+from oracles import (
+    dense_matmul,
+    edited,
+    jacobi_residual_two_apply,
+    negated_edge_row,
+    stray_vertex_entry,
+)
 
 DATA = Path(__file__).parent / "data"
 
@@ -72,6 +81,104 @@ def test_verify_fails_reciprocity_without_traceback_when_s_is_plus_identity(
     assert "ok   unimodularity" in out
     assert f"FAIL {'reciprocity':16s} charpoly(L^2) reciprocal with sign None" in out.splitlines()
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("field", [(), ("--field", "7")], ids=["plain", "field"])
+def test_verify_fails_without_traceback_when_the_schur_complement_is_not_diagonal(
+    capsys, monkeypatch, field
+):
+    # a symmetric 1 between the disjoint edges (0, 1) and (2, 3) of cycle:5
+    # puts an off-diagonal entry into S = C - U^T U, so neither det L nor
+    # the Schur inverse can be read off S; mod 7 this L is singular too
+    b = operators.bundle_for(from_spec("cycle:5"))
+    b.green
+    assert b.graph.edges[0] == (0, 1) and b.graph.edges[3] == (2, 3)
+    b.__dict__["connection"] = edited(b.connection, {(5, 8): 1, (8, 5): 1})
+    monkeypatch.setattr(cli, "bundle_for", lambda g: b)
+    code, out, err = run(capsys, "verify", "cycle:5", *field)
+    assert code == 1
+    lines = out.splitlines()
+    assert (
+        f"FAIL {'unimodularity':16s} no Schur det: Schur complement of the vertex block is not diagonal"
+        in lines
+    )
+    assert f"FAIL {'green-star':16s} star formula matches the elimination inverse entrywise" in lines
+    assert (f"FAIL {'hydrogen-mod-p':16s} L - L^-1 = |H| over F_7" in lines) == bool(field)
+    assert err == "first failing check: unimodularity\n"
+
+
+def _serve_edited(monkeypatch, spec: str, operator: str, bump: tuple[int, int]):
+    """The bundle of spec, served to the CLI, with one entry of the named
+    cached operator raised by 1 after g is certified."""
+    b = operators.bundle_for(from_spec(spec))
+    b.green
+    i, j = bump
+    m = getattr(b, operator)
+    b.__dict__[operator] = edited(m, {(i, j): m.rows[i][j] + 1})
+    monkeypatch.setattr(cli, "bundle_for", lambda g: b)
+    return b
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("walk", "cycle:5", "--steps", "4", "--reverse"),
+        ("automaton", "cycle:5", "--field", "7", "--steps", "4", "--reverse"),
+    ],
+    ids=["walk", "automaton"],
+)
+def test_reverse_round_trip_fails_on_a_changed_green(capsys, monkeypatch, argv):
+    _serve_edited(monkeypatch, "cycle:5", "green", (0, 0))
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (1, "round trip failed\n")
+    assert len(out.splitlines()) == 9
+
+
+def test_walk_and_automaton_fail_on_a_changed_hodge(capsys, monkeypatch):
+    b = _serve_edited(monkeypatch, "cycle:5", "hodge_signless", (0, 1))
+    code, _, err = run(capsys, "walk", "cycle:5", "--steps", "4", "--reverse")
+    unit = (1,) + (0,) * (b.size - 1)
+    residual = jacobi_residual_two_apply(dynamics.walk(b, unit, -4, 4), b.hodge_signless)
+    assert residual != 0
+    assert (code, err) == (1, f"jacobi residual nonzero: {residual}\n")
+    code, _, err = run(capsys, "automaton", "cycle:5", "--field", "7", "--steps", "4", "--reverse")
+    assert (code, err) == (1, "hydrogen identity failed mod 7\n")
+
+
+def test_automaton_at_24840_cells_forms_no_dense_view(capsys, monkeypatch):
+    # bary:grid:60,60 steps L and g mod 5 over their nonzeros; a dense list
+    # of rows or a dense array of either would be 24840^2 entries
+    def refuse(self, *args):
+        raise AssertionError(f"dense view of a {self.shape} matrix")
+
+    monkeypatch.setattr(exact.IntMatrix, "_dense_rows", refuse)
+    monkeypatch.setattr(exact.IntMatrix, "to_array", refuse)
+    code, out, err = run(
+        capsys, "automaton", "bary:grid:60,60", "--field", "5", "--steps", "3", "--reverse"
+    )
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert [json.loads(line)["n"] for line in lines] == list(range(-3, 4))
+    assert all(len(json.loads(line)["state"]) == 24840 for line in lines)
+
+
+_BIG = st.tuples(st.sampled_from((-1, 1)), st.integers(4301, 4400), st.integers(0, 10**6)).map(
+    lambda t: t[0] * (10 ** t[1] + t[2])
+)
+
+
+@given(st.lists(st.tuples(st.integers(), st.lists(st.integers() | _BIG, max_size=6)), max_size=8))
+@example([(0, []), (-3, [0, -1, 10**4301, -(10**4400)]), (5, [7]), (6, [])])
+@settings(max_examples=60, deadline=None)
+def test_print_states_writes_the_bytes_of_compact_json(states):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        cli._print_states(iter(states))
+    with cli._unlimited_int_digits():
+        want = "".join(
+            json.dumps({"n": n, "state": list(s)}, separators=(",", ":")) + "\n" for n, s in states
+        )
+    assert buf.getvalue() == want
 
 
 @pytest.mark.parametrize(

@@ -322,18 +322,23 @@ def _dense_orbit(Lp, gp, start, n_min, n_max):
     return [states[n] for n in range(n_min, n_max + 1)]
 
 
-@pytest.mark.parametrize("p", [2147483647, 4294967311])
+@pytest.mark.parametrize("p", [2, 71, 2147483647, 4294967311])
 def test_automaton_near_and_above_word_size_matches_dense_route(corpus, p):
-    # entries of g mod p are as large as p - 1, so its mat-vecs leave int64
-    # at both primes and must run on exact Python ints; L's stay in int64
+    # entries of g mod p are as large as p - 1, so at the two large primes
+    # its mat-vecs leave int64 on all but the smallest graphs and run on
+    # exact Python ints; L's stay in int64, as both do at 2 and 71
     rng = random.Random(p)
+    dtypes = set()
     for spec, b in corpus.items():
         Lp = field_reduce(b.connection, p)
         gp = field_reduce(b.green, p)
+        assert Lp._compressed_rows()[-1] is np.int64
+        dtypes.add(gp._compressed_rows()[-1])
         s0 = AutomatonState(p, tuple(rng.randrange(p) for _ in range(b.size)), 0)
         states = automaton_run(b, s0, -3, 3)
         assert [s.time for s in states] == list(range(-3, 4))
         assert [s.vector for s in states] == _dense_orbit(Lp, gp, s0.vector, -3, 3), spec
+    assert (dtypes == {np.int64}) if p < 100 else (object in dtypes)
 
 
 @pytest.mark.parametrize("spec", SAMPLE_SPECS)
