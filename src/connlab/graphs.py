@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 import random
-from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -122,23 +121,28 @@ def induced_subgraph(g: Graph, vertices: list[int]) -> Graph:
 
 
 def diameter(g: Graph) -> int:
-    """Graph diameter by repeated BFS.  Raises on disconnected input."""
+    """Graph diameter by a bit-parallel all-sources BFS.
+
+    reach[x] is the set of sources within distance r of x, held as the bits
+    of one Python int.  One level ORs each vertex's bitset with those of its
+    neighbours, so it costs 2e big-int ORs of n bits; the diameter is the
+    first r at which every bitset is full.  Raises on disconnected input.
+    """
     if not is_connected(g):
         raise GraphError("diameter of a disconnected graph is infinite")
     nbr = g.neighbors()
-    best = 0
-    for start in range(g.n):
-        dist = [-1] * g.n
-        dist[start] = 0
-        queue = deque([start])
-        while queue:
-            x = queue.popleft()
-            for y in nbr[x]:
-                if dist[y] == -1:
-                    dist[y] = dist[x] + 1
-                    queue.append(y)
-        best = max(best, max(dist))
-    return best
+    full = (1 << g.n) - 1
+    reach = [1 << x for x in range(g.n)]
+    r = 0
+    while any(bits != full for bits in reach):
+        nxt = []
+        for bits, ys in zip(reach, nbr):
+            for y in ys:
+                bits |= reach[y]
+            nxt.append(bits)
+        reach = nxt
+        r += 1
+    return r
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,12 @@ the measurement tables:
              of the connection graph G'
 * lsc, shi   diameter-corrected degree bounds for irregular graphs
 
+A bounds row costs two v x v eigensolves, of the two Kirchhoff matrices
+built straight from the edge list, and work linear in the nonzeros: one
+pass of big-integer mat-vecs with L - I gives the walk counts of every k,
+and graphs.diameter is a bit-parallel BFS.  No incidence, |D| or |H| is
+built: rho(|H|) is rho_abs by supersymmetry (see BoundsReport).
+
 Soundness (every applicable bound >= rho) is asserted whenever a report is
 assembled, so a wrong formula cannot produce a quietly wrong table.
 """
@@ -169,6 +175,31 @@ def bound_dual_vertex(g: Graph) -> float:
     return r - 1.0 / r
 
 
+def _kwalk_bounds(bundle: OperatorBundle, ks: Sequence[int]) -> dict[int, float]:
+    """bound_kwalk of every k in ks, from one pass of max(ks) mat-vecs.
+
+    The k-th mat-vec turns the walk counts P(k-1, .) into P(k, .), so the
+    maxima for all k come from the same pass.
+    """
+    if any(k < 1 for k in ks):
+        raise SpectraError("walk length k must be >= 1")
+    _require_edges(bundle.graph)
+    L = bundle.connection
+    counts = [1] * bundle.size
+    walks = {}
+    for k in range(1, max(ks, default=0) + 1):
+        counts = [a - c for a, c in zip(L.apply(counts), counts)]
+        walks[k] = max(counts)
+    out = {}
+    for k in ks:
+        if walks[k] <= 0:
+            raise SpectraError("connection graph has no walks; graph must have an edge")
+        # exp(log(P)/k) stays finite even when P overflows a float
+        r = 1.0 + math.exp(math.log(walks[k]) / k)
+        out[k] = r - 1.0 / r
+    return out
+
+
 def bound_kwalk(source: Graph | OperatorBundle, k: int) -> float:
     """Walk bound r_k - 1/r_k, r_k = 1 + (max_x P(k,x))^(1/k).
 
@@ -176,7 +207,8 @@ def bound_kwalk(source: Graph | OperatorBundle, k: int) -> float:
     that is row x of A(G')^k 1 with A(G') = L - I.  It is computed exactly
     with k big-integer mat-vecs A x = L x - x (L has a unit diagonal),
     starting from the all-ones vector; no power of A is formed.  Only the
-    final k-th root is floating point.
+    final k-th root is floating point.  bounds_report takes every k of a
+    row from one such pass.
 
     Sound for every k: max_x P(k,x) >= rho(A)^k, so r_k >= rho(L) and the
     bound dominates rho(|H|) = rho(L) - 1/rho(L).  The max row sum is
@@ -185,20 +217,7 @@ def bound_kwalk(source: Graph | OperatorBundle, k: int) -> float:
     rho(|H|) as k grows, at the rate max_x P(k,x) <= sqrt(n) rho(A)^k, that
     is r_k <= 1 + (rho(L) - 1) n^(1/(2k)), with n the number of cells.
     """
-    if k < 1:
-        raise SpectraError("walk length k must be >= 1")
-    bundle = bundle_for(source)
-    _require_edges(bundle.graph)
-    L = bundle.connection
-    counts = [1] * bundle.size
-    for _ in range(k):
-        counts = [a - c for a, c in zip(L.apply(counts), counts)]
-    walks = max(counts)
-    if walks <= 0:
-        raise SpectraError("connection graph has no walks; graph must have an edge")
-    # exp(log(P)/k) stays finite even when P overflows a float
-    r = 1.0 + math.exp(math.log(walks) / k)
-    return r - 1.0 / r
+    return _kwalk_bounds(bundle_for(source), (k,))[k]
 
 
 def connection_edge_count(source: Graph | OperatorBundle) -> int:
@@ -256,14 +275,15 @@ class BoundsReport:
     """One table row: measured radii plus every bound estimator.
 
     rho_H and rho_Habs are the measured columns (Kirchhoff and signless
-    Kirchhoff); rho_Habs_full is the top of the full signless Hodge operator
-    and coincides with rho_Habs for graphs with at least one edge.
+    Kirchhoff).  There is no separate column for the paper's limit
+    rho(|H|): by supersymmetry |H| = |D|^2 has the Gram blocks |d|^T |d| =
+    B + A and |d| |d|^T, which share their nonzero spectrum, so rho(|H|) =
+    rho_Habs on every graph with an edge, and no |H| is built.
     """
 
     graph_name: str
     rho_H: float
     rho_Habs: float
-    rho_Habs_full: float
     bound_trivial_2d: float
     bound_anderson_morley: float
     bound_dual_vertex: float
@@ -315,7 +335,6 @@ def bounds_report(g: Graph, ks: Sequence[int] = (1, 2, 3), tol: float = EIG_TOL)
     bundle = bundle_for(g)
     rho_h = eig_sym(bundle.kirchhoff, tol).top
     rho_habs = eig_sym(bundle.kirchhoff_signless, tol).top
-    rho_habs_full = eig_sym(bundle.hodge_signless, tol).top
     lsc, shi, applicable, per_component = _lsc_shi(g)
     flags = []
     regular = is_regular(g)
@@ -332,11 +351,10 @@ def bounds_report(g: Graph, ks: Sequence[int] = (1, 2, 3), tol: float = EIG_TOL)
         graph_name=g.name or "graph",
         rho_H=rho_h,
         rho_Habs=rho_habs,
-        rho_Habs_full=rho_habs_full,
         bound_trivial_2d=bound_trivial_2d(g),
         bound_anderson_morley=bound_anderson_morley(g),
         bound_dual_vertex=bound_dual_vertex(g),
-        bound_kwalk={k: bound_kwalk(bundle, k) for k in ks},
+        bound_kwalk=_kwalk_bounds(bundle, ks),
         bound_bhs=bound_bhs(bundle),
         bound_lsc=lsc,
         bound_shi=shi,

@@ -32,6 +32,9 @@ corrupted operator, since a matrix never changes once built;
 negated_edge_row and stray_vertex_entry wrap the Dirac builder the same
 way.
 
+diameter_bfs is the repeated single-source BFS that graphs.diameter
+replaced by the bit-parallel all-sources BFS, kept as its oracle.
+
 jacobi_residual_two_apply is the Jacobi residual with |H| applied twice at
 every time, the route dynamics.jacobi_residual keeps only for one-parity
 branches.
@@ -52,6 +55,7 @@ validate_spectrum_against_charpoly compares spectra.eig_sym with the roots
 of charpoly.
 """
 
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, lcm
@@ -62,7 +66,7 @@ import numpy as np
 from connlab.complexes import Complex, parity, simplices_intersect
 from connlab.dynamics import DynamicsError, Trajectory
 from connlab.exact import IntMatrix, ShapeError, SingularMatrixError, _prime, det
-from connlab.graphs import Graph, betti_numbers
+from connlab.graphs import Graph, GraphError, betti_numbers, is_connected
 from connlab.operators import OperatorBundle, SupersymmetryReport
 from connlab.spectra import SpectraError, eig_sym, limit_profile
 
@@ -421,6 +425,26 @@ def stray_vertex_entry(dirac, signless: bool):
         rows[0] = [(1, 1)] + rows[0]
 
     return _edited_dirac(dirac, signless, stray)
+
+
+def diameter_bfs(g: Graph) -> int:
+    """Graph diameter by one BFS from every vertex.  Raises on disconnected input."""
+    if not is_connected(g):
+        raise GraphError("diameter of a disconnected graph is infinite")
+    nbr = g.neighbors()
+    best = 0
+    for start in range(g.n):
+        dist = [-1] * g.n
+        dist[start] = 0
+        queue = deque([start])
+        while queue:
+            x = queue.popleft()
+            for y in nbr[x]:
+                if dist[y] == -1:
+                    dist[y] = dist[x] + 1
+                    queue.append(y)
+        best = max(best, max(dist))
+    return best
 
 
 def jacobi_residual_two_apply(t: Trajectory, habs: IntMatrix) -> int:

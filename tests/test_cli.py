@@ -18,6 +18,7 @@ import connlab.dynamics as dynamics
 import connlab.exact as exact
 import connlab.operators as operators
 import connlab.products as products
+import connlab.spectra as spectra
 from connlab.exact import dump_matrix
 from connlab.graphs import from_spec
 from connlab.spectra import CSV_COLUMNS
@@ -272,6 +273,31 @@ def test_bounds_builds_one_bundle_and_one_connection(capsys, monkeypatch):
     code, _, _ = run(capsys, "bounds", "cycle:6")
     assert code == 0
     assert calls == {"bundles": 1, "connections": 1}
+
+
+def test_bounds_row_builds_no_signless_dirac_or_hodge(capsys, monkeypatch):
+    # rho(|H|) is the rho_abs column by supersymmetry: the row runs the two
+    # Kirchhoff eigensolves and builds neither |d|, |D| nor |H|
+    def refuse(self):
+        raise AssertionError("a bounds row built a signless incidence operator")
+
+    for name in ("incidence_signless", "dirac_signless", "hodge_signless"):
+        monkeypatch.setattr(operators.OperatorBundle, name, property(refuse))
+    solves = []
+    eig_sym = spectra.eig_sym
+
+    def counting(m, tol):
+        solves.append(m.shape)
+        return eig_sym(m, tol)
+
+    monkeypatch.setattr(spectra, "eig_sym", counting)
+    code, out, err = run(capsys, "bounds", "--format", "csv", "bary:grid:20,20")
+    assert (code, err) == (0, "")
+    assert out.splitlines() == [
+        ",".join(CSV_COLUMNS),
+        "bary(grid20x20),5.9912,5.9912,6.85714,6.22655,109.707,7.99999",
+    ]
+    assert solves == [(1160, 1160), (1160, 1160)]
 
 
 def test_bounds_dump_habs_matches_dense_product(capsys):

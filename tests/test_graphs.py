@@ -9,16 +9,22 @@ from hypothesis import strategies as st
 import connlab.graphs as graphs
 from connlab.graphs import (
     _FAMILIES,
+    Graph,
     GraphError,
     barycentric_refinement,
+    connected_components,
+    diameter,
     from_spec,
     generate,
     gnm_random_graph,
     gnp_random_graph,
+    induced_subgraph,
+    is_connected,
     load_graph,
     parse_graph_text,
     save_graph,
 )
+from oracles import diameter_bfs
 
 
 @pytest.mark.parametrize(
@@ -91,6 +97,41 @@ def test_bary_spec_prefix():
     assert from_spec("bary:cycle:6").edges == barycentric_refinement(from_spec("cycle:6")).edges
 
 
+def test_diameter_matches_repeated_bfs_on_corpus(corpus):
+    # the bit-parallel BFS against one BFS per source; a disconnected graph
+    # raises the same error from both and is compared component by component
+    disconnected = 0
+    for spec, b in corpus.items():
+        g = b.graph
+        if is_connected(g):
+            assert diameter(g) == diameter_bfs(g), spec
+            continue
+        disconnected += 1
+        for route in (diameter, diameter_bfs):
+            with pytest.raises(GraphError, match="^diameter of a disconnected graph is infinite$"):
+                route(g)
+        for comp in connected_components(g):
+            part = induced_subgraph(g, comp)
+            assert diameter(part) == diameter_bfs(part), (spec, comp)
+    assert disconnected > 0
+
+
+@pytest.mark.parametrize(
+    "g, expected",
+    [
+        (Graph(1), 0),
+        (from_spec("path:2"), 1),
+        (from_spec("path:7"), 6),
+        (from_spec("complete:2"), 1),
+        (from_spec("complete:8"), 1),
+        (from_spec("cycle:9"), 4),
+        (from_spec("bary:grid:20,20"), 76),
+    ],
+)
+def test_diameter_edge_cases(g, expected):
+    assert diameter(g) == diameter_bfs(g) == expected
+
+
 def test_gnm_exact_edge_count_and_determinism():
     a = gnm_random_graph(20, 50, seed=7)
     b = gnm_random_graph(20, 50, seed=7)
@@ -112,8 +153,6 @@ def test_spec_seed_suffix():
 
 
 def test_self_loop_and_duplicate_rejected():
-    from connlab.graphs import Graph
-
     with pytest.raises(GraphError):
         Graph(3, ((1, 1),))
     with pytest.raises(GraphError):

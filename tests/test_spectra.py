@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 from connlab.exact import IntMatrix
-from connlab.graphs import from_spec
+from connlab.graphs import Graph, from_spec
 from connlab.operators import bundle_for
 from connlab.spectra import (
+    EIG_TOL,
     SoundnessError,
     SpectraError,
     block_gap,
@@ -119,6 +120,51 @@ def test_kwalk_matches_dense_matpow_on_corpus(corpus):
         for k in (1, 2, 3):
             r = 1.0 + math.exp(math.log(max(matpow(adj, k).row_sums())) / k)
             assert bound_kwalk(b.graph, k) == bound_kwalk(b, k) == r - 1.0 / r, (spec, k)
+
+
+def test_bounds_row_matches_hodge_top_and_single_kwalk_on_corpus(corpus):
+    # rho(|H|) = rho(B + A) by supersymmetry, so the row needs no eigensolve
+    # of |H|; and the walk bounds of one shared pass equal those of k alone,
+    # bit for bit
+    for spec, b in corpus.items():
+        if not b.graph.edges:
+            continue
+        rep = bounds_report(b.graph, ks=(1, 2, 3))
+        assert abs(eig_sym(b.hodge_signless).top - rep.rho_Habs) <= EIG_TOL, spec
+        for k in (1, 2, 3):
+            assert rep.bound_kwalk[k] == bound_kwalk(b.graph, k), (spec, k)
+
+
+def test_bounds_row_walks_three_mat_vecs_on_l(monkeypatch):
+    g = from_spec("figure8")
+    applied = []
+    apply = IntMatrix.apply
+
+    def counting(m, vec):
+        applied.append(m)
+        return apply(m, vec)
+
+    monkeypatch.setattr(IntMatrix, "apply", counting)
+    bounds_report(g, ks=(1, 2, 3))
+    assert len(applied) == 3
+    assert all(m is applied[0] for m in applied)
+    assert applied[0].rows == bundle_for(g).connection.rows
+
+
+def test_kwalk_errors():
+    c4, edgeless = from_spec("cycle:4"), Graph(3, name="E3")
+    with pytest.raises(SpectraError, match="^walk length k must be >= 1$"):
+        bound_kwalk(c4, 0)
+    with pytest.raises(SpectraError, match="^walk length k must be >= 1$"):
+        bounds_report(c4, ks=(1, 0))
+    # the walk length is checked before the graph
+    with pytest.raises(SpectraError, match="^walk length k must be >= 1$"):
+        bound_kwalk(edgeless, 0)
+    no_edges = "^graph 'E3' has no edges; degree bounds are inapplicable$"
+    with pytest.raises(SpectraError, match=no_edges):
+        bound_kwalk(edgeless, 1)
+    with pytest.raises(SpectraError, match=no_edges):
+        bounds_report(edgeless)
 
 
 def test_dual_vertex_beats_2d_on_sparse():
