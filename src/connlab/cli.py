@@ -609,7 +609,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"error: {message}\n")
 
 
-def _prime(text: str) -> int:
+def _field_prime(text: str) -> int:
     try:
         p = int(text)
     except ValueError:
@@ -685,7 +685,7 @@ def build_parser() -> argparse.ArgumentParser:
         "verify", help="run the exact identity checks on one graph", parents=[common]
     )
     p.add_argument("graph")
-    p.add_argument("--field", type=_prime, help="also check the identity mod this prime")
+    p.add_argument("--field", type=_field_prime, help="also check the identity mod this prime")
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("bounds", help="bound table rows for one or more graphs", parents=[common])
@@ -708,7 +708,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("automaton", help="reversible walk over a prime field", parents=[common])
     p.add_argument("graph")
-    p.add_argument("--field", type=_prime, required=True)
+    p.add_argument("--field", type=_field_prime, required=True)
     p.add_argument("--steps", type=_count, default=6)
     p.add_argument("--reverse", action="store_true")
     p.add_argument("--state", help="comma-separated initial state (default: unit vector)")

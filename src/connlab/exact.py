@@ -3,9 +3,7 @@
 One matrix class, IntMatrix, holds every operator; FieldMatrix is an
 IntMatrix whose entries are kept reduced mod a prime p.  Everything here is
 arbitrary precision: determinants by fraction-free (Bareiss) elimination;
-L^-1 is the bundle's certified g.  Ranks over Q are the best of ranks mod
-word primes (numpy int64 elimination), closed by known kernel vectors or by
-Hadamard's bound on the minors.
+L^-1 is the bundle's certified g, and ranks come from operators.forest_rank.
 No floating point enters this module; conversion to float happens only via
 IntMatrix.to_float().
 
@@ -32,8 +30,8 @@ walks step through it.  FieldMatrix.step is the same mat-vec followed by
 reduction mod p, run in int64 while the largest row sum times (p - 1)
 stays below 2^63 and on Python ints past it; FieldMatrix.apply and the
 mod-p automaton step through it.  In this module only Bareiss det,
-field_inverse and dump_matrix read dense rows, and only certified_rank and
-to_float (for floating-point spectra) build dense arrays; no mat-vec does.
+field_inverse and dump_matrix read dense rows, and only to_float (for
+floating-point spectra) builds a dense array; no mat-vec does.
 """
 
 from __future__ import annotations
@@ -363,74 +361,6 @@ def det(m: IntMatrix) -> int:
             row_i[k] = 0
         prev = pivot
     return sign * a[n - 1][n - 1]
-
-
-def certified_rank(m: IntMatrix, kernel: Sequence[Sequence[int]] = ()) -> int:
-    """Exact rank of m over the rationals, from its ranks mod word primes.
-
-    A rank mod p never exceeds the rank over Q, so each prime gives a lower
-    bound.  The nonzero vectors of `kernel` that m maps to zero, taken with
-    pairwise disjoint supports, are independent, so they cap the rank at
-    ncols minus their number; the search stops as soon as the two bounds
-    meet.  Otherwise it stops once the product of the primes tried exceeds
-    Hadamard's bound on m's minors, the root of the product of its squared
-    row norms: a nonzero maximal minor is then nonzero mod one of them, so
-    the best lower bound is the rank.
-    """
-    used: set[int] = set()
-    upper = m.ncols
-    for vec in kernel:
-        support = {j for j, x in enumerate(vec) if x}
-        if support and not support & used and not any(m.apply(vec)):
-            used |= support
-            upper -= 1
-    bound = 1
-    for row in m.nonzeros:
-        bound *= sum(a * a for _, a in row) or 1
-    entries = m.to_array(object)
-    lower, modulus, count = 0, 1, 0
-    while lower < upper and modulus * modulus <= bound:
-        p = _prime(count)
-        count += 1
-        lower = max(lower, _rank_mod((entries % p).astype(np.int64), p))
-        modulus *= p
-    return lower
-
-
-def _rank_mod(a: np.ndarray, p: int) -> int:
-    """Rank mod p of an int64 array with entries in 0..p-1, by Gaussian
-    elimination in place; each update touches only the rows below the pivot
-    that are nonzero in its column."""
-    nrows, ncols = a.shape
-    r = 0
-    for j in range(ncols):
-        if r == nrows:
-            break
-        nonzero = np.flatnonzero(a[r:, j])
-        if nonzero.size == 0:
-            continue
-        piv = r + int(nonzero[0])
-        if piv != r:
-            a[[r, piv]] = a[[piv, r]]
-        below = r + 1 + np.flatnonzero(a[r + 1 :, j])
-        if below.size:
-            f = a[below, j] * pow(int(a[r, j]), p - 2, p) % p
-            a[below, j:] = (a[below, j:] - np.outer(f, a[r, j:]) % p) % p
-        r += 1
-    return r
-
-
-_PRIMES: list[int] = []  # primes below 2^31 in descending order, grown by _prime
-
-
-def _prime(i: int) -> int:
-    """The i-th largest prime below 2^31 (i = 0 gives 2^31 - 1)."""
-    while len(_PRIMES) <= i:
-        q = _PRIMES[-1] - 2 if _PRIMES else 2**31 - 1
-        while not is_prime(q):
-            q -= 2
-        _PRIMES.append(q)
-    return _PRIMES[i]
 
 
 # ---------------------------------------------------------------------------

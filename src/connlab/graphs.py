@@ -126,10 +126,9 @@ def diameter(g: Graph) -> int:
     reach[x] is the set of sources within distance r of x, held as the bits
     of one Python int.  One level ORs each vertex's bitset with those of its
     neighbours, so it costs 2e big-int ORs of n bits; the diameter is the
-    first r at which every bitset is full.  Raises on disconnected input.
+    first r at which every bitset is full.  Raises on disconnected input,
+    found as a level that changes no bitset before all are full.
     """
-    if not is_connected(g):
-        raise GraphError("diameter of a disconnected graph is infinite")
     nbr = g.neighbors()
     full = (1 << g.n) - 1
     reach = [1 << x for x in range(g.n)]
@@ -140,6 +139,8 @@ def diameter(g: Graph) -> int:
             for y in ys:
                 bits |= reach[y]
             nxt.append(bits)
+        if nxt == reach:
+            raise GraphError("diameter of a disconnected graph is infinite")
         reach = nxt
         r += 1
     return r

@@ -60,11 +60,10 @@ from .exact import (
     IntMatrix,
     ShapeError,
     SingularMatrixError,
-    certified_rank,
     field_inverse,
     field_reduce,
 )
-from .graphs import Graph, betti_numbers, connected_components
+from .graphs import Graph, betti_numbers
 
 
 def incidence_signed(c: Complex, signs: Sequence[int] | None = None) -> IntMatrix:
@@ -465,20 +464,19 @@ class SupersymmetryReport:
     characteristic polynomial.  nonzero_match holds exactly when H0 equals
     the independently built Kirchhoff matrix and H = D @ D is d^T d (+) d d^T,
     the Gram products formed from d, with zero off-diagonal blocks.  The
-    kernel counts are v - rank d and e - rank d, with rank d exact
-    (exact.certified_rank, closed by the component indicator vectors, which
-    lie in ker d).  The signless fields are the same for |d|, |H0|, |H1| and
-    the signless Kirchhoff matrix; there the +-1 two-colourings of the
-    bipartite components lie in ker |d|.
+    kernel counts are v - rank d and e - rank d, with rank d certified by
+    forest_rank; the signless fields are the same for |d|, |H0|, |H1| and
+    the signless Kirchhoff matrix.  A kernel count is None, and the report
+    not ok, when the certificate leaves a rank undecided.
     """
 
     betti0: int
     betti1: int
-    kernel0: int
-    kernel1: int
+    kernel0: int | None
+    kernel1: int | None
     nonzero_match: bool
-    signless_kernel0: int
-    signless_kernel1: int
+    signless_kernel0: int | None
+    signless_kernel1: int | None
     signless_nonzero_match: bool
 
     @property
@@ -486,29 +484,97 @@ class SupersymmetryReport:
         return (
             self.kernel0 == self.betti0
             and self.kernel1 == self.betti1
+            and self.signless_kernel0 is not None
             and self.nonzero_match
             and self.signless_nonzero_match
         )
 
 
-def _component_vectors(g: Graph) -> tuple[list[list[int]], list[list[int]]]:
-    """For each component, its indicator vector and a +-1 colouring by
-    breadth-first search that alternates along the search tree; the colouring
-    is a two-colouring exactly when the component is bipartite."""
-    neighbors = g.neighbors()
-    indicators, colourings = [], []
-    for component in connected_components(g):
-        colour = [0] * g.n
-        colour[component[0]] = 1
-        queue = [component[0]]
+@dataclass(frozen=True)
+class SpanningForest:
+    """A breadth-first spanning forest: each vertex's place in the search
+    order, the edge (incidence row) that reached it (None at the roots), its
+    component, numbered by least vertex, and a +-1 colouring alternating
+    along the tree; odd holds the components that are not bipartite, those
+    with an edge between two vertices of one colour.
+    """
+
+    position: list[int]
+    parent_edge: list[int | None]
+    component: list[int]
+    colour: list[int]
+    components: int
+    odd: frozenset[int]
+
+
+def spanning_forest(c: Complex) -> SpanningForest:
+    """The breadth-first spanning forest of c's graph, in O(v + e)."""
+    v, edges = c.v, c.graph.edges
+    position = [-1] * v
+    parent_edge: list[int | None] = [None] * v
+    component, colour = [0] * v, [0] * v
+    odd = set()
+    seen = components = 0
+    for root in range(v):
+        if position[root] >= 0:
+            continue
+        position[root], component[root], colour[root] = seen, components, 1
+        seen += 1
+        queue = [root]
         for x in queue:
-            for y in neighbors[x]:
-                if not colour[y]:
-                    colour[y] = -colour[x]
+            for k in c.incident_edges[x]:
+                a, b = edges[k - v]
+                y = a + b - x
+                if position[y] < 0:
+                    position[y], parent_edge[y] = seen, k - v
+                    component[y], colour[y] = components, -colour[x]
+                    seen += 1
                     queue.append(y)
-        indicators.append([abs(c) for c in colour])
-        colourings.append(colour)
-    return indicators, colourings
+                elif colour[y] == colour[x]:
+                    odd.add(components)
+        components += 1
+    return SpanningForest(position, parent_edge, component, colour, components, frozenset(odd))
+
+
+def forest_rank(m: IntMatrix, forest: SpanningForest, signless: bool = False) -> int | None:
+    """rank m over Q for the incidence d of the forest's graph, or for |d|
+    when signless is set, or None when these bounds, read off m's nonzeros
+    in O(v + nnz), do not meet.
+
+    Lower: the row of each non-root x's parent edge must have x as its
+    nonzero column latest in search order, so these rows and the non-root
+    columns form a triangular minor with nonzero diagonal.  For |d|, if
+    every forest row maps each odd component's colouring to 0, a row that
+    maps exactly one of them to nonzero is outside the span of the forest
+    rows and of such rows for other odd components, so each adds 1.
+    Upper: the indicator of each component (for |d| the colouring of each
+    bipartite one) that m maps to 0 is in ker m, and their supports are
+    disjoint; and rank m <= e.
+    """
+    position, component = forest.position, forest.component
+    weight = forest.colour if signless else (1,) * len(component)
+    odd = forest.odd if signless else frozenset()
+    pivot = {k: x for x, k in enumerate(forest.parent_edge) if k is not None}
+    lower = 0
+    hit: set[int] = set()  # components whose vector some row does not map to 0
+    witnessed: set[int] = set()
+    clean = True  # every forest row maps every odd colouring to 0
+    for k, row in enumerate(m.nonzeros):
+        pairing: dict[int, int] = {}
+        for j, a in row:
+            pairing[component[j]] = pairing.get(component[j], 0) + a * weight[j]
+        nonzero = {c for c, total in pairing.items() if total}
+        hit |= nonzero
+        if k in pivot:
+            if max((j for j, _ in row), key=position.__getitem__, default=None) != pivot[k]:
+                return None
+            lower += 1
+            clean = clean and not nonzero & odd
+        elif len(nonzero & odd) == 1:
+            witnessed |= nonzero & odd
+    lower += len(witnessed) if clean else 0
+    upper = min(m.nrows, m.ncols - (forest.components - len(hit | odd)))
+    return lower if lower == upper else None
 
 
 def _is_gram_square(
@@ -524,19 +590,19 @@ def _is_gram_square(
 
 def supersymmetry_report(bundle: OperatorBundle) -> SupersymmetryReport:
     b0, b1 = betti_numbers(bundle.graph)
-    indicators, colourings = _component_vectors(bundle.graph)
-    rank = certified_rank(bundle.incidence, indicators)
-    signless_rank = certified_rank(bundle.incidence_signless, colourings)
+    forest = spanning_forest(bundle.complex)
+    rank = forest_rank(bundle.incidence, forest)
+    signless_rank = forest_rank(bundle.incidence_signless, forest, signless=True)
     return SupersymmetryReport(
         betti0=b0,
         betti1=b1,
-        kernel0=bundle.v - rank,
-        kernel1=bundle.e - rank,
+        kernel0=None if rank is None else bundle.v - rank,
+        kernel1=None if rank is None else bundle.e - rank,
         nonzero_match=_is_gram_square(
             bundle.incidence, bundle.hodge, bundle.hodge0, bundle.hodge1, bundle.kirchhoff
         ),
-        signless_kernel0=bundle.v - signless_rank,
-        signless_kernel1=bundle.e - signless_rank,
+        signless_kernel0=None if signless_rank is None else bundle.v - signless_rank,
+        signless_kernel1=None if signless_rank is None else bundle.e - signless_rank,
         signless_nonzero_match=_is_gram_square(
             bundle.incidence_signless,
             bundle.hodge_signless,

@@ -33,7 +33,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .exact import IntMatrix
-from .graphs import Graph, connected_components, diameter, induced_subgraph, is_connected, is_regular
+from .graphs import Graph, connected_components, diameter, induced_subgraph, is_regular
 from .operators import OperatorBundle, bundle_for
 
 
@@ -249,18 +249,19 @@ def _lsc_shi_one_component(g: Graph) -> tuple[float, float]:
     return lsc, shi
 
 
-def _lsc_shi(g: Graph) -> tuple[float, float, bool, bool]:
-    """(lsc, shi, applicable, per_component).
+def _lsc_shi(g: Graph, components: list[list[int]], regular: bool) -> tuple[float, float, bool, bool]:
+    """(lsc, shi, applicable, per_component), given g's components and
+    whether g is regular.
 
     Applicability follows the tables' caveat: the bound holds for irregular
     graphs only.  Disconnected input is handled per component with that
     component's own (d, diameter, v) and the maximum taken; a single regular
     component poisons applicability since its radius may exceed its own bound.
     """
-    if is_connected(g):
+    if len(components) == 1:
         lsc, shi = _lsc_shi_one_component(g)
-        return lsc, shi, not is_regular(g), False
-    parts = [induced_subgraph(g, comp) for comp in connected_components(g)]
+        return lsc, shi, not regular, False
+    parts = [induced_subgraph(g, comp) for comp in components]
     vals = [_lsc_shi_one_component(part) for part in parts]
     applicable = all(not is_regular(part) for part in parts)
     return max(v[0] for v in vals), max(v[1] for v in vals), applicable, True
@@ -335,10 +336,11 @@ def bounds_report(g: Graph, ks: Sequence[int] = (1, 2, 3), tol: float = EIG_TOL)
     bundle = bundle_for(g)
     rho_h = eig_sym(bundle.kirchhoff, tol).top
     rho_habs = eig_sym(bundle.kirchhoff_signless, tol).top
-    lsc, shi, applicable, per_component = _lsc_shi(g)
-    flags = []
+    components = connected_components(g)
     regular = is_regular(g)
-    connected = is_connected(g)
+    connected = len(components) == 1
+    lsc, shi, applicable, per_component = _lsc_shi(g, components, regular)
+    flags = []
     if regular:
         flags.append("regular")
     if not connected:

@@ -21,8 +21,13 @@ differential oracle.
 supersymmetry_charpoly is the characteristic-polynomial route that
 operators.supersymmetry_report replaced: four multimodular charpolys
 compared with their zero roots stripped.  rank is Gaussian elimination on
-Fractions, the oracle for exact.certified_rank; matpow is binary
-exponentiation by dense products; quaternion_branch_rank builds the 4n x 4n branch map from
+Fractions, the reference for the ranks of d and |d| that
+operators.forest_rank reads off a spanning forest.  certified_rank is the
+multimodular rank that forest_rank replaced in supersymmetry_report: numpy
+int64 elimination mod word primes (_rank_mod, _prime), closed by kernel
+vectors such as component_vectors gives, or by Hadamard's bound on the
+minors; it is kept as a second oracle.  matpow is binary exponentiation by
+dense products; quaternion_branch_rank builds the 4n x 4n branch map from
 both and takes its rank.
 
 dense_kron is the Kronecker product written entry by entry from the dense
@@ -30,7 +35,9 @@ rows, the oracle for IntMatrix.kron over the pairs.  edited gives a copy of
 a matrix with some entries changed, the way the mutation tests build a
 corrupted operator, since a matrix never changes once built;
 negated_edge_row and stray_vertex_entry wrap the Dirac builder the same
-way.
+way, and stray_forest_entry, zeroed_forest_pivot, resigned_odd_rows,
+shared_odd_row and broken_colouring wrap operators.forest_rank: each hands
+the certificate a faulty matrix or forest that it must leave undecided.
 
 diameter_bfs is the repeated single-source BFS that graphs.diameter
 replaced by the bit-parallel all-sources BFS, kept as its oracle.
@@ -56,7 +63,7 @@ of charpoly.
 """
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 from typing import Sequence
@@ -65,8 +72,8 @@ import numpy as np
 
 from connlab.complexes import Complex, parity, simplices_intersect
 from connlab.dynamics import DynamicsError, Trajectory
-from connlab.exact import IntMatrix, ShapeError, SingularMatrixError, _prime, det
-from connlab.graphs import Graph, GraphError, betti_numbers, is_connected
+from connlab.exact import IntMatrix, ShapeError, SingularMatrixError, det, is_prime
+from connlab.graphs import Graph, GraphError, betti_numbers, connected_components, is_connected
 from connlab.operators import OperatorBundle, SupersymmetryReport
 from connlab.spectra import SpectraError, eig_sym, limit_profile
 
@@ -329,6 +336,99 @@ def rank(m: IntMatrix) -> int:
     return r
 
 
+# ---------------------------------------------------------------------------
+# the multimodular rank, the route supersymmetry_report took to the ranks of
+# d and |d| before operators.forest_rank
+
+
+def certified_rank(m: IntMatrix, kernel: Sequence[Sequence[int]] = ()) -> int:
+    """Exact rank of m over the rationals, from its ranks mod word primes.
+
+    A rank mod p never exceeds the rank over Q, so each prime gives a lower
+    bound.  The nonzero vectors of `kernel` that m maps to zero, taken with
+    pairwise disjoint supports, are independent, so they cap the rank at
+    ncols minus their number; the search stops as soon as the two bounds
+    meet.  Otherwise it stops once the product of the primes tried exceeds
+    Hadamard's bound on m's minors, the root of the product of its squared
+    row norms: a nonzero maximal minor is then nonzero mod one of them, so
+    the best lower bound is the rank.
+    """
+    used: set[int] = set()
+    upper = m.ncols
+    for vec in kernel:
+        support = {j for j, x in enumerate(vec) if x}
+        if support and not support & used and not any(m.apply(vec)):
+            used |= support
+            upper -= 1
+    bound = 1
+    for row in m.nonzeros:
+        bound *= sum(a * a for _, a in row) or 1
+    entries = m.to_array(object)
+    lower, modulus, count = 0, 1, 0
+    while lower < upper and modulus * modulus <= bound:
+        p = _prime(count)
+        count += 1
+        lower = max(lower, _rank_mod((entries % p).astype(np.int64), p))
+        modulus *= p
+    return lower
+
+
+def _rank_mod(a: np.ndarray, p: int) -> int:
+    """Rank mod p of an int64 array with entries in 0..p-1, by Gaussian
+    elimination in place; each update touches only the rows below the pivot
+    that are nonzero in its column."""
+    nrows, ncols = a.shape
+    r = 0
+    for j in range(ncols):
+        if r == nrows:
+            break
+        nonzero = np.flatnonzero(a[r:, j])
+        if nonzero.size == 0:
+            continue
+        piv = r + int(nonzero[0])
+        if piv != r:
+            a[[r, piv]] = a[[piv, r]]
+        below = r + 1 + np.flatnonzero(a[r + 1 :, j])
+        if below.size:
+            f = a[below, j] * pow(int(a[r, j]), p - 2, p) % p
+            a[below, j:] = (a[below, j:] - np.outer(f, a[r, j:]) % p) % p
+        r += 1
+    return r
+
+
+_PRIMES: list[int] = []  # primes below 2^31 in descending order, grown by _prime
+
+
+def _prime(i: int) -> int:
+    """The i-th largest prime below 2^31 (i = 0 gives 2^31 - 1)."""
+    while len(_PRIMES) <= i:
+        q = _PRIMES[-1] - 2 if _PRIMES else 2**31 - 1
+        while not is_prime(q):
+            q -= 2
+        _PRIMES.append(q)
+    return _PRIMES[i]
+
+
+def component_vectors(g: Graph) -> tuple[list[list[int]], list[list[int]]]:
+    """For each component, its indicator vector and a +-1 colouring by
+    breadth-first search that alternates along the search tree; the colouring
+    is a two-colouring exactly when the component is bipartite."""
+    neighbors = g.neighbors()
+    indicators, colourings = [], []
+    for component in connected_components(g):
+        colour = [0] * g.n
+        colour[component[0]] = 1
+        queue = [component[0]]
+        for x in queue:
+            for y in neighbors[x]:
+                if not colour[y]:
+                    colour[y] = -colour[x]
+                    queue.append(y)
+        indicators.append([abs(c) for c in colour])
+        colourings.append(colour)
+    return indicators, colourings
+
+
 def matpow(m: IntMatrix, k: int) -> IntMatrix:
     """Exact k-th power, k >= 0, by binary exponentiation."""
     if not m.is_square():
@@ -425,6 +525,118 @@ def stray_vertex_entry(dirac, signless: bool):
         rows[0] = [(1, 1)] + rows[0]
 
     return _edited_dirac(dirac, signless, stray)
+
+
+def _edited_certificate(forest_rank, signless: bool, edit):
+    """forest_rank with edit(rows, forest) applied to a copy of the list of
+    rows of the matrix it certifies, and the forest edit returns in place of
+    the forest; applied only when certifying |d| if signless is set, else
+    only when certifying d."""
+
+    target = signless
+
+    def certify(m: IntMatrix, forest, signless: bool = False):
+        if signless == target:
+            rows = list(m.nonzeros)
+            forest = edit(rows, forest)
+            m = IntMatrix.from_nonzeros(rows, m.nrows, m.ncols)
+        return forest_rank(m, forest, signless)
+
+    return certify
+
+
+def _first_forest_vertex(forest) -> int:
+    """The non-root vertex earliest in search order."""
+    return min((p, x) for x, p in enumerate(forest.position) if forest.parent_edge[x] is not None)[1]
+
+
+def stray_forest_entry(forest_rank, signless: bool):
+    """forest_rank handed a matrix whose first forest row also has a 1 in
+    the column latest in search order, so the forest minor is not
+    triangular."""
+
+    def stray(rows, forest):
+        x = _first_forest_vertex(forest)
+        last = forest.position.index(len(forest.position) - 1)
+        k = forest.parent_edge[x]
+        rows[k] = sorted(rows[k] + [(last, 1)])
+        return forest
+
+    return _edited_certificate(forest_rank, signless, stray)
+
+
+def zeroed_forest_pivot(forest_rank, signless: bool):
+    """forest_rank handed a matrix whose first forest row has a 0 at the
+    vertex it reaches, the pivot of the forest minor."""
+
+    def zero(rows, forest):
+        x = _first_forest_vertex(forest)
+        k = forest.parent_edge[x]
+        rows[k] = [(j, a) for j, a in rows[k] if j != x]
+        return forest
+
+    return _edited_certificate(forest_rank, signless, zero)
+
+
+def _odd_joins(rows, forest) -> list[int]:
+    """The rows off the forest that join two vertices of one colour."""
+    forest_rows = set(forest.parent_edge)
+    return [
+        k for k, row in enumerate(rows)
+        if k not in forest_rows and forest.colour[row[0][0]] == forest.colour[row[-1][0]]
+    ]
+
+
+def _resign(rows, k: int) -> None:
+    """Negate the second entry of row k, so a row joining two vertices of
+    one colour pairs to 0 with the colouring."""
+    (a, x), (b, y) = rows[k]
+    rows[k] = [(a, x), (b, -y)]
+
+
+def resigned_odd_rows(forest_rank):
+    """forest_rank handed a |d| whose rows off the forest that join two
+    vertices of one colour have their second entry negated: each then pairs
+    to 0 with the colouring, an even cycle passed off as odd, so no odd
+    component has a row to lift the lower bound."""
+
+    def resign(rows, forest):
+        for k in _odd_joins(rows, forest):
+            _resign(rows, k)
+        return forest
+
+    return _edited_certificate(forest_rank, True, resign)
+
+
+def shared_odd_row(forest_rank):
+    """forest_rank handed a |d| of a graph with two odd components, resigned
+    as by resigned_odd_rows except for the first row that joins two vertices
+    of one colour, which instead gets a 1 at the root of the last odd
+    component.  That one row then pairs nonzero with both odd components,
+    so it lifts the lower bound for neither."""
+
+    def share(rows, forest):
+        first, *rest = _odd_joins(rows, forest)
+        for k in rest:
+            _resign(rows, k)
+        root = forest.component.index(max(forest.odd))
+        rows[first] = sorted(rows[first] + [(root, 1)])
+        return forest
+
+    return _edited_certificate(forest_rank, True, share)
+
+
+def broken_colouring(forest_rank):
+    """forest_rank certifying |d| with a forest whose first non-root vertex
+    has its colour flipped, so its forest row no longer maps the colouring
+    to 0."""
+
+    def flip(rows, forest):
+        x = _first_forest_vertex(forest)
+        colour = tuple(-c if y == x else c for y, c in enumerate(forest.colour))
+        return replace(forest, colour=colour)
+
+    return _edited_certificate(forest_rank, True, flip)
 
 
 def diameter_bfs(g: Graph) -> int:

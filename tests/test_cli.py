@@ -23,11 +23,15 @@ from connlab.exact import dump_matrix
 from connlab.graphs import from_spec
 from connlab.spectra import CSV_COLUMNS
 from oracles import (
+    broken_colouring,
     dense_matmul,
     edited,
     jacobi_residual_two_apply,
     negated_edge_row,
+    resigned_odd_rows,
+    stray_forest_entry,
     stray_vertex_entry,
+    zeroed_forest_pivot,
 )
 
 DATA = Path(__file__).parent / "data"
@@ -742,6 +746,50 @@ def test_verify_fails_supersymmetry_on_a_faulty_dirac_builder(
     code, out, _ = run(capsys, "verify", "wheel:6")
     assert code == 1
     assert [line.split()[1] for line in out.splitlines() if line.startswith("FAIL")] == failed
+
+
+@pytest.mark.parametrize(
+    "mutation",
+    [
+        lambda real: stray_forest_entry(real, False),
+        lambda real: stray_forest_entry(real, True),
+        lambda real: zeroed_forest_pivot(real, False),
+        lambda real: zeroed_forest_pivot(real, True),
+        resigned_odd_rows,
+        broken_colouring,
+    ],
+    ids=[
+        "stray_forest_entry-signed",
+        "stray_forest_entry-signless",
+        "zeroed_forest_pivot-signed",
+        "zeroed_forest_pivot-signless",
+        "resigned_odd_rows",
+        "broken_colouring",
+    ],
+)
+def test_verify_fails_supersymmetry_on_a_broken_rank_certificate(capsys, monkeypatch, mutation):
+    # a faulty forest row, pivot, odd row or colouring leaves a rank
+    # undecided: supersymmetry fails alone, with exit 1 and no traceback
+    monkeypatch.setattr(operators, "forest_rank", mutation(operators.forest_rank))
+    code, out, err = run(capsys, "verify", "wheel:6")
+    assert (code, err) == (1, "first failing check: supersymmetry\n")
+    assert [line.split()[1] for line in out.splitlines() if line.startswith("FAIL")] == ["supersymmetry"]
+
+
+def test_verify_runs_all_seven_checks_at_24840_cells_without_a_dense_view(capsys, monkeypatch):
+    # bary:grid:60,60: every check reads the nonzeros, supersymmetry's ranks
+    # included; a dense list of rows or a dense array of any matrix would
+    # be 24840^2 entries, so building one fails the test
+    def refuse(self, *args):
+        raise AssertionError(f"dense view of a {self.shape} matrix")
+
+    monkeypatch.setattr(exact.IntMatrix, "_dense_rows", refuse)
+    monkeypatch.setattr(exact.IntMatrix, "to_array", refuse)
+    code, out, err = run(capsys, "verify", "bary:grid:60,60")
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert len(lines) == 8 and all(line.startswith("ok ") for line in lines[:7])
+    assert lines[-1] == "bary(grid60x60): 7/7 checks pass"
 
 
 VERIFY_GOLDEN = json.loads((DATA / "verify_golden.json").read_text())

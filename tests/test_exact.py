@@ -6,7 +6,9 @@ cofactor expansions written inline here, so the two routes share no code.
 The multimodular charpoly, which left the package for tests/oracles.py as
 the differential oracle of the Schur reciprocity certificate, is also
 compared with the integer Faddeev-LeVerrier recursion, kept here as its
-oracle, on random matrices and on the corpus.
+oracle, on random matrices and on the corpus.  The multimodular rank
+certified_rank left the package the same way, for operators.forest_rank,
+and is checked here against Fraction elimination.
 """
 
 from fractions import Fraction
@@ -21,7 +23,6 @@ from connlab.exact import (
     FieldMatrix,
     IntMatrix,
     SingularMatrixError,
-    certified_rank,
     det,
     ShapeError,
     field_inverse,
@@ -33,6 +34,7 @@ from connlab.operators import bundle_for
 import oracles
 from oracles import (
     IntPolynomial,
+    certified_rank,
     charpoly,
     dense_kron,
     dense_matmul,
@@ -362,7 +364,7 @@ def test_rank_of_factored_product(n, r, data):
 def test_certified_rank_tries_primes_until_hadamard_bound():
     # rank 1 over Q, but 0 mod the first prime (and mod the first two): the
     # search must go on to a prime that misses the entry
-    p0, p1 = exact._prime(0), exact._prime(1)
+    p0, p1 = oracles._prime(0), oracles._prime(1)
     for entry in (p0, p0 * p1, -p0 * p1):
         m = IntMatrix([[entry, 0], [0, 0]])
         assert certified_rank(m) == rank(m) == 1
@@ -396,20 +398,18 @@ def test_certified_rank_of_incidence_factors_on_corpus(corpus, monkeypatch):
     # component vectors the bounds meet at the first prime, and without
     # them Hadamard's bound ends the search.  Fraction elimination is the
     # oracle
-    from connlab.operators import _component_vectors
-
     primes = []
-    real = exact._rank_mod
-    monkeypatch.setattr(exact, "_rank_mod", lambda a, p: primes.append(p) or real(a, p))
+    real = oracles._rank_mod
+    monkeypatch.setattr(oracles, "_rank_mod", lambda a, p: primes.append(p) or real(a, p))
     for spec, b in corpus.items():
-        indicators, colourings = _component_vectors(b.graph)
+        indicators, colourings = oracles.component_vectors(b.graph)
         for d, kernel in ((b.incidence, indicators), (b.incidence_signless, colourings)):
             want = rank(d)
             # the vectors d maps to zero close the cap on their own
             assert sum(not any(d.apply(x)) for x in kernel) == d.ncols - want, spec
             primes.clear()
             assert certified_rank(d, kernel) == want, spec
-            assert primes == [exact._prime(0)], spec
+            assert primes == [oracles._prime(0)], spec
             assert certified_rank(d) == want, spec
 
 
@@ -626,7 +626,7 @@ def test_is_prime_past_the_old_witnesses():
     assert not is_prime(3_825_123_056_546_413_051)
     assert not is_prime(561) and not is_prime(1_000_000_007 * 998_244_353)
     assert is_prime(10**16 + 61) and is_prime(2**61 - 1) and is_prime(2**31 - 1)
-    assert exact._prime(0) == 2**31 - 1 and exact._prime(1) == 2**31 - 19
+    assert oracles._prime(0) == 2**31 - 1 and oracles._prime(1) == 2**31 - 19
     assert not is_prime(exact.PRIME_TEST_LIMIT - 1)  # even
     with pytest.raises(ValueError, match="cannot decide"):
         is_prime(exact.PRIME_TEST_LIMIT)

@@ -14,7 +14,7 @@ import pytest
 import connlab.operators as operators
 from connlab.complexes import build_complex
 from connlab.exact import IntMatrix, SingularMatrixError, det
-from connlab.graphs import Graph, from_spec, parse_graph_text
+from connlab.graphs import Graph, betti_numbers, from_spec, parse_graph_text
 from connlab.operators import (
     OperatorBundle,
     _schur_blocks,
@@ -27,13 +27,18 @@ from connlab.operators import (
     green_star,
     is_unimodular,
     schur_inverse,
+    forest_rank,
     schur_reciprocity_sign,
+    spanning_forest,
     supersymmetry_report,
     trace_report,
 )
 from conftest import SAMPLE_SPECS
 from oracles import (
+    broken_colouring,
+    certified_rank,
     charpoly,
+    component_vectors,
     dense_abs,
     dense_connection,
     dense_dirac,
@@ -47,9 +52,14 @@ from oracles import (
     graeffe,
     inverse_unimodular,
     negated_edge_row,
+    rank,
     reciprocal_sign,
+    resigned_odd_rows,
+    shared_odd_row,
+    stray_forest_entry,
     stray_vertex_entry,
     supersymmetry_charpoly,
+    zeroed_forest_pivot,
 )
 
 FIG8_L = IntMatrix(
@@ -415,12 +425,15 @@ def test_nonzeros_are_collected_once_per_operator(monkeypatch):
     assert len(lists[L]) == 1 and len(lists[green]) == 1
 
 
-# graphs the corpus lacks: several components, isolated vertices, no edges
+# graphs the corpus lacks: several components, isolated vertices, no edges,
+# a bipartite component beside an odd one and two odd components
 EXTRA_GRAPHS = {
     "two components": "0 1\n1 2\n2 0\n3 4\n4 5\n5 6\n6 3\n",
     "isolated vertices": "# vertices: 9\n0 1\n1 2\n2 3\n3 0\n1 3\n",
     "odd cycle, tree and isolated": "# vertices: 8\n0 1\n1 2\n2 0\n3 4\n4 5\n",
     "no edges": "# vertices: 4\n",
+    "two odd cycles": "0 1\n1 2\n2 0\n3 4\n4 5\n5 6\n6 7\n7 3\n",
+    "bowtie and a square": "0 1\n1 2\n2 0\n2 3\n3 4\n4 2\n5 6\n6 7\n7 8\n8 5\n",
 }
 
 
@@ -445,6 +458,63 @@ def test_supersymmetry_report_matches_the_charpoly_oracle(corpus):
     assert supersymmetry_report(bundles["one vertex"]) == operators.SupersymmetryReport(
         1, 0, 1, 0, True, 1, 0, True
     )
+
+
+def test_forest_rank_matches_the_fraction_and_multimodular_ranks(corpus):
+    # the spanning-forest certificate against Fraction elimination and the
+    # multimodular rank it replaced, on d and |d|; it decides every graph
+    bundles = {**corpus, **_extra_bundles(), "bary:grid:5,5": bundle_for(from_spec("bary:grid:5,5"))}
+    for name, b in bundles.items():
+        forest = spanning_forest(b.complex)
+        indicators, colourings = component_vectors(b.graph)
+        assert forest.components == betti_numbers(b.graph)[0] == len(indicators), name
+        for d, signless, kernel in (
+            (b.incidence, False, indicators),
+            (b.incidence_signless, True, colourings),
+        ):
+            want = rank(d)
+            assert forest_rank(d, forest, signless) == want == certified_rank(d, kernel), name
+        # the odd components are the ones no colouring of |d| annihilates
+        assert rank(b.incidence_signless) == b.v - forest.components + len(forest.odd), name
+    assert spanning_forest(bundles["two odd cycles"].complex).odd == {0, 1}
+    assert spanning_forest(bundles["bowtie and a square"].complex).odd == {0}
+
+
+# each mutation with the graphs it breaks: on a tree the row count caps the
+# upper bound, so only the triangular forest minor can reject a bad forest
+# row, and only a graph with an odd cycle has rows to resign
+_ROW_FAULT_GRAPHS = ("path:5", "cycle:5", "wheel:6", "figure8", "odd cycle, tree and isolated")
+_ODD_GRAPHS = ("cycle:5", "wheel:6", "two odd cycles", "odd cycle, tree and isolated")
+CERTIFICATE_MUTATIONS = {
+    "stray_forest_entry-signed": (lambda real: stray_forest_entry(real, False), False, _ROW_FAULT_GRAPHS),
+    "stray_forest_entry-signless": (lambda real: stray_forest_entry(real, True), True, _ROW_FAULT_GRAPHS),
+    "zeroed_forest_pivot-signed": (lambda real: zeroed_forest_pivot(real, False), False, _ROW_FAULT_GRAPHS),
+    "zeroed_forest_pivot-signless": (lambda real: zeroed_forest_pivot(real, True), True, _ROW_FAULT_GRAPHS),
+    "resigned_odd_rows": (resigned_odd_rows, True, _ODD_GRAPHS),
+    "shared_odd_row": (shared_odd_row, True, ("two odd cycles",)),
+    "broken_colouring": (broken_colouring, True, _ODD_GRAPHS + ("figure8",)),
+}
+
+
+@pytest.mark.parametrize(
+    "mutation, signless, names", CERTIFICATE_MUTATIONS.values(), ids=CERTIFICATE_MUTATIONS
+)
+def test_supersymmetry_report_rejects_a_broken_rank_certificate(monkeypatch, mutation, signless, names):
+    # a faulty forest row, pivot, odd row or colouring reaches only the rank
+    # certificate: the Gram blocks still match, the bounds do not meet, and
+    # the kernel counts of that factor read None, so the report is not ok
+    monkeypatch.setattr(operators, "forest_rank", mutation(operators.forest_rank))
+    extra = _extra_bundles()
+    for name in names:
+        b = extra.get(name) or bundle_for(from_spec(name))
+        report = supersymmetry_report(b)
+        want = supersymmetry_charpoly(b)
+        kernels = [report.kernel0, report.kernel1, report.signless_kernel0, report.signless_kernel1]
+        expected = [want.kernel0, want.kernel1, want.signless_kernel0, want.signless_kernel1]
+        expected[2 * signless : 2 * signless + 2] = [None, None]
+        assert kernels == expected, name
+        assert report.nonzero_match and report.signless_nonzero_match, name
+        assert not report.ok, name
 
 
 def test_supersymmetry_report_rejects_a_permuted_edge_block():

@@ -70,6 +70,33 @@ def test_charpoly_stays_with_reciprocity_and_spectra():
     assert gone & defined == set()
 
 
+def test_ranks_come_from_the_forest_certificate():
+    # supersymmetry's ranks come from operators.forest_rank; the dense
+    # multimodular rank, its elimination mod p and its prime search live in
+    # tests/oracles.py, so no module of the package defines or names them,
+    # and the only dense array the package scatters is to_float's
+    package = ROOT / "src" / "connlab"
+    gone = {"certified_rank", "_rank_mod", "_prime", "_PRIMES"}
+    trees = {p.stem: ast.parse(p.read_text()) for p in package.glob("*.py")}
+    named = {m: gone & _referenced_names(package / f"{m}.py") for m in trees}
+    assert {m: names for m, names in named.items() if names} == {}
+    defined = {
+        node.name
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    }
+    assert gone & defined == set()
+
+    def uses(node: ast.AST) -> int:
+        return sum(isinstance(n, ast.Attribute) and n.attr == "to_array" for n in ast.walk(node))
+
+    counts = {m: uses(tree) for m, tree in trees.items()}
+    assert {m: k for m, k in counts.items() if k} == {"exact": 1}
+    to_float = [n for n in ast.walk(trees["exact"]) if getattr(n, "name", None) == "to_float"]
+    assert [uses(n) for n in to_float] == [1]
+
+
 _LIST_MUTATORS = {"append", "extend", "insert", "pop", "remove", "sort", "reverse", "clear"}
 
 

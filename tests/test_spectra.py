@@ -6,6 +6,8 @@ import math
 import numpy as np
 import pytest
 
+import connlab.graphs as graphs
+import connlab.spectra as spectra
 from connlab.exact import IntMatrix
 from connlab.graphs import Graph, from_spec
 from connlab.operators import bundle_for
@@ -149,6 +151,28 @@ def test_bounds_row_walks_three_mat_vecs_on_l(monkeypatch):
     assert len(applied) == 3
     assert all(m is applied[0] for m in applied)
     assert applied[0].rows == bundle_for(g).connection.rows
+
+
+def test_bounds_row_finds_components_and_regularity_once(monkeypatch):
+    # bounds_report runs the union-find and the regularity test once and
+    # hands both to the lsc/shi bound; diameter tells a disconnected graph
+    # from its own BFS stalling, with no union-find of its own
+    calls = []
+
+    def counting(name, real):
+        def wrapped(g):
+            calls.append(name)
+            return real(g)
+
+        return wrapped
+
+    for name in ("connected_components", "is_regular"):
+        wrapped = counting(name, getattr(graphs, name))
+        monkeypatch.setattr(graphs, name, wrapped)
+        monkeypatch.setattr(spectra, name, wrapped)
+    rep = bounds_report(from_spec("figure8"), ks=(1, 2, 3))
+    assert rep.connected and "lsc-inapplicable" not in rep.flags
+    assert sorted(calls) == ["connected_components", "is_regular"]
 
 
 def test_kwalk_errors():
