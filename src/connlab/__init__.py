@@ -21,6 +21,7 @@ from .dynamics import (
     AutomatonState,
     QuaternionField,
     Trajectory,
+    automaton_orbit,
     automaton_run,
     cocycle,
     growth_rates,
@@ -84,6 +85,7 @@ __all__ = [
     "SingularMatrixError",
     "Spectrum",
     "Trajectory",
+    "automaton_orbit",
     "automaton_run",
     "bounds_report",
     "build_complex",

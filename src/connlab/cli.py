@@ -23,14 +23,15 @@ import os
 import sys
 from typing import Callable, Iterable, Iterator, Sequence
 
+import numpy as np
+
 from .dynamics import (
-    AutomatonState,
-    _field_orbit,
-    automaton_run,
+    automaton_orbit,
     jacobi_residual,
     walk,
 )
 from .exact import (
+    FieldMatrix,
     IntMatrix,
     SingularMatrixError,
     dump_matrix,
@@ -41,6 +42,7 @@ from .graphs import Graph, GraphError, from_spec, load_graph
 from .newton import NewtonConfig, NonConvergenceError, SingularJacobianError, solve_perturbed
 from .operators import (
     OperatorBundle,
+    SupersymmetryReport,
     bundle_for,
     hydrogen_holds_mod,
     hydrogen_residual,
@@ -166,10 +168,31 @@ def _verify_checks(bundle: OperatorBundle) -> list[tuple[str, bool, str]]:
     )
 
     ss = supersymmetry_report(bundle)
-    results.append(
-        ("supersymmetry", ss.ok, "H0 and H1 share their nonzero spectra; kernels match Betti numbers")
-    )
+    results.append(("supersymmetry", ss.ok, _supersymmetry_detail(ss)))
     return results
+
+
+def _supersymmetry_detail(ss: SupersymmetryReport) -> str:
+    """The passing statement, or each failing part of the report and the
+    kernel counts it read."""
+    if ss.ok:
+        return "H0 and H1 share their nonzero spectra; kernels match Betti numbers"
+    off_betti = ss.kernel0 is not None and (ss.kernel0, ss.kernel1) != (ss.betti0, ss.betti1)
+    parts = [
+        part
+        for failed, part in (
+            (ss.kernel0 is None, "rank of d undecided"),
+            (ss.signless_kernel0 is None, "rank of |d| undecided"),
+            (not ss.nonzero_match, "H is not the Gram square of d"),
+            (not ss.signless_nonzero_match, "|H| is not the Gram square of |d|"),
+            (off_betti, "kernels differ from the Betti numbers"),
+        )
+        if failed
+    ]
+    return "; ".join(parts) + (
+        f"; kernels {ss.kernel0}, {ss.kernel1} (signless {ss.signless_kernel0}, "
+        f"{ss.signless_kernel1}), Betti {ss.betti0}, {ss.betti1}"
+    )
 
 
 def cmd_verify(args) -> int:
@@ -363,21 +386,37 @@ def cmd_walk(args) -> int:
     return 0
 
 
+def _steps_back(gp: FieldMatrix, forward: np.ndarray) -> bool:
+    """Whether g psi(k) = psi(k - 1) mod p for every k >= 1 of the forward
+    states psi(0), psi(1), ... (the rows of forward), which implies
+    g^N psi(N) = psi(0).  The states go through g as blocks of columns,
+    sized so that the gathered terms, nnz(g) per state, never outnumber
+    the entries of forward."""
+    block = max(1, forward.size // max(1, sum(map(len, gp.nonzeros))))
+    for k in range(1, len(forward), block):
+        stop = min(k + block, len(forward))
+        if not np.array_equal(gp.step(forward[k:stop].T), forward[k - 1 : stop - 1].T):
+            return False
+    return True
+
+
 def cmd_automaton(args) -> int:
     g = _load_graph_arg(args.graph)
     bundle = bundle_for(g)
     p = args.field
-    psi0 = tuple(x % p for x in _parse_state(args.state, bundle.size))
+    psi0 = _parse_state(args.state, bundle.size)
     n_min = -args.steps if args.reverse else 0
-    states = automaton_run(bundle, AutomatonState(p, psi0, 0), n_min, args.steps)
-    _print_states((s.time, s.vector) for s in states)
-    if args.reverse:
-        # round trip: march the forward endpoint back down with g mod p
-        for state in _field_orbit(field_reduce(bundle.green, p), states[-1].vector, args.steps):
-            pass
-        if state != psi0:
-            print("round trip failed", file=sys.stderr)
-            return 1
+    orbit = automaton_orbit(bundle, p, psi0, n_min, args.steps)
+    # checked before the states print, so that the round trip's temporaries
+    # and the printed text are never held at once
+    round_trip = not args.reverse or _steps_back(field_reduce(bundle.green, p), orbit[args.steps :])
+    # rows become lists of Python ints 64 at a time: one tolist per row costs
+    # a call each, one for the whole orbit holds every state twice
+    rows = (row for k in range(0, len(orbit), 64) for row in orbit[k : k + 64].tolist())
+    _print_states(zip(range(n_min, args.steps + 1), rows))
+    if not round_trip:
+        print("round trip failed", file=sys.stderr)
+        return 1
     # g is certified by L g = I over Z, so g mod p is L^-1 over F_p and the
     # residual |H| - (L - g) reduced mod p states the identity there
     if not field_reduce(hydrogen_residual(bundle), p).is_zero():

@@ -23,17 +23,24 @@ IntMatrix.apply, a numpy gather and segmented sum on exact Python ints over
 the nonzeros of L, g and |H| only, which each cached operator is stored
 as.  The Jacobi residual applies |H| once per time along a walk, to form
 the hydrogen defect, and reads the residual off three consecutive defects.
-The automaton steps L and g reduced mod p with FieldMatrix.step, over the
-same compressed rows, in int64 while the entries allow it.  Walks, the
-residual and the automaton form no dense matrix, and nothing here
-eliminates.
+The automaton is one orbit array, a row per time: automaton_orbit steps
+the block-diagonal [[L, 0], [0, g]] reduced mod p with FieldMatrix.step,
+over the same compressed rows, so the forward and the backward state
+advance together and a two-way range takes max(n_max, -n_min) sequential
+steps.  Steps run in int64 while the entries allow it, and only int64
+steps are stacked; a one-way range, or a g whose steps need Python ints,
+steps L and g each on its own.  FieldMatrix.step also takes a block of
+states, one per column, which is how the CLI checks the round trip
+g psi(k) = psi(k - 1) for every forward time in a few block products.
+Walks, the residual and the automaton form no dense matrix, and nothing
+here eliminates.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -402,46 +409,75 @@ def automaton_run(
 ) -> list[AutomatonState]:
     """States L^n s0 mod p for n in [n_min, n_max], exact in both directions.
 
-    L and, for times before s0, the bundle's certified green are reduced mod
-    s0.p; g inverts L over the integers, so g mod p inverts L mod p.
+    The rows of automaton_orbit from s0.vector, time-stamped; the state at
+    s0.time is s0 itself.
     """
-    bundle = bundle_for(source)
-    p = s0.p
-    if len(s0.vector) != bundle.size:
-        raise DynamicsError("state length does not match operator size")
-    if n_min > s0.time or n_max < s0.time:
-        raise DynamicsError("time range must contain the initial time")
-    vectors = list(_field_orbit(field_reduce(bundle.connection, p), s0.vector, n_max - s0.time))
-    if n_min < s0.time:
-        back = _field_orbit(field_reduce(bundle.green, p), s0.vector, s0.time - n_min)
-        vectors = list(back)[:0:-1] + vectors
+    rows = automaton_orbit(source, s0.p, s0.vector, n_min - s0.time, n_max - s0.time)
     return [
-        s0 if n == s0.time else AutomatonState(p, v, n)
-        for n, v in zip(range(n_min, n_max + 1), vectors)
+        s0 if n == s0.time else AutomatonState(s0.p, tuple(v), n)
+        for n, v in zip(range(n_min, n_max + 1), rows.tolist())
     ]
 
 
-def _field_orbit(m: FieldMatrix, start: Sequence[int], steps: int) -> Iterator[Vector]:
-    """Yield start, m start, ..., m^steps start mod p.
+def automaton_orbit(
+    source: Graph | Complex | OperatorBundle,
+    p: int,
+    start: Sequence[int],
+    n_min: int,
+    n_max: int,
+) -> np.ndarray:
+    """L^n start mod p for n = n_min..n_max, as the rows of one array.
 
-    The state stays a numpy array between steps of FieldMatrix.step, over
-    the nonzeros of m.  States come out one at a time as tuples of Python
-    ints, so a caller that needs only the last one never holds the orbit.
+    L and, for negative times, the bundle's certified green are reduced mod
+    p; g inverts L over the integers, so g mod p inverts L mod p.  When the
+    range runs both ways and both steps run in int64, one step of the
+    block-diagonal [[L, 0], [0, g]] mod p advances the forward and the
+    backward state together, so the whole orbit takes max(n_max, -n_min)
+    sequential steps.  Otherwise each direction steps on its own: when g's
+    entries force Python ints, stacking would move L's steps onto them too.
+    The array holds Python ints if either stepped matrix does, else int64.
     """
-    x = start
-    yield tuple(start)
-    for _ in range(steps):
-        x = m.step(x)
-        yield tuple(x.tolist())
+    bundle = bundle_for(source)
+    n = bundle.size
+    if len(start) != n:
+        raise DynamicsError("state length does not match operator size")
+    if n_min > 0 or n_max < 0:
+        raise DynamicsError("time range must contain the initial time")
+    # (matrix, direction, steps) for each direction that runs, or L alone
+    # when the range is the start alone
+    runs = [(field_reduce(bundle.connection, p), 1, n_max)] if n_max or not n_min else []
+    if n_min:
+        runs.append((field_reduce(bundle.green, p), -1, -n_min))
+    dtypes = {m._compressed_rows()[-1] for m, _, _ in runs}
+    orbit = np.empty((n_max - n_min + 1, n), dtype=object if object in dtypes else np.int64)
+    origin = -n_min
+    orbit[origin] = [x % p for x in start]
+    if len(runs) == 2 and dtypes == {np.int64}:
+        (Lp, _, _), (gp, _, _) = runs
+        shifted = [[(j + n, a) for j, a in row] for row in gp.nonzeros]
+        m = FieldMatrix.from_nonzeros(Lp.nonzeros + shifted, 2 * n, 2 * n, p)
+        x = np.concatenate((orbit[origin], orbit[origin]))
+        for k in range(1, max(n_max, origin) + 1):
+            x = m.step(x)
+            if k <= n_max:
+                orbit[origin + k] = x[:n]
+            if k <= origin:
+                orbit[origin - k] = x[n:]
+        return orbit
+    for m, sign, steps in runs:
+        x = orbit[origin]
+        for k in range(1, steps + 1):
+            x = orbit[origin + sign * k] = m.step(x)
+    return orbit
 
 
 def orbit_period(Lp: FieldMatrix, vector: Sequence[int], cap: int = 10**6) -> int:
     """Least k >= 1 with L^k s = s; exists because L is invertible mod p."""
-    start = tuple(int(x) % Lp.p for x in vector)
-    orbit = _field_orbit(Lp, start, cap)
-    next(orbit)
-    for k, state in enumerate(orbit, 1):
-        if state == start:
+    start = np.array([int(x) % Lp.p for x in vector], dtype=Lp._compressed_rows()[-1])
+    x = start
+    for k in range(1, cap + 1):
+        x = Lp.step(x)
+        if (x == start).all():
             return k
     raise DynamicsError(f"orbit period exceeds cap {cap}")
 

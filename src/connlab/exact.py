@@ -29,9 +29,14 @@ and on exact Python ints throughout; the k-walk counts and the integer
 walks step through it.  FieldMatrix.step is the same mat-vec followed by
 reduction mod p, run in int64 while the largest row sum times (p - 1)
 stays below 2^63 and on Python ints past it; FieldMatrix.apply and the
-mod-p automaton step through it.  In this module only Bareiss det,
-field_inverse and dump_matrix read dense rows, and only to_float (for
-floating-point spectra) builds a dense array; no mat-vec does.
+mod-p automaton step through it.  The mat-vec under both, _product, also
+takes an n x k block of vectors, one per column: the gather takes whole
+rows of the block, the factors scale each row of terms and the segmented
+sum runs along axis 0, so k mat-vecs cost one call; FieldMatrix.step
+passes a block through, and the automaton's round trip runs on it.  In
+this module only Bareiss det, field_inverse and dump_matrix read dense
+rows, and only to_float (for floating-point spectra) builds a dense array;
+no mat-vec does.
 """
 
 from __future__ import annotations
@@ -236,23 +241,27 @@ class IntMatrix:
         """m @ vec as an array of the compressed rows' dtype: one gather of
         vec, one multiply of the terms whose entry is not 1 and one
         segmented sum over the nonzeros.  vec may be a sequence or an array;
-        an array of that dtype is used as it is."""
+        an array of that dtype is used as it is.  vec may also be an
+        ncols x k block of vectors, one per column: the gather takes whole
+        rows of it, the sum runs along axis 0, and the result is the
+        nrows x k block of their products."""
         if len(vec) != self.ncols:
             raise ShapeError("vector length does not match column count")
         cols, starts, scaled, filled, dtype = self._compressed_rows()
+        vec = np.asarray(vec, dtype=dtype)
         if not len(cols):
-            return np.zeros(self.nrows, dtype=dtype)
-        terms = np.asarray(vec, dtype=dtype)[cols]
+            return np.zeros((self.nrows,) + vec.shape[1:], dtype=dtype)
+        terms = vec[cols]
         if scaled is not None:
             at, factors = scaled
-            terms[at] *= factors
+            terms[at] *= factors if vec.ndim == 1 else factors[:, None]
         # reduceat sums terms[starts[k]:starts[k+1]]; an empty row would get
         # the next row's first term instead of 0, so only nonempty rows are
         # summed and the rest are scattered around zeros
         sums = np.add.reduceat(terms, starts)
         if filled is None:
             return sums
-        out = np.zeros(self.nrows, dtype=dtype)
+        out = np.zeros((self.nrows,) + vec.shape[1:], dtype=dtype)
         out[filled] = sums
         return out
 
@@ -459,7 +468,8 @@ class FieldMatrix(IntMatrix):
 
         Returns a numpy array, in int64 or of Python ints as _matvec_dtype
         decides, in the same code path; passed back in, it is used without
-        conversion, so an orbit stays an array between steps.
+        conversion, so an orbit stays an array between steps.  vec may be a
+        block of vectors, one per column, as for _product.
         """
         return self._product(vec) % self.p
 

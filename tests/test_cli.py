@@ -9,6 +9,7 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -124,19 +125,57 @@ def _serve_edited(monkeypatch, spec: str, operator: str, bump: tuple[int, int]):
     return b
 
 
+_REVERSE_RUNS = {
+    "walk": ("walk", "cycle:5", "--steps", "4", "--reverse"),
+    "automaton": ("automaton", "cycle:5", "--field", "7", "--steps", "4", "--reverse"),
+}
+_GREEN_EDITS = [
+    (name, entry) for entry in [(0, 0), (0, 9), (3, 7), (6, 1), (9, 9)] for name in _REVERSE_RUNS
+]
+
+
 @pytest.mark.parametrize(
-    "argv",
-    [
-        ("walk", "cycle:5", "--steps", "4", "--reverse"),
-        ("automaton", "cycle:5", "--field", "7", "--steps", "4", "--reverse"),
-    ],
-    ids=["walk", "automaton"],
+    "argv, entry",
+    [(_REVERSE_RUNS[name], entry) for name, entry in _GREEN_EDITS],
+    ids=[name if entry == (0, 0) else f"{name}-{entry[0]},{entry[1]}" for name, entry in _GREEN_EDITS],
 )
-def test_reverse_round_trip_fails_on_a_changed_green(capsys, monkeypatch, argv):
-    _serve_edited(monkeypatch, "cycle:5", "green", (0, 0))
+def test_reverse_round_trip_fails_on_a_changed_green(capsys, monkeypatch, argv, entry):
+    _serve_edited(monkeypatch, "cycle:5", "green", entry)
     code, out, err = run(capsys, *argv)
     assert (code, err) == (1, "round trip failed\n")
     assert len(out.splitlines()) == 9
+
+
+def test_automaton_round_trip_checks_every_step(capsys, monkeypatch):
+    # on path:3 mod 2, g with entry (1, 4) raised by 1 still carries psi(4)
+    # back to psi(0) in 4 steps, but not each psi(k) to psi(k - 1)
+    b = _serve_edited(monkeypatch, "path:3", "green", (1, 4))
+    Lp, gp = exact.field_reduce(b.connection, 2), exact.field_reduce(b.green, 2)
+    forward = [(1, 0, 0, 0, 0)]
+    for _ in range(4):
+        forward.append(Lp.apply(forward[-1]))
+    state = forward[-1]
+    for _ in range(4):
+        state = gp.apply(state)
+    assert state == forward[0]
+    assert any(gp.apply(forward[k]) != forward[k - 1] for k in range(1, 5))
+    code, out, err = run(capsys, "automaton", "path:3", "--field", "2", "--steps", "4", "--reverse")
+    assert (code, err) == (1, "round trip failed\n")
+    assert len(out.splitlines()) == 9
+
+
+def test_round_trip_check_finds_any_changed_state():
+    # petersen:5,2 mod 11 over 9 steps goes through g in blocks of 2
+    # states, so a changed state is caught inside a block as well as at
+    # its edges, and at either end of the orbit
+    b = operators.bundle_for(from_spec("petersen:5,2"))
+    gp = exact.field_reduce(b.green, 11)
+    forward = dynamics.automaton_orbit(b, 11, (1,) + (0,) * 24, 0, 9)
+    assert cli._steps_back(gp, forward)
+    for k in range(10):
+        changed = forward.copy()
+        changed[k, 3] = (changed[k, 3] + 1) % 11
+        assert not cli._steps_back(gp, changed), k
 
 
 def test_walk_and_automaton_fail_on_a_changed_hodge(capsys, monkeypatch):
@@ -669,6 +708,34 @@ def test_automaton_reverse_inverts_over_the_field_once(capsys, monkeypatch):
     assert len(calls) == 1
 
 
+def test_automaton_reverse_steps_once_per_time(capsys, monkeypatch):
+    # --steps 9 --reverse advances L and g together, [[L, 0], [0, g]] mod 11
+    # on one 50-entry vector, 9 times; the round trip then takes g mod 11
+    # over the 9 forward states psi(1..9) in blocks of 250 // nnz(g) = 2
+    # columns, so the gathered terms never outnumber the 10 x 25 forward
+    # states
+    real = exact.FieldMatrix.step
+    shapes = []
+
+    def counted(self, vec):
+        shapes.append(np.shape(vec))
+        return real(self, vec)
+
+    monkeypatch.setattr(exact.FieldMatrix, "step", counted)
+    code, out, _ = run(capsys, "automaton", "petersen:5,2", "--field", "11", "--steps", "9", "--reverse")
+    assert code == 0
+    assert len(out.splitlines()) == 19
+    assert sum(map(len, operators.bundle_for(from_spec("petersen:5,2")).green.nonzeros)) == 115
+    assert shapes == [(50,)] * 9 + [(25, 2)] * 4 + [(25, 1)]
+    # mod 2^31 - 1 the steps of g on wheel:20 (61 cells, nnz(g) = 301) need
+    # Python ints and L's do not, so each direction steps on its own and
+    # L's stay in int64; 6 x 61 forward entries give blocks of 1 column
+    shapes.clear()
+    code, out, _ = run(capsys, "automaton", "wheel:20", "--field", "2147483647", "--steps", "5", "--reverse")
+    assert code == 0
+    assert shapes == [(61,)] * 10 + [(61, 1)] * 5
+
+
 def test_product_takes_its_inverse_from_the_factors(capsys, monkeypatch):
     _no_integer_elimination(exact, dynamics, operators, products, cli)
     calls = _counting(monkeypatch, "field_inverse", (exact, dynamics, operators, products, cli))
@@ -718,6 +785,15 @@ def test_verify_and_product_form_no_dense_product(capsys, monkeypatch, argv):
         assert calls.count(pair) == expected.count(pair), [(a.shape, b.shape) for a, b in calls]
 
 
+# the kernel counts supersymmetry reads on wheel:6 when both ranks are
+# decided; its Betti numbers are 1 and 6
+_WHEEL6_KERNELS = "kernels 1, 6 (signless 0, 5), Betti 1, 6"
+
+
+def _supersymmetry_line(out: str) -> str:
+    return next(line for line in out.splitlines() if line.split()[1] == "supersymmetry")
+
+
 @pytest.mark.parametrize(
     "mutation, signless, failed",
     [
@@ -746,17 +822,23 @@ def test_verify_fails_supersymmetry_on_a_faulty_dirac_builder(
     code, out, _ = run(capsys, "verify", "wheel:6")
     assert code == 1
     assert [line.split()[1] for line in out.splitlines() if line.startswith("FAIL")] == failed
+    part = "|H| is not the Gram square of |d|" if signless else "H is not the Gram square of d"
+    assert _supersymmetry_line(out) == f"FAIL supersymmetry    {part}; {_WHEEL6_KERNELS}"
+
+
+_UNDECIDED_D = "rank of d undecided; kernels None, None (signless 0, 5), Betti 1, 6"
+_UNDECIDED_ABS_D = "rank of |d| undecided; kernels 1, 6 (signless None, None), Betti 1, 6"
 
 
 @pytest.mark.parametrize(
-    "mutation",
+    "mutation, detail",
     [
-        lambda real: stray_forest_entry(real, False),
-        lambda real: stray_forest_entry(real, True),
-        lambda real: zeroed_forest_pivot(real, False),
-        lambda real: zeroed_forest_pivot(real, True),
-        resigned_odd_rows,
-        broken_colouring,
+        (lambda real: stray_forest_entry(real, False), _UNDECIDED_D),
+        (lambda real: stray_forest_entry(real, True), _UNDECIDED_ABS_D),
+        (lambda real: zeroed_forest_pivot(real, False), _UNDECIDED_D),
+        (lambda real: zeroed_forest_pivot(real, True), _UNDECIDED_ABS_D),
+        (resigned_odd_rows, _UNDECIDED_ABS_D),
+        (broken_colouring, _UNDECIDED_ABS_D),
     ],
     ids=[
         "stray_forest_entry-signed",
@@ -767,13 +849,27 @@ def test_verify_fails_supersymmetry_on_a_faulty_dirac_builder(
         "broken_colouring",
     ],
 )
-def test_verify_fails_supersymmetry_on_a_broken_rank_certificate(capsys, monkeypatch, mutation):
+def test_verify_fails_supersymmetry_on_a_broken_rank_certificate(
+    capsys, monkeypatch, mutation, detail
+):
     # a faulty forest row, pivot, odd row or colouring leaves a rank
-    # undecided: supersymmetry fails alone, with exit 1 and no traceback
+    # undecided: supersymmetry fails alone, with exit 1 and no traceback,
+    # and its detail names the undecided rank
     monkeypatch.setattr(operators, "forest_rank", mutation(operators.forest_rank))
     code, out, err = run(capsys, "verify", "wheel:6")
     assert (code, err) == (1, "first failing check: supersymmetry\n")
     assert [line.split()[1] for line in out.splitlines() if line.startswith("FAIL")] == ["supersymmetry"]
+    assert _supersymmetry_line(out) == f"FAIL supersymmetry    {detail}"
+
+
+def test_verify_names_kernels_that_miss_the_betti_numbers(capsys, monkeypatch):
+    monkeypatch.setattr(operators, "betti_numbers", lambda g: (2, 6))
+    code, out, _ = run(capsys, "verify", "wheel:6")
+    assert code == 1
+    assert _supersymmetry_line(out) == (
+        "FAIL supersymmetry    kernels differ from the Betti numbers; "
+        "kernels 1, 6 (signless 0, 5), Betti 2, 6"
+    )
 
 
 def test_verify_runs_all_seven_checks_at_24840_cells_without_a_dense_view(capsys, monkeypatch):

@@ -13,6 +13,7 @@ from connlab.dynamics import (
     EnvironmentSequence,
     QuaternionField,
     Trajectory,
+    automaton_orbit,
     automaton_run,
     cocycle,
     combined_solution,
@@ -69,6 +70,19 @@ def test_walk_rejects_bad_range():
     b = bundle_for(from_spec("cycle:4"))
     with pytest.raises(DynamicsError):
         walk(b, _unit(8), 3, 1)
+
+
+def test_automaton_rejects_bad_state_and_range():
+    b = bundle_for(from_spec("cycle:4"))
+    with pytest.raises(DynamicsError, match="state length does not match operator size"):
+        automaton_run(b, AutomatonState(5, _unit(7), 0), -1, 1)
+    with pytest.raises(DynamicsError, match="state length does not match operator size"):
+        automaton_orbit(b, 5, _unit(9), 3, 1)
+    for lo, hi in ((1, 3), (-3, -1)):
+        with pytest.raises(DynamicsError, match="time range must contain the initial time"):
+            automaton_run(b, AutomatonState(5, _unit(8), 2), lo + 2, hi + 2)
+        with pytest.raises(DynamicsError, match="time range must contain the initial time"):
+            automaton_orbit(b, 5, _unit(8), lo, hi)
 
 
 @pytest.mark.parametrize("spec", ["complete:2", "cycle:4", "figure8"])
@@ -305,12 +319,19 @@ def test_sparse_step_matches_dense_apply(corpus):
             mp = field_reduce(m, p)
             reduced = tuple(x % p for x in vec)
             assert mp.apply(reduced) == _dense_apply(mp, reduced), (spec, name)
+            # a block of vectors, one per column, gives the block of products
+            other = tuple(rng.randrange(p) for _ in range(m.ncols))
+            block = np.array([vec, other], dtype=object).T
+            assert m._product(block).T.tolist() == [list(_dense_apply(m, v)) for v in (vec, other)]
+            stepped = mp.step(np.array([reduced, other], dtype=mp._compressed_rows()[-1]).T)
+            assert stepped.T.tolist() == [list(_dense_apply(mp, v)) for v in (reduced, other)]
     isolated = bundles["isolated"]
     assert [i for i, row in enumerate(isolated.hodge_signless.rows) if not any(row)] == [0, 4, 5]
     assert not any(isolated.incidence.transpose().rows[-1])
     assert bundles["edgeless"].incidence.shape == (0, 3)
     for m in (IntMatrix([], ncols=0), IntMatrix([], ncols=2), IntMatrix([[], []], ncols=0)):
         assert m.apply((2**64,) * m.ncols) == _dense_apply(m, (2**64,) * m.ncols) == (0,) * m.nrows
+        assert m._product(np.ones((m.ncols, 3), dtype=object)).shape == (m.nrows, 3)
 
 
 def _dense_orbit(Lp, gp, start, n_min, n_max):
@@ -322,11 +343,16 @@ def _dense_orbit(Lp, gp, start, n_min, n_max):
     return [states[n] for n in range(n_min, n_max + 1)]
 
 
+ORBIT_RANGES = [(-3, 3), (-5, 7), (-7, 2), (0, 6), (-4, 0), (0, 0)]
+
+
 @pytest.mark.parametrize("p", [2, 71, 2147483647, 4294967311])
 def test_automaton_near_and_above_word_size_matches_dense_route(corpus, p):
     # entries of g mod p are as large as p - 1, so at the two large primes
     # its mat-vecs leave int64 on all but the smallest graphs and run on
-    # exact Python ints; L's stay in int64, as both do at 2 and 71
+    # exact Python ints; L's stay in int64, as both do at 2 and 71.  A range
+    # that runs both ways steps [[L, 0], [0, g]] mod p, whose mat-vecs run
+    # in g's dtype; a one-way range steps L or g alone
     rng = random.Random(p)
     dtypes = set()
     for spec, b in corpus.items():
@@ -334,10 +360,15 @@ def test_automaton_near_and_above_word_size_matches_dense_route(corpus, p):
         gp = field_reduce(b.green, p)
         assert Lp._compressed_rows()[-1] is np.int64
         dtypes.add(gp._compressed_rows()[-1])
-        s0 = AutomatonState(p, tuple(rng.randrange(p) for _ in range(b.size)), 0)
-        states = automaton_run(b, s0, -3, 3)
+        start = tuple(rng.randrange(p) for _ in range(b.size))
+        dense = _dense_orbit(Lp, gp, start, -7, 7)
+        for lo, hi in ORBIT_RANGES:
+            orbit = automaton_orbit(b, p, start, lo, hi)
+            assert orbit.dtype == (gp if lo else Lp)._compressed_rows()[-1], (spec, lo, hi)
+            assert orbit.tolist() == [list(v) for v in dense[lo + 7 : hi + 8]], (spec, lo, hi)
+        states = automaton_run(b, AutomatonState(p, start, 0), -3, 3)
         assert [s.time for s in states] == list(range(-3, 4))
-        assert [s.vector for s in states] == _dense_orbit(Lp, gp, s0.vector, -3, 3), spec
+        assert [s.vector for s in states] == dense[4:11], spec
     assert (dtypes == {np.int64}) if p < 100 else (object in dtypes)
 
 
