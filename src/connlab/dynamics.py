@@ -24,14 +24,11 @@ the nonzeros of L, g and |H| only, which each cached operator is stored
 as.  The Jacobi residual applies |H| once per time along a walk, to form
 the hydrogen defect, and reads the residual off three consecutive defects.
 The automaton is one orbit array, a row per time: automaton_orbit steps
-the block-diagonal [[L, 0], [0, g]] reduced mod p with FieldMatrix.step,
-over the same compressed rows, so the forward and the backward state
-advance together and a two-way range takes max(n_max, -n_min) sequential
-steps.  Steps run in int64 while the entries allow it, and only int64
-steps are stacked; a one-way range, or a g whose steps need Python ints,
-steps L and g each on its own.  FieldMatrix.step also takes a block of
-states, one per column, which is how the CLI checks the round trip
-g psi(k) = psi(k - 1) for every forward time in a few block products.
+L and, for negative times, g reduced mod p with FieldMatrix.step, over the
+same compressed rows, one step per time in each direction, in int64 while
+the entries allow it.  FieldMatrix.step also takes a block of states, one
+per column, which is how the CLI checks the round trip g psi(k) = psi(k - 1)
+for every forward time in a few block products.
 Walks, the residual and the automaton form no dense matrix, and nothing
 here eliminates.
 """
@@ -429,13 +426,10 @@ def automaton_orbit(
     """L^n start mod p for n = n_min..n_max, as the rows of one array.
 
     L and, for negative times, the bundle's certified green are reduced mod
-    p; g inverts L over the integers, so g mod p inverts L mod p.  When the
-    range runs both ways and both steps run in int64, one step of the
-    block-diagonal [[L, 0], [0, g]] mod p advances the forward and the
-    backward state together, so the whole orbit takes max(n_max, -n_min)
-    sequential steps.  Otherwise each direction steps on its own: when g's
-    entries force Python ints, stacking would move L's steps onto them too.
-    The array holds Python ints if either stepped matrix does, else int64.
+    p; g inverts L over the integers, so g mod p inverts L mod p.  Each
+    direction steps on its own from the start, one FieldMatrix.step per
+    time, so the orbit takes n_max - n_min steps.  The array holds Python
+    ints if either stepped matrix's mat-vecs do, else int64.
     """
     bundle = bundle_for(source)
     n = bundle.size
@@ -452,18 +446,6 @@ def automaton_orbit(
     orbit = np.empty((n_max - n_min + 1, n), dtype=object if object in dtypes else np.int64)
     origin = -n_min
     orbit[origin] = [x % p for x in start]
-    if len(runs) == 2 and dtypes == {np.int64}:
-        (Lp, _, _), (gp, _, _) = runs
-        shifted = [[(j + n, a) for j, a in row] for row in gp.nonzeros]
-        m = FieldMatrix.from_nonzeros(Lp.nonzeros + shifted, 2 * n, 2 * n, p)
-        x = np.concatenate((orbit[origin], orbit[origin]))
-        for k in range(1, max(n_max, origin) + 1):
-            x = m.step(x)
-            if k <= n_max:
-                orbit[origin + k] = x[:n]
-            if k <= origin:
-                orbit[origin - k] = x[n:]
-        return orbit
     for m, sign, steps in runs:
         x = orbit[origin]
         for k in range(1, steps + 1):

@@ -709,11 +709,10 @@ def test_automaton_reverse_inverts_over_the_field_once(capsys, monkeypatch):
 
 
 def test_automaton_reverse_steps_once_per_time(capsys, monkeypatch):
-    # --steps 9 --reverse advances L and g together, [[L, 0], [0, g]] mod 11
-    # on one 50-entry vector, 9 times; the round trip then takes g mod 11
-    # over the 9 forward states psi(1..9) in blocks of 250 // nnz(g) = 2
-    # columns, so the gathered terms never outnumber the 10 x 25 forward
-    # states
+    # --steps 9 --reverse steps L mod 11 9 times and g mod 11 9 times, one
+    # 25-entry state each; the round trip then takes g mod 11 over the 9
+    # forward states psi(1..9) in blocks of 250 // nnz(g) = 2 columns, so
+    # the gathered terms never outnumber the 10 x 25 forward states
     real = exact.FieldMatrix.step
     shapes = []
 
@@ -726,14 +725,7 @@ def test_automaton_reverse_steps_once_per_time(capsys, monkeypatch):
     assert code == 0
     assert len(out.splitlines()) == 19
     assert sum(map(len, operators.bundle_for(from_spec("petersen:5,2")).green.nonzeros)) == 115
-    assert shapes == [(50,)] * 9 + [(25, 2)] * 4 + [(25, 1)]
-    # mod 2^31 - 1 the steps of g on wheel:20 (61 cells, nnz(g) = 301) need
-    # Python ints and L's do not, so each direction steps on its own and
-    # L's stay in int64; 6 x 61 forward entries give blocks of 1 column
-    shapes.clear()
-    code, out, _ = run(capsys, "automaton", "wheel:20", "--field", "2147483647", "--steps", "5", "--reverse")
-    assert code == 0
-    assert shapes == [(61,)] * 10 + [(61, 1)] * 5
+    assert shapes == [(25,)] * 18 + [(25, 2)] * 4 + [(25, 1)]
 
 
 def test_product_takes_its_inverse_from_the_factors(capsys, monkeypatch):

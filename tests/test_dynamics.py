@@ -350,9 +350,8 @@ ORBIT_RANGES = [(-3, 3), (-5, 7), (-7, 2), (0, 6), (-4, 0), (0, 0)]
 def test_automaton_near_and_above_word_size_matches_dense_route(corpus, p):
     # entries of g mod p are as large as p - 1, so at the two large primes
     # its mat-vecs leave int64 on all but the smallest graphs and run on
-    # exact Python ints; L's stay in int64, as both do at 2 and 71.  A range
-    # that runs both ways steps [[L, 0], [0, g]] mod p, whose mat-vecs run
-    # in g's dtype; a one-way range steps L or g alone
+    # exact Python ints; L's stay in int64, as both do at 2 and 71.  The
+    # orbit holds Python ints when g's steps do and its range runs backward
     rng = random.Random(p)
     dtypes = set()
     for spec, b in corpus.items():
@@ -370,6 +369,27 @@ def test_automaton_near_and_above_word_size_matches_dense_route(corpus, p):
         assert [s.time for s in states] == list(range(-3, 4))
         assert [s.vector for s in states] == dense[4:11], spec
     assert (dtypes == {np.int64}) if p < 100 else (object in dtypes)
+
+
+@pytest.mark.parametrize("n_min, n_max", [(-2, 5), (-6, 1), (-4, 4), (0, 3), (-3, 0), (0, 0)])
+def test_automaton_orbit_steps_once_per_time(monkeypatch, n_min, n_max):
+    # each direction steps on its own, one mat-vec of an n-entry state per
+    # time: n_max - n_min steps in all, and none for the start alone
+    b = bundle_for(from_spec("petersen:5,2"))
+    real = FieldMatrix.step
+    shapes = []
+
+    def counted(self, vec):
+        shapes.append(np.shape(vec))
+        return real(self, vec)
+
+    monkeypatch.setattr(FieldMatrix, "step", counted)
+    start = tuple(k % 11 for k in range(b.size))
+    orbit = automaton_orbit(b, 11, start, n_min, n_max)
+    assert shapes == [(25,)] * (n_max - n_min)
+    monkeypatch.undo()
+    Lp, gp = field_reduce(b.connection, 11), field_reduce(b.green, 11)
+    assert orbit.tolist() == [list(v) for v in _dense_orbit(Lp, gp, start, n_min, n_max)]
 
 
 @pytest.mark.parametrize("spec", SAMPLE_SPECS)
