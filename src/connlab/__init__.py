@@ -23,7 +23,6 @@ from .dynamics import (
     Trajectory,
     automaton_orbit,
     automaton_run,
-    cocycle,
     growth_rates,
     jacobi_residual,
     perron_limits,
@@ -90,7 +89,6 @@ __all__ = [
     "bounds_report",
     "build_complex",
     "bundle_for",
-    "cocycle",
     "det",
     "eig_sym",
     "energy",

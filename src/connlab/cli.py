@@ -10,6 +10,13 @@ produce byte-identical output.
 Exit codes: 0 success, 1 a check failed, 2 a usage error (a bad flag, state
 or graph spec or file), which prints one line "error: ..." on stderr and no
 traceback.
+
+The subcommands live in one table, _COMMANDS: name, help text and
+arguments; subcommand NAME runs cmd_NAME.  main builds the top-level parser
+and only the subcommand parser it runs, since building all eight is a large
+share of a small bounds call; with no subcommand named, or a help flag
+before it, it builds all eight, so --help and an unknown command still list
+every subcommand.
 """
 
 from __future__ import annotations
@@ -409,7 +416,7 @@ def cmd_automaton(args) -> int:
     orbit = automaton_orbit(bundle, p, psi0, n_min, args.steps)
     # checked before the states print, so that the round trip's temporaries
     # and the printed text are never held at once
-    round_trip = not args.reverse or _steps_back(field_reduce(bundle.green, p), orbit[args.steps :])
+    round_trip = not args.reverse or _steps_back(bundle.reduced("green", p), orbit[args.steps :])
     # rows become lists of Python ints 64 at a time: one tolist per row costs
     # a call each, one for the whole orbit holds every state twice
     rows = (row for k in range(0, len(orbit), 64) for row in orbit[k : k + 64].tolist())
@@ -695,86 +702,120 @@ def _tol(text: str) -> float:
     return x
 
 
-def build_parser() -> argparse.ArgumentParser:
+_FORMATS = ("json", "csv", "pretty")
+_STATE_HELP = "comma-separated initial state (default: unit vector)"
+
+# name: (help, arguments), each argument a flag or positional name with its
+# add_argument keywords; the command runs cmd_<name>
+_COMMANDS: dict[str, tuple[str, dict[str, dict]]] = {
+    "verify": (
+        "run the exact identity checks on one graph",
+        {
+            "graph": {},
+            "--field": {"type": _field_prime, "help": "also check the identity mod this prime"},
+        },
+    ),
+    "bounds": ("bound table rows for one or more graphs", {"graphs": {"nargs": "+"}}),
+    "spectrum": (
+        "eigenvalues of one operator",
+        {
+            "graph": {},
+            "--operator": {"choices": sorted(_DUMPABLE.keys() - {"g", "d0", "kirchhoff"}), "default": "L"},
+        },
+    ),
+    "walk": (
+        "exact two-sided walk, one JSON line per time",
+        {
+            "graph": {},
+            "--steps": {"type": _count, "default": 6},
+            "--reverse": {"action": "store_true", "help": "also walk backward and check the round trip"},
+            "--state": {"help": _STATE_HELP},
+        },
+    ),
+    "automaton": (
+        "reversible walk over a prime field",
+        {
+            "graph": {},
+            "--field": {"type": _field_prime, "required": True},
+            "--steps": {"type": _count, "default": 6},
+            "--reverse": {"action": "store_true"},
+            "--state": {"help": _STATE_HELP},
+        },
+    ),
+    "newton": (
+        "solve the perturbed relation K = L - 1/L",
+        {
+            "graph": {},
+            "--eps": {"type": _eps, "default": 0.01},
+            "--tol": {"type": _tol, "default": 1e-10},
+            "--max-iter": {"type": _count, "default": 50},
+        },
+    ),
+    "product": ("strong-product checks for two graphs", {"graph_a": {}, "graph_b": {}}),
+    "report": ("regenerate every reference table", {}),
+}
+_GLOBAL_FLAGS = ("--format", "--seed", "--dump")
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The connlab parser with every subcommand, or with the named one only."""
     parser = _Parser(
         prog="connlab",
         description="Connection Laplacian workbench: exact identities, "
         "spectral bounds, reversible dynamics.",
     )
-    parser.add_argument("--format", choices=("json", "csv", "pretty"), default="pretty")
+    dumpable = sorted(_DUMPABLE)
+    parser.add_argument("--format", choices=_FORMATS, default="pretty")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument(
-        "--dump", metavar="OPERATOR", choices=sorted(_DUMPABLE), help="print the named operator matrix"
-    )
-
-    # the same options are accepted after the subcommand; SUPPRESS keeps an
-    # absent flag from clobbering the value parsed at the top level
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--format", choices=("json", "csv", "pretty"), default=argparse.SUPPRESS
-    )
-    common.add_argument("--seed", type=int, default=argparse.SUPPRESS)
-    common.add_argument(
-        "--dump", metavar="OPERATOR", choices=sorted(_DUMPABLE), default=argparse.SUPPRESS
-    )
-
+    parser.add_argument("--dump", metavar="OPERATOR", choices=dumpable, help="print the named operator matrix")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser(
-        "verify", help="run the exact identity checks on one graph", parents=[common]
-    )
-    p.add_argument("graph")
-    p.add_argument("--field", type=_field_prime, help="also check the identity mod this prime")
-    p.set_defaults(fn=cmd_verify)
-
-    p = sub.add_parser("bounds", help="bound table rows for one or more graphs", parents=[common])
-    p.add_argument("graphs", nargs="+")
-    p.set_defaults(fn=cmd_bounds)
-
-    p = sub.add_parser("spectrum", help="eigenvalues of one operator", parents=[common])
-    p.add_argument("graph")
-    p.add_argument(
-        "--operator", choices=sorted(_DUMPABLE.keys() - {"g", "d0", "kirchhoff"}), default="L"
-    )
-    p.set_defaults(fn=cmd_spectrum)
-
-    p = sub.add_parser("walk", help="exact two-sided walk, one JSON line per time", parents=[common])
-    p.add_argument("graph")
-    p.add_argument("--steps", type=_count, default=6)
-    p.add_argument("--reverse", action="store_true", help="also walk backward and check the round trip")
-    p.add_argument("--state", help="comma-separated initial state (default: unit vector)")
-    p.set_defaults(fn=cmd_walk)
-
-    p = sub.add_parser("automaton", help="reversible walk over a prime field", parents=[common])
-    p.add_argument("graph")
-    p.add_argument("--field", type=_field_prime, required=True)
-    p.add_argument("--steps", type=_count, default=6)
-    p.add_argument("--reverse", action="store_true")
-    p.add_argument("--state", help="comma-separated initial state (default: unit vector)")
-    p.set_defaults(fn=cmd_automaton)
-
-    p = sub.add_parser("newton", help="solve the perturbed relation K = L - 1/L", parents=[common])
-    p.add_argument("graph")
-    p.add_argument("--eps", type=_eps, default=0.01)
-    p.add_argument("--tol", type=_tol, default=1e-10)
-    p.add_argument("--max-iter", type=_count, default=50)
-    p.set_defaults(fn=cmd_newton)
-
-    p = sub.add_parser("product", help="strong-product checks for two graphs", parents=[common])
-    p.add_argument("graph_a")
-    p.add_argument("graph_b")
-    p.set_defaults(fn=cmd_product)
-
-    p = sub.add_parser("report", help="regenerate every reference table", parents=[common])
-    p.set_defaults(fn=cmd_report)
-
+    for name, (text, arguments) in _COMMANDS.items():
+        if command not in (None, name):
+            continue
+        p = sub.add_parser(name, help=text)
+        # the same options are accepted after the subcommand; SUPPRESS keeps
+        # an absent flag from clobbering the value parsed at the top level
+        p.add_argument("--format", choices=_FORMATS, default=argparse.SUPPRESS)
+        p.add_argument("--seed", type=int, default=argparse.SUPPRESS)
+        p.add_argument("--dump", metavar="OPERATOR", choices=dumpable, default=argparse.SUPPRESS)
+        for flag, options in arguments.items():
+            p.add_argument(flag, **options)
     return parser
 
 
+def _command_named(argv: Sequence[str]) -> str | None:
+    """The subcommand argv runs, when only whole global flags come before it.
+
+    argparse takes the first positional token for the subcommand, so the name
+    counts after --format, --seed and --dump with their values, spaced or
+    after "=".  Anything else first (a help flag, an abbreviation, a stray
+    positional) gives None, and the full parser answers: its help and its
+    invalid-choice error list all eight commands.
+    """
+    i = 0
+    while i < len(argv):
+        token = argv[i]
+        if token in _COMMANDS:
+            return token
+        if token in _GLOBAL_FLAGS:
+            i += 2
+        elif token.partition("=")[0] in _GLOBAL_FLAGS:
+            i += 1
+        else:
+            return None
+    return None
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run one command; argv defaults to sys.argv[1:], as the console script
+    passes it."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(_command_named(argv)).parse_args(argv)
+    # looked up by name at each call, so that a wrapper bound over a cmd_*
+    # function after import, such as a tracer's, sees the call
+    handler = globals()[f"cmd_{args.command}"]
     try:
-        return args.fn(args)
+        return handler(args)
     except (UsageError, GraphError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -12,9 +12,9 @@ quadruple of initial vectors; their span degenerates whenever +1 or -1 is
 an eigenvalue of L.
 
 Floating point appears only where growth is genuinely exponential: Perron
-projection limits and Lyapunov exponents of operator cocycles.  Over a
-prime field the walk becomes a reversible cellular automaton with purely
-periodic orbits.
+projection limits and the growth rate log rho(L).  Over a prime field
+the walk becomes a reversible cellular automaton with purely periodic
+orbits.
 
 Every function here takes a graph, a complex or an OperatorBundle, and the
 one inverse it uses is the bundle's green: the star formula, certified by
@@ -42,7 +42,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .complexes import Complex
-from .exact import FieldMatrix, IntMatrix, field_reduce
+from .exact import FieldMatrix, IntMatrix
 from .graphs import Graph, connected_components, induced_subgraph
 from .operators import OperatorBundle, bundle_for
 from .spectra import eig_sym
@@ -112,27 +112,6 @@ class AutomatonState:
     def __post_init__(self) -> None:
         if self.vector and not (0 <= min(self.vector) and max(self.vector) < self.p):
             raise DynamicsError("automaton state entries must be reduced mod p")
-
-
-@dataclass(frozen=True)
-class EnvironmentSequence:
-    """Operator indices omega(1), omega(2), ... over a registry of equal-size L's."""
-
-    indices: tuple[int, ...]
-    registry: tuple[IntMatrix, ...]
-
-    def __post_init__(self) -> None:
-        if not self.registry:
-            raise DynamicsError("environment registry is empty")
-        n = self.registry[0].nrows
-        if any(m.nrows != n or m.ncols != n for m in self.registry):
-            raise DynamicsError("registered operators must share dimensions")
-        if any(not 0 <= i < len(self.registry) for i in self.indices):
-            raise DynamicsError("environment index out of range")
-
-    @property
-    def dimension(self) -> int:
-        return self.registry[0].nrows
 
 
 # ---------------------------------------------------------------------------
@@ -426,10 +405,12 @@ def automaton_orbit(
     """L^n start mod p for n = n_min..n_max, as the rows of one array.
 
     L and, for negative times, the bundle's certified green are reduced mod
-    p; g inverts L over the integers, so g mod p inverts L mod p.  Each
-    direction steps on its own from the start, one FieldMatrix.step per
-    time, so the orbit takes n_max - n_min steps.  The array holds Python
-    ints if either stepped matrix's mat-vecs do, else int64.
+    p once per bundle (OperatorBundle.reduced), so a caller holding the
+    bundle steps with the same matrices; g inverts L over the integers, so
+    g mod p inverts L mod p.  Each direction steps on its own from the
+    start, one FieldMatrix.step per time, so the orbit takes n_max - n_min
+    steps.  The array holds Python ints if either stepped matrix's mat-vecs
+    do, else int64.
     """
     bundle = bundle_for(source)
     n = bundle.size
@@ -439,9 +420,9 @@ def automaton_orbit(
         raise DynamicsError("time range must contain the initial time")
     # (matrix, direction, steps) for each direction that runs, or L alone
     # when the range is the start alone
-    runs = [(field_reduce(bundle.connection, p), 1, n_max)] if n_max or not n_min else []
+    runs = [(bundle.reduced("connection", p), 1, n_max)] if n_max or not n_min else []
     if n_min:
-        runs.append((field_reduce(bundle.green, p), -1, -n_min))
+        runs.append((bundle.reduced("green", p), -1, -n_min))
     dtypes = {m._compressed_rows()[-1] for m, _, _ in runs}
     orbit = np.empty((n_max - n_min + 1, n), dtype=object if object in dtypes else np.int64)
     origin = -n_min
@@ -483,57 +464,7 @@ def multiplicative_order(Lp: FieldMatrix, cap: int = 10**6) -> int:
 
 
 # ---------------------------------------------------------------------------
-# cocycles and growth rates
-
-
-@dataclass(frozen=True)
-class CocycleReport:
-    """Lyapunov estimate of an operator product, with the normalized tail state."""
-
-    lyapunov: float
-    steps: int
-    final_state: Vector
-    log_norms: tuple[float, ...]
-
-
-def cocycle(
-    env: EnvironmentSequence,
-    psi0: Sequence[float],
-    n_steps: int,
-    renorm_every: int = 16,
-) -> CocycleReport:
-    """Apply L_omega(n) ... L_omega(1) psi0 and estimate the Lyapunov exponent.
-
-    Entries grow like rho^n, so the state is renormalized by its max norm
-    every renorm_every steps and the discarded scale factors accumulate in
-    log space; the estimate is (sum of logs + log of the final norm) / n.
-    """
-    if len(env.indices) < n_steps:
-        raise DynamicsError(f"environment supplies {len(env.indices)} steps, need {n_steps}")
-    x = np.asarray(psi0, dtype=float)
-    if x.shape != (env.dimension,):
-        raise DynamicsError("initial vector does not match registry dimension")
-    mats = [m.to_float() for m in env.registry]
-    log_acc = 0.0
-    log_norms = []
-    for t in range(n_steps):
-        x = mats[env.indices[t]] @ x
-        if (t + 1) % renorm_every == 0:
-            m = float(np.max(np.abs(x)))
-            if m == 0.0:
-                raise DynamicsError("state collapsed to zero; Lyapunov undefined")
-            x /= m
-            log_acc += math.log(m)
-            log_norms.append(log_acc)
-    tail = float(np.max(np.abs(x)))
-    if tail == 0.0:
-        raise DynamicsError("state collapsed to zero; Lyapunov undefined")
-    lyap = (log_acc + math.log(tail)) / n_steps
-    return CocycleReport(lyap, n_steps, tuple(map(float, x)), tuple(log_norms))
-
-
-def constant_environment(L: IntMatrix, n_steps: int) -> EnvironmentSequence:
-    return EnvironmentSequence(tuple([0] * n_steps), (L,))
+# growth rates
 
 
 @dataclass(frozen=True)

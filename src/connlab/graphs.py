@@ -96,10 +96,6 @@ def connected_components(g: Graph) -> list[list[int]]:
     return sorted(groups.values())
 
 
-def is_connected(g: Graph) -> bool:
-    return len(connected_components(g)) == 1
-
-
 def betti_numbers(g: Graph) -> tuple[int, int]:
     """(b0, b1) of the graph: component count and independent cycle count."""
     b0 = len(connected_components(g))

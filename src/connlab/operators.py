@@ -258,6 +258,7 @@ class OperatorBundle:
     def __init__(self, source: Graph | Complex, signs: Sequence[int] | None = None):
         self.complex = source if isinstance(source, Complex) else build_complex(source)
         self.signs = tuple(signs) if signs is not None else (1,) * self.complex.e
+        self._reduced: dict[tuple[str, int], FieldMatrix] = {}
 
     @property
     def graph(self) -> Graph:
@@ -354,6 +355,14 @@ class OperatorBundle:
     @cached_property
     def connection_det(self) -> int:
         return schur_det(self.connection, self.v)
+
+    def reduced(self, name: str, p: int) -> FieldMatrix:
+        """The operator of that name (connection, green, ...) reduced mod p,
+        built once per bundle and prime."""
+        key = (name, p)
+        if key not in self._reduced:
+            self._reduced[key] = field_reduce(getattr(self, name), p)
+        return self._reduced[key]
 
 
 def bundle_for(source: Graph | Complex | OperatorBundle) -> OperatorBundle:

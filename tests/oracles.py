@@ -60,8 +60,23 @@ Sturm chains over the rationals, each member scaled to a primitive integer
 polynomial and evaluated by integer Horner, and
 validate_spectrum_against_charpoly compares spectra.eig_sym with the roots
 of charpoly.
+
+is_connected asks whether a graph has one component; no module of the
+package needs it since bounds_report counts components once.
+
+cocycle estimates the Lyapunov exponent of a product of connection matrices
+drawn from an EnvironmentSequence, in floating point with periodic
+renormalization; constant_environment repeats one L, whose exponent is
+log rho(L).  No module of the package runs it.
+
+reference_parser is the command-line parser written out one subcommand at a
+time, as it was before cli built its parsers from one command table; the
+parity tests compare every parse, help text and usage error of cli.main
+with it.
 """
 
+import argparse
+import math
 from collections import deque
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -70,12 +85,17 @@ from typing import Sequence
 
 import numpy as np
 
+from connlab import cli
 from connlab.complexes import Complex, parity, simplices_intersect
 from connlab.dynamics import DynamicsError, Trajectory
 from connlab.exact import IntMatrix, ShapeError, SingularMatrixError, det, is_prime
-from connlab.graphs import Graph, GraphError, betti_numbers, connected_components, is_connected
+from connlab.graphs import Graph, GraphError, betti_numbers, connected_components
 from connlab.operators import OperatorBundle, SupersymmetryReport
 from connlab.spectra import SpectraError, eig_sym, limit_profile
+
+
+def is_connected(g: Graph) -> bool:
+    return len(connected_components(g)) == 1
 
 
 def dense_matmul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
@@ -950,3 +970,151 @@ def validate_spectrum_against_charpoly(m: IntMatrix, tol: float = 1e-6) -> float
             f"eigensolver disagrees with certified roots by {worst:.3e}"
         )
     return worst
+
+
+# ---------------------------------------------------------------------------
+# operator cocycles
+
+
+@dataclass(frozen=True)
+class EnvironmentSequence:
+    """Operator indices omega(1), omega(2), ... over a registry of equal-size L's."""
+
+    indices: tuple[int, ...]
+    registry: tuple[IntMatrix, ...]
+
+    def __post_init__(self) -> None:
+        if not self.registry:
+            raise DynamicsError("environment registry is empty")
+        n = self.registry[0].nrows
+        if any(m.nrows != n or m.ncols != n for m in self.registry):
+            raise DynamicsError("registered operators must share dimensions")
+        if any(not 0 <= i < len(self.registry) for i in self.indices):
+            raise DynamicsError("environment index out of range")
+
+    @property
+    def dimension(self) -> int:
+        return self.registry[0].nrows
+
+
+@dataclass(frozen=True)
+class CocycleReport:
+    """Lyapunov estimate of an operator product, with the normalized tail state."""
+
+    lyapunov: float
+    steps: int
+    final_state: tuple[float, ...]
+    log_norms: tuple[float, ...]
+
+
+def cocycle(
+    env: EnvironmentSequence,
+    psi0: Sequence[float],
+    n_steps: int,
+    renorm_every: int = 16,
+) -> CocycleReport:
+    """Apply L_omega(n) ... L_omega(1) psi0 and estimate the Lyapunov exponent.
+
+    Entries grow like rho^n, so the state is renormalized by its max norm
+    every renorm_every steps and the discarded scale factors accumulate in
+    log space; the estimate is (sum of logs + log of the final norm) / n.
+    """
+    if len(env.indices) < n_steps:
+        raise DynamicsError(f"environment supplies {len(env.indices)} steps, need {n_steps}")
+    x = np.asarray(psi0, dtype=float)
+    if x.shape != (env.dimension,):
+        raise DynamicsError("initial vector does not match registry dimension")
+    mats = [m.to_float() for m in env.registry]
+    log_acc = 0.0
+    log_norms = []
+    for t in range(n_steps):
+        x = mats[env.indices[t]] @ x
+        if (t + 1) % renorm_every == 0:
+            m = float(np.max(np.abs(x)))
+            if m == 0.0:
+                raise DynamicsError("state collapsed to zero; Lyapunov undefined")
+            x /= m
+            log_acc += math.log(m)
+            log_norms.append(log_acc)
+    tail = float(np.max(np.abs(x)))
+    if tail == 0.0:
+        raise DynamicsError("state collapsed to zero; Lyapunov undefined")
+    lyap = (log_acc + math.log(tail)) / n_steps
+    return CocycleReport(lyap, n_steps, tuple(map(float, x)), tuple(log_norms))
+
+
+def constant_environment(L: IntMatrix, n_steps: int) -> EnvironmentSequence:
+    return EnvironmentSequence(tuple([0] * n_steps), (L,))
+
+
+# ---------------------------------------------------------------------------
+# the command-line parser, one subcommand at a time
+
+
+def reference_parser() -> argparse.ArgumentParser:
+    """Every subcommand's parser, each written out by hand; args.fn is the
+    handler the subcommand runs."""
+    parser = cli._Parser(
+        prog="connlab",
+        description="Connection Laplacian workbench: exact identities, "
+        "spectral bounds, reversible dynamics.",
+    )
+    dumpable = sorted(cli._DUMPABLE)
+    parser.add_argument("--format", choices=("json", "csv", "pretty"), default="pretty")
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument(
+        "--dump", metavar="OPERATOR", choices=dumpable, help="print the named operator matrix"
+    )
+
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--format", choices=("json", "csv", "pretty"), default=argparse.SUPPRESS)
+    common.add_argument("--seed", type=int, default=argparse.SUPPRESS)
+    common.add_argument("--dump", metavar="OPERATOR", choices=dumpable, default=argparse.SUPPRESS)
+
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("verify", help="run the exact identity checks on one graph", parents=[common])
+    p.add_argument("graph")
+    p.add_argument("--field", type=cli._field_prime, help="also check the identity mod this prime")
+    p.set_defaults(fn=cli.cmd_verify)
+
+    p = sub.add_parser("bounds", help="bound table rows for one or more graphs", parents=[common])
+    p.add_argument("graphs", nargs="+")
+    p.set_defaults(fn=cli.cmd_bounds)
+
+    p = sub.add_parser("spectrum", help="eigenvalues of one operator", parents=[common])
+    p.add_argument("graph")
+    p.add_argument("--operator", choices=sorted(set(dumpable) - {"g", "d0", "kirchhoff"}), default="L")
+    p.set_defaults(fn=cli.cmd_spectrum)
+
+    p = sub.add_parser("walk", help="exact two-sided walk, one JSON line per time", parents=[common])
+    p.add_argument("graph")
+    p.add_argument("--steps", type=cli._count, default=6)
+    p.add_argument("--reverse", action="store_true", help="also walk backward and check the round trip")
+    p.add_argument("--state", help="comma-separated initial state (default: unit vector)")
+    p.set_defaults(fn=cli.cmd_walk)
+
+    p = sub.add_parser("automaton", help="reversible walk over a prime field", parents=[common])
+    p.add_argument("graph")
+    p.add_argument("--field", type=cli._field_prime, required=True)
+    p.add_argument("--steps", type=cli._count, default=6)
+    p.add_argument("--reverse", action="store_true")
+    p.add_argument("--state", help="comma-separated initial state (default: unit vector)")
+    p.set_defaults(fn=cli.cmd_automaton)
+
+    p = sub.add_parser("newton", help="solve the perturbed relation K = L - 1/L", parents=[common])
+    p.add_argument("graph")
+    p.add_argument("--eps", type=cli._eps, default=0.01)
+    p.add_argument("--tol", type=cli._tol, default=1e-10)
+    p.add_argument("--max-iter", type=cli._count, default=50)
+    p.set_defaults(fn=cli.cmd_newton)
+
+    p = sub.add_parser("product", help="strong-product checks for two graphs", parents=[common])
+    p.add_argument("graph_a")
+    p.add_argument("graph_b")
+    p.set_defaults(fn=cli.cmd_product)
+
+    p = sub.add_parser("report", help="regenerate every reference table", parents=[common])
+    p.set_defaults(fn=cli.cmd_report)
+
+    return parser

@@ -21,7 +21,7 @@ import connlab.operators as operators
 import connlab.products as products
 import connlab.spectra as spectra
 from connlab.exact import dump_matrix
-from connlab.graphs import from_spec
+from connlab.graphs import GraphError, from_spec
 from connlab.spectra import CSV_COLUMNS
 from oracles import (
     broken_colouring,
@@ -29,6 +29,7 @@ from oracles import (
     edited,
     jacobi_residual_two_apply,
     negated_edge_row,
+    reference_parser,
     resigned_odd_rows,
     stray_forest_entry,
     stray_vertex_entry,
@@ -522,39 +523,39 @@ def test_usage_error_exits_2():
     assert excinfo.value.code == 2
 
 
-@pytest.mark.parametrize(
-    "argv, message",
-    [
-        (("verify", "gnm:5,3"), "error: random families require an explicit seed"),
-        (("verify", "cycle:x"), "error: spec 'cycle:x' has a parameter that is not a number"),
-        (("verify", "cycle:4", "--field", "4"), "error: argument --field: 4 is not a prime"),
-        (("walk", "cycle:4", "--steps", "-3"), "error: argument --steps: -3 is negative"),
-        (("walk", "cycle:4", "--state", "1,0"), "error: state has 2 entries, expected 8"),
-        (("automaton", "cycle:4", "--field", "4"), "error: argument --field: 4 is not a prime"),
-        (("newton", "path:4", "--eps", "-1"), "error: argument --eps: -1 is negative"),
-        (("newton", "path:4", "--eps", "nan"), "error: argument --eps: nan is not finite"),
-        (("newton", "path:4", "--eps", "inf"), "error: argument --eps: inf is not finite"),
-        (("newton", "path:4", "--eps", "x"), "error: argument --eps: 'x' is not a number"),
-        (("newton", "path:4", "--tol", "0"), "error: argument --tol: 0 is not positive"),
-        (("newton", "path:4", "--tol", "-0.5"), "error: argument --tol: -0.5 is not positive"),
-        (("newton", "path:4", "--tol", "nan"), "error: argument --tol: nan is not finite"),
-        (("newton", "path:4", "--max-iter", "-1"), "error: argument --max-iter: -1 is negative"),
-        (("newton", "path:4", "--max-iter", "x"), "error: argument --max-iter: 'x' is not an integer"),
-        (
-            ("walk", "complete:99999999999"),
-            "error: spec 'complete:99999999999' has 4999999999950000000000 cells, above the cap of 1000000",
-        ),
-        (
-            ("walk", "path:1", "--state", "9" * 5000 + "x"),
-            "error: state '" + "9" * 40 + "...' is not a comma-separated list of integers",
-        ),
-        (
-            ("verify", "cycle:4", "--field", str(exact.PRIME_TEST_LIMIT)),
-            f"error: argument --field: cannot decide whether {exact.PRIME_TEST_LIMIT} is prime: "
-            f"the test is exact below {exact.PRIME_TEST_LIMIT}",
-        ),
-    ],
-)
+USAGE_ERRORS = [
+    (("verify", "gnm:5,3"), "error: random families require an explicit seed"),
+    (("verify", "cycle:x"), "error: spec 'cycle:x' has a parameter that is not a number"),
+    (("verify", "cycle:4", "--field", "4"), "error: argument --field: 4 is not a prime"),
+    (("walk", "cycle:4", "--steps", "-3"), "error: argument --steps: -3 is negative"),
+    (("walk", "cycle:4", "--state", "1,0"), "error: state has 2 entries, expected 8"),
+    (("automaton", "cycle:4", "--field", "4"), "error: argument --field: 4 is not a prime"),
+    (("newton", "path:4", "--eps", "-1"), "error: argument --eps: -1 is negative"),
+    (("newton", "path:4", "--eps", "nan"), "error: argument --eps: nan is not finite"),
+    (("newton", "path:4", "--eps", "inf"), "error: argument --eps: inf is not finite"),
+    (("newton", "path:4", "--eps", "x"), "error: argument --eps: 'x' is not a number"),
+    (("newton", "path:4", "--tol", "0"), "error: argument --tol: 0 is not positive"),
+    (("newton", "path:4", "--tol", "-0.5"), "error: argument --tol: -0.5 is not positive"),
+    (("newton", "path:4", "--tol", "nan"), "error: argument --tol: nan is not finite"),
+    (("newton", "path:4", "--max-iter", "-1"), "error: argument --max-iter: -1 is negative"),
+    (("newton", "path:4", "--max-iter", "x"), "error: argument --max-iter: 'x' is not an integer"),
+    (
+        ("walk", "complete:99999999999"),
+        "error: spec 'complete:99999999999' has 4999999999950000000000 cells, above the cap of 1000000",
+    ),
+    (
+        ("walk", "path:1", "--state", "9" * 5000 + "x"),
+        "error: state '" + "9" * 40 + "...' is not a comma-separated list of integers",
+    ),
+    (
+        ("verify", "cycle:4", "--field", str(exact.PRIME_TEST_LIMIT)),
+        f"error: argument --field: cannot decide whether {exact.PRIME_TEST_LIMIT} is prime: "
+        f"the test is exact below {exact.PRIME_TEST_LIMIT}",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, message", USAGE_ERRORS)
 def test_usage_errors_print_one_line_and_exit_2(capsys, argv, message):
     try:
         code = cli.main(list(argv))
@@ -564,6 +565,123 @@ def test_usage_errors_print_one_line_and_exit_2(capsys, argv, message):
     assert code == 2
     assert out.out == ""
     assert out.err == message + "\n"
+
+
+COMMANDS = ("verify", "bounds", "spectrum", "walk", "automaton", "newton", "product", "report")
+
+
+def _outcome(capsys, main, argv):
+    """(exit code, stdout, stderr) of main(argv), parser exits included."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+def _reference_main(argv):
+    """cli.main as run on the parser written out one subcommand at a time."""
+    args = reference_parser().parse_args(argv)
+    try:
+        return args.fn(args)
+    except (cli.UsageError, GraphError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [argv for argv, _ in USAGE_ERRORS]
+    + [("--help",), ("-h",), ("--he", "walk"), ("--format", "json", "--help", "bounds")]
+    + [(name, "--help") for name in COMMANDS]
+    + [("--help", name) for name in COMMANDS]
+    + [
+        (),
+        ("frobnicate", "cycle:4"),
+        ("cycle:4", "verify"),
+        ("--bogus", "cycle:4", "verify"),
+        ("--se", "3", "verify", "cycle:3"),
+        ("--", "verify", "cycle:3"),
+        ("walk", "-h"),
+        ("--format", "json", "bounds", "--help"),
+        ("--format", "yaml", "verify", "cycle:3"),
+        ("--seed", "x", "verify", "cycle:3"),
+        ("--seed", "verify", "bounds", "cycle:3"),
+        ("--dump", "walk", "walk", "cycle:3"),
+        ("--seed", "-5", "newton", "path:3"),
+        ("--seed",),
+        ("bounds",),
+        ("--format", "json", "bounds", "cycle:4", "gnm:5,3"),
+        ("bounds", "cycle:4", "path:3", "--format", "csv"),
+        ("--format=csv", "bounds", "cycle:4"),
+        ("--dump", "L", "verify", "complete:2"),
+        ("verify", "complete:2", "--dump=g", "--format", "json"),
+        ("verify", "cycle:3", "--bogus"),
+        ("spectrum", "cycle:3", "--operator", "g"),
+        ("walk", "cycle:3", "--steps", "2", "--reverse", "--seed", "4"),
+        ("automaton", "cycle:3", "--steps", "2"),
+        ("--seed", "3", "newton", "path:3", "--max-iter", "5"),
+        ("product", "path:2", "cycle:3", "--format", "csv"),
+    ],
+)
+def test_pruned_parser_matches_the_full_one(capsys, argv):
+    # main builds only the subcommand parser argv names; every byte it prints
+    # and its exit code match the hand-written parser of all eight commands,
+    # so the table holds every argument and a help flag still lists them all
+    assert _outcome(capsys, cli.main, argv) == _outcome(capsys, _reference_main, argv)
+
+
+def _counting_parsers(monkeypatch):
+    """The prog of every parser cli builds from now on, in order."""
+    built = []
+
+    class Counted(cli._Parser):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self.prog)
+
+    monkeypatch.setattr(cli, "_Parser", Counted)
+    return built
+
+
+def test_a_command_builds_its_own_parser_only(capsys, monkeypatch):
+    built = _counting_parsers(monkeypatch)
+    code, out, err = _outcome(capsys, cli.main, ("bounds", "cycle:4"))
+    assert (code, err) == (0, "") and out.startswith("name")
+    assert built == ["connlab", "connlab bounds"]
+    # the console script calls main() with no argv, which reads sys.argv
+    monkeypatch.setattr(sys, "argv", ["connlab", "bounds", "cycle:4"])
+    assert _outcome(capsys, lambda _: cli.main(), ()) == (code, out, err)
+    assert built == ["connlab", "connlab bounds"] * 2
+    del built[:]
+    assert _outcome(capsys, cli.main, ("--help",))[0] == 0
+    assert built == ["connlab"] + [f"connlab {name}" for name in COMMANDS]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "cycle:3"),
+        ("bounds", "cycle:3"),
+        ("spectrum", "cycle:3"),
+        ("walk", "cycle:3"),
+        ("automaton", "cycle:3", "--field", "5"),
+        ("newton", "path:3"),
+        ("product", "path:2", "cycle:3"),
+        ("report",),
+    ],
+)
+def test_each_command_reaches_its_own_handler(monkeypatch, argv):
+    reached = []
+
+    def handler(name):
+        return lambda args: reached.append((name, args.command)) or 0
+
+    for name in COMMANDS:
+        monkeypatch.setattr(cli, f"cmd_{name}", handler(name))
+    assert cli.main(list(argv)) == 0
+    assert reached == [(argv[0], argv[0])]
 
 
 def test_a_sixteen_digit_prime_field_parses_at_once(capsys, monkeypatch):
@@ -706,6 +824,21 @@ def test_automaton_reverse_inverts_over_the_field_once(capsys, monkeypatch):
     code, _, _ = run(capsys, "verify", "petersen:5,2", "--field", "11")
     assert code == 0
     assert len(calls) == 1
+
+
+def test_automaton_reverse_reduces_each_operator_once(capsys, monkeypatch):
+    # the backward steps and the round trip share one g mod p, L mod p is
+    # reduced once for the forward steps, and the hydrogen residual once
+    calls = _counting(monkeypatch, "field_reduce", (exact, dynamics, operators, cli))
+    code, out, _ = run(capsys, "automaton", "petersen:5,2", "--field", "11", "--steps", "9", "--reverse")
+    assert code == 0
+    assert len(out.splitlines()) == 19
+    b = operators.bundle_for(from_spec("petersen:5,2"))
+    reduced = [m for m, p in calls if p == 11]
+    assert len(calls) == len(reduced) == 3
+    assert [m == b.connection for m in reduced] == [True, False, False]
+    assert [m == b.green for m in reduced] == [False, True, False]
+    assert reduced[2].is_zero()
 
 
 def test_automaton_reverse_steps_once_per_time(capsys, monkeypatch):

@@ -10,14 +10,11 @@ import pytest
 from connlab.dynamics import (
     AutomatonState,
     DynamicsError,
-    EnvironmentSequence,
     QuaternionField,
     Trajectory,
     automaton_orbit,
     automaton_run,
-    cocycle,
     combined_solution,
-    constant_environment,
     growth_rates,
     jacobi_ivp,
     jacobi_residual,
@@ -37,7 +34,14 @@ from connlab.exact import (
 from connlab.graphs import Graph, from_spec
 from connlab.operators import bundle_for
 from conftest import SAMPLE_SPECS
-from oracles import inverse_unimodular, jacobi_residual_two_apply, quaternion_branch_rank
+from oracles import (
+    EnvironmentSequence,
+    cocycle,
+    constant_environment,
+    inverse_unimodular,
+    jacobi_residual_two_apply,
+    quaternion_branch_rank,
+)
 
 
 def _unit(n, i=0):

@@ -19,12 +19,11 @@ from connlab.graphs import (
     gnm_random_graph,
     gnp_random_graph,
     induced_subgraph,
-    is_connected,
     load_graph,
     parse_graph_text,
     save_graph,
 )
-from oracles import diameter_bfs
+from oracles import diameter_bfs, is_connected
 
 
 @pytest.mark.parametrize(
