@@ -14,7 +14,6 @@ from .exact import (
     IntMatrix,
     SingularMatrixError,
     det,
-    field_inverse,
     field_reduce,
 )
 from .dynamics import (
@@ -93,7 +92,6 @@ __all__ = [
     "eig_sym",
     "energy",
     "energy_holds",
-    "field_inverse",
     "field_reduce",
     "from_spec",
     "generate",

@@ -34,9 +34,9 @@ takes an n x k block of vectors, one per column: the gather takes whole
 rows of the block, the factors scale each row of terms and the segmented
 sum runs along axis 0, so k mat-vecs cost one call; FieldMatrix.step
 passes a block through, and the automaton's round trip runs on it.  In
-this module only Bareiss det, field_inverse and dump_matrix read dense
-rows, and only to_float (for floating-point spectra) builds a dense array;
-no mat-vec does.
+this module only Bareiss det and dump_matrix read dense rows, and only
+to_float (for floating-point spectra) builds a dense array; no mat-vec
+does.
 """
 
 from __future__ import annotations
@@ -490,29 +490,6 @@ def _reduced(nonzeros: list[list[tuple[int, int]]], p: int) -> list[list[tuple[i
 
 def field_reduce(m: IntMatrix, p: int) -> FieldMatrix:
     return FieldMatrix.from_nonzeros(m.nonzeros, m.nrows, m.ncols, p)
-
-
-def field_inverse(m: FieldMatrix) -> FieldMatrix:
-    """Inverse over F_p by Gauss-Jordan elimination with modular pivots."""
-    if not m.is_square():
-        raise ShapeError("inverse needs a square matrix")
-    n = m.nrows
-    p = m.p
-    a = [row + [1 if i == j else 0 for j in range(n)] for i, row in enumerate(m.rows)]
-    for k in range(n):
-        pivot_row = next((r for r in range(k, n) if a[r][k] % p != 0), None)
-        if pivot_row is None:
-            raise SingularMatrixError(f"matrix is singular mod {p}")
-        if pivot_row != k:
-            a[k], a[pivot_row] = a[pivot_row], a[k]
-        inv_p = pow(a[k][k], p - 2, p)
-        a[k] = [(x * inv_p) % p for x in a[k]]
-        for i in range(n):
-            if i == k or a[i][k] == 0:
-                continue
-            f = a[i][k]
-            a[i] = [(x - f * y) % p for x, y in zip(a[i], a[k])]
-    return FieldMatrix([row[n:] for row in a], p, ncols=n)
 
 
 # ---------------------------------------------------------------------------

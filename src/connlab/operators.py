@@ -16,9 +16,9 @@ The central objects:
 g is produced by the star formula g(x,y) = w(x) w(y) chi(St(x) /\\ St(y))
 with w = (-1)^dim, then certified by _is_inverse: L @ g = I row by row
 over the nonzeros (products certifies kron(g_A, g_B) the same way).
-OperatorBundle.green is the one source of L^-1 outside the oracles: verify
-compares it with schur_inverse, and hydrogen_residual_mod inverts L over
-F_p on its own, so keep those routes separate.
+OperatorBundle.green is the one source of L^-1 outside the oracles, over
+the integers and, reduced mod p, over F_p: verify compares it with
+schur_inverse.
 
 det L comes from the Schur complement of the vertex block: L = [[I_v, B^T],
 [B, C]] with B the edge-vertex containment matrix, so det L = det(C - B B^T),
@@ -55,14 +55,7 @@ from math import prod
 from typing import Sequence
 
 from .complexes import Complex, build_complex, parity, sphere_chi
-from .exact import (
-    FieldMatrix,
-    IntMatrix,
-    ShapeError,
-    SingularMatrixError,
-    field_inverse,
-    field_reduce,
-)
+from .exact import FieldMatrix, IntMatrix, ShapeError, SingularMatrixError, field_reduce
 from .graphs import Graph, betti_numbers
 
 
@@ -390,11 +383,13 @@ def hydrogen_holds(bundle: OperatorBundle) -> bool:
 
 
 def hydrogen_residual_mod(bundle: OperatorBundle, p: int) -> FieldMatrix:
-    """The same identity computed entirely over F_p (field inverse included)."""
-    lp = field_reduce(bundle.connection, p)
-    gp = field_inverse(lp)
-    hp = field_reduce(bundle.hodge_signless, p)
-    return hp - (lp - gp)
+    """|H| - (L - L^-1) over F_p: the integer residual reduced mod p.
+
+    bundle.green is certified by L g = I over Z.  Reduction mod p is a ring
+    homomorphism and det L = +-1 is a unit in every F_p, so g mod p is
+    L^-1 over F_p and the reduced residual states the identity there.
+    """
+    return field_reduce(hydrogen_residual(bundle), p)
 
 
 def hydrogen_holds_mod(bundle: OperatorBundle, p: int) -> bool:

@@ -5,6 +5,11 @@ integers.  The Schur-complement block inverse (operators.schur_inverse), the
 star-formula Green matrix, kron(g_A, g_B) for products and the backward
 walks are compared with it.
 
+field_inverse is Gauss-Jordan elimination over F_p, O(n^3) time and n^2
+memory.  operators.hydrogen_residual_mod reduces the certified integer
+residual instead, with the certified g mod p as L^-1; the tests compare g
+mod p with field_inverse(L mod p) over the corpus.
+
 dense_matmul is the schoolbook product of the dense rows, O(n^3), the
 oracle for the sparse IntMatrix @ and for the Hodge operators built as
 Dirac squares.
@@ -88,7 +93,7 @@ import numpy as np
 from connlab import cli
 from connlab.complexes import Complex, parity, simplices_intersect
 from connlab.dynamics import DynamicsError, Trajectory
-from connlab.exact import IntMatrix, ShapeError, SingularMatrixError, det, is_prime
+from connlab.exact import FieldMatrix, IntMatrix, ShapeError, SingularMatrixError, det, is_prime
 from connlab.graphs import Graph, GraphError, betti_numbers, connected_components
 from connlab.operators import OperatorBundle, SupersymmetryReport
 from connlab.spectra import SpectraError, eig_sym, limit_profile
@@ -156,6 +161,29 @@ def inverse_unimodular(m: IntMatrix) -> IntMatrix:
         raise ValueError(f"matrix is not unimodular: final pivot {prev}")
     # 1/prev == prev for prev = +-1
     return IntMatrix([[prev * x for x in row[n:]] for row in a], ncols=n)
+
+
+def field_inverse(m: FieldMatrix) -> FieldMatrix:
+    """Inverse over F_p by Gauss-Jordan elimination with modular pivots."""
+    if not m.is_square():
+        raise ShapeError("inverse needs a square matrix")
+    n = m.nrows
+    p = m.p
+    a = [row + [1 if i == j else 0 for j in range(n)] for i, row in enumerate(m.rows)]
+    for k in range(n):
+        pivot_row = next((r for r in range(k, n) if a[r][k] % p != 0), None)
+        if pivot_row is None:
+            raise SingularMatrixError(f"matrix is singular mod {p}")
+        if pivot_row != k:
+            a[k], a[pivot_row] = a[pivot_row], a[k]
+        inv_p = pow(a[k][k], p - 2, p)
+        a[k] = [(x * inv_p) % p for x in a[k]]
+        for i in range(n):
+            if i == k or a[i][k] == 0:
+                continue
+            f = a[i][k]
+            a[i] = [(x - f * y) % p for x, y in zip(a[i], a[k])]
+    return FieldMatrix([row[n:] for row in a], p, ncols=n)
 
 
 # ---------------------------------------------------------------------------

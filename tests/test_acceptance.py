@@ -42,7 +42,7 @@ from connlab.dynamics import (
     quaternion_solution,
     walk,
 )
-from connlab.exact import IntMatrix, det, field_inverse, field_reduce
+from connlab.exact import IntMatrix, det, field_reduce
 from connlab.graphs import from_spec
 from connlab.newton import (
     NewtonConfig,
@@ -80,6 +80,7 @@ from connlab.tables import (
 from conftest import CORPUS_SPECS, build_corpus
 from oracles import (
     charpoly,
+    field_inverse,
     graeffe,
     inverse_unimodular,
     limit_functional_equation_residual,
@@ -366,13 +367,18 @@ def test_criterion_10_jacobi_equation(corpus):
 
 
 def test_criterion_11_finite_field_reversibility(corpus):
-    primes = (2, 3, 5, 7)
+    # hydrogen_residual_mod reads the certified g mod p as L^-1 over F_p;
+    # Gauss-Jordan elimination over F_p (tests/oracles.py) checks that
+    # reading on every corpus graph, at word-size primes and past 2^32 too
+    primes = (2, 3, 5, 7, 2**31 - 1, 4294967311)
     bad = []
     for spec, b in corpus.items():
         for p in primes:
             if b.connection_det % p == 0:
                 bad.append((spec, p, "det divisible"))
                 continue
+            if field_inverse(field_reduce(b.connection, p)) != b.reduced("green", p):
+                bad.append((spec, p, "g mod p is not the inverse of L mod p"))
             if not hydrogen_residual_mod(b, p).is_zero():
                 bad.append((spec, p, "hydrogen"))
     # round trip on a sample, exact in both directions
@@ -380,7 +386,7 @@ def test_criterion_11_finite_field_reversibility(corpus):
         b = bundle_for(from_spec(spec))
         for p in primes:
             lp = field_reduce(b.connection, p)
-            gp = field_inverse(lp)
+            gp = b.reduced("green", p)
             state = tuple(i % p for i in range(1, b.size + 1))
             fwd = state
             for _ in range(5):

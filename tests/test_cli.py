@@ -114,14 +114,14 @@ def test_verify_fails_without_traceback_when_the_schur_complement_is_not_diagona
     assert err == "first failing check: unimodularity\n"
 
 
-def _serve_edited(monkeypatch, spec: str, operator: str, bump: tuple[int, int]):
+def _serve_edited(monkeypatch, spec: str, operator: str, bump: tuple[int, int], by: int = 1):
     """The bundle of spec, served to the CLI, with one entry of the named
-    cached operator raised by 1 after g is certified."""
+    cached operator raised by `by` after g is certified."""
     b = operators.bundle_for(from_spec(spec))
     b.green
     i, j = bump
     m = getattr(b, operator)
-    b.__dict__[operator] = edited(m, {(i, j): m.rows[i][j] + 1})
+    b.__dict__[operator] = edited(m, {(i, j): m.rows[i][j] + by})
     monkeypatch.setattr(cli, "bundle_for", lambda g: b)
     return b
 
@@ -177,6 +177,43 @@ def test_round_trip_check_finds_any_changed_state():
         changed = forward.copy()
         changed[k, 3] = (changed[k, 3] + 1) % 11
         assert not cli._steps_back(gp, changed), k
+
+
+def test_walk_round_trip_checks_every_step(capsys, monkeypatch):
+    # a cycle:5 walk with psi(2) changed in one entry: marching psi(4) back
+    # to psi(0) never reads psi(2), and the Jacobi residual would fail only
+    # after the round trip; g psi(3) = psi(2) fails at once
+    def changed_walk(*args):
+        t = dynamics.walk(*args)
+        states = dict(t.states)
+        states[2] = (states[2][0] + 1,) + states[2][1:]
+        return dynamics.Trajectory(states, t.provenance)
+
+    monkeypatch.setattr(cli, "walk", changed_walk)
+    b = operators.bundle_for(from_spec("cycle:5"))
+    t = changed_walk(b, (1,) + (0,) * (b.size - 1), -4, 4)
+    state = t[4]
+    for _ in range(4):
+        state = b.green.apply(state)
+    assert state == t[0]
+    assert dynamics.jacobi_residual(t, b.hodge_signless) != 0
+    code, out, err = run(capsys, "walk", "cycle:5", "--steps", "4", "--reverse")
+    assert (code, err) == (1, "round trip failed\n")
+    assert len(out.splitlines()) == 9
+
+
+@pytest.mark.parametrize("by", [1, 7])
+def test_verify_field_reads_the_certified_green(capsys, monkeypatch, by):
+    # hydrogen-mod-p reduces |H| - (L - g) mod 7, so g with one entry raised
+    # by 1 fails it; raised by 7, g mod 7 is unchanged and only the integer
+    # checks fail
+    _serve_edited(monkeypatch, "cycle:5", "green", (0, 9), by)
+    code, out, err = run(capsys, "verify", "cycle:5", "--field", "7")
+    assert code == 1
+    lines = out.splitlines()
+    assert f"FAIL {'hydrogen':16s} max |L - L^-1 - |H|| = {by}" in lines
+    mod_p = "ok  " if by == 7 else "FAIL"
+    assert f"{mod_p} {'hydrogen-mod-p':16s} L - L^-1 = |H| over F_7" in lines
 
 
 def test_walk_and_automaton_fail_on_a_changed_hodge(capsys, monkeypatch):
@@ -797,33 +834,32 @@ def _counting(monkeypatch, name, modules):
     return calls
 
 
-def _no_integer_elimination(*modules):
-    # the Gauss-Jordan inverse lives in tests/oracles.py: no package module
-    # holds it, so nothing there can call it
-    assert not any(hasattr(mod, "inverse_unimodular") for mod in modules)
+def _no_elimination_inverse(*modules):
+    # the Gauss-Jordan inverses over Z and over F_p live in tests/oracles.py:
+    # no package module holds either, so nothing there can call them
+    assert not any(
+        hasattr(mod, name) for mod in modules for name in ("inverse_unimodular", "field_inverse")
+    )
 
 
-def test_walk_reverse_takes_green_from_the_bundle(capsys, monkeypatch):
-    _no_integer_elimination(exact, dynamics, operators, cli)
-    calls = _counting(monkeypatch, "field_inverse", (exact, dynamics, operators, cli))
+def test_walk_reverse_takes_green_from_the_bundle(capsys):
+    _no_elimination_inverse(exact, dynamics, operators, cli)
     code, out, _ = run(capsys, "walk", "wheel:6", "--steps", "7", "--reverse")
     assert code == 0
     assert len(out.splitlines()) == 15
-    assert calls == []
 
 
-def test_automaton_reverse_inverts_over_the_field_once(capsys, monkeypatch):
-    # automaton closes on the certified g reduced mod p and eliminates
-    # nothing; verify --field keeps the one independent F_p inverse, inside
-    # hydrogen_holds_mod
-    calls = _counting(monkeypatch, "field_inverse", (exact, dynamics, operators, cli))
+def test_automaton_and_verify_field_run_no_elimination(capsys):
+    # both read L^-1 over F_p as the certified g reduced mod p: automaton
+    # steps back with it, and both close on the integer hydrogen residual
+    # reduced mod p
+    _no_elimination_inverse(exact, dynamics, operators, cli)
     code, out, _ = run(capsys, "automaton", "petersen:5,2", "--field", "11", "--steps", "9", "--reverse")
     assert code == 0
     assert len(out.splitlines()) == 19
-    assert len(calls) == 0
-    code, _, _ = run(capsys, "verify", "petersen:5,2", "--field", "11")
+    code, out, _ = run(capsys, "verify", "petersen:5,2", "--field", "11")
     assert code == 0
-    assert len(calls) == 1
+    assert out.splitlines()[-1].endswith(": 8/8 checks pass")
 
 
 def test_automaton_reverse_reduces_each_operator_once(capsys, monkeypatch):
@@ -861,13 +897,11 @@ def test_automaton_reverse_steps_once_per_time(capsys, monkeypatch):
     assert shapes == [(25,)] * 18 + [(25, 2)] * 4 + [(25, 1)]
 
 
-def test_product_takes_its_inverse_from_the_factors(capsys, monkeypatch):
-    _no_integer_elimination(exact, dynamics, operators, products, cli)
-    calls = _counting(monkeypatch, "field_inverse", (exact, dynamics, operators, products, cli))
+def test_product_takes_its_inverse_from_the_factors(capsys):
+    _no_elimination_inverse(exact, dynamics, operators, products, cli)
     code, out, _ = run(capsys, "product", "path:3", "cycle:4")
     assert code == 0
     assert json.loads(out)["energy_ok"] is True
-    assert calls == []
 
 
 def _design_products(argv) -> list:
@@ -997,20 +1031,22 @@ def test_verify_names_kernels_that_miss_the_betti_numbers(capsys, monkeypatch):
     )
 
 
-def test_verify_runs_all_seven_checks_at_24840_cells_without_a_dense_view(capsys, monkeypatch):
+@pytest.mark.parametrize("field", [(), ("--field", "7")], ids=["integers", "field"])
+def test_verify_runs_all_seven_checks_at_24840_cells_without_a_dense_view(capsys, monkeypatch, field):
     # bary:grid:60,60: every check reads the nonzeros, supersymmetry's ranks
-    # included; a dense list of rows or a dense array of any matrix would
-    # be 24840^2 entries, so building one fails the test
+    # and the residual mod 7 included; a dense list of rows or a dense array
+    # of any matrix would be 24840^2 entries, so building one fails the test
     def refuse(self, *args):
         raise AssertionError(f"dense view of a {self.shape} matrix")
 
     monkeypatch.setattr(exact.IntMatrix, "_dense_rows", refuse)
     monkeypatch.setattr(exact.IntMatrix, "to_array", refuse)
-    code, out, err = run(capsys, "verify", "bary:grid:60,60")
+    code, out, err = run(capsys, "verify", "bary:grid:60,60", *field)
     assert (code, err) == (0, "")
     lines = out.splitlines()
-    assert len(lines) == 8 and all(line.startswith("ok ") for line in lines[:7])
-    assert lines[-1] == "bary(grid60x60): 7/7 checks pass"
+    checks = 8 if field else 7
+    assert len(lines) == checks + 1 and all(line.startswith("ok ") for line in lines[:checks])
+    assert lines[-1] == f"bary(grid60x60): {checks}/{checks} checks pass"
 
 
 VERIFY_GOLDEN = json.loads((DATA / "verify_golden.json").read_text())

@@ -28,7 +28,6 @@ from connlab.dynamics import (
 from connlab.exact import (
     FieldMatrix,
     IntMatrix,
-    field_inverse,
     field_reduce,
 )
 from connlab.graphs import Graph, from_spec
@@ -38,6 +37,7 @@ from oracles import (
     EnvironmentSequence,
     cocycle,
     constant_environment,
+    field_inverse,
     inverse_unimodular,
     jacobi_residual_two_apply,
     quaternion_branch_rank,

@@ -25,7 +25,6 @@ from connlab.exact import (
     SingularMatrixError,
     det,
     ShapeError,
-    field_inverse,
     field_reduce,
     is_prime,
 )
@@ -39,6 +38,7 @@ from oracles import (
     dense_kron,
     dense_matmul,
     edited,
+    field_inverse,
     graeffe,
     inverse_unimodular,
     is_reciprocal,

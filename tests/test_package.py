@@ -38,16 +38,15 @@ def _referenced_names(path: Path) -> set[str]:
 
 
 def test_elimination_inverses_stay_in_the_oracles():
-    # L^-1 comes from the bundle's certified green everywhere; the integer
-    # elimination inverse lives in tests/oracles.py, so no module of the
-    # package defines, imports or even names it, and the F_p one is the
-    # independent route of hydrogen_residual_mod in operators
+    # L^-1 comes from the bundle's certified green everywhere, over F_p as
+    # its reduction mod p; the elimination inverses over Z and over F_p live
+    # in tests/oracles.py, so no module of the package defines, imports or
+    # even names either
     package = ROOT / "src" / "connlab"
     sources = {p.stem: p.read_text() for p in package.glob("*.py")}
-    assert [m for m, text in sources.items() if "inverse_unimodular" in text] == []
-    modules = {p.stem: _referenced_names(p) for p in package.glob("*.py")}
-    users = {m for m, names in modules.items() if "field_inverse" in names} - {"exact", "__init__"}
-    assert users == {"operators"}
+    for name in ("inverse_unimodular", "field_inverse"):
+        assert [m for m, text in sources.items() if name in text] == [], name
+    assert not hasattr(connlab, "field_inverse") and "field_inverse" not in connlab.__all__
 
 
 def test_charpoly_stays_with_reciprocity_and_spectra():
@@ -194,10 +193,11 @@ def test_layer_harness_reports_every_declared_metric(capsys):
     capsys.readouterr()
     metrics = tracer.layer_metrics(2, 0)
     assert declared - {"trace_overhead_s"} <= set(metrics)
-    # reciprocity reads the Schur certificate and supersymmetry the factor
-    # certificates, so verify runs no charpoly
+    # reciprocity reads the Schur certificate, supersymmetry the factor
+    # certificates and hydrogen-mod-p the certified g mod p, so verify runs
+    # no charpoly and no F_p elimination
     assert metrics["exact.charpoly.calls"][0] == 0
-    assert metrics["exact.field_inverse.self_s"][0] > 0
+    assert metrics["exact.field_inverse.self_s"][0] == 0
     assert not hasattr(connlab.exact.FieldMatrix.apply, "__wrapped__")
 
 
