@@ -20,10 +20,10 @@ from .dynamics import (
     AutomatonState,
     QuaternionField,
     Trajectory,
-    automaton_orbit,
     automaton_run,
     growth_rates,
     jacobi_residual,
+    orbit,
     perron_limits,
     quaternion_solution,
     walk,
@@ -83,7 +83,6 @@ __all__ = [
     "SingularMatrixError",
     "Spectrum",
     "Trajectory",
-    "automaton_orbit",
     "automaton_run",
     "bounds_report",
     "build_complex",
@@ -103,6 +102,7 @@ __all__ = [
     "is_unimodular",
     "jacobi_residual",
     "load_graph",
+    "orbit",
     "perron_limits",
     "perturb_target",
     "product_checks",

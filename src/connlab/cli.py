@@ -32,12 +32,8 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .dynamics import (
-    automaton_orbit,
-    jacobi_residual,
-    walk,
-)
-from .exact import FieldMatrix, IntMatrix, dump_matrix, is_prime
+from .dynamics import Trajectory, jacobi_residual, orbit
+from .exact import IntMatrix, dump_matrix, field_reduce, is_prime
 from .graphs import Graph, GraphError, from_spec, load_graph
 from .newton import NewtonConfig, NonConvergenceError, SingularJacobianError, solve_perturbed
 from .operators import (
@@ -129,8 +125,9 @@ def _maybe_dump(args, bundle: OperatorBundle) -> None:
 # verify
 
 
-def _verify_checks(bundle: OperatorBundle) -> list[tuple[str, bool, str]]:
-    """The seven identity checks run per graph (an eighth with --field)."""
+def _verify_checks(bundle: OperatorBundle, p: int | None = None) -> list[tuple[str, bool, str]]:
+    """The seven identity checks run per graph, and an eighth mod p when p
+    is given: the integer hydrogen residual, built once, reduced mod p."""
     results: list[tuple[str, bool, str]] = []
     L = bundle.connection
     n = bundle.size
@@ -142,7 +139,8 @@ def _verify_checks(bundle: OperatorBundle) -> list[tuple[str, bool, str]]:
         d, detail = None, f"no Schur det: {exc}"
     results.append(("unimodularity", d in (-1, 1), detail))
 
-    residual = hydrogen_residual(bundle).max_abs()
+    hydrogen = hydrogen_residual(bundle)
+    residual = hydrogen.max_abs()
     results.append(("hydrogen", residual == 0, f"max |L - L^-1 - |H|| = {residual}"))
 
     star = bundle.green
@@ -169,6 +167,10 @@ def _verify_checks(bundle: OperatorBundle) -> list[tuple[str, bool, str]]:
 
     ss = supersymmetry_report(bundle)
     results.append(("supersymmetry", ss.ok, _supersymmetry_detail(ss)))
+    if p is not None:
+        # g is certified by L g = I over Z, so g mod p is L^-1 over F_p
+        ok = field_reduce(hydrogen, p).is_zero()
+        results.append(("hydrogen-mod-p", ok, f"L - L^-1 = |H| over F_{p}"))
     return results
 
 
@@ -198,10 +200,7 @@ def _supersymmetry_detail(ss: SupersymmetryReport) -> str:
 def cmd_verify(args) -> int:
     g = _load_graph_arg(args.graph)
     bundle = bundle_for(g)
-    checks = _verify_checks(bundle)
-    if args.field:
-        ok = hydrogen_holds_mod(bundle, args.field)
-        checks.append(("hydrogen-mod-p", ok, f"L - L^-1 = |H| over F_{args.field}"))
+    checks = _verify_checks(bundle, args.field)
     failed = [name for name, ok, _ in checks if not ok]
     if args.format == "json":
         _print_json(
@@ -358,64 +357,62 @@ def _print_states(states: Iterable[tuple[int, Sequence[int]]]) -> None:
             write(formats[k] % (n, *state))
 
 
-def cmd_walk(args) -> int:
-    g = _load_graph_arg(args.graph)
-    bundle = bundle_for(g)
-    psi0 = _parse_state(args.state, bundle.size)
-    n_min = -args.steps if args.reverse else 0
-    traj = walk(bundle, psi0, n_min, args.steps)
-    _print_states((n, traj[n]) for n in traj.times())
-    residual = jacobi_residual(traj, bundle.hodge_signless) if args.steps >= 2 and args.reverse else None
-    # round trip: g psi(k) = psi(k - 1) for every forward step, so that a
-    # wrong middle state fails here and not only at the Jacobi residual
-    if args.reverse and any(
-        bundle.green.apply(traj[k]) != traj[k - 1] for k in range(1, args.steps + 1)
-    ):
-        print("round trip failed", file=sys.stderr)
-        return 1
-    if residual is not None and residual != 0:
-        print(f"jacobi residual nonzero: {residual}", file=sys.stderr)
-        return 1
-    _maybe_dump(args, bundle)
-    return 0
-
-
-def _steps_back(gp: FieldMatrix, forward: np.ndarray) -> bool:
-    """Whether g psi(k) = psi(k - 1) mod p for every k >= 1 of the forward
-    states psi(0), psi(1), ... (the rows of forward), which implies
-    g^N psi(N) = psi(0).  The states go through g as blocks of columns,
-    sized so that the gathered terms, nnz(g) per state, never outnumber
-    the entries of forward."""
-    block = max(1, forward.size // max(1, sum(map(len, gp.nonzeros))))
+def _steps_back(g: IntMatrix, forward: np.ndarray) -> bool:
+    """Whether g psi(k) = psi(k - 1) for every k >= 1 of the forward states
+    psi(0), psi(1), ... (the rows of forward), mod p for a FieldMatrix g,
+    which implies g^N psi(N) = psi(0).  The states go through g as blocks
+    of columns, sized so that the gathered terms, nnz(g) per state, never
+    outnumber the entries of forward."""
+    block = max(1, forward.size // max(1, sum(map(len, g.nonzeros))))
     for k in range(1, len(forward), block):
         stop = min(k + block, len(forward))
-        if not np.array_equal(gp.step(forward[k:stop].T), forward[k - 1 : stop - 1].T):
+        if not np.array_equal(g.step(forward[k:stop].T), forward[k - 1 : stop - 1].T):
             return False
     return True
 
 
-def cmd_automaton(args) -> int:
+def _run_orbit(args, p: int | None) -> int:
+    """walk (p None) and automaton (mod p): print the orbit of the state,
+    one line per time, after checking the round trip; then check the
+    Jacobi residual over Z, or the hydrogen identity mod p."""
     g = _load_graph_arg(args.graph)
     bundle = bundle_for(g)
-    p = args.field
     psi0 = _parse_state(args.state, bundle.size)
     n_min = -args.steps if args.reverse else 0
-    orbit = automaton_orbit(bundle, p, psi0, n_min, args.steps)
-    # checked before the states print, so that the round trip's temporaries
-    # and the printed text are never held at once
-    round_trip = not args.reverse or _steps_back(bundle.reduced("green", p), orbit[args.steps :])
+    rows = orbit(bundle, psi0, n_min, args.steps, p)
+    # round trip: g psi(k) = psi(k - 1) for every forward step, so that a
+    # wrong middle state fails here and not only at the closing check.  It
+    # runs before the states print, so that its temporaries and the printed
+    # text are never held at once
+    green = bundle.green if p is None else bundle.reduced("green", p)
+    round_trip = not args.reverse or _steps_back(green, rows[args.steps :])
     # rows become lists of Python ints 64 at a time: one tolist per row costs
     # a call each, one for the whole orbit holds every state twice
-    rows = (row for k in range(0, len(orbit), 64) for row in orbit[k : k + 64].tolist())
-    _print_states(zip(range(n_min, args.steps + 1), rows))
+    states = (row for k in range(0, len(rows), 64) for row in rows[k : k + 64].tolist())
+    _print_states(zip(range(n_min, args.steps + 1), states))
     if not round_trip:
         print("round trip failed", file=sys.stderr)
         return 1
-    if not hydrogen_holds_mod(bundle, p):
-        print(f"hydrogen identity failed mod {args.field}", file=sys.stderr)
-        return 1
+    if p is not None:
+        if not hydrogen_holds_mod(bundle, p):
+            print(f"hydrogen identity failed mod {p}", file=sys.stderr)
+            return 1
+    elif args.steps >= 2 and args.reverse:
+        traj = Trajectory.from_orbit(rows, range(n_min, args.steps + 1))
+        residual = jacobi_residual(traj, bundle.hodge_signless)
+        if residual != 0:
+            print(f"jacobi residual nonzero: {residual}", file=sys.stderr)
+            return 1
     _maybe_dump(args, bundle)
     return 0
+
+
+def cmd_walk(args) -> int:
+    return _run_orbit(args, None)
+
+
+def cmd_automaton(args) -> int:
+    return _run_orbit(args, args.field)
 
 
 # ---------------------------------------------------------------------------

@@ -18,17 +18,18 @@ orbits.
 
 Every function here takes a graph, a complex or an OperatorBundle, and the
 one inverse it uses is the bundle's green: the star formula, certified by
-L @ g = I.  Integer walks and the powers behind the Perron limits step with
-IntMatrix.apply, a numpy gather and segmented sum on exact Python ints over
-the nonzeros of L, g and |H| only, which each cached operator is stored
-as.  The Jacobi residual applies |H| once per time along a walk, to form
-the hydrogen defect, and reads the residual off three consecutive defects.
-The automaton is one orbit array, a row per time: automaton_orbit steps
-L and, for negative times, g reduced mod p with FieldMatrix.step, over the
-same compressed rows, one step per time in each direction, in int64 while
-the entries allow it.  FieldMatrix.step also takes a block of states, one
-per column, which is how the CLI checks the round trip g psi(k) = psi(k - 1)
-for every forward time in a few block products.
+L @ g = I.  Every exact walk is one orbit array, a row per time: orbit
+steps L and, for negative times, g with IntMatrix.step, a numpy gather and
+segmented sum over the nonzeros, one step per time in each direction, on
+exact Python ints over Z and, reduced mod p, in int64 while the entries
+allow it.  walk, the quaternion branches and the automaton read their
+states off its rows, and Trajectory.from_orbit is the one place a
+trajectory is built from them.  The powers behind the Perron limits and
+the two-time product walk step a block of states, one per column, with the
+same step, which is also how the CLI checks the round trip
+g psi(k) = psi(k - 1) for every forward time in a few block products.
+The Jacobi residual applies |H| once per time along a walk, to form the
+hydrogen defect, and reads the residual off three consecutive defects.
 Walks, the residual and the automaton form no dense matrix, and nothing
 here eliminates.
 """
@@ -77,6 +78,14 @@ class Trajectory:
     def times(self) -> tuple[int, ...]:
         return tuple(sorted(self.states))
 
+    @classmethod
+    def from_orbit(cls, rows: np.ndarray, times: range, provenance: str | None = None) -> "Trajectory":
+        """The states rows[k] at times[k], from rows of an orbit array; the
+        provenance defaults to that of an L^n walk."""
+        if provenance is None:
+            provenance = f"L^n walk, {rows.shape[1]} cells, exact integers"
+        return cls(dict(zip(times, map(tuple, rows.tolist()))), provenance)
+
     @property
     def dimension(self) -> int:
         return len(next(iter(self.states.values()))) if self.states else 0
@@ -118,12 +127,57 @@ class AutomatonState:
 # exact walks and the Jacobi equation
 
 
-def _powers(bundle: OperatorBundle, k: int, vecs: list) -> list[tuple[int, ...]]:
-    """L^k v for each v, stepped over the nonzeros of L, or of g for k < 0."""
-    step = bundle.connection if k >= 0 else bundle.green
+def orbit(
+    source: Graph | Complex | OperatorBundle,
+    start: Sequence[int],
+    n_min: int,
+    n_max: int,
+    p: int | None = None,
+) -> np.ndarray:
+    """L^n start for n = n_min..n_max, as the rows of one array; mod p when
+    p is given.
+
+    Negative times step by the bundle's green, certified by L @ g = I; mod p
+    both are reduced once per bundle (OperatorBundle.reduced), so a caller
+    holding the bundle steps with the same matrices, and g mod p inverts
+    L mod p.  Each direction steps on its own from the start, one
+    IntMatrix.step per time, so the orbit takes n_max - n_min steps.  Over
+    Z the array holds Python ints; mod p it holds them if either stepped
+    matrix's mat-vecs do, else int64.
+    """
+    bundle = bundle_for(source)
+    n = bundle.size
+    if len(start) != n:
+        raise DynamicsError("state length does not match operator size")
+    if n_min > 0 or n_max < 0:
+        raise DynamicsError("time range must contain the initial time")
+
+    def matrix(name: str) -> IntMatrix:
+        return getattr(bundle, name) if p is None else bundle.reduced(name, p)
+
+    # (matrix, direction, steps) for each direction that runs, or L alone
+    # when the range is the start alone
+    runs = [(matrix("connection"), 1, n_max)] if n_max or not n_min else []
+    if n_min:
+        runs.append((matrix("green"), -1, -n_min))
+    dtypes = {m._compressed_rows()[-1] for m, _, _ in runs}
+    rows = np.empty((n_max - n_min + 1, n), dtype=object if object in dtypes else np.int64)
+    origin = -n_min
+    rows[origin] = [int(x) if p is None else int(x) % p for x in start]
+    for m, sign, steps in runs:
+        x = rows[origin]
+        for k in range(1, steps + 1):
+            x = rows[origin + sign * k] = m.step(x)
+    return rows
+
+
+def _powers(bundle: OperatorBundle, k: int, block) -> np.ndarray:
+    """L^k block for an n x m block of states, one per column, stepped over
+    the nonzeros of L, or of g for k < 0."""
+    m = bundle.connection if k >= 0 else bundle.green
     for _ in range(abs(k)):
-        vecs = [step.apply(v) for v in vecs]
-    return vecs
+        block = m.step(block)
+    return block
 
 
 def walk(
@@ -132,28 +186,9 @@ def walk(
     n_min: int,
     n_max: int,
 ) -> Trajectory:
-    """psi(n) = L^n psi0 for n_min <= n <= n_max, exact in both directions.
-
-    Negative times step by the bundle's green, certified by L @ g = I.
-    Every step visits only the nonzeros of the operator.
-    """
-    if n_min > 0 or n_max < 0:
-        raise DynamicsError("time range must contain 0")
-    bundle = bundle_for(source)
-    L = bundle.connection
-    start = tuple(int(x) for x in psi0)
-    if len(start) != L.ncols:
-        raise DynamicsError(f"initial vector has length {len(start)}, expected {L.ncols}")
-    states: dict[int, Vector] = {0: start}
-    current = start
-    for n in range(1, n_max + 1):
-        current = L.apply(current)
-        states[n] = current
-    current = start
-    for n in range(-1, n_min - 1, -1):
-        current = bundle.green.apply(current)
-        states[n] = current
-    return Trajectory(states, f"L^n walk, {L.nrows} cells, exact integers")
+    """psi(n) = L^n psi0 for n_min <= n <= n_max, exact in both directions:
+    the rows of orbit over Z."""
+    return Trajectory.from_orbit(orbit(source, psi0, n_min, n_max), range(n_min, n_max + 1))
 
 
 def jacobi_residual(t: Trajectory, habs: IntMatrix) -> int | float:
@@ -217,28 +252,22 @@ def quaternion_solution(
     n = bundle.size
     if q.dimension != n:
         raise DynamicsError(f"initial data has length {q.dimension}, expected {n}")
-    L = bundle.connection
-    Linv = bundle.green
 
-    def branch(base: Vector, t0: int, step: IntMatrix, back: IntMatrix) -> dict[int, Vector]:
-        # state at the base time t0, then stride-2 in both directions
-        states = {t0: base}
-        fwd = base
-        for m in range(1, n_steps + 1):
-            fwd = step.apply(step.apply(fwd))
-            states[t0 + 2 * m] = fwd
-        bwd = base
-        for m in range(1, n_steps + 1):
-            bwd = back.apply(back.apply(bwd))
-            states[t0 - 2 * m] = bwd
-        return states
+    def branch(psi: Vector, t0: int, sign: int, provenance: str) -> Trajectory:
+        # times t0 - 2 n_steps..t0 + 2 n_steps of t0's parity, read as every
+        # other row of one orbit over a range that also holds time 0; the
+        # state at t is L^(sign t) psi, the orbit's row at sign t
+        lo, hi = min(0, t0 - 2 * n_steps), t0 + 2 * n_steps
+        rows = orbit(bundle, psi, lo, hi) if sign > 0 else orbit(bundle, psi, -hi, -lo)[::-1]
+        skip = (t0 - lo) % 2
+        return Trajectory.from_orbit(rows[skip::2], range(lo + skip, hi + 1, 2), provenance)
 
-    psi0, psi1, psi2, psi3 = (tuple(int(x) for x in v) for v in (q.psi0, q.psi1, q.psi2, q.psi3))
-    b0 = Trajectory(branch(psi0, 0, L, Linv), "even branch, states L^t psi0")
-    b1 = Trajectory(branch(psi1, 0, Linv, L), "even branch, states L^-t psi1")
-    b2 = Trajectory(branch(L.apply(psi2), 1, L, Linv), "odd branch, states L^t psi2")
-    b3 = Trajectory(branch(Linv.apply(psi3), 1, Linv, L), "odd branch, states L^-t psi3")
-    return b0, b1, b2, b3
+    return (
+        branch(q.psi0, 0, 1, "even branch, states L^t psi0"),
+        branch(q.psi1, 0, -1, "even branch, states L^-t psi1"),
+        branch(q.psi2, 1, 1, "odd branch, states L^t psi2"),
+        branch(q.psi3, 1, -1, "odd branch, states L^-t psi3"),
+    )
 
 
 def combined_solution(branches: Sequence[Trajectory]) -> Trajectory:
@@ -317,8 +346,8 @@ def perron_limits(
     L^{-2n} = g^{2n}) normalized by rho^{2n} must converge to v (x) v and
     w (x) w in Frobenius norm, and the residual sequences are returned so
     the decrease is visible.  The final forward residual is checked against
-    tol.  L and g are symmetric, so row i of P L^2 is L applied twice to row
-    i of P, and each power is stepped row by row over the nonzeros of L or g.
+    tol.  Each power P is a power of L, so P L^2 = L^2 P, and the powers are
+    stepped as n x n blocks from the identity over the nonzeros of L or g.
 
     The eigenvalue nearest zero has magnitude exactly 1/rho (the spectrum
     of L^2 is closed under inversion), which is why one normalization
@@ -349,13 +378,13 @@ def perron_limits(
     residuals = []
     for k, vec in ((2, v_arr), (-2, w_arr)):
         proj = np.outer(vec, vec)
-        power = IntMatrix.identity(L.nrows).rows
+        power = np.eye(L.nrows, dtype=object)
         scale = 1.0
         seq = []
         for _ in range(max_n):
             power = _powers(bundle, k, power)
             scale *= rho * rho
-            seq.append(float(np.linalg.norm(np.array(power, dtype=float) / scale - proj)))
+            seq.append(float(np.linalg.norm(power.astype(float) / scale - proj)))
         residuals.append(tuple(seq))
     forward, backward = residuals
     if forward[-1] > tol:
@@ -385,53 +414,14 @@ def automaton_run(
 ) -> list[AutomatonState]:
     """States L^n s0 mod p for n in [n_min, n_max], exact in both directions.
 
-    The rows of automaton_orbit from s0.vector, time-stamped; the state at
+    The rows of orbit from s0.vector mod s0.p, time-stamped; the state at
     s0.time is s0 itself.
     """
-    rows = automaton_orbit(source, s0.p, s0.vector, n_min - s0.time, n_max - s0.time)
+    rows = orbit(source, s0.vector, n_min - s0.time, n_max - s0.time, s0.p)
     return [
         s0 if n == s0.time else AutomatonState(s0.p, tuple(v), n)
         for n, v in zip(range(n_min, n_max + 1), rows.tolist())
     ]
-
-
-def automaton_orbit(
-    source: Graph | Complex | OperatorBundle,
-    p: int,
-    start: Sequence[int],
-    n_min: int,
-    n_max: int,
-) -> np.ndarray:
-    """L^n start mod p for n = n_min..n_max, as the rows of one array.
-
-    L and, for negative times, the bundle's certified green are reduced mod
-    p once per bundle (OperatorBundle.reduced), so a caller holding the
-    bundle steps with the same matrices; g inverts L over the integers, so
-    g mod p inverts L mod p.  Each direction steps on its own from the
-    start, one FieldMatrix.step per time, so the orbit takes n_max - n_min
-    steps.  The array holds Python ints if either stepped matrix's mat-vecs
-    do, else int64.
-    """
-    bundle = bundle_for(source)
-    n = bundle.size
-    if len(start) != n:
-        raise DynamicsError("state length does not match operator size")
-    if n_min > 0 or n_max < 0:
-        raise DynamicsError("time range must contain the initial time")
-    # (matrix, direction, steps) for each direction that runs, or L alone
-    # when the range is the start alone
-    runs = [(bundle.reduced("connection", p), 1, n_max)] if n_max or not n_min else []
-    if n_min:
-        runs.append((bundle.reduced("green", p), -1, -n_min))
-    dtypes = {m._compressed_rows()[-1] for m, _, _ in runs}
-    orbit = np.empty((n_max - n_min + 1, n), dtype=object if object in dtypes else np.int64)
-    origin = -n_min
-    orbit[origin] = [x % p for x in start]
-    for m, sign, steps in runs:
-        x = orbit[origin]
-        for k in range(1, steps + 1):
-            x = orbit[origin + sign * k] = m.step(x)
-    return orbit
 
 
 def orbit_period(Lp: FieldMatrix, vector: Sequence[int], cap: int = 10**6) -> int:
@@ -481,23 +471,16 @@ class GrowthReport:
 def growth_rates(g: Graph) -> GrowthReport:
     """Descriptive growth rates: log rho(L), the |H| link, and the line graph.
 
-    rho(|H|) = rho(L) - 1/rho(L) is the exact functional link; the line
-    graph adjacency radius is reported alongside for comparison, without
-    any claimed identity.
+    rho(|H|) = rho(L) - 1/rho(L) is the exact functional link.  The line
+    graph's adjacency radius comes from |H1| = |d| |d|^T, whose diagonal is
+    2 (each edge has two ends) and whose off-diagonal entries count shared
+    ends, so |H1| = 2I + A(line graph) and rho(A) = rho(|H1|) - 2 for a
+    graph with an edge.
     """
-    from .graphs import line_graph
-
     bundle = bundle_for(g)
     rho_l = eig_sym(bundle.connection).top
     rho_habs = eig_sym(bundle.hodge_signless).top
-    lg = line_graph(g)
-    if lg.edges:
-        adj = [[0] * lg.n for _ in range(lg.n)]
-        for a, b in lg.edges:
-            adj[a][b] = adj[b][a] = 1
-        rho_lg = eig_sym(IntMatrix(adj)).top
-    else:
-        rho_lg = 0.0
+    rho_lg = eig_sym(bundle.hodge1_signless).top - 2.0 if g.edges else 0.0
     return GrowthReport(
         rho_connection=rho_l,
         log_rho_connection=math.log(rho_l),

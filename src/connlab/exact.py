@@ -21,22 +21,20 @@ and IntMatrix.rows builds fresh dense lists on every read.  Products (@,
 one dict per row of the result), the L g = I certificate, the
 Schur-complement det, the squared traces, equality, sums and differences,
 abs, scale, transpose, kron and the entry reductions run over the pairs,
-and to_array scatters them into numpy.  IntMatrix.apply reads the same
+and to_array scatters them into numpy.  IntMatrix.step reads the same
 nonzeros laid out once as compressed rows (numpy index arrays beside the
 entries other than 1), so each mat-vec is one gather of the vector, one
 multiply of the terms whose entry is not 1 and one segmented sum, O(nnz)
-and on exact Python ints throughout; the k-walk counts and the integer
-walks step through it.  FieldMatrix.step is the same mat-vec followed by
-reduction mod p, run in int64 while the largest row sum times (p - 1)
-stays below 2^63 and on Python ints past it; FieldMatrix.apply and the
-mod-p automaton step through it.  The mat-vec under both, _product, also
-takes an n x k block of vectors, one per column: the gather takes whole
-rows of the block, the factors scale each row of terms and the segmented
-sum runs along axis 0, so k mat-vecs cost one call; FieldMatrix.step
-passes a block through, and the automaton's round trip runs on it.  In
-this module only Bareiss det and dump_matrix read dense rows, and only
-to_float (for floating-point spectra) builds a dense array; no mat-vec
-does.
+and on exact Python ints throughout.  step also takes an n x k block of
+vectors, one per column: the gather takes whole rows of the block, the
+factors scale each row of terms and the segmented sum runs along axis 0,
+so k mat-vecs cost one call.  FieldMatrix.step is the same mat-vec
+followed by reduction mod p, run in int64 while the largest row sum times
+(p - 1) stays below 2^63 and on Python ints past it.  Every orbit, power
+and round trip in dynamics, products and the CLI steps through step;
+apply is step returned as a tuple.  In this module only Bareiss det and
+dump_matrix read dense rows, and only to_float (for floating-point
+spectra) builds a dense array; no mat-vec does.
 """
 
 from __future__ import annotations
@@ -237,7 +235,7 @@ class IntMatrix:
         """Mat-vecs of an integer matrix run on exact Python ints."""
         return object
 
-    def _product(self, vec) -> np.ndarray:
+    def step(self, vec) -> np.ndarray:
         """m @ vec as an array of the compressed rows' dtype: one gather of
         vec, one multiply of the terms whose entry is not 1 and one
         segmented sum over the nonzeros.  vec may be a sequence or an array;
@@ -267,7 +265,7 @@ class IntMatrix:
 
     def apply(self, vec: Sequence[int]) -> tuple[int, ...]:
         """m @ vec, one multiply-add per nonzero, on exact Python ints."""
-        return tuple(self._product(vec).tolist())
+        return tuple(self.step(vec).tolist())
 
     def transpose(self) -> "IntMatrix":
         out: list[list[tuple[int, int]]] = [[] for _ in range(self.ncols)]
@@ -464,14 +462,9 @@ class FieldMatrix(IntMatrix):
         return np.int64 if bound < 2**63 and self.p < 2**63 else object
 
     def step(self, vec) -> np.ndarray:
-        """m @ vec mod p over the compressed rows, for vec reduced mod p.
-
-        Returns a numpy array, in int64 or of Python ints as _matvec_dtype
-        decides, in the same code path; passed back in, it is used without
-        conversion, so an orbit stays an array between steps.  vec may be a
-        block of vectors, one per column, as for _product.
-        """
-        return self._product(vec) % self.p
+        """m @ vec mod p, for vec (a vector or a block) reduced mod p; an
+        array in int64 or of Python ints as _matvec_dtype decides."""
+        return super().step(vec) % self.p
 
     def apply(self, vec: Sequence[int]) -> tuple[int, ...]:
         p = self.p

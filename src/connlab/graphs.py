@@ -146,19 +146,6 @@ def diameter(g: Graph) -> int:
 # derived graphs
 
 
-def line_graph(g: Graph) -> Graph:
-    """Vertices are the edges of g (in lexicographic order); adjacency is
-    sharing an endpoint."""
-    m = g.e
-    edges = []
-    for i in range(m):
-        a = set(g.edges[i])
-        for j in range(i + 1, m):
-            if a & set(g.edges[j]):
-                edges.append((i, j))
-    return Graph(max(m, 1), tuple(edges), f"line({g.name})" if g.name else "line")
-
-
 def barycentric_refinement(g: Graph) -> Graph:
     """Subdivide every edge once: new vertices n..n+e-1 are the old edges,
     and each old edge {a,b} becomes the two edges {a,m},{b,m}."""

@@ -26,6 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .complexes import Complex, Simplex, build_complex
 from .dynamics import _powers
 from .exact import IntMatrix
@@ -106,32 +108,23 @@ def two_time_walk(
 ) -> tuple[int, ...]:
     """(L_A (x) I)^n (I (x) L_B)^m psi0, exact, negative times via the green.
 
-    The state is an na x nb array in cell order: L_A (x) I acts on its
-    columns and I (x) L_B on its rows, each step over the nonzeros of L, or
-    of the factor's certified g for a negative time.  The two factors
-    commute, so the application order cannot matter; both orders are
-    computed and compared before returning.
+    The state is an na x nb array S in cell order, so L_A (x) I maps it to
+    L_A S and I (x) L_B to S L_B^T = (L_B S^T)^T: each power steps the whole
+    block over the nonzeros of L, or of the factor's certified g for a
+    negative time.  The two factors commute, so the application order
+    cannot matter; both orders are computed and compared before returning.
     """
     n, m = times
     ba, bb = bundle_for(a), bundle_for(b)
     na, nb = ba.size, bb.size
-    start = tuple(int(x) for x in psi0)
-    if len(start) != na * nb:
-        raise ProductError(f"state has length {len(start)}, expected {na * nb}")
-
-    def along_a(state: tuple[int, ...]) -> tuple[int, ...]:
-        cols = _powers(ba, n, [state[j::nb] for j in range(nb)])
-        return tuple(x for row in zip(*cols) for x in row)
-
-    def along_b(state: tuple[int, ...]) -> tuple[int, ...]:
-        rows = _powers(bb, m, [state[i * nb : (i + 1) * nb] for i in range(na)])
-        return tuple(x for row in rows for x in row)
-
-    one_way = along_a(along_b(start))
-    other_way = along_b(along_a(start))
-    if one_way != other_way:
+    if len(psi0) != na * nb:
+        raise ProductError(f"state has length {len(psi0)}, expected {na * nb}")
+    start = np.array([int(x) for x in psi0], dtype=object).reshape(na, nb)
+    one_way = _powers(ba, n, _powers(bb, m, start.T).T)
+    other_way = _powers(bb, m, _powers(ba, n, start).T).T
+    if not np.array_equal(one_way, other_way):
         raise ProductError("two-time factors failed to commute")
-    return one_way
+    return tuple(one_way.ravel().tolist())
 
 
 @dataclass(frozen=True)

@@ -47,6 +47,10 @@ the certificate a faulty matrix or forest that it must leave undecided.
 diameter_bfs is the repeated single-source BFS that graphs.diameter
 replaced by the bit-parallel all-sources BFS, kept as its oracle.
 
+line_graph builds the line graph pair by pair, O(e^2); dynamics.growth_rates
+reads its adjacency radius off |H1| = 2I + A(line graph) instead, and the
+tests check that identity entry by entry over the corpus.
+
 jacobi_residual_two_apply is the Jacobi residual with |H| applied twice at
 every time, the route dynamics.jacobi_residual keeps only for one-parity
 branches.
@@ -705,6 +709,19 @@ def diameter_bfs(g: Graph) -> int:
                     queue.append(y)
         best = max(best, max(dist))
     return best
+
+
+def line_graph(g: Graph) -> Graph:
+    """Vertices are the edges of g (in lexicographic order); adjacency is
+    sharing an endpoint."""
+    m = g.e
+    edges = []
+    for i in range(m):
+        a = set(g.edges[i])
+        for j in range(i + 1, m):
+            if a & set(g.edges[j]):
+                edges.append((i, j))
+    return Graph(max(m, 1), tuple(edges), f"line({g.name})" if g.name else "line")
 
 
 def jacobi_residual_two_apply(t: Trajectory, habs: IntMatrix) -> int:

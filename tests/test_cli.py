@@ -165,33 +165,33 @@ def test_automaton_round_trip_checks_every_step(capsys, monkeypatch):
     assert len(out.splitlines()) == 9
 
 
-def test_round_trip_check_finds_any_changed_state():
-    # petersen:5,2 mod 11 over 9 steps goes through g in blocks of 2
-    # states, so a changed state is caught inside a block as well as at
-    # its edges, and at either end of the orbit
+@pytest.mark.parametrize("p", [None, 11], ids=["Z", "F_11"])
+def test_round_trip_check_finds_any_changed_state(p):
+    # petersen:5,2 over 9 steps goes through g in blocks of 2 states, over
+    # Z and mod 11, so a changed state is caught inside a block as well as
+    # at its edges, and at either end of the orbit
     b = operators.bundle_for(from_spec("petersen:5,2"))
-    gp = exact.field_reduce(b.green, 11)
-    forward = dynamics.automaton_orbit(b, 11, (1,) + (0,) * 24, 0, 9)
-    assert cli._steps_back(gp, forward)
+    green = b.green if p is None else exact.field_reduce(b.green, p)
+    forward = dynamics.orbit(b, (1,) + (0,) * 24, 0, 9, p)
+    assert cli._steps_back(green, forward)
     for k in range(10):
         changed = forward.copy()
-        changed[k, 3] = (changed[k, 3] + 1) % 11
-        assert not cli._steps_back(gp, changed), k
+        changed[k, 3] = changed[k, 3] + 1 if p is None else (changed[k, 3] + 1) % p
+        assert not cli._steps_back(green, changed), k
 
 
 def test_walk_round_trip_checks_every_step(capsys, monkeypatch):
     # a cycle:5 walk with psi(2) changed in one entry: marching psi(4) back
     # to psi(0) never reads psi(2), and the Jacobi residual would fail only
     # after the round trip; g psi(3) = psi(2) fails at once
-    def changed_walk(*args):
-        t = dynamics.walk(*args)
-        states = dict(t.states)
-        states[2] = (states[2][0] + 1,) + states[2][1:]
-        return dynamics.Trajectory(states, t.provenance)
+    def changed_orbit(source, start, n_min, n_max, p=None):
+        rows = dynamics.orbit(source, start, n_min, n_max, p)
+        rows[2 - n_min, 0] += 1
+        return rows
 
-    monkeypatch.setattr(cli, "walk", changed_walk)
+    monkeypatch.setattr(cli, "orbit", changed_orbit)
     b = operators.bundle_for(from_spec("cycle:5"))
-    t = changed_walk(b, (1,) + (0,) * (b.size - 1), -4, 4)
+    t = dynamics.Trajectory.from_orbit(changed_orbit(b, (1,) + (0,) * (b.size - 1), -4, 4), range(-4, 5))
     state = t[4]
     for _ in range(4):
         state = b.green.apply(state)
@@ -227,17 +227,16 @@ def test_walk_and_automaton_fail_on_a_changed_hodge(capsys, monkeypatch):
     assert (code, err) == (1, "hydrogen identity failed mod 7\n")
 
 
-def test_automaton_at_24840_cells_forms_no_dense_view(capsys, monkeypatch):
-    # bary:grid:60,60 steps L and g mod 5 over their nonzeros; a dense list
-    # of rows or a dense array of either would be 24840^2 entries
+@pytest.mark.parametrize("argv", [("walk",), ("automaton", "--field", "5")], ids=["walk", "automaton"])
+def test_automaton_at_24840_cells_forms_no_dense_view(capsys, monkeypatch, argv):
+    # bary:grid:60,60 steps L and g, over Z or mod 5, over their nonzeros; a
+    # dense list of rows or a dense array of either would be 24840^2 entries
     def refuse(self, *args):
         raise AssertionError(f"dense view of a {self.shape} matrix")
 
     monkeypatch.setattr(exact.IntMatrix, "_dense_rows", refuse)
     monkeypatch.setattr(exact.IntMatrix, "to_array", refuse)
-    code, out, err = run(
-        capsys, "automaton", "bary:grid:60,60", "--field", "5", "--steps", "3", "--reverse"
-    )
+    code, out, err = run(capsys, *argv[:1], "bary:grid:60,60", *argv[1:], "--steps", "3", "--reverse")
     assert (code, err) == (0, "")
     lines = out.splitlines()
     assert [json.loads(line)["n"] for line in lines] == list(range(-3, 4))

@@ -12,13 +12,13 @@ from connlab.dynamics import (
     DynamicsError,
     QuaternionField,
     Trajectory,
-    automaton_orbit,
     automaton_run,
     combined_solution,
     growth_rates,
     jacobi_ivp,
     jacobi_residual,
     multiplicative_order,
+    orbit,
     orbit_period,
     perron_limits,
     perron_limits_components,
@@ -32,6 +32,7 @@ from connlab.exact import (
 )
 from connlab.graphs import Graph, from_spec
 from connlab.operators import bundle_for
+from connlab.spectra import eig_sym
 from conftest import SAMPLE_SPECS
 from oracles import (
     EnvironmentSequence,
@@ -40,6 +41,7 @@ from oracles import (
     field_inverse,
     inverse_unimodular,
     jacobi_residual_two_apply,
+    line_graph,
     quaternion_branch_rank,
 )
 
@@ -81,12 +83,12 @@ def test_automaton_rejects_bad_state_and_range():
     with pytest.raises(DynamicsError, match="state length does not match operator size"):
         automaton_run(b, AutomatonState(5, _unit(7), 0), -1, 1)
     with pytest.raises(DynamicsError, match="state length does not match operator size"):
-        automaton_orbit(b, 5, _unit(9), 3, 1)
+        orbit(b, _unit(9), 3, 1, 5)
     for lo, hi in ((1, 3), (-3, -1)):
         with pytest.raises(DynamicsError, match="time range must contain the initial time"):
             automaton_run(b, AutomatonState(5, _unit(8), 2), lo + 2, hi + 2)
         with pytest.raises(DynamicsError, match="time range must contain the initial time"):
-            automaton_orbit(b, 5, _unit(8), lo, hi)
+            orbit(b, _unit(8), lo, hi, 5)
 
 
 @pytest.mark.parametrize("spec", ["complete:2", "cycle:4", "figure8"])
@@ -291,6 +293,29 @@ def test_growth_rates_link():
     assert math.isclose(rep.log_rho_connection, math.log(rep.rho_connection), rel_tol=1e-12)
 
 
+def _line_graph_adjacency(g):
+    lg = line_graph(g)
+    adj = [[0] * lg.n for _ in range(lg.n)]
+    for a, b in lg.edges:
+        adj[a][b] = adj[b][a] = 1
+    return IntMatrix(adj)
+
+
+def test_signless_edge_hodge_is_twice_identity_plus_line_graph_adjacency(corpus):
+    # |H1| = |d| |d|^T: 2 on the diagonal, and 1 where two edges share an end
+    for spec, b in corpus.items():
+        if b.e:
+            two = IntMatrix.identity(b.e).scale(2)
+            assert b.hodge1_signless == two + _line_graph_adjacency(b.graph), spec
+
+
+@pytest.mark.parametrize("spec", ["figure8", "wheel:8", "petersen:5,2", "star:5", "path:2", "gnm:12,20:seed=3"])
+def test_growth_rates_line_graph_radius_matches_its_adjacency(spec):
+    g = from_spec(spec)
+    rep = growth_rates(g)
+    assert abs(rep.rho_line_graph_adjacency - eig_sym(_line_graph_adjacency(g)).top) < 1e-12
+
+
 # ---------------------------------------------------------------------------
 # sparse stepping against the dense routes, over the whole corpus
 
@@ -326,7 +351,7 @@ def test_sparse_step_matches_dense_apply(corpus):
             # a block of vectors, one per column, gives the block of products
             other = tuple(rng.randrange(p) for _ in range(m.ncols))
             block = np.array([vec, other], dtype=object).T
-            assert m._product(block).T.tolist() == [list(_dense_apply(m, v)) for v in (vec, other)]
+            assert m.step(block).T.tolist() == [list(_dense_apply(m, v)) for v in (vec, other)]
             stepped = mp.step(np.array([reduced, other], dtype=mp._compressed_rows()[-1]).T)
             assert stepped.T.tolist() == [list(_dense_apply(mp, v)) for v in (reduced, other)]
     isolated = bundles["isolated"]
@@ -335,7 +360,7 @@ def test_sparse_step_matches_dense_apply(corpus):
     assert bundles["edgeless"].incidence.shape == (0, 3)
     for m in (IntMatrix([], ncols=0), IntMatrix([], ncols=2), IntMatrix([[], []], ncols=0)):
         assert m.apply((2**64,) * m.ncols) == _dense_apply(m, (2**64,) * m.ncols) == (0,) * m.nrows
-        assert m._product(np.ones((m.ncols, 3), dtype=object)).shape == (m.nrows, 3)
+        assert m.step(np.ones((m.ncols, 3), dtype=object)).shape == (m.nrows, 3)
 
 
 def _dense_orbit(Lp, gp, start, n_min, n_max):
@@ -366,9 +391,9 @@ def test_automaton_near_and_above_word_size_matches_dense_route(corpus, p):
         start = tuple(rng.randrange(p) for _ in range(b.size))
         dense = _dense_orbit(Lp, gp, start, -7, 7)
         for lo, hi in ORBIT_RANGES:
-            orbit = automaton_orbit(b, p, start, lo, hi)
-            assert orbit.dtype == (gp if lo else Lp)._compressed_rows()[-1], (spec, lo, hi)
-            assert orbit.tolist() == [list(v) for v in dense[lo + 7 : hi + 8]], (spec, lo, hi)
+            rows = orbit(b, start, lo, hi, p)
+            assert rows.dtype == (gp if lo else Lp)._compressed_rows()[-1], (spec, lo, hi)
+            assert rows.tolist() == [list(v) for v in dense[lo + 7 : hi + 8]], (spec, lo, hi)
         states = automaton_run(b, AutomatonState(p, start, 0), -3, 3)
         assert [s.time for s in states] == list(range(-3, 4))
         assert [s.vector for s in states] == dense[4:11], spec
@@ -389,11 +414,11 @@ def test_automaton_orbit_steps_once_per_time(monkeypatch, n_min, n_max):
 
     monkeypatch.setattr(FieldMatrix, "step", counted)
     start = tuple(k % 11 for k in range(b.size))
-    orbit = automaton_orbit(b, 11, start, n_min, n_max)
+    rows = orbit(b, start, n_min, n_max, 11)
     assert shapes == [(25,)] * (n_max - n_min)
     monkeypatch.undo()
     Lp, gp = field_reduce(b.connection, 11), field_reduce(b.green, 11)
-    assert orbit.tolist() == [list(v) for v in _dense_orbit(Lp, gp, start, n_min, n_max)]
+    assert rows.tolist() == [list(v) for v in _dense_orbit(Lp, gp, start, n_min, n_max)]
 
 
 @pytest.mark.parametrize("spec", SAMPLE_SPECS)

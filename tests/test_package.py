@@ -12,6 +12,8 @@ import importlib.util
 import json
 from pathlib import Path
 
+import numpy as np
+
 import connlab
 import connlab.cli as cli
 
@@ -201,17 +203,32 @@ def test_layer_harness_reports_every_declared_metric(capsys):
     assert not hasattr(connlab.exact.FieldMatrix.apply, "__wrapped__")
 
 
-def test_layer_harness_counts_the_walk_mat_vecs(capsys):
-    # N forward and N backward steps, N steps of the reverse round trip, and
-    # one |H| mat-vec at each of the 2N - 1 times -N+1..N-1 that the Jacobi
-    # residual reads: 5N - 1
+def test_layer_harness_counts_the_walk_mat_vecs(capsys, monkeypatch):
+    # the tracer wraps apply, which only the Jacobi residual calls: one |H|
+    # mat-vec at each of the 2N - 1 times -N+1..N-1 it reads.  The orbit
+    # steps one state per time, 2N steps, and the round trip takes g psi(k)
+    # for k = 1..N in blocks of (N + 1) n // nnz(g) states, all through
+    # IntMatrix.step
     tracing = _load_tracing()
-    for spec, steps, mat_vecs in (("cycle:4", 3, 14), ("cycle:12", 20, 99)):
+    real = connlab.exact.IntMatrix.step
+    for spec, steps, mat_vecs, blocks in (("cycle:4", 3, 5, 3), ("cycle:12", 20, 39, 4)):
+        shapes = []  # the number of axes of each stepped state or block
+
+        def counted(self, vec):
+            shapes.append(np.ndim(vec))
+            return real(self, vec)
+
+        monkeypatch.setattr(connlab.exact.IntMatrix, "step", counted)
         tracer = tracing.Tracer()
         tracer.install()
         try:
             assert cli.main(["walk", spec, "--steps", str(steps), "--reverse"]) == 0
         finally:
             tracer.uninstall()
+            monkeypatch.undo()
         capsys.readouterr()
-        assert tracer.layer_metrics(1, 0)["exact.apply.calls"][0] == mat_vecs == 5 * steps - 1
+        assert tracer.layer_metrics(1, 0)["exact.apply.calls"][0] == mat_vecs == 2 * steps - 1
+        bundle = connlab.bundle_for(connlab.from_spec(spec))
+        block = max(1, (steps + 1) * bundle.size // sum(map(len, bundle.green.nonzeros)))
+        assert shapes.count(1) == 2 * steps + mat_vecs
+        assert shapes.count(2) == blocks == -(-steps // block)
