@@ -42,8 +42,6 @@ from .operators import (
     bundle_for,
     hydrogen_holds_mod,
     hydrogen_residual,
-    schur_inverse,
-    schur_reciprocity_sign,
     supersymmetry_report,
     trace_report,
 )
@@ -129,7 +127,6 @@ def _verify_checks(bundle: OperatorBundle, p: int | None = None) -> list[tuple[s
     """The seven identity checks run per graph, and an eighth mod p when p
     is given: the integer hydrogen residual, built once, reduced mod p."""
     results: list[tuple[str, bool, str]] = []
-    L = bundle.connection
     n = bundle.size
 
     try:
@@ -145,7 +142,7 @@ def _verify_checks(bundle: OperatorBundle, p: int | None = None) -> list[tuple[s
 
     star = bundle.green
     try:
-        same = schur_inverse(L, bundle.v) == star
+        same = bundle.schur_inverse() == star
     except (ValueError, ArithmeticError):
         same = False
     results.append(
@@ -159,7 +156,7 @@ def _verify_checks(bundle: OperatorBundle, p: int | None = None) -> list[tuple[s
     tr = trace_report(bundle)
     results.append(("traces", tr.ok, f"tr L = {tr.connection_trace}, tr |H| = {tr.hodge_signless_trace}"))
 
-    sign = schur_reciprocity_sign(L, bundle.v)
+    sign = bundle.reciprocity_sign
     want = 1 if n % 2 == 0 else -1
     results.append(
         ("reciprocity", sign == want, f"charpoly(L^2) reciprocal with sign {sign}")
@@ -357,13 +354,39 @@ def _print_states(states: Iterable[tuple[int, Sequence[int]]]) -> None:
             write(formats[k] % (n, *state))
 
 
+def _print_orbit(times: range, rows: np.ndarray) -> None:
+    """The states of an orbit, one per row, at the given times, in the
+    bytes of _print_states.  An int64 orbit, reduced mod p, formats each
+    value once into a table and gathers the rows' texts from it: the table
+    holds 0 up to the largest value when that is no longer than the orbit,
+    else its distinct values.  An orbit of Python ints goes through
+    _print_states.  Either way rows become lists 64 at a time: one tolist
+    per row costs a call each, one for the whole orbit holds every state
+    twice."""
+    chunks = range(0, len(rows), 64)
+    if rows.dtype == object:
+        _print_states(zip(times, (row for k in chunks for row in rows[k : k + 64].tolist())))
+        return
+    top = int(rows.max(initial=0))
+    if top < rows.size:
+        values, index = range(top + 1), rows
+    else:
+        values, index = np.unique(rows, return_inverse=True)
+        values, index = values.tolist(), index.reshape(rows.shape)
+    table = np.array([str(x) for x in values], dtype=object)
+    write = sys.stdout.write
+    for k in chunks:
+        for n, texts in zip(times[k : k + 64], table[index[k : k + 64]].tolist()):
+            write('{"n":%d,"state":[%s]}\n' % (n, ",".join(texts)))
+
+
 def _steps_back(g: IntMatrix, forward: np.ndarray) -> bool:
     """Whether g psi(k) = psi(k - 1) for every k >= 1 of the forward states
     psi(0), psi(1), ... (the rows of forward), mod p for a FieldMatrix g,
     which implies g^N psi(N) = psi(0).  The states go through g as blocks
     of columns, sized so that the gathered terms, nnz(g) per state, never
     outnumber the entries of forward."""
-    block = max(1, forward.size // max(1, sum(map(len, g.nonzeros))))
+    block = max(1, forward.size // max(1, g.nnz))
     for k in range(1, len(forward), block):
         stop = min(k + block, len(forward))
         if not np.array_equal(g.step(forward[k:stop].T), forward[k - 1 : stop - 1].T):
@@ -386,10 +409,7 @@ def _run_orbit(args, p: int | None) -> int:
     # text are never held at once
     green = bundle.green if p is None else bundle.reduced("green", p)
     round_trip = not args.reverse or _steps_back(green, rows[args.steps :])
-    # rows become lists of Python ints 64 at a time: one tolist per row costs
-    # a call each, one for the whole orbit holds every state twice
-    states = (row for k in range(0, len(rows), 64) for row in rows[k : k + 64].tolist())
-    _print_states(zip(range(n_min, args.steps + 1), states))
+    _print_orbit(range(n_min, args.steps + 1), rows)
     if not round_trip:
         print("round trip failed", file=sys.stderr)
         return 1

@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 
+import numpy as np
+
 from .graphs import Graph
 
 Simplex = tuple[int, ...]
@@ -60,6 +62,11 @@ class Complex:
             incident[a].append(k)
             incident[b].append(k)
         return tuple(map(tuple, incident))
+
+    @cached_property
+    def edge_array(self) -> np.ndarray:
+        """The edges (a, b), a < b, as the rows of an e x 2 index array."""
+        return np.array(self.graph.edges, dtype=np.intp).reshape(-1, 2)
 
 
 def build_complex(g: Graph) -> Complex:

@@ -160,7 +160,7 @@ def orbit(
     runs = [(matrix("connection"), 1, n_max)] if n_max or not n_min else []
     if n_min:
         runs.append((matrix("green"), -1, -n_min))
-    dtypes = {m._compressed_rows()[-1] for m, _, _ in runs}
+    dtypes = {m.step_dtype for m, _, _ in runs}
     rows = np.empty((n_max - n_min + 1, n), dtype=object if object in dtypes else np.int64)
     origin = -n_min
     rows[origin] = [int(x) if p is None else int(x) % p for x in start]
@@ -426,7 +426,7 @@ def automaton_run(
 
 def orbit_period(Lp: FieldMatrix, vector: Sequence[int], cap: int = 10**6) -> int:
     """Least k >= 1 with L^k s = s; exists because L is invertible mod p."""
-    start = np.array([int(x) % Lp.p for x in vector], dtype=Lp._compressed_rows()[-1])
+    start = np.array([int(x) % Lp.p for x in vector], dtype=Lp.step_dtype)
     x = start
     for k in range(1, cap + 1):
         x = Lp.step(x)

@@ -8,33 +8,52 @@ No floating point enters this module; conversion to float happens only via
 IntMatrix.to_float().
 
 The connection side of operators does not go through this module's O(n^3)
-routines: OperatorBundle certifies L @ g = I over the nonzeros of L and g
-and reads det L and the reciprocity of charpoly(L^2) off the Schur
+routines: OperatorBundle certifies L @ g = I by the sparse product of L and
+g and reads det L and the reciprocity of charpoly(L^2) off the Schur
 complement of L's identity vertex block; products multiplies the factors'
 determinants.  Bareiss det gives det J(L) in
 scripts/newton_perturbation_sweep.py and is the test oracle for the Schur
 det, as the dense product in tests/oracles.py is for L g = I and for @.
 
-An IntMatrix is stored as IntMatrix.nonzeros, the (column, value) pairs of
-each row, and as nothing else: dense input is converted to pairs at once,
-and IntMatrix.rows builds fresh dense lists on every read.  Products (@,
-one dict per row of the result), the L g = I certificate, the
-Schur-complement det, the squared traces, equality, sums and differences,
-abs, scale, transpose, kron and the entry reductions run over the pairs,
-and to_array scatters them into numpy.  IntMatrix.step reads the same
-nonzeros laid out once as compressed rows (numpy index arrays beside the
-entries other than 1), so each mat-vec is one gather of the vector, one
-multiply of the terms whose entry is not 1 and one segmented sum, O(nnz)
-and on exact Python ints throughout.  step also takes an n x k block of
-vectors, one per column: the gather takes whole rows of the block, the
-factors scale each row of terms and the segmented sum runs along axis 0,
-so k mat-vecs cost one call.  FieldMatrix.step is the same mat-vec
-followed by reduction mod p, run in int64 while the largest row sum times
-(p - 1) stays below 2^63 and on Python ints past it.  Every orbit, power
-and round trip in dynamics, products and the CLI steps through step;
-apply is step returned as a tuple.  In this module only Bareiss det and
-dump_matrix read dense rows, and only to_float (for floating-point
-spectra) builds a dense array; no mat-vec does.
+An IntMatrix holds its nonzeros in two views, each built once, from the
+other, on first read: IntMatrix.nonzeros, the (column, value) pairs of each
+row, and IntMatrix.csr, the compressed rows as numpy arrays (indptr, the
+columns row by row, the values).  Dense input and from_nonzeros give pairs;
+every other constructor and every operation gives compressed rows, so an
+operator built from arrays makes no pairs unless a caller reads them, and
+IntMatrix.rows builds fresh dense lists on every read.  Values are held in
+int64 while every one has absolute value below 2^63, else as Python ints
+(object arrays).  An operation computes in int64 only while a bound keeps
+every result exact: for @, the largest entries of the two factors times
+the terms of one entry stay below 2^63, for sums the largest value times
+the terms of one entry; past the bound it computes on Python ints.  What
+leaves an IntMatrix (dense rows, pairs, sums, max_abs, apply) is Python
+ints.
+
+Every operation that forms a matrix runs through one aggregation kernel,
+IntMatrix.from_triplets: (row, column, value) triplets sorted by row *
+ncols + column, the values of equal keys summed by np.add.reduceat and the
+zeros dropped.  @ is the row-by-row (Gustavson) product: each nonzero
+(i, j, a) of the left factor is expanded over row j of the right one
+(IntMatrix.row_terms), and the kernel sums the products; +, -, scale and
+linear_combination concatenate signed triplets; kron pairs every two
+nonzeros; transpose is a stable sort by column.  The L g = I certificate,
+the Schur complement and the hydrogen residual in operators are these
+operations.  No kernel allocates n x n scratch: memory grows with the
+nonzeros.  IntMatrix.step reads the compressed rows laid out once more for
+mat-vecs (the positions of the entries other than 1 and those entries), so
+each mat-vec is one gather of the vector, one multiply of the terms whose
+entry is not 1 and one segmented sum, O(nnz) and on exact Python ints
+throughout.  step also takes an n x k block of vectors, one per column:
+the gather takes whole rows of the block, the factors scale each row of
+terms and the segmented sum runs along axis 0, so k mat-vecs cost one
+call.  FieldMatrix.step is the same mat-vec followed by reduction mod p, run
+in int64 while the largest row sum times (p - 1) stays below 2^63 and on
+Python ints past it; IntMatrix.step_dtype names the dtype a step returns.
+Every orbit, power and round trip in dynamics, products and the CLI steps
+through step; apply is step returned as a tuple.  In this module only
+Bareiss det and dump_matrix read dense rows, and only to_float (for
+floating-point spectra) builds a dense array; no mat-vec does.
 """
 
 from __future__ import annotations
@@ -53,18 +72,50 @@ class SingularMatrixError(ArithmeticError):
     pass
 
 
+_WORD = 2**63  # int64 holds exactly the integers of absolute value below 2^63
+
+
+def _narrowed(values) -> np.ndarray:
+    """values (a sequence or an array of ints) in int64 when every one has
+    absolute value below 2^63, else as an array of Python ints (object)."""
+    try:
+        out = np.asarray(values, dtype=np.int64)
+    except OverflowError:
+        return np.asarray(values, dtype=object)
+    # -2^63 fits in int64 but its negation and abs do not
+    return np.asarray(values, dtype=object) if len(out) and out.min() == -_WORD else out
+
+
+def _max_abs(values: np.ndarray) -> int:
+    if not len(values):
+        return 0
+    if values.dtype == object:
+        return max(map(abs, values.tolist()))
+    return max(int(values.max()), -int(values.min()))
+
+
+def _exact(values: np.ndarray, bound: int) -> np.ndarray:
+    """values as Python ints once bound, a bound on the results computed
+    from them, reaches 2^63; below it, as they are."""
+    return values.astype(object) if bound >= _WORD else values
+
+
 class IntMatrix:
     """Integer matrix with exact arithmetic, held as the nonzeros of its rows.
 
-    Row i of `nonzeros` is the list of (column, value) pairs of its nonzero
-    entries in increasing column order; values are Python ints, so entries
-    never overflow.  The shape is stored explicitly, so 0-row and 0-column
-    matrices round-trip.  Dense rows given to the constructor are converted
-    to pairs at once, and `rows` builds fresh dense lists of Python ints on
-    every read, so writing into them never changes the matrix.
+    The nonzeros have two views, each built once, from the other, on first
+    read.  `nonzeros` lists row i's (column, value) pairs in increasing
+    column order, values as Python ints.  `csr` is the compressed rows:
+    indptr, the columns row by row, and the values, in int64 when every one
+    has absolute value below 2^63, else as Python ints, so entries never
+    overflow.  Dense rows given to the constructor and from_nonzeros give
+    pairs; every other constructor and every operation gives arrays.  The
+    shape is stored explicitly, so 0-row and 0-column matrices round-trip.
+    `rows` builds fresh dense lists of Python ints on every read, so writing
+    into them never changes the matrix.
     """
 
-    __slots__ = ("nrows", "ncols", "_nonzeros", "_csr")
+    __slots__ = ("nrows", "ncols", "_nonzeros", "_csr", "_rows", "_plan", "_largest")
 
     def __init__(self, rows: Sequence[Sequence[int]], ncols: int | None = None):
         rows = [list(map(int, r)) for r in rows]
@@ -81,9 +132,19 @@ class IntMatrix:
             self.ncols = ncols
         cols = range(self.ncols)
         self._nonzeros = [[(j, row[j]) for j in compress(cols, row)] for row in rows]
-        self._csr: tuple | None = None
+        self._csr = self._rows = self._plan = self._largest = None
 
     # -- constructors ------------------------------------------------------
+
+    @classmethod
+    def _new(cls, nrows: int, ncols: int, nonzeros=None, csr=None, rows=None) -> "IntMatrix":
+        """A matrix of either view; rows, when given, is the row of each
+        entry of csr."""
+        m = cls.__new__(cls)
+        m.nrows, m.ncols = nrows, ncols
+        m._nonzeros, m._csr, m._rows = nonzeros, csr, rows
+        m._plan = m._largest = None
+        return m
 
     @classmethod
     def from_nonzeros(
@@ -94,43 +155,111 @@ class IntMatrix:
         The lists are kept as they are, not copied."""
         if len(nonzeros) != nrows:
             raise ShapeError(f"{len(nonzeros)} rows of nonzeros for {nrows} rows")
-        m = cls.__new__(cls)
-        m.nrows, m.ncols = nrows, ncols
-        m._nonzeros = nonzeros
-        m._csr = None
-        return m
+        return cls._new(nrows, ncols, nonzeros=nonzeros)
+
+    @classmethod
+    def from_csr(cls, indptr, cols, values, nrows: int, ncols: int) -> "IntMatrix":
+        """The nrows x ncols matrix whose row i has the columns
+        cols[indptr[i]:indptr[i+1]], increasing, with the nonzero values at
+        the same positions.  The arrays are kept, not copied."""
+        if len(indptr) != nrows + 1:
+            raise ShapeError(f"{len(indptr) - 1} rows of compressed rows for {nrows} rows")
+        csr = (np.asarray(indptr, dtype=np.intp), np.asarray(cols, dtype=np.intp), _narrowed(values))
+        return cls._new(nrows, ncols, csr=csr)
 
     @staticmethod
-    def from_dicts(rows: Sequence[dict[int, int]], ncols: int) -> "IntMatrix":
-        """The matrix whose row i maps each column to its entry as rows[i]
-        does; zero entries are dropped."""
-        return IntMatrix.from_nonzeros(
-            [sorted([(j, a) for j, a in row.items() if a]) for row in rows], len(rows), ncols
-        )
+    def from_triplets(rows, cols, values, nrows: int, ncols: int) -> "IntMatrix":
+        """The matrix whose (rows[t], cols[t]) entry sums values[t] over t.
+
+        The aggregation kernel of every operation: the triplets are sorted
+        by rows * ncols + cols, the values of equal keys summed by
+        np.add.reduceat, and the sums that are 0 dropped.  The sums run in
+        int64 while the largest value times the most terms of one entry
+        stays below 2^63, else on Python ints.
+        """
+        values = _narrowed(values)
+        rows, cols = np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)
+        return _assemble(rows, cols, values, nrows, ncols, _max_abs(values))
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
-        return cls.from_nonzeros([[(i, 1)] for i in range(n)], n, n)
+        return cls.from_csr(np.arange(n + 1), np.arange(n), np.ones(n, dtype=np.int64), n, n)
 
     @classmethod
     def zeros(cls, nrows: int, ncols: int) -> "IntMatrix":
-        return cls.from_nonzeros([[] for _ in range(nrows)], nrows, ncols)
+        empty = np.zeros(0, dtype=np.int64)
+        return cls.from_csr(np.zeros(nrows + 1, dtype=np.intp), empty, empty, nrows, ncols)
 
     # -- storage -----------------------------------------------------------
 
     @property
     def rows(self) -> list[list[int]]:
-        """The dense rows, built afresh from the nonzeros on every read."""
+        """The dense rows, built afresh on every read."""
         return self._dense_rows()
 
     @property
     def nonzeros(self) -> list[list[tuple[int, int]]]:
         """The (column, value) pairs of each row, in column order."""
+        if self._nonzeros is None:
+            self._nonzeros = self._pairs_from_csr()
         return self._nonzeros
+
+    @property
+    def csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(indptr, cols, values): row i's columns are cols[indptr[i]:
+        indptr[i+1]], increasing, and its entries the values there."""
+        if self._csr is None:
+            self._csr = self._csr_from_pairs()
+        return self._csr
+
+    @property
+    def nnz(self) -> int:
+        return len(self.csr[1])
+
+    def _pairs_from_csr(self) -> list[list[tuple[int, int]]]:
+        indptr, cols, values = self._csr
+        pairs = list(zip(cols.tolist(), values.tolist()))
+        bounds = indptr.tolist()
+        return [pairs[a:b] for a, b in zip(bounds, bounds[1:])]
+
+    def _csr_from_pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        rows = self._nonzeros
+        indptr = np.zeros(self.nrows + 1, dtype=np.intp)
+        indptr[1:] = np.cumsum([len(row) for row in rows], dtype=np.intp)
+        flat = [pair for row in rows for pair in row]
+        return indptr, np.array([j for j, _ in flat], dtype=np.intp), _narrowed([a for _, a in flat])
+
+    def triplets(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(rows, cols, values) of the nonzeros, in row order."""
+        indptr, cols, values = self.csr
+        if self._rows is None:
+            self._rows = np.repeat(np.arange(self.nrows), indptr[1:] - indptr[:-1])
+        return self._rows, cols, values
+
+    def row_terms(self, index: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The nonzeros of rows index[0], index[1], ... in turn, as (t, cols,
+        values) with t the position in index that each comes from: the
+        gather of the row-by-row (Gustavson) product."""
+        indptr, cols, values = self.csr
+        starts = indptr[index]
+        counts = indptr[index + 1] - starts
+        t = np.repeat(np.arange(len(index)), counts)
+        at = np.arange(len(t)) + (starts - counts.cumsum() + counts)[t]
+        return t, cols[at], values[at]
+
+    def block(self, r0: int, r1: int, c0: int, c1: int) -> "IntMatrix":
+        """Rows r0..r1-1 and columns c0..c1-1, cut from the compressed rows."""
+        indptr, cols, values = self.csr
+        lo, hi = indptr[r0], indptr[r1]
+        cols, values = cols[lo:hi], values[lo:hi]
+        kept = (cols >= c0) & (cols < c1)
+        # row i keeps the entries kept before its end
+        indptr = np.concatenate(([0], kept.cumsum()))[indptr[r0 : r1 + 1] - lo]
+        return IntMatrix._new(r1 - r0, c1 - c0, csr=(indptr, cols[kept] - c0, values[kept]))
 
     def _dense_rows(self) -> list[list[int]]:
         rows = [[0] * self.ncols for _ in range(self.nrows)]
-        for row, pairs in zip(rows, self._nonzeros):
+        for row, pairs in zip(rows, self.nonzeros):
             for j, a in pairs:
                 row[j] = a
         return rows
@@ -145,107 +274,85 @@ class IntMatrix:
         return self.nrows == self.ncols
 
     def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, IntMatrix)
-            and self.shape == other.shape
-            and self.nonzeros == other.nonzeros
+        if not isinstance(other, IntMatrix) or self.shape != other.shape:
+            return False
+        (indptr, cols, values), (indptr_b, cols_b, values_b) = self.csr, other.csr
+        return len(cols) == len(cols_b) and bool(
+            (indptr == indptr_b).all() and (cols == cols_b).all() and (values == values_b).all()
         )
-
-    def _combine(self, other: "IntMatrix", sign: int) -> "IntMatrix":
-        """self + sign * other, merged row by row over the nonzeros."""
-        self._same_shape(other)
-        out = []
-        for ra, rb in zip(self.nonzeros, other.nonzeros):
-            acc = dict(ra)
-            for j, b in rb:
-                acc[j] = acc.get(j, 0) + sign * b
-            out.append(acc)
-        return IntMatrix.from_dicts(out, self.ncols)
 
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
-        return self._combine(other, 1)
+        return linear_combination((self, 1), (other, 1))
 
     def __sub__(self, other: "IntMatrix") -> "IntMatrix":
-        return self._combine(other, -1)
-
-    def _map(self, f) -> "IntMatrix":
-        """The matrix with every nonzero a replaced by f(a), which must be
-        nonzero as well."""
-        return IntMatrix.from_nonzeros(
-            [[(j, f(a)) for j, a in row] for row in self.nonzeros], self.nrows, self.ncols
-        )
+        return linear_combination((self, 1), (other, -1))
 
     def scale(self, k: int) -> "IntMatrix":
-        if k == 0:
-            return IntMatrix.zeros(self.nrows, self.ncols)
-        return self._map(lambda a: k * a)
+        return linear_combination((self, k))
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
-        """The product row by row over the nonzeros (Gustavson): row i sums
-        a * (row j of other) for each nonzero (j, a) of row i, so the cost is
-        the number of nonzero products, and entries that cancel are dropped."""
+        """The product row by row (Gustavson): row i sums a * (row j of
+        other) for each nonzero (j, a) of row i, gathered for every nonzero
+        at once and summed by from_triplets, so the cost is the number of
+        nonzero products, and entries that cancel are dropped."""
         if self.ncols != other.nrows:
             raise ShapeError(f"cannot multiply {self.shape} by {other.shape}")
-        rows_b = other.nonzeros
-        out = []
-        for row in self.nonzeros:
-            acc: dict[int, int] = {}
-            for j, a in row:
-                for k, b in rows_b[j]:
-                    acc[k] = acc.get(k, 0) + a * b
-            out.append(acc)
-        return IntMatrix.from_dicts(out, other.ncols)
+        rows, cols, a = self.triplets()
+        t, out_cols, b = other.row_terms(cols)
+        largest = self.max_abs() * other.max_abs()
+        products = _exact(a, largest)[t] * _exact(b, largest)
+        return _assemble(rows[t], out_cols, products, self.nrows, other.ncols, largest)
 
-    def _compressed_rows(self) -> tuple:
-        """(cols, starts, scaled, filled, dtype): the nonzeros in compressed rows.
+    def _step_plan(self) -> tuple:
+        """(cols, starts, scaled, filled, dtype): the compressed rows laid
+        out for step.
 
-        cols is every nonzero's column, row by row (intp); starts is where
-        each nonempty row begins in it (intp), and filled lists those rows,
-        or is None when no row is empty.  dtype is the one mat-vecs run in
-        (_matvec_dtype).  scaled is (at, factors), the positions in cols of
-        the entries other than 1 (intp) and those entries, or None when
-        every entry is 1; in int64, at is every position.
+        starts is where each nonempty row begins in cols, and filled lists
+        those rows, or is None when no row is empty.  dtype is the one
+        mat-vecs run in (_matvec_dtype).  scaled is (at, factors), the
+        positions in cols of the entries other than 1 and those entries, or
+        None when every entry is 1; in int64, at is every position.
         """
-        if self._csr is None:
-            rows = self.nonzeros
-            filled = [i for i, row in enumerate(rows) if row]
-            starts = np.cumsum([0] + [len(rows[i]) for i in filled[:-1]], dtype=np.intp)
-            cols = np.array([j for row in rows for j, _ in row], dtype=np.intp)
-            values = [a for row in rows for _, a in row]
-            at = [k for k, a in enumerate(values) if a != 1]
+        if self._plan is None:
+            indptr, cols, values = self.csr
+            filled = np.flatnonzero(indptr[1:] - indptr[:-1])
             dtype = self._matvec_dtype()
-            if not at:
-                scaled = None
-            elif dtype is object:
+            if dtype is object:
                 # products by 1 are skipped: on big ints they are most of the cost
-                scaled = (np.array(at, dtype=np.intp), np.array([values[k] for k in at], dtype=object))
+                at = np.flatnonzero(values != 1)
+                scaled = (at, values[at].astype(object)) if len(at) else None
             else:
                 # in int64 multiplying every term costs less than picking some out
-                scaled = (slice(None), np.array(values, dtype=dtype))
-            self._csr = (
+                scaled = None if (values == 1).all() else (slice(None), values.astype(dtype))
+            self._plan = (
                 cols,
-                starts,
+                indptr[filled],
                 scaled,
-                None if len(filled) == self.nrows else np.array(filled, dtype=np.intp),
+                None if len(filled) == self.nrows else filled,
                 dtype,
             )
-        return self._csr
+        return self._plan
 
     def _matvec_dtype(self):
         """Mat-vecs of an integer matrix run on exact Python ints."""
         return object
 
+    @property
+    def step_dtype(self):
+        """The dtype step returns: object (Python ints) or np.int64."""
+        return self._step_plan()[-1]
+
     def step(self, vec) -> np.ndarray:
-        """m @ vec as an array of the compressed rows' dtype: one gather of
-        vec, one multiply of the terms whose entry is not 1 and one
-        segmented sum over the nonzeros.  vec may be a sequence or an array;
-        an array of that dtype is used as it is.  vec may also be an
-        ncols x k block of vectors, one per column: the gather takes whole
-        rows of it, the sum runs along axis 0, and the result is the
-        nrows x k block of their products."""
+        """m @ vec as an array of step_dtype: one gather of vec, one
+        multiply of the terms whose entry is not 1 and one segmented sum
+        over the nonzeros.  vec may be a sequence or an array; an array of
+        that dtype is used as it is.  vec may also be an ncols x k block of
+        vectors, one per column: the gather takes whole rows of it, the sum
+        runs along axis 0, and the result is the nrows x k block of their
+        products."""
         if len(vec) != self.ncols:
             raise ShapeError("vector length does not match column count")
-        cols, starts, scaled, filled, dtype = self._compressed_rows()
+        cols, starts, scaled, filled, dtype = self._step_plan()
         vec = np.asarray(vec, dtype=dtype)
         if not len(cols):
             return np.zeros((self.nrows,) + vec.shape[1:], dtype=dtype)
@@ -268,63 +375,118 @@ class IntMatrix:
         return tuple(self.step(vec).tolist())
 
     def transpose(self) -> "IntMatrix":
-        out: list[list[tuple[int, int]]] = [[] for _ in range(self.ncols)]
-        for i, row in enumerate(self.nonzeros):
-            for j, a in row:
-                out[j].append((i, a))
-        return IntMatrix.from_nonzeros(out, self.ncols, self.nrows)
+        rows, cols, values = self.triplets()
+        # a stable sort by column keeps the rows of each column in order
+        order = cols.argsort(kind="stable")
+        cols = cols[order]
+        indptr = np.searchsorted(cols, np.arange(self.ncols + 1))
+        return IntMatrix._new(
+            self.ncols, self.nrows, csr=(indptr, rows[order], values[order]), rows=cols
+        )
 
     def trace(self) -> int:
         if not self.is_square():
             raise ShapeError("trace needs a square matrix")
-        return sum(a for i, row in enumerate(self.nonzeros) for j, a in row if i == j)
+        rows, cols, values = self.triplets()
+        return sum(values[rows == cols].tolist())
 
     def entry_sum(self) -> int:
-        return sum(a for row in self.nonzeros for _, a in row)
+        return sum(self.csr[2].tolist())
 
     def max_abs(self) -> int:
-        return max((abs(a) for row in self.nonzeros for _, a in row), default=0)
+        if self._largest is None:
+            self._largest = _max_abs(self.csr[2])
+        return self._largest
 
     def abs(self) -> "IntMatrix":
-        return self._map(abs)
+        indptr, cols, values = self.csr
+        return IntMatrix._new(self.nrows, self.ncols, csr=(indptr, cols, np.abs(values)))
 
     def is_zero(self) -> bool:
-        return not any(self.nonzeros)
+        return self.nnz == 0
 
     def row_sums(self) -> list[int]:
-        return [sum(a for _, a in row) for row in self.nonzeros]
+        indptr, _, values = self.csr
+        totals = np.cumsum(_exact(values, self.max_abs() * len(values)))
+        totals = np.concatenate((np.zeros(1, dtype=totals.dtype), totals))
+        return (totals[indptr[1:]] - totals[indptr[:-1]]).tolist()
 
     def kron(self, other: "IntMatrix") -> "IntMatrix":
         """Kronecker product, row-major cell order (i*p+k, j*q+l), one
         product per pair of nonzeros."""
-        q = other.ncols
-        out = [
-            [(j * q + l, a * b) for j, a in ra for l, b in rb]
-            for ra in self.nonzeros
-            for rb in other.nonzeros
-        ]
-        return IntMatrix.from_nonzeros(out, self.nrows * other.nrows, self.ncols * q)
+        p, q = other.nrows, other.ncols
+        ra, ca, a = self.triplets()
+        rb, cb, b = other.triplets()
+        largest = self.max_abs() * other.max_abs()
+        return _assemble(
+            (ra[:, None] * p + rb).ravel(),
+            (ca[:, None] * q + cb).ravel(),
+            (_exact(a, largest)[:, None] * _exact(b, largest)).ravel(),
+            self.nrows * p,
+            self.ncols * q,
+            largest,
+        )
 
     def to_array(self, dtype) -> np.ndarray:
         """The entries as a dense numpy array of the given dtype, scattered
         from the nonzeros."""
-        rows = self.nonzeros
+        rows, cols, values = self.triplets()
         out = np.zeros((self.nrows, self.ncols), dtype=dtype)
-        out[
-            np.repeat(np.arange(self.nrows), [len(row) for row in rows]),
-            [j for row in rows for j, _ in row],
-        ] = np.array([a for row in rows for _, a in row], dtype=dtype)
+        out[rows, cols] = values
         return out
 
     def to_float(self) -> np.ndarray:
         return self.to_array(float)
 
-    def _same_shape(self, other: "IntMatrix") -> None:
-        if self.shape != other.shape:
-            raise ShapeError(f"shape mismatch {self.shape} vs {other.shape}")
-
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.nrows}x{self.ncols})"
+
+
+def linear_combination(*terms: tuple[IntMatrix, int]) -> IntMatrix:
+    """The sum of k * m over the (m, k) terms, matrices of one shape: their
+    triplets, each value times its k, summed by one from_triplets."""
+    shape = terms[0][0].shape
+    for m, _ in terms:
+        if m.shape != shape:
+            raise ShapeError(f"shape mismatch {shape} vs {m.shape}")
+    largest = max(abs(k) * max(m.max_abs(), 1) for m, k in terms)
+    parts = [(m.triplets(), k) for m, k in terms]
+    return _assemble(
+        np.concatenate([rows for (rows, _, _), _ in parts]),
+        np.concatenate([cols for (_, cols, _), _ in parts]),
+        np.concatenate([_exact(values, largest) * k for (_, _, values), k in parts]),
+        *shape,
+        largest,
+    )
+
+
+def _assemble(rows, cols, values, nrows: int, ncols: int, largest: int) -> IntMatrix:
+    """from_triplets for int64 index arrays and values, of absolute value at
+    most largest, that hold no -2^63."""
+    if not len(values):
+        return IntMatrix.zeros(nrows, ncols)
+    keys = rows * ncols + cols
+    # timsort: the triplets of a sum, and those of a product row by row,
+    # come as sorted runs, which it merges in about linear time
+    order = keys.argsort(kind="stable")
+    keys, values = keys[order], values[order]
+    first = np.empty(len(keys), dtype=bool)
+    first[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    if not first.all():  # some entry has more than one term
+        starts = first.nonzero()[0]
+        if largest * len(keys) >= _WORD:
+            terms = int(np.diff(starts, append=len(keys)).max())
+            values = _exact(values, largest * terms)
+        keys, values = keys[starts], np.add.reduceat(values, starts)
+    nonzero = values != 0
+    if not nonzero.all():
+        keys, values = keys[nonzero], values[nonzero]
+    if values.dtype == object:
+        values = _narrowed(values)
+    rows, cols = np.divmod(keys, ncols)
+    indptr = np.searchsorted(rows, np.arange(nrows + 1))
+    return IntMatrix._new(nrows, ncols, csr=(indptr, cols, values), rows=rows)
 
 
 # ---------------------------------------------------------------------------
@@ -441,8 +603,22 @@ class FieldMatrix(IntMatrix):
         return m
 
     @classmethod
+    def from_csr(cls, indptr, cols, values, nrows: int, ncols: int, p: int) -> "FieldMatrix":
+        """IntMatrix.from_csr with every value reduced mod p; the entries
+        that are 0 mod p are dropped."""
+        if not is_prime(p):
+            raise ValueError(f"{p} is not prime")
+        values = _exact(_narrowed(values), p) % p
+        kept = values != 0
+        # row i keeps the entries kept before indptr[i + 1]
+        indptr = np.concatenate(([0], np.cumsum(kept)))[np.asarray(indptr, dtype=np.intp)]
+        m = super().from_csr(indptr, np.asarray(cols)[kept], values[kept], nrows, ncols)
+        m.p = p
+        return m
+
+    @classmethod
     def identity(cls, n: int, p: int) -> "FieldMatrix":
-        return cls.from_nonzeros(IntMatrix.identity(n).nonzeros, n, n, p)
+        return field_reduce(IntMatrix.identity(n), p)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, FieldMatrix) and self.p == other.p and super().__eq__(other)
@@ -459,7 +635,7 @@ class FieldMatrix(IntMatrix):
         sum of m times (p - 1), and each entry of x is below p.
         """
         bound = max(self.row_sums(), default=0) * (self.p - 1)
-        return np.int64 if bound < 2**63 and self.p < 2**63 else object
+        return np.int64 if bound < _WORD and self.p < _WORD else object
 
     def step(self, vec) -> np.ndarray:
         """m @ vec mod p, for vec (a vector or a block) reduced mod p; an
@@ -482,7 +658,7 @@ def _reduced(nonzeros: list[list[tuple[int, int]]], p: int) -> list[list[tuple[i
 
 
 def field_reduce(m: IntMatrix, p: int) -> FieldMatrix:
-    return FieldMatrix.from_nonzeros(m.nonzeros, m.nrows, m.ncols, p)
+    return FieldMatrix.from_csr(*m.csr, m.nrows, m.ncols, p)
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,8 @@ The central objects:
   g        Green matrix, the exact integer inverse of L
 
 g is produced by the star formula g(x,y) = w(x) w(y) chi(St(x) /\\ St(y))
-with w = (-1)^dim, then certified by _is_inverse: L @ g = I row by row
-over the nonzeros (products certifies kron(g_A, g_B) the same way).
+with w = (-1)^dim, then certified by _is_inverse: the sparse product L @ g
+against the identity (products certifies kron(g_A, g_B) the same way).
 OperatorBundle.green is the one source of L^-1 outside the oracles, over
 the integers and, reduced mod p, over F_p: verify compares it with
 schur_inverse.
@@ -31,31 +31,44 @@ sign (-1)^n, in O(nnz), from L == L^T and C - B B^T = -I_e: spec(L^2) is
 then closed under x -> 1/x.  verify and product read reciprocity from it;
 the multimodular charpoly in tests/oracles.py is its differential oracle.
 
-Every builder here writes the (column, value) pairs of each row and hands
-them to IntMatrix.from_nonzeros, or sums them in one dict per row
-(IntMatrix.from_dicts); no operator passes through dense rows, and every
-one is read through IntMatrix.nonzeros.  L and g are set from the vertex
-stars (a vertex with its incident edges) and D is d0 and its transpose.
-H and |H| are what the paper defines them to be, D @ D and |D| @ |D|, by
-the sparse product over the nonzeros; supersymmetry_report compares each
-with the block-diagonal d0^T d0 (+) d0 d0^T of Gram products formed from d0
-itself, so a fault in the Dirac assembly that changes its square, or a
-fault in block, fails verify.  The test suite keeps the dense product and
-the dense builders (tests/oracles.py) as the oracles.  The signless
-incidence and Kirchhoff matrices are the entrywise abs of the signed ones,
-and the hydrogen residual has no nonzeros when the identity holds.
+Every builder here emits (row, column, value) triplets from the complex's
+edge array and hands them to IntMatrix.from_triplets, or writes the
+compressed rows themselves (IntMatrix.from_csr); no operator passes through
+dense rows or Python dicts.  L is the union of the vertex stars, g one
+triplet per vertex and nine per edge, d0 two entries per edge row, and D is
+d0 and its transpose.  H and |H| are what the paper defines them to be,
+D @ D and |D| @ |D|, by the sparse product; supersymmetry_report compares
+each with the block-diagonal d0^T d0 (+) d0 d0^T of Gram products formed
+from d0 itself, so a fault in the Dirac assembly that changes its square,
+or a fault in IntMatrix.block, fails verify.  L @ g = I, the Schur
+complement [W C] @ [[-U], [I]] and the hydrogen residual (one sum of the
+signed triplets of |H|, L and g) go through the same kernel; the bundle
+forms its Schur blocks once for det L, reciprocity and schur_inverse.  The
+test suite keeps the dense product and the dense builders
+(tests/oracles.py) as the oracles.  The signless incidence and Kirchhoff
+matrices are the entrywise abs of the signed ones, and the hydrogen
+residual has no nonzeros when the identity holds.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from math import prod
+from operator import mul
 from typing import Sequence
 
-from .complexes import Complex, build_complex, parity, sphere_chi
-from .exact import FieldMatrix, IntMatrix, ShapeError, SingularMatrixError, field_reduce
+import numpy as np
+
+from .complexes import Complex, build_complex, sphere_chi
+from .exact import (
+    FieldMatrix,
+    IntMatrix,
+    ShapeError,
+    SingularMatrixError,
+    field_reduce,
+    linear_combination,
+)
 from .graphs import Graph, betti_numbers
 
 
@@ -70,9 +83,10 @@ def incidence_signed(c: Complex, signs: Sequence[int] | None = None) -> IntMatri
         signs = (1,) * c.e
     if len(signs) != c.e or any(s not in (-1, 1) for s in signs):
         raise ValueError("signs must be one +-1 per edge")
-    # edges are stored with a < b, so each row's pairs are in column order
-    rows = [[(a, -s), (b, s)] for s, (a, b) in zip(signs, c.graph.edges)]
-    return IntMatrix.from_nonzeros(rows, c.e, c.v)
+    s = np.array(signs, dtype=np.int64)
+    # edges are stored with a < b, so row k's columns (a, b) are in order
+    values = np.column_stack((-s, s)).ravel()
+    return IntMatrix.from_csr(2 * np.arange(c.e + 1), c.edge_array.ravel(), values, c.e, c.v)
 
 
 def incidence_signless(c: Complex) -> IntMatrix:
@@ -83,13 +97,12 @@ def dirac_from_incidence(d0: IntMatrix) -> IntMatrix:
     """Assemble the Dirac block matrix [[0, d0^T], [d0, 0]]: vertex row x
     holds column x of d0, shifted past the vertices, and edge row k is row k
     of d0."""
-    v = d0.ncols
-    rows: list[list[tuple[int, int]]] = [[] for _ in range(v)]
-    for k, nonzeros in enumerate(d0.nonzeros, start=v):
-        for x, a in nonzeros:
-            rows[x].append((k, a))
-    rows.extend(d0.nonzeros)
-    return IntMatrix.from_nonzeros(rows, v + d0.nrows, v + d0.nrows)
+    v, n = d0.ncols, d0.ncols + d0.nrows
+    rows, cols, values = d0.triplets()
+    return IntMatrix.from_triplets(
+        np.concatenate((cols, rows + v)), np.concatenate((rows + v, cols)),
+        np.concatenate((values, values)), n, n,
+    )
 
 
 def connection_matrix(c: Complex) -> IntMatrix:
@@ -98,13 +111,31 @@ def connection_matrix(c: Complex) -> IntMatrix:
     Two simplices share the vertex a exactly when both lie in its star (a
     and its incident edges), so L is the union of one all-ones block per
     vertex star: a vertex row is its own star, and an edge row the union of
-    its endpoints' stars.
+    its endpoints' stars.  The stars of a and b meet only in the edge {a, b}
+    itself, so its row is the sum of the two stars less 1 on the diagonal.
     """
-    stars = [(a,) + edges for a, edges in enumerate(c.incident_edges)]
-    rows = [[(j, 1) for j in star] for star in stars]
-    for a, b in c.graph.edges:
-        rows.append([(j, 1) for j in sorted({*stars[a], *stars[b]})])
-    return IntMatrix.from_nonzeros(rows, c.size, c.size)
+    v, n = c.v, c.size
+    ends = c.edge_array.ravel()
+    edge = np.repeat(np.arange(v, n), 2)  # the edge of each end
+    # row a lists the edges at a; a stable sort of the ends keeps them in order
+    order = ends.argsort(kind="stable")
+    at = IntMatrix.from_csr(
+        np.searchsorted(ends[order], np.arange(v + 1)), edge[order],
+        np.ones(len(ends), dtype=np.int64), v, n,
+    )
+    t, neighbours, _ = at.row_terms(ends)
+    vertices, diagonal = np.arange(v), np.arange(v, n)
+    return IntMatrix.from_triplets(
+        np.concatenate((vertices, ends[order], edge, edge[t], diagonal)),
+        np.concatenate((vertices, edge[order], ends, neighbours, diagonal)),
+        np.concatenate((np.ones(v + 2 * len(ends) + len(t), dtype=np.int64), np.full(n - v, -1))),
+        n, n,
+    )
+
+
+# w(x) w(y) chi(t) over the faces x, y of an edge t = {a, b} in the order a,
+# b, t: w = (1, 1, -1) and chi(t) = -1
+_EDGE_FACE_PAIRS = -np.outer((1, 1, -1), (1, 1, -1)).ravel()
 
 
 def green_star(c: Complex) -> IntMatrix:
@@ -118,68 +149,49 @@ def green_star(c: Complex) -> IntMatrix:
     of the connection matrix; callers that need a certified inverse should
     go through OperatorBundle.green, which verifies L @ g = I exactly.
     """
-    n = c.size
-    w = [parity(s) for s in c.simplices]
-    rows: list[dict[int, int]] = [{} for _ in range(n)]
-    for t, s in enumerate(c.simplices):
-        faces = [c.index[(a,)] for a in s] if len(s) == 2 else []
-        faces.append(t)
-        chi = parity(s)
-        for x in faces:
-            row = rows[x]
-            for y in faces:
-                row[y] = row.get(y, 0) + w[x] * w[y] * chi
-    return IntMatrix.from_dicts(rows, n)
+    v, n = c.v, c.size
+    faces = np.column_stack((c.edge_array, np.arange(v, n)))
+    return IntMatrix.from_triplets(
+        np.concatenate((np.arange(v), np.repeat(faces, 3, axis=1).ravel())),
+        np.concatenate((np.arange(v), np.tile(faces, 3).ravel())),
+        np.concatenate((np.ones(v, dtype=np.int64), np.tile(_EDGE_FACE_PAIRS, c.e))),
+        n, n,
+    )
 
 
 def _is_inverse(m: IntMatrix, g: IntMatrix) -> bool:
-    """m @ g == I, each row of the product summed from the nonzeros of m's
-    row over the matching sparse rows of g."""
-    if not m.is_square() or g.shape != m.shape:
-        return False
-    g_rows = g.nonzeros
-    for i, row in enumerate(m.nonzeros):
-        acc: dict[int, int] = {}
-        for j, a in row:
-            for k, b in g_rows[j]:
-                acc[k] = acc.get(k, 0) + a * b
-        if acc.pop(i, 0) != 1 or any(acc.values()):
-            return False
-    return True
+    """m @ g == I: the compressed rows of the sparse product against those
+    of the identity."""
+    return m.is_square() and g.shape == m.shape and m @ g == IntMatrix.identity(m.nrows)
 
 
-def _schur_blocks(m: IntMatrix, v: int) -> tuple[list, list, list[int]]:
+def _schur_blocks(m: IntMatrix, v: int) -> tuple[IntMatrix, IntMatrix, list[int]]:
     """(U, W, diagonal of S) for m = [[I_v, U], [W, C]], S = C - W U.
 
-    U and W are the nonzeros of their rows (U's columns keep m's numbers).
-    Each row of S subtracts the U rows at its W nonzeros (for L, the two
-    vertices of an edge).  Raises ArithmeticError unless the leading v x v
-    block is exactly the identity and S is diagonal.
+    S is one sparse product, [W C] @ [[-U], [I]]: each row of S subtracts
+    the U rows at its W nonzeros (for L, the two vertices of an edge).
+    Raises ArithmeticError unless the leading v x v block is exactly the
+    identity and S is diagonal.
     """
     if not m.is_square() or not 0 <= v <= m.nrows:
         raise ShapeError(f"no {v}x{v} leading block in a {m.shape} matrix")
-    rows = m.nonzeros
-    # pairs are in column order, so each row splits at its first column >= v
-    split = [bisect_left(row, (v,)) for row in rows]
-    for x in range(v):
-        if rows[x][: split[x]] != [(x, 1)]:
-            raise ArithmeticError("vertex block is not the identity")
-    u = [rows[x][split[x] :] for x in range(v)]
-    w = [rows[k][: split[k]] for k in range(v, m.nrows)]
-    schur = [dict(rows[k][split[k] :]) for k in range(v, m.nrows)]
-    for k, wrow in enumerate(w):
-        for x, a in wrow:
-            for l, b in u[x]:
-                schur[k][l] = schur[k].get(l, 0) - a * b
-    s = [srow.pop(k, 0) for k, srow in enumerate(schur, start=v)]
-    if any(any(srow.values()) for srow in schur):
+    n, e = m.nrows, m.nrows - v
+    if m.block(0, v, 0, v) != IntMatrix.identity(v):
+        raise ArithmeticError("vertex block is not the identity")
+    u, w = m.block(0, v, v, n), m.block(v, n, 0, v)
+    indptr, cols, values = u.csr
+    lift = IntMatrix.from_csr(
+        np.concatenate((indptr, indptr[-1] + np.arange(1, e + 1))),
+        np.concatenate((cols, np.arange(e))),
+        np.concatenate((-values, np.ones(e, dtype=np.int64))),
+        n, e,
+    )
+    rows, cols, values = (m.block(v, n, 0, n) @ lift).triplets()
+    if (rows != cols).any():
         raise ArithmeticError("Schur complement of the vertex block is not diagonal")
-    return u, w, s
-
-
-def schur_det(m: IntMatrix, v: int) -> int:
-    """det m = det(C - W U) for m = [[I_v, U], [W, C]] with C - W U diagonal."""
-    return prod(_schur_blocks(m, v)[2])
+    s = np.zeros(e, dtype=values.dtype)
+    s[rows] = values
+    return u, w, s.tolist()
 
 
 def schur_reciprocity_sign(m: IntMatrix, v: int) -> int | None:
@@ -196,49 +208,49 @@ def schur_reciprocity_sign(m: IntMatrix, v: int) -> int | None:
     which makes charpoly(m @ m) reciprocal with sign (-1)^n.  O(nnz).
     """
     try:
-        s = _schur_blocks(m, v)[2]
+        blocks = _schur_blocks(m, v)
     except ArithmeticError:
         return None
-    n = m.nrows
-    if any(x != -1 for x in s) or block(m, v, n, 0, v) != block(m, 0, v, v, n).transpose():
+    return _reciprocity_sign(blocks, m.nrows)
+
+
+def _reciprocity_sign(blocks: tuple[IntMatrix, IntMatrix, list[int]], n: int) -> int | None:
+    u, w, s = blocks
+    if any(x != -1 for x in s) or w != u.transpose():
         return None
     return -1 if n % 2 else 1
 
 
 def schur_inverse(m: IntMatrix, v: int) -> IntMatrix:
     """m^-1 = [[I + U S^-1 W, -U S^-1], [-S^-1 W, S^-1]] for m = [[I_v, U],
-    [W, C]] with S = C - W U diagonal, summed over the nonzeros of U and W.
+    [W, C]] with S = C - W U diagonal, from the triplets of U, W and the
+    sparse product U S^-1 W.
 
     Read from m's entries alone.  Raises SingularMatrixError when S has a 0
     on its diagonal and ValueError when an entry there is not +-1, that is
     when m has no integer inverse.
     """
-    u, w, s = _schur_blocks(m, v)
+    return _block_inverse(_schur_blocks(m, v), v)
+
+
+def _block_inverse(blocks: tuple[IntMatrix, IntMatrix, list[int]], v: int) -> IntMatrix:
+    u, w, s = blocks
     if any(x not in (1, -1) for x in s):
         error = SingularMatrixError if 0 in s else ValueError
         raise error(f"no integer inverse: Schur complement diagonal {sorted(set(s))}")
-    rows: list[dict[int, int]] = [{} for _ in range(m.nrows)]
-    for k, (wrow, sk) in enumerate(zip(w, s), start=v):  # S^-1 = S
-        rows[k][k] = sk
-        for y, b in wrow:
-            rows[k][y] = -sk * b
-    for x, urow in enumerate(u):
-        row = rows[x]
-        row[x] = 1
-        for l, a in urow:
-            row[l] = -a * s[l - v]
-            for y, b in w[l - v]:
-                row[y] = row.get(y, 0) + a * s[l - v] * b
-    return IntMatrix.from_dicts(rows, m.nrows)
-
-
-def block(m: IntMatrix, r0: int, r1: int, c0: int, c1: int) -> IntMatrix:
-    """Rows r0..r1-1 and columns c0..c1-1 of m, cut from its nonzeros."""
-    rows = [
-        [(j - c0, a) for j, a in row[bisect_left(row, (c0,)) : bisect_left(row, (c1,))]]
-        for row in m.nonzeros[r0:r1]
-    ]
-    return IntMatrix.from_nonzeros(rows, len(rows), c1 - c0)
+    n = v + len(s)
+    s = np.array(s, dtype=np.int64)  # S^-1 = S
+    ur, uc, ua = u.triplets()
+    wr, wc, wa = w.triplets()
+    us = IntMatrix.from_csr(u.csr[0], uc, ua * s[uc], v, n - v)
+    usw_rows, usw_cols, usw = (us @ w).triplets()
+    vertices, edges = np.arange(v), np.arange(v, n)
+    return IntMatrix.from_triplets(
+        np.concatenate((vertices, usw_rows, ur, wr + v, edges)),
+        np.concatenate((vertices, usw_cols, uc + v, wc, edges)),
+        np.concatenate((np.ones(v, dtype=np.int64), usw, -us.csr[2], -s[wr] * wa, s)),
+        n, n,
+    )
 
 
 class OperatorBundle:
@@ -297,19 +309,19 @@ class OperatorBundle:
 
     @cached_property
     def hodge0(self) -> IntMatrix:
-        return block(self.hodge, 0, self.v, 0, self.v)
+        return self.hodge.block(0, self.v, 0, self.v)
 
     @cached_property
     def hodge1(self) -> IntMatrix:
-        return block(self.hodge, self.v, self.size, self.v, self.size)
+        return self.hodge.block(self.v, self.size, self.v, self.size)
 
     @cached_property
     def hodge0_signless(self) -> IntMatrix:
-        return block(self.hodge_signless, 0, self.v, 0, self.v)
+        return self.hodge_signless.block(0, self.v, 0, self.v)
 
     @cached_property
     def hodge1_signless(self) -> IntMatrix:
-        return block(self.hodge_signless, self.v, self.size, self.v, self.size)
+        return self.hodge_signless.block(self.v, self.size, self.v, self.size)
 
     @cached_property
     def kirchhoff(self) -> IntMatrix:
@@ -318,12 +330,14 @@ class OperatorBundle:
         Independent of the incidence route on purpose: tests compare it
         against hodge0.
         """
-        g = self.graph
-        rows = [{i: d} for i, d in enumerate(g.degrees())]
-        for a, b in g.edges:
-            rows[a][b] = -1
-            rows[b][a] = -1
-        return IntMatrix.from_dicts(rows, g.n)
+        v, edges = self.v, self.complex.edge_array
+        a, b = edges[:, 0], edges[:, 1]
+        vertices = np.arange(v)
+        return IntMatrix.from_triplets(
+            np.concatenate((vertices, a, b)), np.concatenate((vertices, b, a)),
+            np.concatenate((np.bincount(edges.ravel(), minlength=v), np.full(2 * len(a), -1))),
+            v, v,
+        )
 
     @cached_property
     def kirchhoff_signless(self) -> IntMatrix:
@@ -346,8 +360,28 @@ class OperatorBundle:
         return g
 
     @cached_property
+    def schur(self) -> tuple[IntMatrix, IntMatrix, list[int]]:
+        """(U, W, diagonal of S) for L = [[I, U], [W, C]], S = C - W U,
+        formed once for connection_det, reciprocity_sign and
+        schur_inverse; raises ArithmeticError as _schur_blocks does."""
+        return _schur_blocks(self.connection, self.v)
+
+    @cached_property
     def connection_det(self) -> int:
-        return schur_det(self.connection, self.v)
+        return prod(self.schur[2])
+
+    @cached_property
+    def reciprocity_sign(self) -> int | None:
+        """schur_reciprocity_sign of L, read from the bundle's Schur blocks."""
+        try:
+            blocks = self.schur
+        except ArithmeticError:
+            return None
+        return _reciprocity_sign(blocks, self.size)
+
+    def schur_inverse(self) -> IntMatrix:
+        """schur_inverse of L, from the bundle's Schur blocks."""
+        return _block_inverse(self.schur, self.v)
 
     def reduced(self, name: str, p: int) -> FieldMatrix:
         """The operator of that name (connection, green, ...) reduced mod p,
@@ -368,14 +402,11 @@ def bundle_for(source: Graph | Complex | OperatorBundle) -> OperatorBundle:
 
 
 def hydrogen_residual(bundle: OperatorBundle) -> IntMatrix:
-    """|H| - (L - L^-1), summed in one pass over the nonzeros of |H|, L and g;
+    """|H| - (L - L^-1), one aggregation of the signed triplets of |H|, L and g;
     the zero matrix, with no nonzeros, exactly when the identity holds."""
-    rows: list[dict[int, int]] = [{} for _ in range(bundle.size)]
-    for m, sign in ((bundle.hodge_signless, 1), (bundle.connection, -1), (bundle.green, 1)):
-        for row, nonzeros in zip(rows, m.nonzeros):
-            for j, a in nonzeros:
-                row[j] = row.get(j, 0) + sign * a
-    return IntMatrix.from_dicts(rows, bundle.size)
+    return linear_combination(
+        (bundle.hodge_signless, 1), (bundle.connection, -1), (bundle.green, 1)
+    )
 
 
 def hydrogen_holds(bundle: OperatorBundle) -> bool:
@@ -437,9 +468,15 @@ class TraceReport:
 
 
 def _trace_of_square(m: IntMatrix) -> int:
-    """tr(m @ m) as the sum of m[i][j] * m[j][i] over the nonzeros of m."""
-    rows = [dict(row) for row in m.nonzeros]
-    return sum(a * rows[j].get(i, 0) for i, row in enumerate(m.nonzeros) for j, a in row)
+    """tr(m @ m) as the sum of m[i][j] * m[j][i] over the nonzeros of m,
+    each (j, i) found by binary search among the sorted keys i * n + j."""
+    rows, cols, values = m.triplets()
+    if not len(values):
+        return 0
+    keys, mirror = rows * m.ncols + cols, cols * m.ncols + rows
+    at = np.minimum(np.searchsorted(keys, mirror), len(keys) - 1)
+    hit = keys[at] == mirror
+    return sum(map(mul, values[hit].tolist(), values[at[hit]].tolist()))
 
 
 def trace_report(bundle: OperatorBundle) -> TraceReport:
@@ -588,7 +625,8 @@ def _is_gram_square(
     the diagonal block of its row, h0 == kirchhoff == d^T d and h1 == d d^T,
     the Gram products formed from d itself, not from the Dirac square h."""
     v, dt = d.ncols, d.transpose()
-    diagonal = all((i < v) == (j < v) for i, row in enumerate(h.nonzeros) for j, _ in row)
+    rows, cols, _ = h.triplets()
+    diagonal = bool(((rows < v) == (cols < v)).all())
     return diagonal and h0 == kirchhoff == dt @ d and h1 == d @ dt
 
 

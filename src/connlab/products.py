@@ -32,7 +32,7 @@ from .complexes import Complex, Simplex, build_complex
 from .dynamics import _powers
 from .exact import IntMatrix
 from .graphs import Graph
-from .operators import OperatorBundle, _is_inverse, bundle_for, schur_reciprocity_sign
+from .operators import OperatorBundle, _is_inverse, bundle_for
 from .spectra import eig_sym
 
 
@@ -204,7 +204,7 @@ def product_checks(a: Graph | Complex | OperatorBundle, b) -> ProductReport:
         )
     chi_a = ba.complex.v - ba.complex.e
     chi_b = bb.complex.v - bb.complex.e
-    certified = all(schur_reciprocity_sign(x.connection, x.v) is not None for x in (ba, bb))
+    certified = all(x.reciprocity_sign is not None for x in (ba, bb))
     sign = (-1 if L.nrows % 2 else 1) if certified else None
     habs = product_hodge_signless(ba, bb)
     residual = (L - linv - habs).max_abs()

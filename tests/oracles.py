@@ -120,6 +120,14 @@ def dense_matmul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     )
 
 
+def matrix_from_dicts(rows: Sequence[dict[int, int]], ncols: int) -> IntMatrix:
+    """The matrix whose row i maps each column to its entry as rows[i]
+    does; zero entries are dropped."""
+    return IntMatrix.from_nonzeros(
+        [sorted([(j, a) for j, a in row.items() if a]) for row in rows], len(rows), ncols
+    )
+
+
 def inverse_unimodular(m: IntMatrix) -> IntMatrix:
     """Integer inverse of a unimodular matrix by fraction-free Gauss-Jordan.
 

@@ -262,6 +262,40 @@ def test_print_states_writes_the_bytes_of_compact_json(states):
     assert buf.getvalue() == want
 
 
+def _printed(print_rows) -> str:
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        print_rows()
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("p", [None, 2, 41, 2**31 - 1, 4294967311])
+@pytest.mark.parametrize("spec", ["cycle:5", "petersen:5,2", "wheel:6"])
+def test_print_orbit_writes_the_bytes_of_print_states(spec, p):
+    # int64 orbits print from a table of 0..max (p = 2, 41) or of their
+    # distinct values (p = 2^31 - 1, and 4294967311 forward, where L's steps
+    # stay in int64); orbits of Python ints (over Z, and 4294967311 through
+    # g) print by %d.  Every route gives the bytes of _print_states
+    b = operators.bundle_for(from_spec(spec))
+    start = tuple(range(1, b.size + 1))
+    for lo, hi in ((0, 40), (-20, 20), (0, 0)):
+        rows = dynamics.orbit(b, start, lo, hi, p)
+        times = range(lo, hi + 1)
+        got = _printed(lambda: cli._print_orbit(times, rows))
+        assert got == _printed(lambda: cli._print_states(zip(times, rows.tolist()))), (lo, hi)
+        assert [json.loads(line)["state"] for line in got.splitlines()] == rows.tolist()
+    assert dynamics.orbit(b, start, 0, 3, p).dtype == (object if p is None else np.int64)
+
+
+@pytest.mark.parametrize("p", [2, 2**31 - 1, 4294967311])
+def test_automaton_prints_the_bytes_of_print_states(capsys, p):
+    b = operators.bundle_for(from_spec("petersen:5,2"))
+    rows = dynamics.orbit(b, (1,) + (0,) * (b.size - 1), -12, 12, p)
+    want = _printed(lambda: cli._print_states(zip(range(-12, 13), rows.tolist())))
+    code, out, err = run(capsys, "automaton", "petersen:5,2", "--field", str(p), "--steps", "12", "--reverse")
+    assert (code, err, out) == (0, "", want)
+
+
 @pytest.mark.parametrize(
     "argv", [("verify", "grid:10,10"), ("product", "path:4", "wheel:4")], ids=["verify", "product"]
 )
@@ -903,18 +937,37 @@ def test_product_takes_its_inverse_from_the_factors(capsys):
     assert json.loads(out)["energy_ok"] is True
 
 
+def _schur_operands(b) -> tuple:
+    """([W C], [[-U], [I]]) for L = [[I, U], [W, C]]: their product is the
+    Schur complement C - W U."""
+    v, n = b.v, b.size
+    rows = b.connection.rows
+    lift = [[-x for x in row[v:]] for row in rows[:v]]
+    lift += [[int(i == j) for j in range(n - v)] for i in range(n - v)]
+    return b.connection.block(v, n, 0, n), exact.IntMatrix(lift, ncols=n - v)
+
+
 def _design_products(argv) -> list:
     """The operand pairs of every product verify and product are meant to
-    form: the Dirac squares behind H and |H|, and supersymmetry's Gram
-    products of d and |d|."""
+    form: the Dirac squares behind H and |H|, supersymmetry's Gram products
+    of d and |d|, and the certificates' sparse products: L g for each
+    certified green, the Schur complement of each L, and (U S^-1) W for
+    the block inverse, where S = -I."""
     if argv[0] == "product":
         bundles = [operators.bundle_for(from_spec(spec)) for spec in argv[1:]]
-        return [(b.dirac, b.dirac) for b in bundles]
+        pairs = [(b.dirac, b.dirac) for b in bundles]
+        for b in bundles:  # each factor's green, and its Schur blocks for det and reciprocity
+            pairs += [(b.connection, b.green), _schur_operands(b)]
+        a, b = bundles
+        return pairs + [(a.connection.kron(b.connection), a.green.kron(b.green))]
     b = operators.bundle_for(from_spec(argv[1]))
     pairs = [(b.dirac, b.dirac), (b.dirac_signless, b.dirac_signless)]
     for d in (b.incidence, b.incidence_signless):
         pairs += [(d.transpose(), d), (d, d.transpose())]
-    return pairs
+    v, n = b.v, b.size
+    w, u = b.connection.block(v, n, 0, v), b.connection.block(0, v, v, n)
+    # the Schur complement is formed once for det, green-star and reciprocity
+    return pairs + [(b.connection, b.green), _schur_operands(b), (u.scale(-1), w)]
 
 
 @pytest.mark.parametrize(
@@ -925,7 +978,8 @@ def _design_products(argv) -> list:
 def test_verify_and_product_form_no_dense_product(capsys, monkeypatch, argv):
     # H and |H| are Dirac squares and supersymmetry compares their blocks
     # with d^T d and d d^T; green-star reads the Schur block inverse and
-    # reciprocity the Schur complement of L, so no L @ L or g @ g is
+    # reciprocity the Schur complement of L, and the certificates multiply
+    # only L by g and the off-diagonal blocks of L, so no L @ L or g @ g is
     # formed.  FieldMatrix products go through IntMatrix.__matmul__ too
     real = exact.IntMatrix.__matmul__
     calls = []

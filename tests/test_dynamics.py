@@ -352,7 +352,7 @@ def test_sparse_step_matches_dense_apply(corpus):
             other = tuple(rng.randrange(p) for _ in range(m.ncols))
             block = np.array([vec, other], dtype=object).T
             assert m.step(block).T.tolist() == [list(_dense_apply(m, v)) for v in (vec, other)]
-            stepped = mp.step(np.array([reduced, other], dtype=mp._compressed_rows()[-1]).T)
+            stepped = mp.step(np.array([reduced, other], dtype=mp.step_dtype).T)
             assert stepped.T.tolist() == [list(_dense_apply(mp, v)) for v in (reduced, other)]
     isolated = bundles["isolated"]
     assert [i for i, row in enumerate(isolated.hodge_signless.rows) if not any(row)] == [0, 4, 5]
@@ -386,13 +386,13 @@ def test_automaton_near_and_above_word_size_matches_dense_route(corpus, p):
     for spec, b in corpus.items():
         Lp = field_reduce(b.connection, p)
         gp = field_reduce(b.green, p)
-        assert Lp._compressed_rows()[-1] is np.int64
-        dtypes.add(gp._compressed_rows()[-1])
+        assert Lp.step_dtype is np.int64
+        dtypes.add(gp.step_dtype)
         start = tuple(rng.randrange(p) for _ in range(b.size))
         dense = _dense_orbit(Lp, gp, start, -7, 7)
         for lo, hi in ORBIT_RANGES:
             rows = orbit(b, start, lo, hi, p)
-            assert rows.dtype == (gp if lo else Lp)._compressed_rows()[-1], (spec, lo, hi)
+            assert rows.dtype == (gp if lo else Lp).step_dtype, (spec, lo, hi)
             assert rows.tolist() == [list(v) for v in dense[lo + 7 : hi + 8]], (spec, lo, hi)
         states = automaton_run(b, AutomatonState(p, start, 0), -3, 3)
         assert [s.time for s in states] == list(range(-3, 4))

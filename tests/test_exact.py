@@ -11,6 +11,7 @@ certified_rank left the package the same way, for operators.forest_rank,
 and is checked here against Fraction elimination.
 """
 
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -18,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from connlab import exact
+from connlab import exact, operators
 from connlab.exact import (
     FieldMatrix,
     IntMatrix,
@@ -454,6 +455,17 @@ def test_dense_input_is_stored_as_its_nonzeros():
     m = IntMatrix([[0, 3, 0], [-2, 0, 5]])
     assert m.nonzeros == [[(1, 3)], [(0, -2), (2, 5)]]
     assert m.nonzeros is m.nonzeros
+    # the compressed rows are built from the pairs once, on first read, and
+    # leave the pairs as they were; a matrix built as compressed rows builds
+    # its pairs once in turn
+    pairs = m.nonzeros
+    indptr, cols, values = m.csr
+    assert m.csr is m.csr and m.nonzeros is pairs
+    assert (indptr.tolist(), cols.tolist(), values.tolist()) == ([0, 1, 3], [1, 0, 2], [3, -2, 5])
+    assert values.dtype == np.int64 and m.nnz == 3
+    t = m.transpose()
+    assert t.nonzeros is t.nonzeros and t.csr is t.csr
+    assert t.nonzeros == [[(1, -2)], [(0, 3)], [(1, 5)]]
     # a corrupted operator is a new matrix built from edited rows
     c = edited(m, {(0, 1): 0, (1, 1): 7})
     assert c.nonzeros == [[], [(0, -2), (1, 7), (2, 5)]]
@@ -527,15 +539,32 @@ product_entries = st.one_of(
 )
 
 
+# entries of both signs in 2^31..2^62: every product of two, and every sum
+# of two, of the large ones reaches 2^62 or more, so int64 arithmetic that
+# ran past its bound would wrap
+boundary_entries = st.one_of(
+    st.sampled_from([0, 0, 1, -1]),
+    st.builds(lambda sign, a: sign * a, st.sampled_from([1, -1]), st.integers(2**31, 2**62)),
+)
+
+
 @st.composite
-def product_operands(draw):
+def product_operands(draw, entries=product_entries):
     """a (n x m) and b (m x k) with n, m, k in 0..5: empty sides, non-square
     shapes, and entries of both signs beyond 2^63; the frequent 0 and +-1
     make products cancel."""
     n, m, k = (draw(st.integers(min_value=0, max_value=5)) for _ in range(3))
-    a = [draw(st.lists(product_entries, min_size=m, max_size=m)) for _ in range(n)]
-    b = [draw(st.lists(product_entries, min_size=k, max_size=k)) for _ in range(m)]
+    a = [draw(st.lists(entries, min_size=m, max_size=m)) for _ in range(n)]
+    b = [draw(st.lists(entries, min_size=k, max_size=k)) for _ in range(m)]
     return IntMatrix(a, ncols=m), IntMatrix(b, ncols=k)
+
+
+@st.composite
+def sum_operands(draw, entries):
+    """a and b of one shape n x m, n and m in 0..5."""
+    n, m = (draw(st.integers(min_value=0, max_value=5)) for _ in range(2))
+    a, b = ([draw(st.lists(entries, min_size=m, max_size=m)) for _ in range(n)] for _ in range(2))
+    return IntMatrix(a, ncols=m), IntMatrix(b, ncols=m)
 
 
 @settings(max_examples=200, deadline=None)
@@ -571,9 +600,78 @@ def test_sparse_product_edge_cases():
         IntMatrix([[1, 2]]) @ IntMatrix([[1, 2]])
 
 
+@settings(max_examples=150, deadline=None)
+@given(product_operands(boundary_entries))
+def test_products_at_the_int64_boundary_are_exact(operands):
+    a, b = operands
+    got = a @ b
+    assert got.rows == dense_matmul(a, b).rows
+    assert all(x for row in got.nonzeros for _, x in row)
+
+
+@settings(max_examples=150, deadline=None)
+@given(sum_operands(boundary_entries))
+def test_sums_at_the_int64_boundary_are_exact(operands):
+    a, b = operands
+    for got, sign in ((a + b, 1), (a - b, -1)):
+        want = [[x + sign * y for x, y in zip(ra, rb)] for ra, rb in zip(a.rows, b.rows)]
+        assert got.rows == want
+        assert got.nonzeros == IntMatrix(want, ncols=a.ncols).nonzeros
+
+
+def test_int64_boundary_cases_stay_exact():
+    # four products of 2^64 each: in int64 every one would wrap to 0
+    a, b = IntMatrix([[2**32] * 4]), IntMatrix([[2**32]] * 4)
+    assert (a @ b).rows == [[2**66]]
+    # four products of 2^62, each in int64, whose sum 2^64 would wrap to 0
+    c, d = IntMatrix([[2**31] * 4]), IntMatrix([[2**31]] * 4)
+    assert (c @ d).rows == [[2**64]]
+    assert (c @ d.scale(-1) + c @ d).is_zero()
+    # 2^62 + 2^62 = 2^63, one past the largest int64
+    half = IntMatrix([[2**62, -(2**62), 0]])
+    assert (half + half).rows == [[2**63, -(2**63), 0]]
+    assert (half - half.scale(-1)).rows == [[2**63, -(2**63), 0]]
+    assert (half - half).is_zero() and (half + half.scale(-1)).nonzeros == [[]]
+    # 274177 * 67280421310721 = 2^64 + 1, which int64 would wrap to 1: m g
+    # is diag(2^64 + 1, 1), not the identity
+    m, g = IntMatrix([[274177, 0], [0, 1]]), IntMatrix([[67280421310721, 0], [0, 1]])
+    assert (m @ g).rows == [[2**64 + 1, 0], [0, 1]]
+    assert not operators._is_inverse(m, g) and not operators._is_inverse(g, m)
+    u = IntMatrix([[1, 2**62, 2**62], [0, 1, 0], [0, 0, 1]])
+    v = IntMatrix([[1, -(2**62), -(2**62)], [0, 1, 0], [0, 0, 1]])
+    assert operators._is_inverse(u, v) and operators._is_inverse(v, u)
+    assert not operators._is_inverse(u, u)
+    # the hydrogen residual |H| - L + g of entries at 2^62: 3 * 2^62 at (0, 0)
+    b = bundle_for(from_spec("path:2"))
+    n, big = b.size, 2**62
+    entry = [[big] + [0] * (n - 1)] + [[0] * n for _ in range(n - 1)]
+    h, L, green = IntMatrix(entry), IntMatrix(entry).scale(-1), IntMatrix(entry)
+    b.__dict__.update(hodge_signless=h, connection=L, green=green)
+    assert operators.hydrogen_residual(b).rows == IntMatrix(entry).scale(3).rows
+    assert operators.hydrogen_residual(b).max_abs() == 3 * big
+
+
+def test_values_leave_intmatrix_as_python_ints():
+    # array-built operators keep int64 values inside; everything read out of
+    # them is a Python int, as json.dumps and repr need
+    b = bundle_for(from_spec("wheel:6"))
+    residual = operators.hydrogen_residual(b)
+    huge = IntMatrix.from_triplets([0, 0, 1], [1, 1, 0], [2**70, 5, -3], 2, 2)
+    for m in (b.connection, b.green, b.hodge_signless, residual, b.connection @ b.green, huge):
+        assert all(type(x) is int for row in m.rows for x in row)
+        assert all(type(j) is int and type(x) is int for row in m.nonzeros for j, x in row)
+        assert all(type(x) is int for x in (m.entry_sum(), m.max_abs(), m.trace(), m.nnz))
+        assert all(type(x) is int for x in m.apply([1] * m.ncols) + tuple(m.row_sums()))
+    assert huge.nonzeros == [[(1, 2**70 + 5)], [(0, -3)]] and huge.csr[2].dtype == object
+    assert type(b.connection_det) is int and b.connection_det == (-1) ** b.e
+    summary = {"residual": residual.max_abs(), "det": b.connection_det, "energy": b.green.entry_sum()}
+    assert json.dumps(summary, sort_keys=True) == '{"det": 1, "energy": -5, "residual": 0}'
+    assert "int64" not in repr(b.green.rows) and eval(repr(b.green.rows)) == b.green.rows
+
+
 def test_sums_and_reductions_run_over_the_nonzeros():
     a = IntMatrix([[0, 3, 0], [-2, 0, 5]])
-    b = IntMatrix.from_dicts([{1: -3, 2: 1}, {0: 0, 2: -5}], 3)
+    b = oracles.matrix_from_dicts([{1: -3, 2: 1}, {0: 0, 2: -5}], 3)
     assert b.nonzeros == [[(1, -3), (2, 1)], [(2, -5)]]
     assert (a + b).nonzeros == [[(2, 1)], [(0, -2)]]
     assert (a - a).is_zero() and (a - a).nonzeros == [[], []]

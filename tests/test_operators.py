@@ -18,7 +18,6 @@ from connlab.graphs import Graph, betti_numbers, from_spec, parse_graph_text
 from connlab.operators import (
     OperatorBundle,
     _schur_blocks,
-    block,
     bundle_for,
     energy,
     energy_holds,
@@ -163,9 +162,9 @@ def test_connection_block_structure():
     b = bundle_for(from_spec("cycle:4"))
     L = b.connection
     # vertices never intersect each other, so the vertex block is the identity
-    assert block(L, 0, 4, 0, 4).rows == IntMatrix.identity(4).rows
+    assert L.block(0, 4, 0, 4).rows == IntMatrix.identity(4).rows
     # the vertex-edge block records incidence without signs
-    assert block(L, 0, 4, 4, 8).rows == b.incidence_signless.transpose().rows
+    assert L.block(0, 4, 4, 8).rows == b.incidence_signless.transpose().rows
     # diagonal is all ones
     assert all(L.rows[i][i] == 1 for i in range(8))
 
@@ -395,34 +394,54 @@ def test_connection_det_rejects_broken_blocks(corpus, monkeypatch):
 
 def test_nonzeros_are_collected_once_per_operator(monkeypatch):
     # the certificate, the Schur det, the squared traces, the k-walk counts
-    # and the Perron powers all read one cached list per operator: L and g
-    # are built as their nonzeros, and every read returns that same list
+    # and the Perron powers all read one cached matrix per operator: L and g
+    # are built as their compressed rows, and each of an operator's two
+    # views, the compressed rows and the (column, value) pairs, is built at
+    # most once, from the other, by at most one matrix of that content
     from connlab.cli import _verify_checks
     from connlab.dynamics import perron_limits
     from connlab.spectra import bounds_report
 
-    lists = {}
-    read = IntMatrix.nonzeros.fget
+    builds = {}
 
-    def recording(m):
-        pairs = read(m)
-        seen = lists.setdefault((type(m), str(m.rows)), [])
-        if not any(p is pairs for p in seen):
-            seen.append(pairs)
-        return pairs
+    def recording(view, build, pairs_of):
+        def record(m):
+            made = build(m)
+            builds.setdefault((type(m), str(pairs_of(m, made))), []).append((id(m), view))
+            return made
+
+        return record
+
+    monkeypatch.setattr(
+        IntMatrix,
+        "_pairs_from_csr",
+        recording("nonzeros", IntMatrix._pairs_from_csr, lambda m, made: made),
+    )
+    monkeypatch.setattr(
+        IntMatrix,
+        "_csr_from_pairs",
+        recording("csr", IntMatrix._csr_from_pairs, lambda m, made: m._nonzeros),
+    )
+
+    def built_once(key):
+        made = builds.get(key, [])
+        return len(set(made)) == len(made) and len({i for i, _ in made}) <= 1
 
     g = from_spec("figure8")
     b = bundle_for(g)
-    L, green = (IntMatrix, str(b.connection.rows)), (IntMatrix, str(b.green.rows))
-    monkeypatch.setattr(IntMatrix, "nonzeros", property(recording))
+    L, green = (IntMatrix, str(b.connection.nonzeros)), (IntMatrix, str(b.green.nonzeros))
+    assert builds == {L: [(id(b.connection), "nonzeros")], green: [(id(b.green), "nonzeros")]}
+    assert b.connection.nonzeros is b.connection.nonzeros and b.connection.csr is b.connection.csr
+    assert len(builds[L]) == 1
+    builds.clear()
     _verify_checks(bundle_for(g))
-    assert len(lists[L]) == 1
-    lists.clear()
+    assert built_once(L)
+    builds.clear()
     bounds_report(g, ks=(1, 2, 3))
-    assert len(lists[L]) == 1
-    lists.clear()
+    assert built_once(L)
+    builds.clear()
     perron_limits(g)
-    assert len(lists[L]) == 1 and len(lists[green]) == 1
+    assert built_once(L) and built_once(green)
 
 
 # graphs the corpus lacks: several components, isolated vertices, no edges,
