@@ -20,7 +20,7 @@ Every function here takes a graph, a complex or an OperatorBundle, and the
 one inverse it uses is the bundle's green: the star formula, certified by
 L @ g = I.  Every exact walk is one orbit array, a row per time: orbit
 steps L and, for negative times, g with IntMatrix.step, a numpy gather and
-segmented sum over the nonzeros, one step per time in each direction, on
+segmented sum over the entries, one step per time in each direction, on
 exact Python ints over Z and, reduced mod p, in int64 while the entries
 allow it.  walk, the quaternion branches and the automaton read their
 states off its rows, and Trajectory.from_orbit is the one place a
@@ -173,7 +173,7 @@ def orbit(
 
 def _powers(bundle: OperatorBundle, k: int, block) -> np.ndarray:
     """L^k block for an n x m block of states, one per column, stepped over
-    the nonzeros of L, or of g for k < 0."""
+    the nonzero entries of L, or of g for k < 0."""
     m = bundle.connection if k >= 0 else bundle.green
     for _ in range(abs(k)):
         block = m.step(block)
@@ -347,7 +347,7 @@ def perron_limits(
     w (x) w in Frobenius norm, and the residual sequences are returned so
     the decrease is visible.  The final forward residual is checked against
     tol.  Each power P is a power of L, so P L^2 = L^2 P, and the powers are
-    stepped as n x n blocks from the identity over the nonzeros of L or g.
+    stepped as n x n blocks from the identity over the entries of L or g.
 
     The eigenvalue nearest zero has magnitude exactly 1/rho (the spectrum
     of L^2 is closed under inversion), which is why one normalization

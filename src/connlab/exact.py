@@ -15,20 +15,16 @@ determinants.  Bareiss det gives det J(L) in
 scripts/newton_perturbation_sweep.py and is the test oracle for the Schur
 det, as the dense product in tests/oracles.py is for L g = I and for @.
 
-An IntMatrix holds its nonzeros in two views, each built once, from the
-other, on first read: IntMatrix.nonzeros, the (column, value) pairs of each
-row, and IntMatrix.csr, the compressed rows as numpy arrays (indptr, the
-columns row by row, the values).  Dense input and from_nonzeros give pairs;
-every other constructor and every operation gives compressed rows, so an
-operator built from arrays makes no pairs unless a caller reads them, and
-IntMatrix.rows builds fresh dense lists on every read.  Values are held in
-int64 while every one has absolute value below 2^63, else as Python ints
-(object arrays).  An operation computes in int64 only while a bound keeps
-every result exact: for @, the largest entries of the two factors times
-the terms of one entry stay below 2^63, for sums the largest value times
-the terms of one entry; past the bound it computes on Python ints.  What
-leaves an IntMatrix (dense rows, pairs, sums, max_abs, apply) is Python
-ints.
+An IntMatrix stores its nonzero entries one way, as compressed rows:
+IntMatrix.csr holds indptr, the columns row by row and the values as numpy
+arrays, and every constructor and operation sets them.  IntMatrix.rows
+builds fresh dense lists on every read.  Values are held in int64 while
+every one has absolute value below 2^63, else as Python ints (object
+arrays).  An operation computes in int64 only while a bound keeps every
+result exact: for @, the largest entries of the two factors times the
+terms of one entry stay below 2^63, for sums the largest value times the
+terms of one entry; past the bound it computes on Python ints.  What leaves
+an IntMatrix (dense rows, sums, max_abs, apply) is Python ints.
 
 Every operation that forms a matrix runs through one aggregation kernel,
 IntMatrix.from_triplets: (row, column, value) triplets sorted by row *
@@ -37,17 +33,17 @@ zeros dropped.  @ is the row-by-row (Gustavson) product: each nonzero
 (i, j, a) of the left factor is expanded over row j of the right one
 (IntMatrix.row_terms), and the kernel sums the products; +, -, scale and
 linear_combination concatenate signed triplets; kron pairs every two
-nonzeros; transpose is a stable sort by column.  The L g = I certificate,
-the Schur complement and the hydrogen residual in operators are these
-operations.  No kernel allocates n x n scratch: memory grows with the
-nonzeros.  IntMatrix.step reads the compressed rows laid out once more for
-mat-vecs (the positions of the entries other than 1 and those entries), so
-each mat-vec is one gather of the vector, one multiply of the terms whose
-entry is not 1 and one segmented sum, O(nnz) and on exact Python ints
-throughout.  step also takes an n x k block of vectors, one per column:
-the gather takes whole rows of the block, the factors scale each row of
-terms and the segmented sum runs along axis 0, so k mat-vecs cost one
-call.  FieldMatrix.step is the same mat-vec followed by reduction mod p, run
+nonzero entries; transpose is a stable sort by column.  The L g = I
+certificate, the Schur complement and the hydrogen residual in operators
+are these operations.  No kernel allocates n x n scratch: memory grows with
+the nonzero entries.  IntMatrix.step reads the compressed rows laid out
+once more for mat-vecs (the positions of the entries other than 1 and
+those entries), so each mat-vec is one gather of the vector, one multiply
+of the terms whose entry is not 1 and one segmented sum, O(nnz) and on
+exact Python ints throughout.  step also takes an n x k block of vectors,
+one per column: the gather takes whole rows of the block, the factors
+scale each row of terms and the segmented sum runs along axis 0, so k
+mat-vecs cost one call.  FieldMatrix.step is the same mat-vec followed by reduction mod p, run
 in int64 while the largest row sum times (p - 1) stays below 2^63 and on
 Python ints past it; IntMatrix.step_dtype names the dtype a step returns.
 Every orbit, power and round trip in dynamics, products and the CLI steps
@@ -58,7 +54,6 @@ floating-point spectra) builds a dense array; no mat-vec does.
 
 from __future__ import annotations
 
-from itertools import compress
 from typing import Sequence
 
 import numpy as np
@@ -101,24 +96,24 @@ def _exact(values: np.ndarray, bound: int) -> np.ndarray:
 
 
 class IntMatrix:
-    """Integer matrix with exact arithmetic, held as the nonzeros of its rows.
+    """Integer matrix with exact arithmetic, stored as its compressed rows.
 
-    The nonzeros have two views, each built once, from the other, on first
-    read.  `nonzeros` lists row i's (column, value) pairs in increasing
-    column order, values as Python ints.  `csr` is the compressed rows:
-    indptr, the columns row by row, and the values, in int64 when every one
-    has absolute value below 2^63, else as Python ints, so entries never
-    overflow.  Dense rows given to the constructor and from_nonzeros give
-    pairs; every other constructor and every operation gives arrays.  The
-    shape is stored explicitly, so 0-row and 0-column matrices round-trip.
-    `rows` builds fresh dense lists of Python ints on every read, so writing
-    into them never changes the matrix.
+    `csr` is (indptr, cols, values): row i's columns are cols[indptr[i]:
+    indptr[i+1]], increasing, and its nonzero entries the values there, in
+    int64 when every one has absolute value below 2^63, else as Python
+    ints, so entries never overflow.  Every constructor sets it: dense rows,
+    from_csr, from_triplets and every operation.  The shape is stored
+    explicitly, so 0-row and 0-column matrices round-trip.  `rows` builds
+    fresh dense lists of Python ints on every read, so writing into them
+    never changes the matrix.
     """
 
-    __slots__ = ("nrows", "ncols", "_nonzeros", "_csr", "_rows", "_plan", "_largest")
+    # csr is the one store of the entries; _rows (the row of each entry),
+    # _plan and _largest are caches derived from it
+    __slots__ = ("nrows", "ncols", "csr", "_rows", "_plan", "_largest")
 
     def __init__(self, rows: Sequence[Sequence[int]], ncols: int | None = None):
-        rows = [list(map(int, r)) for r in rows]
+        rows = list(rows)
         self.nrows = len(rows)
         if self.nrows:
             self.ncols = len(rows[0])
@@ -130,32 +125,26 @@ class IntMatrix:
             if ncols is None:
                 raise ShapeError("empty matrix needs an explicit column count")
             self.ncols = ncols
-        cols = range(self.ncols)
-        self._nonzeros = [[(j, row[j]) for j in compress(cols, row)] for row in rows]
-        self._csr = self._rows = self._plan = self._largest = None
+        try:
+            dense = np.array(rows, dtype=np.int64)
+        except OverflowError:  # entries past int64 are kept as Python ints
+            dense = np.array([list(map(int, r)) for r in rows], dtype=object)
+        dense = dense.reshape(self.nrows, self.ncols)
+        where, cols = dense.nonzero()
+        indptr = np.searchsorted(where, np.arange(self.nrows + 1))
+        self.csr = (indptr, cols, _narrowed(dense[where, cols]))
+        self._rows = self._plan = self._largest = None
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def _new(cls, nrows: int, ncols: int, nonzeros=None, csr=None, rows=None) -> "IntMatrix":
-        """A matrix of either view; rows, when given, is the row of each
-        entry of csr."""
+    def _new(cls, nrows: int, ncols: int, csr, rows=None) -> "IntMatrix":
+        """The matrix of the compressed rows csr; rows, when given, is the
+        row of each entry."""
         m = cls.__new__(cls)
-        m.nrows, m.ncols = nrows, ncols
-        m._nonzeros, m._csr, m._rows = nonzeros, csr, rows
+        m.nrows, m.ncols, m.csr, m._rows = nrows, ncols, csr, rows
         m._plan = m._largest = None
         return m
-
-    @classmethod
-    def from_nonzeros(
-        cls, nonzeros: list[list[tuple[int, int]]], nrows: int, ncols: int
-    ) -> "IntMatrix":
-        """The nrows x ncols matrix whose row i has the (column, value) pairs
-        nonzeros[i], given in increasing column order with nonzero values.
-        The lists are kept as they are, not copied."""
-        if len(nonzeros) != nrows:
-            raise ShapeError(f"{len(nonzeros)} rows of nonzeros for {nrows} rows")
-        return cls._new(nrows, ncols, nonzeros=nonzeros)
 
     @classmethod
     def from_csr(cls, indptr, cols, values, nrows: int, ncols: int) -> "IntMatrix":
@@ -165,7 +154,7 @@ class IntMatrix:
         if len(indptr) != nrows + 1:
             raise ShapeError(f"{len(indptr) - 1} rows of compressed rows for {nrows} rows")
         csr = (np.asarray(indptr, dtype=np.intp), np.asarray(cols, dtype=np.intp), _narrowed(values))
-        return cls._new(nrows, ncols, csr=csr)
+        return cls._new(nrows, ncols, csr)
 
     @staticmethod
     def from_triplets(rows, cols, values, nrows: int, ncols: int) -> "IntMatrix":
@@ -198,48 +187,20 @@ class IntMatrix:
         return self._dense_rows()
 
     @property
-    def nonzeros(self) -> list[list[tuple[int, int]]]:
-        """The (column, value) pairs of each row, in column order."""
-        if self._nonzeros is None:
-            self._nonzeros = self._pairs_from_csr()
-        return self._nonzeros
-
-    @property
-    def csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(indptr, cols, values): row i's columns are cols[indptr[i]:
-        indptr[i+1]], increasing, and its entries the values there."""
-        if self._csr is None:
-            self._csr = self._csr_from_pairs()
-        return self._csr
-
-    @property
     def nnz(self) -> int:
         return len(self.csr[1])
 
-    def _pairs_from_csr(self) -> list[list[tuple[int, int]]]:
-        indptr, cols, values = self._csr
-        pairs = list(zip(cols.tolist(), values.tolist()))
-        bounds = indptr.tolist()
-        return [pairs[a:b] for a, b in zip(bounds, bounds[1:])]
-
-    def _csr_from_pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        rows = self._nonzeros
-        indptr = np.zeros(self.nrows + 1, dtype=np.intp)
-        indptr[1:] = np.cumsum([len(row) for row in rows], dtype=np.intp)
-        flat = [pair for row in rows for pair in row]
-        return indptr, np.array([j for j, _ in flat], dtype=np.intp), _narrowed([a for _, a in flat])
-
     def triplets(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(rows, cols, values) of the nonzeros, in row order."""
+        """(rows, cols, values) of the nonzero entries, in row order."""
         indptr, cols, values = self.csr
         if self._rows is None:
             self._rows = np.repeat(np.arange(self.nrows), indptr[1:] - indptr[:-1])
         return self._rows, cols, values
 
     def row_terms(self, index: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The nonzeros of rows index[0], index[1], ... in turn, as (t, cols,
-        values) with t the position in index that each comes from: the
-        gather of the row-by-row (Gustavson) product."""
+        """The nonzero entries of rows index[0], index[1], ... in turn, as
+        (t, cols, values) with t the position in index that each comes
+        from: the gather of the row-by-row (Gustavson) product."""
         indptr, cols, values = self.csr
         starts = indptr[index]
         counts = indptr[index + 1] - starts
@@ -255,13 +216,12 @@ class IntMatrix:
         kept = (cols >= c0) & (cols < c1)
         # row i keeps the entries kept before its end
         indptr = np.concatenate(([0], kept.cumsum()))[indptr[r0 : r1 + 1] - lo]
-        return IntMatrix._new(r1 - r0, c1 - c0, csr=(indptr, cols[kept] - c0, values[kept]))
+        return IntMatrix._new(r1 - r0, c1 - c0, (indptr, cols[kept] - c0, values[kept]))
 
     def _dense_rows(self) -> list[list[int]]:
         rows = [[0] * self.ncols for _ in range(self.nrows)]
-        for row, pairs in zip(rows, self.nonzeros):
-            for j, a in pairs:
-                row[j] = a
+        for i, j, a in zip(*(x.tolist() for x in self.triplets())):
+            rows[i][j] = a
         return rows
 
     # -- basic algebra -----------------------------------------------------
@@ -345,11 +305,11 @@ class IntMatrix:
     def step(self, vec) -> np.ndarray:
         """m @ vec as an array of step_dtype: one gather of vec, one
         multiply of the terms whose entry is not 1 and one segmented sum
-        over the nonzeros.  vec may be a sequence or an array; an array of
-        that dtype is used as it is.  vec may also be an ncols x k block of
-        vectors, one per column: the gather takes whole rows of it, the sum
-        runs along axis 0, and the result is the nrows x k block of their
-        products."""
+        over the nonzero entries.  vec may be a sequence or an array; an
+        array of that dtype is used as it is.  vec may also be an ncols x k
+        block of vectors, one per column: the gather takes whole rows of it,
+        the sum runs along axis 0, and the result is the nrows x k block of
+        their products."""
         if len(vec) != self.ncols:
             raise ShapeError("vector length does not match column count")
         cols, starts, scaled, filled, dtype = self._step_plan()
@@ -380,9 +340,7 @@ class IntMatrix:
         order = cols.argsort(kind="stable")
         cols = cols[order]
         indptr = np.searchsorted(cols, np.arange(self.ncols + 1))
-        return IntMatrix._new(
-            self.ncols, self.nrows, csr=(indptr, rows[order], values[order]), rows=cols
-        )
+        return IntMatrix._new(self.ncols, self.nrows, (indptr, rows[order], values[order]), cols)
 
     def trace(self) -> int:
         if not self.is_square():
@@ -400,7 +358,7 @@ class IntMatrix:
 
     def abs(self) -> "IntMatrix":
         indptr, cols, values = self.csr
-        return IntMatrix._new(self.nrows, self.ncols, csr=(indptr, cols, np.abs(values)))
+        return IntMatrix._new(self.nrows, self.ncols, (indptr, cols, np.abs(values)))
 
     def is_zero(self) -> bool:
         return self.nnz == 0
@@ -413,7 +371,7 @@ class IntMatrix:
 
     def kron(self, other: "IntMatrix") -> "IntMatrix":
         """Kronecker product, row-major cell order (i*p+k, j*q+l), one
-        product per pair of nonzeros."""
+        product per pair of nonzero entries."""
         p, q = other.nrows, other.ncols
         ra, ca, a = self.triplets()
         rb, cb, b = other.triplets()
@@ -429,7 +387,7 @@ class IntMatrix:
 
     def to_array(self, dtype) -> np.ndarray:
         """The entries as a dense numpy array of the given dtype, scattered
-        from the nonzeros."""
+        from the triplets."""
         rows, cols, values = self.triplets()
         out = np.zeros((self.nrows, self.ncols), dtype=dtype)
         out[rows, cols] = values
@@ -486,7 +444,7 @@ def _assemble(rows, cols, values, nrows: int, ncols: int, largest: int) -> IntMa
         values = _narrowed(values)
     rows, cols = np.divmod(keys, ncols)
     indptr = np.searchsorted(rows, np.arange(nrows + 1))
-    return IntMatrix._new(nrows, ncols, csr=(indptr, cols, values), rows=rows)
+    return IntMatrix._new(nrows, ncols, (indptr, cols, values), rows)
 
 
 # ---------------------------------------------------------------------------
@@ -573,12 +531,13 @@ def is_prime(n: int) -> bool:
 
 class FieldMatrix(IntMatrix):
     """IntMatrix over F_p: entries reduced to 0..p-1 and kept reduced, so
-    the entries that are 0 mod p are not among its nonzeros.
+    the entries that are 0 mod p are not stored.
 
-    Shape handling and storage are IntMatrix's.  Identity, equality, products, mat-vecs
-    and differences are the IntMatrix operations followed by reduction mod
-    p; the other operations (+, transpose, kron, ...) return a plain,
-    unreduced IntMatrix.
+    Shape handling and storage are IntMatrix's; dense rows are reduced
+    through from_csr, as field_reduce does.  Identity, equality, products,
+    mat-vecs and differences are the IntMatrix operations followed by
+    reduction mod p; the other operations (+, transpose, kron, ...) return
+    a plain, unreduced IntMatrix.
     """
 
     __slots__ = ("p",)
@@ -588,19 +547,7 @@ class FieldMatrix(IntMatrix):
             raise ValueError(f"{p} is not prime")
         super().__init__(rows, ncols)
         self.p = p
-        self._nonzeros = _reduced(self._nonzeros, p)
-
-    @classmethod
-    def from_nonzeros(
-        cls, nonzeros: list[list[tuple[int, int]]], nrows: int, ncols: int, p: int
-    ) -> "FieldMatrix":
-        """IntMatrix.from_nonzeros with every value reduced mod p; the pairs
-        whose value is 0 mod p are dropped."""
-        if not is_prime(p):
-            raise ValueError(f"{p} is not prime")
-        m = super().from_nonzeros(_reduced(nonzeros, p), nrows, ncols)
-        m.p = p
-        return m
+        self.csr = FieldMatrix.from_csr(*self.csr, self.nrows, self.ncols, p).csr
 
     @classmethod
     def from_csr(cls, indptr, cols, values, nrows: int, ncols: int, p: int) -> "FieldMatrix":
@@ -650,11 +597,6 @@ class FieldMatrix(IntMatrix):
         if self.p != other.p:
             raise ShapeError("modulus mismatch")
         return field_reduce(super().__sub__(other), self.p)
-
-
-def _reduced(nonzeros: list[list[tuple[int, int]]], p: int) -> list[list[tuple[int, int]]]:
-    """The pairs with every value reduced mod p, less those that are 0 mod p."""
-    return [[(j, a % p) for j, a in row if a % p] for row in nonzeros]
 
 
 def field_reduce(m: IntMatrix, p: int) -> FieldMatrix:

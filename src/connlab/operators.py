@@ -47,7 +47,7 @@ forms its Schur blocks once for det L, reciprocity and schur_inverse.  The
 test suite keeps the dense product and the dense builders
 (tests/oracles.py) as the oracles.  The signless incidence and Kirchhoff
 matrices are the entrywise abs of the signed ones, and the hydrogen
-residual has no nonzeros when the identity holds.
+residual has no nonzero entry when the identity holds.
 """
 
 from __future__ import annotations
@@ -169,7 +169,7 @@ def _schur_blocks(m: IntMatrix, v: int) -> tuple[IntMatrix, IntMatrix, list[int]
     """(U, W, diagonal of S) for m = [[I_v, U], [W, C]], S = C - W U.
 
     S is one sparse product, [W C] @ [[-U], [I]]: each row of S subtracts
-    the U rows at its W nonzeros (for L, the two vertices of an edge).
+    the U rows at its W entries (for L, the two vertices of an edge).
     Raises ArithmeticError unless the leading v x v block is exactly the
     identity and S is diagonal.
     """
@@ -403,7 +403,7 @@ def bundle_for(source: Graph | Complex | OperatorBundle) -> OperatorBundle:
 
 def hydrogen_residual(bundle: OperatorBundle) -> IntMatrix:
     """|H| - (L - L^-1), one aggregation of the signed triplets of |H|, L and g;
-    the zero matrix, with no nonzeros, exactly when the identity holds."""
+    the zero matrix, with no nonzero entry, exactly when the identity holds."""
     return linear_combination(
         (bundle.hodge_signless, 1), (bundle.connection, -1), (bundle.green, 1)
     )
@@ -468,7 +468,7 @@ class TraceReport:
 
 
 def _trace_of_square(m: IntMatrix) -> int:
-    """tr(m @ m) as the sum of m[i][j] * m[j][i] over the nonzeros of m,
+    """tr(m @ m) as the sum of m[i][j] * m[j][i] over the entries of m,
     each (j, i) found by binary search among the sorted keys i * n + j."""
     rows, cols, values = m.triplets()
     if not len(values):
@@ -579,8 +579,8 @@ def spanning_forest(c: Complex) -> SpanningForest:
 
 def forest_rank(m: IntMatrix, forest: SpanningForest, signless: bool = False) -> int | None:
     """rank m over Q for the incidence d of the forest's graph, or for |d|
-    when signless is set, or None when these bounds, read off m's nonzeros
-    in O(v + nnz), do not meet.
+    when signless is set, or None when these bounds, read off m's compressed
+    rows in O(v + nnz), do not meet.
 
     Lower: the row of each non-root x's parent edge must have x as its
     nonzero column latest in search order, so these rows and the non-root
@@ -600,7 +600,10 @@ def forest_rank(m: IntMatrix, forest: SpanningForest, signless: bool = False) ->
     hit: set[int] = set()  # components whose vector some row does not map to 0
     witnessed: set[int] = set()
     clean = True  # every forest row maps every odd colouring to 0
-    for k, row in enumerate(m.nonzeros):
+    indptr, cols, values = m.csr
+    pairs = list(zip(cols.tolist(), values.tolist()))
+    bounds = indptr.tolist()
+    for k, row in enumerate(pairs[a:b] for a, b in zip(bounds, bounds[1:])):
         pairing: dict[int, int] = {}
         for j, a in row:
             pairing[component[j]] = pairing.get(component[j], 0) + a * weight[j]

@@ -14,8 +14,8 @@ construction over the cells, and the spectra are compared against pairwise
 products and sums.  charpoly(L^2) is reciprocal with sign (-1)^(n_A n_B)
 once both factors pass operators.schur_reciprocity_sign, since the squared
 product spectrum is the pairwise products of two inversion-closed ones.
-The product inverse is kron(g_A, g_B) of the factors'
-certified Green matrices, itself certified by L @ X = I over the nonzeros.
+The product inverse is kron(g_A, g_B) of the factors' certified Green
+matrices, itself certified by the sparse product L @ X = I.
 The energy theorem survives the product (the total sum of L^-1 entries is
 chi(A) chi(B)), but the hydrogen identity does not, and product_checks
 reports that failure as a measured nonzero residual rather than hiding it.
@@ -66,11 +66,11 @@ class ProductComplex:
         """L(A x B) built directly from the cell intersection rule."""
         cells = [(set(x), set(y)) for x, y in self.cells]
         n = len(cells)
-        rows = [
-            [(j, 1) for j, (xb, yb) in enumerate(cells) if xa & xb and ya & yb]
-            for xa, ya in cells
-        ]
-        return IntMatrix.from_nonzeros(rows, n, n)
+        cols, indptr = [], [0]
+        for xa, ya in cells:
+            cols.extend(j for j, (xb, yb) in enumerate(cells) if xa & xb and ya & yb)
+            indptr.append(len(cols))
+        return IntMatrix.from_csr(indptr, cols, np.ones(len(cols), dtype=np.int64), n, n)
 
 
 def product_complex(a: Graph | Complex, b: Graph | Complex) -> ProductComplex:
@@ -110,7 +110,7 @@ def two_time_walk(
 
     The state is an na x nb array S in cell order, so L_A (x) I maps it to
     L_A S and I (x) L_B to S L_B^T = (L_B S^T)^T: each power steps the whole
-    block over the nonzeros of L, or of the factor's certified g for a
+    block over the nonzero entries of L, or of the factor's certified g for a
     negative time.  The two factors commute, so the application order
     cannot matter; both orders are computed and compared before returning.
     """
@@ -183,7 +183,7 @@ def product_checks(a: Graph | Complex | OperatorBundle, b) -> ProductReport:
     """Energy, reciprocity, determinant, spectra, and the hydrogen failure.
 
     The product inverse is kron(g_A, g_B), certified against the assembled
-    product by L @ X = I over the nonzeros before anything reads it; only
+    product by the sparse L @ X = I before anything reads it; only
     then is L compared, once, with the intersection-rule construction over
     the product cells.  det L is det(L_A)^n_B det(L_B)^n_A from the factors'
     Schur-complement determinants, and the reciprocity sign (-1)^(n_A n_B)

@@ -15,10 +15,10 @@ the measurement tables:
 * lsc, shi   diameter-corrected degree bounds for irregular graphs
 
 A bounds row costs two v x v eigensolves, of the two Kirchhoff matrices
-built straight from the edge list, and work linear in the nonzeros: one
-pass of big-integer mat-vecs with L - I gives the walk counts of every k,
-and graphs.diameter is a bit-parallel BFS.  No incidence, |D| or |H| is
-built: rho(|H|) is rho_abs by supersymmetry (see BoundsReport).
+built straight from the edge list, and work linear in the nonzero
+entries: one pass of big-integer mat-vecs with L - I gives the walk counts
+of every k, and graphs.diameter is a bit-parallel BFS.  No incidence, |D|
+or |H| is built: rho(|H|) is rho_abs by supersymmetry (see BoundsReport).
 
 Soundness (every applicable bound >= rho) is asserted whenever a report is
 assembled, so a wrong formula cannot produce a quietly wrong table.
@@ -131,10 +131,6 @@ def eig_sym(m: IntMatrix | np.ndarray | Sequence[Sequence[float]], tol: float = 
         )
     order = np.argsort(w, kind="stable")
     return Spectrum(tuple(float(w[i]) for i in order), n, residual)
-
-
-def spectrum_of(m: IntMatrix, tol: float = EIG_TOL) -> Spectrum:
-    return eig_sym(m, tol)
 
 
 # ---------------------------------------------------------------------------

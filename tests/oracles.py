@@ -12,7 +12,9 @@ mod p with field_inverse(L mod p) over the corpus.
 
 dense_matmul is the schoolbook product of the dense rows, O(n^3), the
 oracle for the sparse IntMatrix @ and for the Hodge operators built as
-Dirac squares.
+Dirac squares.  pairs reads the (column, value) pairs of each row off the
+compressed rows, the form the tests write expected values in, and
+matrix_from_pairs stores such pairs back as they are.
 
 charpoly is the multimodular characteristic polynomial: a numpy int64
 Hessenberg reduction mod word primes (_charpoly_mod), lifted by Chinese
@@ -36,7 +38,7 @@ dense products; quaternion_branch_rank builds the 4n x 4n branch map from
 both and takes its rank.
 
 dense_kron is the Kronecker product written entry by entry from the dense
-rows, the oracle for IntMatrix.kron over the pairs.  edited gives a copy of
+rows, the oracle for IntMatrix.kron over the triplets.  edited gives a copy of
 a matrix with some entries changed, the way the mutation tests build a
 corrupted operator, since a matrix never changes once built;
 negated_edge_row and stray_vertex_entry wrap the Dirac builder the same
@@ -56,7 +58,7 @@ every time, the route dynamics.jacobi_residual keeps only for one-parity
 branches.
 
 The dense_* builders write each bundle operator entry by entry into dense
-rows; operators builds them from their nonzeros instead, and the tests
+rows; operators builds them as compressed rows instead, and the tests
 compare the two over the corpus.  dense_connection tests every pair of
 simplices for an intersection, and dense_hodge forms the Gram blocks
 d0^T d0 and d0 d0^T by dense products.
@@ -120,12 +122,32 @@ def dense_matmul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     )
 
 
+def pairs(m: IntMatrix) -> list[list[tuple[int, int]]]:
+    """The (column, value) pairs of each row of m, read off its compressed
+    rows, in column order and as Python ints."""
+    indptr, cols, values = m.csr
+    flat = list(zip(cols.tolist(), values.tolist()))
+    bounds = indptr.tolist()
+    return [flat[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
+def matrix_from_pairs(rows: Sequence[Sequence[tuple[int, int]]], ncols: int) -> IntMatrix:
+    """The matrix whose row i holds the (column, value) pairs rows[i],
+    stored by IntMatrix.from_csr exactly as given."""
+    flat = [pair for row in rows for pair in row]
+    return IntMatrix.from_csr(
+        np.cumsum([0] + [len(row) for row in rows]),
+        [j for j, _ in flat],
+        [a for _, a in flat],
+        len(rows),
+        ncols,
+    )
+
+
 def matrix_from_dicts(rows: Sequence[dict[int, int]], ncols: int) -> IntMatrix:
     """The matrix whose row i maps each column to its entry as rows[i]
     does; zero entries are dropped."""
-    return IntMatrix.from_nonzeros(
-        [sorted([(j, a) for j, a in row.items() if a]) for row in rows], len(rows), ncols
-    )
+    return matrix_from_pairs([sorted([(j, a) for j, a in row.items() if a]) for row in rows], ncols)
 
 
 def inverse_unimodular(m: IntMatrix) -> IntMatrix:
@@ -257,7 +279,7 @@ def charpoly(m: IntMatrix) -> IntPolynomial:
     n = m.nrows
     if n == 0:
         return IntPolynomial((1,))
-    rho = max(sum(abs(a) for _, a in row) for row in m.nonzeros)
+    rho = max(sum(abs(a) for _, a in row) for row in pairs(m))
     bound = _coefficient_bound(m)
     entries = m.to_array(object)
     coeffs = [0] * (n + 1)
@@ -285,7 +307,7 @@ def _coefficient_bound(m: IntMatrix) -> int:
     inequality bounds by their row norms.  A row norm never exceeds the row's
     absolute sum, so this is never above 2 (1 + rho)^n."""
     bound = 2
-    for row in m.nonzeros:
+    for row in pairs(m):
         sq = sum(a * a for _, a in row)
         bound *= 2 + isqrt(sq - 1) if sq else 1
     return bound
@@ -421,7 +443,7 @@ def certified_rank(m: IntMatrix, kernel: Sequence[Sequence[int]] = ()) -> int:
             used |= support
             upper -= 1
     bound = 1
-    for row in m.nonzeros:
+    for row in pairs(m):
         bound *= sum(a * a for _, a in row) or 1
     entries = m.to_array(object)
     lower, modulus, count = 0, 1, 0
@@ -557,11 +579,11 @@ def _edited_dirac(dirac, signless: bool, edit):
 
     def build(d0: IntMatrix) -> IntMatrix:
         m = dirac(d0)
-        if signless == any(a < 0 for row in d0.nonzeros for _, a in row):
+        if signless == any(a < 0 for row in pairs(d0) for _, a in row):
             return m
-        rows = list(m.nonzeros)
+        rows = pairs(m)
         edit(rows, d0.ncols)
-        return IntMatrix.from_nonzeros(rows, m.nrows, m.ncols)
+        return matrix_from_pairs(rows, m.ncols)
 
     return build
 
@@ -597,9 +619,9 @@ def _edited_certificate(forest_rank, signless: bool, edit):
 
     def certify(m: IntMatrix, forest, signless: bool = False):
         if signless == target:
-            rows = list(m.nonzeros)
+            rows = pairs(m)
             forest = edit(rows, forest)
-            m = IntMatrix.from_nonzeros(rows, m.nrows, m.ncols)
+            m = matrix_from_pairs(rows, m.ncols)
         return forest_rank(m, forest, signless)
 
     return certify

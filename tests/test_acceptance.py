@@ -66,7 +66,6 @@ from connlab.spectra import (
     connection_sign_split,
     eig_sym,
     spectral_function_sup_distance,
-    spectrum_of,
 )
 from connlab.tables import (
     BARY_STAR4_RHO,
@@ -206,8 +205,8 @@ def test_criterion_07_wielandt_domination(corpus):
     worst_violation = -math.inf
     worst_bipartite_gap = 0.0
     for spec, b in corpus.items():
-        rho_signed = spectrum_of(b.kirchhoff).top
-        rho_signless = spectrum_of(b.kirchhoff_signless).top
+        rho_signed = eig_sym(b.kirchhoff).top
+        rho_signless = eig_sym(b.kirchhoff_signless).top
         worst_violation = max(worst_violation, rho_signed - rho_signless)
         if spec.startswith("bary:"):
             worst_bipartite_gap = max(worst_bipartite_gap, abs(rho_signed - rho_signless))
@@ -233,8 +232,8 @@ def test_criterion_08_spectral_link_and_kwalk(corpus):
     worst_rate_share = 0.0
     worst_k24 = 0.0
     for spec, b in corpus.items():
-        rho_l = spectrum_of(b.connection).top
-        rho_habs = spectrum_of(b.hodge_signless).top
+        rho_l = eig_sym(b.connection).top
+        rho_habs = eig_sym(b.hodge_signless).top
         worst_link = max(worst_link, abs(rho_habs - (rho_l - 1.0 / rho_l)))
         ks = (1, 2, 3, 6, 12, 24) if b.size <= 30 else (1, 2, 3, 6, 12)
         bound = {k: bound_kwalk(b.graph, k) for k in ks}
@@ -319,7 +318,7 @@ def test_kirby_and_inertia_follow_from_the_schur_certificate(corpus, squared_cha
     for spec, b in corpus.items():
         ss = supersymmetry_report(b)
         ones = _multiplicity_of_root_one(squared_charpolys[spec].coeffs)
-        eigenvalues = spectrum_of(b.connection).eigenvalues
+        eigenvalues = eig_sym(b.connection).eigenvalues
         inertia = (sum(lam > 0 for lam in eigenvalues), sum(lam < 0 for lam in eigenvalues))
         if (
             schur_reciprocity_sign(b.connection, b.v) is None
@@ -510,11 +509,11 @@ def test_criterion_15_schur_majorization_and_gaps(corpus):
     split_failures = []
     top_gap_below_one = []
     for spec, b in corpus.items():
-        l_spec = spectrum_of(b.connection)
+        l_spec = eig_sym(b.connection)
         sums = l_spec.partial_sums()
         worst_excess = max(worst_excess, max(s - t for t, s in enumerate(sums, start=1)))
         worst_trace = max(worst_trace, abs(sums[-1] - b.size))
-        if spectrum_of(b.hodge_signless).top < max(b.graph.degrees()) - 1e-8:
+        if eig_sym(b.hodge_signless).top < max(b.graph.degrees()) - 1e-8:
             fiedler_bad.append(spec)
         e, v = b.graph.e, b.graph.n
         split = connection_sign_split(l_spec)
@@ -538,7 +537,7 @@ def test_criterion_15_schur_majorization_and_gaps(corpus):
 
 def test_criterion_16_barycentric_limit():
     b = bundle_for(from_spec("cycle:400"))
-    dist = spectral_function_sup_distance(spectrum_of(b.kirchhoff))
+    dist = spectral_function_sup_distance(eig_sym(b.kirchhoff))
     func = limit_functional_equation_residual(100)
     ok = dist < 0.02 and func < 1e-12
     _report(16, ok, f"sup distance to 4sin^2(pi x/2): {dist:.4f}; functional equation residual {func:.1e}")

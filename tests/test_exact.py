@@ -44,6 +44,7 @@ from oracles import (
     inverse_unimodular,
     is_reciprocal,
     matpow,
+    pairs,
     rank,
     reciprocal_sign,
 )
@@ -452,44 +453,51 @@ def test_field_matrix_is_a_reduced_int_matrix():
 
 
 def test_dense_input_is_stored_as_its_nonzeros():
+    # dense rows are stored as their compressed rows, the one view of the
+    # entries, which the constructor sets and every read shares
     m = IntMatrix([[0, 3, 0], [-2, 0, 5]])
-    assert m.nonzeros == [[(1, 3)], [(0, -2), (2, 5)]]
-    assert m.nonzeros is m.nonzeros
-    # the compressed rows are built from the pairs once, on first read, and
-    # leave the pairs as they were; a matrix built as compressed rows builds
-    # its pairs once in turn
-    pairs = m.nonzeros
     indptr, cols, values = m.csr
-    assert m.csr is m.csr and m.nonzeros is pairs
+    assert m.csr is m.csr
     assert (indptr.tolist(), cols.tolist(), values.tolist()) == ([0, 1, 3], [1, 0, 2], [3, -2, 5])
     assert values.dtype == np.int64 and m.nnz == 3
+    assert pairs(m) == [[(1, 3)], [(0, -2), (2, 5)]]
     t = m.transpose()
-    assert t.nonzeros is t.nonzeros and t.csr is t.csr
-    assert t.nonzeros == [[(1, -2)], [(0, 3)], [(1, 5)]]
+    assert t.csr is t.csr
+    assert pairs(t) == [[(1, -2)], [(0, 3)], [(1, 5)]]
     # a corrupted operator is a new matrix built from edited rows
     c = edited(m, {(0, 1): 0, (1, 1): 7})
-    assert c.nonzeros == [[], [(0, -2), (1, 7), (2, 5)]]
+    assert pairs(c) == [[], [(0, -2), (1, 7), (2, 5)]]
     assert c.apply((1, 1, 1)) == (0, 10)
-    assert m.nonzeros == [[(1, 3)], [(0, -2), (2, 5)]] and m.apply((1, 1, 1)) == (3, 3)
+    assert pairs(m) == [[(1, 3)], [(0, -2), (2, 5)]] and m.apply((1, 1, 1)) == (3, 3)
     # the input lists are converted, not kept
     given = [[0, -1], [10**30, 0], [0, 0]]
     d = IntMatrix(given)
     given[0][0] = 5
     given[2].append(1)
-    assert d.nonzeros == [[(1, -1)], [(0, 10**30)], []] and d.shape == (3, 2)
+    assert pairs(d) == [[(1, -1)], [(0, 10**30)], []] and d.shape == (3, 2)
+    assert d.csr[0].tolist() == [0, 1, 2, 2] and d.csr[2].dtype == object
     assert d.rows == [[0, -1], [10**30, 0], [0, 0]]
     # FieldMatrix sees its reduced entries and drops those that are 0 mod p
     mp = FieldMatrix(m.rows, 3)
-    assert mp.nonzeros == [[], [(0, 1), (2, 2)]] and mp.rows == [[0, 0, 0], [1, 0, 2]]
+    assert pairs(mp) == [[], [(0, 1), (2, 2)]] and mp.rows == [[0, 0, 0], [1, 0, 2]]
+    assert mp.csr[0].tolist() == [0, 0, 2] and mp.nnz == 2
     assert mp.apply((1, 1, 1)) == (0, 0)
-    assert FieldMatrix([[7, -7, 8], [-13, 0, 14]], 7).nonzeros == [[(2, 1)], [(0, 1)]]
-    assert IntMatrix([], ncols=3).nonzeros == [] and IntMatrix([[], []], ncols=0).apply(()) == (0, 0)
+    assert pairs(FieldMatrix([[7, -7, 8], [-13, 0, 14]], 7)) == [[(2, 1)], [(0, 1)]]
+    empty = IntMatrix([], ncols=3)
+    assert pairs(empty) == [] and empty.csr[0].tolist() == [0] and empty.shape == (0, 3)
+    assert IntMatrix([[], []], ncols=0).apply(()) == (0, 0)
 
 
 def test_dense_rows_are_a_fresh_view_on_every_read():
-    nz = [[(1, 3)], [], [(0, -2), (2, 10**30)]]
-    m = IntMatrix.from_nonzeros(nz, 3, 3)
-    assert m.nonzeros is nz
+    indptr, cols, values = [0, 1, 1, 3], [1, 0, 2], [3, -2, 10**30]
+    m = IntMatrix.from_csr(indptr, cols, values, 3, 3)
+    # list input is converted to arrays, so writing into the lists later
+    # never reaches the matrix; given arrays are kept as they are
+    values[0] = 4
+    cols.append(1)
+    assert pairs(m) == [[(1, 3)], [], [(0, -2), (2, 10**30)]]
+    kept = np.array([0, 1], dtype=np.intp)
+    assert IntMatrix.from_csr(kept, kept[1:], kept[1:], 1, 2).csr[0] is kept
     rows = m.rows
     assert rows == [[0, 3, 0], [0, 0, 0], [-2, 0, 10**30]]
     again = m.rows
@@ -502,13 +510,13 @@ def test_dense_rows_are_a_fresh_view_on_every_read():
     rows[0].append(7)
     rows.pop()
     assert m == IntMatrix([[0, 3, 0], [0, 0, 0], [-2, 0, 10**30]])
-    assert m.nonzeros is nz and nz == [[(1, 3)], [], [(0, -2), (2, 10**30)]]
+    assert pairs(m) == [[(1, 3)], [], [(0, -2), (2, 10**30)]]
     assert m.apply((1, 1, 1)) == (3, 0, 10**30 - 2)
     assert m.rows == again == [[0, 3, 0], [0, 0, 0], [-2, 0, 10**30]]
-    assert IntMatrix.from_nonzeros([[], []], 2, 0).rows == [[], []]
-    assert IntMatrix.from_nonzeros([], 0, 4).to_float().shape == (0, 4)
+    assert IntMatrix.from_csr([0, 0, 0], [], [], 2, 0).rows == [[], []]
+    assert IntMatrix.from_csr([0], [], [], 0, 4).to_float().shape == (0, 4)
     with pytest.raises(ShapeError):
-        IntMatrix.from_nonzeros([[(0, 1)]], 2, 2)
+        IntMatrix.from_csr([0, 1], [0], [1], 2, 2)
 
 
 @pytest.mark.parametrize(
@@ -530,7 +538,7 @@ def test_kron_over_the_pairs_matches_the_dense_kron(a, b):
     got, want = a.kron(b), dense_kron(a, b)
     assert got.shape == want.shape == (a.nrows * b.nrows, a.ncols * b.ncols)
     assert got.rows == want.rows
-    assert got.nonzeros == want.nonzeros
+    assert pairs(got) == pairs(want)
 
 
 product_entries = st.one_of(
@@ -575,8 +583,8 @@ def test_sparse_product_matches_the_dense_product(operands):
     assert got.shape == want.shape == (a.nrows, b.ncols)
     assert got.rows == want.rows
     # entries that cancel to 0 leave no pair behind
-    assert got.nonzeros == want.nonzeros
-    assert all(x for row in got.nonzeros for _, x in row)
+    assert pairs(got) == pairs(want)
+    assert all(x for row in pairs(got) for _, x in row)
 
 
 @settings(max_examples=60, deadline=None)
@@ -593,7 +601,7 @@ def test_field_product_reduces_mod_p(operands, p):
 def test_sparse_product_edge_cases():
     big = 2**64
     cancel = IntMatrix([[1, 1], [big, big]]) @ IntMatrix([[big], [-big]])
-    assert cancel.shape == (2, 1) and cancel.nonzeros == [[], []] and cancel.is_zero()
+    assert cancel.shape == (2, 1) and pairs(cancel) == [[], []] and cancel.is_zero()
     assert (IntMatrix([], ncols=3) @ IntMatrix([[1], [2], [3]])).shape == (0, 1)
     assert (IntMatrix([[], []], ncols=0) @ IntMatrix([], ncols=4)).rows == [[0] * 4] * 2
     with pytest.raises(ShapeError, match="cannot multiply"):
@@ -606,7 +614,7 @@ def test_products_at_the_int64_boundary_are_exact(operands):
     a, b = operands
     got = a @ b
     assert got.rows == dense_matmul(a, b).rows
-    assert all(x for row in got.nonzeros for _, x in row)
+    assert all(x for row in pairs(got) for _, x in row)
 
 
 @settings(max_examples=150, deadline=None)
@@ -616,7 +624,7 @@ def test_sums_at_the_int64_boundary_are_exact(operands):
     for got, sign in ((a + b, 1), (a - b, -1)):
         want = [[x + sign * y for x, y in zip(ra, rb)] for ra, rb in zip(a.rows, b.rows)]
         assert got.rows == want
-        assert got.nonzeros == IntMatrix(want, ncols=a.ncols).nonzeros
+        assert pairs(got) == pairs(IntMatrix(want, ncols=a.ncols))
 
 
 def test_int64_boundary_cases_stay_exact():
@@ -631,7 +639,7 @@ def test_int64_boundary_cases_stay_exact():
     half = IntMatrix([[2**62, -(2**62), 0]])
     assert (half + half).rows == [[2**63, -(2**63), 0]]
     assert (half - half.scale(-1)).rows == [[2**63, -(2**63), 0]]
-    assert (half - half).is_zero() and (half + half.scale(-1)).nonzeros == [[]]
+    assert (half - half).is_zero() and pairs(half + half.scale(-1)) == [[]]
     # 274177 * 67280421310721 = 2^64 + 1, which int64 would wrap to 1: m g
     # is diag(2^64 + 1, 1), not the identity
     m, g = IntMatrix([[274177, 0], [0, 1]]), IntMatrix([[67280421310721, 0], [0, 1]])
@@ -659,10 +667,10 @@ def test_values_leave_intmatrix_as_python_ints():
     huge = IntMatrix.from_triplets([0, 0, 1], [1, 1, 0], [2**70, 5, -3], 2, 2)
     for m in (b.connection, b.green, b.hodge_signless, residual, b.connection @ b.green, huge):
         assert all(type(x) is int for row in m.rows for x in row)
-        assert all(type(j) is int and type(x) is int for row in m.nonzeros for j, x in row)
+        assert all(type(j) is int and type(x) is int for row in pairs(m) for j, x in row)
         assert all(type(x) is int for x in (m.entry_sum(), m.max_abs(), m.trace(), m.nnz))
         assert all(type(x) is int for x in m.apply([1] * m.ncols) + tuple(m.row_sums()))
-    assert huge.nonzeros == [[(1, 2**70 + 5)], [(0, -3)]] and huge.csr[2].dtype == object
+    assert pairs(huge) == [[(1, 2**70 + 5)], [(0, -3)]] and huge.csr[2].dtype == object
     assert type(b.connection_det) is int and b.connection_det == (-1) ** b.e
     summary = {"residual": residual.max_abs(), "det": b.connection_det, "energy": b.green.entry_sum()}
     assert json.dumps(summary, sort_keys=True) == '{"det": 1, "energy": -5, "residual": 0}'
@@ -672,26 +680,30 @@ def test_values_leave_intmatrix_as_python_ints():
 def test_sums_and_reductions_run_over_the_nonzeros():
     a = IntMatrix([[0, 3, 0], [-2, 0, 5]])
     b = oracles.matrix_from_dicts([{1: -3, 2: 1}, {0: 0, 2: -5}], 3)
-    assert b.nonzeros == [[(1, -3), (2, 1)], [(2, -5)]]
-    assert (a + b).nonzeros == [[(2, 1)], [(0, -2)]]
-    assert (a - a).is_zero() and (a - a).nonzeros == [[], []]
-    assert a.scale(0).nonzeros == [[], []] and a.scale(-2).rows == [[0, -6, 0], [4, 0, -10]]
+    assert pairs(b) == [[(1, -3), (2, 1)], [(2, -5)]]
+    assert pairs(a + b) == [[(2, 1)], [(0, -2)]]
+    assert (a - a).is_zero() and pairs(a - a) == [[], []]
+    assert pairs(a.scale(0)) == [[], []] and a.scale(-2).rows == [[0, -6, 0], [4, 0, -10]]
     assert a.abs().rows == [[0, 3, 0], [2, 0, 5]]
-    assert a.transpose().nonzeros == [[(1, -2)], [(0, 3)], [(1, 5)]]
+    assert pairs(a.transpose()) == [[(1, -2)], [(0, 3)], [(1, 5)]]
     assert (a.max_abs(), a.entry_sum(), a.row_sums()) == (5, 6, [3, 3])
     assert IntMatrix([[1, 2], [3, -4]]).trace() == -3
     assert np.array_equal(a.to_float(), np.array([[0.0, 3.0, 0.0], [-2.0, 0.0, 5.0]]))
 
 
 def test_field_matrix_from_nonzeros_drops_entries_that_vanish_mod_p():
-    nz = [[(0, 7), (1, 3)], [(1, -14)]]
-    m = FieldMatrix.from_nonzeros(nz, 2, 2, 7)
-    assert m.p == 7 and m.nonzeros == [[(1, 3)], []]
+    # the compressed rows of [[7, 3], [0, -14]], reduced mod 7 by from_csr,
+    # the one reduction that FieldMatrix(rows, p) and field_reduce share
+    csr = ([0, 2, 3], [0, 1, 1], [7, 3, -14])
+    m = FieldMatrix.from_csr(*csr, 2, 2, 7)
+    assert m.p == 7 and pairs(m) == [[(1, 3)], []]
+    assert m.csr[0].tolist() == [0, 1, 1] and m.nnz == 1
     assert m == FieldMatrix([[7, 3], [0, -14]], 7)
-    assert field_reduce(IntMatrix.from_nonzeros(nz, 2, 2), 7) == m
-    assert (m - FieldMatrix.identity(2, 7)).nonzeros == [[(0, 6), (1, 3)], [(1, 6)]]
+    assert field_reduce(IntMatrix.from_csr(*csr, 2, 2), 7) == m
+    assert pairs(m - FieldMatrix.identity(2, 7)) == [[(0, 6), (1, 3)], [(1, 6)]]
     with pytest.raises(ValueError, match="not prime"):
-        FieldMatrix.from_nonzeros(nz, 2, 2, 8)
+        FieldMatrix.from_csr(*csr, 2, 2, 8)
+
 
 def test_reciprocal_sign_cases():
     assert reciprocal_sign(IntPolynomial((1, -3, 1))) == 1          # palindromic

@@ -7,6 +7,7 @@ guard against silent changes in cell ordering or sign conventions.
 """
 
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -51,6 +52,7 @@ from oracles import (
     graeffe,
     inverse_unimodular,
     negated_edge_row,
+    pairs,
     rank,
     reciprocal_sign,
     resigned_odd_rows,
@@ -395,53 +397,39 @@ def test_connection_det_rejects_broken_blocks(corpus, monkeypatch):
 def test_nonzeros_are_collected_once_per_operator(monkeypatch):
     # the certificate, the Schur det, the squared traces, the k-walk counts
     # and the Perron powers all read one cached matrix per operator: L and g
-    # are built as their compressed rows, and each of an operator's two
-    # views, the compressed rows and the (column, value) pairs, is built at
-    # most once, from the other, by at most one matrix of that content
+    # are built once each, by the bundle, as counted by the matrices _new
+    # makes with their content
     from connlab.cli import _verify_checks
     from connlab.dynamics import perron_limits
     from connlab.spectra import bounds_report
 
-    builds = {}
+    def content(cls, nrows, ncols, csr):
+        return (cls, nrows, ncols, *(str(x.tolist()) for x in csr))
 
-    def recording(view, build, pairs_of):
-        def record(m):
-            made = build(m)
-            builds.setdefault((type(m), str(pairs_of(m, made))), []).append((id(m), view))
-            return made
+    builds = Counter()
+    new = IntMatrix._new.__func__
 
-        return record
+    def recording_new(cls, nrows, ncols, csr, rows=None):
+        builds[content(cls, nrows, ncols, csr)] += 1
+        return new(cls, nrows, ncols, csr, rows)
 
-    monkeypatch.setattr(
-        IntMatrix,
-        "_pairs_from_csr",
-        recording("nonzeros", IntMatrix._pairs_from_csr, lambda m, made: made),
-    )
-    monkeypatch.setattr(
-        IntMatrix,
-        "_csr_from_pairs",
-        recording("csr", IntMatrix._csr_from_pairs, lambda m, made: m._nonzeros),
-    )
-
-    def built_once(key):
-        made = builds.get(key, [])
-        return len(set(made)) == len(made) and len({i for i, _ in made}) <= 1
-
+    monkeypatch.setattr(IntMatrix, "_new", classmethod(recording_new))
     g = from_spec("figure8")
     b = bundle_for(g)
-    L, green = (IntMatrix, str(b.connection.nonzeros)), (IntMatrix, str(b.green.nonzeros))
-    assert builds == {L: [(id(b.connection), "nonzeros")], green: [(id(b.green), "nonzeros")]}
-    assert b.connection.nonzeros is b.connection.nonzeros and b.connection.csr is b.connection.csr
-    assert len(builds[L]) == 1
-    builds.clear()
-    _verify_checks(bundle_for(g))
-    assert built_once(L)
-    builds.clear()
-    bounds_report(g, ks=(1, 2, 3))
-    assert built_once(L)
-    builds.clear()
-    perron_limits(g)
-    assert built_once(L) and built_once(green)
+    L, green = (content(type(m), m.nrows, m.ncols, m.csr) for m in (b.connection, b.green))
+    assert builds[L] == 1 and builds[green] == 1
+    assert b.connection is b.connection and b.connection.csr is b.connection.csr
+    # each run builds a bundle of its own; verify's green-star check also
+    # forms the Schur inverse, the second g that the bundle's is compared
+    # with, and bounds never forms g
+    for run, made in (
+        (lambda: _verify_checks(bundle_for(g)), (1, 2)),
+        (lambda: bounds_report(g, ks=(1, 2, 3)), (1, 0)),
+        (lambda: perron_limits(g), (1, 1)),
+    ):
+        builds.clear()
+        run()
+        assert (builds[L], builds[green]) == made
 
 
 # graphs the corpus lacks: several components, isolated vertices, no edges,
@@ -607,17 +595,17 @@ BUNDLE_OPERATORS = (
 
 
 def _assert_same(m, oracle, label):
-    """m equals the dense oracle: the same shape, dense rows and nonzeros."""
+    """m equals the dense oracle: the same shape, dense rows and pairs."""
     assert m.shape == oracle.shape, label
     assert m.rows == oracle.rows, label
-    assert m.nonzeros == oracle.nonzeros, label
+    assert pairs(m) == pairs(oracle), label
     assert m == oracle and oracle == m, label
 
 
 def test_sparse_builders_match_their_dense_oracles_on_corpus(corpus):
-    # every builder writes its nonzeros directly; tests/oracles.py writes the
-    # same operators entry by entry into dense rows, under the default and a
-    # seeded random orientation
+    # every builder writes its compressed rows directly; tests/oracles.py
+    # writes the same operators entry by entry into dense rows, under the
+    # default and a seeded random orientation
     rng = random.Random(2113)
     for spec, corpus_bundle in corpus.items():
         signs = [rng.choice((-1, 1)) for _ in range(corpus_bundle.e)]
@@ -643,12 +631,20 @@ def test_sparse_builders_match_their_dense_oracles_on_corpus(corpus):
         _assert_same(green_star(c), green, (spec, "green_star"))
         _assert_same(schur_inverse(b.connection, b.v), green, (spec, "schur_inverse"))
         _assert_same(hydrogen_residual(b), dense_hydrogen_residual(b), (spec, "hydrogen_residual"))
-        assert hydrogen_residual(b).nonzeros == [[]] * b.size, spec
+        assert pairs(hydrogen_residual(b)) == [[]] * b.size, spec
+
+
+def _same_csr(a: IntMatrix, b: IntMatrix) -> bool:
+    """a and b have one shape and identical compressed rows, dtypes included."""
+    return a.shape == b.shape and all(
+        x.dtype == y.dtype and x.tolist() == y.tolist() for x, y in zip(a.csr, b.csr)
+    )
 
 
 def test_storage_views_agree_on_every_bundle_operator(corpus):
-    # rows (built afresh from the nonzeros on each read), nonzeros, apply and
-    # to_float describe one matrix; the dense rows give the same nonzeros back
+    # rows (built afresh from the compressed rows on each read), pairs, apply
+    # and to_float describe one matrix; the dense rows give the same
+    # compressed rows back, in the same dtype
     rng = random.Random(4127)
     for spec, b in corpus.items():
         for name in BUNDLE_OPERATORS:
@@ -658,15 +654,30 @@ def test_storage_views_agree_on_every_bundle_operator(corpus):
             assert again == rows and again is not rows and len(rows) == m.nrows, (spec, name)
             assert all(x is not y for x, y in zip(again, rows)), (spec, name)
             assert all(len(row) == m.ncols for row in rows), (spec, name)
-            assert IntMatrix(rows, ncols=m.ncols).nonzeros == m.nonzeros, (spec, name)
-            assert all(a for row in m.nonzeros for _, a in row), (spec, name)
+            dense = IntMatrix(rows, ncols=m.ncols)
+            assert dense == m and _same_csr(dense, m), (spec, name)
+            assert pairs(dense) == pairs(m), (spec, name)
+            assert all(a for row in pairs(m) for _, a in row), (spec, name)
             assert all(
-                [j for j, _ in row] == sorted({j for j, _ in row}) for row in m.nonzeros
+                [j for j, _ in row] == sorted({j for j, _ in row}) for row in pairs(m)
             ), (spec, name)
             assert np.array_equal(m.to_float(), np.array(rows, dtype=float).reshape(m.shape))
             vec = [rng.randint(-(2**70), 2**70) for _ in range(m.ncols)]
             want = tuple(sum(a * x for a, x in zip(row, vec)) for row in rows)
-            assert m.apply(vec) == want == IntMatrix(rows, ncols=m.ncols).apply(vec), (spec, name)
+            assert m.apply(vec) == want == dense.apply(vec), (spec, name)
+    # at the int64 edge the three constructors agree, dtype included: row 0
+    # and column 1 are zero, and only 2^63 - 1 of the values fits in int64
+    # (-2^63 does, but its negation does not)
+    for x in (-(2**63), 2**63 - 1, 2**63, 2**70):
+        rows = [[0, 0, 0], [x, 0, -1]]
+        dense = IntMatrix(rows)
+        via_csr = IntMatrix.from_csr([0, 0, 2], [0, 2], [x, -1], 2, 3)
+        via_triplets = IntMatrix.from_triplets([1, 1], [0, 2], [x, -1], 2, 3)
+        dtype = np.int64 if x == 2**63 - 1 else object
+        for m in (dense, via_csr, via_triplets):
+            assert _same_csr(m, dense) and m == dense, x
+            assert m.csr[2].dtype == dtype and m.csr[2].tolist() == [x, -1], x
+            assert m.rows == rows and IntMatrix(m.rows) == m, x
 
 
 def test_bundle_certifies_at_24840_cells_without_a_dense_view(monkeypatch):
@@ -684,4 +695,4 @@ def test_bundle_certifies_at_24840_cells_without_a_dense_view(monkeypatch):
     assert is_unimodular(b) and b.connection_det == (-1) ** b.e
     assert hydrogen_residual(b).is_zero() and hydrogen_holds(b)
     assert energy(b) == b.complex.euler_characteristic() and energy_holds(b)
-    assert sum(map(len, g.nonzeros)) < 10 * b.size
+    assert g.nnz < 10 * b.size

@@ -51,6 +51,21 @@ def test_elimination_inverses_stay_in_the_oracles():
     assert not hasattr(connlab, "field_inverse") and "field_inverse" not in connlab.__all__
 
 
+def test_intmatrix_stores_only_its_compressed_rows():
+    # the compressed rows are the one store of an IntMatrix's entries; the
+    # (column, value) pair view and its conversions are gone from the
+    # package, and the tests read pairs through oracles.pairs
+    package = ROOT / "src" / "connlab"
+    sources = {p.stem: p.read_text() for p in package.glob("*.py")}
+    for name in ("nonzeros", "from_nonzeros", "_csr_from_pairs", "_pairs_from_csr"):
+        assert [m for m, text in sources.items() if name in text] == [], name
+    # csr is the store; the row of each entry, the step plan and max_abs are
+    # caches derived from it
+    exact = connlab.exact
+    assert exact.IntMatrix.__slots__ == ("nrows", "ncols", "csr", "_rows", "_plan", "_largest")
+    assert exact.FieldMatrix.__slots__ == ("p",)
+
+
 def test_charpoly_stays_with_reciprocity_and_spectra():
     # reciprocity reads the Schur certificate, supersymmetry rests on factor
     # certificates and the Sturm validation of spectra is an oracle; the
@@ -229,6 +244,6 @@ def test_layer_harness_counts_the_walk_mat_vecs(capsys, monkeypatch):
         capsys.readouterr()
         assert tracer.layer_metrics(1, 0)["exact.apply.calls"][0] == mat_vecs == 2 * steps - 1
         bundle = connlab.bundle_for(connlab.from_spec(spec))
-        block = max(1, (steps + 1) * bundle.size // sum(map(len, bundle.green.nonzeros)))
+        block = max(1, (steps + 1) * bundle.size // bundle.green.nnz)
         assert shapes.count(1) == 2 * steps + mat_vecs
         assert shapes.count(2) == blocks == -(-steps // block)

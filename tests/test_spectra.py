@@ -24,7 +24,6 @@ from connlab.spectra import (
     eig_sym,
     schur_check,
     spectral_function_sup_distance,
-    spectrum_of,
 )
 from conftest import SAMPLE_SPECS
 from oracles import (
@@ -70,7 +69,7 @@ def test_exact_root_multiset_with_multiplicity():
 @pytest.mark.parametrize("spec", SAMPLE_SPECS)
 def test_sign_split_counts_cells(spec, sample):
     b = sample[spec]
-    l_spec = spectrum_of(b.connection)
+    l_spec = eig_sym(b.connection)
     neg, pos = connection_sign_split(l_spec)
     assert (neg, pos) == (b.e, b.v)
     # the split gap clears 1 because sigma(L) lives in [-1, 0) union [1, inf)
@@ -110,7 +109,7 @@ def test_soundness_error_raised_on_fabricated_report():
 def test_kwalk_tightens_toward_spectral_link():
     g = from_spec("cycle:6")
     b = bundle_for(g)
-    target = spectrum_of(b.hodge_signless).top
+    target = eig_sym(b.hodge_signless).top
     assert abs(bound_kwalk(g, 24) - target) < 0.1
     assert bound_kwalk(g, 3) >= target - 1e-9
 
@@ -199,8 +198,8 @@ def test_dual_vertex_beats_2d_on_sparse():
 @pytest.mark.parametrize("spec", ["cycle:5", "star:4", "figure8"])
 def test_schur_majorization(spec, sample):
     b = sample.get(spec) or bundle_for(from_spec(spec))
-    l_spec = spectrum_of(b.connection)
-    habs_top = spectrum_of(b.hodge_signless).top
+    l_spec = eig_sym(b.connection)
+    habs_top = eig_sym(b.hodge_signless).top
     rep = schur_check(l_spec, habs_top=habs_top, max_degree=max(b.graph.degrees()))
     assert rep.ok
     assert rep.partial_sums_ok
@@ -212,7 +211,7 @@ def test_barycentric_limit_profile_converges():
     dists = []
     for n in (100, 200, 400):
         b = bundle_for(from_spec(f"cycle:{n}"))
-        dists.append(spectral_function_sup_distance(spectrum_of(b.kirchhoff)))
+        dists.append(spectral_function_sup_distance(eig_sym(b.kirchhoff)))
     assert dists[2] < dists[1] < dists[0]
     assert dists[2] < 0.02
 
@@ -224,7 +223,7 @@ def test_limit_profile_functional_equation():
 def test_spectral_radius_closed_form_on_cycle4():
     # rho(|H|) = 4 for C4, so rho(L) solves rho - 1/rho = 4: rho = 2 + sqrt(5)
     b = bundle_for(from_spec("cycle:4"))
-    got = spectrum_of(b.connection).top
+    got = eig_sym(b.connection).top
     assert math.isclose(got, 2 + math.sqrt(5), rel_tol=1e-10)
 
 
