@@ -1,7 +1,11 @@
 """Damped Newton solves of the perturbed relation K = L - L^-1 on a pattern.
 
-The unknown is a symmetric matrix supported on the intersection pattern
-(mask(x, y) true iff the simplices x and y meet, diagonal included).  Only
+The unknown is a symmetric matrix supported on a pattern, an IntMatrix
+whose nonzero positions are the support: the intersection pattern is L
+itself (L(x, y) is nonzero iff the simplices x and y meet, diagonal
+included).  A pattern must be symmetric with a full diagonal; every routine
+here reads its upper-triangle coordinates (i, j), i <= j, off the
+compressed rows in row-major order and raises ValueError otherwise.  Only
 the pattern coordinates of the equation are solved:
 
     F(X) = proj(K - X + X^-1) = 0
@@ -13,6 +17,9 @@ the solve with the smallest singular value attached; it is never
 regularized.  What is certified is the degeneracy at the unperturbed
 connection Laplacian: there the Jacobian is an integer matrix whose exact
 determinant exact_jacobian_at_connection gives for direct verification.
+It is J(L) = -(I + P (g (x) g) Q) over the compressed rows of g = L^-1,
+since vec(g M g) = (g (x) g) vec(M) for symmetric g: Q spreads each
+coordinate over vec(M_ij) and P reads the coordinates back.
 Where it is 0 the implicit function theorem does not apply and no solution
 branch through L is guaranteed; where it is nonzero the solution moves
 smoothly with eps.  The determinant does not follow the graph's cycles: it
@@ -33,12 +40,11 @@ Jacobian; the perturbed problem is not an integer problem.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
-from .exact import IntMatrix
+from .exact import IntMatrix, linear_combination
 from .operators import OperatorBundle, bundle_for
 
 
@@ -64,58 +70,47 @@ class SingularJacobianError(NewtonError):
         self.iteration = iteration
 
 
-@dataclass(frozen=True)
-class SupportPattern:
-    """Symmetric boolean mask with a true diagonal; the space the solve lives in."""
-
-    n: int
-    mask: tuple[tuple[bool, ...], ...]
-
-    def __post_init__(self) -> None:
-        if len(self.mask) != self.n or any(len(r) != self.n for r in self.mask):
-            raise ValueError("mask shape does not match n")
-        for i in range(self.n):
-            if not self.mask[i][i]:
-                raise ValueError("pattern diagonal must be true")
-            for j in range(i):
-                if self.mask[i][j] != self.mask[j][i]:
-                    raise ValueError("pattern must be symmetric")
-
-    def coords(self) -> tuple[tuple[int, int], ...]:
-        """Upper-triangle (including diagonal) coordinates where the mask is true."""
-        return tuple(
-            (i, j) for i in range(self.n) for j in range(i, self.n) if self.mask[i][j]
-        )
-
-    def off_coords(self) -> tuple[tuple[int, int], ...]:
-        return tuple(
-            (i, j) for i in range(self.n) for j in range(i, self.n) if not self.mask[i][j]
-        )
-
-    def __contains__(self, coord: tuple[int, int]) -> bool:
-        i, j = coord
-        return bool(self.mask[i][j])
+def _coords(pattern: IntMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """The upper-triangle support coordinates (rows, cols) of a pattern, in
+    row-major order; ValueError unless the support is symmetric with a full
+    diagonal, the space the solve lives in."""
+    rows, cols, _ = pattern.triplets()
+    n = pattern.nrows
+    if pattern.ncols != n or np.count_nonzero(rows == cols) != n:
+        raise ValueError("pattern must be square with a full diagonal")
+    # symmetric iff the transpose has the same compressed rows (its stable
+    # argsort runs in every operation; np.sort would page in another 0.5 MB)
+    flipped = pattern.transpose().csr
+    if not (np.array_equal(flipped[0], pattern.csr[0]) and np.array_equal(flipped[1], cols)):
+        raise ValueError("pattern must be symmetric")
+    upper = rows <= cols
+    return rows[upper], cols[upper]
 
 
-def intersection_pattern(bundle: OperatorBundle) -> SupportPattern:
-    """mask(x, y) = true iff x and y intersect; exactly the support of L."""
-    L = bundle.connection
-    return SupportPattern(
-        L.nrows, tuple(tuple(bool(x) for x in row) for row in L.rows)
-    )
+def _add_symmetric(out: np.ndarray, coords, values: np.ndarray) -> np.ndarray:
+    """out with values added at each coordinate (i, j) and, off the
+    diagonal, at (j, i)."""
+    i, j = coords
+    off = i != j
+    out[i, j] += values
+    out[j[off], i[off]] += values[off]
+    return out
 
 
-def inverse_support_pattern(bundle: OperatorBundle) -> SupportPattern:
-    """The intersection pattern plus adjacent-vertex pairs.
+def intersection_pattern(bundle: OperatorBundle) -> IntMatrix:
+    """x and y intersect: exactly the support of L, so the pattern is L."""
+    return bundle.connection
+
+
+def inverse_support_pattern(bundle: OperatorBundle) -> IntMatrix:
+    """supp L together with supp g, g = L^-1.
 
     The exact inverse of the unperturbed L is supported here: its only
     entries outside the intersection pattern sit at pairs of adjacent
-    vertices (value -1 there on every graph).
+    vertices (value -1 there on every graph).  L has no negative entry, so
+    nothing cancels in the sum.
     """
-    base = [list(row) for row in intersection_pattern(bundle).mask]
-    for a, b in bundle.graph.edges:
-        base[a][b] = base[b][a] = True
-    return SupportPattern(len(base), tuple(tuple(r) for r in base))
+    return linear_combination((bundle.connection, 1), (bundle.green.abs(), 1))
 
 
 @dataclass(frozen=True)
@@ -130,10 +125,12 @@ class NewtonConfig:
             raise ValueError("tol must be positive")
         if self.max_iter < 0:
             raise ValueError("max_iter must be nonnegative")
+        if not self.min_step > 0:  # halving never falls below 0, so the line search would not end
+            raise ValueError("min_step must be positive")
 
 
 def perturb_target(
-    habs: IntMatrix, pattern: SupportPattern, eps: float, seed: int
+    habs: IntMatrix, pattern: IntMatrix, eps: float, seed: int
 ) -> np.ndarray:
     """K = |H| + E with E symmetric, pattern-supported, uniform in [-eps, eps].
 
@@ -142,14 +139,10 @@ def perturb_target(
     """
     if eps < 0:
         raise ValueError("eps must be nonnegative")
+    coords = _coords(pattern)
     rng = random.Random(seed)
-    k = habs.to_float()
-    for i, j in pattern.coords():
-        delta = rng.uniform(-eps, eps)
-        k[i, j] += delta
-        if i != j:
-            k[j, i] += delta
-    return k
+    deltas = np.array([rng.uniform(-eps, eps) for _ in range(len(coords[0]))])
+    return _add_symmetric(habs.to_float(), coords, deltas)
 
 
 def _as_float(m: IntMatrix | np.ndarray) -> np.ndarray:
@@ -157,11 +150,10 @@ def _as_float(m: IntMatrix | np.ndarray) -> np.ndarray:
 
 
 def _residual_vector(K: np.ndarray, X: np.ndarray, Xinv: np.ndarray, coords) -> np.ndarray:
-    full = K - X + Xinv
-    return np.array([full[i, j] for i, j in coords])
+    return (K - X + Xinv)[coords]
 
 
-def jacobian_at(X: np.ndarray, pattern: SupportPattern) -> np.ndarray:
+def jacobian_at(X: np.ndarray, pattern: IntMatrix) -> np.ndarray:
     """Dense Jacobian of the projected map over the support coordinates.
 
     Column for basis direction M_ij (symmetrized unit coordinate) is
@@ -172,39 +164,40 @@ def jacobian_at(X: np.ndarray, pattern: SupportPattern) -> np.ndarray:
     1 on the diagonal alone: coordinates are upper-triangle, so (k, l) equals
     (j, i) only when all four indices agree.
     """
-    coords = np.array(pattern.coords(), dtype=np.intp).reshape(-1, 2)
-    i, j = coords[:, 0], coords[:, 1]
+    i, j = _coords(pattern)
     Xinv = np.linalg.inv(X)
     prop = Xinv[np.ix_(i, i)] * Xinv[np.ix_(j, j)].T
     cross = Xinv[np.ix_(i, j)]
     prop = np.where(i != j, prop + cross * cross.T, prop)
-    return -(np.eye(len(coords)) + prop)
+    return -(np.eye(len(i)) + prop)
 
 
-def exact_jacobian_at_connection(bundle: OperatorBundle, pattern: SupportPattern | None = None) -> IntMatrix:
+def exact_jacobian_at_connection(bundle: OperatorBundle, pattern: IntMatrix | None = None) -> IntMatrix:
     """The same Jacobian at X = L, as an exact integer matrix.
 
-    L^-1 is integral, so the Jacobian at the unperturbed Laplacian is too,
-    and whether it is singular becomes a question of integer arithmetic.
-    The answer is not the tree / cycle split: the determinant is nonzero on
-    paths and stars and 0 on cycles, but also nonzero on grid:2,3 and 0 on
-    the tree bary:star:4.
+    L^-1 = g is integral, so the Jacobian at the unperturbed Laplacian is
+    too, and whether it is singular becomes a question of integer
+    arithmetic.  The answer is not the tree / cycle split: the determinant
+    is nonzero on paths and stars and 0 on cycles, but also nonzero on
+    grid:2,3 and 0 on the tree bary:star:4.
+
+    J(L) = -(I + P (g (x) g) Q): Q has a 1 at i n + j in column (i, j) and,
+    off the diagonal, a second at j n + i, so column (i, j) of (g (x) g) Q
+    is vec(g M_ij g); P reads coordinate (k, l) at k n + l.  The product
+    runs as (g (x) I)(I (x) g), nnz(g) n terms a factor where g (x) g would
+    hold nnz(g)^2.
     """
     if pattern is None:
         pattern = intersection_pattern(bundle)
-    coords = pattern.coords()
-    ginv = bundle.green.rows
-    cols = []
-    for i, j in coords:
-        col = []
-        for k, l in coords:
-            direct = 1 if (k, l) in ((i, j), (j, i)) else 0
-            prop = ginv[k][i] * ginv[j][l]
-            if i != j:
-                prop += ginv[k][j] * ginv[i][l]
-            col.append(-(direct + prop))
-        cols.append(col)
-    return IntMatrix(cols).transpose()
+    i, j = _coords(pattern)
+    n, m, off = pattern.nrows, len(i), i != j
+    c = np.arange(m)
+    spread = np.concatenate((i * n + j, j[off] * n + i[off]))  # vec(M_ij), column by column
+    ones = np.ones(len(spread), dtype=np.int64)
+    P = IntMatrix.from_triplets(c, spread[:m], ones[:m], m, n * n)
+    Q = IntMatrix.from_triplets(spread, np.concatenate((c, c[off])), ones, n * n, m)
+    g, eye = bundle.green, IntMatrix.identity(n)
+    return linear_combination((IntMatrix.identity(m), -1), (P @ g.kron(eye) @ eye.kron(g) @ Q, -1))
 
 
 @dataclass(frozen=True)
@@ -219,7 +212,7 @@ class NewtonResult:
 
 def solve_hydrogen(
     K: np.ndarray | IntMatrix,
-    pattern: SupportPattern,
+    pattern: IntMatrix,
     L0: np.ndarray | IntMatrix,
     cfg: NewtonConfig = NewtonConfig(),
 ) -> NewtonResult:
@@ -233,7 +226,7 @@ def solve_hydrogen(
     """
     K = _as_float(K)
     X = _as_float(L0)
-    coords = pattern.coords()
+    coords = _coords(pattern)
     history: list[float] = []
     sigma_min_seen: float | None = None
     for iteration in range(cfg.max_iter + 1):
@@ -256,12 +249,7 @@ def solve_hydrogen(
                 float(sigmas[0]),
                 iteration,
             )
-        m = np.linalg.solve(J, -r)
-        M = np.zeros_like(X)
-        for (i, j), value in zip(coords, m):
-            M[i, j] += value
-            if i != j:
-                M[j, i] += value
+        M = _add_symmetric(np.zeros_like(X), coords, np.linalg.solve(J, -r))
         step = 1.0
         accepted = False
         while step >= cfg.min_step:
@@ -305,8 +293,8 @@ class SupportReport:
 
 def verify_support(
     X: np.ndarray | IntMatrix,
-    pattern: SupportPattern,
-    inverse_pattern: SupportPattern | None = None,
+    pattern: IntMatrix,
+    inverse_pattern: IntMatrix | None = None,
     tol: float = 1e-8,
 ) -> SupportReport:
     """Measure how far X and X^-1 stray outside their supposed supports.
@@ -319,9 +307,11 @@ def verify_support(
     X = _as_float(X)
     Xinv = np.linalg.inv(X)
 
-    def off_max(mat: np.ndarray, pat: SupportPattern) -> float:
-        vals = [abs(mat[i, j]) for i, j in pat.off_coords()]
-        return float(max(vals)) if vals else 0.0
+    def off_max(mat: np.ndarray, pat: IntMatrix) -> float:
+        # the upper triangle off the pattern: X^-1 from inv need not be bit-symmetric
+        off = np.triu(np.ones(mat.shape, dtype=bool))
+        off[_coords(pat)] = False
+        return float(np.abs(mat[off]).max(initial=0.0))
 
     return SupportReport(
         off_pattern_matrix_max=off_max(X, pattern),

@@ -38,7 +38,10 @@ dense products; quaternion_branch_rank builds the 4n x 4n branch map from
 both and takes its rank.
 
 dense_kron is the Kronecker product written entry by entry from the dense
-rows, the oracle for IntMatrix.kron over the triplets.  edited gives a copy of
+rows, the oracle for IntMatrix.kron over the triplets.  exact_jacobian_loop
+is the Newton Jacobian at L written the same way, one entry per pair of
+pattern coordinates from the dense rows of g, O(m^2) for m coordinates;
+newton.exact_jacobian_at_connection builds it from g (x) g instead.  edited gives a copy of
 a matrix with some entries changed, the way the mutation tests build a
 corrupted operator, since a matrix never changes once built;
 negated_edge_row and stray_vertex_entry wrap the Dirac builder the same
@@ -561,6 +564,27 @@ def dense_kron(a: IntMatrix, b: IntMatrix) -> IntMatrix:
         [[x * y for x in row_a for y in row_b] for row_a in a.rows for row_b in rows_b],
         ncols=a.ncols * b.ncols,
     )
+
+
+def exact_jacobian_loop(bundle: OperatorBundle, pattern: IntMatrix | None = None) -> IntMatrix:
+    """J(L) entry by entry: row (k, l) and column (i, j), both upper-triangle
+    pattern coordinates read off the dense rows, hold -(direct + g[k][i]
+    g[j][l] + g[k][j] g[i][l]), the second product only when i != j."""
+    mask = (pattern if pattern is not None else bundle.connection).rows
+    n = len(mask)
+    coords = [(i, j) for i in range(n) for j in range(i, n) if mask[i][j]]
+    ginv = bundle.green.rows
+    cols = []
+    for i, j in coords:
+        col = []
+        for k, l in coords:
+            direct = 1 if (k, l) in ((i, j), (j, i)) else 0
+            prop = ginv[k][i] * ginv[j][l]
+            if i != j:
+                prop += ginv[k][j] * ginv[i][l]
+            col.append(-(direct + prop))
+        cols.append(col)
+    return IntMatrix(cols).transpose()
 
 
 def edited(m: IntMatrix, entries: dict[tuple[int, int], int]) -> IntMatrix:

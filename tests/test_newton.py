@@ -1,15 +1,18 @@
 """Masked Newton solves of X - X^{-1} = K: exact Jacobian degeneracy at the
-connection matrix, quadratic convergence on trees, and support reporting."""
+connection matrix, quadratic convergence on trees, and support reporting.
+A pattern is an IntMatrix whose nonzero positions are the support."""
+
+import hashlib
+import json
 
 import numpy as np
 import pytest
 
-from connlab.exact import det
+from connlab.exact import IntMatrix, det
 from connlab.graphs import from_spec
 from connlab.newton import (
     NewtonConfig,
     SingularJacobianError,
-    SupportPattern,
     exact_jacobian_at_connection,
     intersection_pattern,
     jacobian_at,
@@ -20,6 +23,7 @@ from connlab.newton import (
     verify_support,
 )
 from connlab.operators import bundle_for
+from oracles import exact_jacobian_loop
 
 
 @pytest.mark.parametrize(
@@ -43,17 +47,27 @@ def test_exact_jacobian_determinant(spec, jdet):
     assert det(J) == jdet
 
 
-def test_pattern_construction():
+def _support(m: IntMatrix) -> set[tuple[int, int]]:
+    rows, cols, _ = m.triplets()
+    return set(zip(rows.tolist(), cols.tolist()))
+
+
+def test_pattern_construction(corpus):
+    for spec, b in corpus.items():
+        pattern = intersection_pattern(b)
+        assert pattern is b.connection and pattern.shape == (b.size, b.size), spec
+        # diagonal always included, pattern symmetric
+        support = _support(pattern)
+        assert all((i, i) in support for i in range(b.size)), spec
+        assert support == {(j, i) for i, j in support}, spec
+        # the inverse-support pattern adds the adjacent-vertex pairs, and
+        # holds the support of g
+        adjacent = {pair for a, c in b.graph.edges for pair in ((a, c), (c, a))}
+        q = _support(inverse_support_pattern(b))
+        assert q == support | adjacent, spec
+        assert _support(b.green) <= q, spec
     b = bundle_for(from_spec("path:3"))
-    pattern = intersection_pattern(b)
-    assert pattern.n == b.size
-    # diagonal always included, pattern symmetric
-    assert all((i, i) in pattern for i in range(b.size))
-    assert all(pattern.mask[i][j] == pattern.mask[j][i] for i in range(b.size) for j in range(b.size))
-    # the inverse-support pattern adds adjacent vertex pairs
-    q = inverse_support_pattern(b)
-    assert (0, 1) in q and (0, 1) not in pattern
-    assert sum(map(sum, q.mask)) > sum(map(sum, pattern.mask))
+    assert (0, 1) in _support(inverse_support_pattern(b)) and (0, 1) not in _support(intersection_pattern(b))
 
 
 def test_perturb_target_deterministic_and_symmetric():
@@ -66,10 +80,11 @@ def test_perturb_target_deterministic_and_symmetric():
     assert not np.array_equal(K1, K3)
     assert np.array_equal(K1, K1.T)
     # perturbation confined to the pattern
-    for i in range(pattern.n):
-        for j in range(pattern.n):
-            if (min(i, j), max(i, j)) not in pattern:
-                assert K1[i, j] == b.hodge_signless.rows[i][j]
+    mask, habs = pattern.rows, b.hodge_signless.rows
+    for i in range(pattern.nrows):
+        for j in range(pattern.ncols):
+            if not mask[i][j]:
+                assert K1[i, j] == habs[i][j]
 
 
 def test_unperturbed_problem_converges_immediately():
@@ -126,8 +141,8 @@ def test_verify_support_negative_control():
     rng = np.random.default_rng(2)
     b = bundle_for(from_spec("path:4"))
     pattern = intersection_pattern(b)
-    dense = rng.normal(size=(pattern.n, pattern.n))
-    dense = dense + dense.T + 10 * np.eye(pattern.n)
+    dense = rng.normal(size=pattern.shape)
+    dense = dense + dense.T + 10 * np.eye(pattern.nrows)
     report = verify_support(dense, pattern)
     assert not report.matrix_ok
 
@@ -136,11 +151,19 @@ def test_newton_config_rejects_negative_max_iter():
     with pytest.raises(ValueError, match="max_iter"):
         NewtonConfig(max_iter=-1)
     assert NewtonConfig(max_iter=0).max_iter == 0
+    # halving the step never takes it below 0, so a min_step of 0 or less
+    # would let the line search run forever; it is refused up front
+    for min_step in (0.0, -0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError, match="min_step"):
+            NewtonConfig(min_step=min_step)
+    assert NewtonConfig(min_step=2.0**-40).min_step == 2.0**-40
 
 
 def _jacobian_loop(X, pattern):
-    """The column-by-column Jacobian that jacobian_at replaced: the oracle."""
-    coords = pattern.coords()
+    """The column-by-column Jacobian that jacobian_at replaced: the oracle.
+    Its coordinates come from the pattern's dense rows."""
+    mask = pattern.rows
+    coords = [(i, j) for i in range(len(mask)) for j in range(i, len(mask)) if mask[i][j]]
     Xinv = np.linalg.inv(X)
     cols = []
     for i, j in coords:
@@ -178,7 +201,50 @@ def test_jacobian_at_is_bit_identical_to_the_loop(spec):
 
 
 def test_support_pattern_validation():
-    with pytest.raises(Exception):
-        SupportPattern(2, ((True, True), (False, True)))  # asymmetric
-    with pytest.raises(Exception):
-        SupportPattern(2, ((False, False), (False, True)))  # missing diagonal
+    # any IntMatrix can be passed as a pattern; every routine that reads one
+    # refuses a support that is not symmetric with a full diagonal
+    b = bundle_for(from_spec("path:2"))
+    X = b.connection.to_float()
+    asymmetric = IntMatrix([[1, 1, 0], [0, 1, 0], [0, 0, 1]])
+    no_diagonal = IntMatrix([[0, 1, 0], [1, 1, 0], [0, 0, 1]])
+    for pattern, message in ((asymmetric, "symmetric"), (no_diagonal, "diagonal")):
+        for call in (
+            lambda: jacobian_at(X, pattern),
+            lambda: perturb_target(b.hodge_signless, pattern, 0.01, seed=0),
+            lambda: solve_hydrogen(b.hodge_signless, pattern, b.connection),
+            lambda: verify_support(X, pattern),
+            lambda: verify_support(X, b.connection, pattern),
+            lambda: exact_jacobian_at_connection(b, pattern),
+        ):
+            with pytest.raises(ValueError, match=message):
+                call()
+    with pytest.raises(ValueError, match="square"):
+        jacobian_at(X, IntMatrix.identity(3).block(0, 3, 0, 2))
+
+
+@pytest.mark.parametrize(
+    "spec", NEWTON_POOLS + ["grid:2,3", "bary:star:4", "wheel:8", "petersen:5,2"]
+)
+def test_exact_jacobian_equals_the_loop(spec):
+    b = bundle_for(from_spec(spec))
+    for pattern in (None, inverse_support_pattern(b)):
+        fast, slow = exact_jacobian_at_connection(b, pattern), exact_jacobian_loop(b, pattern)
+        assert fast.shape == slow.shape
+        for x, y in zip(fast.csr, slow.csr):
+            assert x.dtype == y.dtype and np.array_equal(x, y)
+
+
+def test_exact_jacobian_at_1124_coordinates_without_a_dense_view(monkeypatch):
+    # grid:10,10: m = 1124 coordinates, so the loop's m x m dense rows
+    # would be 1.26 M entries; building any dense view fails the test
+    def refuse(self, *args):
+        raise AssertionError(f"dense view of a {self.shape} matrix")
+
+    monkeypatch.setattr(IntMatrix, "_dense_rows", refuse)
+    monkeypatch.setattr(IntMatrix, "to_array", refuse)
+    J = exact_jacobian_at_connection(bundle_for(from_spec("grid:10,10")))
+    assert J.shape == (1124, 1124) and J.nnz == 8596
+    assert (J.trace(), J.entry_sum(), J.max_abs()) == (-3824, -1044, 10)
+    # the compressed rows of the loop oracle, built once: sha256 of the JSON of csr
+    digest = hashlib.sha256(json.dumps([x.tolist() for x in J.csr]).encode()).hexdigest()
+    assert digest == "042553aea18857da98c02c91804d2b0e5ebcc2bcafa924bf2842c73bfd578d32"

@@ -189,6 +189,39 @@ def test_no_module_writes_into_dense_rows():
     assert _rows_writes(ast.parse(probe)) == [2, 3, 5, 6, 7, 8]
 
 
+def _rows_reads(tree: ast.AST) -> list[tuple[str, int]]:
+    """(function, line) of every read of an attribute named `rows`, with
+    the innermost enclosing function ("" at module level)."""
+    reads = []
+
+    def visit(node: ast.AST, function: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Attribute) and child.attr == "rows" and isinstance(child.ctx, ast.Load):
+                reads.append((function, child.lineno))
+            visit(child, function)
+
+    visit(tree, "")
+    return reads
+
+
+def test_only_det_and_dump_read_dense_rows():
+    # every operator is read off its compressed rows; the dense rows are
+    # left to Bareiss det, which eliminates them in place, and dump_matrix,
+    # which prints them.  The Newton pattern is an IntMatrix like any
+    # operator, so the dense SupportPattern mask is gone
+    package = ROOT / "src" / "connlab"
+    reads = {p.stem: _rows_reads(ast.parse(p.read_text())) for p in sorted(package.glob("*.py"))}
+    found = {m: sorted({f for f, _ in r}) for m, r in reads.items() if r}
+    assert found == {"exact": ["det", "dump_matrix"]}
+    assert [p.stem for p in package.glob("*.py") if "SupportPattern" in p.read_text()] == []
+    # the check sees a read in a function, a nested function and at module level
+    probe = "def f(m):\n    def g():\n        return m.rows\n    return m.rows[0]\nx = y.rows\n"
+    assert _rows_reads(ast.parse(probe)) == [("g", 3), ("f", 4), ("", 5)]
+
+
 def _load_tracing():
     spec = importlib.util.spec_from_file_location("perfbench_tracing", ROOT / "perfbench" / "tracing.py")
     module = importlib.util.module_from_spec(spec)

@@ -24,3 +24,11 @@ def test_newton_perturbation_sweep_runs():
     assert lines[0].split()[:3] == ["graph", "det", "J(L)"]
     assert any(line.startswith("path:4") and "converged" in line for line in lines)
     assert any(line.startswith("cycle:4") and "singular jacobian" in line for line in lines)
+    # the det J(L) column: the second field of every outcome row (the
+    # distance rows leave it blank)
+    dets = {}
+    for line in lines[1:]:
+        spec, field = line.split()[:2]
+        if field != "distance":
+            dets.setdefault(spec, set()).add(field)
+    assert dets == {"path:4": {"384"}, "cycle:4": {"0"}}
