@@ -58,8 +58,6 @@ from .spectra import (
     Spectrum,
     bounds_report,
     eig_sym,
-    schur_check,
-    spectral_function_sup_distance,
 )
 from .tables import REFERENCE_TABLES
 
@@ -110,10 +108,8 @@ __all__ = [
     "product_hodge",
     "quaternion_solution",
     "save_graph",
-    "schur_check",
     "solve_hydrogen",
     "solve_perturbed",
-    "spectral_function_sup_distance",
     "sphere_chi",
     "supersymmetry_report",
     "trace_report",

@@ -19,15 +19,6 @@ from .graphs import Graph
 Simplex = tuple[int, ...]
 
 
-def parity(x: Simplex) -> int:
-    """omega(x) = (-1)^dim(x): +1 on vertices, -1 on edges."""
-    return -1 if len(x) == 2 else 1
-
-
-def simplices_intersect(x: Simplex, y: Simplex) -> bool:
-    return bool(set(x) & set(y))
-
-
 @dataclass(frozen=True, eq=False)
 class Complex:
     """The 1-dimensional complex of a graph, with its canonical simplex order."""
@@ -80,7 +71,8 @@ def star(c: Complex, x: Simplex) -> tuple[Simplex, ...]:
     """All simplices containing x, in canonical order.
 
     For an edge that is just the edge itself; for a vertex it is the vertex
-    together with its incident edges.
+    together with its incident edges.  This is St(x) of the star formula
+    for g (see operators), which reads the stars off incident_edges instead.
     """
     if x not in c.index:
         raise KeyError(f"{x} is not a simplex of the complex")
@@ -97,30 +89,3 @@ def sphere_chi(c: Complex, x: Simplex) -> int:
     if len(x) == 2:
         return 2
     return len(c.incident_edges[x[0]])
-
-
-def connection_graph(c: Complex) -> Graph:
-    """Graph on the simplices; two distinct simplices are adjacent iff they
-    intersect.  Vertex-simplices never touch each other, an edge touches its
-    two endpoints and every edge sharing an endpoint."""
-    n = c.size
-    edges = []
-    for i in range(n):
-        si = set(c.simplices[i])
-        for j in range(i + 1, n):
-            if si & set(c.simplices[j]):
-                edges.append((i, j))
-    name = f"conn({c.graph.name})" if c.graph.name else "conn"
-    return Graph(n, tuple(edges), name)
-
-
-# The f-vector of the barycentric refinement is the Stirling-type image of
-# the original f-vector: (v, e) -> (v + e, 2e).
-
-STIRLING_1D = ((1, 1), (0, 2))
-
-
-def stirling_map(f: tuple[int, int]) -> tuple[int, int]:
-    v, e = f
-    return (STIRLING_1D[0][0] * v + STIRLING_1D[0][1] * e,
-            STIRLING_1D[1][0] * v + STIRLING_1D[1][1] * e)

@@ -8,8 +8,13 @@ Squaring the defining identity gives the discrete wave equation
 
 whose residual this module evaluates exactly (it must be the zero integer).
 Four parity-restricted branch families solve the same equation from a
-quadruple of initial vectors; their span degenerates whenever +1 or -1 is
-an eigenvalue of L.
+quadruple of initial vectors.  On each time parity they span a subspace of
+codimension dim ker|H| in the solutions there, and ker|H| is the +-1
+eigenspace of L.  The missing solutions are the secular u(t) = t k for k in
+ker|H|: L is +-1 on k, so each branch's part in ker|H| is constant on its
+time parity.  Every solution is a sum of branches exactly when
+ker|H| = 0; the tests pin the total deficiency, 2 mult(+-1), against a
+dense rank.
 
 Floating point appears only where growth is genuinely exponential: Perron
 projection limits and the growth rate log rho(L).  Over a prime field
@@ -43,8 +48,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .complexes import Complex
-from .exact import FieldMatrix, IntMatrix
-from .graphs import Graph, connected_components, induced_subgraph
+from .exact import IntMatrix
+from .graphs import Graph, connected_components
 from .operators import OperatorBundle, bundle_for
 from .spectra import eig_sym
 
@@ -270,51 +275,14 @@ def quaternion_solution(
     )
 
 
-def combined_solution(branches: Sequence[Trajectory]) -> Trajectory:
-    """Pointwise sum of the four branches on the times they share per parity."""
-    states: dict[int, Vector] = {}
-    for b in branches:
-        for t, v in b.states.items():
-            if t in states:
-                states[t] = tuple(a + c for a, c in zip(states[t], v))
-            else:
-                states[t] = v
-    return Trajectory(states, "sum of quaternion branches")
-
-
-def jacobi_ivp(habs: IntMatrix, initial: Sequence[Sequence[int]], n_min: int, n_max: int) -> Trajectory:
-    """Solve the Jacobi equation from four consecutive states u(0)..u(3).
-
-    The equation is a second-order recurrence on each time parity, so any
-    quadruple of vectors extends uniquely to all of the requested range;
-    this is the 4n-dimensional solution space, parameterized directly.
-    """
-    if len(initial) != 4:
-        raise DynamicsError("need exactly u(0), u(1), u(2), u(3)")
-    n = habs.nrows
-    vecs = [tuple(int(x) for x in v) for v in initial]
-    if any(len(v) != n for v in vecs):
-        raise DynamicsError("initial vectors must match operator dimension")
-    states: dict[int, Vector] = {i: vecs[i] for i in range(4)}
-
-    def extend(t: int, d: int) -> Vector:
-        # u(t) from u(t - 2d) and u(t - 4d): d = 1 forward, d = -1 backward
-        mid, far = states[t - 2 * d], states[t - 4 * d]
-        pulled = habs.apply(habs.apply(mid))
-        return tuple(2 * mid[i] + pulled[i] - far[i] for i in range(n))
-
-    for t in range(4, n_max + 1):
-        states[t] = extend(t, 1)
-    for t in range(-1, n_min - 1, -1):
-        states[t] = extend(t, -1)
-    for t in list(states):
-        if t < n_min or t > n_max:
-            del states[t]
-    return Trajectory(states, "Jacobi initial value solution, exact integers")
-
-
 # ---------------------------------------------------------------------------
 # Perron projection limits
+
+
+# Even-time powers L^2n taken by perron_limits, and the bound on the final
+# forward residual.
+PERRON_STEPS = 30
+PERRON_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -336,18 +304,17 @@ class PerronReport:
         return self.backward_residuals[-1]
 
 
-def perron_limits(
-    source: Graph | Complex | OperatorBundle, max_n: int = 30, tol: float = 1e-6
-) -> PerronReport:
+def perron_limits(source: Graph | Complex | OperatorBundle) -> PerronReport:
     """Perron vector v and small-eigenvalue vector w with certified limits.
 
     v and w come from the dense symmetric eigendecomposition; the report
     then cross-checks them against exact big-integer powers: L^{2n} (and
     L^{-2n} = g^{2n}) normalized by rho^{2n} must converge to v (x) v and
     w (x) w in Frobenius norm, and the residual sequences are returned so
-    the decrease is visible.  The final forward residual is checked against
-    tol.  Each power P is a power of L, so P L^2 = L^2 P, and the powers are
-    stepped as n x n blocks from the identity over the entries of L or g.
+    the decrease is visible.  The forward residual at n = PERRON_STEPS is
+    checked against PERRON_TOL.  Each power P is a power of L, so
+    P L^2 = L^2 P, and the powers are stepped as n x n blocks from the
+    identity over the entries of L or g.
 
     The eigenvalue nearest zero has magnitude exactly 1/rho (the spectrum
     of L^2 is closed under inversion), which is why one normalization
@@ -357,9 +324,7 @@ def perron_limits(
     L = bundle.connection
     # L is irreducible exactly when the graph is connected
     if len(connected_components(bundle.graph)) > 1:
-        raise DynamicsError(
-            "connection matrix is reducible; use perron_limits_components"
-        )
+        raise DynamicsError("connection matrix is reducible; pass each connected component on its own")
     a = L.to_float()
     eigs, vecs = np.linalg.eigh((a + a.T) / 2.0)
     top = int(np.argmax(eigs))
@@ -381,25 +346,17 @@ def perron_limits(
         power = np.eye(L.nrows, dtype=object)
         scale = 1.0
         seq = []
-        for _ in range(max_n):
+        for _ in range(PERRON_STEPS):
             power = _powers(bundle, k, power)
             scale *= rho * rho
             seq.append(float(np.linalg.norm(power.astype(float) / scale - proj)))
         residuals.append(tuple(seq))
     forward, backward = residuals
-    if forward[-1] > tol:
+    if forward[-1] > PERRON_TOL:
         raise DynamicsError(
-            f"forward Perron residual {forward[-1]:.3e} exceeds {tol:.0e} at n = {max_n}"
+            f"forward Perron residual {forward[-1]:.3e} exceeds {PERRON_TOL:.0e} at n = {PERRON_STEPS}"
         )
     return PerronReport(rho, tuple(map(float, v_arr)), tuple(map(float, w_arr)), forward, backward)
-
-
-def perron_limits_components(g: Graph, max_n: int = 30, tol: float = 1e-6) -> list[PerronReport]:
-    """Per-component Perron reports for a possibly disconnected graph."""
-    return [
-        perron_limits(induced_subgraph(g, comp), max_n, tol)
-        for comp in connected_components(g)
-    ]
 
 
 # ---------------------------------------------------------------------------
@@ -424,35 +381,6 @@ def automaton_run(
     ]
 
 
-def orbit_period(Lp: FieldMatrix, vector: Sequence[int], cap: int = 10**6) -> int:
-    """Least k >= 1 with L^k s = s; exists because L is invertible mod p."""
-    start = np.array([int(x) % Lp.p for x in vector], dtype=Lp.step_dtype)
-    x = start
-    for k in range(1, cap + 1):
-        x = Lp.step(x)
-        if (x == start).all():
-            return k
-    raise DynamicsError(f"orbit period exceeds cap {cap}")
-
-
-def multiplicative_order(Lp: FieldMatrix, cap: int = 10**6) -> int:
-    """Order of L in GL(n, F_p): the lcm of the orbit periods of the unit
-    vectors, since L^k = I exactly when L^k e_i = e_i for every i."""
-    order = 1
-    for i in range(Lp.nrows):
-        unit = [0] * Lp.nrows
-        unit[i] = 1
-        try:
-            order = math.lcm(order, orbit_period(Lp, unit, cap))
-        except DynamicsError:
-            order = cap + 1
-        if order > cap:
-            break
-    if order > cap:
-        raise DynamicsError(f"multiplicative order exceeds cap {cap}")
-    return order
-
-
 # ---------------------------------------------------------------------------
 # growth rates
 
@@ -475,7 +403,8 @@ def growth_rates(g: Graph) -> GrowthReport:
     graph's adjacency radius comes from |H1| = |d| |d|^T, whose diagonal is
     2 (each edge has two ends) and whose off-diagonal entries count shared
     ends, so |H1| = 2I + A(line graph) and rho(A) = rho(|H1|) - 2 for a
-    graph with an edge.
+    graph with an edge.  No command prints these: this is the library face
+    of the abstract's line-graph link, in floats until it is certified.
     """
     bundle = bundle_for(g)
     rho_l = eig_sym(bundle.connection).top

@@ -455,7 +455,9 @@ def det(m: IntMatrix) -> int:
     """Exact determinant by fraction-free Bareiss elimination.
 
     Pivots are chosen as the first nonzero entry in each column; every
-    division in the update is exact by the Sylvester minor identity.
+    division in the update is exact by the Sylvester minor identity.  No
+    command runs it: scripts/newton_perturbation_sweep.py decides det J(L)
+    with it, and the tests use it as the determinant oracle.
     """
     if not m.is_square():
         raise ShapeError("determinant needs a square matrix")

@@ -113,20 +113,24 @@ def inverse_support_pattern(bundle: OperatorBundle) -> IntMatrix:
     return linear_combination((bundle.connection, 1), (bundle.green.abs(), 1))
 
 
+# A Jacobian with sigma_min <= RCOND sigma_max is singular; the line search
+# gives up once halving takes the step below MIN_STEP.
+RCOND = 1e-12
+MIN_STEP = 2.0**-20
+# SupportReport.matrix_ok allows off-pattern entries up to this.
+SUPPORT_TOL = 1e-8
+
+
 @dataclass(frozen=True)
 class NewtonConfig:
     tol: float = 1e-10
     max_iter: int = 50
-    min_step: float = 2.0**-20
-    rcond: float = 1e-12
 
     def __post_init__(self) -> None:
         if self.tol <= 0:
             raise ValueError("tol must be positive")
         if self.max_iter < 0:
             raise ValueError("max_iter must be nonnegative")
-        if not self.min_step > 0:  # halving never falls below 0, so the line search would not end
-            raise ValueError("min_step must be positive")
 
 
 def perturb_target(
@@ -153,8 +157,9 @@ def _residual_vector(K: np.ndarray, X: np.ndarray, Xinv: np.ndarray, coords) -> 
     return (K - X + Xinv)[coords]
 
 
-def jacobian_at(X: np.ndarray, pattern: IntMatrix) -> np.ndarray:
-    """Dense Jacobian of the projected map over the support coordinates.
+def jacobian_at(Xinv: np.ndarray, coords) -> np.ndarray:
+    """Dense Jacobian of the projected map at X over the support coordinates
+    (rows, cols) of a pattern, from Xinv = X^-1.
 
     Column for basis direction M_ij (symmetrized unit coordinate) is
     -(M_ij + X^-1 M_ij X^-1) read off at the pattern coordinates.
@@ -164,8 +169,7 @@ def jacobian_at(X: np.ndarray, pattern: IntMatrix) -> np.ndarray:
     1 on the diagonal alone: coordinates are upper-triangle, so (k, l) equals
     (j, i) only when all four indices agree.
     """
-    i, j = _coords(pattern)
-    Xinv = np.linalg.inv(X)
+    i, j = coords
     prop = Xinv[np.ix_(i, i)] * Xinv[np.ix_(j, j)].T
     cross = Xinv[np.ix_(i, j)]
     prop = np.where(i != j, prop + cross * cross.T, prop)
@@ -229,8 +233,8 @@ def solve_hydrogen(
     coords = _coords(pattern)
     history: list[float] = []
     sigma_min_seen: float | None = None
+    Xinv = np.linalg.inv(X)  # then each accepted trial carries its inverse
     for iteration in range(cfg.max_iter + 1):
-        Xinv = np.linalg.inv(X)
         r = _residual_vector(K, X, Xinv, coords)
         rmax = float(np.max(np.abs(r))) if len(r) else 0.0
         history.append(rmax)
@@ -238,10 +242,10 @@ def solve_hydrogen(
             return NewtonResult(X, True, iteration, rmax, tuple(history), sigma_min_seen)
         if iteration == cfg.max_iter:
             break
-        J = jacobian_at(X, pattern)
+        J = jacobian_at(Xinv, coords)
         sigmas = np.linalg.svd(J, compute_uv=False)
         sigma_min_seen = float(sigmas[-1])
-        if sigmas[-1] <= cfg.rcond * sigmas[0]:
+        if sigmas[-1] <= RCOND * sigmas[0]:
             raise SingularJacobianError(
                 f"support Jacobian is singular at iteration {iteration}: "
                 f"sigma_min = {sigmas[-1]:.3e}, sigma_max = {sigmas[0]:.3e}",
@@ -252,7 +256,7 @@ def solve_hydrogen(
         M = _add_symmetric(np.zeros_like(X), coords, np.linalg.solve(J, -r))
         step = 1.0
         accepted = False
-        while step >= cfg.min_step:
+        while step >= MIN_STEP:
             Xtry = X + step * M
             try:
                 Xtry_inv = np.linalg.inv(Xtry)
@@ -261,7 +265,7 @@ def solve_hydrogen(
                 continue
             rtry = _residual_vector(K, Xtry, Xtry_inv, coords)
             if float(np.max(np.abs(rtry))) < rmax:
-                X = Xtry
+                X, Xinv = Xtry, Xtry_inv
                 accepted = True
                 break
             step /= 2.0
@@ -295,7 +299,6 @@ def verify_support(
     X: np.ndarray | IntMatrix,
     pattern: IntMatrix,
     inverse_pattern: IntMatrix | None = None,
-    tol: float = 1e-8,
 ) -> SupportReport:
     """Measure how far X and X^-1 stray outside their supposed supports.
 
@@ -319,7 +322,7 @@ def verify_support(
         off_inverse_support_max=(
             off_max(Xinv, inverse_pattern) if inverse_pattern is not None else None
         ),
-        tolerance=tol,
+        tolerance=SUPPORT_TOL,
     )
 
 

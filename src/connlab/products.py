@@ -28,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .complexes import Complex, Simplex, build_complex
+from .complexes import Complex, Simplex
 from .dynamics import _powers
 from .exact import IntMatrix
 from .graphs import Graph
@@ -71,12 +71,6 @@ class ProductComplex:
             cols.extend(j for j, (xb, yb) in enumerate(cells) if xa & xb and ya & yb)
             indptr.append(len(cols))
         return IntMatrix.from_csr(indptr, cols, np.ones(len(cols), dtype=np.int64), n, n)
-
-
-def product_complex(a: Graph | Complex, b: Graph | Complex) -> ProductComplex:
-    ca = a if isinstance(a, Complex) else build_complex(a)
-    cb = b if isinstance(b, Complex) else build_complex(b)
-    return ProductComplex(ca, cb)
 
 
 def product_connection(a: Graph | Complex | OperatorBundle, b) -> IntMatrix:
@@ -161,15 +155,15 @@ def _pairwise(values_a: Sequence[float], values_b: Sequence[float], op) -> list[
     return sorted(op(x, y) for x in values_a for y in values_b)
 
 
-def spectral_errors(a, b, tol: float = 1e-10) -> tuple[float, float]:
+def spectral_errors(a, b) -> tuple[float, float]:
     """(multiplicativity error, additivity error) for one factor pair."""
     ba, bb = bundle_for(a), bundle_for(b)
-    la = eig_sym(ba.connection, tol).eigenvalues
-    lb = eig_sym(bb.connection, tol).eigenvalues
-    ha = eig_sym(ba.hodge, tol).eigenvalues
-    hb = eig_sym(bb.hodge, tol).eigenvalues
-    prod_spec = eig_sym(product_connection(ba, bb), tol).eigenvalues
-    sum_spec = eig_sym(product_hodge(ba, bb), tol).eigenvalues
+    la = eig_sym(ba.connection).eigenvalues
+    lb = eig_sym(bb.connection).eigenvalues
+    ha = eig_sym(ba.hodge).eigenvalues
+    hb = eig_sym(bb.hodge).eigenvalues
+    prod_spec = eig_sym(product_connection(ba, bb)).eigenvalues
+    sum_spec = eig_sym(product_hodge(ba, bb)).eigenvalues
     mult_err = max(
         abs(x - y) for x, y in zip(prod_spec, _pairwise(la, lb, lambda s, t: s * t))
     )

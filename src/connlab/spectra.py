@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -47,8 +47,12 @@ class SoundnessError(AssertionError):
 
 # Relative asymmetry allowed before eig_sym refuses the input.
 SYMMETRY_RTOL = 1e-12
-# Default residual target for the eigensolver.
+# Residual target for the eigensolver.
 EIG_TOL = 1e-10
+# How far a bound may fall below rho before the soundness check refuses it.
+SOUNDNESS_TOL = 1e-9
+# Eigenvalues of L within this of 0 count as neither sign.
+SIGN_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -97,13 +101,13 @@ def _as_array(m: IntMatrix | np.ndarray | Sequence[Sequence[float]]) -> np.ndarr
     return np.asarray(m, dtype=float)
 
 
-def eig_sym(m: IntMatrix | np.ndarray | Sequence[Sequence[float]], tol: float = EIG_TOL) -> Spectrum:
+def eig_sym(m: IntMatrix | np.ndarray | Sequence[Sequence[float]]) -> Spectrum:
     """Eigenvalues of a symmetric real matrix, sorted ascending.
 
     The input must be symmetric within SYMMETRY_RTOL * max|m|; it is then
     explicitly symmetrized and handed to the dense symmetric solver.  The
     achieved residual max|A v - lambda v| / max(1, max|m|) is recorded and
-    checked against tol, so a silently bad decomposition raises instead of
+    checked against EIG_TOL, so a silently bad decomposition raises instead of
     propagating.
     """
     a = _as_array(m)
@@ -125,9 +129,9 @@ def eig_sym(m: IntMatrix | np.ndarray | Sequence[Sequence[float]], tol: float = 
     except np.linalg.LinAlgError as exc:  # pragma: no cover - hardware dependent
         raise SpectraError(f"eigensolver did not converge: {exc}") from exc
     residual = float(np.max(np.abs(s @ v - v * w))) / scale
-    if residual > tol:
+    if residual > EIG_TOL:
         raise SpectraError(
-            f"eigensolver residual {residual:.3e} exceeds requested tolerance {tol:.0e}"
+            f"eigensolver residual {residual:.3e} exceeds requested tolerance {EIG_TOL:.0e}"
         )
     order = np.argsort(w, kind="stable")
     return Spectrum(tuple(float(w[i]) for i in order), n, residual)
@@ -307,7 +311,7 @@ class BoundsReport:
 CSV_COLUMNS = ("name", "rho", "rho_abs", "dual_vertex", "walk3", "bhs", "lsc")
 
 
-def _check_soundness(report: BoundsReport, tol: float = 1e-9) -> None:
+def _check_soundness(report: BoundsReport) -> None:
     rho = report.rho_H
     checks = [
         ("trivial_2d", report.bound_trivial_2d),
@@ -320,18 +324,18 @@ def _check_soundness(report: BoundsReport, tol: float = 1e-9) -> None:
         checks.append(("lsc", report.bound_lsc))
         checks.append(("shi", report.bound_shi))
     for label, value in checks:
-        if value < rho - tol:
+        if value < rho - SOUNDNESS_TOL:
             raise SoundnessError(
                 f"{report.graph_name}: bound {label} = {value!r} is below rho = {rho!r}"
             )
 
 
-def bounds_report(g: Graph, ks: Sequence[int] = (1, 2, 3), tol: float = EIG_TOL) -> BoundsReport:
+def bounds_report(g: Graph, ks: Sequence[int] = (1, 2, 3)) -> BoundsReport:
     """All bound columns for one graph, with the soundness invariant asserted."""
     _require_edges(g)
     bundle = bundle_for(g)
-    rho_h = eig_sym(bundle.kirchhoff, tol).top
-    rho_habs = eig_sym(bundle.kirchhoff_signless, tol).top
+    rho_h = eig_sym(bundle.kirchhoff).top
+    rho_habs = eig_sym(bundle.kirchhoff_signless).top
     components = connected_components(g)
     regular = is_regular(g)
     connected = len(components) == 1
@@ -365,98 +369,25 @@ def bounds_report(g: Graph, ks: Sequence[int] = (1, 2, 3), tol: float = EIG_TOL)
 
 
 # ---------------------------------------------------------------------------
-# Schur majorization and the limiting spectral function
+# the sign split of a connection spectrum
 
 
-@dataclass(frozen=True)
-class SchurReport:
-    """Partial-sum majorization facts for a connection Laplacian spectrum."""
-
-    partial_sums_ok: bool
-    worst_partial_excess: float
-    trace_matches_dim: bool
-    fiedler_ok: bool | None
-
-    @property
-    def ok(self) -> bool:
-        core = self.partial_sums_ok and self.trace_matches_dim
-        return core and (self.fiedler_ok is not False)
-
-
-def schur_check(
-    l_spec: Spectrum,
-    habs_top: float | None = None,
-    max_degree: int | None = None,
-    tol: float = 1e-8,
-) -> SchurReport:
-    """Check sum_{i<=t} lambda_i <= t with equality at t = n.
-
-    The ascending partial sums of the connection spectrum are majorized by
-    the counting sequence because L has unit diagonal.  The gap theorem is
-    block_gap: the gap across the negative/positive split of sigma(L) (see
-    connection_sign_split) is at least 1.  When both habs_top and max_degree
-    are supplied, the Fiedler-style inequality lambda_max(|H|) >= d is
-    checked too.
-    """
-    n = l_spec.matrix_dim
-    excess = max(
-        (s - t for t, s in enumerate(l_spec.partial_sums(), start=1)),
-        default=0.0,
-    )
-    trace = l_spec.partial_sums()[-1] if n else 0.0
-    fiedler = None
-    if habs_top is not None and max_degree is not None:
-        fiedler = habs_top >= max_degree - tol
-    return SchurReport(
-        partial_sums_ok=excess <= tol,
-        worst_partial_excess=float(excess),
-        trace_matches_dim=abs(trace - n) <= tol,
-        fiedler_ok=fiedler,
-    )
-
-
-def connection_sign_split(l_spec: Spectrum, tol: float = 1e-8) -> tuple[int, int]:
+def connection_sign_split(l_spec: Spectrum) -> tuple[int, int]:
     """(negative count, positive count) of a connection Laplacian spectrum.
 
     For a 1-dimensional complex these are (e, v): the spectrum lives in
     [-1, 0) union [1, infinity), and -1 is attained (cycles, for example).
+    No command prints it; the sign-split acceptance criterion reads it.
     """
-    neg = sum(1 for lam in l_spec.eigenvalues if lam < -tol)
-    pos = sum(1 for lam in l_spec.eigenvalues if lam > tol)
+    neg = sum(1 for lam in l_spec.eigenvalues if lam < -SIGN_TOL)
+    pos = sum(1 for lam in l_spec.eigenvalues if lam > SIGN_TOL)
     return neg, pos
 
 
 def block_gap(l_spec: Spectrum, negative_count: int) -> float:
-    """lambda_{e+1} - lambda_e across the negative/positive split of sigma(L)."""
+    """lambda_{e+1} - lambda_e across the negative/positive split of sigma(L),
+    at least 1 on every graph; the sign-split acceptance criterion reads it."""
     e = negative_count
     if e == 0 or e >= l_spec.matrix_dim:
         return math.inf
     return l_spec.eigenvalues[e] - l_spec.eigenvalues[e - 1]
-
-
-def spectral_function(spec: Spectrum) -> Callable[[float], float]:
-    """The step function F(x) = lambda_ceil(n x) on (0, 1]."""
-    if spec.matrix_dim == 0:
-        raise SpectraError("empty spectrum has no spectral function")
-    eigs = spec.eigenvalues
-    n = spec.matrix_dim
-
-    def f(x: float) -> float:
-        if not 0.0 < x <= 1.0:
-            raise SpectraError(f"spectral function argument {x} outside (0, 1]")
-        return eigs[math.ceil(n * x) - 1]
-
-    return f
-
-
-def limit_profile(x: float) -> float:
-    """The barycentric limit profile 4 sin^2(pi x / 2) of cycle Kirchhoff spectra."""
-    s = math.sin(math.pi * x / 2.0)
-    return 4.0 * s * s
-
-
-def spectral_function_sup_distance(spec: Spectrum) -> float:
-    """sup_j |F(j/n) - limit_profile(j/n)| over the natural sample grid."""
-    f = spectral_function(spec)
-    n = spec.matrix_dim
-    return max(abs(f(j / n) - limit_profile(j / n)) for j in range(1, n + 1))

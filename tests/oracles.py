@@ -58,16 +58,23 @@ tests check that identity entry by entry over the corpus.
 
 jacobi_residual_two_apply is the Jacobi residual with |H| applied twice at
 every time, the route dynamics.jacobi_residual keeps only for one-parity
-branches.
+branches.  jacobi_ivp extends any four consecutive states u(0)..u(3)
+through the recurrence, which parameterizes the whole 4n-dimensional
+solution space, and combined_solution sums the quaternion branches on the
+times they share; the tests compare the two.
 
 The dense_* builders write each bundle operator entry by entry into dense
 rows; operators builds them as compressed rows instead, and the tests
 compare the two over the corpus.  dense_connection tests every pair of
-simplices for an intersection, and dense_hodge forms the Gram blocks
-d0^T d0 and d0 d0^T by dense products.
+simplices for an intersection (simplices_intersect), dense_green_star
+weighs each cell by parity, omega(x) = (-1)^dim(x), and dense_hodge forms
+the Gram blocks d0^T d0 and d0 d0^T by dense products.
 
-limit_functional_equation_residual samples the doubling identity of
-spectra.limit_profile.
+spectral_function_sup_distance measures how far the sorted Kirchhoff
+spectrum of a cycle, read as the step function spectral_function, lies
+from the barycentric limit profile 4 sin^2(pi x / 2) (limit_profile);
+limit_functional_equation_residual samples the doubling identity of that
+profile.
 
 exact_root_multiset isolates the real roots of an integer polynomial by
 Sturm chains over the rationals, each member scaled to a primitive integer
@@ -100,16 +107,25 @@ from typing import Sequence
 import numpy as np
 
 from connlab import cli
-from connlab.complexes import Complex, parity, simplices_intersect
+from connlab.complexes import Complex, Simplex
 from connlab.dynamics import DynamicsError, Trajectory
 from connlab.exact import FieldMatrix, IntMatrix, ShapeError, SingularMatrixError, det, is_prime
 from connlab.graphs import Graph, GraphError, betti_numbers, connected_components
 from connlab.operators import OperatorBundle, SupersymmetryReport
-from connlab.spectra import SpectraError, eig_sym, limit_profile
+from connlab.spectra import SpectraError, Spectrum, eig_sym
 
 
 def is_connected(g: Graph) -> bool:
     return len(connected_components(g)) == 1
+
+
+def parity(x: Simplex) -> int:
+    """omega(x) = (-1)^dim(x): +1 on vertices, -1 on edges."""
+    return -1 if len(x) == 2 else 1
+
+
+def simplices_intersect(x: Simplex, y: Simplex) -> bool:
+    return bool(set(x) & set(y))
 
 
 def dense_matmul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
@@ -778,6 +794,49 @@ def line_graph(g: Graph) -> Graph:
     return Graph(max(m, 1), tuple(edges), f"line({g.name})" if g.name else "line")
 
 
+def combined_solution(branches: Sequence[Trajectory]) -> Trajectory:
+    """Pointwise sum of the four branches on the times they share per parity."""
+    states: dict[int, tuple] = {}
+    for b in branches:
+        for t, v in b.states.items():
+            if t in states:
+                states[t] = tuple(a + c for a, c in zip(states[t], v))
+            else:
+                states[t] = v
+    return Trajectory(states, "sum of quaternion branches")
+
+
+def jacobi_ivp(habs: IntMatrix, initial: Sequence[Sequence[int]], n_min: int, n_max: int) -> Trajectory:
+    """Solve the Jacobi equation from four consecutive states u(0)..u(3).
+
+    The equation is a second-order recurrence on each time parity, so any
+    quadruple of vectors extends uniquely to all of the requested range;
+    this is the 4n-dimensional solution space, parameterized directly.
+    """
+    if len(initial) != 4:
+        raise DynamicsError("need exactly u(0), u(1), u(2), u(3)")
+    n = habs.nrows
+    vecs = [tuple(int(x) for x in v) for v in initial]
+    if any(len(v) != n for v in vecs):
+        raise DynamicsError("initial vectors must match operator dimension")
+    states: dict[int, tuple] = {i: vecs[i] for i in range(4)}
+
+    def extend(t: int, d: int) -> tuple:
+        # u(t) from u(t - 2d) and u(t - 4d): d = 1 forward, d = -1 backward
+        mid, far = states[t - 2 * d], states[t - 4 * d]
+        pulled = habs.apply(habs.apply(mid))
+        return tuple(2 * mid[i] + pulled[i] - far[i] for i in range(n))
+
+    for t in range(4, n_max + 1):
+        states[t] = extend(t, 1)
+    for t in range(-1, n_min - 1, -1):
+        states[t] = extend(t, -1)
+    for t in list(states):
+        if t < n_min or t > n_max:
+            del states[t]
+    return Trajectory(states, "Jacobi initial value solution, exact integers")
+
+
 def jacobi_residual_two_apply(t: Trajectory, habs: IntMatrix) -> int:
     """max over n of |psi(n+2) - 2 psi(n) + psi(n-2) - |H|(|H| psi(n))|_inf."""
     worst = None
@@ -879,6 +938,34 @@ def dense_hydrogen_residual(bundle: OperatorBundle) -> IntMatrix:
     return IntMatrix(
         [[h[i][j] - L[i][j] + g[i][j] for j in range(n)] for i in range(n)], ncols=n
     )
+
+
+def spectral_function(spec: Spectrum):
+    """The step function F(x) = lambda_ceil(n x) on (0, 1]."""
+    if spec.matrix_dim == 0:
+        raise SpectraError("empty spectrum has no spectral function")
+    eigs = spec.eigenvalues
+    n = spec.matrix_dim
+
+    def f(x: float) -> float:
+        if not 0.0 < x <= 1.0:
+            raise SpectraError(f"spectral function argument {x} outside (0, 1]")
+        return eigs[math.ceil(n * x) - 1]
+
+    return f
+
+
+def limit_profile(x: float) -> float:
+    """The barycentric limit profile 4 sin^2(pi x / 2) of cycle Kirchhoff spectra."""
+    s = math.sin(math.pi * x / 2.0)
+    return 4.0 * s * s
+
+
+def spectral_function_sup_distance(spec: Spectrum) -> float:
+    """sup_j |F(j/n) - limit_profile(j/n)| over the natural sample grid."""
+    f = spectral_function(spec)
+    n = spec.matrix_dim
+    return max(abs(f(j / n) - limit_profile(j / n)) for j in range(1, n + 1))
 
 
 def limit_functional_equation_residual(samples: int = 100) -> float:

@@ -65,7 +65,6 @@ from connlab.spectra import (
     bounds_report,
     connection_sign_split,
     eig_sym,
-    spectral_function_sup_distance,
 )
 from connlab.tables import (
     BARY_STAR4_RHO,
@@ -84,6 +83,7 @@ from oracles import (
     inverse_unimodular,
     limit_functional_equation_residual,
     reciprocal_sign,
+    spectral_function_sup_distance,
 )
 
 PRODUCT_PAIRS = [
@@ -404,8 +404,8 @@ def test_criterion_11_finite_field_reversibility(corpus):
 
 
 def test_criterion_12_perron_limits():
-    rep4 = perron_limits(from_spec("cycle:4"), max_n=30, tol=1e-6)
-    rep8 = perron_limits(from_spec("figure8"), max_n=30, tol=1e-6)
+    rep4 = perron_limits(from_spec("cycle:4"))
+    rep8 = perron_limits(from_spec("figure8"))
     sign_changes = any(x > 0 for x in rep4.w) and any(x < 0 for x in rep4.w)
     ok = (
         rep4.forward_final < 1e-6

@@ -400,9 +400,9 @@ def test_bounds_row_builds_no_signless_dirac_or_hodge(capsys, monkeypatch):
     solves = []
     eig_sym = spectra.eig_sym
 
-    def counting(m, tol):
+    def counting(m):
         solves.append(m.shape)
-        return eig_sym(m, tol)
+        return eig_sym(m)
 
     monkeypatch.setattr(spectra, "eig_sym", counting)
     code, out, err = run(capsys, "bounds", "--format", "csv", "bary:grid:20,20")

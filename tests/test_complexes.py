@@ -1,15 +1,10 @@
 """One-dimensional complexes: cells, stars, unit-sphere characteristics."""
 
-from connlab.complexes import (
-    build_complex,
-    connection_graph,
-    parity,
-    simplices_intersect,
-    sphere_chi,
-    star,
-    stirling_map,
-)
-from connlab.graphs import from_spec
+from connlab.complexes import build_complex, sphere_chi, star
+from connlab.graphs import barycentric_refinement, from_spec
+from connlab.operators import bundle_for
+from connlab.spectra import connection_edge_count
+from oracles import parity, simplices_intersect
 
 
 def test_cell_layout():
@@ -71,15 +66,15 @@ def test_sphere_chi_values():
 
 
 def test_connection_graph_sizes():
-    g = from_spec("cycle:4")
-    cg = connection_graph(build_complex(g))
-    assert cg.n == 8
+    # the connection graph G' has a node per cell and is held as L - I
+    b = bundle_for(from_spec("cycle:4"))
+    assert b.size == 8
     # each vertex meets its 2 incident edges, each edge meets its neighbor
     # edges through shared endpoints: 8 vertex-edge + 4 edge-edge pairs
-    assert cg.e == 12
+    assert connection_edge_count(b) == 12
 
 
 def test_stirling_map_doubles_f_vector_like_refinement():
-    g = from_spec("cycle:6")
-    c = build_complex(g)
-    assert stirling_map(c.f_vector()) == (12, 12)
+    # refinement maps the f-vector (v, e) to (v + e, 2e)
+    refined = build_complex(barycentric_refinement(from_spec("cycle:6")))
+    assert refined.f_vector() == (12, 12)

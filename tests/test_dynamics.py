@@ -12,16 +12,12 @@ from connlab.dynamics import (
     DynamicsError,
     QuaternionField,
     Trajectory,
+    PERRON_STEPS,
     automaton_run,
-    combined_solution,
     growth_rates,
-    jacobi_ivp,
     jacobi_residual,
-    multiplicative_order,
     orbit,
-    orbit_period,
     perron_limits,
-    perron_limits_components,
     quaternion_solution,
     walk,
 )
@@ -30,16 +26,18 @@ from connlab.exact import (
     IntMatrix,
     field_reduce,
 )
-from connlab.graphs import Graph, from_spec
+from connlab.graphs import Graph, connected_components, from_spec, induced_subgraph
 from connlab.operators import bundle_for
 from connlab.spectra import eig_sym
 from conftest import SAMPLE_SPECS
 from oracles import (
     EnvironmentSequence,
     cocycle,
+    combined_solution,
     constant_environment,
     field_inverse,
     inverse_unimodular,
+    jacobi_ivp,
     jacobi_residual_two_apply,
     line_graph,
     quaternion_branch_rank,
@@ -181,7 +179,7 @@ def test_quaternion_branch_rank(spec, expected_rank, dim):
 
 def test_perron_limits_on_cycle4():
     b = bundle_for(from_spec("cycle:4"))
-    rep = perron_limits(b, max_n=30, tol=1e-6)
+    rep = perron_limits(b)
     assert rep.forward_final < 1e-6
     assert rep.backward_final < 1e-3
     assert all(x > 0 for x in rep.v)
@@ -193,23 +191,19 @@ def test_perron_limits_on_cycle4():
 
 
 def test_perron_limits_requires_irreducible():
-    g = from_spec("complete:2")
-    # two disjoint copies: build a disconnected graph by hand
+    # two disjoint copies of complete:2, built by hand
     disconnected = Graph(4, ((0, 1), (2, 3)))
-    b = bundle_for(disconnected)
-    with pytest.raises(DynamicsError):
-        perron_limits(b)
-    reports = perron_limits_components(disconnected)
-    assert len(reports) == 2
-    for rep in reports:
-        assert rep.forward_final < 1e-6
-    del g
+    with pytest.raises(DynamicsError, match="reducible"):
+        perron_limits(bundle_for(disconnected))
+    components = connected_components(disconnected)
+    assert len(components) == 2
+    for comp in components:
+        assert perron_limits(induced_subgraph(disconnected, comp)).forward_final < 1e-6
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_automaton_round_trip_and_orbit(p):
     b = bundle_for(from_spec("cycle:4"))
-    Lp = field_reduce(b.connection, p)
     s0 = AutomatonState(p, _unit(8), 0)
     states = automaton_run(b, s0, -4, 4)
     assert [s.time for s in states] == list(range(-4, 5))
@@ -217,57 +211,6 @@ def test_automaton_round_trip_and_orbit(p):
     exact = walk(b, _unit(8), -4, 4)
     for s in states:
         assert s.vector == tuple(x % p for x in exact[s.time])
-    period = orbit_period(Lp, _unit(8))
-    order = multiplicative_order(Lp)
-    assert order % period == 0
-    # advancing by the period returns to the start
-    assert automaton_run(b, s0, 0, period)[-1].vector == s0.vector
-
-
-def _dense_period(Lp, vector, cap):
-    """Oracle for orbit_period: step with the dense FieldMatrix.apply."""
-    start = tuple(x % Lp.p for x in vector)
-    current = start
-    for k in range(1, cap + 1):
-        current = Lp.apply(current)
-        if current == start:
-            return k
-    return None
-
-
-def _dense_order(Lp, cap):
-    """Oracle for multiplicative_order: dense powers L, L^2, ... until L^k = I."""
-    ident = FieldMatrix.identity(Lp.nrows, Lp.p)
-    current = Lp
-    for k in range(1, cap + 1):
-        if current == ident:
-            return k
-        current = current @ Lp
-    return None
-
-
-ORDER_SPECS = ["complete:2", "path:3", "cycle:4", "star:3", "figure8", "wheel:4"]
-
-
-@pytest.mark.parametrize("spec", ORDER_SPECS)
-def test_order_and_period_match_dense_powers(spec):
-    b = bundle_for(from_spec(spec))
-    rng = random.Random(spec)
-    for p in (2, 3, 5, 7):
-        Lp = field_reduce(b.connection, p)
-        order = _dense_order(Lp, 10**4)
-        assert multiplicative_order(Lp) == order, (spec, p)
-        vec = [rng.randrange(p) for _ in range(b.size)]
-        period = _dense_period(Lp, vec, 10**4)
-        assert orbit_period(Lp, vec) == period, (spec, p)
-        assert order % period == 0
-        # the error is raised exactly when the result exceeds cap
-        assert multiplicative_order(Lp, cap=order) == order
-        with pytest.raises(DynamicsError, match="multiplicative order exceeds cap"):
-            multiplicative_order(Lp, cap=order - 1)
-        assert orbit_period(Lp, vec, cap=period) == period
-        with pytest.raises(DynamicsError, match="orbit period exceeds cap"):
-            orbit_period(Lp, vec, cap=period - 1)
 
 
 def test_cocycle_constant_environment_matches_log_rho():
@@ -465,6 +408,6 @@ def _dense_perron_residuals(b, rho, v, w, max_n):
 @pytest.mark.parametrize("spec", ["cycle:4", "figure8", "wheel:8", "grid:3,3", "petersen:5,2", "star:5"])
 def test_perron_limits_match_dense_powers_bit_for_bit(spec):
     b = bundle_for(from_spec(spec))
-    rep = perron_limits(b, max_n=30, tol=1e-6)
-    oracle = _dense_perron_residuals(b, rep.rho, np.array(rep.v), np.array(rep.w), 30)
+    rep = perron_limits(b)
+    oracle = _dense_perron_residuals(b, rep.rho, np.array(rep.v), np.array(rep.w), PERRON_STEPS)
     assert (rep.forward_residuals, rep.backward_residuals) == oracle

@@ -8,6 +8,7 @@ import json
 import numpy as np
 import pytest
 
+import connlab.newton as newton
 from connlab.exact import IntMatrix, det
 from connlab.graphs import from_spec
 from connlab.newton import (
@@ -151,19 +152,38 @@ def test_newton_config_rejects_negative_max_iter():
     with pytest.raises(ValueError, match="max_iter"):
         NewtonConfig(max_iter=-1)
     assert NewtonConfig(max_iter=0).max_iter == 0
-    # halving the step never takes it below 0, so a min_step of 0 or less
-    # would let the line search run forever; it is refused up front
-    for min_step in (0.0, -0.0, -1.0, float("nan")):
-        with pytest.raises(ValueError, match="min_step"):
-            NewtonConfig(min_step=min_step)
-    assert NewtonConfig(min_step=2.0**-40).min_step == 2.0**-40
+
+
+@pytest.mark.parametrize("spec, seed", [("path:6", 1), ("star:12", 0)])
+def test_solve_inverts_each_iterate_once(spec, seed, monkeypatch):
+    # the solve inverts L0 and each line-search trial, and an accepted
+    # trial's inverse serves the next iteration; verify_support inverts the
+    # solution once more.  An iteration reads one residual at its top and
+    # one per trial, which counts the trials: path:6 takes full steps,
+    # star:12 backtracks
+    inverted, residuals = [], []
+    inv, residual = np.linalg.inv, newton._residual_vector
+    monkeypatch.setattr(np.linalg, "inv", lambda a: inverted.append(a.tobytes()) or inv(a))
+    monkeypatch.setattr(newton, "_residual_vector", lambda *args: residuals.append(1) or residual(*args))
+    b = bundle_for(from_spec(spec))
+    result, _ = solve_perturbed(b, 0.01, seed)
+    trials = len(residuals) - (result.iterations + 1)
+    assert result.converged and trials >= result.iterations > 0
+    assert len(inverted) == 1 + trials + 1
+    assert inverted[0] == b.connection.to_float().tobytes()
+    assert inverted[-1] == inverted[-2] == result.solution.tobytes()
+    assert len(set(inverted)) == len(inverted) - 1
+
+
+def _loop_coords(pattern):
+    """The upper-triangle support coordinates, read off the pattern's dense rows."""
+    mask = pattern.rows
+    return [(i, j) for i in range(len(mask)) for j in range(i, len(mask)) if mask[i][j]]
 
 
 def _jacobian_loop(X, pattern):
-    """The column-by-column Jacobian that jacobian_at replaced: the oracle.
-    Its coordinates come from the pattern's dense rows."""
-    mask = pattern.rows
-    coords = [(i, j) for i in range(len(mask)) for j in range(i, len(mask)) if mask[i][j]]
+    """The column-by-column Jacobian that jacobian_at replaced: the oracle."""
+    coords = _loop_coords(pattern)
     Xinv = np.linalg.inv(X)
     cols = []
     for i, j in coords:
@@ -193,8 +213,9 @@ def test_jacobian_at_is_bit_identical_to_the_loop(spec):
     pattern = intersection_pattern(b)
     at_connection = b.connection.to_float()
     perturbed = perturb_target(b.connection, pattern, 0.05, seed=len(spec))
+    coords = tuple(np.array(c) for c in zip(*_loop_coords(pattern)))
     for X in (at_connection, perturbed):
-        fast, slow = jacobian_at(X, pattern), _jacobian_loop(X, pattern)
+        fast, slow = jacobian_at(np.linalg.inv(X), coords), _jacobian_loop(X, pattern)
         assert fast.shape == slow.shape
         assert np.array_equal(fast, slow)
         assert np.array_equal(np.signbit(fast), np.signbit(slow))
@@ -207,9 +228,9 @@ def test_support_pattern_validation():
     X = b.connection.to_float()
     asymmetric = IntMatrix([[1, 1, 0], [0, 1, 0], [0, 0, 1]])
     no_diagonal = IntMatrix([[0, 1, 0], [1, 1, 0], [0, 0, 1]])
-    for pattern, message in ((asymmetric, "symmetric"), (no_diagonal, "diagonal")):
+    not_square = IntMatrix.identity(3).block(0, 3, 0, 2)
+    for pattern, message in ((asymmetric, "symmetric"), (no_diagonal, "diagonal"), (not_square, "square")):
         for call in (
-            lambda: jacobian_at(X, pattern),
             lambda: perturb_target(b.hodge_signless, pattern, 0.01, seed=0),
             lambda: solve_hydrogen(b.hodge_signless, pattern, b.connection),
             lambda: verify_support(X, pattern),
@@ -218,8 +239,6 @@ def test_support_pattern_validation():
         ):
             with pytest.raises(ValueError, match=message):
                 call()
-    with pytest.raises(ValueError, match="square"):
-        jacobian_at(X, IntMatrix.identity(3).block(0, 3, 0, 2))
 
 
 @pytest.mark.parametrize(

@@ -222,6 +222,112 @@ def test_only_det_and_dump_read_dense_rows():
     assert _rows_reads(ast.parse(probe)) == [("g", 3), ("f", 4), ("", 5)]
 
 
+# Top-level definitions that neither the CLI nor the script reaches, each
+# kept for the reason given; everything they use is reached through them.
+KEEP = {
+    "__init__.__all__": "the public names, read by star imports and tools",
+    "__init__.__version__": "the package version",
+    "complexes.star": "St(x) of the star formula for g, which operators reads off incident_edges",
+    "dynamics.walk": "the two-sided walk psi(n) = L^n psi of the abstract",
+    "dynamics.quaternion_solution": "the four branch solutions of the Jacobi equation",
+    "dynamics.automaton_run": "the reversible automaton over F_p",
+    "dynamics.perron_limits": "the Perron projection limits of the even-time walk",
+    "dynamics.growth_rates": "the abstract's line-graph growth link, not yet certified",
+    "graphs.save_graph": "writes the text format that load_graph reads",
+    "operators.schur_inverse": "the Schur block inverse of a bare matrix; the bundle runs it on cached blocks",
+    "operators.schur_reciprocity_sign": "the reciprocity certificate of a bare matrix",
+    "operators.hydrogen_holds": "the identity |H| = L - L^-1 as a predicate",
+    "operators.energy_holds": "the energy theorem: the entries of g sum to chi",
+    "operators.is_unimodular": "det L = +-1",
+    "products.two_time_walk": "the two-time walk on a product, the Z^2 lattice dynamics",
+    "spectra.connection_sign_split": "the sign-split acceptance criterion reads it",
+    "spectra.block_gap": "the block-gap acceptance criterion reads it",
+    "tables.EVEN_CYCLE_PREFIX": "reference data of an acceptance criterion",
+    "tables.EVEN_CYCLE_RANGE": "reference data of an acceptance criterion",
+    "tables.BARY_STAR4_RHO": "reference data of an acceptance criterion",
+    "tables.LINEAR3_DUAL_VERTEX": "reference data of an acceptance criterion",
+    "tables.LINEAR3_BHS": "reference data of an acceptance criterion",
+}
+
+
+def _top_level(tree: ast.Module) -> dict[str, ast.stmt]:
+    """Each function, class and assigned name at a module's top level."""
+    defs = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defs[node.name] = node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                if isinstance(target, ast.Name):
+                    defs[target.id] = node
+    return defs
+
+
+def _package_imports(tree: ast.Module) -> dict[str, tuple[str, str]]:
+    """name -> (module, name) for every name a module imports from the
+    package, anywhere in its code, relatively or absolutely."""
+    names = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("connlab.")):
+            source = node.module if node.level else node.module.partition(".")[2]
+            names.update({a.asname or a.name: (source, a.name) for a in node.names})
+    return names
+
+
+def _reachable(roots: set[tuple[str, str]], defs: dict, imports: dict) -> set[tuple[str, str]]:
+    """The (module, name) definitions reached from roots: a definition
+    reaches every package definition its code names, in its own module or
+    through an import.  Attributes of a module imported whole are not
+    followed: no module imports one, and what one reached that way would
+    show as unreached."""
+
+    def named(module: str, node: ast.AST) -> set[tuple[str, str]]:
+        out = set()
+        for n in ast.walk(node):
+            if isinstance(n, ast.Name):
+                if n.id in defs[module]:
+                    out.add((module, n.id))
+                elif n.id in imports[module]:
+                    out.add(imports[module][n.id])
+        return out
+
+    seen, todo = set(), list(roots)
+    while todo:
+        key = todo.pop()
+        module, name = key
+        if key not in seen and name in defs.get(module, {}):
+            seen.add(key)
+            todo.extend(named(module, defs[module][name]))
+    return seen
+
+
+def _unreached(package: Path, script: Path, keep) -> list[str]:
+    trees = {p.stem: ast.parse(p.read_text()) for p in package.glob("*.py")}
+    defs = {m: _top_level(t) for m, t in trees.items()}
+    imports = {m: _package_imports(t) for m, t in trees.items()}
+    script_tree = ast.parse(script.read_text())
+    script_imports = _package_imports(script_tree)
+    roots = {("cli", "main")} | {("cli", n) for n in defs["cli"] if n.startswith("cmd_")}
+    roots |= {script_imports[n.id] for n in ast.walk(script_tree) if isinstance(n, ast.Name) and n.id in script_imports}
+    roots |= {tuple(k.split(".")) for k in keep}
+    seen = _reachable(roots, defs, imports)
+    return sorted(f"{m}.{n}" for m, d in defs.items() for n in d if (m, n) not in seen)
+
+
+def test_every_definition_is_reached_from_the_cli_the_script_or_keep():
+    # a top-level definition of the package stays only when the CLI or
+    # scripts/newton_perturbation_sweep.py reaches it, or KEEP names it with
+    # its reason; test-only references belong in tests/oracles.py
+    package, script = ROOT / "src" / "connlab", ROOT / "scripts" / "newton_perturbation_sweep.py"
+    assert _unreached(package, script, KEEP) == []
+    # no KEEP entry is stale: each is a definition that nothing else reaches
+    unreached = set(_unreached(package, script, ()))
+    assert set(KEEP) <= unreached
+    # names in a module and imported ones are followed: exact.det is
+    # reached only through the script, orbit through cli's import
+    assert {"exact.det", "dynamics.orbit", "spectra.eig_sym", "cli.build_parser"}.isdisjoint(unreached)
+
+
 def _load_tracing():
     spec = importlib.util.spec_from_file_location("perfbench_tracing", ROOT / "perfbench" / "tracing.py")
     module = importlib.util.module_from_spec(spec)

@@ -3,6 +3,7 @@ failure of the hydrogen identity on nontrivial products."""
 
 import pytest
 
+from connlab.complexes import build_complex
 from connlab.exact import IntMatrix, det
 from connlab.graphs import from_spec
 from connlab.operators import OperatorBundle, bundle_for, schur_inverse
@@ -10,7 +11,6 @@ from connlab.products import (
     ProductComplex,
     ProductError,
     product_checks,
-    product_complex,
     product_connection,
     product_hodge,
     product_hodge_signless,
@@ -47,7 +47,7 @@ def test_product_connection_two_routes(sa, sb):
     # the Kronecker product of the factors must equal the connection matrix
     # built directly from the intersection rule on product cells
     L = product_connection(from_spec(sa), from_spec(sb))
-    pc = product_complex(from_spec(sa), from_spec(sb))
+    pc = ProductComplex(build_complex(from_spec(sa)), build_complex(from_spec(sb)))
     assert L.nrows == pc.size
     assert L == pc.connection_by_intersection()
 

@@ -1,5 +1,5 @@
 """Floating spectra validated against exact polynomial root isolation,
-bound soundness, majorization, and the barycentric limit profile."""
+bound soundness, and the barycentric limit profile."""
 
 import math
 
@@ -22,8 +22,6 @@ from connlab.spectra import (
     bounds_report,
     connection_sign_split,
     eig_sym,
-    schur_check,
-    spectral_function_sup_distance,
 )
 from conftest import SAMPLE_SPECS
 from oracles import (
@@ -33,6 +31,7 @@ from oracles import (
     limit_functional_equation_residual,
     matpow,
     reciprocal_sign,
+    spectral_function_sup_distance,
     validate_spectrum_against_charpoly,
 )
 
@@ -193,18 +192,6 @@ def test_kwalk_errors():
 def test_dual_vertex_beats_2d_on_sparse():
     g = from_spec("gnp:20,0.1:seed=1")
     assert bound_dual_vertex(g) < bound_trivial_2d(g)
-
-
-@pytest.mark.parametrize("spec", ["cycle:5", "star:4", "figure8"])
-def test_schur_majorization(spec, sample):
-    b = sample.get(spec) or bundle_for(from_spec(spec))
-    l_spec = eig_sym(b.connection)
-    habs_top = eig_sym(b.hodge_signless).top
-    rep = schur_check(l_spec, habs_top=habs_top, max_degree=max(b.graph.degrees()))
-    assert rep.ok
-    assert rep.partial_sums_ok
-    assert rep.trace_matches_dim
-    assert rep.fiedler_ok
 
 
 def test_barycentric_limit_profile_converges():
