@@ -111,6 +111,7 @@ __all__ = [
     "solve_hydrogen",
     "solve_perturbed",
     "sphere_chi",
+    "star",
     "supersymmetry_report",
     "trace_report",
     "two_time_walk",

@@ -28,13 +28,14 @@ steps L and, for negative times, g with IntMatrix.step, a numpy gather and
 segmented sum over the entries, one step per time in each direction, on
 exact Python ints over Z and, reduced mod p, in int64 while the entries
 allow it.  walk, the quaternion branches and the automaton read their
-states off its rows, and Trajectory.from_orbit is the one place a
-trajectory is built from them.  The powers behind the Perron limits and
+states off its rows, and Trajectory.from_orbit keeps the array (or a view
+of it) as a trajectory's states, with no copy per time.  The powers behind the Perron limits and
 the two-time product walk step a block of states, one per column, with the
 same step, which is also how the CLI checks the round trip
 g psi(k) = psi(k - 1) for every forward time in a few block products.
-The Jacobi residual applies |H| once per time along a walk, to form the
-hydrogen defect, and reads the residual off three consecutive defects.
+The Jacobi residual takes |H| = |D|^2 as two such steps of the all-ones
+|D| on blocks of a walk's states, forms every hydrogen defect, and reads
+the residual off three consecutive defects only when one is nonzero.
 Walks, the residual and the automaton form no dense matrix, and nothing
 here eliminates.
 """
@@ -43,7 +44,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -61,39 +62,38 @@ class DynamicsError(ValueError):
 Vector = tuple
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
-    """States of a walk keyed by integer time, possibly negative.
+    """States of a walk at the times of a range, possibly negative: row k
+    of the array states, exact integers, is the state at times[k].
 
     Full walks record every time in range and step by one application of L
     (or its exact inverse, for negative times).  Branch solutions of the
-    second-order equation record a single parity class and step by L^2 or
-    L^-2; the provenance string says which.
+    second-order equation record a single parity class, every other time,
+    and step by L^2 or L^-2; the provenance string says which.
     """
 
-    states: Mapping[int, Vector]
+    states: np.ndarray
+    times: range
     provenance: str
 
     def __getitem__(self, n: int) -> Vector:
-        return self.states[n]
+        return tuple(self.states[self.times.index(n)].tolist())
 
     def __contains__(self, n: int) -> bool:
-        return n in self.states
-
-    def times(self) -> tuple[int, ...]:
-        return tuple(sorted(self.states))
+        return n in self.times
 
     @classmethod
     def from_orbit(cls, rows: np.ndarray, times: range, provenance: str | None = None) -> "Trajectory":
-        """The states rows[k] at times[k], from rows of an orbit array; the
-        provenance defaults to that of an L^n walk."""
+        """The states rows[k] at times[k], keeping rows, an orbit array over
+        Z or a view of one; the provenance defaults to that of an L^n walk."""
         if provenance is None:
             provenance = f"L^n walk, {rows.shape[1]} cells, exact integers"
-        return cls(dict(zip(times, map(tuple, rows.tolist()))), provenance)
+        return cls(rows, times, provenance)
 
     @property
     def dimension(self) -> int:
-        return len(next(iter(self.states.values()))) if self.states else 0
+        return self.states.shape[1]
 
 
 @dataclass(frozen=True)
@@ -196,51 +196,48 @@ def walk(
     return Trajectory.from_orbit(orbit(source, psi0, n_min, n_max), range(n_min, n_max + 1))
 
 
-def jacobi_residual(t: Trajectory, habs: IntMatrix) -> int | float:
-    """max over n of |psi(n+2) - 2 psi(n) + psi(n-2) - |H|^2 psi(n)|_inf.
+def jacobi_residual(t: Trajectory, dirac: IntMatrix) -> int:
+    """max over n of |psi(n+2) - 2 psi(n) + psi(n-2) - |H|^2 psi(n)|_inf,
+    where |H| = dirac @ dirac.
 
     Exactly zero for any exact walk trajectory; integer states give an
     integer residual so a pass is unambiguous.  |H|^2 psi(n) is never read
-    off the trajectory itself.  Where m-1 and m+1 are recorded, the hydrogen
-    defect e(m) = |H| psi(m) - psi(m+1) + psi(m-1) takes one |H| mat-vec,
-    once per time, and the difference at n is e(n-1) - e(n+1) - |H| e(n):
+    off the trajectory itself: |H| is two steps of dirac on a block of
+    states, one per column, sized like the CLI's round trip so that the
+    gathered terms never outnumber the trajectory's entries.  On a walk
+    (times of step 1) the hydrogen defect
+    e(m) = |H| psi(m) - psi(m+1) + psi(m-1) is formed for every m with m-1
+    and m+1 recorded.  Only if one is nonzero are the defects formed again
+    and kept, and the difference at n taken as e(n-1) - e(n+1) - |H| e(n):
     expanding |H|^2 psi(n) = |H| e(n) + phi(n+1) - phi(n-1) with
-    phi = |H| psi gives the same integer as applying |H| twice, for any
-    trajectory.  On a walk every defect is 0, and so is the residual at n.
-    Branch trajectories of one time parity take |H| twice.
+    phi = |H| psi gives the same integer as applying |H| twice.  Branch
+    trajectories of one time parity (times of step 2) take |H| twice.
     """
-    defects: dict[int, list[int] | None] = {}
+    block = max(1, t.states.size // max(1, dirac.nnz))
 
-    def defect(m: int) -> list[int] | None:
-        """e(m), or None when it is zero."""
-        if m not in defects:
-            e = [h - a + b for h, a, b in zip(habs.apply(t[m]), t[m + 1], t[m - 1])]
-            defects[m] = e if any(e) else None
-        return defects[m]
+    def habs(x: np.ndarray) -> np.ndarray:
+        """|H| x for a block of states, one per row."""
+        return dirac.step(dirac.step(x.T)).T
 
-    worst = None
-    for n in t.times():
-        if n + 2 not in t or n - 2 not in t:
-            continue
-        if n + 1 in t and n - 1 in t:
-            below, mid, above = defect(n - 1), defect(n), defect(n + 1)
-            defects.pop(n - 1)  # times run upward, so no later n reads it
-            if below is None and mid is None and above is None:
-                residual = 0
-            else:
-                zero = [0] * len(t[n])
-                pulled = habs.apply(mid) if mid is not None else zero
-                diff = [a - c - d for a, c, d in zip(below or zero, above or zero, pulled)]
-                residual = max(max(diff), -min(diff))
-        else:
-            hi, mid, lo = t[n + 2], t[n], t[n - 2]
-            pulled = habs.apply(habs.apply(mid))
-            diff = [a - 2 * b + c - d for a, b, c, d in zip(hi, mid, lo, pulled)]
-            residual = max(max(diff), -min(diff))
-        worst = residual if worst is None else max(worst, residual)
-    if worst is None:
+    def sweep(x: np.ndarray, combine):
+        """combine(x[j-1], x[j], x[j+1]) for j = 1..len(x) - 2, on the rows
+        of a block of j at a time."""
+        for a in range(1, len(x) - 1, block):
+            b = min(a + block, len(x) - 1)
+            yield combine(x[a - 1 : b - 1], x[a:b], x[a + 1 : b + 1])
+
+    def defects():
+        return sweep(t.states, lambda below, mid, above: habs(mid) - above + below)
+
+    if t.times.step == 1 and len(t.times) >= 5:
+        if not any(e.any() for e in defects()):
+            return 0
+        parts = sweep(np.concatenate(list(defects())), lambda below, mid, above: below - above - habs(mid))
+    elif t.times.step == 2 and len(t.times) >= 3:
+        parts = sweep(t.states, lambda below, mid, above: above - 2 * mid + below - habs(habs(mid)))
+    else:
         raise DynamicsError("trajectory does not cover any n-2, n, n+2 triple")
-    return worst
+    return max(int(np.abs(diff).max()) for diff in parts)
 
 
 def quaternion_solution(

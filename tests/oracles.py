@@ -56,12 +56,15 @@ line_graph builds the line graph pair by pair, O(e^2); dynamics.growth_rates
 reads its adjacency radius off |H1| = 2I + A(line graph) instead, and the
 tests check that identity entry by entry over the corpus.
 
-jacobi_residual_two_apply is the Jacobi residual with |H| applied twice at
-every time, the route dynamics.jacobi_residual keeps only for one-parity
-branches.  jacobi_ivp extends any four consecutive states u(0)..u(3)
-through the recurrence, which parameterizes the whole 4n-dimensional
-solution space, and combined_solution sums the quaternion branches on the
-times they share; the tests compare the two.
+jacobi_residual_two_apply is the Jacobi residual with the materialized |H|
+applied twice at every time, one mat-vec at a time; dynamics.jacobi_residual
+instead steps |D| twice over blocks of states and, on a walk, reads the
+residual off the hydrogen defects.  jacobi_ivp extends any four consecutive
+states u(0)..u(3) through the recurrence, which parameterizes the whole
+4n-dimensional solution space, and combined_solution sums the quaternion
+branches on the times they share; the tests compare the two.  Both build
+their Trajectory from states keyed by time with trajectory, which stacks
+them once into rows.
 
 The dense_* builders write each bundle operator entry by entry into dense
 rows; operators builds them as compressed rows instead, and the tests
@@ -794,16 +797,26 @@ def line_graph(g: Graph) -> Graph:
     return Graph(max(m, 1), tuple(edges), f"line({g.name})" if g.name else "line")
 
 
+def trajectory(states: dict[int, Sequence[int]], provenance: str) -> Trajectory:
+    """The Trajectory of states keyed by time, stacked once into rows; the
+    times must be evenly spaced, as a Trajectory's range is."""
+    times = sorted(states)
+    span = range(times[0], times[-1] + 1, times[1] - times[0] if len(times) > 1 else 1)
+    if list(span) != times:
+        raise DynamicsError("states must be recorded at evenly spaced times")
+    return Trajectory(np.array([list(states[n]) for n in times], dtype=object), span, provenance)
+
+
 def combined_solution(branches: Sequence[Trajectory]) -> Trajectory:
     """Pointwise sum of the four branches on the times they share per parity."""
     states: dict[int, tuple] = {}
     for b in branches:
-        for t, v in b.states.items():
+        for t, v in zip(b.times, b.states.tolist()):
             if t in states:
                 states[t] = tuple(a + c for a, c in zip(states[t], v))
             else:
-                states[t] = v
-    return Trajectory(states, "sum of quaternion branches")
+                states[t] = tuple(v)
+    return trajectory(states, "sum of quaternion branches")
 
 
 def jacobi_ivp(habs: IntMatrix, initial: Sequence[Sequence[int]], n_min: int, n_max: int) -> Trajectory:
@@ -834,13 +847,13 @@ def jacobi_ivp(habs: IntMatrix, initial: Sequence[Sequence[int]], n_min: int, n_
     for t in list(states):
         if t < n_min or t > n_max:
             del states[t]
-    return Trajectory(states, "Jacobi initial value solution, exact integers")
+    return trajectory(states, "Jacobi initial value solution, exact integers")
 
 
 def jacobi_residual_two_apply(t: Trajectory, habs: IntMatrix) -> int:
     """max over n of |psi(n+2) - 2 psi(n) + psi(n-2) - |H|(|H| psi(n))|_inf."""
     worst = None
-    for n in t.times():
+    for n in t.times:
         if n + 2 not in t or n - 2 not in t:
             continue
         hi, mid, lo = t[n + 2], t[n], t[n - 2]

@@ -347,7 +347,7 @@ def test_criterion_10_jacobi_equation(corpus):
         b = bundle_for(from_spec(spec))
         psi0 = tuple(1 if i == 0 else 0 for i in range(b.size))
         traj = walk(b, psi0, -4, 4)
-        traj_worst = max(traj_worst, jacobi_residual(traj, b.hodge_signless))
+        traj_worst = max(traj_worst, jacobi_residual(traj, b.dirac_signless))
     quat_worst = 0
     for spec in ("cycle:4", "complete:2", "figure8"):
         b = bundle_for(from_spec(spec))
@@ -355,7 +355,7 @@ def test_criterion_10_jacobi_equation(corpus):
         unit = lambda i: tuple(1 if j == i % n else 0 for j in range(n))
         branches = quaternion_solution(b, QuaternionField(unit(0), unit(1), unit(2), unit(3)), 4)
         for br in branches:
-            quat_worst = max(quat_worst, jacobi_residual(br, b.hodge_signless))
+            quat_worst = max(quat_worst, jacobi_residual(br, b.dirac_signless))
     ok = worst == 0 and traj_worst == 0 and quat_worst == 0
     _report(
         10,

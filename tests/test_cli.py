@@ -196,7 +196,7 @@ def test_walk_round_trip_checks_every_step(capsys, monkeypatch):
     for _ in range(4):
         state = b.green.apply(state)
     assert state == t[0]
-    assert dynamics.jacobi_residual(t, b.hodge_signless) != 0
+    assert dynamics.jacobi_residual(t, b.dirac_signless) != 0
     code, out, err = run(capsys, "walk", "cycle:5", "--steps", "4", "--reverse")
     assert (code, err) == (1, "round trip failed\n")
     assert len(out.splitlines()) == 9
@@ -217,10 +217,14 @@ def test_verify_field_reads_the_certified_green(capsys, monkeypatch, by):
 
 
 def test_walk_and_automaton_fail_on_a_changed_hodge(capsys, monkeypatch):
-    b = _serve_edited(monkeypatch, "cycle:5", "hodge_signless", (0, 1))
+    # |D| with one entry raised by 1: the walk's residual steps it twice and
+    # must print the residual of the oracle with |H| = |D| @ |D| materialized,
+    # and the automaton's hydrogen check reads that |H|
+    b = _serve_edited(monkeypatch, "cycle:5", "dirac_signless", (0, 1))
     code, _, err = run(capsys, "walk", "cycle:5", "--steps", "4", "--reverse")
     unit = (1,) + (0,) * (b.size - 1)
-    residual = jacobi_residual_two_apply(dynamics.walk(b, unit, -4, 4), b.hodge_signless)
+    habs = b.dirac_signless @ b.dirac_signless
+    residual = jacobi_residual_two_apply(dynamics.walk(b, unit, -4, 4), habs)
     assert residual != 0
     assert (code, err) == (1, f"jacobi residual nonzero: {residual}\n")
     code, _, err = run(capsys, "automaton", "cycle:5", "--field", "7", "--steps", "4", "--reverse")
@@ -241,6 +245,30 @@ def test_automaton_at_24840_cells_forms_no_dense_view(capsys, monkeypatch, argv)
     lines = out.splitlines()
     assert [json.loads(line)["n"] for line in lines] == list(range(-3, 4))
     assert all(len(json.loads(line)["state"]) == 24840 for line in lines)
+
+
+def test_walk_residual_blocks_gather_no_more_terms_than_the_orbit_has_entries(capsys, monkeypatch):
+    # wheel:20 walked 100 steps both ways: 201 states of 61 cells.  The
+    # residual steps |D| (160 nonzeros) on blocks of states, and no block may
+    # gather more terms, nonzeros times states, than the orbit's 12261
+    # entries; the 199 states with a hydrogen defect take 3 blocks of at most 76
+    b = operators.bundle_for(from_spec("wheel:20"))
+    monkeypatch.setattr(cli, "bundle_for", lambda g: b)
+    dirac = b.dirac_signless
+    real = exact.IntMatrix.step
+    widths = []
+
+    def recorded(self, vec):
+        if self is dirac:
+            widths.append(np.shape(vec)[1])
+        return real(self, vec)
+
+    monkeypatch.setattr(exact.IntMatrix, "step", recorded)
+    code, _, err = run(capsys, "walk", "wheel:20", "--steps", "100", "--reverse")
+    assert (code, err) == (0, "")
+    assert (b.size, dirac.nnz) == (61, 160)
+    assert widths == [76, 76, 76, 76, 47, 47]
+    assert max(widths) * dirac.nnz <= 201 * 61
 
 
 _BIG = st.tuples(st.sampled_from((-1, 1)), st.integers(4301, 4400), st.integers(0, 10**6)).map(

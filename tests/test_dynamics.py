@@ -59,7 +59,7 @@ def test_walk_round_trip_and_jacobi(spec):
     assert traj[1] == fwd
     assert b.green.apply(fwd) == psi0
     # full-time trajectories of L^n satisfy the Jacobi recurrence exactly
-    assert jacobi_residual(traj, b.hodge_signless) == 0
+    assert jacobi_residual(traj, b.dirac_signless) == 0
 
 
 def test_automaton_state_entries_must_be_reduced():
@@ -96,9 +96,9 @@ def test_quaternion_branches_solve_jacobi(spec):
     q = QuaternionField(_unit(n, 0), _unit(n, 1 % n), _unit(n, 2 % n), _unit(n, 3 % n))
     branches = quaternion_solution(b, q, 5)
     for br in branches:
-        assert jacobi_residual(br, b.hodge_signless) == 0
+        assert jacobi_residual(br, b.dirac_signless) == 0
     total = combined_solution(branches)
-    assert jacobi_residual(total, b.hodge_signless) == 0
+    assert jacobi_residual(total, b.dirac_signless) == 0
     # branch values at their base times reproduce the initial data
     assert branches[0][0] == q.psi0
     assert branches[2][1] == b.connection.apply(q.psi2)
@@ -118,29 +118,35 @@ def test_jacobi_ivp_matches_branch_construction():
 
 def _bumped(t, n, i, delta):
     """t with entry i of psi(n) changed by delta."""
-    states = dict(t.states)
-    states[n] = tuple(x + delta * (j == i) for j, x in enumerate(states[n]))
-    return Trajectory(states, t.provenance)
+    rows = t.states.copy()
+    rows[t.times.index(n), i] += delta
+    return Trajectory(rows, t.times, t.provenance)
 
 
 def _has_hydrogen_defect(t, habs):
     """Some |H| psi(n) - psi(n+1) + psi(n-1) is nonzero."""
     return any(
         habs.apply(t[n]) != tuple(a - c for a, c in zip(t[n + 1], t[n - 1]))
-        for n in t.times()
+        for n in t.times
         if n - 1 in t and n + 1 in t
     )
 
 
-def _assert_residual_matches_oracle(t, habs, rng):
-    assert jacobi_residual(t, habs) == jacobi_residual_two_apply(t, habs) == 0
-    # a bump at a time n with n-2, n+2 recorded breaks the equation at n
-    inner = [n for n in t.times() if n - 2 in t and n + 2 in t]
-    n = rng.choice(inner)
-    bumped = _bumped(t, n, rng.randrange(t.dimension), rng.choice((-1, 1)) * rng.randrange(1, 10**20))
-    residual = jacobi_residual(bumped, habs)
-    assert residual == jacobi_residual_two_apply(bumped, habs) != 0
+def _assert_bump_matches_oracle(t, b, n, i, delta):
+    """t with entry i of psi(n) changed by delta has the two-apply oracle's
+    residual, with |H| materialized, and it is not 0."""
+    bumped = _bumped(t, n, i, delta)
+    residual = jacobi_residual(bumped, b.dirac_signless)
+    assert residual == jacobi_residual_two_apply(bumped, b.hodge_signless) != 0
     return bumped
+
+
+def _assert_residual_matches_oracle(t, b, rng):
+    assert jacobi_residual(t, b.dirac_signless) == jacobi_residual_two_apply(t, b.hodge_signless) == 0
+    # a bump at a time n with n-2, n+2 recorded breaks the equation at n
+    inner = [n for n in t.times if n - 2 in t and n + 2 in t]
+    delta = rng.choice((-1, 1)) * rng.randrange(1, 10**20)
+    return _assert_bump_matches_oracle(t, b, rng.choice(inner), rng.randrange(t.dimension), delta)
 
 
 def test_jacobi_residual_matches_two_apply_oracle_on_corpus_walks(corpus):
@@ -150,7 +156,7 @@ def test_jacobi_residual_matches_two_apply_oracle_on_corpus_walks(corpus):
         psi0 = tuple(rng.randrange(-(10**12), 10**12) for _ in range(b.size))
         traj = walk(b, psi0, -4, 4)
         assert not _has_hydrogen_defect(traj, habs)
-        assert _has_hydrogen_defect(_assert_residual_matches_oracle(traj, habs, rng), habs), spec
+        assert _has_hydrogen_defect(_assert_residual_matches_oracle(traj, b, rng), habs), spec
 
 
 def test_jacobi_residual_matches_two_apply_oracle_on_branches_and_ivp(sample):
@@ -163,7 +169,41 @@ def test_jacobi_residual_matches_two_apply_oracle_on_branches_and_ivp(sample):
         ivp = jacobi_ivp(habs, quad, -5, 6)
         assert _has_hydrogen_defect(ivp, habs), spec
         for t in (*branches, combined_solution(branches), ivp):
-            _assert_residual_matches_oracle(t, habs, rng)
+            _assert_residual_matches_oracle(t, b, rng)
+
+
+def _block_edge_times(t, dirac):
+    """The times of the first and last state of every block of states that
+    jacobi_residual steps through dirac, and the first and last times with a
+    residual, n_min + 2 and n_max - 2."""
+    count = len(t.times)
+    block = max(1, t.states.size // dirac.nnz)
+    starts = range(1, count - 1, block)
+    assert len(starts) >= 3
+    edges = {t.times[j] for a in starts for j in (a, min(a + block, count - 1) - 1)}
+    return sorted(edges | {t.times[0] + 2, t.times[-1] - 2})
+
+
+@pytest.mark.parametrize("kind", ["walk", "branch", "ivp"])
+def test_jacobi_residual_matches_the_oracle_on_bumps_at_block_edges(kind):
+    # wheel:8 over 401 times (201 for a branch): the residual steps |D| on
+    # 3 blocks of states, and a bump of +-10^20 at either end of a block, or
+    # at the first or last time with a residual, must give the oracle's
+    # integer; an ivp solution has nonzero defects before any bump
+    b = bundle_for(from_spec("wheel:8"))
+    rng = random.Random(14)
+    quad = [tuple(rng.randrange(-9, 10) for _ in range(b.size)) for _ in range(4)]
+    if kind == "walk":
+        t = walk(b, quad[0], -200, 200)
+    elif kind == "branch":
+        t = quaternion_solution(b, QuaternionField(*quad), 100)[3]
+    else:
+        t = jacobi_ivp(b.hodge_signless, quad, -198, 202)
+        assert _has_hydrogen_defect(t, b.hodge_signless)
+    assert jacobi_residual(t, b.dirac_signless) == jacobi_residual_two_apply(t, b.hodge_signless)
+    for n in _block_edge_times(t, b.dirac_signless):
+        for delta in (10**20, -(10**20)):
+            _assert_bump_matches_oracle(t, b, n, rng.randrange(b.size), delta)
 
 
 @pytest.mark.parametrize(

@@ -11,6 +11,7 @@ import ast
 import importlib.util
 import json
 from pathlib import Path
+from types import ModuleType
 
 import numpy as np
 
@@ -24,6 +25,16 @@ def test_every_exported_name_resolves():
     missing = [name for name in connlab.__all__ if not hasattr(connlab, name)]
     assert missing == []
     assert len(set(connlab.__all__)) == len(connlab.__all__)
+
+
+def test_every_public_name_is_exported():
+    # the converse: each public name that connlab binds, other than its
+    # submodules, is in __all__, so `from connlab import *` serves it
+    public = {
+        name for name, value in vars(connlab).items()
+        if not name.startswith("_") and not isinstance(value, ModuleType)
+    }
+    assert sorted(public - set(connlab.__all__)) == []
 
 
 def _referenced_names(path: Path) -> set[str]:
@@ -358,14 +369,14 @@ def test_layer_harness_reports_every_declared_metric(capsys):
 
 
 def test_layer_harness_counts_the_walk_mat_vecs(capsys, monkeypatch):
-    # the tracer wraps apply, which only the Jacobi residual calls: one |H|
-    # mat-vec at each of the 2N - 1 times -N+1..N-1 it reads.  The orbit
-    # steps one state per time, 2N steps, and the round trip takes g psi(k)
-    # for k = 1..N in blocks of (N + 1) n // nnz(g) states, all through
-    # IntMatrix.step
+    # the tracer wraps apply, which no walk calls.  Everything steps through
+    # IntMatrix.step: the orbit one state per time, 2N steps; the round trip
+    # g psi(k) for k = 1..N in blocks of (N + 1) n // nnz(g) states; and the
+    # Jacobi residual |D| twice on each block of (2N + 1) n // nnz(|D|) of
+    # the 2N - 1 states with a hydrogen defect
     tracing = _load_tracing()
     real = connlab.exact.IntMatrix.step
-    for spec, steps, mat_vecs, blocks in (("cycle:4", 3, 5, 3), ("cycle:12", 20, 39, 4)):
+    for spec, steps, blocks, residual_blocks in (("cycle:4", 3, 3, 2), ("cycle:12", 20, 4, 2)):
         shapes = []  # the number of axes of each stepped state or block
 
         def counted(self, vec):
@@ -381,8 +392,11 @@ def test_layer_harness_counts_the_walk_mat_vecs(capsys, monkeypatch):
             tracer.uninstall()
             monkeypatch.undo()
         capsys.readouterr()
-        assert tracer.layer_metrics(1, 0)["exact.apply.calls"][0] == mat_vecs == 2 * steps - 1
+        assert tracer.layer_metrics(1, 0)["exact.apply.calls"][0] == 0
         bundle = connlab.bundle_for(connlab.from_spec(spec))
         block = max(1, (steps + 1) * bundle.size // bundle.green.nnz)
-        assert shapes.count(1) == 2 * steps + mat_vecs
-        assert shapes.count(2) == blocks == -(-steps // block)
+        residual_block = max(1, (2 * steps + 1) * bundle.size // bundle.dirac_signless.nnz)
+        assert shapes.count(1) == 2 * steps
+        assert shapes.count(2) == blocks + 2 * residual_blocks
+        assert blocks == -(-steps // block)
+        assert residual_blocks == -(-(2 * steps - 1) // residual_block)
