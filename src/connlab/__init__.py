@@ -17,8 +17,6 @@ from .exact import (
     field_reduce,
 )
 from .dynamics import (
-    AutomatonState,
-    QuaternionField,
     Trajectory,
     automaton_run,
     growth_rates,
@@ -64,7 +62,6 @@ from .tables import REFERENCE_TABLES
 __version__ = "0.1.0"
 
 __all__ = [
-    "AutomatonState",
     "BoundsReport",
     "Complex",
     "FieldMatrix",
@@ -75,7 +72,6 @@ __all__ = [
     "NewtonResult",
     "NonConvergenceError",
     "OperatorBundle",
-    "QuaternionField",
     "REFERENCE_TABLES",
     "SingularJacobianError",
     "SingularMatrixError",

@@ -418,7 +418,7 @@ def _run_orbit(args, p: int | None) -> int:
             print(f"hydrogen identity failed mod {p}", file=sys.stderr)
             return 1
     elif args.steps >= 2 and args.reverse:
-        traj = Trajectory.from_orbit(rows, range(n_min, args.steps + 1))
+        traj = Trajectory(rows, range(n_min, args.steps + 1))
         residual = jacobi_residual(traj, bundle.dirac_signless)
         if residual != 0:
             print(f"jacobi residual nonzero: {residual}", file=sys.stderr)

@@ -28,10 +28,11 @@ steps L and, for negative times, g with IntMatrix.step, a numpy gather and
 segmented sum over the entries, one step per time in each direction, on
 exact Python ints over Z and, reduced mod p, in int64 while the entries
 allow it.  walk, the quaternion branches and the automaton read their
-states off its rows, and Trajectory.from_orbit keeps the array (or a view
-of it) as a trajectory's states, with no copy per time.  The powers behind the Perron limits and
-the two-time product walk step a block of states, one per column, with the
-same step, which is also how the CLI checks the round trip
+states off its rows: a Trajectory holds the orbit array (a copy of every
+other row, for a branch) as its states, with no object per time.  The
+powers behind the Perron limits and the two-time product walk step a
+block of states, one per column, with the same step, which is also how
+the CLI checks the round trip
 g psi(k) = psi(k - 1) for every forward time in a few block products.
 The Jacobi residual takes |H| = |D|^2 as two such steps of the all-ones
 |D| on blocks of a walk's states, forms every hydrogen defect, and reads
@@ -59,73 +60,23 @@ class DynamicsError(ValueError):
     pass
 
 
-Vector = tuple
-
-
 @dataclass(frozen=True, eq=False)
 class Trajectory:
     """States of a walk at the times of a range, possibly negative: row k
-    of the array states, exact integers, is the state at times[k].
+    of the array states, exact integers or residues mod p, is the state at
+    times[k].
 
     Full walks record every time in range and step by one application of L
     (or its exact inverse, for negative times).  Branch solutions of the
     second-order equation record a single parity class, every other time,
-    and step by L^2 or L^-2; the provenance string says which.
+    and step by L^2 or L^-2.
     """
 
     states: np.ndarray
     times: range
-    provenance: str
 
-    def __getitem__(self, n: int) -> Vector:
+    def __getitem__(self, n: int) -> tuple[int, ...]:
         return tuple(self.states[self.times.index(n)].tolist())
-
-    def __contains__(self, n: int) -> bool:
-        return n in self.times
-
-    @classmethod
-    def from_orbit(cls, rows: np.ndarray, times: range, provenance: str | None = None) -> "Trajectory":
-        """The states rows[k] at times[k], keeping rows, an orbit array over
-        Z or a view of one; the provenance defaults to that of an L^n walk."""
-        if provenance is None:
-            provenance = f"L^n walk, {rows.shape[1]} cells, exact integers"
-        return cls(rows, times, provenance)
-
-    @property
-    def dimension(self) -> int:
-        return self.states.shape[1]
-
-
-@dataclass(frozen=True)
-class QuaternionField:
-    """Initial data quadruple (psi0, psi1, psi2, psi3), all the same length."""
-
-    psi0: Vector
-    psi1: Vector
-    psi2: Vector
-    psi3: Vector
-
-    def __post_init__(self) -> None:
-        n = len(self.psi0)
-        if any(len(v) != n for v in (self.psi1, self.psi2, self.psi3)):
-            raise DynamicsError("all four component vectors must share a length")
-
-    @property
-    def dimension(self) -> int:
-        return len(self.psi0)
-
-
-@dataclass(frozen=True)
-class AutomatonState:
-    """One configuration of the mod-p automaton: F_p-valued and time-stamped."""
-
-    p: int
-    vector: Vector
-    time: int
-
-    def __post_init__(self) -> None:
-        if self.vector and not (0 <= min(self.vector) and max(self.vector) < self.p):
-            raise DynamicsError("automaton state entries must be reduced mod p")
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +144,7 @@ def walk(
 ) -> Trajectory:
     """psi(n) = L^n psi0 for n_min <= n <= n_max, exact in both directions:
     the rows of orbit over Z."""
-    return Trajectory.from_orbit(orbit(source, psi0, n_min, n_max), range(n_min, n_max + 1))
+    return Trajectory(orbit(source, psi0, n_min, n_max), range(n_min, n_max + 1))
 
 
 def jacobi_residual(t: Trajectory, dirac: IntMatrix) -> int:
@@ -241,9 +192,10 @@ def jacobi_residual(t: Trajectory, dirac: IntMatrix) -> int:
 
 
 def quaternion_solution(
-    bundle: OperatorBundle, q: QuaternionField, n_steps: int
+    bundle: OperatorBundle, quad: Sequence[Sequence[int]], n_steps: int
 ) -> tuple[Trajectory, Trajectory, Trajectory, Trajectory]:
-    """Four branch solutions of the Jacobi equation from initial data q.
+    """Four branch solutions of the Jacobi equation from the initial data
+    quad = (psi0, psi1, psi2, psi3).
 
     Branches 0 and 1 live on even times t = 2m, |m| <= n_steps, with states
     L^t psi0 and L^-t psi1; branches 2 and 3 live on odd times t = 2m+1 with
@@ -251,25 +203,20 @@ def quaternion_solution(
     multiplies by L^2 or L^-2, so each branch satisfies the equation
     exactly (verify with jacobi_residual).
     """
-    n = bundle.size
-    if q.dimension != n:
-        raise DynamicsError(f"initial data has length {q.dimension}, expected {n}")
+    if len(quad) != 4:
+        raise DynamicsError(f"initial data has {len(quad)} vectors, expected 4")
 
-    def branch(psi: Vector, t0: int, sign: int, provenance: str) -> Trajectory:
-        # times t0 - 2 n_steps..t0 + 2 n_steps of t0's parity, read as every
-        # other row of one orbit over a range that also holds time 0; the
-        # state at t is L^(sign t) psi, the orbit's row at sign t
+    def branch(psi: Sequence[int], t0: int, sign: int) -> Trajectory:
+        # times t0 - 2 n_steps..t0 + 2 n_steps of t0's parity, a copy of
+        # every other row of one orbit over a range that also holds time 0;
+        # the state at t is L^(sign t) psi, the orbit's row at sign t
         lo, hi = min(0, t0 - 2 * n_steps), t0 + 2 * n_steps
         rows = orbit(bundle, psi, lo, hi) if sign > 0 else orbit(bundle, psi, -hi, -lo)[::-1]
         skip = (t0 - lo) % 2
-        return Trajectory.from_orbit(rows[skip::2], range(lo + skip, hi + 1, 2), provenance)
+        return Trajectory(rows[skip::2].copy(), range(lo + skip, hi + 1, 2))
 
-    return (
-        branch(q.psi0, 0, 1, "even branch, states L^t psi0"),
-        branch(q.psi1, 0, -1, "even branch, states L^-t psi1"),
-        branch(q.psi2, 1, 1, "odd branch, states L^t psi2"),
-        branch(q.psi3, 1, -1, "odd branch, states L^-t psi3"),
-    )
+    psi0, psi1, psi2, psi3 = quad
+    return branch(psi0, 0, 1), branch(psi1, 0, -1), branch(psi2, 1, 1), branch(psi3, 1, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -287,8 +234,8 @@ class PerronReport:
     """Limits of the normalized forward and backward even-time walks."""
 
     rho: float
-    v: Vector
-    w: Vector
+    v: tuple[float, ...]
+    w: tuple[float, ...]
     forward_residuals: tuple[float, ...]
     backward_residuals: tuple[float, ...]
 
@@ -362,20 +309,14 @@ def perron_limits(source: Graph | Complex | OperatorBundle) -> PerronReport:
 
 def automaton_run(
     source: Graph | Complex | OperatorBundle,
-    s0: AutomatonState,
+    start: Sequence[int],
+    p: int,
     n_min: int,
     n_max: int,
-) -> list[AutomatonState]:
-    """States L^n s0 mod p for n in [n_min, n_max], exact in both directions.
-
-    The rows of orbit from s0.vector mod s0.p, time-stamped; the state at
-    s0.time is s0 itself.
-    """
-    rows = orbit(source, s0.vector, n_min - s0.time, n_max - s0.time, s0.p)
-    return [
-        s0 if n == s0.time else AutomatonState(s0.p, tuple(v), n)
-        for n, v in zip(range(n_min, n_max + 1), rows.tolist())
-    ]
+) -> Trajectory:
+    """States L^n start mod p for n in [n_min, n_max], exact in both
+    directions: the rows of orbit mod p, from start reduced mod p."""
+    return Trajectory(orbit(source, start, n_min, n_max, p), range(n_min, n_max + 1))
 
 
 # ---------------------------------------------------------------------------

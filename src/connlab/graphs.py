@@ -297,7 +297,11 @@ _FAMILIES = {
 
 
 def generate(family: str, *params: int | float, seed: int | None = None) -> Graph:
-    """Build a named family member; random families need an explicit seed."""
+    """Build a named family member; random families need an explicit seed.
+    Every parameter but gnp's probability must be integral."""
+    for x in params[: 1 if family == "gnp" else None]:
+        if not (isinstance(x, int) or float(x).is_integer()):
+            raise GraphError(f"{family} parameter {x} is not an integer")
     if family in _FAMILIES:
         fn, arity = _FAMILIES[family]
         if len(params) != arity:

@@ -797,14 +797,14 @@ def line_graph(g: Graph) -> Graph:
     return Graph(max(m, 1), tuple(edges), f"line({g.name})" if g.name else "line")
 
 
-def trajectory(states: dict[int, Sequence[int]], provenance: str) -> Trajectory:
+def trajectory(states: dict[int, Sequence[int]]) -> Trajectory:
     """The Trajectory of states keyed by time, stacked once into rows; the
     times must be evenly spaced, as a Trajectory's range is."""
     times = sorted(states)
     span = range(times[0], times[-1] + 1, times[1] - times[0] if len(times) > 1 else 1)
     if list(span) != times:
         raise DynamicsError("states must be recorded at evenly spaced times")
-    return Trajectory(np.array([list(states[n]) for n in times], dtype=object), span, provenance)
+    return Trajectory(np.array([list(states[n]) for n in times], dtype=object), span)
 
 
 def combined_solution(branches: Sequence[Trajectory]) -> Trajectory:
@@ -816,7 +816,7 @@ def combined_solution(branches: Sequence[Trajectory]) -> Trajectory:
                 states[t] = tuple(a + c for a, c in zip(states[t], v))
             else:
                 states[t] = tuple(v)
-    return trajectory(states, "sum of quaternion branches")
+    return trajectory(states)
 
 
 def jacobi_ivp(habs: IntMatrix, initial: Sequence[Sequence[int]], n_min: int, n_max: int) -> Trajectory:
@@ -847,14 +847,14 @@ def jacobi_ivp(habs: IntMatrix, initial: Sequence[Sequence[int]], n_min: int, n_
     for t in list(states):
         if t < n_min or t > n_max:
             del states[t]
-    return trajectory(states, "Jacobi initial value solution, exact integers")
+    return trajectory(states)
 
 
 def jacobi_residual_two_apply(t: Trajectory, habs: IntMatrix) -> int:
     """max over n of |psi(n+2) - 2 psi(n) + psi(n-2) - |H|(|H| psi(n))|_inf."""
     worst = None
     for n in t.times:
-        if n + 2 not in t or n - 2 not in t:
+        if n + 2 not in t.times or n - 2 not in t.times:
             continue
         hi, mid, lo = t[n + 2], t[n], t[n - 2]
         pulled = habs.apply(habs.apply(mid))

@@ -36,7 +36,6 @@ import numpy as np
 import pytest
 
 from connlab.dynamics import (
-    QuaternionField,
     jacobi_residual,
     perron_limits,
     quaternion_solution,
@@ -58,7 +57,7 @@ from connlab.operators import (
     schur_reciprocity_sign,
     supersymmetry_report,
 )
-from connlab.products import product_checks, spectral_errors
+from connlab.products import product_checks, product_connection, product_hodge, spectral_errors
 from connlab.spectra import (
     block_gap,
     bound_kwalk,
@@ -353,7 +352,7 @@ def test_criterion_10_jacobi_equation(corpus):
         b = bundle_for(from_spec(spec))
         n = b.size
         unit = lambda i: tuple(1 if j == i % n else 0 for j in range(n))
-        branches = quaternion_solution(b, QuaternionField(unit(0), unit(1), unit(2), unit(3)), 4)
+        branches = quaternion_solution(b, (unit(0), unit(1), unit(2), unit(3)), 4)
         for br in branches:
             quat_worst = max(quat_worst, jacobi_residual(br, b.dirac_signless))
     ok = worst == 0 and traj_worst == 0 and quat_worst == 0
@@ -485,7 +484,8 @@ def test_criterion_13_newton_perturbations():
 def test_criterion_14_product_spectra():
     worst_mult = worst_add = 0.0
     for sa, sb in PRODUCT_PAIRS[:12]:
-        m, a = spectral_errors(from_spec(sa), from_spec(sb))
+        ga, gb = from_spec(sa), from_spec(sb)
+        m, a = spectral_errors(ga, gb, product_connection(ga, gb), product_hodge(ga, gb))
         worst_mult = max(worst_mult, m)
         worst_add = max(worst_add, a)
     rep = product_checks(from_spec("complete:2"), from_spec("complete:2"))

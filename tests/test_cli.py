@@ -191,7 +191,7 @@ def test_walk_round_trip_checks_every_step(capsys, monkeypatch):
 
     monkeypatch.setattr(cli, "orbit", changed_orbit)
     b = operators.bundle_for(from_spec("cycle:5"))
-    t = dynamics.Trajectory.from_orbit(changed_orbit(b, (1,) + (0,) * (b.size - 1), -4, 4), range(-4, 5))
+    t = dynamics.Trajectory(changed_orbit(b, (1,) + (0,) * (b.size - 1), -4, 4), range(-4, 5))
     state = t[4]
     for _ in range(4):
         state = b.green.apply(state)
@@ -650,6 +650,7 @@ USAGE_ERRORS = [
         f"error: argument --field: cannot decide whether {exact.PRIME_TEST_LIMIT} is prime: "
         f"the test is exact below {exact.PRIME_TEST_LIMIT}",
     ),
+    (("verify", "cycle:4.5"), "error: cycle parameter 4.5 is not an integer"),
 ]
 
 

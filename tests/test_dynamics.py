@@ -8,9 +8,7 @@ import numpy as np
 import pytest
 
 from connlab.dynamics import (
-    AutomatonState,
     DynamicsError,
-    QuaternionField,
     Trajectory,
     PERRON_STEPS,
     automaton_run,
@@ -62,14 +60,6 @@ def test_walk_round_trip_and_jacobi(spec):
     assert jacobi_residual(traj, b.dirac_signless) == 0
 
 
-def test_automaton_state_entries_must_be_reduced():
-    for vector in ((0, 5), (-1, 0), (7, 1)):
-        with pytest.raises(DynamicsError, match="reduced mod p"):
-            AutomatonState(5, vector, 0)
-    assert AutomatonState(5, (0, 4), 0).vector == (0, 4)
-    assert AutomatonState(5, (), 0).vector == ()
-
-
 def test_walk_rejects_bad_range():
     b = bundle_for(from_spec("cycle:4"))
     with pytest.raises(DynamicsError):
@@ -79,12 +69,12 @@ def test_walk_rejects_bad_range():
 def test_automaton_rejects_bad_state_and_range():
     b = bundle_for(from_spec("cycle:4"))
     with pytest.raises(DynamicsError, match="state length does not match operator size"):
-        automaton_run(b, AutomatonState(5, _unit(7), 0), -1, 1)
+        automaton_run(b, _unit(7), 5, -1, 1)
     with pytest.raises(DynamicsError, match="state length does not match operator size"):
         orbit(b, _unit(9), 3, 1, 5)
     for lo, hi in ((1, 3), (-3, -1)):
         with pytest.raises(DynamicsError, match="time range must contain the initial time"):
-            automaton_run(b, AutomatonState(5, _unit(8), 2), lo + 2, hi + 2)
+            automaton_run(b, _unit(8), 5, lo, hi)
         with pytest.raises(DynamicsError, match="time range must contain the initial time"):
             orbit(b, _unit(8), lo, hi, 5)
 
@@ -93,21 +83,33 @@ def test_automaton_rejects_bad_state_and_range():
 def test_quaternion_branches_solve_jacobi(spec):
     b = bundle_for(from_spec(spec))
     n = b.size
-    q = QuaternionField(_unit(n, 0), _unit(n, 1 % n), _unit(n, 2 % n), _unit(n, 3 % n))
+    q = (_unit(n, 0), _unit(n, 1 % n), _unit(n, 2 % n), _unit(n, 3 % n))
     branches = quaternion_solution(b, q, 5)
     for br in branches:
         assert jacobi_residual(br, b.dirac_signless) == 0
+        # each branch owns its 11 rows, not a strided view of a longer orbit
+        assert br.states.base is None and br.states.shape == (11, n)
     total = combined_solution(branches)
     assert jacobi_residual(total, b.dirac_signless) == 0
     # branch values at their base times reproduce the initial data
-    assert branches[0][0] == q.psi0
-    assert branches[2][1] == b.connection.apply(q.psi2)
+    assert branches[0][0] == q[0]
+    assert branches[2][1] == b.connection.apply(q[2])
+
+
+def test_quaternion_solution_takes_four_vectors_of_the_operator_size():
+    b = bundle_for(from_spec("cycle:4"))
+    quad = [_unit(8, i) for i in range(4)]
+    for wrong in (quad[:3], quad + [_unit(8)]):
+        with pytest.raises(DynamicsError, match=f"initial data has {len(wrong)} vectors, expected 4"):
+            quaternion_solution(b, wrong, 2)
+    with pytest.raises(DynamicsError, match="state length does not match operator size"):
+        quaternion_solution(b, quad[:3] + [_unit(7)], 2)
 
 
 def test_jacobi_ivp_matches_branch_construction():
     b = bundle_for(from_spec("cycle:4"))
     n = b.size
-    q = QuaternionField(_unit(n, 0), _unit(n, 0), _unit(n, 1), _unit(n, 1))
+    q = (_unit(n, 0), _unit(n, 0), _unit(n, 1), _unit(n, 1))
     branches = quaternion_solution(b, q, 4)
     total = combined_solution(branches)
     initial = [total[t] for t in (0, 1, 2, 3)]
@@ -120,7 +122,7 @@ def _bumped(t, n, i, delta):
     """t with entry i of psi(n) changed by delta."""
     rows = t.states.copy()
     rows[t.times.index(n), i] += delta
-    return Trajectory(rows, t.times, t.provenance)
+    return Trajectory(rows, t.times)
 
 
 def _has_hydrogen_defect(t, habs):
@@ -128,7 +130,7 @@ def _has_hydrogen_defect(t, habs):
     return any(
         habs.apply(t[n]) != tuple(a - c for a, c in zip(t[n + 1], t[n - 1]))
         for n in t.times
-        if n - 1 in t and n + 1 in t
+        if n - 1 in t.times and n + 1 in t.times
     )
 
 
@@ -144,9 +146,9 @@ def _assert_bump_matches_oracle(t, b, n, i, delta):
 def _assert_residual_matches_oracle(t, b, rng):
     assert jacobi_residual(t, b.dirac_signless) == jacobi_residual_two_apply(t, b.hodge_signless) == 0
     # a bump at a time n with n-2, n+2 recorded breaks the equation at n
-    inner = [n for n in t.times if n - 2 in t and n + 2 in t]
+    inner = [n for n in t.times if n - 2 in t.times and n + 2 in t.times]
     delta = rng.choice((-1, 1)) * rng.randrange(1, 10**20)
-    return _assert_bump_matches_oracle(t, b, rng.choice(inner), rng.randrange(t.dimension), delta)
+    return _assert_bump_matches_oracle(t, b, rng.choice(inner), rng.randrange(t.states.shape[1]), delta)
 
 
 def test_jacobi_residual_matches_two_apply_oracle_on_corpus_walks(corpus):
@@ -165,7 +167,7 @@ def test_jacobi_residual_matches_two_apply_oracle_on_branches_and_ivp(sample):
         n = b.size
         habs = b.hodge_signless
         quad = [tuple(rng.randrange(-9, 10) for _ in range(n)) for _ in range(4)]
-        branches = quaternion_solution(b, QuaternionField(*quad), 3)
+        branches = quaternion_solution(b, quad, 3)
         ivp = jacobi_ivp(habs, quad, -5, 6)
         assert _has_hydrogen_defect(ivp, habs), spec
         for t in (*branches, combined_solution(branches), ivp):
@@ -196,7 +198,7 @@ def test_jacobi_residual_matches_the_oracle_on_bumps_at_block_edges(kind):
     if kind == "walk":
         t = walk(b, quad[0], -200, 200)
     elif kind == "branch":
-        t = quaternion_solution(b, QuaternionField(*quad), 100)[3]
+        t = quaternion_solution(b, quad, 100)[3]
     else:
         t = jacobi_ivp(b.hodge_signless, quad, -198, 202)
         assert _has_hydrogen_defect(t, b.hodge_signless)
@@ -244,13 +246,30 @@ def test_perron_limits_requires_irreducible():
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_automaton_round_trip_and_orbit(p):
     b = bundle_for(from_spec("cycle:4"))
-    s0 = AutomatonState(p, _unit(8), 0)
-    states = automaton_run(b, s0, -4, 4)
-    assert [s.time for s in states] == list(range(-4, 5))
+    states = automaton_run(b, _unit(8), p, -4, 4)
+    assert states.times == range(-4, 5)
     # forward state reduced from the exact integer walk
     exact = walk(b, _unit(8), -4, 4)
-    for s in states:
-        assert s.vector == tuple(x % p for x in exact[s.time])
+    for n in states.times:
+        assert states[n] == tuple(x % p for x in exact[n])
+
+
+def test_automaton_reduces_its_start_mod_p():
+    # an unreduced start, with negative entries and entries >= p, gives the
+    # rows of its reduction; at p = 2^31 - 1 the steps of g mod p run on
+    # Python ints, and the rows are the exact walk reduced mod p
+    b = bundle_for(from_spec("wheel:8"))
+    rng = random.Random(15)
+    for p in (7, 2**31 - 1):
+        start = [rng.randrange(-3 * p, 3 * p) for _ in range(b.size)]
+        start[:2] = [-1, p]
+        reduced = [x % p for x in start]
+        states = automaton_run(b, start, p, -6, 6)
+        assert np.array_equal(states.states, automaton_run(b, reduced, p, -6, 6).states)
+        assert states[0] == tuple(reduced) and states[1] != tuple(reduced)
+    assert field_reduce(b.green, p).step_dtype is object
+    exact = walk(b, start, -6, 6)
+    assert states.states.tolist() == [[x % p for x in exact[n]] for n in exact.times]
 
 
 def test_cocycle_constant_environment_matches_log_rho():
@@ -377,9 +396,9 @@ def test_automaton_near_and_above_word_size_matches_dense_route(corpus, p):
             rows = orbit(b, start, lo, hi, p)
             assert rows.dtype == (gp if lo else Lp).step_dtype, (spec, lo, hi)
             assert rows.tolist() == [list(v) for v in dense[lo + 7 : hi + 8]], (spec, lo, hi)
-        states = automaton_run(b, AutomatonState(p, start, 0), -3, 3)
-        assert [s.time for s in states] == list(range(-3, 4))
-        assert [s.vector for s in states] == dense[4:11], spec
+        states = automaton_run(b, start, p, -3, 3)
+        assert states.times == range(-3, 4)
+        assert [tuple(v) for v in states.states.tolist()] == dense[4:11], spec
     assert (dtypes == {np.int64}) if p < 100 else (object in dtypes)
 
 
@@ -420,11 +439,11 @@ def test_supplied_inverses_match_elimination(spec):
     Lp = field_reduce(b.connection, p)
     gp = field_inverse(Lp)
     assert gp == field_reduce(b.green, p)
-    s0 = AutomatonState(p, tuple(x % p for x in psi0), 2)
-    states = automaton_run(b, s0, -5, 7)
-    assert [s.time for s in states] == list(range(-5, 8))
-    assert [s.vector for s in states] == _dense_orbit(Lp, gp, s0.vector, -7, 5)
-    assert states[7] is s0
+    start = tuple(x % p for x in psi0)
+    states = automaton_run(b, start, p, -7, 5)
+    assert states.times == range(-7, 6)
+    assert [tuple(v) for v in states.states.tolist()] == _dense_orbit(Lp, gp, start, -7, 5)
+    assert states[0] == start
 
 
 def _dense_perron_residuals(b, rho, v, w, max_n):

@@ -73,6 +73,25 @@ def test_unknown_family_rejected():
         from_spec("gnm:5,3:seed=x")
 
 
+@pytest.mark.parametrize(
+    "spec, value",
+    [("cycle:4.5", "cycle parameter 4.5"), ("grid:2.9,3", "grid parameter 2.9"),
+     ("gnm:10.7,5:seed=1", "gnm parameter 10.7"), ("bary:cycle:4.5", "cycle parameter 4.5"),
+     ("gnp:6.5,0.5:seed=1", "gnp parameter 6.5")],
+)
+def test_integer_families_reject_fractional_parameters(spec, value):
+    # no parameter is truncated to an integer; gnp's probability alone may
+    # be fractional, and an integral float names the same graph as the int
+    with pytest.raises(GraphError, match=f"^{value} is not an integer$"):
+        from_spec(spec)
+
+
+def test_integral_float_parameters_build_the_integer_graph():
+    assert from_spec("cycle:4.0").edges == from_spec("cycle:4").edges
+    assert from_spec("grid:2.0,3").edges == from_spec("grid:2,3").edges
+    assert from_spec("gnp:6,0.5:seed=1").edges == from_spec("gnp:6.0,0.5:seed=1").edges
+
+
 def test_readme_spec_families_exist():
     # every family the README lists must be one from_spec knows
     readme = (Path(__file__).parent.parent / "README.md").read_text()

@@ -233,6 +233,27 @@ def test_only_det_and_dump_read_dense_rows():
     assert _rows_reads(ast.parse(probe)) == [("g", 3), ("f", 4), ("", 5)]
 
 
+def test_the_dynamics_keep_one_state_type():
+    # every walk, branch and automaton run is a Trajectory of orbit rows:
+    # the per-time automaton states, the quadruple wrapper of the branch
+    # data, the trajectory's provenance and its orbit constructor are gone,
+    # and so is the signless product Hodge wrapper, so no module of the
+    # package defines or names any of them
+    package = ROOT / "src" / "connlab"
+    gone = {"AutomatonState", "QuaternionField", "from_orbit", "provenance", "Vector", "product_hodge_signless"}
+    trees = {p.stem: ast.parse(p.read_text()) for p in package.glob("*.py")}
+    named = {m: gone & _referenced_names(package / f"{m}.py") for m in trees}
+    assert {m: names for m, names in named.items() if names} == {}
+    defined = {
+        getattr(node, "name", None) or getattr(node, "arg", None)
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef, ast.arg))
+    }
+    assert gone & defined == set()
+    assert gone.isdisjoint(connlab.__all__) and not any(hasattr(connlab.dynamics, n) for n in gone)
+
+
 # Top-level definitions that neither the CLI nor the script reaches, each
 # kept for the reason given; everything they use is reached through them.
 KEEP = {

@@ -13,7 +13,6 @@ from connlab.products import (
     product_checks,
     product_connection,
     product_hodge,
-    product_hodge_signless,
     spectral_errors,
     two_time_walk,
 )
@@ -87,16 +86,32 @@ def test_product_energy_multiplicative(sa, sb):
     assert rep.det_value == det(L)
     # so does the reciprocity sign; the charpoly of the product is its oracle
     assert rep.charpoly_sign == reciprocal_sign(graeffe(charpoly(L))) == (-1) ** (L.nrows % 2)
-    assert rep.hydrogen_residual_max == (L - g - product_hodge_signless(ba, bb)).max_abs()
+    assert rep.hydrogen_residual_max == (L - g - product_hodge(ba, bb).abs()).max_abs()
 
 
 def test_product_hodge_additive_structure():
     a, b = from_spec("complete:2"), from_spec("cycle:3")
     H = product_hodge(a, b)
-    mult_err, add_err = spectral_errors(a, b)
+    mult_err, add_err = spectral_errors(a, b, product_connection(a, b), H)
     assert mult_err < 1e-8
     assert add_err < 1e-8
     assert H.nrows == 3 * 6
+
+
+def test_product_checks_builds_each_product_operator_once(monkeypatch):
+    # four Kronecker products in all: L, the inverse kron(g_A, g_B) and
+    # the two terms of H, which the spectra and |H| = H.abs() reuse
+    real = IntMatrix.kron
+    shapes = []
+
+    def counted(self, other):
+        shapes.append((self.nrows, other.nrows))
+        return real(self, other)
+
+    monkeypatch.setattr(IntMatrix, "kron", counted)
+    ba, bb = bundle_for(from_spec("complete:2")), bundle_for(from_spec("path:3"))
+    product_checks(ba, bb)
+    assert shapes == [(3, 5)] * 4
 
 
 def test_hydrogen_fails_on_products():
@@ -138,17 +153,23 @@ def test_product_reciprocity_fails_on_a_corrupted_factor(monkeypatch):
     assert reciprocal_sign(graeffe(charpoly(L.kron(b.connection)))) == 1
 
 
-def test_two_time_walk_orders_agree():
+def test_two_time_walk_steps_compose_in_either_order():
+    # the two factors commute: from the output at (n, m), stepping (n, 0)
+    # then (0, m) and stepping (0, m) then (n, 0) both give the state at
+    # (2n, 2m), the same as stepping (n, m) at once
     a = bundle_for(from_spec("complete:2"))
-    b = from_spec("path:3")
+    b = bundle_for(from_spec("path:3"))
     psi0 = tuple(range(1, 3 * 5 + 1))
-    out = two_time_walk(a, b, psi0, (2, -3))
-    # applying the one-sided operators in either order gives the same state
-    assert out == two_time_walk(a, b, psi0, (2, -3))
+    for n, m in ((2, -3), (-2, 1), (-1, -2), (3, 0), (0, -2)):
+        out = two_time_walk(a, b, psi0, (n, m))
+        joint = two_time_walk(a, b, out, (n, m))
+        assert two_time_walk(a, b, two_time_walk(a, b, out, (n, 0)), (0, m)) == joint, (n, m)
+        assert two_time_walk(a, b, two_time_walk(a, b, out, (0, m)), (n, 0)) == joint, (n, m)
+        assert joint == two_time_walk(a, b, psi0, (2 * n, 2 * m)), (n, m)
 
 
 def test_signless_product_hodge_entrywise():
-    Habs = product_hodge_signless(from_spec("complete:2"), from_spec("path:3"))
+    Habs = product_hodge(from_spec("complete:2"), from_spec("path:3")).abs()
     H = product_hodge(from_spec("complete:2"), from_spec("path:3"))
     for i in range(H.nrows):
         for j in range(H.ncols):
