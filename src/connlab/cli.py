@@ -356,27 +356,21 @@ def _print_states(states: Iterable[tuple[int, Sequence[int]]]) -> None:
 
 def _print_orbit(times: range, rows: np.ndarray) -> None:
     """The states of an orbit, one per row, at the given times, in the
-    bytes of _print_states.  An int64 orbit, reduced mod p, formats each
-    value once into a table and gathers the rows' texts from it: the table
-    holds 0 up to the largest value when that is no longer than the orbit,
-    else its distinct values.  An orbit of Python ints goes through
-    _print_states.  Either way rows become lists 64 at a time: one tolist
-    per row costs a call each, one for the whole orbit holds every state
-    twice."""
+    bytes of _print_states.  An int64 orbit whose values, reduced mod p,
+    are all below its number of entries formats each value once into a
+    table of 0 up to the largest and gathers the rows' texts from it.  Any
+    other orbit goes through _print_states.  Either way rows become lists
+    64 at a time: one tolist per row costs a call each, one for the whole
+    orbit holds every state twice."""
     chunks = range(0, len(rows), 64)
-    if rows.dtype == object:
+    top = None if rows.dtype == object else int(rows.max(initial=0))
+    if top is None or top >= rows.size:
         _print_states(zip(times, (row for k in chunks for row in rows[k : k + 64].tolist())))
         return
-    top = int(rows.max(initial=0))
-    if top < rows.size:
-        values, index = range(top + 1), rows
-    else:
-        values, index = np.unique(rows, return_inverse=True)
-        values, index = values.tolist(), index.reshape(rows.shape)
-    table = np.array([str(x) for x in values], dtype=object)
+    table = np.array([str(x) for x in range(top + 1)], dtype=object)
     write = sys.stdout.write
     for k in chunks:
-        for n, texts in zip(times[k : k + 64], table[index[k : k + 64]].tolist()):
+        for n, texts in zip(times[k : k + 64], table[rows[k : k + 64]].tolist()):
             write('{"n":%d,"state":[%s]}\n' % (n, ",".join(texts)))
 
 

@@ -25,15 +25,16 @@ Every function here takes a graph, a complex or an OperatorBundle, and the
 one inverse it uses is the bundle's green: the star formula, certified by
 L @ g = I.  Every exact walk is one orbit array, a row per time: orbit
 steps L and, for negative times, g with IntMatrix.step, a numpy gather and
-segmented sum over the entries, one step per time in each direction, on
-exact Python ints over Z and, reduced mod p, in int64 while the entries
-allow it.  walk, the quaternion branches and the automaton read their
-states off its rows: a Trajectory holds the orbit array (a copy of every
-other row, for a branch) as its states, with no object per time.  The
-powers behind the Perron limits and the two-time product walk step a
-block of states, one per column, with the same step, which is also how
-the CLI checks the round trip
-g psi(k) = psi(k - 1) for every forward time in a few block products.
+segmented sum over the entries.  While both directions run, psi(k) and
+psi(-k) are one state of diag(L, g), so one step serves two times.  It
+runs on exact Python ints over Z and, reduced mod p, in int64 while the
+entries allow it.  walk, the quaternion branches and the automaton read
+their states off its rows: a Trajectory holds the orbit array (a copy of
+every other row, for a branch) as its states, with no object per time.
+The powers behind the Perron limits and the two-time product walk step a
+block of states, one per column, with the same step, which is also how the
+CLI checks the round trip g psi(k) = psi(k - 1) for every forward time in
+a few block products.
 The Jacobi residual takes |H| = |D|^2 as two such steps of the all-ones
 |D| on blocks of a walk's states, forms every hydrogen defect, and reads
 the residual off three consecutive defects only when one is nonzero.
@@ -50,7 +51,7 @@ from typing import Sequence
 import numpy as np
 
 from .complexes import Complex
-from .exact import IntMatrix
+from .exact import IntMatrix, block_diagonal
 from .graphs import Graph, connected_components
 from .operators import OperatorBundle, bundle_for
 from .spectra import eig_sym
@@ -96,10 +97,12 @@ def orbit(
     Negative times step by the bundle's green, certified by L @ g = I; mod p
     both are reduced once per bundle (OperatorBundle.reduced), so a caller
     holding the bundle steps with the same matrices, and g mod p inverts
-    L mod p.  Each direction steps on its own from the start, one
-    IntMatrix.step per time, so the orbit takes n_max - n_min steps.  Over
-    Z the array holds Python ints; mod p it holds them if either stepped
-    matrix's mat-vecs do, else int64.
+    L mod p.  While both directions have steps left and L and g step in one
+    dtype, psi(k) and psi(-k) are one 2n-entry state, and one IntMatrix.step
+    of diag(L, g) writes rows k and -k; the longer direction then steps on
+    its own, so the orbit takes max(n_max, -n_min) steps (n_max - n_min when
+    the dtypes differ).  Over Z the array holds Python ints; mod p it holds
+    them if either stepped matrix's mat-vecs do, else int64.
     """
     bundle = bundle_for(source)
     n = bundle.size
@@ -120,9 +123,16 @@ def orbit(
     rows = np.empty((n_max - n_min + 1, n), dtype=object if object in dtypes else np.int64)
     origin = -n_min
     rows[origin] = [int(x) if p is None else int(x) % p for x in start]
+    paired = min(n_max, -n_min) if len(runs) == 2 and len(dtypes) == 1 else 0
+    if paired:
+        both = block_diagonal(runs[0][0], runs[1][0])
+        x = np.concatenate((rows[origin], rows[origin]))
+        for k in range(1, paired + 1):
+            x = both.step(x)
+            rows[origin + k], rows[origin - k] = x[:n], x[n:]
     for m, sign, steps in runs:
-        x = rows[origin]
-        for k in range(1, steps + 1):
+        x = rows[origin + sign * paired]
+        for k in range(paired + 1, steps + 1):
             x = rows[origin + sign * k] = m.step(x)
     return rows
 

@@ -43,9 +43,13 @@ of the terms whose entry is not 1 and one segmented sum, O(nnz) and on
 exact Python ints throughout.  step also takes an n x k block of vectors,
 one per column: the gather takes whole rows of the block, the factors
 scale each row of terms and the segmented sum runs along axis 0, so k
-mat-vecs cost one call.  FieldMatrix.step is the same mat-vec followed by reduction mod p, run
-in int64 while the largest row sum times (p - 1) stays below 2^63 and on
-Python ints past it; IntMatrix.step_dtype names the dtype a step returns.
+mat-vecs cost one call.  FieldMatrix.step is the same mat-vec over the
+signed residues of the entries, in (-p/2, p/2], followed by reduction to
+0..p-1, run in int64 while the largest row sum of their absolute values
+times (p - 1) stays below 2^63 and on Python ints past it;
+IntMatrix.step_dtype names the dtype a step returns.  block_diagonal lays
+two matrices' compressed rows side by side, so that one step of diag(L, g)
+advances both time directions of an orbit.
 Every orbit, power and round trip in dynamics, products and the CLI steps
 through step; apply is step returned as a tuple.  In this module only
 Bareiss det and dump_matrix read dense rows, and only to_float (for
@@ -270,13 +274,15 @@ class IntMatrix:
         starts is where each nonempty row begins in cols, and filled lists
         those rows, or is None when no row is empty.  dtype is the one
         mat-vecs run in (_matvec_dtype).  scaled is (at, factors), the
-        positions in cols of the entries other than 1 and those entries, or
-        None when every entry is 1; in int64, at is every position.
+        positions in cols of the factors (_factors) other than 1 and those
+        factors, or None when every factor is 1; in int64, at is every
+        position.
         """
         if self._plan is None:
-            indptr, cols, values = self.csr
+            indptr, cols, _ = self.csr
+            values = self._factors()
             filled = np.flatnonzero(indptr[1:] - indptr[:-1])
-            dtype = self._matvec_dtype()
+            dtype = self._matvec_dtype(values)
             if dtype is object:
                 # products by 1 are skipped: on big ints they are most of the cost
                 at = np.flatnonzero(values != 1)
@@ -293,7 +299,11 @@ class IntMatrix:
             )
         return self._plan
 
-    def _matvec_dtype(self):
+    def _factors(self) -> np.ndarray:
+        """The values that step multiplies by: the entries themselves."""
+        return self.csr[2]
+
+    def _matvec_dtype(self, factors: np.ndarray):
         """Mat-vecs of an integer matrix run on exact Python ints."""
         return object
 
@@ -577,18 +587,28 @@ class FieldMatrix(IntMatrix):
             raise ValueError("mixed moduli")
         return field_reduce(super().__matmul__(other), self.p)
 
-    def _matvec_dtype(self):
+    def _factors(self) -> np.ndarray:
+        """The entries as signed residues, in (-p/2, p/2]: g's -1 steps as
+        -1 rather than p - 1, so sums stay as small as the integer ones."""
+        values = _exact(self.csr[2], self.p)
+        return np.where(values > self.p // 2, values - self.p, values)
+
+    def _matvec_dtype(self, factors: np.ndarray):
         """int64 when no entry of m @ x can reach 2^63, else Python ints.
 
-        With x reduced mod p, each entry of m @ x is at most the largest row
-        sum of m times (p - 1), and each entry of x is below p.
+        With x reduced mod p, each entry of x is below p and each entry of
+        m @ x, summed over the signed residues, has absolute value at most
+        the largest row sum of their absolute values times (p - 1).
         """
-        bound = max(self.row_sums(), default=0) * (self.p - 1)
+        indptr, cols, _ = self.csr
+        signed = IntMatrix._new(self.nrows, self.ncols, (indptr, cols, np.abs(factors)))
+        bound = max(signed.row_sums(), default=0) * (self.p - 1)
         return np.int64 if bound < _WORD and self.p < _WORD else object
 
     def step(self, vec) -> np.ndarray:
-        """m @ vec mod p, for vec (a vector or a block) reduced mod p; an
-        array in int64 or of Python ints as _matvec_dtype decides."""
+        """m @ vec mod p in 0..p-1, for vec (a vector or a block) reduced
+        mod p; an array in int64 or of Python ints as _matvec_dtype
+        decides."""
         return super().step(vec) % self.p
 
     def apply(self, vec: Sequence[int]) -> tuple[int, ...]:
@@ -603,6 +623,19 @@ class FieldMatrix(IntMatrix):
 
 def field_reduce(m: IntMatrix, p: int) -> FieldMatrix:
     return FieldMatrix.from_csr(*m.csr, m.nrows, m.ncols, p)
+
+
+def block_diagonal(a: IntMatrix, b: IntMatrix) -> IntMatrix:
+    """diag(a, b): b's compressed rows laid after a's, its columns shifted
+    past a's; a FieldMatrix mod p when a is one (b's entries are then
+    reduced mod the same p)."""
+    (indptr_a, cols_a, values_a), (indptr_b, cols_b, values_b) = a.csr, b.csr
+    indptr = np.concatenate((indptr_a, indptr_b[1:] + indptr_a[-1]))
+    csr = (indptr, np.concatenate((cols_a, cols_b + a.ncols)), np.concatenate((values_a, values_b)))
+    shape = (a.nrows + b.nrows, a.ncols + b.ncols)
+    if isinstance(a, FieldMatrix):
+        return FieldMatrix.from_csr(*csr, *shape, a.p)
+    return IntMatrix.from_csr(*csr, *shape)
 
 
 # ---------------------------------------------------------------------------

@@ -348,6 +348,14 @@ def from_spec(spec: str, seed: int | None = None) -> Graph:
     return _from_spec(spec, seed, 0)
 
 
+def _number(token: str) -> int | float:
+    """token as an int when it reads as one, else as a float (4e0, 1e-1)."""
+    try:
+        return int(token)
+    except ValueError:
+        return float(token)
+
+
 def _from_spec(spec: str, seed: int | None, refinements: int) -> Graph:
     """from_spec of a spec that had `refinements` bary: prefixes taken off."""
     text = spec.strip()
@@ -361,9 +369,7 @@ def _from_spec(spec: str, seed: int | None, refinements: int) -> Graph:
             if extra.startswith("seed="):
                 seed = int(extra[5:])
             elif extra:
-                params = tuple(
-                    float(tok) if "." in tok else int(tok) for tok in extra.split(",")
-                )
+                params = tuple(map(_number, extra.split(",")))
     except ValueError:
         raise GraphError(f"spec {spec!r} has a parameter that is not a number") from None
     if not all(map(math.isfinite, params)):

@@ -300,10 +300,11 @@ def _printed(print_rows) -> str:
 @pytest.mark.parametrize("p", [None, 2, 41, 2**31 - 1, 4294967311])
 @pytest.mark.parametrize("spec", ["cycle:5", "petersen:5,2", "wheel:6"])
 def test_print_orbit_writes_the_bytes_of_print_states(spec, p):
-    # int64 orbits print from a table of 0..max (p = 2, 41) or of their
-    # distinct values (p = 2^31 - 1, and 4294967311 forward, where L's steps
-    # stay in int64); orbits of Python ints (over Z, and 4294967311 through
-    # g) print by %d.  Every route gives the bytes of _print_states
+    # int64 orbits whose values are below their number of entries print
+    # from a table of 0..max (p = 2, 41); the others (p = 2^31 - 1 and
+    # 4294967311, where signed residues keep g's steps in int64 too) and
+    # orbits of Python ints (over Z) print by %d.  Every route gives the
+    # bytes of _print_states
     b = operators.bundle_for(from_spec(spec))
     start = tuple(range(1, b.size + 1))
     for lo, hi in ((0, 40), (-20, 20), (0, 0)):
@@ -651,7 +652,20 @@ USAGE_ERRORS = [
         f"the test is exact below {exact.PRIME_TEST_LIMIT}",
     ),
     (("verify", "cycle:4.5"), "error: cycle parameter 4.5 is not an integer"),
+    (("verify", "cycle:nan"), "error: spec 'cycle:nan' has a parameter that is not finite"),
+    (("verify", "cycle:1e999"), "error: spec 'cycle:1e999' has a parameter that is not finite"),
 ]
+
+
+@pytest.mark.parametrize(
+    "spec, plain", [("gnp:10,1e-1:seed=1", "gnp:10,0.1:seed=1"), ("cycle:4e0", "cycle:4.0")]
+)
+def test_verify_reads_exponent_parameters_as_numbers(capsys, spec, plain):
+    # a token is an int when it reads as one, else a float, so exponent
+    # notation names the graph that the plain decimal does
+    code, out, err = run(capsys, "verify", spec)
+    assert (code, err) == (0, "")
+    assert (code, out, err) == run(capsys, "verify", plain)
 
 
 @pytest.mark.parametrize("argv, message", USAGE_ERRORS)
@@ -940,10 +954,11 @@ def test_automaton_reverse_reduces_each_operator_once(capsys, monkeypatch):
 
 
 def test_automaton_reverse_steps_once_per_time(capsys, monkeypatch):
-    # --steps 9 --reverse steps L mod 11 9 times and g mod 11 9 times, one
-    # 25-entry state each; the round trip then takes g mod 11 over the 9
-    # forward states psi(1..9) in blocks of 250 // nnz(g) = 2 columns, so
-    # the gathered terms never outnumber the 10 x 25 forward states
+    # --steps 9 --reverse steps diag(L, g) mod 11 9 times, one 50-entry
+    # state of psi(k) and psi(-k) each; the round trip then takes g mod 11
+    # over the 9 forward states psi(1..9) in blocks of 250 // nnz(g) = 2
+    # columns, so the gathered terms never outnumber the 10 x 25 forward
+    # states
     real = exact.FieldMatrix.step
     shapes = []
 
@@ -956,7 +971,7 @@ def test_automaton_reverse_steps_once_per_time(capsys, monkeypatch):
     assert code == 0
     assert len(out.splitlines()) == 19
     assert operators.bundle_for(from_spec("petersen:5,2")).green.nnz == 115
-    assert shapes == [(25,)] * 18 + [(25, 2)] * 4 + [(25, 1)]
+    assert shapes == [(50,)] * 9 + [(25, 2)] * 4 + [(25, 1)]
 
 
 def test_product_takes_its_inverse_from_the_factors(capsys):

@@ -23,6 +23,7 @@ from connlab.exact import (
     FieldMatrix,
     IntMatrix,
     field_reduce,
+    is_prime,
 )
 from connlab.graphs import Graph, connected_components, from_spec, induced_subgraph
 from connlab.operators import bundle_for
@@ -256,11 +257,11 @@ def test_automaton_round_trip_and_orbit(p):
 
 def test_automaton_reduces_its_start_mod_p():
     # an unreduced start, with negative entries and entries >= p, gives the
-    # rows of its reduction; at p = 2^31 - 1 the steps of g mod p run on
+    # rows of its reduction; at p = 2^61 - 1 the steps of g mod p run on
     # Python ints, and the rows are the exact walk reduced mod p
     b = bundle_for(from_spec("wheel:8"))
     rng = random.Random(15)
-    for p in (7, 2**31 - 1):
+    for p in (7, 2**61 - 1):
         start = [rng.randrange(-3 * p, 3 * p) for _ in range(b.size)]
         start[:2] = [-1, p]
         reduced = [x % p for x in start]
@@ -379,10 +380,10 @@ ORBIT_RANGES = [(-3, 3), (-5, 7), (-7, 2), (0, 6), (-4, 0), (0, 0)]
 
 @pytest.mark.parametrize("p", [2, 71, 2147483647, 4294967311])
 def test_automaton_near_and_above_word_size_matches_dense_route(corpus, p):
-    # entries of g mod p are as large as p - 1, so at the two large primes
-    # its mat-vecs leave int64 on all but the smallest graphs and run on
-    # exact Python ints; L's stay in int64, as both do at 2 and 71.  The
-    # orbit holds Python ints when g's steps do and its range runs backward
+    # entries of g mod p are as large as p - 1, but steps multiply by the
+    # signed residues, as small as g's integer entries, so at the two large
+    # primes g's mat-vecs stay in int64 on every corpus graph, as L's do and
+    # as both do at 2 and 71
     rng = random.Random(p)
     dtypes = set()
     for spec, b in corpus.items():
@@ -399,14 +400,39 @@ def test_automaton_near_and_above_word_size_matches_dense_route(corpus, p):
         states = automaton_run(b, start, p, -3, 3)
         assert states.times == range(-3, 4)
         assert [tuple(v) for v in states.states.tolist()] == dense[4:11], spec
-    assert (dtypes == {np.int64}) if p < 100 else (object in dtypes)
+    assert dtypes == {np.int64}
 
 
-@pytest.mark.parametrize("n_min, n_max", [(-2, 5), (-6, 1), (-4, 4), (0, 3), (-3, 0), (0, 0)])
-def test_automaton_orbit_steps_once_per_time(monkeypatch, n_min, n_max):
-    # each direction steps on its own, one mat-vec of an n-entry state per
-    # time: n_max - n_min steps in all, and none for the start alone
-    b = bundle_for(from_spec("petersen:5,2"))
+@pytest.mark.parametrize("p", [None, 2, 71, 2**31 - 1, 4294967311, 2**61 - 1])
+def test_orbit_matches_the_dense_route_per_time(corpus, p):
+    # orbit steps psi(k) and psi(-k) as one state of diag(L, g) while both
+    # directions run on one dtype; its rows and dtype are those of one dense
+    # step per time, and the dtype is object exactly when a stepped
+    # matrix's mat-vecs run on Python ints (over Z, and on most graphs at
+    # 2^61 - 1, where signed residues times p - 1 pass 2^63)
+    rng = random.Random(p)
+    dtypes = set()
+    for spec, b in corpus.items():
+        if p is None:
+            Lp, gp = b.connection, b.green
+            start = tuple(rng.randrange(-9, 10) for _ in range(b.size))
+        else:
+            Lp, gp = field_reduce(b.connection, p), field_reduce(b.green, p)
+            start = tuple(rng.randrange(p) for _ in range(b.size))
+        dtypes.add(gp.step_dtype)
+        dense = _dense_orbit(Lp, gp, start, -7, 7)
+        for lo, hi in ORBIT_RANGES:
+            rows = orbit(b, start, lo, hi, p)
+            stepped = ([Lp] if hi or not lo else []) + ([gp] if lo else [])
+            dtype = object if any(m.step_dtype is object for m in stepped) else np.int64
+            assert rows.dtype == dtype, (spec, lo, hi)
+            assert rows.tolist() == [list(v) for v in dense[lo + 7 : hi + 8]], (spec, lo, hi)
+    assert (object in dtypes) == (p in (None, 2**61 - 1))
+
+
+def _counted_orbit(monkeypatch, b, start, n_min, n_max, p):
+    """The orbit and the shape of each state or block that FieldMatrix.step
+    took while orbit stepped it."""
     real = FieldMatrix.step
     shapes = []
 
@@ -415,12 +441,37 @@ def test_automaton_orbit_steps_once_per_time(monkeypatch, n_min, n_max):
         return real(self, vec)
 
     monkeypatch.setattr(FieldMatrix, "step", counted)
-    start = tuple(k % 11 for k in range(b.size))
-    rows = orbit(b, start, n_min, n_max, 11)
-    assert shapes == [(25,)] * (n_max - n_min)
+    rows = orbit(b, start, n_min, n_max, p)
     monkeypatch.undo()
+    return rows, shapes
+
+
+@pytest.mark.parametrize("n_min, n_max", [(-2, 5), (-6, 1), (-4, 4), (0, 3), (-3, 0), (0, 0)])
+def test_automaton_orbit_steps_once_per_time(monkeypatch, n_min, n_max):
+    # while both directions run, psi(k) and psi(-k) step as one 50-entry
+    # state of diag(L, g): min(n_max, -n_min) steps, then the longer side
+    # one 25-entry state per time, and none for the start alone
+    b = bundle_for(from_spec("petersen:5,2"))
+    start = tuple(k % 11 for k in range(b.size))
+    rows, shapes = _counted_orbit(monkeypatch, b, start, n_min, n_max, 11)
+    assert shapes == [(50,)] * min(n_max, -n_min) + [(25,)] * abs(n_max + n_min)
     Lp, gp = field_reduce(b.connection, 11), field_reduce(b.green, 11)
     assert rows.tolist() == [list(v) for v in _dense_orbit(Lp, gp, start, n_min, n_max)]
+
+
+def test_orbit_steps_each_direction_alone_when_the_dtypes_differ(monkeypatch):
+    # at a prime where L mod p steps in int64 and g mod p on Python ints,
+    # no step pairs them: one 25-entry state per time, n_max - n_min in all
+    b = bundle_for(from_spec("wheel:8"))
+    L_sum, g_sum = (max(m.abs().row_sums()) for m in (b.connection, b.green))
+    assert (L_sum, g_sum) == (12, 23)
+    p = next(q for q in range(2**63 // L_sum, 0, -1) if is_prime(q))
+    Lp, gp = field_reduce(b.connection, p), field_reduce(b.green, p)
+    assert (Lp.step_dtype, gp.step_dtype) == (np.int64, object)
+    start = tuple(range(b.size))
+    rows, shapes = _counted_orbit(monkeypatch, b, start, -4, 6, p)
+    assert shapes == [(25,)] * 10 and rows.dtype == object
+    assert rows.tolist() == [list(v) for v in _dense_orbit(Lp, gp, start, -4, 6)]
 
 
 @pytest.mark.parametrize("spec", SAMPLE_SPECS)

@@ -705,6 +705,31 @@ def test_field_matrix_from_nonzeros_drops_entries_that_vanish_mod_p():
         FieldMatrix.from_csr(*csr, 2, 2, 8)
 
 
+def test_field_steps_multiply_by_signed_residues():
+    # p - 1 steps as -1, so a row of four entries of absolute residue 1
+    # keeps every sum below 4 (p - 1) < 2^63 at p = 2^61 - 1, and a fifth
+    # entry passes the bound; either way the results are reduced to 0..p-1
+    p = 2**61 - 1
+    for row, dtype in (([p - 1, 1, 1, -1], np.int64), ([p - 1, 1, 1, -1, 1], object)):
+        m = FieldMatrix([row], p)
+        assert m.step_dtype is dtype
+        x = [p - 1] * len(row)
+        assert m.apply(x) == (sum(a * b for a, b in zip(row, x)) % p,)
+    assert FieldMatrix([[2, 1]], 2).step_dtype is np.int64
+    assert FieldMatrix([[2, 1]], 3).apply([2, 2]) == (0,)
+
+
+def test_block_diagonal_lays_two_matrices_side_by_side():
+    a, b = IntMatrix([[1, -2], [0, 0], [3, 4]]), IntMatrix([[0, 5, 2**70]])
+    both = exact.block_diagonal(a, b)
+    assert type(both) is IntMatrix and both.shape == (4, 5)
+    assert both.rows == [row + [0] * 3 for row in a.rows] + [[0, 0] + b.rows[0]]
+    ap, bp = field_reduce(a, 7), field_reduce(b, 7)
+    both = exact.block_diagonal(ap, bp)
+    assert isinstance(both, FieldMatrix) and both.p == 7
+    assert both == field_reduce(exact.block_diagonal(a, b), 7)
+
+
 def test_reciprocal_sign_cases():
     assert reciprocal_sign(IntPolynomial((1, -3, 1))) == 1          # palindromic
     assert reciprocal_sign(IntPolynomial((-1, 7, -7, 1))) == -1     # anti-palindromic

@@ -88,6 +88,7 @@ def test_integer_families_reject_fractional_parameters(spec, value):
 
 def test_integral_float_parameters_build_the_integer_graph():
     assert from_spec("cycle:4.0").edges == from_spec("cycle:4").edges
+    assert from_spec("cycle:4e0").edges == from_spec("cycle:4").edges
     assert from_spec("grid:2.0,3").edges == from_spec("grid:2,3").edges
     assert from_spec("gnp:6,0.5:seed=1").edges == from_spec("gnp:6.0,0.5:seed=1").edges
 
@@ -228,7 +229,17 @@ def test_from_spec_raises_only_graph_error(spec):
         pass
 
 
-@pytest.mark.parametrize("spec", ["cycle:1.0e999", "grid:2,-1.0e999", "gnm:1.0e999,2:seed=1"])
+def test_exponent_parameters_read_as_floats():
+    # int is tried first, then float, whatever the token's spelling
+    assert from_spec("gnp:10,1e-1:seed=1").edges == from_spec("gnp:10,0.1:seed=1").edges
+    assert from_spec("cycle:4E0").edges == from_spec("cycle:4").edges
+    with pytest.raises(GraphError, match="^cycle parameter 4.5 is not an integer$"):
+        from_spec("cycle:45e-1")
+    with pytest.raises(GraphError, match="not finite"):
+        from_spec("cycle:nan")
+
+
+@pytest.mark.parametrize("spec", ["cycle:1.0e999", "cycle:1e999", "grid:2,-1.0e999", "gnm:1.0e999,2:seed=1"])
 def test_infinite_spec_parameter_is_a_graph_error(spec):
     # int(float("1.0e999")) raised OverflowError
     with pytest.raises(GraphError, match="not finite"):
