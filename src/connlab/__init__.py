@@ -18,13 +18,11 @@ from .exact import (
 )
 from .dynamics import (
     Trajectory,
-    automaton_run,
     growth_rates,
     jacobi_residual,
     orbit,
     perron_limits,
     quaternion_solution,
-    walk,
 )
 from .graphs import Graph, GraphError, from_spec, generate, load_graph, save_graph
 from .newton import (
@@ -32,7 +30,6 @@ from .newton import (
     NewtonResult,
     NonConvergenceError,
     SingularJacobianError,
-    intersection_pattern,
     perturb_target,
     solve_hydrogen,
     solve_perturbed,
@@ -41,12 +38,7 @@ from .newton import (
 from .operators import (
     OperatorBundle,
     bundle_for,
-    energy,
-    energy_holds,
-    hydrogen_holds,
-    hydrogen_holds_mod,
     hydrogen_residual,
-    is_unimodular,
     supersymmetry_report,
     trace_report,
 )
@@ -77,23 +69,16 @@ __all__ = [
     "SingularMatrixError",
     "Spectrum",
     "Trajectory",
-    "automaton_run",
     "bounds_report",
     "build_complex",
     "bundle_for",
     "det",
     "eig_sym",
-    "energy",
-    "energy_holds",
     "field_reduce",
     "from_spec",
     "generate",
     "growth_rates",
-    "hydrogen_holds",
-    "hydrogen_holds_mod",
     "hydrogen_residual",
-    "intersection_pattern",
-    "is_unimodular",
     "jacobi_residual",
     "load_graph",
     "orbit",
@@ -112,6 +97,5 @@ __all__ = [
     "trace_report",
     "two_time_walk",
     "verify_support",
-    "walk",
     "__version__",
 ]

@@ -32,7 +32,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .dynamics import Trajectory, jacobi_residual, orbit
+from .dynamics import jacobi_residual, orbit
 from .exact import IntMatrix, dump_matrix, field_reduce, is_prime
 from .graphs import Graph, GraphError, from_spec, load_graph
 from .newton import NewtonConfig, NonConvergenceError, SingularJacobianError, solve_perturbed
@@ -40,7 +40,6 @@ from .operators import (
     OperatorBundle,
     SupersymmetryReport,
     bundle_for,
-    hydrogen_holds_mod,
     hydrogen_residual,
     supersymmetry_report,
     trace_report,
@@ -228,18 +227,7 @@ def cmd_verify(args) -> int:
 
 
 def _bounds_rows(reports: Sequence[BoundsReport]) -> list[tuple]:
-    return [
-        (
-            r.graph_name,
-            _fmt(r.rho_H),
-            _fmt(r.rho_Habs),
-            _fmt(r.bound_dual_vertex),
-            _fmt(r.bound_kwalk[3]),
-            _fmt(r.bound_bhs),
-            _fmt(r.bound_lsc),
-        )
-        for r in reports
-    ]
+    return [(r.graph_name, *map(_fmt, r.row())) for r in reports]
 
 
 def cmd_bounds(args) -> int:
@@ -396,23 +384,22 @@ def _run_orbit(args, p: int | None) -> int:
     bundle = bundle_for(g)
     psi0 = _parse_state(args.state, bundle.size)
     n_min = -args.steps if args.reverse else 0
-    rows = orbit(bundle, psi0, n_min, args.steps, p)
+    traj = orbit(bundle, psi0, n_min, args.steps, p)
     # round trip: g psi(k) = psi(k - 1) for every forward step, so that a
     # wrong middle state fails here and not only at the closing check.  It
     # runs before the states print, so that its temporaries and the printed
     # text are never held at once
     green = bundle.green if p is None else bundle.reduced("green", p)
-    round_trip = not args.reverse or _steps_back(green, rows[args.steps :])
-    _print_orbit(range(n_min, args.steps + 1), rows)
+    round_trip = not args.reverse or _steps_back(green, traj.states[args.steps :])
+    _print_orbit(traj.times, traj.states)
     if not round_trip:
         print("round trip failed", file=sys.stderr)
         return 1
     if p is not None:
-        if not hydrogen_holds_mod(bundle, p):
+        if not field_reduce(hydrogen_residual(bundle), p).is_zero():
             print(f"hydrogen identity failed mod {p}", file=sys.stderr)
             return 1
     elif args.steps >= 2 and args.reverse:
-        traj = Trajectory(rows, range(n_min, args.steps + 1))
         residual = jacobi_residual(traj, bundle.dirac_signless)
         if residual != 0:
             print(f"jacobi residual nonzero: {residual}", file=sys.stderr)

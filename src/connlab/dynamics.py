@@ -28,9 +28,9 @@ steps L and, for negative times, g with IntMatrix.step, a numpy gather and
 segmented sum over the entries.  While both directions run, psi(k) and
 psi(-k) are one state of diag(L, g), so one step serves two times.  It
 runs on exact Python ints over Z and, reduced mod p, in int64 while the
-entries allow it.  walk, the quaternion branches and the automaton read
-their states off its rows: a Trajectory holds the orbit array (a copy of
-every other row, for a branch) as its states, with no object per time.
+entries allow it.  orbit returns the walk over Z and the automaton mod p
+as a Trajectory, which holds the orbit array as its states, with no object
+per time; a quaternion branch holds a copy of every other row of one.
 The powers behind the Perron limits and the two-time product walk step a
 block of states, one per column, with the same step, which is also how the
 CLI checks the round trip g psi(k) = psi(k - 1) for every forward time in
@@ -90,9 +90,10 @@ def orbit(
     n_min: int,
     n_max: int,
     p: int | None = None,
-) -> np.ndarray:
-    """L^n start for n = n_min..n_max, as the rows of one array; mod p when
-    p is given.
+) -> Trajectory:
+    """L^n start for n = n_min..n_max, as the rows of one array, the states
+    of a Trajectory over range(n_min, n_max + 1); mod p when p is given,
+    from start reduced mod p.
 
     Negative times step by the bundle's green, certified by L @ g = I; mod p
     both are reduced once per bundle (OperatorBundle.reduced), so a caller
@@ -134,7 +135,7 @@ def orbit(
         x = rows[origin + sign * paired]
         for k in range(paired + 1, steps + 1):
             x = rows[origin + sign * k] = m.step(x)
-    return rows
+    return Trajectory(rows, range(n_min, n_max + 1))
 
 
 def _powers(bundle: OperatorBundle, k: int, block) -> np.ndarray:
@@ -144,17 +145,6 @@ def _powers(bundle: OperatorBundle, k: int, block) -> np.ndarray:
     for _ in range(abs(k)):
         block = m.step(block)
     return block
-
-
-def walk(
-    source: Graph | Complex | OperatorBundle,
-    psi0: Sequence[int],
-    n_min: int,
-    n_max: int,
-) -> Trajectory:
-    """psi(n) = L^n psi0 for n_min <= n <= n_max, exact in both directions:
-    the rows of orbit over Z."""
-    return Trajectory(orbit(source, psi0, n_min, n_max), range(n_min, n_max + 1))
 
 
 def jacobi_residual(t: Trajectory, dirac: IntMatrix) -> int:
@@ -221,7 +211,7 @@ def quaternion_solution(
         # every other row of one orbit over a range that also holds time 0;
         # the state at t is L^(sign t) psi, the orbit's row at sign t
         lo, hi = min(0, t0 - 2 * n_steps), t0 + 2 * n_steps
-        rows = orbit(bundle, psi, lo, hi) if sign > 0 else orbit(bundle, psi, -hi, -lo)[::-1]
+        rows = orbit(bundle, psi, lo, hi).states if sign > 0 else orbit(bundle, psi, -hi, -lo).states[::-1]
         skip = (t0 - lo) % 2
         return Trajectory(rows[skip::2].copy(), range(lo + skip, hi + 1, 2))
 
@@ -311,22 +301,6 @@ def perron_limits(source: Graph | Complex | OperatorBundle) -> PerronReport:
             f"forward Perron residual {forward[-1]:.3e} exceeds {PERRON_TOL:.0e} at n = {PERRON_STEPS}"
         )
     return PerronReport(rho, tuple(map(float, v_arr)), tuple(map(float, w_arr)), forward, backward)
-
-
-# ---------------------------------------------------------------------------
-# reversible cellular automaton over F_p
-
-
-def automaton_run(
-    source: Graph | Complex | OperatorBundle,
-    start: Sequence[int],
-    p: int,
-    n_min: int,
-    n_max: int,
-) -> Trajectory:
-    """States L^n start mod p for n in [n_min, n_max], exact in both
-    directions: the rows of orbit mod p, from start reduced mod p."""
-    return Trajectory(orbit(source, start, n_min, n_max, p), range(n_min, n_max + 1))
 
 
 # ---------------------------------------------------------------------------

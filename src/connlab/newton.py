@@ -97,11 +97,6 @@ def _add_symmetric(out: np.ndarray, coords, values: np.ndarray) -> np.ndarray:
     return out
 
 
-def intersection_pattern(bundle: OperatorBundle) -> IntMatrix:
-    """x and y intersect: exactly the support of L, so the pattern is L."""
-    return bundle.connection
-
-
 def inverse_support_pattern(bundle: OperatorBundle) -> IntMatrix:
     """supp L together with supp g, g = L^-1.
 
@@ -191,8 +186,7 @@ def exact_jacobian_at_connection(bundle: OperatorBundle, pattern: IntMatrix | No
     runs as (g (x) I)(I (x) g), nnz(g) n terms a factor where g (x) g would
     hold nnz(g)^2.
     """
-    if pattern is None:
-        pattern = intersection_pattern(bundle)
+    pattern = bundle.connection if pattern is None else pattern
     i, j = _coords(pattern)
     n, m, off = pattern.nrows, len(i), i != j
     c = np.arange(m)
@@ -338,7 +332,7 @@ def solve_perturbed(
     Singular Jacobians and non-convergence propagate as exceptions.
     """
     bundle = bundle_for(g_or_bundle)
-    pattern = intersection_pattern(bundle)
+    pattern = bundle.connection
     K = perturb_target(bundle.hodge_signless, pattern, eps, seed)
     result = solve_hydrogen(K, pattern, bundle.connection, cfg)
     report = verify_support(result.solution, pattern, inverse_support_pattern(bundle))

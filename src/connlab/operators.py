@@ -46,8 +46,12 @@ signed triplets of |H|, L and g) go through the same kernel; the bundle
 forms its Schur blocks once for det L, reciprocity and schur_inverse.  The
 test suite keeps the dense product and the dense builders
 (tests/oracles.py) as the oracles.  The signless incidence and Kirchhoff
-matrices are the entrywise abs of the signed ones, and the hydrogen
-residual has no nonzero entry when the identity holds.
+matrices are the entrywise abs of the signed ones.
+
+Each identity is read off one value: the hydrogen identity holds when
+hydrogen_residual(b).is_zero() (over F_p, when field_reduce of it mod p is
+zero), L is unimodular when b.connection_det is +-1, and the energy
+theorem says b.green.entry_sum() is the Euler characteristic v - e.
 """
 
 from __future__ import annotations
@@ -87,10 +91,6 @@ def incidence_signed(c: Complex, signs: Sequence[int] | None = None) -> IntMatri
     # edges are stored with a < b, so row k's columns (a, b) are in order
     values = np.column_stack((-s, s)).ravel()
     return IntMatrix.from_csr(2 * np.arange(c.e + 1), c.edge_array.ravel(), values, c.e, c.v)
-
-
-def incidence_signless(c: Complex) -> IntMatrix:
-    return incidence_signed(c).abs()
 
 
 def dirac_from_incidence(d0: IntMatrix) -> IntMatrix:
@@ -289,7 +289,7 @@ class OperatorBundle:
 
     @cached_property
     def incidence_signless(self) -> IntMatrix:
-        return incidence_signless(self.complex)
+        return incidence_signed(self.complex).abs()
 
     @cached_property
     def dirac(self) -> IntMatrix:
@@ -403,41 +403,16 @@ def bundle_for(source: Graph | Complex | OperatorBundle) -> OperatorBundle:
 
 def hydrogen_residual(bundle: OperatorBundle) -> IntMatrix:
     """|H| - (L - L^-1), one aggregation of the signed triplets of |H|, L and g;
-    the zero matrix, with no nonzero entry, exactly when the identity holds."""
+    the zero matrix, with no nonzero entry, exactly when the identity holds.
+
+    field_reduce(hydrogen_residual(bundle), p) states the identity over F_p:
+    bundle.green is certified by L g = I over Z, reduction mod p is a ring
+    homomorphism and det L = +-1 is a unit in every F_p, so g mod p is
+    L^-1 over F_p.
+    """
     return linear_combination(
         (bundle.hodge_signless, 1), (bundle.connection, -1), (bundle.green, 1)
     )
-
-
-def hydrogen_holds(bundle: OperatorBundle) -> bool:
-    return hydrogen_residual(bundle).is_zero()
-
-
-def hydrogen_residual_mod(bundle: OperatorBundle, p: int) -> FieldMatrix:
-    """|H| - (L - L^-1) over F_p: the integer residual reduced mod p.
-
-    bundle.green is certified by L g = I over Z.  Reduction mod p is a ring
-    homomorphism and det L = +-1 is a unit in every F_p, so g mod p is
-    L^-1 over F_p and the reduced residual states the identity there.
-    """
-    return field_reduce(hydrogen_residual(bundle), p)
-
-
-def hydrogen_holds_mod(bundle: OperatorBundle, p: int) -> bool:
-    return hydrogen_residual_mod(bundle, p).is_zero()
-
-
-def is_unimodular(bundle: OperatorBundle) -> bool:
-    return bundle.connection_det in (1, -1)
-
-
-def energy(bundle: OperatorBundle) -> int:
-    """Sum of all Green matrix entries; equals the Euler characteristic."""
-    return bundle.green.entry_sum()
-
-
-def energy_holds(bundle: OperatorBundle) -> bool:
-    return energy(bundle) == bundle.complex.euler_characteristic()
 
 
 @dataclass(frozen=True)

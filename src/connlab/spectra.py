@@ -16,9 +16,10 @@ the measurement tables:
 
 A bounds row costs two v x v eigensolves, of the two Kirchhoff matrices
 built straight from the edge list, and work linear in the nonzero
-entries: one pass of big-integer mat-vecs with L - I gives the walk counts
-of every k, and graphs.diameter is a bit-parallel BFS.  No incidence, |D|
-or |H| is built: rho(|H|) is rho_abs by supersymmetry (see BoundsReport).
+entries: one bound_kwalk pass of big-integer mat-vecs with L - I gives
+the bound of every k, and graphs.diameter is a bit-parallel BFS.  No
+incidence, |D| or |H| is built: rho(|H|) is rho_abs by supersymmetry (see
+BoundsReport).
 
 Soundness (every applicable bound >= rho) is asserted whenever a report is
 assembled, so a wrong formula cannot produce a quietly wrong table.
@@ -175,12 +176,25 @@ def bound_dual_vertex(g: Graph) -> float:
     return r - 1.0 / r
 
 
-def _kwalk_bounds(bundle: OperatorBundle, ks: Sequence[int]) -> dict[int, float]:
-    """bound_kwalk of every k in ks, from one pass of max(ks) mat-vecs.
+def bound_kwalk(source: Graph | OperatorBundle, ks: Sequence[int]) -> dict[int, float]:
+    """Walk bound r_k - 1/r_k, r_k = 1 + (max_x P(k,x))^(1/k), for every k
+    in ks.
 
-    The k-th mat-vec turns the walk counts P(k-1, .) into P(k, .), so the
-    maxima for all k come from the same pass.
+    P(k,x) counts length-k walks in the connection graph G' starting at x,
+    that is row x of A(G')^k 1 with A(G') = L - I.  It is computed exactly
+    with big-integer mat-vecs A x = L x - x (L has a unit diagonal),
+    starting from the all-ones vector; no power of A is formed.  The k-th
+    mat-vec turns P(k-1, .) into P(k, .), so one pass of max(ks) mat-vecs
+    gives every k.  Only the final k-th root is floating point.
+
+    Sound for every k: max_x P(k,x) >= rho(A)^k, so r_k >= rho(L) and the
+    bound dominates rho(|H|) = rho(L) - 1/rho(L).  The max row sum is
+    submultiplicative, so the bound is non-increasing along k | k' only;
+    from k=2 to k=3 it can rise (K2: 2.0 then 2.20091).  It tends to
+    rho(|H|) as k grows, at the rate max_x P(k,x) <= sqrt(n) rho(A)^k, that
+    is r_k <= 1 + (rho(L) - 1) n^(1/(2k)), with n the number of cells.
     """
+    bundle = bundle_for(source)
     if any(k < 1 for k in ks):
         raise SpectraError("walk length k must be >= 1")
     _require_edges(bundle.graph)
@@ -200,41 +214,16 @@ def _kwalk_bounds(bundle: OperatorBundle, ks: Sequence[int]) -> dict[int, float]
     return out
 
 
-def bound_kwalk(source: Graph | OperatorBundle, k: int) -> float:
-    """Walk bound r_k - 1/r_k, r_k = 1 + (max_x P(k,x))^(1/k).
-
-    P(k,x) counts length-k walks in the connection graph G' starting at x,
-    that is row x of A(G')^k 1 with A(G') = L - I.  It is computed exactly
-    with k big-integer mat-vecs A x = L x - x (L has a unit diagonal),
-    starting from the all-ones vector; no power of A is formed.  Only the
-    final k-th root is floating point.  bounds_report takes every k of a
-    row from one such pass.
-
-    Sound for every k: max_x P(k,x) >= rho(A)^k, so r_k >= rho(L) and the
-    bound dominates rho(|H|) = rho(L) - 1/rho(L).  The max row sum is
-    submultiplicative, so the bound is non-increasing along k | k' only;
-    from k=2 to k=3 it can rise (K2: 2.0 then 2.20091).  It tends to
-    rho(|H|) as k grows, at the rate max_x P(k,x) <= sqrt(n) rho(A)^k, that
-    is r_k <= 1 + (rho(L) - 1) n^(1/(2k)), with n the number of cells.
-    """
-    return _kwalk_bounds(bundle_for(source), (k,))[k]
-
-
-def connection_edge_count(source: Graph | OperatorBundle) -> int:
-    """Number of edges e' of the connection graph G'."""
-    bundle = bundle_for(source)
-    return (bundle.connection.entry_sum() - bundle.size) // 2
-
-
 def bound_bhs(source: Graph | OperatorBundle) -> float:
     """Edge-count bound u - 1/u, u = 1 + (sqrt(1 + 8 e') - 1)/2.
 
     The inner expression bounds the adjacency spectral radius of any graph
-    with e' edges, applied here to the connection graph G'.
+    with e' edges, applied here to the connection graph G', whose e' edges
+    are the off-diagonal entries of L, each counted twice.
     """
     bundle = bundle_for(source)
     _require_edges(bundle.graph)
-    eprime = connection_edge_count(bundle)
+    eprime = (bundle.connection.entry_sum() - bundle.size) // 2
     u = 1.0 + (math.sqrt(1.0 + 8.0 * eprime) - 1.0) / 2.0
     return u - 1.0 / u
 
@@ -296,13 +285,13 @@ class BoundsReport:
     connected: bool
     flags: tuple[str, ...]
 
-    def row(self, walk_k: int = 3) -> tuple[float, float, float, float, float, float]:
+    def row(self) -> tuple[float, float, float, float, float, float]:
         """The six printed columns: rho, rho_abs, dual_vertex, walk3, bhs, lsc."""
         return (
             self.rho_H,
             self.rho_Habs,
             self.bound_dual_vertex,
-            self.bound_kwalk[walk_k],
+            self.bound_kwalk[3],
             self.bound_bhs,
             self.bound_lsc,
         )
@@ -356,7 +345,7 @@ def bounds_report(g: Graph, ks: Sequence[int] = (1, 2, 3)) -> BoundsReport:
         bound_trivial_2d=bound_trivial_2d(g),
         bound_anderson_morley=bound_anderson_morley(g),
         bound_dual_vertex=bound_dual_vertex(g),
-        bound_kwalk=_kwalk_bounds(bundle, ks),
+        bound_kwalk=bound_kwalk(bundle, ks),
         bound_bhs=bound_bhs(bundle),
         bound_lsc=lsc,
         bound_shi=shi,

@@ -6,9 +6,9 @@ star-formula Green matrix, kron(g_A, g_B) for products and the backward
 walks are compared with it.
 
 field_inverse is Gauss-Jordan elimination over F_p, O(n^3) time and n^2
-memory.  operators.hydrogen_residual_mod reduces the certified integer
-residual instead, with the certified g mod p as L^-1; the tests compare g
-mod p with field_inverse(L mod p) over the corpus.
+memory.  verify --field reduces the certified integer hydrogen residual
+mod p instead, with the certified g mod p as L^-1; the tests compare g mod
+p with field_inverse(L mod p) over the corpus.
 
 dense_matmul is the schoolbook product of the dense rows, O(n^3), the
 oracle for the sparse IntMatrix @ and for the Hodge operators built as

@@ -38,8 +38,8 @@ import pytest
 from connlab.dynamics import (
     jacobi_residual,
     perron_limits,
+    orbit,
     quaternion_solution,
-    walk,
 )
 from connlab.exact import IntMatrix, det, field_reduce
 from connlab.graphs import from_spec
@@ -53,7 +53,6 @@ from connlab.newton import (
 from connlab.operators import (
     bundle_for,
     hydrogen_residual,
-    hydrogen_residual_mod,
     schur_reciprocity_sign,
     supersymmetry_report,
 )
@@ -235,7 +234,7 @@ def test_criterion_08_spectral_link_and_kwalk(corpus):
         rho_habs = eig_sym(b.hodge_signless).top
         worst_link = max(worst_link, abs(rho_habs - (rho_l - 1.0 / rho_l)))
         ks = (1, 2, 3, 6, 12, 24) if b.size <= 30 else (1, 2, 3, 6, 12)
-        bound = {k: bound_kwalk(b.graph, k) for k in ks}
+        bound = bound_kwalk(b.graph, ks)
         for k, value in bound.items():
             if value < rho_habs - 1e-9:
                 unsound.append((spec, k, value, rho_habs))
@@ -345,7 +344,7 @@ def test_criterion_10_jacobi_equation(corpus):
     for spec in ("complete:2", "cycle:4", "figure8", "gnm:12,15:seed=0"):
         b = bundle_for(from_spec(spec))
         psi0 = tuple(1 if i == 0 else 0 for i in range(b.size))
-        traj = walk(b, psi0, -4, 4)
+        traj = orbit(b, psi0, -4, 4)
         traj_worst = max(traj_worst, jacobi_residual(traj, b.dirac_signless))
     quat_worst = 0
     for spec in ("cycle:4", "complete:2", "figure8"):
@@ -365,7 +364,7 @@ def test_criterion_10_jacobi_equation(corpus):
 
 
 def test_criterion_11_finite_field_reversibility(corpus):
-    # hydrogen_residual_mod reads the certified g mod p as L^-1 over F_p;
+    # the hydrogen residual reduced mod p reads the certified g mod p as L^-1 over F_p;
     # Gauss-Jordan elimination over F_p (tests/oracles.py) checks that
     # reading on every corpus graph, at word-size primes and past 2^32 too
     primes = (2, 3, 5, 7, 2**31 - 1, 4294967311)
@@ -377,7 +376,7 @@ def test_criterion_11_finite_field_reversibility(corpus):
                 continue
             if field_inverse(field_reduce(b.connection, p)) != b.reduced("green", p):
                 bad.append((spec, p, "g mod p is not the inverse of L mod p"))
-            if not hydrogen_residual_mod(b, p).is_zero():
+            if not field_reduce(hydrogen_residual(b), p).is_zero():
                 bad.append((spec, p, "hydrogen"))
     # round trip on a sample, exact in both directions
     for spec in ("cycle:4", "figure8", "gnm:20,50:seed=301"):

@@ -23,6 +23,7 @@ import connlab.spectra as spectra
 from connlab.exact import dump_matrix
 from connlab.graphs import GraphError, from_spec
 from connlab.spectra import CSV_COLUMNS
+from connlab.tables import REFERENCE_TABLES
 from oracles import (
     broken_colouring,
     dense_matmul,
@@ -172,7 +173,7 @@ def test_round_trip_check_finds_any_changed_state(p):
     # at its edges, and at either end of the orbit
     b = operators.bundle_for(from_spec("petersen:5,2"))
     green = b.green if p is None else exact.field_reduce(b.green, p)
-    forward = dynamics.orbit(b, (1,) + (0,) * 24, 0, 9, p)
+    forward = dynamics.orbit(b, (1,) + (0,) * 24, 0, 9, p).states
     assert cli._steps_back(green, forward)
     for k in range(10):
         changed = forward.copy()
@@ -185,13 +186,13 @@ def test_walk_round_trip_checks_every_step(capsys, monkeypatch):
     # to psi(0) never reads psi(2), and the Jacobi residual would fail only
     # after the round trip; g psi(3) = psi(2) fails at once
     def changed_orbit(source, start, n_min, n_max, p=None):
-        rows = dynamics.orbit(source, start, n_min, n_max, p)
-        rows[2 - n_min, 0] += 1
-        return rows
+        t = dynamics.orbit(source, start, n_min, n_max, p)
+        t.states[2 - n_min, 0] += 1
+        return t
 
     monkeypatch.setattr(cli, "orbit", changed_orbit)
     b = operators.bundle_for(from_spec("cycle:5"))
-    t = dynamics.Trajectory(changed_orbit(b, (1,) + (0,) * (b.size - 1), -4, 4), range(-4, 5))
+    t = changed_orbit(b, (1,) + (0,) * (b.size - 1), -4, 4)
     state = t[4]
     for _ in range(4):
         state = b.green.apply(state)
@@ -224,7 +225,7 @@ def test_walk_and_automaton_fail_on_a_changed_hodge(capsys, monkeypatch):
     code, _, err = run(capsys, "walk", "cycle:5", "--steps", "4", "--reverse")
     unit = (1,) + (0,) * (b.size - 1)
     habs = b.dirac_signless @ b.dirac_signless
-    residual = jacobi_residual_two_apply(dynamics.walk(b, unit, -4, 4), habs)
+    residual = jacobi_residual_two_apply(dynamics.orbit(b, unit, -4, 4), habs)
     assert residual != 0
     assert (code, err) == (1, f"jacobi residual nonzero: {residual}\n")
     code, _, err = run(capsys, "automaton", "cycle:5", "--field", "7", "--steps", "4", "--reverse")
@@ -308,18 +309,18 @@ def test_print_orbit_writes_the_bytes_of_print_states(spec, p):
     b = operators.bundle_for(from_spec(spec))
     start = tuple(range(1, b.size + 1))
     for lo, hi in ((0, 40), (-20, 20), (0, 0)):
-        rows = dynamics.orbit(b, start, lo, hi, p)
+        rows = dynamics.orbit(b, start, lo, hi, p).states
         times = range(lo, hi + 1)
         got = _printed(lambda: cli._print_orbit(times, rows))
         assert got == _printed(lambda: cli._print_states(zip(times, rows.tolist()))), (lo, hi)
         assert [json.loads(line)["state"] for line in got.splitlines()] == rows.tolist()
-    assert dynamics.orbit(b, start, 0, 3, p).dtype == (object if p is None else np.int64)
+    assert dynamics.orbit(b, start, 0, 3, p).states.dtype == (object if p is None else np.int64)
 
 
 @pytest.mark.parametrize("p", [2, 2**31 - 1, 4294967311])
 def test_automaton_prints_the_bytes_of_print_states(capsys, p):
     b = operators.bundle_for(from_spec("petersen:5,2"))
-    rows = dynamics.orbit(b, (1,) + (0,) * (b.size - 1), -12, 12, p)
+    rows = dynamics.orbit(b, (1,) + (0,) * (b.size - 1), -12, 12, p).states
     want = _printed(lambda: cli._print_states(zip(range(-12, 13), rows.tolist())))
     code, out, err = run(capsys, "automaton", "petersen:5,2", "--field", str(p), "--steps", "12", "--reverse")
     assert (code, err, out) == (0, "", want)
@@ -1156,3 +1157,16 @@ def test_verify_and_product_match_golden_output(capsys, case):
     # as printed when green-star ran Gauss-Jordan elimination and reciprocity
     # took the charpoly of the dense L @ L; it now reads the Schur certificate
     _matches_golden(capsys, case)
+
+
+BOUNDS_GOLDEN = json.loads((DATA / "bounds_golden.json").read_text())
+
+
+@pytest.mark.parametrize("case", BOUNDS_GOLDEN, ids=[case["command"].split()[1] for case in BOUNDS_GOLDEN])
+def test_bounds_matches_golden_output(capsys, case):
+    # tests/data/bounds_golden.json holds the size and SHA-256 of the stdout
+    # of bounds in each format over the 55 reference-table graphs, then a
+    # disconnected graph (gnm:12,8:seed=3), a regular one (complete:9) and
+    # one without edges (path:1), whose error row makes the exit 1
+    _matches_golden(capsys, case)
+    assert case["command"].split()[3:58] == [spec for table in REFERENCE_TABLES.values() for spec, _ in table]

@@ -11,13 +11,11 @@ from connlab.dynamics import (
     DynamicsError,
     Trajectory,
     PERRON_STEPS,
-    automaton_run,
     growth_rates,
     jacobi_residual,
     orbit,
     perron_limits,
     quaternion_solution,
-    walk,
 )
 from connlab.exact import (
     FieldMatrix,
@@ -51,7 +49,7 @@ def _unit(n, i=0):
 def test_walk_round_trip_and_jacobi(spec):
     b = bundle_for(from_spec(spec))
     psi0 = tuple(range(1, b.size + 1))
-    traj = walk(b, psi0, -6, 6)
+    traj = orbit(b, psi0, -6, 6)
     assert traj[0] == psi0
     # forward and backward states are exact mutual inverses
     fwd = b.connection.apply(psi0)
@@ -64,18 +62,31 @@ def test_walk_round_trip_and_jacobi(spec):
 def test_walk_rejects_bad_range():
     b = bundle_for(from_spec("cycle:4"))
     with pytest.raises(DynamicsError):
-        walk(b, _unit(8), 3, 1)
+        orbit(b, _unit(8), 3, 1)
+
+
+@pytest.mark.parametrize("p", [None, 2, 71, 2**61 - 1])
+def test_orbit_returns_the_trajectory_of_its_range(p):
+    # the walk over Z and the automaton mod p are one Trajectory: the orbit
+    # array as its states, row k at time n_min + k
+    b = bundle_for(from_spec("wheel:5"))
+    start = tuple(range(-5, b.size - 5))
+    for lo, hi in ((0, 0), (0, 4), (-3, 0), (-2, 5)):
+        t = orbit(b, start, lo, hi, p)
+        assert isinstance(t, Trajectory) and t.times == range(lo, hi + 1)
+        assert t.states.shape == (hi - lo + 1, b.size)
+        assert t[0] == tuple(x if p is None else x % p for x in start)
 
 
 def test_automaton_rejects_bad_state_and_range():
     b = bundle_for(from_spec("cycle:4"))
     with pytest.raises(DynamicsError, match="state length does not match operator size"):
-        automaton_run(b, _unit(7), 5, -1, 1)
+        orbit(b, _unit(7), -1, 1, 5)
     with pytest.raises(DynamicsError, match="state length does not match operator size"):
         orbit(b, _unit(9), 3, 1, 5)
     for lo, hi in ((1, 3), (-3, -1)):
         with pytest.raises(DynamicsError, match="time range must contain the initial time"):
-            automaton_run(b, _unit(8), 5, lo, hi)
+            orbit(b, _unit(8), lo, hi, 5)
         with pytest.raises(DynamicsError, match="time range must contain the initial time"):
             orbit(b, _unit(8), lo, hi, 5)
 
@@ -157,7 +168,7 @@ def test_jacobi_residual_matches_two_apply_oracle_on_corpus_walks(corpus):
     for spec, b in corpus.items():
         habs = b.hodge_signless
         psi0 = tuple(rng.randrange(-(10**12), 10**12) for _ in range(b.size))
-        traj = walk(b, psi0, -4, 4)
+        traj = orbit(b, psi0, -4, 4)
         assert not _has_hydrogen_defect(traj, habs)
         assert _has_hydrogen_defect(_assert_residual_matches_oracle(traj, b, rng), habs), spec
 
@@ -197,7 +208,7 @@ def test_jacobi_residual_matches_the_oracle_on_bumps_at_block_edges(kind):
     rng = random.Random(14)
     quad = [tuple(rng.randrange(-9, 10) for _ in range(b.size)) for _ in range(4)]
     if kind == "walk":
-        t = walk(b, quad[0], -200, 200)
+        t = orbit(b, quad[0], -200, 200)
     elif kind == "branch":
         t = quaternion_solution(b, quad, 100)[3]
     else:
@@ -247,10 +258,10 @@ def test_perron_limits_requires_irreducible():
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_automaton_round_trip_and_orbit(p):
     b = bundle_for(from_spec("cycle:4"))
-    states = automaton_run(b, _unit(8), p, -4, 4)
+    states = orbit(b, _unit(8), -4, 4, p)
     assert states.times == range(-4, 5)
     # forward state reduced from the exact integer walk
-    exact = walk(b, _unit(8), -4, 4)
+    exact = orbit(b, _unit(8), -4, 4)
     for n in states.times:
         assert states[n] == tuple(x % p for x in exact[n])
 
@@ -265,11 +276,11 @@ def test_automaton_reduces_its_start_mod_p():
         start = [rng.randrange(-3 * p, 3 * p) for _ in range(b.size)]
         start[:2] = [-1, p]
         reduced = [x % p for x in start]
-        states = automaton_run(b, start, p, -6, 6)
-        assert np.array_equal(states.states, automaton_run(b, reduced, p, -6, 6).states)
+        states = orbit(b, start, -6, 6, p)
+        assert np.array_equal(states.states, orbit(b, reduced, -6, 6, p).states)
         assert states[0] == tuple(reduced) and states[1] != tuple(reduced)
     assert field_reduce(b.green, p).step_dtype is object
-    exact = walk(b, start, -6, 6)
+    exact = orbit(b, start, -6, 6)
     assert states.states.tolist() == [[x % p for x in exact[n]] for n in exact.times]
 
 
@@ -394,10 +405,10 @@ def test_automaton_near_and_above_word_size_matches_dense_route(corpus, p):
         start = tuple(rng.randrange(p) for _ in range(b.size))
         dense = _dense_orbit(Lp, gp, start, -7, 7)
         for lo, hi in ORBIT_RANGES:
-            rows = orbit(b, start, lo, hi, p)
+            rows = orbit(b, start, lo, hi, p).states
             assert rows.dtype == (gp if lo else Lp).step_dtype, (spec, lo, hi)
             assert rows.tolist() == [list(v) for v in dense[lo + 7 : hi + 8]], (spec, lo, hi)
-        states = automaton_run(b, start, p, -3, 3)
+        states = orbit(b, start, -3, 3, p)
         assert states.times == range(-3, 4)
         assert [tuple(v) for v in states.states.tolist()] == dense[4:11], spec
     assert dtypes == {np.int64}
@@ -422,7 +433,7 @@ def test_orbit_matches_the_dense_route_per_time(corpus, p):
         dtypes.add(gp.step_dtype)
         dense = _dense_orbit(Lp, gp, start, -7, 7)
         for lo, hi in ORBIT_RANGES:
-            rows = orbit(b, start, lo, hi, p)
+            rows = orbit(b, start, lo, hi, p).states
             stepped = ([Lp] if hi or not lo else []) + ([gp] if lo else [])
             dtype = object if any(m.step_dtype is object for m in stepped) else np.int64
             assert rows.dtype == dtype, (spec, lo, hi)
@@ -441,7 +452,7 @@ def _counted_orbit(monkeypatch, b, start, n_min, n_max, p):
         return real(self, vec)
 
     monkeypatch.setattr(FieldMatrix, "step", counted)
-    rows = orbit(b, start, n_min, n_max, p)
+    rows = orbit(b, start, n_min, n_max, p).states
     monkeypatch.undo()
     return rows, shapes
 
@@ -480,7 +491,7 @@ def test_supplied_inverses_match_elimination(spec):
     # inverses over the integers and over F_p that the library no longer runs
     b = bundle_for(from_spec(spec))
     psi0 = tuple(range(-3, b.size - 3))
-    traj = walk(b, psi0, -5, 5)
+    traj = orbit(b, psi0, -5, 5)
     linv = inverse_unimodular(b.connection)
     state = psi0
     for n in range(-1, -6, -1):
@@ -491,7 +502,7 @@ def test_supplied_inverses_match_elimination(spec):
     gp = field_inverse(Lp)
     assert gp == field_reduce(b.green, p)
     start = tuple(x % p for x in psi0)
-    states = automaton_run(b, start, p, -7, 5)
+    states = orbit(b, start, -7, 5, p)
     assert states.times == range(-7, 6)
     assert [tuple(v) for v in states.states.tolist()] == _dense_orbit(Lp, gp, start, -7, 5)
     assert states[0] == start

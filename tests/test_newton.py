@@ -15,7 +15,6 @@ from connlab.newton import (
     NewtonConfig,
     SingularJacobianError,
     exact_jacobian_at_connection,
-    intersection_pattern,
     jacobian_at,
     inverse_support_pattern,
     perturb_target,
@@ -55,7 +54,7 @@ def _support(m: IntMatrix) -> set[tuple[int, int]]:
 
 def test_pattern_construction(corpus):
     for spec, b in corpus.items():
-        pattern = intersection_pattern(b)
+        pattern = b.connection
         assert pattern is b.connection and pattern.shape == (b.size, b.size), spec
         # diagonal always included, pattern symmetric
         support = _support(pattern)
@@ -68,12 +67,12 @@ def test_pattern_construction(corpus):
         assert q == support | adjacent, spec
         assert _support(b.green) <= q, spec
     b = bundle_for(from_spec("path:3"))
-    assert (0, 1) in _support(inverse_support_pattern(b)) and (0, 1) not in _support(intersection_pattern(b))
+    assert (0, 1) in _support(inverse_support_pattern(b)) and (0, 1) not in _support(b.connection)
 
 
 def test_perturb_target_deterministic_and_symmetric():
     b = bundle_for(from_spec("path:4"))
-    pattern = intersection_pattern(b)
+    pattern = b.connection
     K1 = perturb_target(b.hodge_signless, pattern, 0.01, seed=5)
     K2 = perturb_target(b.hodge_signless, pattern, 0.01, seed=5)
     K3 = perturb_target(b.hodge_signless, pattern, 0.01, seed=6)
@@ -90,7 +89,7 @@ def test_perturb_target_deterministic_and_symmetric():
 
 def test_unperturbed_problem_converges_immediately():
     b = bundle_for(from_spec("path:4"))
-    pattern = intersection_pattern(b)
+    pattern = b.connection
     result = solve_hydrogen(b.hodge_signless, pattern, b.connection, NewtonConfig())
     assert result.converged
     assert result.iterations == 0
@@ -141,7 +140,7 @@ def test_solution_continuity_in_eps():
 def test_verify_support_negative_control():
     rng = np.random.default_rng(2)
     b = bundle_for(from_spec("path:4"))
-    pattern = intersection_pattern(b)
+    pattern = b.connection
     dense = rng.normal(size=pattern.shape)
     dense = dense + dense.T + 10 * np.eye(pattern.nrows)
     report = verify_support(dense, pattern)
@@ -210,7 +209,7 @@ NEWTON_POOLS = (
 @pytest.mark.parametrize("spec", NEWTON_POOLS)
 def test_jacobian_at_is_bit_identical_to_the_loop(spec):
     b = bundle_for(from_spec(spec))
-    pattern = intersection_pattern(b)
+    pattern = b.connection
     at_connection = b.connection.to_float()
     perturbed = perturb_target(b.connection, pattern, 0.05, seed=len(spec))
     coords = tuple(np.array(c) for c in zip(*_loop_coords(pattern)))

@@ -20,12 +20,8 @@ from connlab.operators import (
     OperatorBundle,
     _schur_blocks,
     bundle_for,
-    energy,
-    energy_holds,
-    hydrogen_holds,
     hydrogen_residual,
     green_star,
-    is_unimodular,
     schur_inverse,
     forest_rank,
     schur_reciprocity_sign,
@@ -144,9 +140,9 @@ def test_figure8_frozen_dirac(fig8):
 
 
 def test_figure8_identities(fig8):
-    assert hydrogen_holds(fig8)
-    assert is_unimodular(fig8)
-    assert energy(fig8) == 7 - 8
+    assert hydrogen_residual(fig8).is_zero()
+    assert fig8.connection_det in (1, -1)
+    assert fig8.green.entry_sum() == 7 - 8
     # determinant sign follows the edge count: (-1)^8 = 1
     assert fig8.connection_det == 1
 
@@ -175,8 +171,8 @@ def test_connection_block_structure():
 def test_identities_on_sample(spec, sample):
     b = sample[spec]
     assert hydrogen_residual(b).max_abs() == 0
-    assert is_unimodular(b)
-    assert energy_holds(b)
+    assert b.connection_det in (1, -1)
+    assert b.green.entry_sum() == b.complex.euler_characteristic()
     assert trace_report(b).ok
     assert supersymmetry_report(b).ok
 
@@ -692,7 +688,7 @@ def test_bundle_certifies_at_24840_cells_without_a_dense_view(monkeypatch):
     b = bundle_for(from_spec("bary:grid:60,60"))
     assert b.size == 24840
     g = b.green  # certified against L over the nonzeros, or ArithmeticError
-    assert is_unimodular(b) and b.connection_det == (-1) ** b.e
-    assert hydrogen_residual(b).is_zero() and hydrogen_holds(b)
-    assert energy(b) == b.complex.euler_characteristic() and energy_holds(b)
+    assert b.connection_det in (1, -1) and b.connection_det == (-1) ** b.e
+    assert hydrogen_residual(b).is_zero()
+    assert b.green.entry_sum() == b.complex.euler_characteristic()
     assert g.nnz < 10 * b.size

@@ -271,17 +271,12 @@ KEEP = {
     "__init__.__all__": "the public names, read by star imports and tools",
     "__init__.__version__": "the package version",
     "complexes.star": "St(x) of the star formula for g, which operators reads off incident_edges",
-    "dynamics.walk": "the two-sided walk psi(n) = L^n psi of the abstract",
     "dynamics.quaternion_solution": "the four branch solutions of the Jacobi equation",
-    "dynamics.automaton_run": "the reversible automaton over F_p",
     "dynamics.perron_limits": "the Perron projection limits of the even-time walk",
     "dynamics.growth_rates": "the abstract's line-graph growth link, not yet certified",
     "graphs.save_graph": "writes the text format that load_graph reads",
     "operators.schur_inverse": "the Schur block inverse of a bare matrix; the bundle runs it on cached blocks",
     "operators.schur_reciprocity_sign": "the reciprocity certificate of a bare matrix",
-    "operators.hydrogen_holds": "the identity |H| = L - L^-1 as a predicate",
-    "operators.energy_holds": "the energy theorem: the entries of g sum to chi",
-    "operators.is_unimodular": "det L = +-1",
     "products.two_time_walk": "the two-time walk on a product, the Z^2 lattice dynamics",
     "spectra.connection_sign_split": "the sign-split acceptance criterion reads it",
     "spectra.block_gap": "the block-gap acceptance criterion reads it",
@@ -317,21 +312,26 @@ def _package_imports(tree: ast.Module) -> dict[str, tuple[str, str]]:
     return names
 
 
+def _loaded(node: ast.AST) -> set[str]:
+    """The names that code reads: a name only bound there, such as a
+    dataclass field that shares a function's name, is not a use of it."""
+    return {n.id for n in ast.walk(node) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+
+
 def _reachable(roots: set[tuple[str, str]], defs: dict, imports: dict) -> set[tuple[str, str]]:
     """The (module, name) definitions reached from roots: a definition
-    reaches every package definition its code names, in its own module or
+    reaches every package definition its code reads, in its own module or
     through an import.  Attributes of a module imported whole are not
     followed: no module imports one, and what one reached that way would
     show as unreached."""
 
     def named(module: str, node: ast.AST) -> set[tuple[str, str]]:
         out = set()
-        for n in ast.walk(node):
-            if isinstance(n, ast.Name):
-                if n.id in defs[module]:
-                    out.add((module, n.id))
-                elif n.id in imports[module]:
-                    out.add(imports[module][n.id])
+        for name in _loaded(node):
+            if name in defs[module]:
+                out.add((module, name))
+            elif name in imports[module]:
+                out.add(imports[module][name])
         return out
 
     seen, todo = set(), list(roots)
@@ -351,7 +351,7 @@ def _unreached(package: Path, script: Path, keep) -> list[str]:
     script_tree = ast.parse(script.read_text())
     script_imports = _package_imports(script_tree)
     roots = {("cli", "main")} | {("cli", n) for n in defs["cli"] if n.startswith("cmd_")}
-    roots |= {script_imports[n.id] for n in ast.walk(script_tree) if isinstance(n, ast.Name) and n.id in script_imports}
+    roots |= {script_imports[name] for name in _loaded(script_tree) if name in script_imports}
     roots |= {tuple(k.split(".")) for k in keep}
     seen = _reachable(roots, defs, imports)
     return sorted(f"{m}.{n}" for m, d in defs.items() for n in d if (m, n) not in seen)
@@ -369,6 +369,43 @@ def test_every_definition_is_reached_from_the_cli_the_script_or_keep():
     # names in a module and imported ones are followed: exact.det is
     # reached only through the script, orbit through cli's import
     assert {"exact.det", "dynamics.orbit", "spectra.eig_sym", "cli.build_parser"}.isdisjoint(unreached)
+
+
+def test_a_name_only_bound_reaches_nothing(tmp_path):
+    # a dataclass field named like a module function binds that name but
+    # never reads it, so the function is unreached unless some code calls it
+    package = tmp_path / "package"
+    package.mkdir()
+    (package / "report.py").write_text(
+        "from dataclasses import dataclass\n\n\n"
+        "def total(xs):\n    return sum(xs)\n\n\n"
+        "@dataclass\nclass Report:\n    total: int\n"
+    )
+    (package / "cli.py").write_text("from .report import Report\n\n\ndef main():\n    return Report(0)\n")
+    script = tmp_path / "script.py"
+    script.write_text("print(0)\n")
+    assert _unreached(package, script, ()) == ["report.total"]
+    (package / "cli.py").write_text(
+        "from .report import Report, total\n\n\ndef main():\n    return Report(total([1]))\n"
+    )
+    assert _unreached(package, script, ()) == []
+
+
+def test_each_job_has_one_entry_point():
+    # the one-line wrappers around a routine that stays are gone: orbit is
+    # the walk and the automaton, the hydrogen residual (reduced mod p over
+    # F_p), connection_det and green.entry_sum are the identity checks, L is
+    # the intersection pattern and bound_kwalk takes every k of a pass.  No
+    # module of the package defines them and the package exports none
+    package = ROOT / "src" / "connlab"
+    gone = {
+        "walk", "automaton_run", "hydrogen_holds", "hydrogen_residual_mod", "hydrogen_holds_mod",
+        "is_unimodular", "energy", "energy_holds", "incidence_signless", "intersection_pattern",
+        "connection_edge_count", "_kwalk_bounds",
+    }
+    defined = {m.stem: gone & set(_top_level(ast.parse(m.read_text()))) for m in package.glob("*.py")}
+    assert {m: names for m, names in defined.items() if names} == {}
+    assert gone.isdisjoint(connlab.__all__) and not any(hasattr(connlab, n) for n in gone)
 
 
 def _load_tracing():
@@ -433,3 +470,18 @@ def test_layer_harness_counts_the_walk_mat_vecs(capsys, monkeypatch):
         assert shapes.count(2) == blocks + 2 * residual_blocks
         assert blocks == -(-steps // block)
         assert residual_blocks == -(-(2 * steps - 1) // residual_block)
+
+
+def test_layer_harness_times_the_kwalk_bound(capsys):
+    # bounds_report takes every k of a row from one bound_kwalk call, which
+    # the tracer wraps by name: one span per graph, with time of its own
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        assert cli.main(["bounds", "cycle:6", "grid:3,4"]) == 0
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    kwalk = tracer.per_name()["spectra.bound_kwalk"]
+    assert kwalk["calls"] == 2 and kwalk["self_s"] > 0

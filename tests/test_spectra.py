@@ -109,8 +109,8 @@ def test_kwalk_tightens_toward_spectral_link():
     g = from_spec("cycle:6")
     b = bundle_for(g)
     target = eig_sym(b.hodge_signless).top
-    assert abs(bound_kwalk(g, 24) - target) < 0.1
-    assert bound_kwalk(g, 3) >= target - 1e-9
+    assert abs(bound_kwalk(g, (24,))[24] - target) < 0.1
+    assert bound_kwalk(g, (3,))[3] >= target - 1e-9
 
 
 def test_kwalk_matches_dense_matpow_on_corpus(corpus):
@@ -119,7 +119,7 @@ def test_kwalk_matches_dense_matpow_on_corpus(corpus):
         adj = b.connection - IntMatrix.identity(b.size)
         for k in (1, 2, 3):
             r = 1.0 + math.exp(math.log(max(matpow(adj, k).row_sums())) / k)
-            assert bound_kwalk(b.graph, k) == bound_kwalk(b, k) == r - 1.0 / r, (spec, k)
+            assert bound_kwalk(b.graph, (k,))[k] == bound_kwalk(b, (k,))[k] == r - 1.0 / r, (spec, k)
 
 
 def test_bounds_row_matches_hodge_top_and_single_kwalk_on_corpus(corpus):
@@ -132,7 +132,7 @@ def test_bounds_row_matches_hodge_top_and_single_kwalk_on_corpus(corpus):
         rep = bounds_report(b.graph, ks=(1, 2, 3))
         assert abs(eig_sym(b.hodge_signless).top - rep.rho_Habs) <= EIG_TOL, spec
         for k in (1, 2, 3):
-            assert rep.bound_kwalk[k] == bound_kwalk(b.graph, k), (spec, k)
+            assert rep.bound_kwalk[k] == bound_kwalk(b.graph, (k,))[k], (spec, k)
 
 
 def test_bounds_row_walks_three_mat_vecs_on_l(monkeypatch):
@@ -176,15 +176,15 @@ def test_bounds_row_finds_components_and_regularity_once(monkeypatch):
 def test_kwalk_errors():
     c4, edgeless = from_spec("cycle:4"), Graph(3, name="E3")
     with pytest.raises(SpectraError, match="^walk length k must be >= 1$"):
-        bound_kwalk(c4, 0)
+        bound_kwalk(c4, (0,))
     with pytest.raises(SpectraError, match="^walk length k must be >= 1$"):
         bounds_report(c4, ks=(1, 0))
     # the walk length is checked before the graph
     with pytest.raises(SpectraError, match="^walk length k must be >= 1$"):
-        bound_kwalk(edgeless, 0)
+        bound_kwalk(edgeless, (0,))
     no_edges = "^graph 'E3' has no edges; degree bounds are inapplicable$"
     with pytest.raises(SpectraError, match=no_edges):
-        bound_kwalk(edgeless, 1)
+        bound_kwalk(edgeless, (1,))
     with pytest.raises(SpectraError, match=no_edges):
         bounds_report(edgeless)
 
