@@ -235,7 +235,7 @@ def cmd_bounds(args) -> int:
     failures = []
     for spec in args.graphs:
         try:
-            reports.append(bounds_report(_load_graph_arg(spec), ks=(1, 2, 3)))
+            reports.append(bounds_report(_load_graph_arg(spec)))
         except Exception as exc:  # keep remaining rows alive per contract
             failures.append((spec, str(exc)))
     rows = _bounds_rows(reports)
@@ -502,7 +502,7 @@ def _report_deterministic() -> tuple[list[dict], bool]:
     for family, table in REFERENCE_TABLES.items():
         rows = []
         for spec, expected in table:
-            rep = bounds_report(from_spec(spec), ks=(3,))
+            rep = bounds_report(from_spec(spec))
             got = rep.row()
             err = row_max_error(got, expected)
             ok = err < TABLE_TOLERANCE
@@ -527,7 +527,7 @@ def _report_random(seed: int) -> list[dict]:
         sums = [0.0] * 6
         for i in range(count):
             spec = f"{base_spec}:seed={seed + i}"
-            rep = bounds_report(from_spec(spec), ks=(3,))
+            rep = bounds_report(from_spec(spec))
             got = rep.row()
             for c, x in enumerate(got):
                 sums[c] += x
@@ -542,16 +542,17 @@ def _report_random(seed: int) -> list[dict]:
     return sections
 
 
-def _report_sparse_random(seed: int, trials: int = 50) -> dict:
-    """E(20, 0.1) experiment: the dual-vertex bound beats 2d for most seeds."""
+def _report_sparse_random(seed: int) -> dict:
+    """E(20, 0.1) experiment over 50 seeds: the dual-vertex bound beats 2d
+    for most."""
     tighter = 0
     used = 0
-    for i in range(trials):
+    for i in range(50):
         g = from_spec(f"gnp:20,0.1:seed={seed + i}")
         if not g.edges:
             continue
         used += 1
-        rep = bounds_report(g, ks=(3,))
+        rep = bounds_report(g)
         if rep.bound_dual_vertex < rep.bound_trivial_2d:
             tighter += 1
     return {

@@ -39,12 +39,6 @@ class Complex:
     def size(self) -> int:
         return len(self.simplices)
 
-    def euler_characteristic(self) -> int:
-        return self.v - self.e
-
-    def f_vector(self) -> tuple[int, int]:
-        return (self.v, self.e)
-
     @cached_property
     def incident_edges(self) -> tuple[tuple[int, ...], ...]:
         """Per vertex, the simplex indices of its incident edges, ascending."""

@@ -98,12 +98,12 @@ def orbit(
     Negative times step by the bundle's green, certified by L @ g = I; mod p
     both are reduced once per bundle (OperatorBundle.reduced), so a caller
     holding the bundle steps with the same matrices, and g mod p inverts
-    L mod p.  While both directions have steps left and L and g step in one
-    dtype, psi(k) and psi(-k) are one 2n-entry state, and one IntMatrix.step
-    of diag(L, g) writes rows k and -k; the longer direction then steps on
-    its own, so the orbit takes max(n_max, -n_min) steps (n_max - n_min when
-    the dtypes differ).  Over Z the array holds Python ints; mod p it holds
-    them if either stepped matrix's mat-vecs do, else int64.
+    L mod p.  While both directions have steps left, psi(k) and psi(-k) are
+    one 2n-entry state, and one IntMatrix.step of diag(L, g) writes rows k
+    and -k; the longer direction then steps on its own, so the orbit takes
+    max(n_max, -n_min) steps.  Over Z the array holds Python ints; mod p it
+    holds them if either stepped matrix's mat-vecs do, else int64, and so
+    does the paired step.
     """
     bundle = bundle_for(source)
     n = bundle.size
@@ -124,7 +124,7 @@ def orbit(
     rows = np.empty((n_max - n_min + 1, n), dtype=object if object in dtypes else np.int64)
     origin = -n_min
     rows[origin] = [int(x) if p is None else int(x) % p for x in start]
-    paired = min(n_max, -n_min) if len(runs) == 2 and len(dtypes) == 1 else 0
+    paired = min(n_max, -n_min) if len(runs) == 2 else 0
     if paired:
         both = block_diagonal(runs[0][0], runs[1][0])
         x = np.concatenate((rows[origin], rows[origin]))
@@ -238,14 +238,6 @@ class PerronReport:
     w: tuple[float, ...]
     forward_residuals: tuple[float, ...]
     backward_residuals: tuple[float, ...]
-
-    @property
-    def forward_final(self) -> float:
-        return self.forward_residuals[-1]
-
-    @property
-    def backward_final(self) -> float:
-        return self.backward_residuals[-1]
 
 
 def perron_limits(source: Graph | Complex | OperatorBundle) -> PerronReport:

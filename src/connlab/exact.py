@@ -31,7 +31,7 @@ IntMatrix.from_triplets: (row, column, value) triplets sorted by row *
 ncols + column, the values of equal keys summed by np.add.reduceat and the
 zeros dropped.  @ is the row-by-row (Gustavson) product: each nonzero
 (i, j, a) of the left factor is expanded over row j of the right one
-(IntMatrix.row_terms), and the kernel sums the products; +, -, scale and
+(IntMatrix.row_terms), and the kernel sums the products; +, - and
 linear_combination concatenate signed triplets; kron pairs every two
 nonzero entries; transpose is a stable sort by column.  The L g = I
 certificate, the Schur complement and the hydrogen residual in operators
@@ -250,9 +250,6 @@ class IntMatrix:
 
     def __sub__(self, other: "IntMatrix") -> "IntMatrix":
         return linear_combination((self, 1), (other, -1))
-
-    def scale(self, k: int) -> "IntMatrix":
-        return linear_combination((self, k))
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         """The product row by row (Gustavson): row i sums a * (row j of

@@ -51,9 +51,6 @@ class Graph:
     def e(self) -> int:
         return len(self.edges)
 
-    def euler_characteristic(self) -> int:
-        return self.n - self.e
-
     def degrees(self) -> list[int]:
         deg = [0] * self.n
         for u, v in self.edges:
@@ -338,14 +335,14 @@ _SIZES = {
 MAX_SPEC_CELLS = 10**6  # vertices plus edges of the largest graph a spec or graph file may give
 
 
-def from_spec(spec: str, seed: int | None = None) -> Graph:
+def from_spec(spec: str) -> Graph:
     """Parse an inline generator spec such as 'cycle:8', 'grid:6,3',
     'gnm:20,50:seed=7', or 'bary:cycle:4' (barycentric refinement prefix).
 
     A spec whose graph would have more than MAX_SPEC_CELLS vertices plus
     edges is rejected from its parameters, before anything is built.
     """
-    return _from_spec(spec, seed, 0)
+    return _from_spec(spec, 0)
 
 
 def _number(token: str) -> int | float:
@@ -356,14 +353,15 @@ def _number(token: str) -> int | float:
         return float(token)
 
 
-def _from_spec(spec: str, seed: int | None, refinements: int) -> Graph:
+def _from_spec(spec: str, refinements: int) -> Graph:
     """from_spec of a spec that had `refinements` bary: prefixes taken off."""
     text = spec.strip()
     if text.startswith("bary:"):
-        return barycentric_refinement(_from_spec(text[5:], seed, refinements + 1))
+        return barycentric_refinement(_from_spec(text[5:], refinements + 1))
     parts = text.split(":")
     family = parts[0]
     params: tuple[int | float, ...] = ()
+    seed = None
     try:
         for extra in parts[1:]:
             if extra.startswith("seed="):

@@ -15,11 +15,12 @@ materialized as a dense system over the upper-triangle support coordinates.
 The step is damped by residual backtracking.  A singular Jacobian aborts
 the solve with the smallest singular value attached; it is never
 regularized.  What is certified is the degeneracy at the unperturbed
-connection Laplacian: there the Jacobian is an integer matrix whose exact
-determinant exact_jacobian_at_connection gives for direct verification.
-It is J(L) = -(I + P (g (x) g) Q) over the compressed rows of g = L^-1,
-since vec(g M g) = (g (x) g) vec(M) for symmetric g: Q spreads each
-coordinate over vec(M_ij) and P reads the coordinates back.
+connection Laplacian: there the Jacobian over the coordinates of L's own
+pattern, the one solve_perturbed runs on, is an integer matrix, which
+exact_jacobian_at_connection builds for an exact determinant.  It is
+J(L) = -(I + P (g (x) g) Q) over the compressed rows of g = L^-1, since
+vec(g M g) = (g (x) g) vec(M) for symmetric g: Q spreads each coordinate
+over vec(M_ij) and P reads the coordinates back.
 Where it is 0 the implicit function theorem does not apply and no solution
 branch through L is guaranteed; where it is nonzero the solution moves
 smoothly with eps.  The determinant does not follow the graph's cycles: it
@@ -31,7 +32,10 @@ O(eps).
 
 perturb_target perturbs every pattern coordinate, including vertex-edge
 pairs where |H| is 0; for a single cycle the left null vector of the
-Jacobian at L lies entirely on those pairs.
+Jacobian at L lies entirely on those pairs.  verify_support measures a
+solution X off L's pattern, and X^-1 off it and off the inverse-support
+pattern (supp L with supp g), as plain magnitudes: no tolerance is
+applied to them here, and the newton command prints them.
 
 Everything in this module is floating point except that exact integer
 Jacobian; the perturbed problem is not an integer problem.
@@ -112,8 +116,6 @@ def inverse_support_pattern(bundle: OperatorBundle) -> IntMatrix:
 # gives up once halving takes the step below MIN_STEP.
 RCOND = 1e-12
 MIN_STEP = 2.0**-20
-# SupportReport.matrix_ok allows off-pattern entries up to this.
-SUPPORT_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -144,10 +146,6 @@ def perturb_target(
     return _add_symmetric(habs.to_float(), coords, deltas)
 
 
-def _as_float(m: IntMatrix | np.ndarray) -> np.ndarray:
-    return m.to_float() if isinstance(m, IntMatrix) else np.array(m, dtype=float)
-
-
 def _residual_vector(K: np.ndarray, X: np.ndarray, Xinv: np.ndarray, coords) -> np.ndarray:
     return (K - X + Xinv)[coords]
 
@@ -171,8 +169,9 @@ def jacobian_at(Xinv: np.ndarray, coords) -> np.ndarray:
     return -(np.eye(len(i)) + prop)
 
 
-def exact_jacobian_at_connection(bundle: OperatorBundle, pattern: IntMatrix | None = None) -> IntMatrix:
-    """The same Jacobian at X = L, as an exact integer matrix.
+def exact_jacobian_at_connection(bundle: OperatorBundle) -> IntMatrix:
+    """The same Jacobian at X = L over L's own pattern, as an exact integer
+    matrix.
 
     L^-1 = g is integral, so the Jacobian at the unperturbed Laplacian is
     too, and whether it is singular becomes a question of integer
@@ -186,7 +185,7 @@ def exact_jacobian_at_connection(bundle: OperatorBundle, pattern: IntMatrix | No
     runs as (g (x) I)(I (x) g), nnz(g) n terms a factor where g (x) g would
     hold nnz(g)^2.
     """
-    pattern = bundle.connection if pattern is None else pattern
+    pattern = bundle.connection
     i, j = _coords(pattern)
     n, m, off = pattern.nrows, len(i), i != j
     c = np.arange(m)
@@ -209,9 +208,9 @@ class NewtonResult:
 
 
 def solve_hydrogen(
-    K: np.ndarray | IntMatrix,
+    K: np.ndarray,
     pattern: IntMatrix,
-    L0: np.ndarray | IntMatrix,
+    L0: IntMatrix,
     cfg: NewtonConfig = NewtonConfig(),
 ) -> NewtonResult:
     """Newton iteration for proj(K - X + X^-1) = 0 over the pattern.
@@ -222,8 +221,7 @@ def solve_hydrogen(
     of iterations or of line-search budget raises NonConvergenceError with
     the partial result attached.
     """
-    K = _as_float(K)
-    X = _as_float(L0)
+    X = L0.to_float()
     coords = _coords(pattern)
     history: list[float] = []
     sigma_min_seen: float | None = None
@@ -281,27 +279,17 @@ class SupportReport:
 
     off_pattern_matrix_max: float
     off_pattern_inverse_max: float
-    off_inverse_support_max: float | None
-    tolerance: float
-
-    @property
-    def matrix_ok(self) -> bool:
-        return self.off_pattern_matrix_max <= self.tolerance
+    off_inverse_support_max: float
 
 
-def verify_support(
-    X: np.ndarray | IntMatrix,
-    pattern: IntMatrix,
-    inverse_pattern: IntMatrix | None = None,
-) -> SupportReport:
+def verify_support(X: np.ndarray, pattern: IntMatrix, inverse_pattern: IntMatrix) -> SupportReport:
     """Measure how far X and X^-1 stray outside their supposed supports.
 
-    The inverse is measured twice when inverse_pattern is supplied: once
-    against the plain intersection pattern and once against the larger
-    pattern that also allows adjacent-vertex pairs, which is where the
-    exact inverse genuinely lives.
+    The inverse is measured twice: once against the plain intersection
+    pattern and once against inverse_pattern, the larger pattern that also
+    allows adjacent-vertex pairs, which is where the exact inverse genuinely
+    lives.
     """
-    X = _as_float(X)
     Xinv = np.linalg.inv(X)
 
     def off_max(mat: np.ndarray, pat: IntMatrix) -> float:
@@ -313,10 +301,7 @@ def verify_support(
     return SupportReport(
         off_pattern_matrix_max=off_max(X, pattern),
         off_pattern_inverse_max=off_max(Xinv, pattern),
-        off_inverse_support_max=(
-            off_max(Xinv, inverse_pattern) if inverse_pattern is not None else None
-        ),
-        tolerance=SUPPORT_TOL,
+        off_inverse_support_max=off_max(Xinv, inverse_pattern),
     )
 
 

@@ -46,7 +46,10 @@ signed triplets of |H|, L and g) go through the same kernel; the bundle
 forms its Schur blocks once for det L, reciprocity and schur_inverse.  The
 test suite keeps the dense product and the dense builders
 (tests/oracles.py) as the oracles.  The signless incidence and Kirchhoff
-matrices are the entrywise abs of the signed ones.
+matrices are the entrywise abs of the signed ones.  The signed operators
+have the one orientation of d0 above; H0 and |H| do not depend on it,
+which the tests check on other orientations, built by dirac_from_incidence
+from a flipped dense incidence.
 
 Each identity is read off one value: the hydrogen identity holds when
 hydrogen_residual(b).is_zero() (over F_p, when field_reduce of it mod p is
@@ -60,7 +63,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from math import prod
 from operator import mul
-from typing import Sequence
 
 import numpy as np
 
@@ -76,20 +78,11 @@ from .exact import (
 from .graphs import Graph, betti_numbers
 
 
-def incidence_signed(c: Complex, signs: Sequence[int] | None = None) -> IntMatrix:
-    """Signed incidence matrix d0 (edges x vertices).
-
-    The default orientation points each edge from its smaller endpoint to
-    its larger one.  An optional signs vector (one +-1 per edge, in edge
-    order) flips individual orientations.
-    """
-    if signs is None:
-        signs = (1,) * c.e
-    if len(signs) != c.e or any(s not in (-1, 1) for s in signs):
-        raise ValueError("signs must be one +-1 per edge")
-    s = np.array(signs, dtype=np.int64)
+def incidence_signed(c: Complex) -> IntMatrix:
+    """Signed incidence matrix d0 (edges x vertices), each edge oriented
+    from its smaller endpoint to its larger one."""
     # edges are stored with a < b, so row k's columns (a, b) are in order
-    values = np.column_stack((-s, s)).ravel()
+    values = np.tile(np.array((-1, 1), dtype=np.int64), c.e)
     return IntMatrix.from_csr(2 * np.arange(c.e + 1), c.edge_array.ravel(), values, c.e, c.v)
 
 
@@ -256,13 +249,13 @@ def _block_inverse(blocks: tuple[IntMatrix, IntMatrix, list[int]], v: int) -> In
 class OperatorBundle:
     """Every operator of one complex, computed on demand and cached.
 
-    An optional orientation (one +-1 per edge) only affects the signed
-    operators; the signless family and the connection side never see it.
+    The signed operators orient each edge from its smaller endpoint to its
+    larger one; the signless family and the connection side have no
+    orientation.
     """
 
-    def __init__(self, source: Graph | Complex, signs: Sequence[int] | None = None):
+    def __init__(self, source: Graph | Complex):
         self.complex = source if isinstance(source, Complex) else build_complex(source)
-        self.signs = tuple(signs) if signs is not None else (1,) * self.complex.e
         self._reduced: dict[tuple[str, int], FieldMatrix] = {}
 
     @property
@@ -285,7 +278,7 @@ class OperatorBundle:
 
     @cached_property
     def incidence(self) -> IntMatrix:
-        return incidence_signed(self.complex, self.signs)
+        return incidence_signed(self.complex)
 
     @cached_property
     def incidence_signless(self) -> IntMatrix:

@@ -16,8 +16,9 @@ the measurement tables:
 
 A bounds row costs two v x v eigensolves, of the two Kirchhoff matrices
 built straight from the edge list, and work linear in the nonzero
-entries: one bound_kwalk pass of big-integer mat-vecs with L - I gives
-the bound of every k, and graphs.diameter is a bit-parallel BFS.  No
+entries: one bound_kwalk pass of three big-integer mat-vecs with L - I
+gives the walk bounds of k = 1, 2 and 3, all checked for soundness and k = 3
+printed, and graphs.diameter is a bit-parallel BFS.  No
 incidence, |D| or |H| is built: rho(|H|) is rho_abs by supersymmetry (see
 BoundsReport).
 
@@ -76,34 +77,9 @@ class Spectrum:
     def top(self) -> float:
         return self.eigenvalues[-1]
 
-    @property
-    def bottom(self) -> float:
-        return self.eigenvalues[0]
 
-    @property
-    def top_gap(self) -> float:
-        """lambda_n - lambda_{n-1}."""
-        if self.matrix_dim < 2:
-            return math.inf
-        return self.eigenvalues[-1] - self.eigenvalues[-2]
-
-    def partial_sums(self) -> tuple[float, ...]:
-        out = []
-        acc = 0.0
-        for lam in self.eigenvalues:
-            acc += lam
-            out.append(acc)
-        return tuple(out)
-
-
-def _as_array(m: IntMatrix | np.ndarray | Sequence[Sequence[float]]) -> np.ndarray:
-    if isinstance(m, IntMatrix):
-        return m.to_float()
-    return np.asarray(m, dtype=float)
-
-
-def eig_sym(m: IntMatrix | np.ndarray | Sequence[Sequence[float]]) -> Spectrum:
-    """Eigenvalues of a symmetric real matrix, sorted ascending.
+def eig_sym(m: IntMatrix) -> Spectrum:
+    """Eigenvalues of a symmetric integer matrix, sorted ascending.
 
     The input must be symmetric within SYMMETRY_RTOL * max|m|; it is then
     explicitly symmetrized and handed to the dense symmetric solver.  The
@@ -111,8 +87,8 @@ def eig_sym(m: IntMatrix | np.ndarray | Sequence[Sequence[float]]) -> Spectrum:
     checked against EIG_TOL, so a silently bad decomposition raises instead of
     propagating.
     """
-    a = _as_array(m)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    a = m.to_float()
+    if a.shape[0] != a.shape[1]:
         raise SpectraError(f"expected a square matrix, got shape {a.shape}")
     n = a.shape[0]
     if n == 0:
@@ -281,8 +257,6 @@ class BoundsReport:
     bound_bhs: float
     bound_lsc: float
     bound_shi: float
-    regular: bool
-    connected: bool
     flags: tuple[str, ...]
 
     def row(self) -> tuple[float, float, float, float, float, float]:
@@ -319,20 +293,20 @@ def _check_soundness(report: BoundsReport) -> None:
             )
 
 
-def bounds_report(g: Graph, ks: Sequence[int] = (1, 2, 3)) -> BoundsReport:
-    """All bound columns for one graph, with the soundness invariant asserted."""
+def bounds_report(g: Graph) -> BoundsReport:
+    """All bound columns for one graph, with the walk bounds of k = 1, 2, 3
+    from one bound_kwalk pass, and the soundness invariant asserted."""
     _require_edges(g)
     bundle = bundle_for(g)
     rho_h = eig_sym(bundle.kirchhoff).top
     rho_habs = eig_sym(bundle.kirchhoff_signless).top
     components = connected_components(g)
     regular = is_regular(g)
-    connected = len(components) == 1
     lsc, shi, applicable, per_component = _lsc_shi(g, components, regular)
     flags = []
     if regular:
         flags.append("regular")
-    if not connected:
+    if len(components) > 1:
         flags.append("disconnected")
     if per_component:
         flags.append("lsc-per-component")
@@ -345,12 +319,10 @@ def bounds_report(g: Graph, ks: Sequence[int] = (1, 2, 3)) -> BoundsReport:
         bound_trivial_2d=bound_trivial_2d(g),
         bound_anderson_morley=bound_anderson_morley(g),
         bound_dual_vertex=bound_dual_vertex(g),
-        bound_kwalk=bound_kwalk(bundle, ks),
+        bound_kwalk=bound_kwalk(bundle, (1, 2, 3)),
         bound_bhs=bound_bhs(bundle),
         bound_lsc=lsc,
         bound_shi=shi,
-        regular=regular,
-        connected=connected,
         flags=tuple(flags),
     )
     _check_soundness(report)

@@ -112,7 +112,15 @@ import numpy as np
 from connlab import cli
 from connlab.complexes import Complex, Simplex
 from connlab.dynamics import DynamicsError, Trajectory
-from connlab.exact import FieldMatrix, IntMatrix, ShapeError, SingularMatrixError, det, is_prime
+from connlab.exact import (
+    FieldMatrix,
+    IntMatrix,
+    ShapeError,
+    SingularMatrixError,
+    det,
+    is_prime,
+    linear_combination,
+)
 from connlab.graphs import Graph, GraphError, betti_numbers, connected_components
 from connlab.operators import OperatorBundle, SupersymmetryReport
 from connlab.spectra import SpectraError, Spectrum, eig_sym
@@ -318,7 +326,7 @@ def charpoly(m: IntMatrix) -> IntPolynomial:
     half = modulus // 2
     poly = IntPolynomial(tuple(c - modulus if c > half else c for c in coeffs))
     r = rho + 1
-    if poly(r) != det(IntMatrix.identity(n).scale(r) - m):
+    if poly(r) != det(linear_combination((IntMatrix.identity(n), r), (m, -1))):
         raise ArithmeticError("charpoly certificate p(r) == det(rI - m) failed")
     return poly
 
@@ -585,11 +593,11 @@ def dense_kron(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     )
 
 
-def exact_jacobian_loop(bundle: OperatorBundle, pattern: IntMatrix | None = None) -> IntMatrix:
+def exact_jacobian_loop(bundle: OperatorBundle) -> IntMatrix:
     """J(L) entry by entry: row (k, l) and column (i, j), both upper-triangle
-    pattern coordinates read off the dense rows, hold -(direct + g[k][i]
-    g[j][l] + g[k][j] g[i][l]), the second product only when i != j."""
-    mask = (pattern if pattern is not None else bundle.connection).rows
+    coordinates of L's pattern read off its dense rows, hold -(direct +
+    g[k][i] g[j][l] + g[k][j] g[i][l]), the second product only when i != j."""
+    mask = bundle.connection.rows
     n = len(mask)
     coords = [(i, j) for i in range(n) for j in range(i, n) if mask[i][j]]
     ginv = bundle.green.rows

@@ -20,7 +20,7 @@ import connlab.exact as exact
 import connlab.operators as operators
 import connlab.products as products
 import connlab.spectra as spectra
-from connlab.exact import dump_matrix
+from connlab.exact import dump_matrix, linear_combination
 from connlab.graphs import GraphError, from_spec
 from connlab.spectra import CSV_COLUMNS
 from connlab.tables import REFERENCE_TABLES
@@ -381,9 +381,7 @@ def test_csv_output_reads_back_with_the_declared_columns(capsys, monkeypatch):
     rows = list(csv.reader(io.StringIO(out)))
     assert [len(r) for r in rows] == [3] * len(rows)
     assert ["energy", "True", "sum g = 0, chi = 0"] in rows
-    real_sparse = cli._report_sparse_random
     monkeypatch.setattr(cli, "RANDOM_ANALOGUES", (("tiny random", "gnm:10,12", 2),))
-    monkeypatch.setattr(cli, "_report_sparse_random", lambda seed: real_sparse(seed, trials=8))
     code, out, _ = run(capsys, "--format", "csv", "report", "--seed", "3")
     assert code == 0
     rows = list(csv.reader(io.StringIO(out)))
@@ -851,18 +849,17 @@ def test_byte_identical_output(capsys):
 
 
 def test_report_small_and_deterministic(capsys, monkeypatch):
-    # shrink the random sections so the full pipeline runs in seconds; the
-    # full-size run is exercised by the acceptance suite
-    real_sparse = cli._report_sparse_random
+    # shrink the seeded analogues so the full pipeline runs in seconds; the
+    # sparse experiment's 50 trials take about 0.03 s, and the full-size run
+    # is exercised by the acceptance suite
     monkeypatch.setattr(cli, "RANDOM_ANALOGUES", (("tiny random", "gnm:10,12", 2),))
-    monkeypatch.setattr(cli, "_report_sparse_random", lambda seed: real_sparse(seed, trials=8))
     code1, out1, _ = run(capsys, "--format", "json", "report", "--seed", "11")
     code2, out2, _ = run(capsys, "report", "--seed", "11", "--format", "json")
     assert code1 == code2
     assert out1 == out2
     doc = json.loads(out1)
     assert doc["deterministic_ok"] is True
-    assert doc["sparse_random_experiment"]["trials"] == 8
+    assert doc["sparse_random_experiment"]["trials"] == 50
     families = [s["family"] for s in doc["deterministic"]]
     assert "cycle" in families and "petersen" in families
     assert doc["random_analogues"][0]["rows"][0]["name"] == "gnm:10,12:seed=11"
@@ -1012,7 +1009,7 @@ def _design_products(argv) -> list:
     v, n = b.v, b.size
     w, u = b.connection.block(v, n, 0, v), b.connection.block(0, v, v, n)
     # the Schur complement is formed once for det, green-star and reciprocity
-    return pairs + [(b.connection, b.green), _schur_operands(b), (u.scale(-1), w)]
+    return pairs + [(b.connection, b.green), _schur_operands(b), (linear_combination((u, -1)), w)]
 
 
 @pytest.mark.parametrize(

@@ -15,8 +15,8 @@ def test_cell_layout():
     assert c.simplices[: c.v] == tuple((i,) for i in range(7))
     assert all(len(x) == 2 for x in c.simplices[c.v :])
     assert c.index[(1, 4)] == c.v + 3
-    assert c.euler_characteristic() == -1
-    assert c.f_vector() == (7, 8)
+    assert c.v - c.e == -1
+    assert (c.v, c.e) == (7, 8)
 
 
 def test_parity_alternates_with_dimension():
@@ -76,4 +76,4 @@ def test_connection_graph_sizes():
 def test_stirling_map_doubles_f_vector_like_refinement():
     # refinement maps the f-vector (v, e) to (v + e, 2e)
     refined = build_complex(barycentric_refinement(from_spec("cycle:6")))
-    assert refined.f_vector() == (12, 12)
+    assert (refined.v, refined.e) == (12, 12)

@@ -22,6 +22,7 @@ from connlab.exact import (
     IntMatrix,
     field_reduce,
     is_prime,
+    linear_combination,
 )
 from connlab.graphs import Graph, connected_components, from_spec, induced_subgraph
 from connlab.operators import bundle_for
@@ -234,8 +235,8 @@ def test_quaternion_branch_rank(spec, expected_rank, dim):
 def test_perron_limits_on_cycle4():
     b = bundle_for(from_spec("cycle:4"))
     rep = perron_limits(b)
-    assert rep.forward_final < 1e-6
-    assert rep.backward_final < 1e-3
+    assert rep.forward_residuals[-1] < 1e-6
+    assert rep.backward_residuals[-1] < 1e-3
     assert all(x > 0 for x in rep.v)
     # the eigenvector nearest zero oscillates in sign
     assert any(x > 0 for x in rep.w) and any(x < 0 for x in rep.w)
@@ -252,7 +253,7 @@ def test_perron_limits_requires_irreducible():
     components = connected_components(disconnected)
     assert len(components) == 2
     for comp in components:
-        assert perron_limits(induced_subgraph(disconnected, comp)).forward_final < 1e-6
+        assert perron_limits(induced_subgraph(disconnected, comp)).forward_residuals[-1] < 1e-6
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
@@ -319,7 +320,7 @@ def test_signless_edge_hodge_is_twice_identity_plus_line_graph_adjacency(corpus)
     # |H1| = |d| |d|^T: 2 on the diagonal, and 1 where two edges share an end
     for spec, b in corpus.items():
         if b.e:
-            two = IntMatrix.identity(b.e).scale(2)
+            two = linear_combination((IntMatrix.identity(b.e), 2))
             assert b.hodge1_signless == two + _line_graph_adjacency(b.graph), spec
 
 
@@ -470,9 +471,10 @@ def test_automaton_orbit_steps_once_per_time(monkeypatch, n_min, n_max):
     assert rows.tolist() == [list(v) for v in _dense_orbit(Lp, gp, start, n_min, n_max)]
 
 
-def test_orbit_steps_each_direction_alone_when_the_dtypes_differ(monkeypatch):
+def test_orbit_pairs_the_directions_when_the_dtypes_differ(monkeypatch):
     # at a prime where L mod p steps in int64 and g mod p on Python ints,
-    # no step pairs them: one 25-entry state per time, n_max - n_min in all
+    # the paired step of diag(L, g) runs on Python ints: four 50-entry
+    # states for times +-1..+-4, then L alone for times 5 and 6
     b = bundle_for(from_spec("wheel:8"))
     L_sum, g_sum = (max(m.abs().row_sums()) for m in (b.connection, b.green))
     assert (L_sum, g_sum) == (12, 23)
@@ -481,7 +483,7 @@ def test_orbit_steps_each_direction_alone_when_the_dtypes_differ(monkeypatch):
     assert (Lp.step_dtype, gp.step_dtype) == (np.int64, object)
     start = tuple(range(b.size))
     rows, shapes = _counted_orbit(monkeypatch, b, start, -4, 6, p)
-    assert shapes == [(25,)] * 10 and rows.dtype == object
+    assert shapes == [(50,)] * 4 + [(25,)] * 2 and rows.dtype == object
     assert rows.tolist() == [list(v) for v in _dense_orbit(Lp, gp, start, -4, 6)]
 
 

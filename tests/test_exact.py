@@ -28,6 +28,7 @@ from connlab.exact import (
     ShapeError,
     field_reduce,
     is_prime,
+    linear_combination,
 )
 from connlab.graphs import from_spec
 from connlab.operators import bundle_for
@@ -187,7 +188,7 @@ def faddeev_leverrier(m: IntMatrix) -> IntPolynomial:
         q, r = divmod(-mk.trace(), k)
         assert r == 0, "inexact trace division in Faddeev-LeVerrier"
         coeffs_desc.append(q)
-        mk = m @ (mk + IntMatrix.identity(n).scale(q))
+        mk = m @ (mk + linear_combination((IntMatrix.identity(n), q)))
     assert mk.is_zero(), "Cayley-Hamilton check failed"
     return IntPolynomial(tuple(reversed(coeffs_desc)))
 
@@ -634,12 +635,12 @@ def test_int64_boundary_cases_stay_exact():
     # four products of 2^62, each in int64, whose sum 2^64 would wrap to 0
     c, d = IntMatrix([[2**31] * 4]), IntMatrix([[2**31]] * 4)
     assert (c @ d).rows == [[2**64]]
-    assert (c @ d.scale(-1) + c @ d).is_zero()
+    assert (c @ linear_combination((d, -1)) + c @ d).is_zero()
     # 2^62 + 2^62 = 2^63, one past the largest int64
     half = IntMatrix([[2**62, -(2**62), 0]])
     assert (half + half).rows == [[2**63, -(2**63), 0]]
-    assert (half - half.scale(-1)).rows == [[2**63, -(2**63), 0]]
-    assert (half - half).is_zero() and pairs(half + half.scale(-1)) == [[]]
+    assert (half - linear_combination((half, -1))).rows == [[2**63, -(2**63), 0]]
+    assert (half - half).is_zero() and pairs(half + linear_combination((half, -1))) == [[]]
     # 274177 * 67280421310721 = 2^64 + 1, which int64 would wrap to 1: m g
     # is diag(2^64 + 1, 1), not the identity
     m, g = IntMatrix([[274177, 0], [0, 1]]), IntMatrix([[67280421310721, 0], [0, 1]])
@@ -653,9 +654,9 @@ def test_int64_boundary_cases_stay_exact():
     b = bundle_for(from_spec("path:2"))
     n, big = b.size, 2**62
     entry = [[big] + [0] * (n - 1)] + [[0] * n for _ in range(n - 1)]
-    h, L, green = IntMatrix(entry), IntMatrix(entry).scale(-1), IntMatrix(entry)
+    h, L, green = IntMatrix(entry), linear_combination((IntMatrix(entry), -1)), IntMatrix(entry)
     b.__dict__.update(hodge_signless=h, connection=L, green=green)
-    assert operators.hydrogen_residual(b).rows == IntMatrix(entry).scale(3).rows
+    assert operators.hydrogen_residual(b).rows == linear_combination((IntMatrix(entry), 3)).rows
     assert operators.hydrogen_residual(b).max_abs() == 3 * big
 
 
@@ -683,7 +684,7 @@ def test_sums_and_reductions_run_over_the_nonzeros():
     assert pairs(b) == [[(1, -3), (2, 1)], [(2, -5)]]
     assert pairs(a + b) == [[(2, 1)], [(0, -2)]]
     assert (a - a).is_zero() and pairs(a - a) == [[], []]
-    assert pairs(a.scale(0)) == [[], []] and a.scale(-2).rows == [[0, -6, 0], [4, 0, -10]]
+    assert pairs(linear_combination((a, 0))) == [[], []] and linear_combination((a, -2)).rows == [[0, -6, 0], [4, 0, -10]]
     assert a.abs().rows == [[0, 3, 0], [2, 0, 5]]
     assert pairs(a.transpose()) == [[(1, -2)], [(0, 3)], [(1, 5)]]
     assert (a.max_abs(), a.entry_sum(), a.row_sums()) == (5, 6, [3, 3])

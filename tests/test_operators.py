@@ -14,12 +14,13 @@ import pytest
 
 import connlab.operators as operators
 from connlab.complexes import build_complex
-from connlab.exact import IntMatrix, SingularMatrixError, det
+from connlab.exact import IntMatrix, SingularMatrixError, det, linear_combination
 from connlab.graphs import Graph, betti_numbers, from_spec, parse_graph_text
 from connlab.operators import (
     OperatorBundle,
     _schur_blocks,
     bundle_for,
+    dirac_from_incidence,
     hydrogen_residual,
     green_star,
     schur_inverse,
@@ -172,7 +173,7 @@ def test_identities_on_sample(spec, sample):
     b = sample[spec]
     assert hydrogen_residual(b).max_abs() == 0
     assert b.connection_det in (1, -1)
-    assert b.green.entry_sum() == b.complex.euler_characteristic()
+    assert b.green.entry_sum() == b.v - b.e
     assert trace_report(b).ok
     assert supersymmetry_report(b).ok
 
@@ -186,19 +187,22 @@ def test_kirchhoff_equals_hodge_vertex_block(spec, sample):
 
 
 def test_orientation_invariance():
+    # the bundle orients each edge from its smaller endpoint; the Dirac
+    # builder on an incidence with every other edge flipped gives the same
+    # vertex Hodge block and signless Hodge operator
     g = from_spec("figure8")
     c = build_complex(g)
     default = OperatorBundle(c)
-    flipped = OperatorBundle(c, signs=[-1 if i % 2 else 1 for i in range(g.e)])
-    # connection, Green inverse, vertex Hodge block and the signless Hodge
-    # do not depend on edge orientations
-    assert flipped.connection.rows == default.connection.rows
-    assert flipped.green.rows == default.green.rows
-    assert flipped.hodge0.rows == default.hodge0.rows
-    assert flipped.hodge_signless.rows == default.hodge_signless.rows
+    d0 = dense_incidence_signed(c, [-1 if i % 2 else 1 for i in range(g.e)])
+    dirac, signless = dirac_from_incidence(d0), dirac_from_incidence(dense_abs(d0))
+    hodge = dirac @ dirac
+    assert hodge.block(0, c.v, 0, c.v).rows == default.hodge0.rows
+    assert (signless @ signless).rows == default.hodge_signless.rows
     # the signed edge block changes, but only by a diagonal conjugation,
     # so characteristic polynomials agree
-    assert charpoly(flipped.hodge1).coeffs == charpoly(default.hodge1).coeffs
+    hodge1 = hodge.block(c.v, c.size, c.v, c.size)
+    assert hodge1 != default.hodge1
+    assert charpoly(hodge1).coeffs == charpoly(default.hodge1).coeffs
 
 
 def test_signless_hodge_is_entrywise_abs():
@@ -217,8 +221,9 @@ def test_hodge_matches_dirac_square_on_corpus(corpus):
     for spec, b in corpus.items():
         assert b.hodge == dense_matmul(b.dirac, b.dirac), spec
         assert b.hodge_signless == dense_matmul(b.dirac_signless, b.dirac_signless), spec
-        flipped = OperatorBundle(b.complex, signs=[rng.choice((-1, 1)) for _ in range(b.e)])
-        assert flipped.hodge == dense_matmul(flipped.dirac, flipped.dirac), spec
+        signs = [rng.choice((-1, 1)) for _ in range(b.e)]
+        flipped = dirac_from_incidence(dense_incidence_signed(b.complex, signs))
+        assert flipped @ flipped == dense_matmul(flipped, flipped), spec
 
 
 def test_connection_matrix_matches_pairwise_intersection(corpus):
@@ -338,9 +343,9 @@ def test_hydrogen_residual_matches_dense_expression_on_corpus(corpus):
         assert hydrogen_residual(b) == dense, spec
     b = bundle_for(from_spec("wheel:5"))
     broken = OperatorBundle(b.complex)
-    broken.__dict__["green"] = b.green.scale(2)
+    broken.__dict__["green"] = linear_combination((b.green, 2))
     residual = hydrogen_residual(broken)
-    assert residual == b.hodge_signless - (b.connection - b.green.scale(2))
+    assert residual == b.hodge_signless - (b.connection - linear_combination((b.green, 2)))
     assert residual == b.green and not residual.is_zero()
 
 
@@ -420,7 +425,7 @@ def test_nonzeros_are_collected_once_per_operator(monkeypatch):
     # with, and bounds never forms g
     for run, made in (
         (lambda: _verify_checks(bundle_for(g)), (1, 2)),
-        (lambda: bounds_report(g, ks=(1, 2, 3)), (1, 0)),
+        (lambda: bounds_report(g), (1, 0)),
         (lambda: perron_limits(g), (1, 1)),
     ):
         builds.clear()
@@ -600,14 +605,13 @@ def _assert_same(m, oracle, label):
 
 def test_sparse_builders_match_their_dense_oracles_on_corpus(corpus):
     # every builder writes its compressed rows directly; tests/oracles.py
-    # writes the same operators entry by entry into dense rows, under the
-    # default and a seeded random orientation
+    # writes the same operators entry by entry into dense rows.  The Dirac
+    # builder and its square are also checked under a seeded random
+    # orientation, from the flipped dense incidence
     rng = random.Random(2113)
-    for spec, corpus_bundle in corpus.items():
-        signs = [rng.choice((-1, 1)) for _ in range(corpus_bundle.e)]
-        b = OperatorBundle(corpus_bundle.complex, signs=signs)
+    for spec, b in corpus.items():
         c = b.complex
-        d0 = dense_incidence_signed(c, signs)
+        d0 = dense_incidence_signed(c)
         d0abs = dense_abs(d0)
         kirchhoff = dense_kirchhoff(c.graph)
         green = dense_green_star(c)
@@ -628,6 +632,10 @@ def test_sparse_builders_match_their_dense_oracles_on_corpus(corpus):
         _assert_same(schur_inverse(b.connection, b.v), green, (spec, "schur_inverse"))
         _assert_same(hydrogen_residual(b), dense_hydrogen_residual(b), (spec, "hydrogen_residual"))
         assert pairs(hydrogen_residual(b)) == [[]] * b.size, spec
+        flipped = dense_incidence_signed(c, [rng.choice((-1, 1)) for _ in range(b.e)])
+        dirac = dirac_from_incidence(flipped)
+        _assert_same(dirac, dense_dirac(flipped), (spec, "flipped dirac"))
+        _assert_same(dirac @ dirac, dense_hodge(flipped), (spec, "flipped hodge"))
 
 
 def _same_csr(a: IntMatrix, b: IntMatrix) -> bool:
@@ -690,5 +698,5 @@ def test_bundle_certifies_at_24840_cells_without_a_dense_view(monkeypatch):
     g = b.green  # certified against L over the nonzeros, or ArithmeticError
     assert b.connection_det in (1, -1) and b.connection_det == (-1) ** b.e
     assert hydrogen_residual(b).is_zero()
-    assert b.green.entry_sum() == b.complex.euler_characteristic()
+    assert b.green.entry_sum() == b.v - b.e
     assert g.nnz < 10 * b.size

@@ -9,6 +9,7 @@ and checks that every per-layer metric BENCHMARK.json declares comes back.
 
 import ast
 import importlib.util
+import inspect
 import json
 from pathlib import Path
 from types import ModuleType
@@ -288,8 +289,9 @@ KEEP = {
 }
 
 
-def _top_level(tree: ast.Module) -> dict[str, ast.stmt]:
-    """Each function, class and assigned name at a module's top level."""
+def _top_level(tree: ast.Module | ast.ClassDef) -> dict[str, ast.stmt]:
+    """Each function, class and assigned name at a module's top level, or
+    in a class's body."""
     defs = {}
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -344,7 +346,9 @@ def _reachable(roots: set[tuple[str, str]], defs: dict, imports: dict) -> set[tu
     return seen
 
 
-def _unreached(package: Path, script: Path, keep) -> list[str]:
+def _reached(package: Path, script: Path, keep):
+    """(defs, imports, the script's tree, the definitions reached from
+    cli.main, every cmd_*, the script and keep) of a package."""
     trees = {p.stem: ast.parse(p.read_text()) for p in package.glob("*.py")}
     defs = {m: _top_level(t) for m, t in trees.items()}
     imports = {m: _package_imports(t) for m, t in trees.items()}
@@ -353,7 +357,11 @@ def _unreached(package: Path, script: Path, keep) -> list[str]:
     roots = {("cli", "main")} | {("cli", n) for n in defs["cli"] if n.startswith("cmd_")}
     roots |= {script_imports[name] for name in _loaded(script_tree) if name in script_imports}
     roots |= {tuple(k.split(".")) for k in keep}
-    seen = _reachable(roots, defs, imports)
+    return defs, imports, script_tree, _reachable(roots, defs, imports)
+
+
+def _unreached(package: Path, script: Path, keep) -> list[str]:
+    defs, _, _, seen = _reached(package, script, keep)
     return sorted(f"{m}.{n}" for m, d in defs.items() for n in d if (m, n) not in seen)
 
 
@@ -389,6 +397,159 @@ def test_a_name_only_bound_reaches_nothing(tmp_path):
         "from .report import Report, total\n\n\ndef main():\n    return Report(total([1]))\n"
     )
     assert _unreached(package, script, ()) == []
+
+
+# Class members that no reached code reads, each kept for the reason given
+KEEP_MEMBERS = {
+    "cli._Parser.error": "argparse calls it to report a bad command line",
+}
+
+
+def _dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+def _methods(cls: ast.ClassDef) -> dict[str, ast.stmt]:
+    return {n.name: n for n in cls.body if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))}
+
+
+def _members(cls: ast.ClassDef) -> set[str]:
+    """The members a class defines, but the dunder ones that syntax calls:
+    its methods and properties, the names its body assigns (dataclass
+    fields among them) and the attributes its methods set on self."""
+    names = set(_top_level(cls)) | {
+        n.attr
+        for n in ast.walk(cls)
+        if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Store)
+        and isinstance(n.value, ast.Name) and n.value.id == "self"
+    }
+    return {name for name in names if not _dunder(name)}
+
+
+def _attributes_read(node: ast.AST) -> set[str]:
+    return {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+
+
+def _unread_members(package: Path, script: Path, keep, keep_members) -> list[str]:
+    """module.Class.member for each member of a reached class that no code
+    run from cli.main, a cmd_*, the script or keep reads, and keep_members
+    does not name.  A read is an attribute load of the member's name, on any
+    object; a method or property runs only once its name is read, so what
+    only unread members read is unread too (a fixed point).  The fields
+    that a keep definition fills when it builds a class count as read: a
+    kept definition is there for library callers, who read what it returns."""
+    defs, imports, script_tree, seen = _reached(package, script, keep)
+    classes = {(m, n): defs[m][n] for m, n in seen if isinstance(defs[m][n], ast.ClassDef)}
+    members = {(m, c, name) for (m, c), cls in classes.items() for name in _members(cls)}
+    # what runs without a member being read: the script, each reached
+    # definition but a class, and a class's body but its non-dunder methods
+    todo = [script_tree] + [defs[m][n] for m, n in seen if (m, n) not in classes]
+    for cls in classes.values():
+        todo += cls.bases + cls.decorator_list
+        todo += [n for n in cls.body if not isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef)) or _dunder(n.name)]
+    read: set[str] = set()
+    while todo:
+        new = set().union(*map(_attributes_read, todo)) - read
+        read |= new
+        todo = [_methods(cls)[name] for cls in classes.values() for name in new & set(_methods(cls))]
+    filled = set()
+    for m, n in (tuple(k.split(".")) for k in keep):
+        built = {c.func.id for c in ast.walk(defs[m][n]) if isinstance(c, ast.Call) and isinstance(c.func, ast.Name)}
+        for name in built:
+            key = (m, name) if name in defs[m] else imports[m].get(name)
+            if key in classes:
+                filled |= {
+                    (*key, node.target.id) for node in classes[key].body
+                    if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)
+                }
+    return sorted(
+        f"{m}.{c}.{name}"
+        for m, c, name in members
+        if name not in read and (m, c, name) not in filled and f"{m}.{c}.{name}" not in keep_members
+    )
+
+
+def test_every_member_is_read_from_the_cli_the_script_or_keep():
+    # item 9's rule one level down: a class member stays only when code run
+    # from the CLI, scripts/newton_perturbation_sweep.py or KEEP reads it,
+    # or KEEP_MEMBERS names it with its reason; what only tests read, they
+    # read through the primitive behind it
+    package, script = ROOT / "src" / "connlab", ROOT / "scripts" / "newton_perturbation_sweep.py"
+    assert _unread_members(package, script, KEEP, KEEP_MEMBERS) == []
+    # no KEEP_MEMBERS entry is stale
+    assert set(KEEP_MEMBERS) <= set(_unread_members(package, script, KEEP, {}))
+
+
+def test_a_member_only_a_test_reads_is_unread(tmp_path):
+    package = tmp_path / "package"
+    package.mkdir()
+    (package / "shapes.py").write_text(
+        "from dataclasses import dataclass\n\n\n"
+        "@dataclass\nclass Box:\n    side: int\n    unit: str = 'm'\n\n"
+        "    def area(self):\n        return self.side * self.side\n\n"
+        "    def perimeter(self):\n        return 4 * self.side\n\n"
+        "    def describe(self):\n        return f'{self.area()} {self.unit}'\n\n\n"
+        "def unit_box():\n    return Box(1, 'cm')\n"
+    )
+    (package / "cli.py").write_text("from .shapes import Box\n\n\ndef main():\n    return Box(2).area()\n")
+    script = tmp_path / "script.py"
+    script.write_text("print(0)\n")
+    # a test reads perimeter, but tests are not among the readers
+    (tmp_path / "test_shapes.py").write_text("from package.shapes import Box\n\nassert Box(1).perimeter() == 4\n")
+    # unit is read only by describe, which nothing reads
+    assert _unread_members(package, script, (), {}) == [
+        "shapes.Box.describe", "shapes.Box.perimeter", "shapes.Box.unit"
+    ]
+    assert _unread_members(package, script, (), {"shapes.Box.perimeter": "why"}) == [
+        "shapes.Box.describe", "shapes.Box.unit"
+    ]
+    # a kept definition fills every field of the Box it returns
+    assert _unread_members(package, script, {"shapes.unit_box"}, {}) == ["shapes.Box.describe", "shapes.Box.perimeter"]
+
+
+def test_no_parameter_holds_a_value_no_caller_changes():
+    # each parameter below took one value at every call in src/ and the
+    # script: it is gone, or required where both values are needed, and a
+    # union that no caller used both halves of is one type
+    def parameters(f):
+        return inspect.signature(f).parameters
+
+    assert "seed" not in parameters(connlab.graphs.from_spec)
+    assert "ks" not in parameters(connlab.spectra.bounds_report)
+    assert "trials" not in parameters(cli._report_sparse_random)
+    assert "signs" not in parameters(connlab.OperatorBundle)
+    assert "signs" not in parameters(connlab.operators.incidence_signed)
+    assert "pattern" not in parameters(connlab.newton.exact_jacobian_at_connection)
+    assert parameters(connlab.newton.verify_support)["inverse_pattern"].default is inspect.Parameter.empty
+    assert parameters(connlab.spectra.eig_sym)["m"].annotation == "IntMatrix"
+    solve = parameters(connlab.newton.solve_hydrogen)
+    assert (solve["K"].annotation, solve["L0"].annotation) == ("np.ndarray", "IntMatrix")
+    assert parameters(connlab.newton.verify_support)["X"].annotation == "np.ndarray"
+    assert not hasattr(connlab.spectra, "_as_array") and not hasattr(connlab.newton, "_as_float")
+
+
+def _unused_imports(text: str) -> list[str]:
+    """The names a module imports and never reads; a name that its __all__
+    lists is read by star imports."""
+    tree = ast.parse(text)
+    imported, exported = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {a.asname or a.name.partition(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {a.asname or a.name for a in node.names}
+        elif isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            exported |= {e.value for e in node.value.elts}
+    return sorted(imported - _loaded(tree) - exported)
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    files = [p for d in ("src/connlab", "tests", "scripts") for p in sorted((ROOT / d).glob("*.py"))]
+    unused = {str(p.relative_to(ROOT)): _unused_imports(p.read_text()) for p in files}
+    assert {name: names for name, names in unused.items() if names} == {}
+    # the check sees a plain, a dotted, an aliased and an exported import
+    probe = "import os\nimport a.b\nfrom x import y as z, w\n__all__ = ['w']\nprint(a.b)\n"
+    assert _unused_imports(probe) == ["os", "z"]
 
 
 def test_each_job_has_one_entry_point():
