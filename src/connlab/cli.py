@@ -91,7 +91,10 @@ def _print_pretty(rows: Sequence[Sequence], header: Sequence[str]) -> None:
 
 def _load_graph_arg(arg: str) -> Graph:
     if os.path.exists(arg):
-        g, _ = load_graph(arg)
+        try:
+            g, _ = load_graph(arg)
+        except (OSError, UnicodeDecodeError) as exc:  # a directory, unreadable or not UTF-8
+            raise UsageError(f"cannot read graph file {arg!r}: {exc}") from None
         if not g.name:
             g = g.with_name(os.path.basename(arg))
         return g

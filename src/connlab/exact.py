@@ -17,7 +17,9 @@ det, as the dense product in tests/oracles.py is for L g = I and for @.
 
 An IntMatrix stores its nonzero entries one way, as compressed rows:
 IntMatrix.csr holds indptr, the columns row by row and the values as numpy
-arrays, and every constructor and operation sets them.  IntMatrix.rows
+arrays.  Every matrix is built by from_csr, from_triplets or an operation,
+each of which sets them; no constructor reads dense rows (the tests build
+their fixtures from dense rows through from_triplets).  IntMatrix.rows
 builds fresh dense lists on every read.  Values are held in int64 while
 every one has absolute value below 2^63, else as Python ints (object
 arrays).  An operation computes in int64 only while a bound keeps every
@@ -105,39 +107,16 @@ class IntMatrix:
     `csr` is (indptr, cols, values): row i's columns are cols[indptr[i]:
     indptr[i+1]], increasing, and its nonzero entries the values there, in
     int64 when every one has absolute value below 2^63, else as Python
-    ints, so entries never overflow.  Every constructor sets it: dense rows,
-    from_csr, from_triplets and every operation.  The shape is stored
-    explicitly, so 0-row and 0-column matrices round-trip.  `rows` builds
-    fresh dense lists of Python ints on every read, so writing into them
-    never changes the matrix.
+    ints, so entries never overflow.  Every matrix comes from from_csr,
+    from_triplets or an operation, and each sets it; no constructor takes
+    dense rows.  The shape is stored explicitly, so 0-row and 0-column
+    matrices round-trip.  `rows` builds fresh dense lists of Python ints on
+    every read, so writing into them never changes the matrix.
     """
 
     # csr is the one store of the entries; _rows (the row of each entry),
     # _plan and _largest are caches derived from it
     __slots__ = ("nrows", "ncols", "csr", "_rows", "_plan", "_largest")
-
-    def __init__(self, rows: Sequence[Sequence[int]], ncols: int | None = None):
-        rows = list(rows)
-        self.nrows = len(rows)
-        if self.nrows:
-            self.ncols = len(rows[0])
-            if any(len(r) != self.ncols for r in rows):
-                raise ShapeError("ragged rows")
-            if ncols is not None and ncols != self.ncols:
-                raise ShapeError("declared column count does not match rows")
-        else:
-            if ncols is None:
-                raise ShapeError("empty matrix needs an explicit column count")
-            self.ncols = ncols
-        try:
-            dense = np.array(rows, dtype=np.int64)
-        except OverflowError:  # entries past int64 are kept as Python ints
-            dense = np.array([list(map(int, r)) for r in rows], dtype=object)
-        dense = dense.reshape(self.nrows, self.ncols)
-        where, cols = dense.nonzero()
-        indptr = np.searchsorted(where, np.arange(self.nrows + 1))
-        self.csr = (indptr, cols, _narrowed(dense[where, cols]))
-        self._rows = self._plan = self._largest = None
 
     # -- constructors ------------------------------------------------------
 
@@ -542,21 +521,15 @@ class FieldMatrix(IntMatrix):
     """IntMatrix over F_p: entries reduced to 0..p-1 and kept reduced, so
     the entries that are 0 mod p are not stored.
 
-    Shape handling and storage are IntMatrix's; dense rows are reduced
-    through from_csr, as field_reduce does.  Identity, equality, products,
-    mat-vecs and differences are the IntMatrix operations followed by
-    reduction mod p; the other operations (+, transpose, kron, ...) return
-    a plain, unreduced IntMatrix.
+    Shape handling, storage and equality are IntMatrix's, so equality
+    compares the entries and not p; every FieldMatrix comes from from_csr,
+    which field_reduce and block_diagonal call.  Products and mat-vecs are
+    the IntMatrix operations followed by reduction mod p; the other
+    operations (+, -, transpose, kron, ...) return a plain, unreduced
+    IntMatrix.
     """
 
     __slots__ = ("p",)
-
-    def __init__(self, rows: Sequence[Sequence[int]], p: int, ncols: int | None = None):
-        if not is_prime(p):
-            raise ValueError(f"{p} is not prime")
-        super().__init__(rows, ncols)
-        self.p = p
-        self.csr = FieldMatrix.from_csr(*self.csr, self.nrows, self.ncols, p).csr
 
     @classmethod
     def from_csr(cls, indptr, cols, values, nrows: int, ncols: int, p: int) -> "FieldMatrix":
@@ -572,13 +545,7 @@ class FieldMatrix(IntMatrix):
         m.p = p
         return m
 
-    @classmethod
-    def identity(cls, n: int, p: int) -> "FieldMatrix":
-        return field_reduce(IntMatrix.identity(n), p)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, FieldMatrix) and self.p == other.p and super().__eq__(other)
-
+    # perfbench/tracing.py wraps __matmul__ and apply from each class's own __dict__
     def __matmul__(self, other: "FieldMatrix") -> "FieldMatrix":
         if self.p != other.p:
             raise ValueError("mixed moduli")
@@ -611,11 +578,6 @@ class FieldMatrix(IntMatrix):
     def apply(self, vec: Sequence[int]) -> tuple[int, ...]:
         p = self.p
         return tuple(self.step([x % p for x in vec]).tolist())
-
-    def __sub__(self, other: "FieldMatrix") -> "FieldMatrix":
-        if self.p != other.p:
-            raise ShapeError("modulus mismatch")
-        return field_reduce(super().__sub__(other), self.p)
 
 
 def field_reduce(m: IntMatrix, p: int) -> FieldMatrix:

@@ -335,16 +335,6 @@ _SIZES = {
 MAX_SPEC_CELLS = 10**6  # vertices plus edges of the largest graph a spec or graph file may give
 
 
-def from_spec(spec: str) -> Graph:
-    """Parse an inline generator spec such as 'cycle:8', 'grid:6,3',
-    'gnm:20,50:seed=7', or 'bary:cycle:4' (barycentric refinement prefix).
-
-    A spec whose graph would have more than MAX_SPEC_CELLS vertices plus
-    edges is rejected from its parameters, before anything is built.
-    """
-    return _from_spec(spec, 0)
-
-
 def _number(token: str) -> int | float:
     """token as an int when it reads as one, else as a float (4e0, 1e-1)."""
     try:
@@ -353,11 +343,19 @@ def _number(token: str) -> int | float:
         return float(token)
 
 
-def _from_spec(spec: str, refinements: int) -> Graph:
-    """from_spec of a spec that had `refinements` bary: prefixes taken off."""
+def from_spec(spec: str) -> Graph:
+    """Parse an inline generator spec such as 'cycle:8', 'grid:6,3',
+    'gnm:20,50:seed=7', or 'bary:cycle:4' (barycentric refinement prefix).
+
+    A spec whose graph would have more than MAX_SPEC_CELLS vertices plus
+    edges is rejected from its parameters, before anything is built.  The
+    bary: prefixes are taken off in a loop, so their number has no limit
+    but the cap.
+    """
+    refinements = 0
+    while spec.strip().startswith("bary:"):
+        spec, refinements = spec.strip()[5:], refinements + 1
     text = spec.strip()
-    if text.startswith("bary:"):
-        return barycentric_refinement(_from_spec(text[5:], refinements + 1))
     parts = text.split(":")
     family = parts[0]
     params: tuple[int | float, ...] = ()
@@ -380,7 +378,10 @@ def _from_spec(spec: str, refinements: int) -> Graph:
         if n + e > MAX_SPEC_CELLS:
             full = "bary:" * refinements + text
             raise GraphError(f"spec {full!r} has {n + e} cells, above the cap of {MAX_SPEC_CELLS}")
-    return generate(family, *params, seed=seed)
+    g = generate(family, *params, seed=seed)
+    for _ in range(refinements):
+        g = barycentric_refinement(g)
+    return g
 
 
 # ---------------------------------------------------------------------------

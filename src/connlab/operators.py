@@ -18,18 +18,22 @@ with w = (-1)^dim, then certified by _is_inverse: the sparse product L @ g
 against the identity (products certifies kron(g_A, g_B) the same way).
 OperatorBundle.green is the one source of L^-1 outside the oracles, over
 the integers and, reduced mod p, over F_p: verify compares it with
-schur_inverse.
+OperatorBundle.schur_inverse().
 
 det L comes from the Schur complement of the vertex block: L = [[I_v, B^T],
 [B, C]] with B the edge-vertex containment matrix, so det L = det(C - B B^T),
 summed over each vertex's incident edges and read off as the product of its
 diagonal (it is -I_e for every graph).  Bareiss elimination (exact.det) is
-the test oracle for this route.  schur_inverse, verify's oracle for g,
-is the block inverse from the same complement, read from L's entries alone.
-schur_reciprocity_sign certifies that charpoly(L^2) is reciprocal with
-sign (-1)^n, in O(nnz), from L == L^T and C - B B^T = -I_e: spec(L^2) is
-then closed under x -> 1/x.  verify and product read reciprocity from it;
-the multimodular charpoly in tests/oracles.py is its differential oracle.
+the test oracle for this route.  The Schur certificate has one way in, the
+bundle: OperatorBundle.schur forms the blocks once, connection_det
+multiplies S's diagonal, schur_inverse() (verify's oracle for g) is the
+block inverse read from L's entries alone, and reciprocity_sign certifies
+that charpoly(L^2) is reciprocal with sign (-1)^n, in O(nnz), from
+L == L^T and C - B B^T = -I_e: spec(L^2) is then closed under x -> 1/x.
+verify and product read reciprocity from it; the multimodular charpoly in
+tests/oracles.py is its differential oracle, and the tests reach the
+certificate on an edited L by setting a bundle's connection before its
+first read.
 
 Every builder here emits (row, column, value) triplets from the complex's
 edge array and hands them to IntMatrix.from_triplets, or writes the
@@ -42,11 +46,11 @@ each with the block-diagonal d0^T d0 (+) d0 d0^T of Gram products formed
 from d0 itself, so a fault in the Dirac assembly that changes its square,
 or a fault in IntMatrix.block, fails verify.  L @ g = I, the Schur
 complement [W C] @ [[-U], [I]] and the hydrogen residual (one sum of the
-signed triplets of |H|, L and g) go through the same kernel; the bundle
-forms its Schur blocks once for det L, reciprocity and schur_inverse.  The
+signed triplets of |H|, L and g) go through the same kernel.  The
 test suite keeps the dense product and the dense builders
 (tests/oracles.py) as the oracles.  The signless incidence and Kirchhoff
-matrices are the entrywise abs of the signed ones.  The signed operators
+matrices are the entrywise abs of the signed ones, read off the bundle's
+cached signed incidence and Kirchhoff matrix.  The signed operators
 have the one orientation of d0 above; H0 and |H| do not depend on it,
 which the tests check on other orientations, built by dirac_from_incidence
 from a flipped dense incidence.
@@ -70,7 +74,6 @@ from .complexes import Complex, build_complex, sphere_chi
 from .exact import (
     FieldMatrix,
     IntMatrix,
-    ShapeError,
     SingularMatrixError,
     field_reduce,
     linear_combination,
@@ -158,94 +161,6 @@ def _is_inverse(m: IntMatrix, g: IntMatrix) -> bool:
     return m.is_square() and g.shape == m.shape and m @ g == IntMatrix.identity(m.nrows)
 
 
-def _schur_blocks(m: IntMatrix, v: int) -> tuple[IntMatrix, IntMatrix, list[int]]:
-    """(U, W, diagonal of S) for m = [[I_v, U], [W, C]], S = C - W U.
-
-    S is one sparse product, [W C] @ [[-U], [I]]: each row of S subtracts
-    the U rows at its W entries (for L, the two vertices of an edge).
-    Raises ArithmeticError unless the leading v x v block is exactly the
-    identity and S is diagonal.
-    """
-    if not m.is_square() or not 0 <= v <= m.nrows:
-        raise ShapeError(f"no {v}x{v} leading block in a {m.shape} matrix")
-    n, e = m.nrows, m.nrows - v
-    if m.block(0, v, 0, v) != IntMatrix.identity(v):
-        raise ArithmeticError("vertex block is not the identity")
-    u, w = m.block(0, v, v, n), m.block(v, n, 0, v)
-    indptr, cols, values = u.csr
-    lift = IntMatrix.from_csr(
-        np.concatenate((indptr, indptr[-1] + np.arange(1, e + 1))),
-        np.concatenate((cols, np.arange(e))),
-        np.concatenate((-values, np.ones(e, dtype=np.int64))),
-        n, e,
-    )
-    rows, cols, values = (m.block(v, n, 0, n) @ lift).triplets()
-    if (rows != cols).any():
-        raise ArithmeticError("Schur complement of the vertex block is not diagonal")
-    s = np.zeros(e, dtype=values.dtype)
-    s[rows] = values
-    return u, w, s.tolist()
-
-
-def schur_reciprocity_sign(m: IntMatrix, v: int) -> int | None:
-    """(-1)^n, the sign s with x^n p(1/x) = s p(x) for p = charpoly(m @ m),
-    when m = [[I_v, U], [W, C]] has W = U^T and S = C - W U = -I; None
-    otherwise, also when the vertex block is not I or S is not diagonal.
-    C = S + U^T U is then symmetric, so these ask for m == m^T and S = -I.
-
-    The certificate is sufficient, not necessary.  For a singular triple
-    (sigma, a, b) of U, m acts on span{(a, 0), (0, b)} as [[1, sigma],
-    [sigma, sigma^2 - 1]], of determinant -1, so with eigenvalues lambda
-    and -1/lambda; it is 1 on (ker U^T, 0) and -1 on (0, ker U).  So
-    spec(m @ m) is closed under x -> 1/x with multiplicity and det m^2 = 1,
-    which makes charpoly(m @ m) reciprocal with sign (-1)^n.  O(nnz).
-    """
-    try:
-        blocks = _schur_blocks(m, v)
-    except ArithmeticError:
-        return None
-    return _reciprocity_sign(blocks, m.nrows)
-
-
-def _reciprocity_sign(blocks: tuple[IntMatrix, IntMatrix, list[int]], n: int) -> int | None:
-    u, w, s = blocks
-    if any(x != -1 for x in s) or w != u.transpose():
-        return None
-    return -1 if n % 2 else 1
-
-
-def schur_inverse(m: IntMatrix, v: int) -> IntMatrix:
-    """m^-1 = [[I + U S^-1 W, -U S^-1], [-S^-1 W, S^-1]] for m = [[I_v, U],
-    [W, C]] with S = C - W U diagonal, from the triplets of U, W and the
-    sparse product U S^-1 W.
-
-    Read from m's entries alone.  Raises SingularMatrixError when S has a 0
-    on its diagonal and ValueError when an entry there is not +-1, that is
-    when m has no integer inverse.
-    """
-    return _block_inverse(_schur_blocks(m, v), v)
-
-
-def _block_inverse(blocks: tuple[IntMatrix, IntMatrix, list[int]], v: int) -> IntMatrix:
-    u, w, s = blocks
-    if any(x not in (1, -1) for x in s):
-        error = SingularMatrixError if 0 in s else ValueError
-        raise error(f"no integer inverse: Schur complement diagonal {sorted(set(s))}")
-    n = v + len(s)
-    s = np.array(s, dtype=np.int64)  # S^-1 = S
-    ur, uc, ua = u.triplets()
-    wr, wc, wa = w.triplets()
-    us = IntMatrix.from_csr(u.csr[0], uc, ua * s[uc], v, n - v)
-    usw_rows, usw_cols, usw = (us @ w).triplets()
-    vertices, edges = np.arange(v), np.arange(v, n)
-    return IntMatrix.from_triplets(
-        np.concatenate((vertices, usw_rows, ur, wr + v, edges)),
-        np.concatenate((vertices, usw_cols, uc + v, wc, edges)),
-        np.concatenate((np.ones(v, dtype=np.int64), usw, -us.csr[2], -s[wr] * wa, s)),
-        n, n,
-    )
-
-
 class OperatorBundle:
     """Every operator of one complex, computed on demand and cached.
 
@@ -282,7 +197,7 @@ class OperatorBundle:
 
     @cached_property
     def incidence_signless(self) -> IntMatrix:
-        return incidence_signed(self.complex).abs()
+        return self.incidence.abs()
 
     @cached_property
     def dirac(self) -> IntMatrix:
@@ -354,10 +269,31 @@ class OperatorBundle:
 
     @cached_property
     def schur(self) -> tuple[IntMatrix, IntMatrix, list[int]]:
-        """(U, W, diagonal of S) for L = [[I, U], [W, C]], S = C - W U,
-        formed once for connection_det, reciprocity_sign and
-        schur_inverse; raises ArithmeticError as _schur_blocks does."""
-        return _schur_blocks(self.connection, self.v)
+        """(U, W, diagonal of S) for L = [[I_v, U], [W, C]], S = C - W U,
+        formed once for connection_det, reciprocity_sign and schur_inverse.
+
+        S is one sparse product, [W C] @ [[-U], [I]]: each row of S
+        subtracts the U rows at its W entries, the two vertices of an edge.
+        Raises ArithmeticError unless the vertex block is exactly the
+        identity and S is diagonal.
+        """
+        m, v, e, n = self.connection, self.v, self.e, self.size
+        if m.block(0, v, 0, v) != IntMatrix.identity(v):
+            raise ArithmeticError("vertex block is not the identity")
+        u, w = m.block(0, v, v, n), m.block(v, n, 0, v)
+        indptr, cols, values = u.csr
+        lift = IntMatrix.from_csr(
+            np.concatenate((indptr, indptr[-1] + np.arange(1, e + 1))),
+            np.concatenate((cols, np.arange(e))),
+            np.concatenate((-values, np.ones(e, dtype=np.int64))),
+            n, e,
+        )
+        rows, cols, values = (m.block(v, n, 0, n) @ lift).triplets()
+        if (rows != cols).any():
+            raise ArithmeticError("Schur complement of the vertex block is not diagonal")
+        s = np.zeros(e, dtype=values.dtype)
+        s[rows] = values
+        return u, w, s.tolist()
 
     @cached_property
     def connection_det(self) -> int:
@@ -365,16 +301,53 @@ class OperatorBundle:
 
     @cached_property
     def reciprocity_sign(self) -> int | None:
-        """schur_reciprocity_sign of L, read from the bundle's Schur blocks."""
+        """(-1)^n, the sign s with x^n p(1/x) = s p(x) for p = charpoly(L @ L),
+        when W = U^T and S = -I; None otherwise, also when the vertex block
+        is not I or S is not diagonal.  C = S + U^T U is then symmetric, so
+        these ask for L == L^T and S = -I.
+
+        The certificate is sufficient, not necessary.  For a singular triple
+        (sigma, a, b) of U, L acts on span{(a, 0), (0, b)} as [[1, sigma],
+        [sigma, sigma^2 - 1]], of determinant -1, so with eigenvalues lambda
+        and -1/lambda; it is 1 on (ker U^T, 0) and -1 on (0, ker U).  So
+        spec(L @ L) is closed under x -> 1/x with multiplicity and
+        det L^2 = 1, which makes charpoly(L @ L) reciprocal with sign
+        (-1)^n.  O(nnz).
+        """
         try:
-            blocks = self.schur
+            u, w, s = self.schur
         except ArithmeticError:
             return None
-        return _reciprocity_sign(blocks, self.size)
+        if any(x != -1 for x in s) or w != u.transpose():
+            return None
+        return -1 if self.size % 2 else 1
 
     def schur_inverse(self) -> IntMatrix:
-        """schur_inverse of L, from the bundle's Schur blocks."""
-        return _block_inverse(self.schur, self.v)
+        """L^-1 = [[I + U S^-1 W, -U S^-1], [-S^-1 W, S^-1]], from the
+        triplets of U, W and the sparse product U S^-1 W: verify's oracle for
+        green, read from L's entries alone.
+
+        Raises SingularMatrixError when S has a 0 on its diagonal and
+        ValueError when an entry there is not +-1, that is when L has no
+        integer inverse.
+        """
+        u, w, s = self.schur
+        if any(x not in (1, -1) for x in s):
+            error = SingularMatrixError if 0 in s else ValueError
+            raise error(f"no integer inverse: Schur complement diagonal {sorted(set(s))}")
+        v, e, n = self.v, self.e, self.size
+        s = np.array(s, dtype=np.int64)  # S^-1 = S
+        ur, uc, ua = u.triplets()
+        wr, wc, wa = w.triplets()
+        us = IntMatrix.from_csr(u.csr[0], uc, ua * s[uc], v, e)
+        usw_rows, usw_cols, usw = (us @ w).triplets()
+        vertices, edges = np.arange(v), np.arange(v, n)
+        return IntMatrix.from_triplets(
+            np.concatenate((vertices, usw_rows, ur, wr + v, edges)),
+            np.concatenate((vertices, usw_cols, uc + v, wc, edges)),
+            np.concatenate((np.ones(v, dtype=np.int64), usw, -us.csr[2], -s[wr] * wa, s)),
+            n, n,
+        )
 
     def reduced(self, name: str, p: int) -> FieldMatrix:
         """The operator of that name (connection, green, ...) reduced mod p,

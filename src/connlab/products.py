@@ -12,8 +12,9 @@ product_checks verifies both: once per product, the Kronecker assembly is
 compared entry by entry against an independent intersection-rule
 construction over the cells, and the spectra are compared against pairwise
 products and sums.  charpoly(L^2) is reciprocal with sign (-1)^(n_A n_B)
-once both factors pass operators.schur_reciprocity_sign, since the squared
-product spectrum is the pairwise products of two inversion-closed ones.
+once both factors pass their bundle's Schur certificate
+(OperatorBundle.reciprocity_sign), since the squared product spectrum is
+the pairwise products of two inversion-closed ones.
 The product inverse is kron(g_A, g_B) of the factors' certified Green
 matrices, itself certified by the sparse product L @ X = I.
 The energy theorem survives the product (the total sum of L^-1 entries is

@@ -1,9 +1,14 @@
 """Slow exact routines kept as test oracles for the fast routes in src/.
 
+from_rows is how the tests write a matrix: dense rows, whose nonzero
+entries IntMatrix.from_triplets stores, reduced mod p by field_reduce when
+a prime is given.  The package has no dense-rows constructor; every matrix
+there comes from from_csr, from_triplets or an operation.
+
 inverse_unimodular is a fraction-free Gauss-Jordan inverse, O(n^3) on big
-integers.  The Schur-complement block inverse (operators.schur_inverse), the
-star-formula Green matrix, kron(g_A, g_B) for products and the backward
-walks are compared with it.
+integers.  The Schur-complement block inverse
+(OperatorBundle.schur_inverse()), the star-formula Green matrix,
+kron(g_A, g_B) for products and the backward walks are compared with it.
 
 field_inverse is Gauss-Jordan elimination over F_p, O(n^3) time and n^2
 memory.  verify --field reduces the certified integer hydrogen residual
@@ -22,8 +27,8 @@ remaindering past a Hadamard coefficient bound (_coefficient_bound) and
 certified against one Bareiss determinant.  graeffe squares its roots and
 reciprocal_sign reads the sign s with x^n p(1/x) = s p(x), so
 reciprocal_sign(graeffe(charpoly(L))) is the route verify and product took
-to reciprocity before operators.schur_reciprocity_sign, and its
-differential oracle.
+to reciprocity before the bundle's Schur certificate
+(OperatorBundle.reciprocity_sign), and its differential oracle.
 
 supersymmetry_charpoly is the characteristic-polynomial route that
 operators.supersymmetry_report replaced: four multimodular charpolys
@@ -118,6 +123,7 @@ from connlab.exact import (
     ShapeError,
     SingularMatrixError,
     det,
+    field_reduce,
     is_prime,
     linear_combination,
 )
@@ -139,6 +145,20 @@ def simplices_intersect(x: Simplex, y: Simplex) -> bool:
     return bool(set(x) & set(y))
 
 
+def from_rows(rows: Sequence[Sequence[int]], *, ncols: int | None = None, p: int | None = None) -> IntMatrix:
+    """The matrix of the dense rows, the form the tests write fixtures in:
+    their nonzero entries stored by IntMatrix.from_triplets, reduced mod p
+    by field_reduce when p is given.  The column count is the first row's;
+    a matrix with no rows takes it from ncols."""
+    rows = [list(row) for row in rows]
+    ncols = len(rows[0]) if rows else ncols
+    assert all(len(row) == ncols for row in rows), "ragged rows"
+    entries = [(i, j, a) for i, row in enumerate(rows) for j, a in enumerate(row) if a]
+    i, j, a = zip(*entries) if entries else ((), (), ())
+    m = IntMatrix.from_triplets(i, j, a, len(rows), ncols)
+    return m if p is None else field_reduce(m, p)
+
+
 def dense_matmul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     """a @ b from the dense rows, one sum of products per entry."""
     if a.ncols != b.nrows:
@@ -146,7 +166,7 @@ def dense_matmul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     cols = list(zip(*b.rows))
     if not cols:
         return IntMatrix.zeros(a.nrows, b.ncols)
-    return IntMatrix(
+    return from_rows(
         [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a.rows],
         ncols=b.ncols,
     )
@@ -224,7 +244,7 @@ def inverse_unimodular(m: IntMatrix) -> IntMatrix:
     if prev not in (1, -1):
         raise ValueError(f"matrix is not unimodular: final pivot {prev}")
     # 1/prev == prev for prev = +-1
-    return IntMatrix([[prev * x for x in row[n:]] for row in a], ncols=n)
+    return from_rows([[prev * x for x in row[n:]] for row in a], ncols=n)
 
 
 def field_inverse(m: FieldMatrix) -> FieldMatrix:
@@ -247,7 +267,7 @@ def field_inverse(m: FieldMatrix) -> FieldMatrix:
                 continue
             f = a[i][k]
             a[i] = [(x - f * y) % p for x, y in zip(a[i], a[k])]
-    return FieldMatrix([row[n:] for row in a], p, ncols=n)
+    return from_rows([row[n:] for row in a], ncols=n, p=p)
 
 
 # ---------------------------------------------------------------------------
@@ -580,14 +600,14 @@ def quaternion_branch_rank(bundle: OperatorBundle) -> int:
         dense = [block.rows for block in blocks]
         for i in range(n):
             rows.append(dense[0][i] + dense[1][i] + dense[2][i] + dense[3][i])
-    return rank(IntMatrix(rows))
+    return rank(from_rows(rows))
 
 
 def dense_kron(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     """Kronecker product from the dense rows: row i*p+k is a[i][j] * b[k]
     for each column j of a in turn."""
     rows_b = b.rows
-    return IntMatrix(
+    return from_rows(
         [[x * y for x in row_a for y in row_b] for row_a in a.rows for row_b in rows_b],
         ncols=a.ncols * b.ncols,
     )
@@ -611,7 +631,7 @@ def exact_jacobian_loop(bundle: OperatorBundle) -> IntMatrix:
                 prop += ginv[k][j] * ginv[i][l]
             col.append(-(direct + prop))
         cols.append(col)
-    return IntMatrix(cols).transpose()
+    return from_rows(cols).transpose()
 
 
 def edited(m: IntMatrix, entries: dict[tuple[int, int], int]) -> IntMatrix:
@@ -619,7 +639,7 @@ def edited(m: IntMatrix, entries: dict[tuple[int, int], int]) -> IntMatrix:
     rows = m.rows
     for (i, j), a in entries.items():
         rows[i][j] = a
-    return IntMatrix(rows, ncols=m.ncols)
+    return from_rows(rows, ncols=m.ncols)
 
 
 def _edited_dirac(dirac, signless: bool, edit):
@@ -887,11 +907,11 @@ def dense_incidence_signed(c: Complex, signs=None) -> IntMatrix:
         row[a] = -s
         row[b] = s
         rows.append(row)
-    return IntMatrix(rows, ncols=c.v)
+    return from_rows(rows, ncols=c.v)
 
 
 def dense_abs(m: IntMatrix) -> IntMatrix:
-    return IntMatrix([[abs(a) for a in r] for r in m.rows], ncols=m.ncols)
+    return from_rows([[abs(a) for a in r] for r in m.rows], ncols=m.ncols)
 
 
 def dense_dirac(d0: IntMatrix) -> IntMatrix:
@@ -902,7 +922,7 @@ def dense_dirac(d0: IntMatrix) -> IntMatrix:
         for x in range(v):
             rows[x][v + k] = d[k][x]
             rows[v + k][x] = d[k][x]
-    return IntMatrix(rows, ncols=v + e)
+    return from_rows(rows, ncols=v + e)
 
 
 def dense_hodge(d0: IntMatrix) -> IntMatrix:
@@ -916,12 +936,12 @@ def dense_hodge(d0: IntMatrix) -> IntMatrix:
     for k in range(e):
         for l in range(e):
             rows[v + k][v + l] = sum(a * b for a, b in zip(d[k], d[l]))
-    return IntMatrix(rows, ncols=v + e)
+    return from_rows(rows, ncols=v + e)
 
 
 def dense_connection(c: Complex) -> IntMatrix:
     """L(x,y) = 1 iff the simplices x and y intersect, pair by pair."""
-    return IntMatrix(
+    return from_rows(
         [[int(simplices_intersect(x, y)) for y in c.simplices] for x in c.simplices],
         ncols=c.size,
     )
@@ -938,7 +958,7 @@ def dense_green_star(c: Complex) -> IntMatrix:
         for x in faces:
             for y in faces:
                 rows[x][y] += w[x] * w[y] * chi
-    return IntMatrix(rows, ncols=n)
+    return from_rows(rows, ncols=n)
 
 
 def dense_kirchhoff(g: Graph) -> IntMatrix:
@@ -949,14 +969,14 @@ def dense_kirchhoff(g: Graph) -> IntMatrix:
     for a, b in g.edges:
         rows[a][b] -= 1
         rows[b][a] -= 1
-    return IntMatrix(rows, ncols=g.n)
+    return from_rows(rows, ncols=g.n)
 
 
 def dense_hydrogen_residual(bundle: OperatorBundle) -> IntMatrix:
     """|H| - (L - g), entry by entry from the dense rows."""
     n = bundle.size
     h, L, g = bundle.hodge_signless.rows, bundle.connection.rows, bundle.green.rows
-    return IntMatrix(
+    return from_rows(
         [[h[i][j] - L[i][j] + g[i][j] for j in range(n)] for i in range(n)], ncols=n
     )
 

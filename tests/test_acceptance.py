@@ -50,7 +50,6 @@ from connlab.newton import (
 from connlab.operators import (
     bundle_for,
     hydrogen_residual,
-    schur_reciprocity_sign,
     supersymmetry_report,
 )
 from connlab.products import product_checks, product_connection, product_hodge, spectral_errors
@@ -74,6 +73,7 @@ from conftest import build_corpus
 from oracles import (
     charpoly,
     field_inverse,
+    from_rows,
     inverse_unimodular,
     limit_functional_equation_residual,
     reciprocal_sign,
@@ -271,7 +271,7 @@ def _random_unimodular(n: int, ops: int, seed: int) -> IntMatrix:
             continue
         c = rng.choice((-2, -1, 1, 2))
         rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]
-    return IntMatrix(rows)
+    return from_rows(rows)
 
 
 def test_criterion_09_squared_charpoly_reciprocity(corpus):
@@ -315,7 +315,7 @@ def test_kirby_and_inertia_follow_from_the_schur_certificate(corpus, squared_cha
         eigenvalues = eig_sym(b.connection).eigenvalues
         inertia = (sum(lam > 0 for lam in eigenvalues), sum(lam < 0 for lam in eigenvalues))
         if (
-            schur_reciprocity_sign(b.connection, b.v) is None
+            b.reciprocity_sign is None
             or ones != ss.signless_kernel0 + ss.signless_kernel1
             or (b.size % 2 == 0 and ones % 2)
             or inertia != (b.v, b.e)

@@ -28,6 +28,7 @@ from oracles import (
     broken_colouring,
     dense_matmul,
     edited,
+    from_rows,
     jacobi_residual_two_apply,
     negated_edge_row,
     reference_parser,
@@ -544,6 +545,34 @@ def test_oversized_graph_file_is_a_usage_error(capsys, tmp_path):
     assert err == "error: graph has 100000000000 cells, above the cap of 1000000\n"
 
 
+@pytest.mark.parametrize("kind", ["directory", "not-utf8"])
+def test_unreadable_graph_file_is_a_usage_error(capsys, tmp_path, kind):
+    # verify exits 2 with one error line; bounds keeps its per-row error,
+    # prints the rows it could build and exits 1
+    path = tmp_path / "graph.txt"
+    if kind == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b"\xff0 1\n")
+    code, out, err = run(capsys, "verify", str(path))
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and err.startswith(f"error: cannot read graph file {str(path)!r}: ")
+    code, out, err = run(capsys, "bounds", "--format", "csv", str(path), "cycle:4")
+    assert code == 1 and len(out.splitlines()) == 2
+    assert len(err.splitlines()) == 1 and err.startswith(f"error: {path}: cannot read graph file ")
+
+
+def test_bary_prefixes_are_taken_off_without_recursion(capsys):
+    # 1200 prefixes are past the interpreter's recursion limit; each keeps
+    # a 1-vertex graph at 1 cell, while the edge of path:2 doubles each time
+    code, out, err = run(capsys, "verify", "bary:" * 1200 + "path:1")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1].endswith(": 7/7 checks pass")
+    code, out, err = run(capsys, "verify", "bary:" * 1200 + "path:2")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: spec '{'bary:' * 1200}path:2' has ") and "above the cap of 1000000" in err
+
+
 def test_automaton_round_trip(capsys):
     code, out, _ = run(capsys, "automaton", "figure8", "--field", "7", "--steps", "5", "--reverse")
     assert code == 0
@@ -986,7 +1015,7 @@ def _schur_operands(b) -> tuple:
     rows = b.connection.rows
     lift = [[-x for x in row[v:]] for row in rows[:v]]
     lift += [[int(i == j) for j in range(n - v)] for i in range(n - v)]
-    return b.connection.block(v, n, 0, n), exact.IntMatrix(lift, ncols=n - v)
+    return b.connection.block(v, n, 0, n), from_rows(lift, ncols=n - v)
 
 
 def _design_products(argv) -> list:

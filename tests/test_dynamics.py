@@ -34,6 +34,7 @@ from oracles import (
     combined_solution,
     constant_environment,
     field_inverse,
+    from_rows,
     inverse_unimodular,
     jacobi_ivp,
     jacobi_residual_two_apply,
@@ -313,7 +314,7 @@ def _line_graph_adjacency(g):
     adj = [[0] * lg.n for _ in range(lg.n)]
     for a, b in lg.edges:
         adj[a][b] = adj[b][a] = 1
-    return IntMatrix(adj)
+    return from_rows(adj)
 
 
 def test_signless_edge_hodge_is_twice_identity_plus_line_graph_adjacency(corpus):
@@ -373,7 +374,7 @@ def test_sparse_step_matches_dense_apply(corpus):
     assert [i for i, row in enumerate(isolated.hodge_signless.rows) if not any(row)] == [0, 4, 5]
     assert not any(isolated.incidence.transpose().rows[-1])
     assert bundles["edgeless"].incidence.shape == (0, 3)
-    for m in (IntMatrix([], ncols=0), IntMatrix([], ncols=2), IntMatrix([[], []], ncols=0)):
+    for m in (from_rows([], ncols=0), from_rows([], ncols=2), from_rows([[], []], ncols=0)):
         assert m.apply((2**64,) * m.ncols) == _dense_apply(m, (2**64,) * m.ncols) == (0,) * m.nrows
         assert m.step(np.ones((m.ncols, 3), dtype=object)).shape == (m.nrows, 3)
 

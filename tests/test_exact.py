@@ -48,6 +48,7 @@ from oracles import (
     pairs,
     rank,
     reciprocal_sign,
+    from_rows,
 )
 
 entries = st.integers(min_value=-6, max_value=6)
@@ -96,13 +97,13 @@ def fraction_solve(rows, rhs):
 @settings(max_examples=120, deadline=None)
 @given(square(4))
 def test_det_matches_cofactor_expansion(rows):
-    assert det(IntMatrix(rows)) == cofactor_det(rows)
+    assert det(from_rows(rows)) == cofactor_det(rows)
 
 
 @settings(max_examples=80, deadline=None)
 @given(square(4))
 def test_inverse_unimodular_matches_gauss_jordan(rows):
-    m = IntMatrix(rows)
+    m = from_rows(rows)
     d = det(m)
     if d == 0:
         with pytest.raises(SingularMatrixError):
@@ -135,7 +136,7 @@ def elementary_product(n, ops):
             rows[i], rows[j] = rows[j], rows[i]
         elif kind == "negate":
             rows[i] = [-a for a in rows[i]]
-    return IntMatrix(rows)
+    return from_rows(rows)
 
 
 elementary_ops = st.lists(
@@ -155,12 +156,12 @@ def test_inverse_unimodular_of_elementary_products(n, ops, k):
     m = elementary_product(n, ops)
     assert m @ inverse_unimodular(m) == IntMatrix.identity(n)
     # scaling one row by k >= 2 makes |det| = k: no integer inverse
-    scaled = IntMatrix([[k * a for a in row] if i == 0 else row for i, row in enumerate(m.rows)])
+    scaled = from_rows([[k * a for a in row] if i == 0 else row for i, row in enumerate(m.rows)])
     with pytest.raises(ValueError, match="not unimodular"):
         inverse_unimodular(scaled)
     # repeating a row makes it singular
     if n >= 2:
-        singular = IntMatrix([m.rows[1]] + m.rows[1:])
+        singular = from_rows([m.rows[1]] + m.rows[1:])
         with pytest.raises(SingularMatrixError):
             inverse_unimodular(singular)
 
@@ -168,7 +169,7 @@ def test_inverse_unimodular_of_elementary_products(n, ops, k):
 @settings(max_examples=80, deadline=None)
 @given(square(4), st.integers(min_value=-5, max_value=5))
 def test_charpoly_evaluates_like_determinant(rows, x):
-    m = IntMatrix(rows)
+    m = from_rows(rows)
     p = charpoly(m)
     n = len(rows)
     shifted = [[x * (1 if i == j else 0) - rows[i][j] for j in range(n)] for i in range(n)]
@@ -207,7 +208,7 @@ wide_entries = st.one_of(st.just(0), st.integers(min_value=-(10**6), max_value=1
 def test_charpoly_matches_faddeev_leverrier_on_wide_entries(rows):
     # non-symmetric, entries up to 10^6: the CRT needs several primes, and the
     # zeros force pivot swaps and skipped columns in the Hessenberg reduction
-    m = IntMatrix(rows)
+    m = from_rows(rows)
     assert charpoly(m) == faddeev_leverrier(m)
 
 
@@ -232,7 +233,7 @@ def test_charpoly_matches_faddeev_leverrier_on_connection(corpus):
 @settings(max_examples=60, deadline=None)
 @given(square(8))
 def test_graeffe_matches_charpoly_of_the_square(rows):
-    m = IntMatrix(rows)
+    m = from_rows(rows)
     assert graeffe(charpoly(m)) == charpoly(m @ m)
 
 
@@ -262,7 +263,7 @@ def _check_coefficient_bound(m):
     )
 )
 def test_coefficient_bound_is_sound_and_never_needs_more_primes(rows):
-    _check_coefficient_bound(IntMatrix(rows))
+    _check_coefficient_bound(from_rows(rows))
 
 
 def test_coefficient_bound_on_corpus(corpus):
@@ -274,14 +275,14 @@ def test_coefficient_bound_on_corpus(corpus):
 
 
 def test_charpoly_edge_cases():
-    assert charpoly(IntMatrix([], ncols=0)).coeffs == (1,)
-    assert charpoly(IntMatrix([[-7]])).coeffs == (7, 1)
+    assert charpoly(from_rows([], ncols=0)).coeffs == (1,)
+    assert charpoly(from_rows([[-7]])).coeffs == (7, 1)
     assert charpoly(IntMatrix.zeros(5, 5)).coeffs == (0, 0, 0, 0, 0, 1)
     # nilpotent Jordan block: no column has a pivot below the diagonal
-    jordan = IntMatrix([[1 if j == i + 1 else 0 for j in range(5)] for i in range(5)])
+    jordan = from_rows([[1 if j == i + 1 else 0 for j in range(5)] for i in range(5)])
     assert charpoly(jordan).coeffs == (0, 0, 0, 0, 0, 1)
     # column 0 has a zero subdiagonal entry, so its pivot comes from row 2
-    swap = IntMatrix([[1, 2, 3], [0, 4, 5], [6, 7, 8]])
+    swap = from_rows([[1, 2, 3], [0, 4, 5], [6, 7, 8]])
     assert charpoly(swap) == faddeev_leverrier(swap) == IntPolynomial((15, -9, -13, 1))
 
 
@@ -304,7 +305,7 @@ def test_charpoly_certificate_catches_a_corrupt_residue(monkeypatch):
             out[1] = (out[1] + 1) % p
         return out
 
-    m = IntMatrix([[10**6, 3, 0], [-2, 10**6, 5], [7, 0, -(10**6)]])
+    m = from_rows([[10**6, 3, 0], [-2, 10**6, 5], [7, 0, -(10**6)]])
     assert charpoly(m) == faddeev_leverrier(m)
     monkeypatch.setattr(oracles, "_charpoly_mod", corrupt_second_prime)
     with pytest.raises(ArithmeticError, match="certificate"):
@@ -315,7 +316,7 @@ def test_charpoly_certificate_catches_a_corrupt_residue(monkeypatch):
 @settings(max_examples=40, deadline=None)
 @given(square(3), st.integers(min_value=0, max_value=5))
 def test_matpow_matches_repeated_multiplication(rows, k):
-    m = IntMatrix(rows)
+    m = from_rows(rows)
     expected = IntMatrix.identity(len(rows))
     for _ in range(k):
         expected = expected @ m
@@ -325,16 +326,16 @@ def test_matpow_matches_repeated_multiplication(rows, k):
 @settings(max_examples=60, deadline=None)
 @given(square(4), st.sampled_from([2, 3, 5, 7]))
 def test_field_ops_commute_with_reduction(rows, p):
-    m = IntMatrix(rows)
+    m = from_rows(rows)
     mp = field_reduce(m, p)
     sq_then_reduce = field_reduce(m @ m, p)
     assert mp @ mp == sq_then_reduce
     assert mp @ mp @ mp == field_reduce(m @ m @ m, p)
     assert mp.apply(rows[0]) == tuple(x % p for x in m.apply(rows[0]))
-    assert mp - mp @ mp == field_reduce(m - m @ m, p)
+    assert field_reduce(mp - mp @ mp, p) == field_reduce(m - m @ m, p)
     if det(m) % p != 0:
         inv = field_inverse(mp)
-        assert inv @ mp == FieldMatrix.identity(len(rows), p)
+        assert inv @ mp == field_reduce(IntMatrix.identity(len(rows)), p) and inv.p == p
 
 
 @settings(max_examples=60, deadline=None)
@@ -345,9 +346,9 @@ def test_rank_of_factored_product(n, r, data):
     B = data.draw(st.lists(st.lists(entries, min_size=r, max_size=r), min_size=n, max_size=n))
     C = data.draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=r, max_size=r))
     A = [[sum(B[i][k] * C[k][j] for k in range(r)) for j in range(n)] for i in range(n)]
-    got = rank(IntMatrix(A))
+    got = rank(from_rows(A))
     assert got <= r
-    assert certified_rank(IntMatrix(A)) == got
+    assert certified_rank(from_rows(A)) == got
     # oracle: count pivots
     work = [[Fraction(x) for x in row] for row in A]
     pivots = 0
@@ -369,22 +370,22 @@ def test_certified_rank_tries_primes_until_hadamard_bound():
     # search must go on to a prime that misses the entry
     p0, p1 = oracles._prime(0), oracles._prime(1)
     for entry in (p0, p0 * p1, -p0 * p1):
-        m = IntMatrix([[entry, 0], [0, 0]])
+        m = from_rows([[entry, 0], [0, 0]])
         assert certified_rank(m) == rank(m) == 1
         assert certified_rank(m, [[0, 1]]) == 1
-    assert certified_rank(IntMatrix([[p0, p0], [p0, p0]]), [[1, -1]]) == 1
+    assert certified_rank(from_rows([[p0, p0], [p0, p0]]), [[1, -1]]) == 1
 
 
 def test_certified_rank_counts_only_valid_kernel_vectors():
-    m = IntMatrix([[1, 1, 0], [0, 0, 0]])
+    m = from_rows([[1, 1, 0], [0, 0, 0]])
     assert certified_rank(m) == 1
     # not in the kernel, zero, or overlapping an earlier vector: each would
     # lower the cap below the true rank if it were counted
     for kernel in ([[1, 0, 0]], [[0, 0, 0], [0, 0, 0], [0, 0, 0]], [[1, -1, 0], [2, -2, 0], [0, 0, 1]]):
         assert certified_rank(m, kernel) == 1
-    assert certified_rank(IntMatrix([], ncols=3), [[1, 0, 0]]) == 0
-    assert certified_rank(IntMatrix([[0, 0]])) == 0
-    assert certified_rank(IntMatrix([[5]], ncols=1)) == 1
+    assert certified_rank(from_rows([], ncols=3), [[1, 0, 0]]) == 0
+    assert certified_rank(from_rows([[0, 0]])) == 0
+    assert certified_rank(from_rows([[5]], ncols=1)) == 1
 
 
 @settings(max_examples=40, deadline=None)
@@ -392,7 +393,7 @@ def test_certified_rank_counts_only_valid_kernel_vectors():
 def test_certified_rank_matches_fraction_elimination_on_wide_entries(n, k, data):
     wide = st.integers(min_value=-(10**12), max_value=10**12)
     rows = data.draw(st.lists(st.lists(wide, min_size=k, max_size=k), min_size=n, max_size=n))
-    m = IntMatrix(rows, ncols=k)
+    m = from_rows(rows, ncols=k)
     assert certified_rank(m) == rank(m)
 
 
@@ -417,46 +418,41 @@ def test_certified_rank_of_incidence_factors_on_corpus(corpus, monkeypatch):
 
 
 def test_inverse_unimodular_round_trip():
-    m = IntMatrix([[2, 1], [1, 1]])
+    m = from_rows([[2, 1], [1, 1]])
     inv = inverse_unimodular(m)
     assert (m @ inv).rows == IntMatrix.identity(2).rows
     # invertible over the rationals but not over the integers
     with pytest.raises(ValueError):
-        inverse_unimodular(IntMatrix([[2, 0], [0, 2]]))
+        inverse_unimodular(from_rows([[2, 0], [0, 2]]))
     with pytest.raises(SingularMatrixError):
-        inverse_unimodular(IntMatrix([[1, 1], [1, 1]]))
-    assert inverse_unimodular(IntMatrix([], ncols=0)) == IntMatrix([], ncols=0)
+        inverse_unimodular(from_rows([[1, 1], [1, 1]]))
+    assert inverse_unimodular(from_rows([], ncols=0)) == from_rows([], ncols=0)
 
 
 def test_field_matrix_is_a_reduced_int_matrix():
-    m = FieldMatrix([[7, -1], [12, 5]], 5)
-    assert isinstance(m, IntMatrix)
+    m = from_rows([[7, -1], [12, 5]], p=5)
+    assert isinstance(m, FieldMatrix) and isinstance(m, IntMatrix)
     assert m.rows == [[2, 4], [2, 0]] and m.shape == (2, 2) and m.p == 5
-    assert m == field_reduce(IntMatrix([[2, -1], [2, 10]]), 5)
-    assert m != IntMatrix(m.rows) and IntMatrix(m.rows) != m
-    assert m != FieldMatrix(m.rows, 7)
-    assert FieldMatrix.identity(2, 5) == FieldMatrix([[6, 0], [0, 11]], 5)
+    assert m == field_reduce(from_rows([[2, -1], [2, 10]]), 5)
+    assert field_reduce(IntMatrix.identity(2), 5) == from_rows([[6, 0], [0, 11]], p=5)
+    # equality is IntMatrix's: it compares the entries, not the type or p
+    assert m == from_rows(m.rows) and from_rows(m.rows, p=7) == m
     assert repr(m) == "FieldMatrix(2x2)"
     # shape rules are IntMatrix's
-    assert FieldMatrix([], 3, ncols=4).shape == (0, 4)
-    with pytest.raises(ShapeError):
-        FieldMatrix([[1, 2], [3]], 5)
-    with pytest.raises(ShapeError):
-        FieldMatrix([], 5)
+    assert from_rows([], ncols=4, p=3).shape == (0, 4)
     with pytest.raises(ShapeError):
         m.apply((1, 2, 3))
     with pytest.raises(ValueError, match="not prime"):
-        FieldMatrix([[1]], 4)
+        from_rows([[1]], p=4)
     with pytest.raises(ValueError, match="mixed moduli"):
-        m @ FieldMatrix(m.rows, 7)
-    with pytest.raises(ShapeError):
-        m - FieldMatrix(m.rows, 7)
+        m @ from_rows(m.rows, p=7)
 
 
 def test_dense_input_is_stored_as_its_nonzeros():
-    # dense rows are stored as their compressed rows, the one view of the
-    # entries, which the constructor sets and every read shares
-    m = IntMatrix([[0, 3, 0], [-2, 0, 5]])
+    # dense rows, stored by from_triplets through oracles.from_rows, are
+    # held as their compressed rows, the one view of the entries, which the
+    # constructor sets and every read shares
+    m = from_rows([[0, 3, 0], [-2, 0, 5]])
     indptr, cols, values = m.csr
     assert m.csr is m.csr
     assert (indptr.tolist(), cols.tolist(), values.tolist()) == ([0, 1, 3], [1, 0, 2], [3, -2, 5])
@@ -472,21 +468,21 @@ def test_dense_input_is_stored_as_its_nonzeros():
     assert pairs(m) == [[(1, 3)], [(0, -2), (2, 5)]] and m.apply((1, 1, 1)) == (3, 3)
     # the input lists are converted, not kept
     given = [[0, -1], [10**30, 0], [0, 0]]
-    d = IntMatrix(given)
+    d = from_rows(given)
     given[0][0] = 5
     given[2].append(1)
     assert pairs(d) == [[(1, -1)], [(0, 10**30)], []] and d.shape == (3, 2)
     assert d.csr[0].tolist() == [0, 1, 2, 2] and d.csr[2].dtype == object
     assert d.rows == [[0, -1], [10**30, 0], [0, 0]]
     # FieldMatrix sees its reduced entries and drops those that are 0 mod p
-    mp = FieldMatrix(m.rows, 3)
+    mp = from_rows(m.rows, p=3)
     assert pairs(mp) == [[], [(0, 1), (2, 2)]] and mp.rows == [[0, 0, 0], [1, 0, 2]]
     assert mp.csr[0].tolist() == [0, 0, 2] and mp.nnz == 2
     assert mp.apply((1, 1, 1)) == (0, 0)
-    assert pairs(FieldMatrix([[7, -7, 8], [-13, 0, 14]], 7)) == [[(2, 1)], [(0, 1)]]
-    empty = IntMatrix([], ncols=3)
+    assert pairs(from_rows([[7, -7, 8], [-13, 0, 14]], p=7)) == [[(2, 1)], [(0, 1)]]
+    empty = from_rows([], ncols=3)
     assert pairs(empty) == [] and empty.csr[0].tolist() == [0] and empty.shape == (0, 3)
-    assert IntMatrix([[], []], ncols=0).apply(()) == (0, 0)
+    assert from_rows([[], []], ncols=0).apply(()) == (0, 0)
 
 
 def test_dense_rows_are_a_fresh_view_on_every_read():
@@ -504,13 +500,13 @@ def test_dense_rows_are_a_fresh_view_on_every_read():
     again = m.rows
     assert again == rows and again is not rows
     assert all(a is not b for a, b in zip(again, rows))
-    assert m == IntMatrix(rows) and IntMatrix(rows) == m
+    assert m == from_rows(rows) and from_rows(rows) == m
     assert m.apply((1, 1, 1)) == (3, 0, 10**30 - 2)
     # a write into the dense rows is lost: the matrix never changes
     rows[1][1] = 4
     rows[0].append(7)
     rows.pop()
-    assert m == IntMatrix([[0, 3, 0], [0, 0, 0], [-2, 0, 10**30]])
+    assert m == from_rows([[0, 3, 0], [0, 0, 0], [-2, 0, 10**30]])
     assert pairs(m) == [[(1, 3)], [], [(0, -2), (2, 10**30)]]
     assert m.apply((1, 1, 1)) == (3, 0, 10**30 - 2)
     assert m.rows == again == [[0, 3, 0], [0, 0, 0], [-2, 0, 10**30]]
@@ -523,14 +519,14 @@ def test_dense_rows_are_a_fresh_view_on_every_read():
 @pytest.mark.parametrize(
     "a, b",
     [
-        (IntMatrix([], ncols=3), IntMatrix([[1, -2], [0, 3]])),
-        (IntMatrix([[1, -2], [0, 3]]), IntMatrix([], ncols=4)),
-        (IntMatrix([[], []], ncols=0), IntMatrix([[1, 2, 3]])),
-        (IntMatrix([[5, 0, -1]]), IntMatrix([[], [], []], ncols=0)),
-        (IntMatrix([[0, 2, -3], [4, 0, 0]]), IntMatrix([[1], [0], [-1], [2]])),
+        (from_rows([], ncols=3), from_rows([[1, -2], [0, 3]])),
+        (from_rows([[1, -2], [0, 3]]), from_rows([], ncols=4)),
+        (from_rows([[], []], ncols=0), from_rows([[1, 2, 3]])),
+        (from_rows([[5, 0, -1]]), from_rows([[], [], []], ncols=0)),
+        (from_rows([[0, 2, -3], [4, 0, 0]]), from_rows([[1], [0], [-1], [2]])),
         (
-            IntMatrix([[-(2**64), 0], [3, 2**63 + 1]]),
-            IntMatrix([[0, -(2**70)], [-1, 0], [2**65, 7]]),
+            from_rows([[-(2**64), 0], [3, 2**63 + 1]]),
+            from_rows([[0, -(2**70)], [-1, 0], [2**65, 7]]),
         ),
     ],
     ids=["0xn-left", "0xn-right", "nx0-left", "nx0-right", "non-square", "big-signed"],
@@ -565,7 +561,7 @@ def product_operands(draw, entries=product_entries):
     n, m, k = (draw(st.integers(min_value=0, max_value=5)) for _ in range(3))
     a = [draw(st.lists(entries, min_size=m, max_size=m)) for _ in range(n)]
     b = [draw(st.lists(entries, min_size=k, max_size=k)) for _ in range(m)]
-    return IntMatrix(a, ncols=m), IntMatrix(b, ncols=k)
+    return from_rows(a, ncols=m), from_rows(b, ncols=k)
 
 
 @st.composite
@@ -573,7 +569,7 @@ def sum_operands(draw, entries):
     """a and b of one shape n x m, n and m in 0..5."""
     n, m = (draw(st.integers(min_value=0, max_value=5)) for _ in range(2))
     a, b = ([draw(st.lists(entries, min_size=m, max_size=m)) for _ in range(n)] for _ in range(2))
-    return IntMatrix(a, ncols=m), IntMatrix(b, ncols=m)
+    return from_rows(a, ncols=m), from_rows(b, ncols=m)
 
 
 @settings(max_examples=200, deadline=None)
@@ -601,12 +597,12 @@ def test_field_product_reduces_mod_p(operands, p):
 
 def test_sparse_product_edge_cases():
     big = 2**64
-    cancel = IntMatrix([[1, 1], [big, big]]) @ IntMatrix([[big], [-big]])
+    cancel = from_rows([[1, 1], [big, big]]) @ from_rows([[big], [-big]])
     assert cancel.shape == (2, 1) and pairs(cancel) == [[], []] and cancel.is_zero()
-    assert (IntMatrix([], ncols=3) @ IntMatrix([[1], [2], [3]])).shape == (0, 1)
-    assert (IntMatrix([[], []], ncols=0) @ IntMatrix([], ncols=4)).rows == [[0] * 4] * 2
+    assert (from_rows([], ncols=3) @ from_rows([[1], [2], [3]])).shape == (0, 1)
+    assert (from_rows([[], []], ncols=0) @ from_rows([], ncols=4)).rows == [[0] * 4] * 2
     with pytest.raises(ShapeError, match="cannot multiply"):
-        IntMatrix([[1, 2]]) @ IntMatrix([[1, 2]])
+        from_rows([[1, 2]]) @ from_rows([[1, 2]])
 
 
 @settings(max_examples=150, deadline=None)
@@ -625,38 +621,38 @@ def test_sums_at_the_int64_boundary_are_exact(operands):
     for got, sign in ((a + b, 1), (a - b, -1)):
         want = [[x + sign * y for x, y in zip(ra, rb)] for ra, rb in zip(a.rows, b.rows)]
         assert got.rows == want
-        assert pairs(got) == pairs(IntMatrix(want, ncols=a.ncols))
+        assert pairs(got) == pairs(from_rows(want, ncols=a.ncols))
 
 
 def test_int64_boundary_cases_stay_exact():
     # four products of 2^64 each: in int64 every one would wrap to 0
-    a, b = IntMatrix([[2**32] * 4]), IntMatrix([[2**32]] * 4)
+    a, b = from_rows([[2**32] * 4]), from_rows([[2**32]] * 4)
     assert (a @ b).rows == [[2**66]]
     # four products of 2^62, each in int64, whose sum 2^64 would wrap to 0
-    c, d = IntMatrix([[2**31] * 4]), IntMatrix([[2**31]] * 4)
+    c, d = from_rows([[2**31] * 4]), from_rows([[2**31]] * 4)
     assert (c @ d).rows == [[2**64]]
     assert (c @ linear_combination((d, -1)) + c @ d).is_zero()
     # 2^62 + 2^62 = 2^63, one past the largest int64
-    half = IntMatrix([[2**62, -(2**62), 0]])
+    half = from_rows([[2**62, -(2**62), 0]])
     assert (half + half).rows == [[2**63, -(2**63), 0]]
     assert (half - linear_combination((half, -1))).rows == [[2**63, -(2**63), 0]]
     assert (half - half).is_zero() and pairs(half + linear_combination((half, -1))) == [[]]
     # 274177 * 67280421310721 = 2^64 + 1, which int64 would wrap to 1: m g
     # is diag(2^64 + 1, 1), not the identity
-    m, g = IntMatrix([[274177, 0], [0, 1]]), IntMatrix([[67280421310721, 0], [0, 1]])
+    m, g = from_rows([[274177, 0], [0, 1]]), from_rows([[67280421310721, 0], [0, 1]])
     assert (m @ g).rows == [[2**64 + 1, 0], [0, 1]]
     assert not operators._is_inverse(m, g) and not operators._is_inverse(g, m)
-    u = IntMatrix([[1, 2**62, 2**62], [0, 1, 0], [0, 0, 1]])
-    v = IntMatrix([[1, -(2**62), -(2**62)], [0, 1, 0], [0, 0, 1]])
+    u = from_rows([[1, 2**62, 2**62], [0, 1, 0], [0, 0, 1]])
+    v = from_rows([[1, -(2**62), -(2**62)], [0, 1, 0], [0, 0, 1]])
     assert operators._is_inverse(u, v) and operators._is_inverse(v, u)
     assert not operators._is_inverse(u, u)
     # the hydrogen residual |H| - L + g of entries at 2^62: 3 * 2^62 at (0, 0)
     b = bundle_for(from_spec("path:2"))
     n, big = b.size, 2**62
     entry = [[big] + [0] * (n - 1)] + [[0] * n for _ in range(n - 1)]
-    h, L, green = IntMatrix(entry), linear_combination((IntMatrix(entry), -1)), IntMatrix(entry)
+    h, L, green = from_rows(entry), linear_combination((from_rows(entry), -1)), from_rows(entry)
     b.__dict__.update(hodge_signless=h, connection=L, green=green)
-    assert operators.hydrogen_residual(b).rows == linear_combination((IntMatrix(entry), 3)).rows
+    assert operators.hydrogen_residual(b).rows == linear_combination((from_rows(entry), 3)).rows
     assert operators.hydrogen_residual(b).max_abs() == 3 * big
 
 
@@ -679,7 +675,7 @@ def test_values_leave_intmatrix_as_python_ints():
 
 
 def test_sums_and_reductions_run_over_the_nonzeros():
-    a = IntMatrix([[0, 3, 0], [-2, 0, 5]])
+    a = from_rows([[0, 3, 0], [-2, 0, 5]])
     b = oracles.matrix_from_dicts([{1: -3, 2: 1}, {0: 0, 2: -5}], 3)
     assert pairs(b) == [[(1, -3), (2, 1)], [(2, -5)]]
     assert pairs(a + b) == [[(2, 1)], [(0, -2)]]
@@ -688,20 +684,20 @@ def test_sums_and_reductions_run_over_the_nonzeros():
     assert a.abs().rows == [[0, 3, 0], [2, 0, 5]]
     assert pairs(a.transpose()) == [[(1, -2)], [(0, 3)], [(1, 5)]]
     assert (a.max_abs(), a.entry_sum(), a.row_sums()) == (5, 6, [3, 3])
-    assert IntMatrix([[1, 2], [3, -4]]).trace() == -3
+    assert from_rows([[1, 2], [3, -4]]).trace() == -3
     assert np.array_equal(a.to_float(), np.array([[0.0, 3.0, 0.0], [-2.0, 0.0, 5.0]]))
 
 
 def test_field_matrix_from_nonzeros_drops_entries_that_vanish_mod_p():
     # the compressed rows of [[7, 3], [0, -14]], reduced mod 7 by from_csr,
-    # the one reduction that FieldMatrix(rows, p) and field_reduce share
+    # the one reduction that field_reduce and block_diagonal share
     csr = ([0, 2, 3], [0, 1, 1], [7, 3, -14])
     m = FieldMatrix.from_csr(*csr, 2, 2, 7)
     assert m.p == 7 and pairs(m) == [[(1, 3)], []]
     assert m.csr[0].tolist() == [0, 1, 1] and m.nnz == 1
-    assert m == FieldMatrix([[7, 3], [0, -14]], 7)
+    assert m == from_rows([[7, 3], [0, -14]], p=7)
     assert field_reduce(IntMatrix.from_csr(*csr, 2, 2), 7) == m
-    assert pairs(m - FieldMatrix.identity(2, 7)) == [[(0, 6), (1, 3)], [(1, 6)]]
+    assert pairs(field_reduce(m - IntMatrix.identity(2), 7)) == [[(0, 6), (1, 3)], [(1, 6)]]
     with pytest.raises(ValueError, match="not prime"):
         FieldMatrix.from_csr(*csr, 2, 2, 8)
 
@@ -712,16 +708,16 @@ def test_field_steps_multiply_by_signed_residues():
     # entry passes the bound; either way the results are reduced to 0..p-1
     p = 2**61 - 1
     for row, dtype in (([p - 1, 1, 1, -1], np.int64), ([p - 1, 1, 1, -1, 1], object)):
-        m = FieldMatrix([row], p)
+        m = from_rows([row], p=p)
         assert m.step_dtype is dtype
         x = [p - 1] * len(row)
         assert m.apply(x) == (sum(a * b for a, b in zip(row, x)) % p,)
-    assert FieldMatrix([[2, 1]], 2).step_dtype is np.int64
-    assert FieldMatrix([[2, 1]], 3).apply([2, 2]) == (0,)
+    assert from_rows([[2, 1]], p=2).step_dtype is np.int64
+    assert from_rows([[2, 1]], p=3).apply([2, 2]) == (0,)
 
 
 def test_block_diagonal_lays_two_matrices_side_by_side():
-    a, b = IntMatrix([[1, -2], [0, 0], [3, 4]]), IntMatrix([[0, 5, 2**70]])
+    a, b = from_rows([[1, -2], [0, 0], [3, 4]]), from_rows([[0, 5, 2**70]])
     both = exact.block_diagonal(a, b)
     assert type(both) is IntMatrix and both.shape == (4, 5)
     assert both.rows == [row + [0] * 3 for row in a.rows] + [[0, 0] + b.rows[0]]
@@ -767,4 +763,4 @@ def test_is_prime_past_the_old_witnesses():
     with pytest.raises(ValueError, match="cannot decide"):
         is_prime(exact.PRIME_TEST_LIMIT)
     with pytest.raises(ValueError, match="cannot decide"):
-        FieldMatrix([[1]], 2**89 - 1)
+        from_rows([[1]], p=2**89 - 1)

@@ -23,7 +23,7 @@ from connlab.newton import (
     verify_support,
 )
 from connlab.operators import bundle_for
-from oracles import exact_jacobian_loop
+from oracles import exact_jacobian_loop, from_rows
 
 
 @pytest.mark.parametrize(
@@ -225,8 +225,8 @@ def test_support_pattern_validation():
     # refuses a support that is not symmetric with a full diagonal
     b = bundle_for(from_spec("path:2"))
     X = b.connection.to_float()
-    asymmetric = IntMatrix([[1, 1, 0], [0, 1, 0], [0, 0, 1]])
-    no_diagonal = IntMatrix([[0, 1, 0], [1, 1, 0], [0, 0, 1]])
+    asymmetric = from_rows([[1, 1, 0], [0, 1, 0], [0, 0, 1]])
+    no_diagonal = from_rows([[0, 1, 0], [1, 1, 0], [0, 0, 1]])
     not_square = IntMatrix.identity(3).block(0, 3, 0, 2)
     for pattern, message in ((asymmetric, "symmetric"), (no_diagonal, "diagonal"), (not_square, "square")):
         for call in (

@@ -18,14 +18,11 @@ from connlab.exact import IntMatrix, SingularMatrixError, det, linear_combinatio
 from connlab.graphs import Graph, betti_numbers, from_spec, parse_graph_text
 from connlab.operators import (
     OperatorBundle,
-    _schur_blocks,
     bundle_for,
     dirac_from_incidence,
     hydrogen_residual,
     green_star,
-    schur_inverse,
     forest_rank,
-    schur_reciprocity_sign,
     spanning_forest,
     supersymmetry_report,
     trace_report,
@@ -46,6 +43,7 @@ from oracles import (
     dense_kirchhoff,
     dense_matmul,
     edited,
+    from_rows,
     graeffe,
     inverse_unimodular,
     negated_edge_row,
@@ -60,7 +58,7 @@ from oracles import (
     zeroed_forest_pivot,
 )
 
-FIG8_L = IntMatrix(
+FIG8_L = from_rows(
     [
         [1, 0, 0, 0, 0, 0, 0, 1, 1, 0, 0, 0, 0, 0, 0],
         [0, 1, 0, 0, 0, 0, 0, 1, 0, 1, 1, 1, 0, 0, 0],
@@ -80,7 +78,7 @@ FIG8_L = IntMatrix(
     ]
 )
 
-FIG8_G = IntMatrix(
+FIG8_G = from_rows(
     [
         [-1, -1, 0, -1, 0, 0, 0, 1, 1, 0, 0, 0, 0, 0, 0],
         [-1, -3, -1, 0, -1, 0, -1, 1, 0, 1, 1, 1, 0, 0, 0],
@@ -100,7 +98,7 @@ FIG8_G = IntMatrix(
     ]
 )
 
-FIG8_D = IntMatrix(
+FIG8_D = from_rows(
     [
         [0, 0, 0, 0, 0, 0, 0, -1, -1, 0, 0, 0, 0, 0, 0],
         [0, 0, 0, 0, 0, 0, 0, 1, 0, -1, -1, -1, 0, 0, 0],
@@ -150,9 +148,9 @@ def test_figure8_identities(fig8):
 
 def test_k2_small_matrices():
     b = bundle_for(from_spec("complete:2"))
-    assert b.connection.rows == IntMatrix([[1, 0, 1], [0, 1, 1], [1, 1, 1]]).rows
-    assert b.green.rows == IntMatrix([[0, -1, 1], [-1, 0, 1], [1, 1, -1]]).rows
-    assert b.hodge_signless.rows == IntMatrix([[1, 1, 0], [1, 1, 0], [0, 0, 2]]).rows
+    assert b.connection.rows == from_rows([[1, 0, 1], [0, 1, 1], [1, 1, 1]]).rows
+    assert b.green.rows == from_rows([[0, -1, 1], [-1, 0, 1], [1, 1, -1]]).rows
+    assert b.hodge_signless.rows == from_rows([[1, 1, 0], [1, 1, 0], [0, 0, 2]]).rows
     # a bundle passes through, so callers reuse its cached operators
     assert bundle_for(b) is b
 
@@ -254,12 +252,19 @@ def test_trace_report_matches_dense_products_on_corpus(corpus):
         assert tr.ok, spec
 
 
+def _with_connection(b: OperatorBundle, L: IntMatrix) -> OperatorBundle:
+    """A fresh bundle of b's complex whose connection is L, set before its
+    first read: the Schur certificate then runs on L."""
+    out = OperatorBundle(b.complex)
+    out.__dict__["connection"] = L
+    return out
+
+
 def test_schur_inverse_matches_star_formula_and_elimination_on_corpus(corpus):
     # verify's green-star oracle: the block inverse read from L alone, the
     # star formula, and Gauss-Jordan elimination (tests/oracles.py) agree
     for spec, b in corpus.items():
-        L = b.connection
-        assert schur_inverse(L, b.v) == green_star(b.complex) == inverse_unimodular(L), spec
+        assert b.schur_inverse() == green_star(b.complex) == inverse_unimodular(b.connection), spec
 
 
 @pytest.mark.parametrize(
@@ -271,7 +276,7 @@ def test_schur_inverse_rejects_a_connection_without_integer_inverse(edge_diagona
     b = bundle_for(from_spec("cycle:4"))
     L = edited(b.connection, {(b.v, b.v): edge_diagonal})
     with pytest.raises(error):
-        schur_inverse(L, b.v)
+        _with_connection(b, L).schur_inverse()
     with pytest.raises(error):
         inverse_unimodular(L)
 
@@ -281,7 +286,7 @@ def test_schur_reciprocity_sign_matches_the_charpoly_oracle(corpus, squared_char
     # reciprocal_sign(graeffe(charpoly(L))), over the whole corpus
     for spec, b in corpus.items():
         want = -1 if b.size % 2 else 1
-        assert schur_reciprocity_sign(b.connection, b.v) == want, spec
+        assert b.reciprocity_sign == want, spec
         assert reciprocal_sign(squared_charpolys[spec]) == want, spec
 
 
@@ -303,9 +308,9 @@ def test_schur_reciprocity_sign_rejects_s_equal_to_plus_identity(spec):
     # asks for S = -I_e and is sufficient, not necessary
     b = bundle_for(from_spec(spec))
     L = edited(b.connection, {(k, k): 3 for k in range(b.v, b.size)})
-    assert _schur_blocks(L, b.v)[2] == [1] * b.e
+    assert _with_connection(b, L).schur[2] == [1] * b.e
     assert reciprocal_sign(graeffe(charpoly(L))) == (-1 if b.size % 2 else 1)
-    assert schur_reciprocity_sign(L, b.v) is None
+    assert _with_connection(b, L).reciprocity_sign is None
 
 
 @pytest.mark.parametrize("spec", ["cycle:5", "figure8", "wheel:6"])
@@ -313,25 +318,25 @@ def test_schur_reciprocity_sign_rejects_a_broken_edge_block(spec):
     b = bundle_for(from_spec(spec))
     k, l = _disjoint_edges(b)
     # one edge diagonal set to 2: S_kk = 0
-    L = edited(b.connection, {(k, k): 2})
-    assert _schur_blocks(L, b.v)[2][k - b.v] == 0
-    assert schur_reciprocity_sign(L, b.v) is None
+    broken = _with_connection(b, edited(b.connection, {(k, k): 2}))
+    assert broken.schur[2][k - b.v] == 0
+    assert broken.reciprocity_sign is None
     # a symmetric pair between two disjoint edges: S is not diagonal, which
-    # _schur_blocks raises on and the certificate reports as None
-    L = edited(b.connection, {(k, l): 1, (l, k): 1})
+    # the Schur blocks raise on and the certificate reports as None
+    broken = _with_connection(b, edited(b.connection, {(k, l): 1, (l, k): 1}))
     with pytest.raises(ArithmeticError, match="not diagonal"):
-        _schur_blocks(L, b.v)
-    assert schur_reciprocity_sign(L, b.v) is None
+        broken.schur
+    assert broken.reciprocity_sign is None
 
 
 def test_schur_reciprocity_sign_rejects_an_asymmetric_connection():
     # an isolated vertex has no U row, so a 1 written into its column of one
     # edge row leaves S = -I_e; only L != L^T rejects it
     b = bundle_for(Graph(4, ((0, 1), (1, 2))))
-    L = edited(b.connection, {(b.v, 3): 1})
-    assert _schur_blocks(L, b.v)[2] == [-1] * b.e
-    assert schur_reciprocity_sign(L, b.v) is None
-    assert schur_reciprocity_sign(b.connection, b.v) == 1  # 6 cells
+    broken = _with_connection(b, edited(b.connection, {(b.v, 3): 1}))
+    assert broken.schur[2] == [-1] * b.e
+    assert broken.reciprocity_sign is None
+    assert b.reciprocity_sign == 1  # 6 cells
 
 
 def test_hydrogen_residual_matches_dense_expression_on_corpus(corpus):
@@ -533,7 +538,7 @@ def test_supersymmetry_report_rejects_a_permuted_edge_block():
     for name in ("hodge1", "hodge1_signless"):
         h1 = getattr(b, name)
         broken = OperatorBundle(b.complex)
-        broken.__dict__[name] = IntMatrix([[h1.rows[i][j] for j in order] for i in order])
+        broken.__dict__[name] = from_rows([[h1.rows[i][j] for j in order] for i in order])
         assert broken.__dict__[name] != h1
         assert supersymmetry_charpoly(broken).ok, name
         assert not supersymmetry_report(broken).ok, name
@@ -544,7 +549,7 @@ def test_supersymmetry_report_rejects_a_vertex_block_that_is_not_kirchhoff():
     b = bundle_for(from_spec("figure8"))
     order = [1, 0] + list(range(2, b.v))
     broken = OperatorBundle(b.complex)
-    broken.__dict__["hodge0"] = IntMatrix([[b.hodge0.rows[i][j] for j in order] for i in order])
+    broken.__dict__["hodge0"] = from_rows([[b.hodge0.rows[i][j] for j in order] for i in order])
     assert broken.hodge0 != b.kirchhoff
     assert supersymmetry_charpoly(broken).ok
     assert not supersymmetry_report(broken).ok
@@ -553,7 +558,7 @@ def test_supersymmetry_report_rejects_a_vertex_block_that_is_not_kirchhoff():
     # the Kirchhoff matrix has a -1
     tree = bundle_for(from_spec("path:4"))
     broken = OperatorBundle(tree.complex)
-    broken.__dict__["incidence"] = IntMatrix([[1, 1, 0, 0]] + tree.incidence.rows[1:])
+    broken.__dict__["incidence"] = from_rows([[1, 1, 0, 0]] + tree.incidence.rows[1:])
     assert supersymmetry_charpoly(broken).ok
     report = supersymmetry_report(broken)
     assert (report.kernel0, report.kernel1) == (1, 0)
@@ -629,7 +634,7 @@ def test_sparse_builders_match_their_dense_oracles_on_corpus(corpus):
         ):
             _assert_same(getattr(b, name), oracle, (spec, name))
         _assert_same(green_star(c), green, (spec, "green_star"))
-        _assert_same(schur_inverse(b.connection, b.v), green, (spec, "schur_inverse"))
+        _assert_same(b.schur_inverse(), green, (spec, "schur_inverse"))
         _assert_same(hydrogen_residual(b), dense_hydrogen_residual(b), (spec, "hydrogen_residual"))
         assert pairs(hydrogen_residual(b)) == [[]] * b.size, spec
         flipped = dense_incidence_signed(c, [rng.choice((-1, 1)) for _ in range(b.e)])
@@ -658,7 +663,7 @@ def test_storage_views_agree_on_every_bundle_operator(corpus):
             assert again == rows and again is not rows and len(rows) == m.nrows, (spec, name)
             assert all(x is not y for x, y in zip(again, rows)), (spec, name)
             assert all(len(row) == m.ncols for row in rows), (spec, name)
-            dense = IntMatrix(rows, ncols=m.ncols)
+            dense = from_rows(rows, ncols=m.ncols)
             assert dense == m and _same_csr(dense, m), (spec, name)
             assert pairs(dense) == pairs(m), (spec, name)
             assert all(a for row in pairs(m) for _, a in row), (spec, name)
@@ -669,19 +674,20 @@ def test_storage_views_agree_on_every_bundle_operator(corpus):
             vec = [rng.randint(-(2**70), 2**70) for _ in range(m.ncols)]
             want = tuple(sum(a * x for a, x in zip(row, vec)) for row in rows)
             assert m.apply(vec) == want == dense.apply(vec), (spec, name)
-    # at the int64 edge the three constructors agree, dtype included: row 0
+    # at the int64 edge from_csr, from_triplets and the dense rows (stored
+    # through from_triplets) agree, dtype included: row 0
     # and column 1 are zero, and only 2^63 - 1 of the values fits in int64
     # (-2^63 does, but its negation does not)
     for x in (-(2**63), 2**63 - 1, 2**63, 2**70):
         rows = [[0, 0, 0], [x, 0, -1]]
-        dense = IntMatrix(rows)
+        dense = from_rows(rows)
         via_csr = IntMatrix.from_csr([0, 0, 2], [0, 2], [x, -1], 2, 3)
         via_triplets = IntMatrix.from_triplets([1, 1], [0, 2], [x, -1], 2, 3)
         dtype = np.int64 if x == 2**63 - 1 else object
         for m in (dense, via_csr, via_triplets):
             assert _same_csr(m, dense) and m == dense, x
             assert m.csr[2].dtype == dtype and m.csr[2].tolist() == [x, -1], x
-            assert m.rows == rows and IntMatrix(m.rows) == m, x
+            assert m.rows == rows and from_rows(m.rows) == m, x
 
 
 def test_bundle_certifies_at_24840_cells_without_a_dense_view(monkeypatch):

@@ -276,8 +276,6 @@ KEEP = {
     "dynamics.perron_limits": "the Perron projection limits of the even-time walk",
     "dynamics.growth_rates": "the abstract's line-graph growth link, not yet certified",
     "graphs.save_graph": "writes the text format that load_graph reads",
-    "operators.schur_inverse": "the Schur block inverse of a bare matrix; the bundle runs it on cached blocks",
-    "operators.schur_reciprocity_sign": "the reciprocity certificate of a bare matrix",
     "products.two_time_walk": "the two-time walk on a product, the Z^2 lattice dynamics",
     "spectra.connection_sign_split": "the sign-split acceptance criterion reads it",
     "spectra.block_gap": "the block-gap acceptance criterion reads it",
@@ -416,18 +414,38 @@ def _methods(cls: ast.ClassDef) -> dict[str, ast.stmt]:
 def _members(cls: ast.ClassDef) -> set[str]:
     """The members a class defines, but the dunder ones that syntax calls:
     its methods and properties, the names its body assigns (dataclass
-    fields among them) and the attributes its methods set on self."""
+    fields among them) and the attributes its methods set on self.  An
+    explicit __init__ is a member too: only a call of its class runs it."""
     names = set(_top_level(cls)) | {
         n.attr
         for n in ast.walk(cls)
         if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Store)
         and isinstance(n.value, ast.Name) and n.value.id == "self"
     }
-    return {name for name in names if not _dunder(name)}
+    return {name for name in names if not _dunder(name)} | ({"__init__"} & set(_methods(cls)))
 
 
 def _attributes_read(node: ast.AST) -> set[str]:
     return {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+
+
+def _constructed(node: ast.AST, owner: ast.ClassDef | None) -> set[str]:
+    """The names of the classes whose __init__ code runs: each name it
+    calls, plain or as an attribute, and owner's bases where a method of
+    owner calls super().__init__."""
+    names = set()
+    for n in ast.walk(node):
+        if not isinstance(n, ast.Call):
+            continue
+        f = n.func
+        if isinstance(f, (ast.Name, ast.Attribute)):
+            names.add(f.id if isinstance(f, ast.Name) else f.attr)
+        if (
+            owner is not None and isinstance(f, ast.Attribute) and f.attr == "__init__"
+            and isinstance(f.value, ast.Call) and getattr(f.value.func, "id", None) == "super"
+        ):
+            names |= {base.id for base in owner.bases if isinstance(base, ast.Name)}
+    return names
 
 
 def _unread_members(package: Path, script: Path, keep, keep_members) -> list[str]:
@@ -443,15 +461,27 @@ def _unread_members(package: Path, script: Path, keep, keep_members) -> list[str
     members = {(m, c, name) for (m, c), cls in classes.items() for name in _members(cls)}
     # what runs without a member being read: the script, each reached
     # definition but a class, and a class's body but its non-dunder methods
-    todo = [script_tree] + [defs[m][n] for m, n in seen if (m, n) not in classes]
+    # and its __init__; each with the class it is code of
+    todo = [(script_tree, None)] + [(defs[m][n], None) for m, n in seen if (m, n) not in classes]
     for cls in classes.values():
-        todo += cls.bases + cls.decorator_list
-        todo += [n for n in cls.body if not isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef)) or _dunder(n.name)]
+        todo += [(n, None) for n in cls.bases + cls.decorator_list]
+        todo += [
+            (n, cls) for n in cls.body
+            if not isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef)) or (_dunder(n.name) and n.name != "__init__")
+        ]
+    # an __init__ runs where its class is called, and not where an
+    # attribute named __init__ is read
     read: set[str] = set()
+    called: set[str] = set()
     while todo:
-        new = set().union(*map(_attributes_read, todo)) - read
+        new = set().union(*(_attributes_read(n) for n, _ in todo)) - read - {"__init__"}
+        new_called = set().union(*(_constructed(n, owner) for n, owner in todo)) - called
         read |= new
-        todo = [_methods(cls)[name] for cls in classes.values() for name in new & set(_methods(cls))]
+        called |= new_called
+        todo = [
+            (method, cls) for (_, c), cls in classes.items() for name, method in _methods(cls).items()
+            if name in new or (name == "__init__" and c in new_called)
+        ]
     filled = set()
     for m, n in (tuple(k.split(".")) for k in keep):
         built = {c.func.id for c in ast.walk(defs[m][n]) if isinstance(c, ast.Call) and isinstance(c.func, ast.Name)}
@@ -465,7 +495,8 @@ def _unread_members(package: Path, script: Path, keep, keep_members) -> list[str
     return sorted(
         f"{m}.{c}.{name}"
         for m, c, name in members
-        if name not in read and (m, c, name) not in filled and f"{m}.{c}.{name}" not in keep_members
+        if not (c in called if name == "__init__" else name in read)
+        and (m, c, name) not in filled and f"{m}.{c}.{name}" not in keep_members
     )
 
 
@@ -505,6 +536,32 @@ def test_a_member_only_a_test_reads_is_unread(tmp_path):
     ]
     # a kept definition fills every field of the Box it returns
     assert _unread_members(package, script, {"shapes.unit_box"}, {}) == ["shapes.Box.describe", "shapes.Box.perimeter"]
+
+
+def test_an_init_runs_only_where_its_class_is_called(tmp_path):
+    # an explicit __init__ counts as read where reached code calls its
+    # class, by name or through super().__init__ in an __init__ that runs;
+    # an instance made by cls.__new__ or an attribute read of __init__
+    # runs neither
+    package = tmp_path / "package"
+    package.mkdir()
+    (package / "shapes.py").write_text(
+        "class Base:\n"
+        "    def __init__(self, side):\n        self.side = side\n\n"
+        "    @classmethod\n    def unit(cls):\n"
+        "        b = cls.__new__(cls)\n        b.side = 1\n        return b\n\n\n"
+        "class Square(Base):\n"
+        "    def __init__(self, side):\n        super().__init__(side)\n\n\n"
+        "class Circle:\n"
+        "    def __init__(self, r):\n        self.r = r\n"
+    )
+    script = tmp_path / "script.py"
+    script.write_text("print(0)\n")
+    main = "from .shapes import Circle, Square\n\n\ndef main():\n    return {}\n"
+    (package / "cli.py").write_text(main.format("Square.unit().side, Circle(2).r, Square.__init__"))
+    assert _unread_members(package, script, (), {}) == ["shapes.Base.__init__", "shapes.Square.__init__"]
+    (package / "cli.py").write_text(main.format("Square.unit().side + Square(3).side, Circle(2).r"))
+    assert _unread_members(package, script, (), {}) == []
 
 
 def test_no_parameter_holds_a_value_no_caller_changes():
@@ -556,13 +613,17 @@ def test_each_job_has_one_entry_point():
     # the one-line wrappers around a routine that stays are gone: orbit is
     # the walk and the automaton, the hydrogen residual (reduced mod p over
     # F_p), connection_det and green.entry_sum are the identity checks, L is
-    # the intersection pattern and bound_kwalk takes every k of a pass.  No
-    # module of the package defines them and the package exports none
+    # the intersection pattern and bound_kwalk takes every k of a pass.  The
+    # Schur certificate is reached through the bundle alone, whose schur,
+    # schur_inverse() and reciprocity_sign replace the bare-matrix functions
+    # and their block helpers.  No module of the package defines them and
+    # the package exports none
     package = ROOT / "src" / "connlab"
     gone = {
         "walk", "automaton_run", "hydrogen_holds", "hydrogen_residual_mod", "hydrogen_holds_mod",
         "is_unimodular", "energy", "energy_holds", "incidence_signless", "intersection_pattern",
-        "connection_edge_count", "_kwalk_bounds",
+        "connection_edge_count", "_kwalk_bounds", "schur_inverse", "schur_reciprocity_sign",
+        "_schur_blocks", "_block_inverse", "_reciprocity_sign",
     }
     defined = {m.stem: gone & set(_top_level(ast.parse(m.read_text()))) for m in package.glob("*.py")}
     assert {m: names for m, names in defined.items() if names} == {}

@@ -6,7 +6,7 @@ import pytest
 from connlab.complexes import build_complex
 from connlab.exact import IntMatrix, det
 from connlab.graphs import from_spec
-from connlab.operators import OperatorBundle, bundle_for, schur_inverse
+from connlab.operators import OperatorBundle, bundle_for
 from connlab.products import (
     ProductComplex,
     ProductError,
@@ -142,7 +142,7 @@ def test_product_reciprocity_fails_on_a_corrupted_factor(monkeypatch):
     a = OperatorBundle(honest.complex)
     L = edited(honest.connection, {(k, k): 3 for k in range(a.v, a.size)})
     a.__dict__["connection"] = L
-    a.__dict__["green"] = schur_inverse(L, a.v)
+    a.__dict__["green"] = a.schur_inverse()
     b = bundle_for(from_spec("path:3"))
     monkeypatch.setattr(
         ProductComplex, "connection_by_intersection", lambda self: L.kron(b.connection)

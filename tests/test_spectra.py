@@ -28,6 +28,7 @@ from oracles import (
     IntPolynomial,
     charpoly,
     exact_root_multiset,
+    from_rows,
     limit_functional_equation_residual,
     matpow,
     reciprocal_sign,
@@ -38,11 +39,11 @@ from oracles import (
 
 def test_eig_sym_rejects_asymmetric():
     with pytest.raises(SpectraError):
-        eig_sym(IntMatrix([[0, 2], [1, 0]]))
+        eig_sym(from_rows([[0, 2], [1, 0]]))
 
 
 def test_eig_sym_known_values():
-    spec = eig_sym(IntMatrix([[3, 0, 0], [0, -1, 0], [0, 0, 2]]))
+    spec = eig_sym(from_rows([[3, 0, 0], [0, -1, 0], [0, 0, 2]]))
     assert spec.eigenvalues == (-1.0, 2.0, 3.0)
     assert spec.top == 3.0
     assert spec.eigenvalues[0] == -1.0
