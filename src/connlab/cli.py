@@ -12,11 +12,13 @@ or graph spec or file), which prints one line "error: ..." on stderr and no
 traceback.
 
 The subcommands live in one table, _COMMANDS: name, help text and
-arguments; subcommand NAME runs cmd_NAME.  main builds the top-level parser
-and only the subcommand parser it runs, since building all eight is a large
-share of a small bounds call; with no subcommand named, or a help flag
-before it, it builds all eight, so --help and an unknown command still list
-every subcommand.
+arguments; subcommand NAME runs cmd_NAME.  When argv names its subcommand
+after nothing but whole global flags, main builds one flat parser, that
+command's arguments and the global flags, and parses argv with the name
+taken out, since building parsers is a large share of a small bounds call.
+Otherwise (no subcommand, an unknown one, or a help flag or an abbreviation
+before it) it builds the top-level parser with all eight subparsers, so
+--help and an invalid-choice error still list every subcommand.
 """
 
 from __future__ import annotations
@@ -741,37 +743,53 @@ _COMMANDS: dict[str, tuple[str, dict[str, dict]]] = {
     "product": ("strong-product checks for two graphs", {"graph_a": {}, "graph_b": {}}),
     "report": ("regenerate every reference table", {}),
 }
-_GLOBAL_FLAGS = ("--format", "--seed", "--dump")
+# the flags every command takes, before or after its name, with their
+# top-level defaults
+_GLOBAL_FLAGS: dict[str, dict] = {
+    "--format": {"choices": _FORMATS, "default": "pretty"},
+    "--seed": {"type": int, "default": 0},
+    "--dump": {"metavar": "OPERATOR", "choices": sorted(_DUMPABLE), "default": None},
+}
+
+
+def _add_command(parser: argparse.ArgumentParser, name: str, suppress: bool) -> None:
+    """The global flags, then the arguments of command name from _COMMANDS,
+    in the order that help and an ambiguous-option error list them.  With
+    suppress, an absent global flag sets nothing, so that a subparser keeps
+    the value the top-level parser read before the command name."""
+    for flag, options in _GLOBAL_FLAGS.items():
+        parser.add_argument(flag, **(dict(options, default=argparse.SUPPRESS) if suppress else options))
+    for flag, options in _COMMANDS[name][1].items():
+        parser.add_argument(flag, **options)
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The connlab parser with every subcommand, or with the named one only."""
+    """The flat parser of the named command, which reads argv with the
+    command name taken out; with no command, the connlab parser with every
+    subcommand."""
+    if command is not None:
+        parser = _Parser(prog=f"connlab {command}")
+        _add_command(parser, command, suppress=False)
+        parser.set_defaults(command=command)
+        return parser
     parser = _Parser(
         prog="connlab",
         description="Connection Laplacian workbench: exact identities, "
         "spectral bounds, reversible dynamics.",
     )
-    dumpable = sorted(_DUMPABLE)
-    parser.add_argument("--format", choices=_FORMATS, default="pretty")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--dump", metavar="OPERATOR", choices=dumpable, help="print the named operator matrix")
+    for flag, options in _GLOBAL_FLAGS.items():
+        # only the top-level help says what --dump does
+        text = "print the named operator matrix" if flag == "--dump" else None
+        parser.add_argument(flag, help=text, **options)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (text, arguments) in _COMMANDS.items():
-        if command not in (None, name):
-            continue
-        p = sub.add_parser(name, help=text)
-        # the same options are accepted after the subcommand; SUPPRESS keeps
-        # an absent flag from clobbering the value parsed at the top level
-        p.add_argument("--format", choices=_FORMATS, default=argparse.SUPPRESS)
-        p.add_argument("--seed", type=int, default=argparse.SUPPRESS)
-        p.add_argument("--dump", metavar="OPERATOR", choices=dumpable, default=argparse.SUPPRESS)
-        for flag, options in arguments.items():
-            p.add_argument(flag, **options)
+    for name, (text, _) in _COMMANDS.items():
+        _add_command(sub.add_parser(name, help=text), name, suppress=True)
     return parser
 
 
-def _command_named(argv: Sequence[str]) -> str | None:
-    """The subcommand argv runs, when only whole global flags come before it.
+def _command_named(argv: Sequence[str]) -> int | None:
+    """The position of the subcommand argv runs, when only whole global
+    flags come before it.
 
     argparse takes the first positional token for the subcommand, so the name
     counts after --format, --seed and --dump with their values, spaced or
@@ -783,7 +801,7 @@ def _command_named(argv: Sequence[str]) -> str | None:
     while i < len(argv):
         token = argv[i]
         if token in _COMMANDS:
-            return token
+            return i
         if token in _GLOBAL_FLAGS:
             i += 2
         elif token.partition("=")[0] in _GLOBAL_FLAGS:
@@ -797,7 +815,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     """Run one command; argv defaults to sys.argv[1:], as the console script
     passes it."""
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = build_parser(_command_named(argv)).parse_args(argv)
+    i = _command_named(argv)
+    if i is None:
+        args = build_parser().parse_args(argv)
+    else:
+        args = build_parser(argv[i]).parse_args(argv[:i] + argv[i + 1 :])
     # looked up by name at each call, so that a wrapper bound over a cmd_*
     # function after import, such as a tracer's, sees the call
     handler = globals()[f"cmd_{args.command}"]

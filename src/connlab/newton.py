@@ -204,7 +204,6 @@ class NewtonResult:
     iterations: int
     residual: float
     residual_history: tuple[float, ...]
-    sigma_min: float | None = None
 
 
 def solve_hydrogen(
@@ -224,19 +223,17 @@ def solve_hydrogen(
     X = L0.to_float()
     coords = _coords(pattern)
     history: list[float] = []
-    sigma_min_seen: float | None = None
     Xinv = np.linalg.inv(X)  # then each accepted trial carries its inverse
     for iteration in range(cfg.max_iter + 1):
         r = _residual_vector(K, X, Xinv, coords)
         rmax = float(np.max(np.abs(r))) if len(r) else 0.0
         history.append(rmax)
         if rmax <= cfg.tol:
-            return NewtonResult(X, True, iteration, rmax, tuple(history), sigma_min_seen)
+            return NewtonResult(X, True, iteration, rmax, tuple(history))
         if iteration == cfg.max_iter:
             break
         J = jacobian_at(Xinv, coords)
         sigmas = np.linalg.svd(J, compute_uv=False)
-        sigma_min_seen = float(sigmas[-1])
         if sigmas[-1] <= RCOND * sigmas[0]:
             raise SingularJacobianError(
                 f"support Jacobian is singular at iteration {iteration}: "
@@ -262,11 +259,11 @@ def solve_hydrogen(
                 break
             step /= 2.0
         if not accepted:
-            result = NewtonResult(X, False, iteration, rmax, tuple(history), sigma_min_seen)
+            result = NewtonResult(X, False, iteration, rmax, tuple(history))
             raise NonConvergenceError(
                 f"line search stalled at residual {rmax:.3e}", result
             )
-    result = NewtonResult(X, False, cfg.max_iter, history[-1], tuple(history), sigma_min_seen)
+    result = NewtonResult(X, False, cfg.max_iter, history[-1], tuple(history))
     raise NonConvergenceError(
         f"no convergence after {cfg.max_iter} iterations; residual {history[-1]:.3e}",
         result,

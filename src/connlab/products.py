@@ -10,11 +10,11 @@ connection Laplacian a Kronecker product:
 
 product_checks verifies both: once per product, the Kronecker assembly is
 compared entry by entry against an independent intersection-rule
-construction over the cells, and the spectra are compared against pairwise
-products and sums.  charpoly(L^2) is reciprocal with sign (-1)^(n_A n_B)
-once both factors pass their bundle's Schur certificate
-(OperatorBundle.reciprocity_sign), since the squared product spectrum is
-the pairwise products of two inversion-closed ones.
+construction from the factors' shared-vertex pairs, and the spectra are
+compared against pairwise products and sums.  charpoly(L^2) is reciprocal
+with sign (-1)^(n_A n_B) once both factors pass their bundle's Schur
+certificate (OperatorBundle.reciprocity_sign), since the squared product
+spectrum is the pairwise products of two inversion-closed ones.
 The product inverse is kron(g_A, g_B) of the factors' certified Green
 matrices, itself certified by the sparse product L @ X = I.
 The energy theorem survives the product (the total sum of L^-1 entries is
@@ -29,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .complexes import Complex, Simplex
+from .complexes import Complex
 from .dynamics import _powers
 from .exact import IntMatrix
 from .graphs import Graph
@@ -39,6 +39,18 @@ from .spectra import eig_sym
 
 class ProductError(ValueError):
     pass
+
+
+def _shared_vertex_pairs(c: Complex) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs (i, j) of simplex indices whose simplices share a vertex,
+    once per shared vertex, read off the simplices' vertex sets."""
+    members: list[list[int]] = [[] for _ in range(c.v)]
+    for k, simplex in enumerate(c.simplices):
+        for x in simplex:
+            members[x].append(k)
+    i = [a for m in members for a in m for _ in m]
+    j = [b for m in members for _ in m for b in m]
+    return np.array(i, dtype=np.int64), np.array(j, dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -54,23 +66,24 @@ class ProductComplex:
     factor_b: Complex
 
     @property
-    def cells(self) -> tuple[tuple[Simplex, Simplex], ...]:
-        return tuple(
-            (x, y) for x in self.factor_a.simplices for y in self.factor_b.simplices
-        )
-
-    @property
     def size(self) -> int:
         return self.factor_a.size * self.factor_b.size
 
     def connection_by_intersection(self) -> IntMatrix:
-        """L(A x B) built directly from the cell intersection rule."""
-        cells = [(set(x), set(y)) for x, y in self.cells]
-        n = len(cells)
-        cols, indptr = [], [0]
-        for xa, ya in cells:
-            cols.extend(j for j, (xb, yb) in enumerate(cells) if xa & xb and ya & yb)
-            indptr.append(len(cols))
+        """L(A x B) built directly from the cell intersection rule.
+
+        Cells (x, y) and (x', y') intersect exactly when x and x' share a
+        vertex and y and y' do, so the entries are the pairs of a shared
+        pair of A and one of B; a pair of cells met more than once (two
+        simplices sharing both vertices) is summed, then set to 1.
+        """
+        ia, ja = _shared_vertex_pairs(self.factor_a)
+        ib, jb = _shared_vertex_pairs(self.factor_b)
+        nb, n = self.factor_b.size, self.size
+        rows = (ia[:, None] * nb + ib).ravel()
+        cols = (ja[:, None] * nb + jb).ravel()
+        ones = np.ones(len(rows), dtype=np.int64)
+        indptr, cols, _ = IntMatrix.from_triplets(rows, cols, ones, n, n).csr
         return IntMatrix.from_csr(indptr, cols, np.ones(len(cols), dtype=np.int64), n, n)
 
 

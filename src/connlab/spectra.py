@@ -110,8 +110,8 @@ def eig_sym(m: IntMatrix) -> Spectrum:
         raise SpectraError(
             f"eigensolver residual {residual:.3e} exceeds requested tolerance {EIG_TOL:.0e}"
         )
-    order = np.argsort(w, kind="stable")
-    return Spectrum(tuple(float(w[i]) for i in order), n, residual)
+    # eigh returns the eigenvalues ascending, the order Spectrum checks
+    return Spectrum(tuple(w.tolist()), n, residual)
 
 
 # ---------------------------------------------------------------------------

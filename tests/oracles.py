@@ -43,7 +43,10 @@ dense products; quaternion_branch_rank builds the 4n x 4n branch map from
 both and takes its rank.
 
 dense_kron is the Kronecker product written entry by entry from the dense
-rows, the oracle for IntMatrix.kron over the triplets.  exact_jacobian_loop
+rows, the oracle for IntMatrix.kron over the triplets.
+intersection_rule_loop tests every pair of product cells for an
+intersection, O(N^2) for N cells; ProductComplex.connection_by_intersection
+pairs the factors' shared-vertex pairs instead.  exact_jacobian_loop
 is the Newton Jacobian at L written the same way, one entry per pair of
 pattern coordinates from the dense rows of g, O(m^2) for m coordinates;
 newton.exact_jacobian_at_connection builds it from g (x) g instead.  edited gives a copy of
@@ -611,6 +614,18 @@ def dense_kron(a: IntMatrix, b: IntMatrix) -> IntMatrix:
         [[x * y for x in row_a for y in row_b] for row_a in a.rows for row_b in rows_b],
         ncols=a.ncols * b.ncols,
     )
+
+
+def intersection_rule_loop(a: Complex, b: Complex) -> IntMatrix:
+    """L(A x B) cell pair by cell pair: the cells (x, y) in lexicographic
+    factor order, and a 1 where both coordinates of two cells intersect."""
+    cells = [(set(x), set(y)) for x in a.simplices for y in b.simplices]
+    n = len(cells)
+    cols, indptr = [], [0]
+    for xa, ya in cells:
+        cols.extend(j for j, (xb, yb) in enumerate(cells) if xa & xb and ya & yb)
+        indptr.append(len(cols))
+    return IntMatrix.from_csr(indptr, cols, np.ones(len(cols), dtype=np.int64), n, n)
 
 
 def exact_jacobian_loop(bundle: OperatorBundle) -> IntMatrix:

@@ -1,12 +1,15 @@
 """Command-line behavior: exit codes, output formats, determinism."""
 
+import argparse
 import contextlib
 import csv
+import gc
 import hashlib
 import io
 import json
 import sys
 import time
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -764,40 +767,73 @@ def _reference_main(argv):
         ("automaton", "cycle:3", "--steps", "2"),
         ("--seed", "3", "newton", "path:3", "--max-iter", "5"),
         ("product", "path:2", "cycle:3", "--format", "csv"),
+        # a flat parser reads the flags on both sides of the name at once
+        ("--format", "json", "bounds", "cycle:4", "--format", "csv"),
+        ("--seed=-5", "newton", "path:3"),
+        ("--dump=L", "verify", "complete:2"),
+        ("--seed", "3", "walk", "--help"),
+        ("bounds", "--form", "csv", "cycle:4"),
+        ("walk", "cycle:3", "--s", "2"),
+        ("--format", "csv", "verify", "--", "cycle:3"),
+        ("--dump", "L", "walk", "walk"),
+        # the name is taken out at its position, not where its text first appears
+        ("--seed", "verify", "--format", "json", "verify", "cycle:3"),
     ],
 )
 def test_pruned_parser_matches_the_full_one(capsys, argv):
-    # main builds only the subcommand parser argv names; every byte it prints
+    # main parses a named command with one flat parser; every byte it prints
     # and its exit code match the hand-written parser of all eight commands,
     # so the table holds every argument and a help flag still lists them all
     assert _outcome(capsys, cli.main, argv) == _outcome(capsys, _reference_main, argv)
 
 
 def _counting_parsers(monkeypatch):
-    """The prog of every parser cli builds from now on, in order."""
-    built = []
+    """The prog of every parser cli builds from now on, in order, with
+    "subparsers" for each subparsers action, and a weak reference to each
+    parser."""
+    built, refs = [], []
 
     class Counted(cli._Parser):
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
             built.append(self.prog)
+            refs.append(weakref.ref(self))
+
+    subparsers_init = argparse._SubParsersAction.__init__
+
+    def counted_subparsers_init(self, *args, **kwargs):
+        subparsers_init(self, *args, **kwargs)
+        built.append("subparsers")
 
     monkeypatch.setattr(cli, "_Parser", Counted)
-    return built
+    monkeypatch.setattr(argparse._SubParsersAction, "__init__", counted_subparsers_init)
+    return built, refs
 
 
 def test_a_command_builds_its_own_parser_only(capsys, monkeypatch):
-    built = _counting_parsers(monkeypatch)
+    built, refs = _counting_parsers(monkeypatch)
     code, out, err = _outcome(capsys, cli.main, ("bounds", "cycle:4"))
     assert (code, err) == (0, "") and out.startswith("name")
-    assert built == ["connlab", "connlab bounds"]
+    assert built == ["connlab bounds"]
     # the console script calls main() with no argv, which reads sys.argv
     monkeypatch.setattr(sys, "argv", ["connlab", "bounds", "cycle:4"])
     assert _outcome(capsys, lambda _: cli.main(), ()) == (code, out, err)
-    assert built == ["connlab", "connlab bounds"] * 2
+    assert built == ["connlab bounds"] * 2
     del built[:]
     assert _outcome(capsys, cli.main, ("--help",))[0] == 0
-    assert built == ["connlab"] + [f"connlab {name}" for name in COMMANDS]
+    assert built == ["connlab", "subparsers"] + [f"connlab {name}" for name in COMMANDS]
+    # each parser is built afresh and dropped when its call ends
+    gc.collect()
+    assert len(refs) == 11 and all(ref() is None for ref in refs)
+
+
+def test_consecutive_calls_share_no_parsed_state(capsys):
+    # a flag given to one call does not carry over to the next
+    code, out, err = run(capsys, "--format", "json", "verify", "cycle:3")
+    assert (code, err) == (0, "") and json.loads(out)["ok"] is True
+    code, out, err = run(capsys, "verify", "cycle:3")
+    assert (code, err) == (0, "")
+    assert out.startswith("ok   unimodularity") and out.endswith("C3: 7/7 checks pass\n")
 
 
 @pytest.mark.parametrize(

@@ -21,6 +21,7 @@ from oracles import (
     dense_kron,
     edited,
     graeffe,
+    intersection_rule_loop,
     inverse_unimodular,
     matpow,
     pairs,
@@ -48,7 +49,11 @@ def test_product_connection_two_routes(sa, sb):
     L = product_connection(from_spec(sa), from_spec(sb))
     pc = ProductComplex(build_complex(from_spec(sa)), build_complex(from_spec(sb)))
     assert L.nrows == pc.size
-    assert L == pc.connection_by_intersection()
+    rule = pc.connection_by_intersection()
+    assert L == rule
+    # the rule read off the factors' shared-vertex pairs, against the loop
+    # over every pair of product cells
+    assert rule == intersection_rule_loop(pc.factor_a, pc.factor_b)
 
 
 @pytest.mark.parametrize("sa, sb", PAIRS)
