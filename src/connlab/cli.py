@@ -8,17 +8,20 @@ every command is deterministic given its flags, so identical invocations
 produce byte-identical output.
 
 Exit codes: 0 success, 1 a check failed, 2 a usage error (a bad flag, state
-or graph spec or file), which prints one line "error: ..." on stderr and no
-traceback.
+or graph spec or file, or a run whose array would not fit in memory), which
+prints one line "error: ..." on stderr and no traceback.
 
-The subcommands live in one table, _COMMANDS: name, help text and
-arguments; subcommand NAME runs cmd_NAME.  When argv names its subcommand
-after nothing but whole global flags, main builds one flat parser, that
-command's arguments and the global flags, and parses argv with the name
-taken out, since building parsers is a large share of a small bounds call.
-Otherwise (no subcommand, an unknown one, or a help flag or an abbreviation
-before it) it builds the top-level parser with all eight subparsers, so
---help and an invalid-choice error still list every subcommand.
+The subcommands live in one table, _COMMANDS: name, help text, the shared
+flags (--format, --seed, --dump) that its handler reads, and its own
+arguments; subcommand NAME runs cmd_NAME.  A command takes only the shared
+flags its entry names, so any other one is a usage error.  When argv names
+its subcommand after nothing but whole shared flags, main builds that
+command's flat parser and parses argv with the name taken out, since
+building parsers is a large share of a small bounds call.  Otherwise (no
+subcommand, an unknown one, or a help flag or an abbreviation before it) it
+builds the connlab parser, which has no flags of its own, with all eight
+subparsers, so --help and an invalid-choice error still list every
+subcommand.
 """
 
 from __future__ import annotations
@@ -103,6 +106,22 @@ def _load_graph_arg(arg: str) -> Graph:
     return from_spec(arg)
 
 
+def _within_memory(rows: int, cols: int, what: str) -> None:
+    """Refuse, as a usage error, a rows x cols array of 8-byte entries (int64,
+    float64 or object pointers) larger than physical memory, before numpy is
+    asked for it.  A run that passes may still run out, as it holds more
+    than that one array; MemoryError is left uncaught, since on a machine
+    that overcommits the allocation succeeds and the process is killed
+    later."""
+    need = 8 * rows * cols
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        raise UsageError(
+            f"{what} needs a {rows} x {cols} array of {need / 2**30:.1f} GiB, "
+            f"more than the {have / 2**30:.1f} GiB of memory"
+        )
+
+
 _DUMPABLE: dict[str, Callable[[OperatorBundle], IntMatrix]] = {
     "L": lambda b: b.connection,
     "g": lambda b: b.green,
@@ -119,7 +138,7 @@ _DUMPABLE: dict[str, Callable[[OperatorBundle], IntMatrix]] = {
 
 
 def _maybe_dump(args, bundle: OperatorBundle) -> None:
-    if getattr(args, "dump", None):
+    if args.dump:
         sys.stdout.write(dump_matrix(_DUMPABLE[args.dump](bundle)))
 
 
@@ -270,7 +289,9 @@ def cmd_bounds(args) -> int:
 def cmd_spectrum(args) -> int:
     g = _load_graph_arg(args.graph)
     bundle = bundle_for(g)
-    spec = eig_sym(_DUMPABLE[args.operator](bundle))
+    m = _DUMPABLE[args.operator](bundle)
+    _within_memory(m.nrows, m.ncols, f"the spectrum of {args.operator}")
+    spec = eig_sym(m)
     payload = {
         "graph": g.name,
         "operator": args.operator,
@@ -389,6 +410,7 @@ def _run_orbit(args, p: int | None) -> int:
     bundle = bundle_for(g)
     psi0 = _parse_state(args.state, bundle.size)
     n_min = -args.steps if args.reverse else 0
+    _within_memory(args.steps - n_min + 1, bundle.size, "the orbit")
     traj = orbit(bundle, psi0, n_min, args.steps, p)
     # round trip: g psi(k) = psi(k - 1) for every forward step, so that a
     # wrong middle state fails here and not only at the closing check.  It
@@ -427,11 +449,15 @@ def cmd_automaton(args) -> int:
 
 def cmd_newton(args) -> int:
     g = _load_graph_arg(args.graph)
+    bundle = bundle_for(g)
+    # one Jacobian column per upper-triangle nonzero of L, whose diagonal is full
+    m = (bundle.connection.nnz + bundle.size) // 2
+    _within_memory(m, m, "the Newton Jacobian")
     cfg = NewtonConfig(tol=args.tol, max_iter=args.max_iter)
     payload: dict = {"graph": g.name, "eps": args.eps, "seed": args.seed}
     code = 0
     try:
-        result, support = solve_perturbed(g, args.eps, args.seed, cfg)
+        result, support = solve_perturbed(bundle, args.eps, args.seed, cfg)
         payload.update(
             converged=result.converged,
             iterations=result.iterations,
@@ -475,6 +501,8 @@ def cmd_newton(args) -> int:
 def cmd_product(args) -> int:
     a = _load_graph_arg(args.graph_a)
     b = _load_graph_arg(args.graph_b)
+    cells = (a.n + a.e) * (b.n + b.e)
+    _within_memory(cells, cells, "each product spectrum")
     rep = product_checks(a, b)
     _print_json(
         {
@@ -691,22 +719,32 @@ def _tol(text: str) -> float:
     return x
 
 
-_FORMATS = ("json", "csv", "pretty")
 _STATE_HELP = "comma-separated initial state (default: unit vector)"
 
-# name: (help, arguments), each argument a flag or positional name with its
-# add_argument keywords; the command runs cmd_<name>
-_COMMANDS: dict[str, tuple[str, dict[str, dict]]] = {
+# the flags more than one command reads, each given only to the commands
+# whose _COMMANDS entry names it
+_SHARED: dict[str, dict] = {
+    "--format": {"choices": ("json", "csv", "pretty"), "default": "pretty"},
+    "--seed": {"type": int, "default": 0},
+    "--dump": {"metavar": "OPERATOR", "choices": sorted(_DUMPABLE), "help": "print the named operator matrix"},
+}
+
+# name: (help, the _SHARED flags its handler reads, its own arguments, each
+# a flag or positional name with its add_argument keywords); the command
+# runs cmd_<name>
+_COMMANDS: dict[str, tuple[str, tuple[str, ...], dict[str, dict]]] = {
     "verify": (
         "run the exact identity checks on one graph",
+        ("--format", "--dump"),
         {
             "graph": {},
             "--field": {"type": _field_prime, "help": "also check the identity mod this prime"},
         },
     ),
-    "bounds": ("bound table rows for one or more graphs", {"graphs": {"nargs": "+"}}),
+    "bounds": ("bound table rows for one or more graphs", ("--format", "--dump"), {"graphs": {"nargs": "+"}}),
     "spectrum": (
         "eigenvalues of one operator",
+        ("--format", "--dump"),
         {
             "graph": {},
             "--operator": {"choices": sorted(_DUMPABLE.keys() - {"g", "d0", "kirchhoff"}), "default": "L"},
@@ -714,6 +752,7 @@ _COMMANDS: dict[str, tuple[str, dict[str, dict]]] = {
     ),
     "walk": (
         "exact two-sided walk, one JSON line per time",
+        ("--dump",),
         {
             "graph": {},
             "--steps": {"type": _count, "default": 6},
@@ -723,6 +762,7 @@ _COMMANDS: dict[str, tuple[str, dict[str, dict]]] = {
     ),
     "automaton": (
         "reversible walk over a prime field",
+        ("--dump",),
         {
             "graph": {},
             "--field": {"type": _field_prime, "required": True},
@@ -733,6 +773,7 @@ _COMMANDS: dict[str, tuple[str, dict[str, dict]]] = {
     ),
     "newton": (
         "solve the perturbed relation K = L - 1/L",
+        ("--seed",),
         {
             "graph": {},
             "--eps": {"type": _eps, "default": 0.01},
@@ -740,36 +781,27 @@ _COMMANDS: dict[str, tuple[str, dict[str, dict]]] = {
             "--max-iter": {"type": _count, "default": 50},
         },
     ),
-    "product": ("strong-product checks for two graphs", {"graph_a": {}, "graph_b": {}}),
-    "report": ("regenerate every reference table", {}),
-}
-# the flags every command takes, before or after its name, with their
-# top-level defaults
-_GLOBAL_FLAGS: dict[str, dict] = {
-    "--format": {"choices": _FORMATS, "default": "pretty"},
-    "--seed": {"type": int, "default": 0},
-    "--dump": {"metavar": "OPERATOR", "choices": sorted(_DUMPABLE), "default": None},
+    "product": ("strong-product checks for two graphs", (), {"graph_a": {}, "graph_b": {}}),
+    "report": ("regenerate every reference table", ("--format", "--seed"), {}),
 }
 
 
-def _add_command(parser: argparse.ArgumentParser, name: str, suppress: bool) -> None:
-    """The global flags, then the arguments of command name from _COMMANDS,
-    in the order that help and an ambiguous-option error list them.  With
-    suppress, an absent global flag sets nothing, so that a subparser keeps
-    the value the top-level parser read before the command name."""
-    for flag, options in _GLOBAL_FLAGS.items():
-        parser.add_argument(flag, **(dict(options, default=argparse.SUPPRESS) if suppress else options))
-    for flag, options in _COMMANDS[name][1].items():
+def _add_command(parser: argparse.ArgumentParser, name: str) -> None:
+    """The shared flags that command name reads, then its own arguments,
+    from _COMMANDS, in the order that help and an ambiguous-option error
+    list them."""
+    _, shared, arguments = _COMMANDS[name]
+    for flag, options in ({flag: _SHARED[flag] for flag in shared} | arguments).items():
         parser.add_argument(flag, **options)
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The flat parser of the named command, which reads argv with the
-    command name taken out; with no command, the connlab parser with every
-    subcommand."""
+    command name taken out; with no command, the connlab parser, which has
+    no flags of its own, with every subcommand."""
     if command is not None:
         parser = _Parser(prog=f"connlab {command}")
-        _add_command(parser, command, suppress=False)
+        _add_command(parser, command)
         parser.set_defaults(command=command)
         return parser
     parser = _Parser(
@@ -777,38 +809,33 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         description="Connection Laplacian workbench: exact identities, "
         "spectral bounds, reversible dynamics.",
     )
-    for flag, options in _GLOBAL_FLAGS.items():
-        # only the top-level help says what --dump does
-        text = "print the named operator matrix" if flag == "--dump" else None
-        parser.add_argument(flag, help=text, **options)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (text, _) in _COMMANDS.items():
-        _add_command(sub.add_parser(name, help=text), name, suppress=True)
+    for name, (text, _, _) in _COMMANDS.items():
+        _add_command(sub.add_parser(name, help=text), name)
     return parser
 
 
 def _command_named(argv: Sequence[str]) -> int | None:
-    """The position of the subcommand argv runs, when only whole global
+    """The position of the subcommand argv runs, when only whole shared
     flags come before it.
 
     argparse takes the first positional token for the subcommand, so the name
     counts after --format, --seed and --dump with their values, spaced or
-    after "=".  Anything else first (a help flag, an abbreviation, a stray
-    positional) gives None, and the full parser answers: its help and its
-    invalid-choice error list all eight commands.
+    after "=".  The command's flat parser reads them as if they followed the
+    name, and refuses one that the command does not read.  Anything else
+    first (a help flag, an abbreviation, a stray positional) gives None, and
+    the full parser answers: its help and its invalid-choice error list all
+    eight commands.
     """
     i = 0
-    while i < len(argv):
-        token = argv[i]
-        if token in _COMMANDS:
-            return i
-        if token in _GLOBAL_FLAGS:
+    while i < len(argv) and argv[i] not in _COMMANDS:
+        if argv[i] in _SHARED:
             i += 2
-        elif token.partition("=")[0] in _GLOBAL_FLAGS:
+        elif argv[i].partition("=")[0] in _SHARED:
             i += 1
         else:
             return None
-    return None
+    return i if i < len(argv) else None
 
 
 def main(argv: Sequence[str] | None = None) -> int:

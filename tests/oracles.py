@@ -102,9 +102,9 @@ renormalization; constant_environment repeats one L, whose exponent is
 log rho(L).  No module of the package runs it.
 
 reference_parser is the command-line parser written out one subcommand at a
-time, as it was before cli built its parsers from one command table; the
-parity tests compare every parse, help text and usage error of cli.main
-with it.
+time, as it was before cli built its parsers from one command table, each
+subcommand with only the shared flags its handler reads; the parity tests
+compare every parse, help text and usage error of cli.main with it.
 """
 
 import argparse
@@ -1294,69 +1294,74 @@ def constant_environment(L: IntMatrix, n_steps: int) -> EnvironmentSequence:
 
 
 def reference_parser() -> argparse.ArgumentParser:
-    """Every subcommand's parser, each written out by hand; args.fn is the
-    handler the subcommand runs."""
+    """Every subcommand's parser, each written out by hand with only the
+    flags its handler reads, under a connlab parser with no flags of its
+    own; args.fn is the handler the subcommand runs."""
     parser = cli._Parser(
         prog="connlab",
         description="Connection Laplacian workbench: exact identities, "
         "spectral bounds, reversible dynamics.",
     )
+    formats = ("json", "csv", "pretty")
     dumpable = sorted(cli._DUMPABLE)
-    parser.add_argument("--format", choices=("json", "csv", "pretty"), default="pretty")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument(
-        "--dump", metavar="OPERATOR", choices=dumpable, help="print the named operator matrix"
-    )
-
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("json", "csv", "pretty"), default=argparse.SUPPRESS)
-    common.add_argument("--seed", type=int, default=argparse.SUPPRESS)
-    common.add_argument("--dump", metavar="OPERATOR", choices=dumpable, default=argparse.SUPPRESS)
+    dump_help = "print the named operator matrix"
+    state_help = "comma-separated initial state (default: unit vector)"
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("verify", help="run the exact identity checks on one graph", parents=[common])
+    p = sub.add_parser("verify", help="run the exact identity checks on one graph")
+    p.add_argument("--format", choices=formats, default="pretty")
+    p.add_argument("--dump", metavar="OPERATOR", choices=dumpable, help=dump_help)
     p.add_argument("graph")
     p.add_argument("--field", type=cli._field_prime, help="also check the identity mod this prime")
     p.set_defaults(fn=cli.cmd_verify)
 
-    p = sub.add_parser("bounds", help="bound table rows for one or more graphs", parents=[common])
+    p = sub.add_parser("bounds", help="bound table rows for one or more graphs")
+    p.add_argument("--format", choices=formats, default="pretty")
+    p.add_argument("--dump", metavar="OPERATOR", choices=dumpable, help=dump_help)
     p.add_argument("graphs", nargs="+")
     p.set_defaults(fn=cli.cmd_bounds)
 
-    p = sub.add_parser("spectrum", help="eigenvalues of one operator", parents=[common])
+    p = sub.add_parser("spectrum", help="eigenvalues of one operator")
+    p.add_argument("--format", choices=formats, default="pretty")
+    p.add_argument("--dump", metavar="OPERATOR", choices=dumpable, help=dump_help)
     p.add_argument("graph")
     p.add_argument("--operator", choices=sorted(set(dumpable) - {"g", "d0", "kirchhoff"}), default="L")
     p.set_defaults(fn=cli.cmd_spectrum)
 
-    p = sub.add_parser("walk", help="exact two-sided walk, one JSON line per time", parents=[common])
+    p = sub.add_parser("walk", help="exact two-sided walk, one JSON line per time")
+    p.add_argument("--dump", metavar="OPERATOR", choices=dumpable, help=dump_help)
     p.add_argument("graph")
     p.add_argument("--steps", type=cli._count, default=6)
     p.add_argument("--reverse", action="store_true", help="also walk backward and check the round trip")
-    p.add_argument("--state", help="comma-separated initial state (default: unit vector)")
+    p.add_argument("--state", help=state_help)
     p.set_defaults(fn=cli.cmd_walk)
 
-    p = sub.add_parser("automaton", help="reversible walk over a prime field", parents=[common])
+    p = sub.add_parser("automaton", help="reversible walk over a prime field")
+    p.add_argument("--dump", metavar="OPERATOR", choices=dumpable, help=dump_help)
     p.add_argument("graph")
     p.add_argument("--field", type=cli._field_prime, required=True)
     p.add_argument("--steps", type=cli._count, default=6)
     p.add_argument("--reverse", action="store_true")
-    p.add_argument("--state", help="comma-separated initial state (default: unit vector)")
+    p.add_argument("--state", help=state_help)
     p.set_defaults(fn=cli.cmd_automaton)
 
-    p = sub.add_parser("newton", help="solve the perturbed relation K = L - 1/L", parents=[common])
+    p = sub.add_parser("newton", help="solve the perturbed relation K = L - 1/L")
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("graph")
     p.add_argument("--eps", type=cli._eps, default=0.01)
     p.add_argument("--tol", type=cli._tol, default=1e-10)
     p.add_argument("--max-iter", type=cli._count, default=50)
     p.set_defaults(fn=cli.cmd_newton)
 
-    p = sub.add_parser("product", help="strong-product checks for two graphs", parents=[common])
+    p = sub.add_parser("product", help="strong-product checks for two graphs")
     p.add_argument("graph_a")
     p.add_argument("graph_b")
     p.set_defaults(fn=cli.cmd_product)
 
-    p = sub.add_parser("report", help="regenerate every reference table", parents=[common])
+    p = sub.add_parser("report", help="regenerate every reference table")
+    p.add_argument("--format", choices=formats, default="pretty")
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cli.cmd_report)
 
     return parser

@@ -1,12 +1,15 @@
 """Command-line behavior: exit codes, output formats, determinism."""
 
 import argparse
+import ast
 import contextlib
 import csv
 import gc
 import hashlib
 import io
 import json
+import os
+import re
 import sys
 import time
 import weakref
@@ -40,6 +43,7 @@ from oracles import (
     stray_vertex_entry,
     zeroed_forest_pivot,
 )
+from test_graphs import _specs
 
 DATA = Path(__file__).parent / "data"
 
@@ -712,6 +716,19 @@ def test_usage_errors_print_one_line_and_exit_2(capsys, argv, message):
 
 
 COMMANDS = ("verify", "bounds", "spectrum", "walk", "automaton", "newton", "product", "report")
+# the shared flags, each with a value, and the commands that read each: the
+# table of the README, and of cli._COMMANDS
+SHARED_VALUES = {"--format": "json", "--dump": "L", "--seed": "5"}
+READS = {
+    "verify": {"--format", "--dump"},
+    "bounds": {"--format", "--dump"},
+    "spectrum": {"--format", "--dump"},
+    "walk": {"--dump"},
+    "automaton": {"--dump"},
+    "newton": {"--seed"},
+    "product": set(),
+    "report": {"--format", "--seed"},
+}
 
 
 def _outcome(capsys, main, argv):
@@ -724,9 +741,25 @@ def _outcome(capsys, main, argv):
     return code, out.out, out.err
 
 
+def _name_first(argv):
+    """argv with its command name moved in front of the whole shared flags,
+    with their values, that come before it: a whole shared flag before the
+    name reads as if it came right after it."""
+    i = 0
+    while i < len(argv) and argv[i] not in COMMANDS:
+        if argv[i] in SHARED_VALUES:
+            i += 2
+        elif argv[i].partition("=")[0] in SHARED_VALUES:
+            i += 1
+        else:
+            return argv
+    return argv if i >= len(argv) else (argv[i], *argv[:i], *argv[i + 1 :])
+
+
 def _reference_main(argv):
-    """cli.main as run on the parser written out one subcommand at a time."""
-    args = reference_parser().parse_args(argv)
+    """cli.main as run on the parser written out one subcommand at a time,
+    after the command name is moved to the front."""
+    args = reference_parser().parse_args(_name_first(argv))
     try:
         return args.fn(args)
     except (cli.UsageError, GraphError) as exc:
@@ -778,13 +811,316 @@ def _reference_main(argv):
         ("--dump", "L", "walk", "walk"),
         # the name is taken out at its position, not where its text first appears
         ("--seed", "verify", "--format", "json", "verify", "cycle:3"),
+        # a shared flag that the command does not read, after its name or before
+        ("newton", "path:3", "--dump", "L"),
+        ("report", "--dump=L"),
+        ("--format", "csv", "product", "path:2", "cycle:3"),
+        ("--seed", "3", "walk", "cycle:3"),
+        ("--format", "json", "--help"),
+        ("verify", "cycle:3", "--form", "json"),
     ],
 )
 def test_pruned_parser_matches_the_full_one(capsys, argv):
     # main parses a named command with one flat parser; every byte it prints
     # and its exit code match the hand-written parser of all eight commands,
-    # so the table holds every argument and a help flag still lists them all
+    # each with only the shared flags it reads, so the table holds every
+    # argument and a help flag still lists them all
     assert _outcome(capsys, cli.main, argv) == _outcome(capsys, _reference_main, argv)
+
+
+# each command, run with no shared flag, as the shared-flag tests extend it
+_PLAIN = {
+    "verify": ("verify", "cycle:3"),
+    "bounds": ("bounds", "cycle:3"),
+    "spectrum": ("spectrum", "cycle:3"),
+    "walk": ("walk", "cycle:3", "--steps", "2"),
+    "automaton": ("automaton", "cycle:3", "--field", "5", "--steps", "2"),
+    "newton": ("newton", "path:3"),
+    "product": ("product", "path:2", "cycle:3"),
+    "report": ("report",),
+}
+
+
+def test_the_command_table_and_the_readme_give_each_command_the_shared_flags_it_reads():
+    assert {name: set(entry[1]) for name, entry in cli._COMMANDS.items()} == READS
+    lines = (Path(__file__).parent.parent / "README.md").read_text().splitlines()
+    start = next(k for k, line in enumerate(lines) if line.startswith("| command |"))
+    flags = [re.search(r"--[a-z]+", cell).group() for cell in lines[start].split("|")[2:-1]]
+    table = {}
+    for line in lines[start + 2 : start + 2 + len(COMMANDS)]:
+        name, *cells = [cell.strip() for cell in line.split("|")[1:-1]]
+        table[name.strip("`")] = {flag for flag, cell in zip(flags, cells) if cell == "yes"}
+    assert table == READS
+
+
+@pytest.mark.parametrize("flag", SHARED_VALUES)
+@pytest.mark.parametrize("name", COMMANDS)
+def test_a_command_takes_only_the_shared_flags_it_reads(capsys, name, flag):
+    # the 11 pairs in READS run as without the flag, with its effect; the 13
+    # others are usage errors, after the name or before it
+    plain, value = _PLAIN[name], SHARED_VALUES[flag]
+    after = _outcome(capsys, cli.main, (*plain, flag, value))
+    before = _outcome(capsys, cli.main, (flag, value, *plain))
+    if flag not in READS[name]:
+        assert after == (2, "", f"error: unrecognized arguments: {flag} {value}\n")
+        code, out, err = before
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: unrecognized arguments: {flag}") and err.count("\n") == 1
+        return
+    assert before == after
+    code, out, err = after
+    _, plain_out, _ = _outcome(capsys, cli.main, plain)
+    assert (code, err) == (0, "")
+    if flag == "--dump":
+        assert out == plain_out + dump_matrix(operators.bundle_for(from_spec(plain[1])).connection)
+    elif flag == "--format":
+        assert json.loads(out) and not plain_out.startswith("{")
+    else:
+        assert out != plain_out
+
+
+def test_an_abbreviated_shared_flag_parses_after_the_name_only(capsys):
+    # after the name the command's parser expands --form to --format; before
+    # it stands the connlab parser, which has no flags to expand
+    code, out, err = run(capsys, "verify", "cycle:3", "--form", "json")
+    assert (code, err) == (0, "") and json.loads(out)["ok"] is True
+    code, out, err = _outcome(capsys, cli.main, ("--form", "json", "verify", "cycle:3"))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: argument command: invalid choice: 'json' (choose from ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("walk", "cycle:3", "--seed", "4", "--help"),
+        ("walk", "--help", "cycle:3", "--seed", "4"),
+        ("--seed", "4", "walk", "--help"),
+        ("product", "--format", "csv", "-h"),
+    ],
+)
+def test_a_help_flag_wins_over_a_shared_flag_the_command_does_not_read(capsys, argv):
+    # argparse exits on a help flag as it reads it, and reports unrecognized
+    # arguments only once the whole line is read, so the command's help
+    # comes out with exit 0 whichever of the two stands first
+    name = next(token for token in argv if token in COMMANDS)
+    assert _outcome(capsys, cli.main, argv) == (0, cli.build_parser(name).format_help(), "")
+
+
+def _args_reads(defs: dict, name: str, param: str = "args") -> set[str]:
+    """The attributes of parameter param that function name reads, with
+    those that the functions it passes param to read of theirs."""
+    reads = set()
+    for node in ast.walk(defs[name]):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == param:
+            reads.add(node.attr)
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in defs:
+            for arg, passed in zip(defs[node.func.id].args.args, node.args):
+                if isinstance(passed, ast.Name) and passed.id == param:
+                    reads |= _args_reads(defs, node.func.id, arg.arg)
+    return reads
+
+
+def _unread_arguments(commands: dict) -> list[tuple[str, str]]:
+    """(command, flag or positional) for each argument of a command table
+    entry whose dest cmd_<command> never reads."""
+    tree = ast.parse(Path(cli.__file__).read_text())
+    defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    unread = []
+    for name, (_, shared, arguments) in commands.items():
+        reads = _args_reads(defs, f"cmd_{name}")
+        unread += [(name, f) for f in (*shared, *arguments) if f.lstrip("-").replace("-", "_") not in reads]
+    return unread
+
+
+def test_every_argument_of_a_command_is_read_by_its_handler():
+    # cmd_<name>, with the helpers it hands args to (_run_orbit, _maybe_dump),
+    # reads args.<dest> of every flag and positional that its entry gives it
+    assert _unread_arguments(cli._COMMANDS) == []
+    # walk reads --dump through _run_orbit and _maybe_dump, and never --seed
+    text, shared, arguments = cli._COMMANDS["walk"]
+    assert _unread_arguments({"walk": (text, (*shared, "--seed"), arguments)}) == [("walk", "--seed")]
+
+
+def _physical_memory(monkeypatch, nbytes: int) -> None:
+    """Let os.sysconf report nbytes of physical memory, in pages of 1 byte."""
+    pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": nbytes}
+    monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+
+
+def _refuse_dense_routes(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a refused run reached its dense route")
+
+    for name in ("orbit", "eig_sym", "solve_perturbed", "product_checks"):
+        monkeypatch.setattr(cli, name, refuse)
+
+
+@pytest.mark.parametrize(
+    "argv, what, shape",
+    [
+        (("walk", "cycle:3", "--steps", "4000000000000"), "the orbit", (4000000000001, 6)),
+        (("walk", "cycle:3", "--steps", "4000000000000", "--reverse"), "the orbit", (8000000000001, 6)),
+        (("automaton", "cycle:3", "--field", "5", "--steps", "4000000000000"), "the orbit", (4000000000001, 6)),
+        # grid:300,300 has 90000 vertices and 179400 edges
+        (("spectrum", "grid:300,300"), "the spectrum of L", (269400, 269400)),
+        # L of grid:100,100 has 29800 cells on its diagonal, and above it 39600
+        # vertex-edge incidences and 58804 pairs of edges that share a vertex
+        (("newton", "grid:100,100"), "the Newton Jacobian", (128204, 128204)),
+        # grid:30,30 has 2640 cells
+        (("product", "grid:30,30", "grid:30,30"), "each product spectrum", (2640**2, 2640**2)),
+    ],
+)
+def test_an_array_beyond_physical_memory_is_a_usage_error(capsys, monkeypatch, argv, what, shape):
+    # numpy is never asked for the array: one error line and exit 2, where a
+    # MemoryError traceback and exit 1 came before
+    _refuse_dense_routes(monkeypatch)
+    code, out, err = _outcome(capsys, cli.main, argv)
+    assert (code, out) == (2, "")
+    rows, cols = shape
+    assert re.fullmatch(
+        rf"error: {what} needs a {rows} x {cols} array of {8 * rows * cols / 2**30:.1f} GiB, "
+        r"more than the \d+\.\d GiB of memory\n",
+        err,
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, shape",
+    [
+        (("walk", "cycle:3", "--steps", "10"), (11, 6)),
+        (("walk", "cycle:3", "--steps", "10", "--reverse"), (21, 6)),
+        (("automaton", "path:3", "--field", "5", "--steps", "4", "--reverse"), (9, 5)),
+        (("spectrum", "wheel:4", "--operator", "H0"), (5, 5)),
+        (("spectrum", "wheel:4", "--operator", "H1abs"), (8, 8)),
+        (("spectrum", "wheel:4", "--operator", "Habs"), (13, 13)),
+        # L of path:3: 5 diagonal cells, 4 vertex-edge incidences and 1 pair
+        # of edges that share a vertex
+        (("newton", "path:3"), (10, 10)),
+        (("product", "path:2", "cycle:3"), (18, 18)),
+    ],
+)
+def test_a_run_refuses_exactly_the_arrays_beyond_physical_memory(capsys, monkeypatch, argv, shape):
+    # the orbit has a row per time; spectrum's array is its operator's,
+    # newton's Jacobian has a row and a column per nonzero of L on or above
+    # its diagonal, and product's spectra one per product cell
+    want = _outcome(capsys, cli.main, argv)
+    assert want[0] in (0, 1) and want[2] == ""
+    need = 8 * shape[0] * shape[1]
+    _physical_memory(monkeypatch, need)
+    assert _outcome(capsys, cli.main, argv) == want
+    _physical_memory(monkeypatch, need - 1)
+    _refuse_dense_routes(monkeypatch)
+    code, out, err = _outcome(capsys, cli.main, argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: ") and f" needs a {shape[0]} x {shape[1]} array of " in err
+    assert err.count("\n") == 1
+
+
+# The argv fuzz: lines drawn from a grammar of the eight commands, their own
+# flags and the shared ones, spaced, after "=" or abbreviated, with good and
+# bad values, graph specs, short garbage and a "--".  Steps are tiny or far
+# beyond any memory, and graphs small, so that every line runs in
+# milliseconds: at most 200 cells, 24 for newton's dense Jacobian, and 16 a
+# factor for product's spectra.
+_FLAG_VALUES = {
+    "--format": ["json", "csv", "pretty", "yaml", ""],
+    "--seed": ["0", "7", "-5", "x", "3.5"],
+    "--dump": ["L", "g", "Habs", "nosuch"],
+    "--field": ["2", "5", "7", "4", "1", "-3", "x", "2147483647", "10000000000000061"],
+    "--steps": ["0", "1", "3", "12", "-1", "x", "1e3", "", "4000000000000", "9" * 30],
+    "--state": ["1", "1,0", "0,1,x", "", "1,2,3,4,5,6", "-1,0,0,0,0,0,0,0"],
+    "--operator": ["L", "H", "Habs", "H0", "H1abs", "g", "nosuch"],
+    "--eps": ["0.01", "0", "0.5", "-1", "nan", "inf", "x"],
+    "--tol": ["1e-10", "1e-3", "0", "-0.5", "nan", "x"],
+    "--max-iter": ["0", "3", "50", "-1", "x"],
+    "--bogus": ["1"],
+}
+_FUZZ_GRAPHS = ["cycle:4", "path:1", "path:3", "star:4", "wheel:5", "grid:3,4", "complete:5", "figure8",
+                "petersen:5,2", "bary:star:3", "gnm:8,10:seed=2"]
+_POSITIONALS = {"bounds": 2, "product": 2, "report": 0}
+_CELL_CAP = {"newton": 24, "product": 16}
+
+
+def _cells(spec: str) -> int:
+    """The cells of the graph a spec names, 0 when it names none."""
+    try:
+        g = from_spec(spec)
+    except GraphError:
+        return 0
+    return g.n + g.e
+
+
+@st.composite
+def _option(draw, flag: str, forms=("spaced", "spaced", "spaced", "equals", "abbreviated", "bare")) -> list[str]:
+    """flag spaced from its value, after "=", abbreviated, or with no value."""
+    if flag == "--reverse":
+        return [draw(st.sampled_from(["--reverse", "--rev", "--reverse=x"]))]
+    value = draw(st.sampled_from(_FLAG_VALUES[flag]))
+    form = draw(st.sampled_from(forms))
+    if form == "equals":
+        return [f"{flag}={value}"]
+    if form == "abbreviated":
+        flag = flag[: draw(st.integers(3, len(flag)))]
+    return [flag] if form == "bare" else [flag, value]
+
+
+def _rarely(draw) -> bool:
+    """True one time in ten; the last choice, as Hypothesis leans to the first."""
+    return draw(st.sampled_from(range(10))) == 9
+
+
+@st.composite
+def _argvs(draw) -> tuple[str, list[str]]:
+    """(command, argv): whole shared flags may stand before the name, for
+    its flat parser, and rarely any other group of tokens, for the full
+    parser."""
+    name = draw(st.sampled_from(COMMANDS))
+    cap = _CELL_CAP.get(name, 200)
+    graph = st.one_of(st.sampled_from(_FUZZ_GRAPHS), st.sampled_from(_FUZZ_GRAPHS), _specs())
+    graph = graph.filter(lambda s: _cells(s) <= cap)
+    wanted = _POSITIONALS.get(name, 1)
+    # now and then one positional more or one fewer than the command takes
+    groups = [[draw(graph)] for _ in range(wanted + _rarely(draw) - (wanted > 0 and _rarely(draw)))]
+    own = [flag for flag in cli._COMMANDS[name][2] if flag.startswith("--")]
+    flags = st.sampled_from(own * 3 + [*SHARED_VALUES, "--bogus"])
+    groups += [draw(_option(flag)) for flag in draw(st.lists(flags, max_size=3))]
+    if _rarely(draw):
+        groups.append([draw(st.text(max_size=4))])
+    if _rarely(draw):
+        groups.append([draw(st.sampled_from(["-h", "--help"]))])
+    groups = draw(st.permutations(groups))
+    shared = draw(st.lists(st.sampled_from(list(SHARED_VALUES)), max_size=1))
+    lead = [draw(_option(flag, ("spaced", "equals"))) for flag in shared]
+    if groups and _rarely(draw):
+        lead.append(groups.pop(0))
+    argv = [token for group in lead + [[name]] + groups for token in group]
+    if _rarely(draw):
+        argv.insert(draw(st.integers(0, len(argv))), "--")
+    return name, argv
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_argvs())
+@example(("walk", ["walk", "cycle:3", "--steps", "9" * 30, "--reverse"]))
+@example(("automaton", ["--dump", "L", "automaton", "cycle:3", "--field=5", "--steps", "4000000000000"]))
+def test_any_command_line_exits_0_1_or_2_and_a_usage_error_prints_one_line(line):
+    name, argv = line
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # parser errors leave through argparse
+            code = exc.code
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if code == 2:
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    head = argv[: argv.index("--")] if "--" in argv else argv
+    if any(token.partition("=")[0] in SHARED_VALUES.keys() - READS[name] for token in head):
+        # a shared flag the command does not read: a usage error, unless
+        # the line asked for help
+        assert code == 2 or (code == 0 and out.startswith("usage: ") and err == "")
 
 
 def _counting_parsers(monkeypatch):
