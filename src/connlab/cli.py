@@ -257,11 +257,22 @@ def _bounds_rows(reports: Sequence[BoundsReport]) -> list[tuple]:
 def cmd_bounds(args) -> int:
     reports = []
     failures = []
+    first = None  # the first row's bundle, which --dump prints from
     for spec in args.graphs:
         try:
-            reports.append(bounds_report(_load_graph_arg(spec)))
+            g = _load_graph_arg(spec)
+        except Exception as exc:  # a graph that fails to load fails its row alone
+            failures.append((spec, str(exc)))
+            continue
+        _within_memory(g.n, g.n, f"each Kirchhoff spectrum of {spec}")
+        try:
+            bundle = bundle_for(g)
+            reports.append(bounds_report(bundle))
         except Exception as exc:  # keep remaining rows alive per contract
             failures.append((spec, str(exc)))
+            continue
+        if first is None:
+            first = bundle
     rows = _bounds_rows(reports)
     if args.format == "json":
         _print_json(
@@ -277,8 +288,8 @@ def cmd_bounds(args) -> int:
         _print_pretty(rows, CSV_COLUMNS)
     for spec, err in failures:
         print(f"error: {spec}: {err}", file=sys.stderr)
-    if reports and not failures and args.dump:
-        _maybe_dump(args, bundle_for(_load_graph_arg(args.graphs[0])))
+    if not failures:
+        _maybe_dump(args, first)
     return 1 if failures else 0
 
 
@@ -503,7 +514,7 @@ def cmd_product(args) -> int:
     b = _load_graph_arg(args.graph_b)
     cells = (a.n + a.e) * (b.n + b.e)
     _within_memory(cells, cells, "each product spectrum")
-    rep = product_checks(a, b)
+    rep = product_checks(bundle_for(a), bundle_for(b))
     _print_json(
         {
             "factors": [a.name, b.name],
@@ -535,7 +546,7 @@ def _report_deterministic() -> tuple[list[dict], bool]:
     for family, table in REFERENCE_TABLES.items():
         rows = []
         for spec, expected in table:
-            rep = bounds_report(from_spec(spec))
+            rep = bounds_report(bundle_for(from_spec(spec)))
             got = rep.row()
             err = row_max_error(got, expected)
             ok = err < TABLE_TOLERANCE
@@ -560,7 +571,7 @@ def _report_random(seed: int) -> list[dict]:
         sums = [0.0] * 6
         for i in range(count):
             spec = f"{base_spec}:seed={seed + i}"
-            rep = bounds_report(from_spec(spec))
+            rep = bounds_report(bundle_for(from_spec(spec)))
             got = rep.row()
             for c, x in enumerate(got):
                 sums[c] += x
@@ -585,7 +596,7 @@ def _report_sparse_random(seed: int) -> dict:
         if not g.edges:
             continue
         used += 1
-        rep = bounds_report(g)
+        rep = bounds_report(bundle_for(g))
         if rep.bound_dual_vertex < rep.bound_trivial_2d:
             tighter += 1
     return {

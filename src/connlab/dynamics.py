@@ -21,8 +21,8 @@ projection limits and the growth rate log rho(L).  Over a prime field
 the walk becomes a reversible cellular automaton with purely periodic
 orbits.
 
-Every function here takes a graph, a complex or an OperatorBundle, and the
-one inverse it uses is the bundle's green: the star formula, certified by
+The walks, limits and rates here take an OperatorBundle, and the one
+inverse they use is the bundle's green: the star formula, certified by
 L @ g = I.  Every exact walk is one orbit array, a row per time: orbit
 steps L and, for negative times, g with IntMatrix.step, a numpy gather and
 segmented sum over the entries.  While both directions run, psi(k) and
@@ -50,10 +50,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .complexes import Complex
 from .exact import IntMatrix, block_diagonal
-from .graphs import Graph, connected_components
-from .operators import OperatorBundle, bundle_for
+from .graphs import connected_components
+from .operators import OperatorBundle
 from .spectra import eig_sym
 
 
@@ -85,7 +84,7 @@ class Trajectory:
 
 
 def orbit(
-    source: Graph | Complex | OperatorBundle,
+    bundle: OperatorBundle,
     start: Sequence[int],
     n_min: int,
     n_max: int,
@@ -105,7 +104,6 @@ def orbit(
     holds them if either stepped matrix's mat-vecs do, else int64, and so
     does the paired step.
     """
-    bundle = bundle_for(source)
     n = bundle.size
     if len(start) != n:
         raise DynamicsError("state length does not match operator size")
@@ -240,7 +238,7 @@ class PerronReport:
     backward_residuals: tuple[float, ...]
 
 
-def perron_limits(source: Graph | Complex | OperatorBundle) -> PerronReport:
+def perron_limits(bundle: OperatorBundle) -> PerronReport:
     """Perron vector v and small-eigenvalue vector w with certified limits.
 
     v and w come from the dense symmetric eigendecomposition; the report
@@ -256,7 +254,6 @@ def perron_limits(source: Graph | Complex | OperatorBundle) -> PerronReport:
     of L^2 is closed under inversion), which is why one normalization
     constant serves both directions.
     """
-    bundle = bundle_for(source)
     L = bundle.connection
     # L is irreducible exactly when the graph is connected
     if len(connected_components(bundle.graph)) > 1:
@@ -310,7 +307,7 @@ class GrowthReport:
     rho_line_graph_adjacency: float
 
 
-def growth_rates(g: Graph) -> GrowthReport:
+def growth_rates(bundle: OperatorBundle) -> GrowthReport:
     """Descriptive growth rates: log rho(L), the |H| link, and the line graph.
 
     rho(|H|) = rho(L) - 1/rho(L) is the exact functional link.  The line
@@ -320,10 +317,9 @@ def growth_rates(g: Graph) -> GrowthReport:
     graph with an edge.  No command prints these: this is the library face
     of the abstract's line-graph link, in floats until it is certified.
     """
-    bundle = bundle_for(g)
     rho_l = eig_sym(bundle.connection).top
     rho_habs = eig_sym(bundle.hodge_signless).top
-    rho_lg = eig_sym(bundle.hodge1_signless).top - 2.0 if g.edges else 0.0
+    rho_lg = eig_sym(bundle.hodge1_signless).top - 2.0 if bundle.e else 0.0
     return GrowthReport(
         rho_connection=rho_l,
         log_rho_connection=math.log(rho_l),

@@ -1,12 +1,12 @@
-"""Damped Newton solves of the perturbed relation K = L - L^-1 on a pattern.
+"""Damped Newton solves of the perturbed relation K = L - L^-1 on L's pattern.
 
-The unknown is a symmetric matrix supported on a pattern, an IntMatrix
-whose nonzero positions are the support: the intersection pattern is L
-itself (L(x, y) is nonzero iff the simplices x and y meet, diagonal
-included).  A pattern must be symmetric with a full diagonal; every routine
-here reads its upper-triangle coordinates (i, j), i <= j, off the
-compressed rows in row-major order and raises ValueError otherwise.  Only
-the pattern coordinates of the equation are solved:
+Every routine here takes the graph's OperatorBundle, whose connection
+matrix L is the pattern: the unknown is a symmetric matrix supported where
+L is nonzero (L(x, y) is nonzero iff the simplices x and y meet, diagonal
+included).  L is symmetric with a full diagonal, so its support
+coordinates are the upper-triangle entries (i, j), i <= j, of its
+compressed rows, in row-major order.  Only those coordinates of the
+equation are solved:
 
     F(X) = proj(K - X + X^-1) = 0
 
@@ -15,9 +15,9 @@ materialized as a dense system over the upper-triangle support coordinates.
 The step is damped by residual backtracking.  A singular Jacobian aborts
 the solve with the smallest singular value attached; it is never
 regularized.  What is certified is the degeneracy at the unperturbed
-connection Laplacian: there the Jacobian over the coordinates of L's own
-pattern, the one solve_perturbed runs on, is an integer matrix, which
-exact_jacobian_at_connection builds for an exact determinant.  It is
+connection Laplacian: there the Jacobian over L's coordinates is an
+integer matrix, which exact_jacobian_at_connection builds for an exact
+determinant.  It is
 J(L) = -(I + P (g (x) g) Q) over the compressed rows of g = L^-1, since
 vec(g M g) = (g (x) g) vec(M) for symmetric g: Q spreads each coordinate
 over vec(M_ij) and P reads the coordinates back.
@@ -30,7 +30,7 @@ A minimum-norm Newton step on a cycle can still reach the projected
 equation for some perturbations, but at distance O(sqrt(eps)) from L, not
 O(eps).
 
-perturb_target perturbs every pattern coordinate, including vertex-edge
+perturb_target perturbs every coordinate of L, including vertex-edge
 pairs where |H| is 0; for a single cycle the left null vector of the
 Jacobian at L lies entirely on those pairs.  verify_support measures a
 solution X off L's pattern, and X^-1 off it and off the inverse-support
@@ -49,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exact import IntMatrix, linear_combination
-from .operators import OperatorBundle, bundle_for
+from .operators import OperatorBundle
 
 
 class NewtonError(RuntimeError):
@@ -74,19 +74,11 @@ class SingularJacobianError(NewtonError):
         self.iteration = iteration
 
 
-def _coords(pattern: IntMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """The upper-triangle support coordinates (rows, cols) of a pattern, in
-    row-major order; ValueError unless the support is symmetric with a full
-    diagonal, the space the solve lives in."""
-    rows, cols, _ = pattern.triplets()
-    n = pattern.nrows
-    if pattern.ncols != n or np.count_nonzero(rows == cols) != n:
-        raise ValueError("pattern must be square with a full diagonal")
-    # symmetric iff the transpose has the same compressed rows (its stable
-    # argsort runs in every operation; np.sort would page in another 0.5 MB)
-    flipped = pattern.transpose().csr
-    if not (np.array_equal(flipped[0], pattern.csr[0]) and np.array_equal(flipped[1], cols)):
-        raise ValueError("pattern must be symmetric")
+def _coords(m: IntMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """The upper-triangle support coordinates (rows, cols) of m, L or
+    inverse_support_pattern, in row-major order; both are symmetric with a
+    full diagonal by construction."""
+    rows, cols, _ = m.triplets()
     upper = rows <= cols
     return rows[upper], cols[upper]
 
@@ -130,20 +122,18 @@ class NewtonConfig:
             raise ValueError("max_iter must be nonnegative")
 
 
-def perturb_target(
-    habs: IntMatrix, pattern: IntMatrix, eps: float, seed: int
-) -> np.ndarray:
-    """K = |H| + E with E symmetric, pattern-supported, uniform in [-eps, eps].
+def perturb_target(bundle: OperatorBundle, eps: float, seed: int) -> np.ndarray:
+    """K = |H| + E with E symmetric, supported on L, uniform in [-eps, eps].
 
-    One draw per upper-triangle pattern coordinate in row-major order, so a
+    One draw per upper-triangle coordinate of L in row-major order, so a
     seed pins the perturbation exactly.
     """
     if eps < 0:
         raise ValueError("eps must be nonnegative")
-    coords = _coords(pattern)
+    coords = _coords(bundle.connection)
     rng = random.Random(seed)
     deltas = np.array([rng.uniform(-eps, eps) for _ in range(len(coords[0]))])
-    return _add_symmetric(habs.to_float(), coords, deltas)
+    return _add_symmetric(bundle.hodge_signless.to_float(), coords, deltas)
 
 
 def _residual_vector(K: np.ndarray, X: np.ndarray, Xinv: np.ndarray, coords) -> np.ndarray:
@@ -185,9 +175,8 @@ def exact_jacobian_at_connection(bundle: OperatorBundle) -> IntMatrix:
     runs as (g (x) I)(I (x) g), nnz(g) n terms a factor where g (x) g would
     hold nnz(g)^2.
     """
-    pattern = bundle.connection
-    i, j = _coords(pattern)
-    n, m, off = pattern.nrows, len(i), i != j
+    i, j = _coords(bundle.connection)
+    n, m, off = bundle.size, len(i), i != j
     c = np.arange(m)
     spread = np.concatenate((i * n + j, j[off] * n + i[off]))  # vec(M_ij), column by column
     ones = np.ones(len(spread), dtype=np.int64)
@@ -206,22 +195,18 @@ class NewtonResult:
     residual_history: tuple[float, ...]
 
 
-def solve_hydrogen(
-    K: np.ndarray,
-    pattern: IntMatrix,
-    L0: IntMatrix,
-    cfg: NewtonConfig = NewtonConfig(),
-) -> NewtonResult:
-    """Newton iteration for proj(K - X + X^-1) = 0 over the pattern.
+def solve_hydrogen(bundle: OperatorBundle, K: np.ndarray, cfg: NewtonConfig) -> NewtonResult:
+    """Newton iteration for proj(K - X + X^-1) = 0 over L's coordinates,
+    from X = L.
 
-    Only the pattern coordinates of K enter.  Steps are damped by halving
+    Only those coordinates of K enter.  Steps are damped by halving
     until the residual max-norm drops; a singular Jacobian raises
     SingularJacobianError with the smallest singular value, and running out
     of iterations or of line-search budget raises NonConvergenceError with
     the partial result attached.
     """
-    X = L0.to_float()
-    coords = _coords(pattern)
+    X = bundle.connection.to_float()
+    coords = _coords(bundle.connection)
     history: list[float] = []
     Xinv = np.linalg.inv(X)  # then each accepted trial carries its inverse
     for iteration in range(cfg.max_iter + 1):
@@ -279,13 +264,12 @@ class SupportReport:
     off_inverse_support_max: float
 
 
-def verify_support(X: np.ndarray, pattern: IntMatrix, inverse_pattern: IntMatrix) -> SupportReport:
+def verify_support(bundle: OperatorBundle, X: np.ndarray) -> SupportReport:
     """Measure how far X and X^-1 stray outside their supposed supports.
 
-    The inverse is measured twice: once against the plain intersection
-    pattern and once against inverse_pattern, the larger pattern that also
-    allows adjacent-vertex pairs, which is where the exact inverse genuinely
-    lives.
+    The inverse is measured twice: once against L's pattern and once
+    against inverse_support_pattern, the larger pattern that also allows
+    adjacent-vertex pairs, which is where the exact inverse genuinely lives.
     """
     Xinv = np.linalg.inv(X)
 
@@ -296,26 +280,22 @@ def verify_support(X: np.ndarray, pattern: IntMatrix, inverse_pattern: IntMatrix
         return float(np.abs(mat[off]).max(initial=0.0))
 
     return SupportReport(
-        off_pattern_matrix_max=off_max(X, pattern),
-        off_pattern_inverse_max=off_max(Xinv, pattern),
-        off_inverse_support_max=off_max(Xinv, inverse_pattern),
+        off_pattern_matrix_max=off_max(X, bundle.connection),
+        off_pattern_inverse_max=off_max(Xinv, bundle.connection),
+        off_inverse_support_max=off_max(Xinv, inverse_support_pattern(bundle)),
     )
 
 
 def solve_perturbed(
-    g_or_bundle,
+    bundle: OperatorBundle,
     eps: float,
     seed: int,
     cfg: NewtonConfig = NewtonConfig(),
 ) -> tuple[NewtonResult, SupportReport]:
-    """Convenience wrapper: perturb |H| on the pattern and solve from L.
+    """Convenience wrapper: perturb |H| on L's pattern and solve from L.
 
     Returns the Newton result and the support report of the solution.
     Singular Jacobians and non-convergence propagate as exceptions.
     """
-    bundle = bundle_for(g_or_bundle)
-    pattern = bundle.connection
-    K = perturb_target(bundle.hodge_signless, pattern, eps, seed)
-    result = solve_hydrogen(K, pattern, bundle.connection, cfg)
-    report = verify_support(result.solution, pattern, inverse_support_pattern(bundle))
-    return result, report
+    result = solve_hydrogen(bundle, perturb_target(bundle, eps, seed), cfg)
+    return result, verify_support(bundle, result.solution)

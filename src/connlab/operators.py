@@ -169,8 +169,8 @@ class OperatorBundle:
     orientation.
     """
 
-    def __init__(self, source: Graph | Complex):
-        self.complex = source if isinstance(source, Complex) else build_complex(source)
+    def __init__(self, g: Graph):
+        self.complex = build_complex(g)
         self._reduced: dict[tuple[str, int], FieldMatrix] = {}
 
     @property
@@ -358,9 +358,9 @@ class OperatorBundle:
         return self._reduced[key]
 
 
-def bundle_for(source: Graph | Complex | OperatorBundle) -> OperatorBundle:
-    """The bundle of a graph or complex; a bundle is returned unchanged."""
-    return source if isinstance(source, OperatorBundle) else OperatorBundle(source)
+def bundle_for(g: Graph) -> OperatorBundle:
+    """The bundle of a graph."""
+    return OperatorBundle(g)
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,10 @@ connection Laplacian a Kronecker product:
     L(A x B) = L(A) (x) L(B)        spectra multiply
     H(A x B) = H(A) (x) I + I (x) H(B)   spectra add
 
+product_connection, product_hodge, two_time_walk, spectral_errors and
+product_checks take the two factors' OperatorBundles.
 product_checks verifies both: once per product, the Kronecker assembly is
-compared entry by entry against an independent intersection-rule
+compared entry by entry against connection_by_intersection, an independent
 construction from the factors' shared-vertex pairs, and the spectra are
 compared against pairwise products and sums.  charpoly(L^2) is reciprocal
 with sign (-1)^(n_A n_B) once both factors pass their bundle's Schur
@@ -32,8 +34,7 @@ import numpy as np
 from .complexes import Complex
 from .dynamics import _powers
 from .exact import IntMatrix
-from .graphs import Graph
-from .operators import OperatorBundle, _is_inverse, bundle_for
+from .operators import OperatorBundle, _is_inverse
 from .spectra import eig_sym
 
 
@@ -53,56 +54,41 @@ def _shared_vertex_pairs(c: Complex) -> tuple[np.ndarray, np.ndarray]:
     return np.array(i, dtype=np.int64), np.array(j, dtype=np.int64)
 
 
-@dataclass(frozen=True)
-class ProductComplex:
-    """Cell labeling of A x B: pairs (x, y) in lexicographic factor order.
+def connection_by_intersection(a: Complex, b: Complex) -> IntMatrix:
+    """L(A x B) built directly from the cell intersection rule, with cell
+    (i, j) at index i * size(B) + j, the Kronecker convention, so it and
+    kron(L_A, L_B) compare entry by entry.
 
-    Cell index (i, j) -> i * size(B) + j, matching the Kronecker convention,
-    so the intersection-rule matrix below and kron(L_A, L_B) are comparable
-    entry by entry.
+    Cells (x, y) and (x', y') intersect exactly when x and x' share a
+    vertex and y and y' do, so the entries are the pairs of a shared pair
+    of A and one of B; a pair of cells met more than once (two simplices
+    sharing both vertices) is summed, then set to 1.
     """
-
-    factor_a: Complex
-    factor_b: Complex
-
-    @property
-    def size(self) -> int:
-        return self.factor_a.size * self.factor_b.size
-
-    def connection_by_intersection(self) -> IntMatrix:
-        """L(A x B) built directly from the cell intersection rule.
-
-        Cells (x, y) and (x', y') intersect exactly when x and x' share a
-        vertex and y and y' do, so the entries are the pairs of a shared
-        pair of A and one of B; a pair of cells met more than once (two
-        simplices sharing both vertices) is summed, then set to 1.
-        """
-        ia, ja = _shared_vertex_pairs(self.factor_a)
-        ib, jb = _shared_vertex_pairs(self.factor_b)
-        nb, n = self.factor_b.size, self.size
-        rows = (ia[:, None] * nb + ib).ravel()
-        cols = (ja[:, None] * nb + jb).ravel()
-        ones = np.ones(len(rows), dtype=np.int64)
-        indptr, cols, _ = IntMatrix.from_triplets(rows, cols, ones, n, n).csr
-        return IntMatrix.from_csr(indptr, cols, np.ones(len(cols), dtype=np.int64), n, n)
+    ia, ja = _shared_vertex_pairs(a)
+    ib, jb = _shared_vertex_pairs(b)
+    nb, n = b.size, a.size * b.size
+    rows = (ia[:, None] * nb + ib).ravel()
+    cols = (ja[:, None] * nb + jb).ravel()
+    ones = np.ones(len(rows), dtype=np.int64)
+    indptr, cols, _ = IntMatrix.from_triplets(rows, cols, ones, n, n).csr
+    return IntMatrix.from_csr(indptr, cols, np.ones(len(cols), dtype=np.int64), n, n)
 
 
-def product_connection(a: Graph | Complex | OperatorBundle, b) -> IntMatrix:
+def product_connection(ba: OperatorBundle, bb: OperatorBundle) -> IntMatrix:
     """L(A x B) = L(A) (x) L(B); product_checks compares it with the
     intersection rule."""
-    return bundle_for(a).connection.kron(bundle_for(b).connection)
+    return ba.connection.kron(bb.connection)
 
 
-def product_hodge(a: Graph | Complex | OperatorBundle, b) -> IntMatrix:
+def product_hodge(ba: OperatorBundle, bb: OperatorBundle) -> IntMatrix:
     """H(A x B) = H(A) (x) I + I (x) H(B)."""
-    ba, bb = bundle_for(a), bundle_for(b)
     ia = IntMatrix.identity(ba.size)
     ib = IntMatrix.identity(bb.size)
     return ba.hodge.kron(ib) + ia.kron(bb.hodge)
 
 
 def two_time_walk(
-    a: Graph | Complex | OperatorBundle, b, psi0: Sequence[int], times: tuple[int, int]
+    ba: OperatorBundle, bb: OperatorBundle, psi0: Sequence[int], times: tuple[int, int]
 ) -> tuple[int, ...]:
     """(L_A (x) I)^n (I (x) L_B)^m psi0, exact, negative times via the green.
 
@@ -112,7 +98,6 @@ def two_time_walk(
     negative time.  The two factors commute, so one order serves.
     """
     n, m = times
-    ba, bb = bundle_for(a), bundle_for(b)
     na, nb = ba.size, bb.size
     if len(psi0) != na * nb:
         raise ProductError(f"state has length {len(psi0)}, expected {na * nb}")
@@ -154,10 +139,11 @@ def _pairwise(values_a: Sequence[float], values_b: Sequence[float], op) -> list[
     return sorted(op(x, y) for x in values_a for y in values_b)
 
 
-def spectral_errors(a, b, L: IntMatrix, H: IntMatrix) -> tuple[float, float]:
+def spectral_errors(
+    ba: OperatorBundle, bb: OperatorBundle, L: IntMatrix, H: IntMatrix
+) -> tuple[float, float]:
     """(multiplicativity error, additivity error) for one factor pair, whose
     product connection matrix is L and product Hodge operator H."""
-    ba, bb = bundle_for(a), bundle_for(b)
     la = eig_sym(ba.connection).eigenvalues
     lb = eig_sym(bb.connection).eigenvalues
     ha = eig_sym(ba.hodge).eigenvalues
@@ -173,7 +159,7 @@ def spectral_errors(a, b, L: IntMatrix, H: IntMatrix) -> tuple[float, float]:
     return mult_err, add_err
 
 
-def product_checks(a: Graph | Complex | OperatorBundle, b) -> ProductReport:
+def product_checks(ba: OperatorBundle, bb: OperatorBundle) -> ProductReport:
     """Energy, reciprocity, determinant, spectra, and the hydrogen failure.
 
     The product inverse is kron(g_A, g_B), certified against the assembled
@@ -185,14 +171,13 @@ def product_checks(a: Graph | Complex | OperatorBundle, b) -> ProductReport:
     tests keep elimination, Bareiss and the charpoly on the product as the
     oracles for the inverse, the determinant and the sign.
     """
-    ba, bb = bundle_for(a), bundle_for(b)
     L = product_connection(ba, bb)
     linv = ba.green.kron(bb.green)
     if not _is_inverse(L, linv):
         raise ProductError(
             "product inverse is not an integer matrix: kron(g_A, g_B) fails L @ X = I"
         )
-    if L != ProductComplex(ba.complex, bb.complex).connection_by_intersection():
+    if L != connection_by_intersection(ba.complex, bb.complex):
         raise ProductError(
             "Kronecker product disagrees with the intersection-rule construction"
         )

@@ -14,7 +14,9 @@ the measurement tables:
              of the connection graph G'
 * lsc, shi   diameter-corrected degree bounds for irregular graphs
 
-A bounds row costs two v x v eigensolves, of the two Kirchhoff matrices
+The bounds that read an operator (bound_kwalk, bound_bhs) and
+bounds_report take the graph's OperatorBundle; the degree bounds read only
+the Graph.  A bounds row costs two v x v eigensolves, of the two Kirchhoff matrices
 built straight from the edge list, and work linear in the nonzero
 entries: one bound_kwalk pass of three big-integer mat-vecs with L - I
 gives the walk bounds of k = 1, 2 and 3, all checked for soundness and k = 3
@@ -36,7 +38,7 @@ import numpy as np
 
 from .exact import IntMatrix
 from .graphs import Graph, connected_components, diameter, induced_subgraph, is_regular
-from .operators import OperatorBundle, bundle_for
+from .operators import OperatorBundle
 
 
 class SpectraError(ValueError):
@@ -152,7 +154,7 @@ def bound_dual_vertex(g: Graph) -> float:
     return r - 1.0 / r
 
 
-def bound_kwalk(source: Graph | OperatorBundle, ks: Sequence[int]) -> dict[int, float]:
+def bound_kwalk(bundle: OperatorBundle, ks: Sequence[int]) -> dict[int, float]:
     """Walk bound r_k - 1/r_k, r_k = 1 + (max_x P(k,x))^(1/k), for every k
     in ks.
 
@@ -170,7 +172,6 @@ def bound_kwalk(source: Graph | OperatorBundle, ks: Sequence[int]) -> dict[int, 
     rho(|H|) as k grows, at the rate max_x P(k,x) <= sqrt(n) rho(A)^k, that
     is r_k <= 1 + (rho(L) - 1) n^(1/(2k)), with n the number of cells.
     """
-    bundle = bundle_for(source)
     if any(k < 1 for k in ks):
         raise SpectraError("walk length k must be >= 1")
     _require_edges(bundle.graph)
@@ -190,14 +191,13 @@ def bound_kwalk(source: Graph | OperatorBundle, ks: Sequence[int]) -> dict[int, 
     return out
 
 
-def bound_bhs(source: Graph | OperatorBundle) -> float:
+def bound_bhs(bundle: OperatorBundle) -> float:
     """Edge-count bound u - 1/u, u = 1 + (sqrt(1 + 8 e') - 1)/2.
 
     The inner expression bounds the adjacency spectral radius of any graph
     with e' edges, applied here to the connection graph G', whose e' edges
     are the off-diagonal entries of L, each counted twice.
     """
-    bundle = bundle_for(source)
     _require_edges(bundle.graph)
     eprime = (bundle.connection.entry_sum() - bundle.size) // 2
     u = 1.0 + (math.sqrt(1.0 + 8.0 * eprime) - 1.0) / 2.0
@@ -293,11 +293,12 @@ def _check_soundness(report: BoundsReport) -> None:
             )
 
 
-def bounds_report(g: Graph) -> BoundsReport:
-    """All bound columns for one graph, with the walk bounds of k = 1, 2, 3
-    from one bound_kwalk pass, and the soundness invariant asserted."""
+def bounds_report(bundle: OperatorBundle) -> BoundsReport:
+    """All bound columns for one graph's bundle, with the walk bounds of
+    k = 1, 2, 3 from one bound_kwalk pass, and the soundness invariant
+    asserted."""
+    g = bundle.graph
     _require_edges(g)
-    bundle = bundle_for(g)
     rho_h = eig_sym(bundle.kirchhoff).top
     rho_habs = eig_sym(bundle.kirchhoff_signless).top
     components = connected_components(g)

@@ -45,7 +45,7 @@ both and takes its rank.
 dense_kron is the Kronecker product written entry by entry from the dense
 rows, the oracle for IntMatrix.kron over the triplets.
 intersection_rule_loop tests every pair of product cells for an
-intersection, O(N^2) for N cells; ProductComplex.connection_by_intersection
+intersection, O(N^2) for N cells; products.connection_by_intersection
 pairs the factors' shared-vertex pairs instead.  exact_jacobian_loop
 is the Newton Jacobian at L written the same way, one entry per pair of
 pattern coordinates from the dense rows of g, O(m^2) for m coordinates;

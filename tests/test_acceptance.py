@@ -145,7 +145,7 @@ def test_criterion_03_energy_theorem(corpus):
     ]
     bad_products = []
     for sa, sb in PRODUCT_PAIRS:
-        rep = product_checks(from_spec(sa), from_spec(sb))
+        rep = product_checks(bundle_for(from_spec(sa)), bundle_for(from_spec(sb)))
         if not rep.energy_ok:
             bad_products.append((sa, sb))
     ok = not bad and not bad_products and len(PRODUCT_PAIRS) >= 20
@@ -167,11 +167,11 @@ def test_criterion_05_reference_tables_within_tolerance():
     rows = 0
     for family, table in REFERENCE_TABLES.items():
         for spec, expected in table:
-            got = bounds_report(from_spec(spec)).row()
+            got = bounds_report(bundle_for(from_spec(spec))).row()
             worst = max(worst, row_max_error(got, expected))
             rows += 1
     for n in EVEN_CYCLE_RANGE:
-        got = bounds_report(from_spec(f"cycle:{n}")).row()
+        got = bounds_report(bundle_for(from_spec(f"cycle:{n}"))).row()
         worst = max(worst, max(abs(g - e) for g, e in zip(got[:4], EVEN_CYCLE_PREFIX)))
         rows += 1
     elapsed = time.perf_counter() - t0
@@ -180,8 +180,8 @@ def test_criterion_05_reference_tables_within_tolerance():
 
 
 def test_criterion_06_worked_example_values():
-    rho = bounds_report(from_spec("bary:star:4")).rho_H
-    rep3 = bounds_report(from_spec("path:3"))
+    rho = bounds_report(bundle_for(from_spec("bary:star:4"))).rho_H
+    rep3 = bounds_report(bundle_for(from_spec("path:3")))
     ok = (
         abs(rho - BARY_STAR4_RHO) < 1e-3
         and abs(rep3.bound_dual_vertex - LINEAR3_DUAL_VERTEX) < 1e-3
@@ -230,7 +230,7 @@ def test_criterion_08_spectral_link_and_kwalk(corpus):
         rho_habs = eig_sym(b.hodge_signless).top
         worst_link = max(worst_link, abs(rho_habs - (rho_l - 1.0 / rho_l)))
         ks = (1, 2, 3, 6, 12, 24) if b.size <= 30 else (1, 2, 3, 6, 12)
-        bound = bound_kwalk(b.graph, ks)
+        bound = bound_kwalk(b, ks)
         for k, value in bound.items():
             if value < rho_habs - 1e-9:
                 unsound.append((spec, k, value, rho_habs))
@@ -398,8 +398,8 @@ def test_criterion_11_finite_field_reversibility(corpus):
 
 
 def test_criterion_12_perron_limits():
-    rep4 = perron_limits(from_spec("cycle:4"))
-    rep8 = perron_limits(from_spec("figure8"))
+    rep4 = perron_limits(bundle_for(from_spec("cycle:4")))
+    rep8 = perron_limits(bundle_for(from_spec("figure8")))
     sign_changes = any(x > 0 for x in rep4.w) and any(x < 0 for x in rep4.w)
     ok = (
         rep4.forward_residuals[-1] < 1e-6
@@ -479,11 +479,11 @@ def test_criterion_13_newton_perturbations():
 def test_criterion_14_product_spectra():
     worst_mult = worst_add = 0.0
     for sa, sb in PRODUCT_PAIRS[:12]:
-        ga, gb = from_spec(sa), from_spec(sb)
+        ga, gb = bundle_for(from_spec(sa)), bundle_for(from_spec(sb))
         m, a = spectral_errors(ga, gb, product_connection(ga, gb), product_hodge(ga, gb))
         worst_mult = max(worst_mult, m)
         worst_add = max(worst_add, a)
-    rep = product_checks(from_spec("complete:2"), from_spec("complete:2"))
+    rep = product_checks(bundle_for(from_spec("complete:2")), bundle_for(from_spec("complete:2")))
     ok = worst_mult < 1e-8 and worst_add < 1e-8 and rep.hydrogen_residual_max != 0
     _report(
         14,

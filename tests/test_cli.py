@@ -457,6 +457,24 @@ def test_bounds_dump_habs_matches_dense_product(capsys):
     assert out.endswith(dump_matrix(dense_matmul(b.dirac_signless, b.dirac_signless)))
 
 
+def test_bounds_dump_prints_from_the_first_rows_bundle(capsys, monkeypatch):
+    # one bundle per graph: --dump reads the first row's, not a second one
+    specs = ("cycle:4", "path:3")
+    names = [from_spec(spec).name for spec in specs]
+    made = []
+    init = operators.OperatorBundle.__init__
+
+    def counted(self, g):
+        made.append(g.name)
+        init(self, g)
+
+    monkeypatch.setattr(operators.OperatorBundle, "__init__", counted)
+    code, out, _ = run(capsys, "bounds", *specs, "--dump", "L")
+    assert code == 0 and made == names
+    monkeypatch.undo()
+    assert out.endswith(dump_matrix(operators.bundle_for(from_spec("cycle:4")).connection))
+
+
 def _assert_unknown_dump_rejected(capsys, argv):
     # rejected by the parser, before the subcommand runs or prints anything
     with pytest.raises(SystemExit) as excinfo:
@@ -951,7 +969,7 @@ def _refuse_dense_routes(monkeypatch):
     def refuse(*args):
         raise AssertionError("a refused run reached its dense route")
 
-    for name in ("orbit", "eig_sym", "solve_perturbed", "product_checks"):
+    for name in ("orbit", "eig_sym", "solve_perturbed", "product_checks", "bounds_report"):
         monkeypatch.setattr(cli, name, refuse)
 
 
@@ -997,12 +1015,15 @@ def test_an_array_beyond_physical_memory_is_a_usage_error(capsys, monkeypatch, a
         # of edges that share a vertex
         (("newton", "path:3"), (10, 10)),
         (("product", "path:2", "cycle:3"), (18, 18)),
+        # grid:3,4 has 12 vertices, so cycle:4 would pass where it is refused
+        (("bounds", "grid:3,4", "cycle:4"), (12, 12)),
     ],
 )
 def test_a_run_refuses_exactly_the_arrays_beyond_physical_memory(capsys, monkeypatch, argv, shape):
     # the orbit has a row per time; spectrum's array is its operator's,
     # newton's Jacobian has a row and a column per nonzero of L on or above
-    # its diagonal, and product's spectra one per product cell
+    # its diagonal, product's spectra one per product cell and each of
+    # bounds' Kirchhoff spectra one per vertex of its graph
     want = _outcome(capsys, cli.main, argv)
     assert want[0] in (0, 1) and want[2] == ""
     need = 8 * shape[0] * shape[1]

@@ -254,7 +254,7 @@ def test_perron_limits_requires_irreducible():
     components = connected_components(disconnected)
     assert len(components) == 2
     for comp in components:
-        assert perron_limits(induced_subgraph(disconnected, comp)).forward_residuals[-1] < 1e-6
+        assert perron_limits(bundle_for(induced_subgraph(disconnected, comp))).forward_residuals[-1] < 1e-6
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
@@ -303,7 +303,7 @@ def test_cocycle_alternating_environment_runs():
 
 
 def test_growth_rates_link():
-    rep = growth_rates(from_spec("figure8"))
+    rep = growth_rates(bundle_for(from_spec("figure8")))
     assert rep.functional_link_residual < 1e-9
     assert rep.rho_hodge_signless > rep.rho_line_graph_adjacency
     assert math.isclose(rep.log_rho_connection, math.log(rep.rho_connection), rel_tol=1e-12)
@@ -328,7 +328,7 @@ def test_signless_edge_hodge_is_twice_identity_plus_line_graph_adjacency(corpus)
 @pytest.mark.parametrize("spec", ["figure8", "wheel:8", "petersen:5,2", "star:5", "path:2", "gnm:12,20:seed=3"])
 def test_growth_rates_line_graph_radius_matches_its_adjacency(spec):
     g = from_spec(spec)
-    rep = growth_rates(g)
+    rep = growth_rates(bundle_for(g))
     assert abs(rep.rho_line_graph_adjacency - eig_sym(_line_graph_adjacency(g)).top) < 1e-12
 
 

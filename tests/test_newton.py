@@ -1,6 +1,7 @@
 """Masked Newton solves of X - X^{-1} = K: exact Jacobian degeneracy at the
 connection matrix, quadratic convergence on trees, and support reporting.
-A pattern is an IntMatrix whose nonzero positions are the support."""
+A pattern is an IntMatrix whose nonzero positions are the support: L, or
+the inverse-support pattern."""
 
 import hashlib
 import json
@@ -23,7 +24,7 @@ from connlab.newton import (
     verify_support,
 )
 from connlab.operators import bundle_for
-from oracles import exact_jacobian_loop, from_rows
+from oracles import exact_jacobian_loop
 
 
 @pytest.mark.parametrize(
@@ -73,9 +74,9 @@ def test_pattern_construction(corpus):
 def test_perturb_target_deterministic_and_symmetric():
     b = bundle_for(from_spec("path:4"))
     pattern = b.connection
-    K1 = perturb_target(b.hodge_signless, pattern, 0.01, seed=5)
-    K2 = perturb_target(b.hodge_signless, pattern, 0.01, seed=5)
-    K3 = perturb_target(b.hodge_signless, pattern, 0.01, seed=6)
+    K1 = perturb_target(b, 0.01, seed=5)
+    K2 = perturb_target(b, 0.01, seed=5)
+    K3 = perturb_target(b, 0.01, seed=6)
     assert np.array_equal(K1, K2)
     assert not np.array_equal(K1, K3)
     assert np.array_equal(K1, K1.T)
@@ -89,8 +90,7 @@ def test_perturb_target_deterministic_and_symmetric():
 
 def test_unperturbed_problem_converges_immediately():
     b = bundle_for(from_spec("path:4"))
-    pattern = b.connection
-    result = solve_hydrogen(b.hodge_signless.to_float(), pattern, b.connection, NewtonConfig())
+    result = solve_hydrogen(b, b.hodge_signless.to_float(), NewtonConfig())
     assert result.converged
     assert result.iterations == 0
 
@@ -143,7 +143,7 @@ def test_verify_support_negative_control():
     pattern = b.connection
     dense = rng.normal(size=pattern.shape)
     dense = dense + dense.T + 10 * np.eye(pattern.nrows)
-    report = verify_support(dense, pattern, inverse_support_pattern(b))
+    report = verify_support(b, dense)
     assert report.off_pattern_matrix_max > 1e-8
 
 
@@ -155,7 +155,7 @@ def test_newton_config_rejects_negative_max_iter():
 
 @pytest.mark.parametrize("spec, seed", [("path:6", 1), ("star:12", 0)])
 def test_solve_inverts_each_iterate_once(spec, seed, monkeypatch):
-    # the solve inverts L0 and each line-search trial, and an accepted
+    # the solve inverts its start L and each line-search trial, and an accepted
     # trial's inverse serves the next iteration; verify_support inverts the
     # solution once more.  An iteration reads one residual at its top and
     # one per trial, which counts the trials: path:6 takes full steps,
@@ -211,7 +211,9 @@ def test_jacobian_at_is_bit_identical_to_the_loop(spec):
     b = bundle_for(from_spec(spec))
     pattern = b.connection
     at_connection = b.connection.to_float()
-    perturbed = perturb_target(b.connection, pattern, 0.05, seed=len(spec))
+    # L in place of |H|, set before its first read: perturb_target gives L + E
+    b.__dict__["hodge_signless"] = b.connection
+    perturbed = perturb_target(b, 0.05, seed=len(spec))
     coords = tuple(np.array(c) for c in zip(*_loop_coords(pattern)))
     for X in (at_connection, perturbed):
         fast, slow = jacobian_at(np.linalg.inv(X), coords), _jacobian_loop(X, pattern)
@@ -220,23 +222,13 @@ def test_jacobian_at_is_bit_identical_to_the_loop(spec):
         assert np.array_equal(np.signbit(fast), np.signbit(slow))
 
 
-def test_support_pattern_validation():
-    # any IntMatrix can be passed as a pattern; every routine that reads one
-    # refuses a support that is not symmetric with a full diagonal
-    b = bundle_for(from_spec("path:2"))
-    X = b.connection.to_float()
-    asymmetric = from_rows([[1, 1, 0], [0, 1, 0], [0, 0, 1]])
-    no_diagonal = from_rows([[0, 1, 0], [1, 1, 0], [0, 0, 1]])
-    not_square = IntMatrix.identity(3).block(0, 3, 0, 2)
-    for pattern, message in ((asymmetric, "symmetric"), (no_diagonal, "diagonal"), (not_square, "square")):
-        for call in (
-            lambda: perturb_target(b.hodge_signless, pattern, 0.01, seed=0),
-            lambda: solve_hydrogen(b.hodge_signless.to_float(), pattern, b.connection),
-            lambda: verify_support(X, pattern, inverse_support_pattern(b)),
-            lambda: verify_support(X, b.connection, pattern),
-        ):
-            with pytest.raises(ValueError, match=message):
-                call()
+def test_coords_are_the_upper_triangle_in_row_major_order(corpus):
+    # the coordinates every routine reads, off L and off the
+    # inverse-support pattern, both symmetric with a full diagonal
+    for spec, b in corpus.items():
+        for pattern in (b.connection, inverse_support_pattern(b)):
+            rows, cols = newton._coords(pattern)
+            assert list(zip(rows.tolist(), cols.tolist())) == _loop_coords(pattern), spec
 
 
 @pytest.mark.parametrize(

@@ -151,8 +151,6 @@ def test_k2_small_matrices():
     assert b.connection.rows == from_rows([[1, 0, 1], [0, 1, 1], [1, 1, 1]]).rows
     assert b.green.rows == from_rows([[0, -1, 1], [-1, 0, 1], [1, 1, -1]]).rows
     assert b.hodge_signless.rows == from_rows([[1, 1, 0], [1, 1, 0], [0, 0, 2]]).rows
-    # a bundle passes through, so callers reuse its cached operators
-    assert bundle_for(b) is b
 
 
 def test_connection_block_structure():
@@ -190,7 +188,7 @@ def test_orientation_invariance():
     # vertex Hodge block and signless Hodge operator
     g = from_spec("figure8")
     c = build_complex(g)
-    default = OperatorBundle(c)
+    default = OperatorBundle(g)
     d0 = dense_incidence_signed(c, [-1 if i % 2 else 1 for i in range(g.e)])
     dirac, signless = dirac_from_incidence(d0), dirac_from_incidence(dense_abs(d0))
     hodge = dirac @ dirac
@@ -253,9 +251,9 @@ def test_trace_report_matches_dense_products_on_corpus(corpus):
 
 
 def _with_connection(b: OperatorBundle, L: IntMatrix) -> OperatorBundle:
-    """A fresh bundle of b's complex whose connection is L, set before its
+    """A fresh bundle of b's graph whose connection is L, set before its
     first read: the Schur certificate then runs on L."""
-    out = OperatorBundle(b.complex)
+    out = OperatorBundle(b.graph)
     out.__dict__["connection"] = L
     return out
 
@@ -347,7 +345,7 @@ def test_hydrogen_residual_matches_dense_expression_on_corpus(corpus):
         dense = b.hodge_signless - (b.connection - b.green)
         assert hydrogen_residual(b) == dense, spec
     b = bundle_for(from_spec("wheel:5"))
-    broken = OperatorBundle(b.complex)
+    broken = OperatorBundle(b.graph)
     broken.__dict__["green"] = linear_combination((b.green, 2))
     residual = hydrogen_residual(broken)
     assert residual == b.hodge_signless - (b.connection - linear_combination((b.green, 2)))
@@ -355,9 +353,9 @@ def test_hydrogen_residual_matches_dense_expression_on_corpus(corpus):
 
 
 def _fresh_bundle_with(monkeypatch, b, name, matrix):
-    """A new bundle on b's complex whose operators.<name> returns matrix."""
+    """A new bundle of b's graph whose operators.<name> returns matrix."""
     monkeypatch.setattr(operators, name, lambda c: matrix)
-    return OperatorBundle(b.complex)
+    return OperatorBundle(b.graph)
 
 
 def test_green_certificate_rejects_one_changed_entry(corpus, monkeypatch):
@@ -430,8 +428,8 @@ def test_nonzeros_are_collected_once_per_operator(monkeypatch):
     # with, and bounds never forms g
     for run, made in (
         (lambda: _verify_checks(bundle_for(g)), (1, 2)),
-        (lambda: bounds_report(g), (1, 0)),
-        (lambda: perron_limits(g), (1, 1)),
+        (lambda: bounds_report(bundle_for(g)), (1, 0)),
+        (lambda: perron_limits(bundle_for(g)), (1, 1)),
     ):
         builds.clear()
         run()
@@ -537,7 +535,7 @@ def test_supersymmetry_report_rejects_a_permuted_edge_block():
     order = list(range(b.e))[::-1]
     for name in ("hodge1", "hodge1_signless"):
         h1 = getattr(b, name)
-        broken = OperatorBundle(b.complex)
+        broken = OperatorBundle(b.graph)
         broken.__dict__[name] = from_rows([[h1.rows[i][j] for j in order] for i in order])
         assert broken.__dict__[name] != h1
         assert supersymmetry_charpoly(broken).ok, name
@@ -548,7 +546,7 @@ def test_supersymmetry_report_rejects_a_vertex_block_that_is_not_kirchhoff():
     # a relabelled H0 has the right spectrum but is not the Kirchhoff matrix
     b = bundle_for(from_spec("figure8"))
     order = [1, 0] + list(range(2, b.v))
-    broken = OperatorBundle(b.complex)
+    broken = OperatorBundle(b.graph)
     broken.__dict__["hodge0"] = from_rows([[b.hodge0.rows[i][j] for j in order] for i in order])
     assert broken.hodge0 != b.kirchhoff
     assert supersymmetry_charpoly(broken).ok
@@ -557,7 +555,7 @@ def test_supersymmetry_report_rejects_a_vertex_block_that_is_not_kirchhoff():
     # still hold and every kernel count is right, but d^T d has a +1 where
     # the Kirchhoff matrix has a -1
     tree = bundle_for(from_spec("path:4"))
-    broken = OperatorBundle(tree.complex)
+    broken = OperatorBundle(tree.graph)
     broken.__dict__["incidence"] = from_rows([[1, 1, 0, 0]] + tree.incidence.rows[1:])
     assert supersymmetry_charpoly(broken).ok
     report = supersymmetry_report(broken)

@@ -576,13 +576,56 @@ def test_no_parameter_holds_a_value_no_caller_changes():
     assert "trials" not in parameters(cli._report_sparse_random)
     assert "signs" not in parameters(connlab.OperatorBundle)
     assert "signs" not in parameters(connlab.operators.incidence_signed)
-    assert "pattern" not in parameters(connlab.newton.exact_jacobian_at_connection)
-    assert parameters(connlab.newton.verify_support)["inverse_pattern"].default is inspect.Parameter.empty
     assert parameters(connlab.spectra.eig_sym)["m"].annotation == "IntMatrix"
+    # Newton reads its pattern, its start and |H| off the bundle: L is the
+    # pattern and the start, and the inverse-support pattern is L's and g's
+    newton = [f for _, f in inspect.getmembers(connlab.newton, inspect.isfunction) if f.__module__ == "connlab.newton"]
+    assert "exact_jacobian_at_connection" in {f.__name__ for f in newton}
+    for f in newton:
+        assert {"pattern", "inverse_pattern", "L0", "habs"}.isdisjoint(parameters(f)), f.__name__
     solve = parameters(connlab.newton.solve_hydrogen)
-    assert (solve["K"].annotation, solve["L0"].annotation) == ("np.ndarray", "IntMatrix")
+    assert solve["K"].annotation == "np.ndarray"
+    assert solve["cfg"].default is inspect.Parameter.empty
     assert parameters(connlab.newton.verify_support)["X"].annotation == "np.ndarray"
     assert not hasattr(connlab.spectra, "_as_array") and not hasattr(connlab.newton, "_as_float")
+
+
+_GRAPH_TYPES = {"Graph", "Complex", "OperatorBundle"}
+
+
+def _graph_unions(text: str) -> list[str]:
+    """function.parameter for each parameter annotated with a union, by |,
+    Union or Optional, that names Graph, Complex or OperatorBundle."""
+    found = []
+    for f in ast.walk(ast.parse(text)):
+        if not isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for arg in ast.walk(f.args):
+            note = getattr(arg, "annotation", None)
+            if isinstance(note, ast.Constant) and isinstance(note.value, str):
+                note = ast.parse(note.value, mode="eval").body
+            if note is None:
+                continue
+            names = {n.id for n in ast.walk(note) if isinstance(n, ast.Name)}
+            names |= {n.attr for n in ast.walk(note) if isinstance(n, ast.Attribute)}
+            union = any(isinstance(n, ast.BinOp) and isinstance(n.op, ast.BitOr) for n in ast.walk(note))
+            if (union or names & {"Union", "Optional"}) and names & _GRAPH_TYPES:
+                found.append(f"{f.name}.{arg.arg}")
+    return found
+
+
+def test_no_parameter_takes_a_union_of_the_graph_types():
+    # a routine that reads an operator takes the OperatorBundle and one that
+    # reads only the graph takes the Graph; nothing takes either
+    unions = {p.stem: _graph_unions(p.read_text()) for p in (ROOT / "src" / "connlab").glob("*.py")}
+    assert {m: names for m, names in unions.items() if names} == {}
+    # the check sees |, Union, Optional and a quoted annotation, and passes
+    # a union of other types
+    probe = (
+        "def f(a: Graph | OperatorBundle, b: 'Complex | None', c: Union[Graph, int],\n"
+        "      d: typing.Optional[OperatorBundle], e: int | None, g: Graph): pass\n"
+    )
+    assert _graph_unions(probe) == ["f.a", "f.b", "f.c", "f.d"]
 
 
 def _unused_imports(text: str) -> list[str]:

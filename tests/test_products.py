@@ -3,13 +3,13 @@ failure of the hydrogen identity on nontrivial products."""
 
 import pytest
 
-from connlab.complexes import build_complex
+import connlab.products as products
 from connlab.exact import IntMatrix, det
 from connlab.graphs import from_spec
 from connlab.operators import OperatorBundle, bundle_for
 from connlab.products import (
-    ProductComplex,
     ProductError,
+    connection_by_intersection,
     product_checks,
     product_connection,
     product_hodge,
@@ -46,14 +46,14 @@ PAIRS = [
 def test_product_connection_two_routes(sa, sb):
     # the Kronecker product of the factors must equal the connection matrix
     # built directly from the intersection rule on product cells
-    L = product_connection(from_spec(sa), from_spec(sb))
-    pc = ProductComplex(build_complex(from_spec(sa)), build_complex(from_spec(sb)))
-    assert L.nrows == pc.size
-    rule = pc.connection_by_intersection()
+    ba, bb = bundle_for(from_spec(sa)), bundle_for(from_spec(sb))
+    L = product_connection(ba, bb)
+    assert L.nrows == ba.size * bb.size
+    rule = connection_by_intersection(ba.complex, bb.complex)
     assert L == rule
     # the rule read off the factors' shared-vertex pairs, against the loop
     # over every pair of product cells
-    assert rule == intersection_rule_loop(pc.factor_a, pc.factor_b)
+    assert rule == intersection_rule_loop(ba.complex, bb.complex)
 
 
 @pytest.mark.parametrize("sa, sb", PAIRS)
@@ -76,14 +76,14 @@ def test_kron_matches_the_dense_kron_on_the_factor_operators(sa, sb):
 @pytest.mark.parametrize("sa, sb", PAIRS)
 def test_product_energy_multiplicative(sa, sb):
     a, b = from_spec(sa), from_spec(sb)
-    L = product_connection(a, b)
+    ba, bb = bundle_for(a), bundle_for(b)
+    L = product_connection(ba, bb)
     g = inverse_unimodular(L)
     chi_a = a.n - a.e
     chi_b = b.n - b.e
     assert g.entry_sum() == chi_a * chi_b
     assert det(L) in (-1, 1)
     # elimination on the product is the oracle for product_checks' kron(g_A, g_B)
-    ba, bb = bundle_for(a), bundle_for(b)
     assert ba.green.kron(bb.green) == g
     rep = product_checks(ba, bb)
     assert rep.energy_value == g.entry_sum()
@@ -95,7 +95,7 @@ def test_product_energy_multiplicative(sa, sb):
 
 
 def test_product_hodge_additive_structure():
-    a, b = from_spec("complete:2"), from_spec("cycle:3")
+    a, b = bundle_for(from_spec("complete:2")), bundle_for(from_spec("cycle:3"))
     H = product_hodge(a, b)
     mult_err, add_err = spectral_errors(a, b, product_connection(a, b), H)
     assert mult_err < 1e-8
@@ -120,7 +120,7 @@ def test_product_checks_builds_each_product_operator_once(monkeypatch):
 
 
 def test_hydrogen_fails_on_products():
-    rep = product_checks(from_spec("complete:2"), from_spec("complete:2"))
+    rep = product_checks(bundle_for(from_spec("complete:2")), bundle_for(from_spec("complete:2")))
     assert rep.hydrogen_residual_max == 4
     assert rep.hydrogen_fails
     assert rep.energy_ok
@@ -128,13 +128,13 @@ def test_hydrogen_fails_on_products():
 
 
 def test_hydrogen_trivial_on_point_factor():
-    rep = product_checks(from_spec("complete:1"), from_spec("complete:2"))
+    rep = product_checks(bundle_for(from_spec("complete:1")), bundle_for(from_spec("complete:2")))
     assert rep.hydrogen_residual_max == 0
 
 
 def test_product_reciprocity_sign():
     # 5 x 5 = 25 cells, odd, so the squared charpoly is anti-palindromic
-    rep = product_checks(from_spec("path:3"), from_spec("path:3"))
+    rep = product_checks(bundle_for(from_spec("path:3")), bundle_for(from_spec("path:3")))
     assert rep.charpoly_sign == -1
 
 
@@ -144,14 +144,12 @@ def test_product_reciprocity_fails_on_a_corrupted_factor(monkeypatch):
     # notice: the product spectrum is still inversion-closed, but the
     # factor fails its certificate
     honest = bundle_for(from_spec("cycle:4"))
-    a = OperatorBundle(honest.complex)
+    a = OperatorBundle(honest.graph)
     L = edited(honest.connection, {(k, k): 3 for k in range(a.v, a.size)})
     a.__dict__["connection"] = L
     a.__dict__["green"] = a.schur_inverse()
     b = bundle_for(from_spec("path:3"))
-    monkeypatch.setattr(
-        ProductComplex, "connection_by_intersection", lambda self: L.kron(b.connection)
-    )
+    monkeypatch.setattr(products, "connection_by_intersection", lambda *factors: L.kron(b.connection))
     rep = product_checks(a, b)
     assert rep.det_ok
     assert rep.charpoly_sign is None and not rep.reciprocity_ok
@@ -174,8 +172,9 @@ def test_two_time_walk_steps_compose_in_either_order():
 
 
 def test_signless_product_hodge_entrywise():
-    Habs = product_hodge(from_spec("complete:2"), from_spec("path:3")).abs()
-    H = product_hodge(from_spec("complete:2"), from_spec("path:3"))
+    a, b = bundle_for(from_spec("complete:2")), bundle_for(from_spec("path:3"))
+    Habs = product_hodge(a, b).abs()
+    H = product_hodge(a, b)
     for i in range(H.nrows):
         for j in range(H.ncols):
             assert Habs.rows[i][j] == abs(H.rows[i][j])
@@ -188,8 +187,6 @@ def test_mismatched_dimensions_raise():
 
 
 def test_product_checks_rejects_a_product_without_integer_inverse(monkeypatch):
-    import connlab.products as products
-
     real = products.product_connection
 
     def doubled_corner(a, b):
@@ -198,18 +195,18 @@ def test_product_checks_rejects_a_product_without_integer_inverse(monkeypatch):
 
     monkeypatch.setattr(products, "product_connection", doubled_corner)
     with pytest.raises(ProductError, match="not an integer matrix"):
-        product_checks(from_spec("complete:2"), from_spec("path:3"))
+        product_checks(bundle_for(from_spec("complete:2")), bundle_for(from_spec("path:3")))
 
 
 def test_product_checks_rejects_a_corrupted_intersection_rule(monkeypatch):
-    real = ProductComplex.connection_by_intersection
+    real = products.connection_by_intersection
 
-    def dropped_corner(self):
-        return edited(real(self), {(0, 0): 0})
+    def dropped_corner(a, b):
+        return edited(real(a, b), {(0, 0): 0})
 
-    monkeypatch.setattr(ProductComplex, "connection_by_intersection", dropped_corner)
+    monkeypatch.setattr(products, "connection_by_intersection", dropped_corner)
     with pytest.raises(ProductError, match="intersection-rule"):
-        product_checks(from_spec("complete:2"), from_spec("path:3"))
+        product_checks(bundle_for(from_spec("complete:2")), bundle_for(from_spec("path:3")))
 
 
 # ---------------------------------------------------------------------------

@@ -81,22 +81,22 @@ def test_sign_split_counts_cells(spec, sample):
 @pytest.mark.parametrize("spec", SAMPLE_SPECS)
 def test_bounds_sound_on_sample(spec, sample):
     b = sample[spec]
-    rep = bounds_report(b.graph)
+    rep = bounds_report(b)
     # construction already asserts soundness; spot-check two bounds anyway
     assert rep.bound_dual_vertex >= rep.rho_Habs - 1e-9
     assert rep.bound_bhs >= rep.rho_Habs - 1e-9
 
 
 def test_lsc_flagged_on_regular_graphs():
-    rep = bounds_report(from_spec("cycle:8"))
+    rep = bounds_report(bundle_for(from_spec("cycle:8")))
     assert "regular" in rep.flags
     assert "lsc-inapplicable" in rep.flags
-    rep2 = bounds_report(from_spec("path:5"))
+    rep2 = bounds_report(bundle_for(from_spec("path:5")))
     assert "lsc-inapplicable" not in rep2.flags
 
 
 def test_soundness_error_raised_on_fabricated_report():
-    rep = bounds_report(from_spec("path:5"))
+    rep = bounds_report(bundle_for(from_spec("path:5")))
     import dataclasses
 
     from connlab.spectra import _check_soundness
@@ -110,8 +110,8 @@ def test_kwalk_tightens_toward_spectral_link():
     g = from_spec("cycle:6")
     b = bundle_for(g)
     target = eig_sym(b.hodge_signless).top
-    assert abs(bound_kwalk(g, (24,))[24] - target) < 0.1
-    assert bound_kwalk(g, (3,))[3] >= target - 1e-9
+    assert abs(bound_kwalk(b, (24,))[24] - target) < 0.1
+    assert bound_kwalk(b, (3,))[3] >= target - 1e-9
 
 
 def test_kwalk_matches_dense_matpow_on_corpus(corpus):
@@ -120,7 +120,7 @@ def test_kwalk_matches_dense_matpow_on_corpus(corpus):
         adj = b.connection - IntMatrix.identity(b.size)
         for k in (1, 2, 3):
             r = 1.0 + math.exp(math.log(max(matpow(adj, k).row_sums())) / k)
-            assert bound_kwalk(b.graph, (k,))[k] == bound_kwalk(b, (k,))[k] == r - 1.0 / r, (spec, k)
+            assert bound_kwalk(b, (k,))[k] == r - 1.0 / r, (spec, k)
 
 
 def test_bounds_row_matches_hodge_top_and_single_kwalk_on_corpus(corpus):
@@ -130,10 +130,10 @@ def test_bounds_row_matches_hodge_top_and_single_kwalk_on_corpus(corpus):
     for spec, b in corpus.items():
         if not b.graph.edges:
             continue
-        rep = bounds_report(b.graph)
+        rep = bounds_report(b)
         assert abs(eig_sym(b.hodge_signless).top - rep.rho_Habs) <= EIG_TOL, spec
         for k in (1, 2, 3):
-            assert rep.bound_kwalk[k] == bound_kwalk(b.graph, (k,))[k], (spec, k)
+            assert rep.bound_kwalk[k] == bound_kwalk(b, (k,))[k], (spec, k)
 
 
 def test_bounds_row_walks_three_mat_vecs_on_l(monkeypatch):
@@ -146,7 +146,7 @@ def test_bounds_row_walks_three_mat_vecs_on_l(monkeypatch):
         return apply(m, vec)
 
     monkeypatch.setattr(IntMatrix, "apply", counting)
-    bounds_report(g)
+    bounds_report(bundle_for(g))
     assert len(applied) == 3
     assert all(m is applied[0] for m in applied)
     assert applied[0].rows == bundle_for(g).connection.rows
@@ -169,17 +169,17 @@ def test_bounds_row_finds_components_and_regularity_once(monkeypatch):
         wrapped = counting(name, getattr(graphs, name))
         monkeypatch.setattr(graphs, name, wrapped)
         monkeypatch.setattr(spectra, name, wrapped)
-    rep = bounds_report(from_spec("figure8"))
+    rep = bounds_report(bundle_for(from_spec("figure8")))
     assert "disconnected" not in rep.flags and "lsc-inapplicable" not in rep.flags
     assert sorted(calls) == ["connected_components", "is_regular"]
 
 
 def test_kwalk_errors():
-    c4, edgeless = from_spec("cycle:4"), Graph(3, name="E3")
+    c4, edgeless = bundle_for(from_spec("cycle:4")), bundle_for(Graph(3, name="E3"))
     with pytest.raises(SpectraError, match="^walk length k must be >= 1$"):
         bound_kwalk(c4, (0,))
     with pytest.raises(SpectraError, match="^walk length k must be >= 1$"):
-        bound_kwalk(bundle_for(c4), (1, 0))
+        bound_kwalk(c4, (1, 0))
     # the walk length is checked before the graph
     with pytest.raises(SpectraError, match="^walk length k must be >= 1$"):
         bound_kwalk(edgeless, (0,))
