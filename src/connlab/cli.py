@@ -14,7 +14,8 @@ prints one line "error: ..." on stderr and no traceback.
 The subcommands live in one table, _COMMANDS: name, help text, the shared
 flags (--format, --seed, --dump) that its handler reads, and its own
 arguments; subcommand NAME runs cmd_NAME.  A command takes only the shared
-flags its entry names, so any other one is a usage error.  When argv names
+flags its entry names, so any other one is a usage error, reported with its
+value (_unread_shared).  When argv names
 its subcommand after nothing but whole shared flags, main builds that
 command's flat parser and parses argv with the name taken out, since
 building parsers is a large share of a small bounds call.  Otherwise (no
@@ -32,6 +33,7 @@ import csv
 import json
 import math
 import os
+import re
 import sys
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -732,6 +734,9 @@ def _tol(text: str) -> float:
 
 _STATE_HELP = "comma-separated initial state (default: unit vector)"
 
+# a token argparse reads as a negative number, not as a flag
+_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
+
 # the flags more than one command reads, each given only to the commands
 # whose _COMMANDS entry names it
 _SHARED: dict[str, dict] = {
@@ -849,6 +854,32 @@ def _command_named(argv: Sequence[str]) -> int | None:
     return i if i < len(argv) else None
 
 
+def _unread_shared(command: str, argv: list[str]) -> tuple[list[str], list[str]]:
+    """(argv less the shared flags command does not read, those flags),
+    each flag taken whole: with its "=" value, or with the next token
+    unless that is a flag other than a negative number.  Tokens after "--"
+    are positionals.
+
+    The command's parser has no such flag, so argparse would report the
+    flag alone and read its value as a positional, or as the graph."""
+    unread = _SHARED.keys() - _COMMANDS[command][1]
+    kept, taken = [], []
+    i = 0
+    while i < len(argv) and argv[i] != "--":
+        token = argv[i]
+        i += 1
+        if token in unread:
+            taken.append(token)
+            if i < len(argv) and (argv[i][:1] != "-" or _NUMBER.match(argv[i])):
+                taken.append(argv[i])
+                i += 1
+        elif token.partition("=")[0] in unread:
+            taken.append(token)
+        else:
+            kept.append(token)
+    return kept + argv[i:], taken
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     """Run one command; argv defaults to sys.argv[1:], as the console script
     passes it."""
@@ -857,7 +888,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     if i is None:
         args = build_parser().parse_args(argv)
     else:
-        args = build_parser(argv[i]).parse_args(argv[:i] + argv[i + 1 :])
+        parser = build_parser(argv[i])
+        rest, unread = _unread_shared(argv[i], argv[:i] + argv[i + 1 :])
+        # a help flag exits inside parse_known_args, before any error
+        args, extras = parser.parse_known_args(rest)
+        if unread or extras:
+            parser.error(f"unrecognized arguments: {' '.join(unread + extras)}")
     # looked up by name at each call, so that a wrapper bound over a cmd_*
     # function after import, such as a tracer's, sees the call
     handler = globals()[f"cmd_{args.command}"]

@@ -9,18 +9,23 @@ the measurement tables:
 * rho_abs    largest eigenvalue of the signless Kirchhoff matrix B + A
 * dual_vertex   r - 1/r with r = 1 + max over edges of (deg x + deg y)
 * kwalk      r_k - 1/r_k with r_k = 1 + (max row sum of A(G')^k)^(1/k),
-             row sums taken exactly in big integers
+             row sums taken exactly
 * bhs        u - 1/u with u = 1 + (sqrt(1 + 8 e') - 1)/2, e' = edge count
              of the connection graph G'
 * lsc, shi   diameter-corrected degree bounds for irregular graphs
 
-The bounds that read an operator (bound_kwalk, bound_bhs) and
+The bounds on the connection graph G' (bound_kwalk, bound_bhs) and
 bounds_report take the graph's OperatorBundle; the degree bounds read only
-the Graph.  A bounds row costs two v x v eigensolves, of the two Kirchhoff matrices
-built straight from the edge list, and work linear in the nonzero
-entries: one bound_kwalk pass of three big-integer mat-vecs with L - I
-gives the walk bounds of k = 1, 2 and 3, all checked for soundness and k = 3
-printed, and graphs.diameter is a bit-parallel BFS.  No
+the Graph.  A bounds row costs two v x v eigensolves, of the two Kirchhoff
+matrices built straight from the edge list, and work linear in v + e.  Two
+cells of a 1-complex meet iff they share a vertex, so the adjacency of the
+connection graph is the block matrix A(G') = L - I = [[0, |d|^T], [|d|,
+A(G_L)]], A(G_L) = |d| |d|^T - 2I the line graph's, and both G' bounds
+read the edge ends alone: bound_kwalk steps x -> A(G') x three times, in
+int64 while 4 r^K < 2^63 (r the largest row sum of A(G'), K the longest
+walk) and on Python ints past it, for the walk bounds of k = 1, 2 and 3,
+all checked for soundness and k = 3 printed; bound_bhs counts the edges of
+G' off the degrees.  graphs.diameter is a bit-parallel BFS.  No L,
 incidence, |D| or |H| is built: rho(|H|) is rho_abs by supersymmetry (see
 BoundsReport).
 
@@ -159,11 +164,21 @@ def bound_kwalk(bundle: OperatorBundle, ks: Sequence[int]) -> dict[int, float]:
     in ks.
 
     P(k,x) counts length-k walks in the connection graph G' starting at x,
-    that is row x of A(G')^k 1 with A(G') = L - I.  It is computed exactly
-    with big-integer mat-vecs A x = L x - x (L has a unit diagonal),
-    starting from the all-ones vector; no power of A is formed.  The k-th
-    mat-vec turns P(k-1, .) into P(k, .), so one pass of max(ks) mat-vecs
-    gives every k.  Only the final k-th root is floating point.
+    that is row x of A(G')^k 1, starting from the all-ones vector; no power
+    of A is formed.  Two cells of a 1-complex meet iff they share a vertex,
+    so A(G') = L - I is the block matrix [[0, |d|^T], [|d|, A(G_L)]] with
+    A(G_L) = |d| |d|^T - 2I the adjacency of the line graph, and one
+    mat-vec x -> A(G') x reads only the edge ends: with S_v the sum of x_e
+    over the edges e at v (one np.add.at per end column), vertex v becomes
+    S_v and edge ab becomes x_a + x_b + S_a + S_b - 2 x_e.  That is O(v + e)
+    per step, and no L is built.  The k-th mat-vec turns P(k-1, .) into
+    P(k, .), so one pass of max(ks) mat-vecs gives every k.
+
+    The counts are exact.  The largest row sum of A(G') is r = max over
+    edges of deg a + deg b, so every count after K steps is at most r^K and
+    every intermediate sum below 4 r^K: the pass runs in int64 while
+    4 r^K < 2^63, K = max(ks), and on Python ints past it.  Only the final
+    k-th root is floating point.
 
     Sound for every k: max_x P(k,x) >= rho(A)^k, so r_k >= rho(L) and the
     bound dominates rho(|H|) = rho(L) - 1/rho(L).  The max row sum is
@@ -175,19 +190,29 @@ def bound_kwalk(bundle: OperatorBundle, ks: Sequence[int]) -> dict[int, float]:
     if any(k < 1 for k in ks):
         raise SpectraError("walk length k must be >= 1")
     _require_edges(bundle.graph)
-    L = bundle.connection
-    counts = [1] * bundle.size
+    v, ends = bundle.v, bundle.complex.edge_array
+    a, b = ends[:, 0], ends[:, 1]
+    deg = np.bincount(ends.ravel(), minlength=v)
+    top = max(ks, default=0)
+    r = int((deg[a] + deg[b]).max())
+    dtype = np.int64 if 4 * r**top < 2**63 else object
+    x = np.ones(bundle.size, dtype=dtype)
     walks = {}
-    for k in range(1, max(ks, default=0) + 1):
-        counts = [a - c for a, c in zip(L.apply(counts), counts)]
-        walks[k] = max(counts)
+    for k in range(1, top + 1):
+        on_edges = x[v:]
+        s = np.zeros(v, dtype=dtype)
+        np.add.at(s, a, on_edges)
+        np.add.at(s, b, on_edges)
+        ends_sum = x[:v] + s
+        x = np.concatenate((s, ends_sum[a] + ends_sum[b] - 2 * on_edges))
+        walks[k] = int(x.max())
     out = {}
     for k in ks:
         if walks[k] <= 0:
             raise SpectraError("connection graph has no walks; graph must have an edge")
         # exp(log(P)/k) stays finite even when P overflows a float
-        r = 1.0 + math.exp(math.log(walks[k]) / k)
-        out[k] = r - 1.0 / r
+        r_k = 1.0 + math.exp(math.log(walks[k]) / k)
+        out[k] = r_k - 1.0 / r_k
     return out
 
 
@@ -195,11 +220,15 @@ def bound_bhs(bundle: OperatorBundle) -> float:
     """Edge-count bound u - 1/u, u = 1 + (sqrt(1 + 8 e') - 1)/2.
 
     The inner expression bounds the adjacency spectral radius of any graph
-    with e' edges, applied here to the connection graph G', whose e' edges
-    are the off-diagonal entries of L, each counted twice.
+    with e' edges, applied here to the connection graph G'.  By the block
+    form of A(G') (see bound_kwalk) its edges are the 2e vertex-edge
+    incidences and the C(deg v, 2) pairs of edges at each vertex v, two
+    edges of a simple graph sharing at most one vertex, so e' = 2e + sum
+    over v of C(deg v, 2), read off the degrees in O(v + e).
     """
-    _require_edges(bundle.graph)
-    eprime = (bundle.connection.entry_sum() - bundle.size) // 2
+    g = bundle.graph
+    _require_edges(g)
+    eprime = 2 * g.e + sum(d * (d - 1) // 2 for d in g.degrees())
     u = 1.0 + (math.sqrt(1.0 + 8.0 * eprime) - 1.0) / 2.0
     return u - 1.0 / u
 

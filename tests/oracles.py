@@ -40,7 +40,9 @@ int64 elimination mod word primes (_rank_mod, _prime), closed by kernel
 vectors such as component_vectors gives, or by Hadamard's bound on the
 minors; it is kept as a second oracle.  matpow is binary exponentiation by
 dense products; quaternion_branch_rank builds the 4n x 4n branch map from
-both and takes its rank.
+both and takes its rank.  kwalk_through_connection is the walk bound as
+spectra.bound_kwalk took it before it stepped the block form of A(G') from
+the edge ends: big-integer mat-vecs with the assembled L, A x = L x - x.
 
 dense_kron is the Kronecker product written entry by entry from the dense
 rows, the oracle for IntMatrix.kron over the triplets.
@@ -579,6 +581,22 @@ def matpow(m: IntMatrix, k: int) -> IntMatrix:
         if k:
             base = dense_matmul(base, base)
     return result
+
+
+def kwalk_through_connection(bundle: OperatorBundle, ks: Sequence[int]) -> dict[int, float]:
+    """spectra.bound_kwalk by mat-vecs with the assembled L: A x = L x - x
+    on Python ints, L having a unit diagonal, then the same k-th roots."""
+    L = bundle.connection
+    counts = np.ones(bundle.size, dtype=object)
+    walks = {}
+    for k in range(1, max(ks) + 1):
+        counts = L.step(counts) - counts
+        walks[k] = max(counts)
+    out = {}
+    for k in ks:
+        r = 1.0 + math.exp(math.log(walks[k]) / k)
+        out[k] = r - 1.0 / r
+    return out
 
 
 def quaternion_branch_rank(bundle: OperatorBundle) -> int:

@@ -399,10 +399,10 @@ def test_connection_det_rejects_broken_blocks(corpus, monkeypatch):
 
 
 def test_nonzeros_are_collected_once_per_operator(monkeypatch):
-    # the certificate, the Schur det, the squared traces, the k-walk counts
-    # and the Perron powers all read one cached matrix per operator: L and g
-    # are built once each, by the bundle, as counted by the matrices _new
-    # makes with their content
+    # the certificate, the Schur det, the squared traces and the Perron
+    # powers all read one cached matrix per operator: L and g are built once
+    # each, by the bundle, as counted by the matrices _new makes with their
+    # content
     from connlab.cli import _verify_checks
     from connlab.dynamics import perron_limits
     from connlab.spectra import bounds_report
@@ -425,10 +425,11 @@ def test_nonzeros_are_collected_once_per_operator(monkeypatch):
     assert b.connection is b.connection and b.connection.csr is b.connection.csr
     # each run builds a bundle of its own; verify's green-star check also
     # forms the Schur inverse, the second g that the bundle's is compared
-    # with, and bounds never forms g
+    # with, and bounds forms neither L nor g: its walk counts step the edge
+    # ends
     for run, made in (
         (lambda: _verify_checks(bundle_for(g)), (1, 2)),
-        (lambda: bounds_report(bundle_for(g)), (1, 0)),
+        (lambda: bounds_report(bundle_for(g)), (0, 0)),
         (lambda: perron_limits(bundle_for(g)), (1, 1)),
     ):
         builds.clear()

@@ -16,6 +16,7 @@ from connlab.spectra import (
     SoundnessError,
     SpectraError,
     block_gap,
+    bound_bhs,
     bound_dual_vertex,
     bound_kwalk,
     bound_trivial_2d,
@@ -29,6 +30,7 @@ from oracles import (
     charpoly,
     exact_root_multiset,
     from_rows,
+    kwalk_through_connection,
     limit_functional_equation_residual,
     matpow,
     reciprocal_sign,
@@ -123,6 +125,37 @@ def test_kwalk_matches_dense_matpow_on_corpus(corpus):
             assert bound_kwalk(b, (k,))[k] == r - 1.0 / r, (spec, k)
 
 
+def test_kwalk_matches_the_connection_route_on_corpus(corpus):
+    # the block-form step from the edge ends against mat-vecs with the
+    # assembled L, bit for bit, at walk lengths where most corpus graphs
+    # pass the int64 bound and run on Python ints
+    for spec, b in corpus.items():
+        if b.graph.edges:
+            for k in (24, 40):
+                assert bound_kwalk(b, (k,)) == kwalk_through_connection(b, (k,)), (spec, k)
+
+
+def test_kwalk_is_exact_on_both_sides_of_the_int64_bound():
+    # complete:8 has r = 7 + 7 = 14, the largest row sum of A(G'): 4 r^16
+    # is below 2^63 and 4 r^17 is not, so K = 16 runs in int64 with counts
+    # near 2^61 and K = 17 on Python ints
+    b = bundle_for(from_spec("complete:8"))
+    assert 4 * 14**16 < 2**63 <= 4 * 14**17
+    for ks in ((16,), (17,), (1, 2, 3, 16)):
+        assert bound_kwalk(b, ks) == kwalk_through_connection(b, ks), ks
+
+
+def test_bhs_edge_count_matches_the_connection_on_corpus(corpus):
+    # e' read off the degrees, 2e + sum C(deg v, 2), against the count of
+    # off-diagonal entries of L halved: u - 1/u is increasing in e', so
+    # equal bounds mean equal counts
+    for spec, b in corpus.items():
+        if b.graph.edges:
+            eprime = (b.connection.entry_sum() - b.size) // 2
+            u = 1.0 + (math.sqrt(1.0 + 8.0 * eprime) - 1.0) / 2.0
+            assert bound_bhs(b) == u - 1.0 / u, spec
+
+
 def test_bounds_row_matches_hodge_top_and_single_kwalk_on_corpus(corpus):
     # rho(|H|) = rho(B + A) by supersymmetry, so the row needs no eigensolve
     # of |H|; and the walk bounds of one shared pass equal those of k alone,
@@ -134,22 +167,6 @@ def test_bounds_row_matches_hodge_top_and_single_kwalk_on_corpus(corpus):
         assert abs(eig_sym(b.hodge_signless).top - rep.rho_Habs) <= EIG_TOL, spec
         for k in (1, 2, 3):
             assert rep.bound_kwalk[k] == bound_kwalk(b, (k,))[k], (spec, k)
-
-
-def test_bounds_row_walks_three_mat_vecs_on_l(monkeypatch):
-    g = from_spec("figure8")
-    applied = []
-    apply = IntMatrix.apply
-
-    def counting(m, vec):
-        applied.append(m)
-        return apply(m, vec)
-
-    monkeypatch.setattr(IntMatrix, "apply", counting)
-    bounds_report(bundle_for(g))
-    assert len(applied) == 3
-    assert all(m is applied[0] for m in applied)
-    assert applied[0].rows == bundle_for(g).connection.rows
 
 
 def test_bounds_row_finds_components_and_regularity_once(monkeypatch):
