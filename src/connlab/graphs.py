@@ -11,6 +11,7 @@ import math
 import random
 from dataclasses import dataclass
 from itertools import combinations
+from typing import Sequence
 
 
 class GraphError(ValueError):
@@ -50,13 +51,6 @@ class Graph:
     @property
     def e(self) -> int:
         return len(self.edges)
-
-    def degrees(self) -> list[int]:
-        deg = [0] * self.n
-        for u, v in self.edges:
-            deg[u] += 1
-            deg[v] += 1
-        return deg
 
     def neighbors(self) -> list[list[int]]:
         nbr: list[list[int]] = [[] for _ in range(self.n)]
@@ -99,9 +93,9 @@ def betti_numbers(g: Graph) -> tuple[int, int]:
     return b0, g.e - g.n + b0
 
 
-def is_regular(g: Graph) -> bool:
-    deg = g.degrees()
-    return len(set(deg)) == 1
+def is_regular(degrees: Sequence[int]) -> bool:
+    """Whether a degree sequence, such as OperatorBundle.degrees, is constant."""
+    return len(set(degrees)) == 1
 
 
 def induced_subgraph(g: Graph, vertices: list[int]) -> Graph:

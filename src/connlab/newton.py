@@ -12,12 +12,16 @@ equation are solved:
 
 with Newton steps from the projected derivative dF[M] = -(M + X^-1 M X^-1),
 materialized as a dense system over the upper-triangle support coordinates.
-The step is damped by residual backtracking.  A singular Jacobian aborts
-the solve with the smallest singular value attached; it is never
-regularized.  What is certified is the degeneracy at the unperturbed
-connection Laplacian: there the Jacobian over L's coordinates is an
-integer matrix, which exact_jacobian_at_connection builds for an exact
-determinant.  It is
+The step is damped by residual backtracking.  A singular Jacobian, one
+with sigma_min <= RCOND sigma_max, aborts the solve with its extreme
+singular values attached; it is never regularized.  Most Jacobians are far
+from that threshold, and a Cholesky factorization of J^T J less a margin
+proves it without an SVD (_certified_nonsingular); the SVD runs only where
+that factorization fails, and from then on for the rest of the solve, so
+the singular values of an abort always come from it.  What is certified
+exactly is the degeneracy at the unperturbed connection Laplacian: there
+the Jacobian over L's coordinates is an integer matrix, which
+exact_jacobian_at_connection builds for an exact determinant.  It is
 J(L) = -(I + P (g (x) g) Q) over the compressed rows of g = L^-1, since
 vec(g M g) = (g (x) g) vec(M) for symmetric g: Q spreads each coordinate
 over vec(M_ij) and P reads the coordinates back.
@@ -153,10 +157,17 @@ def jacobian_at(Xinv: np.ndarray, coords) -> np.ndarray:
     (j, i) only when all four indices agree.
     """
     i, j = coords
-    prop = Xinv[np.ix_(i, i)] * Xinv[np.ix_(j, j)].T
-    cross = Xinv[np.ix_(i, j)]
-    prop = np.where(i != j, prop + cross * cross.T, prop)
-    return -(np.eye(len(i)) + prop)
+    rows_i, rows_j = Xinv[i], Xinv[j]
+    J = rows_i[:, i] * rows_j[:, j].T
+    cross = rows_i[:, j]
+    cross = cross * cross.T
+    cross[:, i == j] = 0.0
+    J += cross
+    # -0.0 + 0.0 is +0.0: the signed zeros of -(I + prop), then the
+    # diagonal's 1 and the sign
+    J += 0.0
+    J.flat[:: len(i) + 1] += 1.0
+    return np.negative(J, out=J)
 
 
 def exact_jacobian_at_connection(bundle: OperatorBundle) -> IntMatrix:
@@ -186,6 +197,36 @@ def exact_jacobian_at_connection(bundle: OperatorBundle) -> IntMatrix:
     return linear_combination((IntMatrix.identity(m), -1), (P @ g.kron(eye) @ eye.kron(g) @ Q, -1))
 
 
+def _certified_nonsingular(J: np.ndarray) -> bool:
+    """Whether a Cholesky factorization proves sigma_min(J) far above
+    RCOND sigma_max(J), so that the singular-value test cannot fire.
+
+    J is m x m; t = trace(G), G = fl(J^T J), is ||J||_F^2 >= sigma_max^2 up
+    to rounding.  The factorization of G - tau I is tried, with tau = c t
+    and c = max(1e-10, 100 (m + 1) eps).  The Gram product is within
+    gamma_m || |J| ||_2^2 <= gamma_m t of J^T J in the 2-norm, and a
+    factorization that runs to completion is exact for a matrix within
+    gamma_(m+1) ||R||_F^2 ~ gamma_(m+1) t of G - tau I (Higham, Accuracy
+    and Stability of Numerical Algorithms, Thm. 10.3), gamma_k ~ k u and
+    u = eps / 2.  So success gives sigma_min^2 >= tau - 2 (m + 1) u t
+    (1 + O(m u)) >= 0.99 tau: sigma_min >= 0.99e-5 sigma_max, seven orders
+    above RCOND, a margin of 100 over the rounding.  Failure proves
+    nothing, and the caller falls back to the SVD.  A non-finite J has a
+    non-finite t and is never certified.
+    """
+    m = len(J)
+    G = J.T @ J
+    t = float(np.trace(G))
+    if not np.isfinite(t):
+        return False
+    G.flat[:: m + 1] -= max(1e-10, 100 * (m + 1) * np.finfo(float).eps) * t
+    try:
+        np.linalg.cholesky(G)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 @dataclass(frozen=True)
 class NewtonResult:
     solution: np.ndarray
@@ -204,11 +245,21 @@ def solve_hydrogen(bundle: OperatorBundle, K: np.ndarray, cfg: NewtonConfig) -> 
     SingularJacobianError with the smallest singular value, and running out
     of iterations or of line-search budget raises NonConvergenceError with
     the partial result attached.
+
+    Each Jacobian is first offered to _certified_nonsingular, whose
+    Cholesky factorization of J^T J - tau I proves sigma_min >= 0.99e-5
+    sigma_max when it succeeds; then the singular-value test cannot fire
+    and no SVD runs.  When it fails, the SVD decides as before, and the
+    solve stops trying the certificate: Jacobians near the margin come in
+    runs along a solve, and a failed factorization costs about as much as
+    a successful one.  Iterates, results and errors are those of an SVD
+    on every iteration.
     """
     X = bundle.connection.to_float()
     coords = _coords(bundle.connection)
     history: list[float] = []
     Xinv = np.linalg.inv(X)  # then each accepted trial carries its inverse
+    certify = True
     for iteration in range(cfg.max_iter + 1):
         r = _residual_vector(K, X, Xinv, coords)
         rmax = float(np.max(np.abs(r))) if len(r) else 0.0
@@ -218,15 +269,17 @@ def solve_hydrogen(bundle: OperatorBundle, K: np.ndarray, cfg: NewtonConfig) -> 
         if iteration == cfg.max_iter:
             break
         J = jacobian_at(Xinv, coords)
-        sigmas = np.linalg.svd(J, compute_uv=False)
-        if sigmas[-1] <= RCOND * sigmas[0]:
-            raise SingularJacobianError(
-                f"support Jacobian is singular at iteration {iteration}: "
-                f"sigma_min = {sigmas[-1]:.3e}, sigma_max = {sigmas[0]:.3e}",
-                float(sigmas[-1]),
-                float(sigmas[0]),
-                iteration,
-            )
+        certify = certify and _certified_nonsingular(J)
+        if not certify:
+            sigmas = np.linalg.svd(J, compute_uv=False)
+            if sigmas[-1] <= RCOND * sigmas[0]:
+                raise SingularJacobianError(
+                    f"support Jacobian is singular at iteration {iteration}: "
+                    f"sigma_min = {sigmas[-1]:.3e}, sigma_max = {sigmas[0]:.3e}",
+                    float(sigmas[-1]),
+                    float(sigmas[0]),
+                    iteration,
+                )
         M = _add_symmetric(np.zeros_like(X), coords, np.linalg.solve(J, -r))
         step = 1.0
         accepted = False

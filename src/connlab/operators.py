@@ -232,6 +232,12 @@ class OperatorBundle:
         return self.hodge_signless.block(self.v, self.size, self.v, self.size)
 
     @cached_property
+    def degrees(self) -> np.ndarray:
+        """Vertex degrees, one bincount of the edge ends: the Kirchhoff
+        diagonal and every degree bound read these."""
+        return np.bincount(self.complex.edge_array.ravel(), minlength=self.v)
+
+    @cached_property
     def kirchhoff(self) -> IntMatrix:
         """Degree-minus-adjacency matrix, built directly from the graph.
 
@@ -243,7 +249,7 @@ class OperatorBundle:
         vertices = np.arange(v)
         return IntMatrix.from_triplets(
             np.concatenate((vertices, a, b)), np.concatenate((vertices, b, a)),
-            np.concatenate((np.bincount(edges.ravel(), minlength=v), np.full(2 * len(a), -1))),
+            np.concatenate((self.degrees, np.full(2 * len(a), -1))),
             v, v,
         )
 

@@ -14,14 +14,15 @@ the measurement tables:
              of the connection graph G'
 * lsc, shi   diameter-corrected degree bounds for irregular graphs
 
-The bounds on the connection graph G' (bound_kwalk, bound_bhs) and
-bounds_report take the graph's OperatorBundle; the degree bounds read only
-the Graph.  A bounds row costs two v x v eigensolves, of the two Kirchhoff
-matrices built straight from the edge list, and work linear in v + e.  Two
-cells of a 1-complex meet iff they share a vertex, so the adjacency of the
-connection graph is the block matrix A(G') = L - I = [[0, |d|^T], [|d|,
-A(G_L)]], A(G_L) = |d| |d|^T - 2I the line graph's, and both G' bounds
-read the edge ends alone: bound_kwalk steps x -> A(G') x three times, in
+Every bound and bounds_report take the graph's OperatorBundle, whose
+degrees, one bincount of the edge ends, serve the Kirchhoff diagonal and
+every degree bound and regularity test of a row.  A bounds row costs two
+v x v eigensolves, of the two Kirchhoff matrices built straight from the
+edge list, and work linear in v + e.  Two cells of a 1-complex meet iff
+they share a vertex, so the adjacency of the connection graph is the
+block matrix A(G') = L - I = [[0, |d|^T], [|d|, A(G_L)]], A(G_L) =
+|d| |d|^T - 2I the line graph's, and both G' bounds read the edge ends
+alone: bound_kwalk steps x -> A(G') x three times, in
 int64 while 4 r^K < 2^63 (r the largest row sum of A(G'), K the longest
 walk) and on Python ints past it, for the walk bounds of k = 1, 2 and 3,
 all checked for soundness and k = 3 printed; bound_bhs counts the edges of
@@ -130,32 +131,32 @@ def _require_edges(g: Graph) -> None:
         raise SpectraError(f"graph {g.name!r} has no edges; degree bounds are inapplicable")
 
 
-def _edge_degree_max(g: Graph) -> int:
+def _edge_degree_max(bundle: OperatorBundle) -> int:
     """max over edges (a,b) of deg(a) + deg(b)."""
-    _require_edges(g)
-    deg = g.degrees()
-    return max(deg[a] + deg[b] for a, b in g.edges)
+    _require_edges(bundle.graph)
+    deg, ends = bundle.degrees, bundle.complex.edge_array
+    return int((deg[ends[:, 0]] + deg[ends[:, 1]]).max())
 
 
-def bound_trivial_2d(g: Graph) -> float:
+def bound_trivial_2d(bundle: OperatorBundle) -> float:
     """Row-sum bound 2d on the Kirchhoff spectral radius, d = max degree."""
-    _require_edges(g)
-    return 2.0 * max(g.degrees())
+    _require_edges(bundle.graph)
+    return 2.0 * int(bundle.degrees.max())
 
 
-def bound_anderson_morley(g: Graph) -> float:
+def bound_anderson_morley(bundle: OperatorBundle) -> float:
     """max over edges of deg(x) + deg(y), the 1-form row-sum bound."""
-    return float(_edge_degree_max(g))
+    return float(_edge_degree_max(bundle))
 
 
-def bound_dual_vertex(g: Graph) -> float:
+def bound_dual_vertex(bundle: OperatorBundle) -> float:
     """r - 1/r with r = 1 + max over edges of (deg x + deg y).
 
     r dominates rho(L) by a row-sum argument in the connection graph, and
     t -> t - 1/t is increasing, so this dominates rho(|H|) and in turn the
     Kirchhoff spectral radius.
     """
-    r = 1.0 + _edge_degree_max(g)
+    r = 1.0 + _edge_degree_max(bundle)
     return r - 1.0 / r
 
 
@@ -192,9 +193,8 @@ def bound_kwalk(bundle: OperatorBundle, ks: Sequence[int]) -> dict[int, float]:
     _require_edges(bundle.graph)
     v, ends = bundle.v, bundle.complex.edge_array
     a, b = ends[:, 0], ends[:, 1]
-    deg = np.bincount(ends.ravel(), minlength=v)
     top = max(ks, default=0)
-    r = int((deg[a] + deg[b]).max())
+    r = _edge_degree_max(bundle)
     dtype = np.int64 if 4 * r**top < 2**63 else object
     x = np.ones(bundle.size, dtype=dtype)
     walks = {}
@@ -226,16 +226,16 @@ def bound_bhs(bundle: OperatorBundle) -> float:
     edges of a simple graph sharing at most one vertex, so e' = 2e + sum
     over v of C(deg v, 2), read off the degrees in O(v + e).
     """
-    g = bundle.graph
-    _require_edges(g)
-    eprime = 2 * g.e + sum(d * (d - 1) // 2 for d in g.degrees())
+    _require_edges(bundle.graph)
+    deg = bundle.degrees
+    eprime = 2 * bundle.e + int(deg @ (deg - 1)) // 2
     u = 1.0 + (math.sqrt(1.0 + 8.0 * eprime) - 1.0) / 2.0
     return u - 1.0 / u
 
 
-def _lsc_shi_one_component(g: Graph) -> tuple[float, float]:
-    """Li-Shiu-Chan style 2d - 1/(v (2R + 1)) and Shi style 2d - 2/((2R + 1) v)."""
-    d = max(g.degrees())
+def _lsc_shi_one_component(g: Graph, d: int) -> tuple[float, float]:
+    """Li-Shiu-Chan style 2d - 1/(v (2R + 1)) and Shi style 2d - 2/((2R + 1) v),
+    d the maximum degree of g."""
     radius = diameter(g)
     v = g.n
     lsc = 2.0 * d - 1.0 / (v * (2 * radius + 1))
@@ -243,21 +243,27 @@ def _lsc_shi_one_component(g: Graph) -> tuple[float, float]:
     return lsc, shi
 
 
-def _lsc_shi(g: Graph, components: list[list[int]], regular: bool) -> tuple[float, float, bool, bool]:
-    """(lsc, shi, applicable, per_component), given g's components and
-    whether g is regular.
+def _lsc_shi(
+    bundle: OperatorBundle, components: list[list[int]], regular: bool
+) -> tuple[float, float, bool, bool]:
+    """(lsc, shi, applicable, per_component) of the bundle's graph g, given
+    g's components and whether g is regular.
 
     Applicability follows the tables' caveat: the bound holds for irregular
     graphs only.  Disconnected input is handled per component with that
     component's own (d, diameter, v) and the maximum taken; a single regular
     component poisons applicability since its radius may exceed its own bound.
     """
+    g, deg = bundle.graph, bundle.degrees
     if len(components) == 1:
-        lsc, shi = _lsc_shi_one_component(g)
+        lsc, shi = _lsc_shi_one_component(g, int(deg.max()))
         return lsc, shi, not regular, False
-    parts = [induced_subgraph(g, comp) for comp in components]
-    vals = [_lsc_shi_one_component(part) for part in parts]
-    applicable = all(not is_regular(part) for part in parts)
+    # a component keeps every edge at its vertices, so its degrees are g's
+    vals = [
+        _lsc_shi_one_component(induced_subgraph(g, comp), int(deg[comp].max()))
+        for comp in components
+    ]
+    applicable = all(not is_regular(deg[comp]) for comp in components)
     return max(v[0] for v in vals), max(v[1] for v in vals), applicable, True
 
 
@@ -331,8 +337,8 @@ def bounds_report(bundle: OperatorBundle) -> BoundsReport:
     rho_h = eig_sym(bundle.kirchhoff).top
     rho_habs = eig_sym(bundle.kirchhoff_signless).top
     components = connected_components(g)
-    regular = is_regular(g)
-    lsc, shi, applicable, per_component = _lsc_shi(g, components, regular)
+    regular = is_regular(bundle.degrees)
+    lsc, shi, applicable, per_component = _lsc_shi(bundle, components, regular)
     flags = []
     if regular:
         flags.append("regular")
@@ -346,9 +352,9 @@ def bounds_report(bundle: OperatorBundle) -> BoundsReport:
         graph_name=g.name or "graph",
         rho_H=rho_h,
         rho_Habs=rho_habs,
-        bound_trivial_2d=bound_trivial_2d(g),
-        bound_anderson_morley=bound_anderson_morley(g),
-        bound_dual_vertex=bound_dual_vertex(g),
+        bound_trivial_2d=bound_trivial_2d(bundle),
+        bound_anderson_morley=bound_anderson_morley(bundle),
+        bound_dual_vertex=bound_dual_vertex(bundle),
         bound_kwalk=bound_kwalk(bundle, (1, 2, 3)),
         bound_bhs=bound_bhs(bundle),
         bound_lsc=lsc,

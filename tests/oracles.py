@@ -994,8 +994,18 @@ def dense_green_star(c: Complex) -> IntMatrix:
     return from_rows(rows, ncols=n)
 
 
+def degrees(g: Graph) -> list[int]:
+    """The vertex degrees, counted edge by edge: the oracle for the bundle's
+    bincount."""
+    deg = [0] * g.n
+    for u, v in g.edges:
+        deg[u] += 1
+        deg[v] += 1
+    return deg
+
+
 def dense_kirchhoff(g: Graph) -> IntMatrix:
-    deg = g.degrees()
+    deg = degrees(g)
     rows = [[0] * g.n for _ in range(g.n)]
     for i in range(g.n):
         rows[i][i] = deg[i]

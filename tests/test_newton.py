@@ -256,3 +256,67 @@ def test_exact_jacobian_at_1124_coordinates_without_a_dense_view(monkeypatch):
     # the compressed rows of the loop oracle, built once: sha256 of the JSON of csr
     digest = hashlib.sha256(json.dumps([x.tolist() for x in J.csr]).encode()).hexdigest()
     assert digest == "042553aea18857da98c02c91804d2b0e5ebcc2bcafa924bf2842c73bfd578d32"
+
+
+def _outcome(b, seed):
+    """Everything a solve reports: the result's bytes, or the exception's
+    type, iteration, singular values and message."""
+    try:
+        result, _ = solve_perturbed(b, 0.01, seed)
+        message = None
+    except SingularJacobianError as err:
+        return type(err), err.iteration, err.sigma_min, err.sigma_max, str(err)
+    except newton.NonConvergenceError as err:
+        result, message = err.result, str(err)
+    return (
+        result.solution.tobytes(),
+        result.residual_history,
+        result.iterations,
+        result.converged,
+        result.residual,
+        message,
+    )
+
+
+@pytest.mark.parametrize(
+    "spec, seed",
+    [(spec, len(spec)) for spec in NEWTON_POOLS] + [("path:30", 1), ("bary:star:5", 2)],
+)
+def test_certificate_changes_no_iterate(spec, seed, monkeypatch):
+    # the Cholesky certificate only skips SVDs that cannot fire: against the
+    # always-SVD solve, every iterate, residual and exception is the same
+    b = bundle_for(from_spec(spec))
+    certified = _outcome(b, seed)
+    monkeypatch.setattr(newton, "_certified_nonsingular", lambda J: False)
+    assert certified == _outcome(b, seed)
+
+
+def _factorizations(monkeypatch):
+    """The names of the np.linalg factorizations a solve calls, in order."""
+    calls = []
+    for name in ("svd", "cholesky"):
+        real = getattr(np.linalg, name)
+        monkeypatch.setattr(
+            np.linalg, name, lambda *a, name=name, real=real, **k: calls.append(name) or real(*a, **k)
+        )
+    return calls
+
+
+def test_certificate_replaces_the_svd_until_it_fails(monkeypatch):
+    calls = _factorizations(monkeypatch)
+    # a converging tree: one certificate per Jacobian, no SVD
+    result, _ = solve_perturbed(bundle_for(from_spec("star:12")), 0.01, 0)
+    assert result.converged and calls == ["cholesky"] * result.iterations
+    # a cycle: the certificate fails at L, and the SVD it falls back to
+    # finds the Jacobian singular
+    calls.clear()
+    with pytest.raises(SingularJacobianError) as excinfo:
+        solve_perturbed(bundle_for(from_spec("cycle:5")), 0.01, 1)
+    assert excinfo.value.iteration == 0 and calls == ["cholesky", "svd"]
+    # path:30 seed 3 is certified four times, then fails once and runs its
+    # remaining 46 Jacobians through the SVD without trying again
+    calls.clear()
+    with pytest.raises(newton.NonConvergenceError) as excinfo:
+        solve_perturbed(bundle_for(from_spec("path:30")), 0.01, 3)
+    assert excinfo.value.result.iterations == 50
+    assert calls == ["cholesky"] * 5 + ["svd"] * 46

@@ -4,6 +4,7 @@ bound soundness, and the barycentric limit profile."""
 import math
 from itertools import accumulate
 
+import numpy as np
 import pytest
 
 import connlab.graphs as graphs
@@ -191,6 +192,23 @@ def test_bounds_row_finds_components_and_regularity_once(monkeypatch):
     assert sorted(calls) == ["connected_components", "is_regular"]
 
 
+def test_bounds_row_takes_the_degrees_once(monkeypatch):
+    # one bincount of the edge ends, the bundle's degrees, serves the
+    # Kirchhoff diagonal, the degree bounds, the walk bound's largest row sum
+    # and every regularity test, per component too
+    counted, bincount = [], np.bincount
+    monkeypatch.setattr(np, "bincount", lambda *a, **k: counted.append(1) or bincount(*a, **k))
+    k3_p3 = Graph(6, ((0, 1), (0, 2), (1, 2), (3, 4), (4, 5)), name="K3+P3")
+    cases = (
+        (from_spec("figure8"), ()),
+        (k3_p3, ("disconnected", "lsc-per-component", "lsc-inapplicable")),
+    )
+    for g, flags in cases:
+        counted.clear()
+        rep = bounds_report(bundle_for(g))
+        assert rep.flags == flags and len(counted) == 1, g.name
+
+
 def test_kwalk_errors():
     c4, edgeless = bundle_for(from_spec("cycle:4")), bundle_for(Graph(3, name="E3"))
     with pytest.raises(SpectraError, match="^walk length k must be >= 1$"):
@@ -208,8 +226,8 @@ def test_kwalk_errors():
 
 
 def test_dual_vertex_beats_2d_on_sparse():
-    g = from_spec("gnp:20,0.1:seed=1")
-    assert bound_dual_vertex(g) < bound_trivial_2d(g)
+    b = bundle_for(from_spec("gnp:20,0.1:seed=1"))
+    assert bound_dual_vertex(b) < bound_trivial_2d(b)
 
 
 def test_barycentric_limit_profile_converges():
